@@ -5,6 +5,7 @@ import (
 
 	"revtr/internal/measure"
 	"revtr/internal/netsim/ipv4"
+	"revtr/internal/ttlcache"
 )
 
 // cache reuses RR revelations and forward traceroutes across reverse
@@ -12,194 +13,112 @@ import (
 // measurements can be cached for a day). Keys include the source because
 // reverse hops depend on the destination of the reply.
 //
-// Entries are evicted three ways so a long-running service never grows the
-// maps without bound: a lookup that finds an expired entry deletes it, an
-// opportunistic sweep every cacheSweepEvery writes drops everything past
-// its TTL, and a hard size cap (Options.CacheMaxEntries across both maps)
-// evicts oldest-first when the sweep alone is not enough. The cache is
-// internally locked so one engine can serve concurrent measurements;
-// eviction counts flow into the engine's Metrics.
+// Expiry, the periodic sweep and the size cap are ttlcache's (DESIGN.md
+// "Virtual-time TTL cache contract"); both kinds of entry live in one
+// Cache so Options.CacheMaxEntries bounds them together. What this type
+// adds is the lock that lets one engine serve concurrent measurements
+// and the hit/miss/eviction counts that flow into the engine's Metrics.
 type cache struct {
-	mu         sync.Mutex
-	ttlUS      int64
-	maxEntries int
-	rr         map[cacheKey]rrEntry
-	tr         map[cacheKey]trEntry
-
-	writesSinceSweep int
-	metrics          *Metrics
+	mu      sync.Mutex
+	c       *ttlcache.Cache[cacheKey, cacheEntry]
+	metrics *Metrics
 }
-
-// cacheSweepEvery is the opportunistic sweep interval, in cache writes.
-const cacheSweepEvery = 1024
 
 // defaultCacheMaxEntries bounds each engine cache when Options does not.
 const defaultCacheMaxEntries = 1 << 16
 
+// cacheKind is as wide as an address so cacheKey has no padding and the
+// map hashes and compares it as plain memory.
+type cacheKind uint32
+
+const (
+	kindRR cacheKind = iota
+	kindTR
+)
+
 type cacheKey struct {
+	kind   cacheKind
 	target ipv4.Addr
 	src    ipv4.Addr
 }
 
-type rrEntry struct {
-	revHops []ipv4.Addr
-	tech    Technique
-	atUS    int64
-}
-
-type trEntry struct {
-	tr   measure.TracerouteResult
-	atUS int64
-}
-
-func newCache(ttlUS int64, maxEntries int) *cache {
-	if maxEntries <= 0 {
-		maxEntries = defaultCacheMaxEntries
+// cacheKeyLess is the eviction tie-break among entries of equal age:
+// rr before tr, then by target, then by source.
+func cacheKeyLess(a, b cacheKey) bool {
+	if a.kind != b.kind {
+		return a.kind < b.kind
 	}
-	return &cache{
-		ttlUS:      ttlUS,
-		maxEntries: maxEntries,
-		rr:         make(map[cacheKey]rrEntry),
-		tr:         make(map[cacheKey]trEntry),
-	}
-}
-
-// size is the total entry count across both maps.
-func (c *cache) size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.rr) + len(c.tr)
-}
-
-func (c *cache) getRR(target, src ipv4.Addr, nowUS int64) ([]ipv4.Addr, Technique, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	k := cacheKey{target, src}
-	e, ok := c.rr[k]
-	if ok && nowUS-e.atUS > c.ttlUS {
-		delete(c.rr, k)
-		c.metrics.evicted(1)
-		ok = false
-	}
-	c.metrics.cacheRR(ok)
-	if !ok {
-		return nil, 0, false
-	}
-	return e.revHops, e.tech, true
-}
-
-func (c *cache) putRR(target, src ipv4.Addr, hops []ipv4.Addr, tech Technique, nowUS int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.rr[cacheKey{target, src}] = rrEntry{revHops: hops, tech: tech, atUS: nowUS}
-	c.maybeSweep(nowUS)
-}
-
-func (c *cache) getTraceroute(target, src ipv4.Addr, nowUS int64) (measure.TracerouteResult, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	k := cacheKey{target, src}
-	e, ok := c.tr[k]
-	if ok && nowUS-e.atUS > c.ttlUS {
-		delete(c.tr, k)
-		c.metrics.evicted(1)
-		ok = false
-	}
-	c.metrics.cacheTR(ok)
-	if !ok {
-		return measure.TracerouteResult{}, false
-	}
-	return e.tr, true
-}
-
-func (c *cache) putTraceroute(target, src ipv4.Addr, tr measure.TracerouteResult, nowUS int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.tr[cacheKey{target, src}] = trEntry{tr: tr, atUS: nowUS}
-	c.maybeSweep(nowUS)
-}
-
-// maybeSweep runs the periodic sweep every cacheSweepEvery writes, or
-// immediately when the size cap is exceeded. Callers hold c.mu.
-func (c *cache) maybeSweep(nowUS int64) {
-	c.writesSinceSweep++
-	if c.writesSinceSweep < cacheSweepEvery && len(c.rr)+len(c.tr) <= c.maxEntries {
-		return
-	}
-	c.writesSinceSweep = 0
-	c.sweep(nowUS)
-}
-
-// sweep drops TTL-expired entries, then — if the cache is still over its
-// cap — evicts oldest-first until it fits. Callers hold c.mu.
-func (c *cache) sweep(nowUS int64) {
-	evicted := 0
-	for k, e := range c.rr {
-		if nowUS-e.atUS > c.ttlUS {
-			delete(c.rr, k)
-			evicted++
-		}
-	}
-	for k, e := range c.tr {
-		if nowUS-e.atUS > c.ttlUS {
-			delete(c.tr, k)
-			evicted++
-		}
-	}
-	for len(c.rr)+len(c.tr) > c.maxEntries {
-		evicted += c.evictOldest()
-	}
-	c.metrics.evicted(evicted)
-}
-
-// keyLess orders cache keys so timestamp ties evict the same entry on
-// every run regardless of map iteration order.
-func keyLess(a, b cacheKey) bool {
 	if a.target != b.target {
 		return a.target < b.target
 	}
 	return a.src < b.src
 }
 
-// evictOldest removes the single oldest entry across both maps. It is the
-// slow path, only reached when unexpired entries alone exceed the cap.
-// Ties on age break by key (and rr before tr) so eviction is
-// deterministic under Go's randomized map iteration.
-func (c *cache) evictOldest() int {
-	var (
-		found    bool
-		fromRR   bool
-		oldestK  cacheKey
-		oldestUS int64
-	)
-	//revtr:unordered min-selection with total-order tie-break (age, then key); any iteration order picks the same entry
-	for k, e := range c.rr {
-		if !found || e.atUS < oldestUS || (e.atUS == oldestUS && fromRR && keyLess(k, oldestK)) {
-			found, fromRR, oldestK, oldestUS = true, true, k, e.atUS
-		}
+// cacheEntry holds an RR revelation (revHops, tech) or a traceroute
+// (tr), by kind. The traceroute sits behind a pointer so the far more
+// numerous RR entries do not pay for its size.
+type cacheEntry struct {
+	revHops []ipv4.Addr
+	tech    Technique
+	tr      *measure.TracerouteResult
+}
+
+func newCache(ttlUS int64, maxEntries int) *cache {
+	if maxEntries <= 0 {
+		maxEntries = defaultCacheMaxEntries
 	}
-	//revtr:unordered min-selection with total-order tie-break (age, then key); rr wins age ties over tr
-	for k, e := range c.tr {
-		if !found || e.atUS < oldestUS || (e.atUS == oldestUS && !fromRR && keyLess(k, oldestK)) {
-			found, fromRR, oldestK, oldestUS = true, false, k, e.atUS
-		}
+	return &cache{c: ttlcache.New[cacheKey, cacheEntry](ttlUS, maxEntries, cacheKeyLess)}
+}
+
+// size is the total entry count across both kinds.
+func (c *cache) size() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.c.Len()
+}
+
+func (c *cache) getRR(target, src ipv4.Addr, nowUS int64) ([]ipv4.Addr, Technique, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok, expired := c.c.Get(cacheKey{kindRR, target, src}, nowUS)
+	c.metrics.evicted(expired)
+	c.metrics.cacheRR(ok)
+	return e.revHops, e.tech, ok
+}
+
+func (c *cache) putRR(target, src ipv4.Addr, hops []ipv4.Addr, tech Technique, nowUS int64) {
+	c.put(cacheKey{kindRR, target, src}, cacheEntry{revHops: hops, tech: tech}, nowUS)
+}
+
+func (c *cache) getTraceroute(target, src ipv4.Addr, nowUS int64) (measure.TracerouteResult, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok, expired := c.c.Get(cacheKey{kindTR, target, src}, nowUS)
+	c.metrics.evicted(expired)
+	c.metrics.cacheTR(ok)
+	if !ok {
+		return measure.TracerouteResult{}, false
 	}
-	if !found {
-		return 0
-	}
-	if fromRR {
-		delete(c.rr, oldestK)
-	} else {
-		delete(c.tr, oldestK)
-	}
-	return 1
+	return *e.tr, true
+}
+
+func (c *cache) putTraceroute(target, src ipv4.Addr, tr measure.TracerouteResult, nowUS int64) {
+	c.put(cacheKey{kindTR, target, src}, cacheEntry{tr: &tr}, nowUS)
+}
+
+// put stores one entry and lets the sweep run; every eviction, expired
+// or over the cap, counts into engine_cache_evictions_total.
+func (c *cache) put(k cacheKey, e cacheEntry, nowUS int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.c.Put(k, e, nowUS)
+	expired, capped := c.c.MaybeSweep(nowUS)
+	c.metrics.evicted(expired + capped)
 }
 
 // Flush drops everything (used between experiment phases).
 func (c *cache) Flush() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.rr = make(map[cacheKey]rrEntry)
-	c.tr = make(map[cacheKey]trEntry)
-	c.writesSinceSweep = 0
+	c.c.Flush()
 }

@@ -49,51 +49,37 @@ func TestCacheEvictsExpiredOnGet(t *testing.T) {
 	}
 }
 
-// TestCacheSweepDropsExpired: entries never touched by a lookup are still
-// reclaimed by the periodic write-triggered sweep.
-func TestCacheSweepDropsExpired(t *testing.T) {
-	c := newCache(1_000, 0)
+// TestCacheEvictionsCounted: every entry the sweep removes — expired or
+// pushed out by the cap — lands in engine_cache_evictions_total.
+func TestCacheEvictionsCounted(t *testing.T) {
+	reg := obs.New()
+	c := newCache(1_000, 2)
+	c.metrics = NewMetrics(reg)
 	src := addr(t, "10.0.0.1")
-	for i := 0; i < cacheSweepEvery-1; i++ {
-		c.putRR(addr(t, fmt.Sprintf("10.1.%d.%d", i/200, i%200+1)), src, nil, TechRR, 0)
+	a, b, d := addr(t, "10.4.0.1"), addr(t, "10.4.0.2"), addr(t, "10.4.0.3")
+
+	c.putRR(a, src, nil, TechRR, 0)
+	c.putRR(b, src, nil, TechRR, 5_000)
+	c.putTraceroute(b, src, measure.TracerouteResult{}, 5_001)
+	// The third write went over the cap: a had expired, which was enough.
+	if got := reg.Counter("engine_cache_evictions_total").Value(); got != 1 || c.size() != 2 {
+		t.Fatalf("after the expiring sweep: evictions = %d, size = %d, want 1, 2", got, c.size())
 	}
-	// The write that completes the sweep interval arrives far in the
-	// future: the sweep must reclaim every expired entry.
-	c.putRR(addr(t, "10.9.9.9"), src, nil, TechRR, 10_000)
-	if got := len(c.rr); got != 1 {
-		t.Fatalf("sweep left %d entries, want 1 (the fresh one)", got)
+	c.putRR(d, src, nil, TechRR, 5_002)
+	// Nothing has expired now: the cap evicts the oldest.
+	if got := reg.Counter("engine_cache_evictions_total").Value(); got != 2 || c.size() != 2 {
+		t.Fatalf("after the cap eviction: evictions = %d, size = %d, want 2, 2", got, c.size())
 	}
 }
 
-// TestCacheSizeCap: unexpired entries beyond CacheMaxEntries evict
-// oldest-first so the maps stay bounded even within one TTL window.
-func TestCacheSizeCap(t *testing.T) {
-	const maxN = 32
-	c := newCache(1<<60, maxN) // nothing ever expires
-	src := addr(t, "10.0.0.1")
-	for i := 0; i < 4*maxN; i++ {
-		c.putRR(addr(t, fmt.Sprintf("10.2.%d.%d", i/200, i%200+1)), src, nil, TechRR, int64(i))
-		if c.size() > maxN+1 {
-			t.Fatalf("cache exceeded cap: size = %d after %d puts", c.size(), i+1)
-		}
-	}
-	if c.size() > maxN {
-		t.Fatalf("final size %d > cap %d", c.size(), maxN)
-	}
-	// The newest entry must have survived oldest-first eviction.
-	last := addr(t, fmt.Sprintf("10.2.%d.%d", (4*maxN-1)/200, (4*maxN-1)%200+1))
-	if _, _, ok := c.getRR(last, src, int64(4*maxN)); !ok {
-		t.Fatal("newest entry was evicted")
-	}
-}
-
-// TestCacheEvictOldestDeterministic pins the under-pressure sweep's
-// selection order directly: strictly oldest first across both maps,
-// age ties broken rr before tr, and within a map by smallest key — so
-// eviction is identical on every run despite Go's randomized map
-// iteration.
+// TestCacheEvictOldestDeterministic pins the order the combined cap
+// evicts in: strictly oldest first across both kinds, age ties broken
+// rr before tr, and within a kind by smallest key — so eviction is
+// identical on every run despite Go's randomized map iteration. The cap
+// of 4 holds the four entries below; each further write pushes exactly
+// one of them out.
 func TestCacheEvictOldestDeterministic(t *testing.T) {
-	c := newCache(1<<60, 1<<20) // nothing expires, cap never triggers
+	c := newCache(1<<60, 4) // nothing expires
 	src := addr(t, "10.0.0.1")
 	a, b, d := addr(t, "10.4.0.1"), addr(t, "10.4.0.2"), addr(t, "10.4.0.3")
 
@@ -102,35 +88,39 @@ func TestCacheEvictOldestDeterministic(t *testing.T) {
 	c.putTraceroute(a, src, measure.TracerouteResult{}, 1)
 	c.putTraceroute(d, src, measure.TracerouteResult{}, 0) // strictly oldest
 
-	hasRR := func(k ipv4.Addr) bool { _, ok := c.rr[cacheKey{k, src}]; return ok }
-	hasTR := func(k ipv4.Addr) bool { _, ok := c.tr[cacheKey{k, src}]; return ok }
+	const late = 100
+	hasRR := func(k ipv4.Addr) bool { _, _, ok := c.getRR(k, src, late); return ok }
+	hasTR := func(k ipv4.Addr) bool { _, ok := c.getTraceroute(k, src, late); return ok }
+	// push writes one fresh entry, which never is the oldest itself.
+	push := func(i int) {
+		c.putRR(addr(t, fmt.Sprintf("10.5.0.%d", i)), src, nil, TechRR, late)
+		if c.size() != 4 {
+			t.Fatalf("size = %d after push %d, want the cap of 4", c.size(), i)
+		}
+	}
 
 	// 1: the strictly oldest entry goes first even though it is a tr.
-	c.evictOldest()
+	push(1)
 	if hasTR(d) {
 		t.Fatal("strictly oldest tr entry survived the first eviction")
 	}
 	// 2: among the three age-1 entries, rr wins the tie over tr, and the
 	// smallest rr key goes first.
-	c.evictOldest()
+	push(2)
 	if hasRR(a) || !hasRR(b) || !hasTR(a) {
 		t.Fatalf("second eviction: want rr[a] evicted, have rr[a]=%v rr[b]=%v tr[a]=%v",
 			hasRR(a), hasRR(b), hasTR(a))
 	}
 	// 3: the remaining rr entry still precedes the tied tr entry.
-	c.evictOldest()
+	push(3)
 	if hasRR(b) || !hasTR(a) {
 		t.Fatalf("third eviction: want rr[b] evicted before tr[a], have rr[b]=%v tr[a]=%v",
 			hasRR(b), hasTR(a))
 	}
-	// 4: the tr entry last; the cache is then empty and a further call
-	// must be a no-op.
-	c.evictOldest()
-	if c.size() != 0 {
-		t.Fatalf("size = %d after evicting everything, want 0", c.size())
-	}
-	if got := c.evictOldest(); got != 0 {
-		t.Fatalf("evictOldest on empty cache returned %d, want 0", got)
+	// 4: the tr entry last.
+	push(4)
+	if hasTR(a) {
+		t.Fatal("tr[a] survived the fourth eviction")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"revtr/internal/netsim/ipv4"
+	"revtr/internal/ttlcache"
 )
 
 // DefaultDeadVPTTLUS is how long a blacked-out vantage point stays in
@@ -25,10 +26,17 @@ const DefaultDeadVPTTLUS int64 = 300_000_000
 // affects only how fast failover converges, never a measurement's
 // correctness. A nil *deadVPCache is valid and always misses (the
 // cache disabled, restoring strictly per-measurement dead-VP state).
+//
+// Expiry is ttlcache's boundary, the same as the other two engine
+// stores: a mark made at t is still served at now-t == TTL and dropped
+// once now-t > TTL. Which side equality falls on cannot matter here:
+// within a day the virtual clock does not advance between mark and
+// lookup, and across days it jumps 25 h against a 5 min TTL. The cache
+// is uncapped (at most one entry per vantage point) and never swept; an
+// expired mark is dropped by its next lookup.
 type deadVPCache struct {
-	mu    sync.Mutex
-	ttlUS int64
-	until map[ipv4.Addr]int64
+	mu sync.Mutex
+	c  *ttlcache.Cache[ipv4.Addr, struct{}]
 }
 
 // newDeadVPCache builds a cache with the given TTL in virtual
@@ -41,7 +49,7 @@ func newDeadVPCache(ttlUS int64) *deadVPCache {
 	if ttlUS == 0 {
 		ttlUS = DefaultDeadVPTTLUS
 	}
-	return &deadVPCache{ttlUS: ttlUS, until: make(map[ipv4.Addr]int64)}
+	return &deadVPCache{c: ttlcache.New[ipv4.Addr, struct{}](ttlUS, 0, nil)}
 }
 
 // isDead reports whether the VP at a was marked dead within the TTL as
@@ -52,25 +60,18 @@ func (c *deadVPCache) isDead(a ipv4.Addr, nowUS int64) bool {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	until, ok := c.until[a]
-	if !ok {
-		return false
-	}
-	if nowUS >= until {
-		delete(c.until, a)
-		return false
-	}
-	return true
+	_, ok, _ := c.c.Get(a, nowUS)
+	return ok
 }
 
-// markDead remembers the VP at a as dead until nowUS + TTL.
+// markDead remembers the VP at a as dead for the TTL from nowUS.
 func (c *deadVPCache) markDead(a ipv4.Addr, nowUS int64) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.until[a] = nowUS + c.ttlUS
+	c.c.Put(a, struct{}{}, nowUS)
 }
 
 // flush drops all entries.
@@ -80,5 +81,5 @@ func (c *deadVPCache) flush() {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	clear(c.until)
+	c.c.Flush()
 }

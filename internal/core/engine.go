@@ -122,10 +122,6 @@ type Engine struct {
 	Adj     AdjacencyProvider
 	Opts    Options
 
-	// Debugf, when set, receives a line per engine decision — the legacy
-	// printf hook, kept as a shim over the structured logger below.
-	Debugf func(format string, args ...any)
-
 	logger  *slog.Logger
 	cache   *cache
 	deadVPs *deadVPCache
@@ -141,9 +137,6 @@ func NewEngine(f *fabric.Fabric, pool *probe.Pool, ing *ingress.Service, sites [
 	}
 	if opts.MaxHops == 0 {
 		opts.MaxHops = 40
-	}
-	if opts.DBRRepeats <= 0 {
-		opts.DBRRepeats = 2
 	}
 	return &Engine{
 		F: f, Pool: pool, Ingress: ing, Sites: sites,
@@ -173,19 +166,17 @@ func (e *Engine) SetMetrics(m *Metrics) {
 // issuing measurements.
 func (e *Engine) SetLogger(l *slog.Logger) { e.logger = l }
 
-// debug emits one engine decision event: to the structured logger with
-// src/dst/stage attributes, and to the legacy Debugf shim as a line.
+// debug emits one engine decision event to the structured logger, with
+// src/dst/stage attributes.
 func (e *Engine) debug(src Source, cur ipv4.Addr, stage, msg string, attrs ...any) {
-	if e.logger != nil {
-		e.logger.Debug(msg, append([]any{
-			slog.String("src", src.Agent.Addr.String()),
-			slog.String("dst", cur.String()),
-			slog.String("stage", stage),
-		}, attrs...)...)
+	if e.logger == nil {
+		return
 	}
-	if e.Debugf != nil {
-		e.Debugf("%s: %s (src=%s cur=%s)", stage, msg, src.Agent.Addr, cur)
-	}
+	e.logger.Debug(msg, append([]any{
+		slog.String("src", src.Agent.Addr.String()),
+		slog.String("dst", cur.String()),
+		slog.String("stage", stage),
+	}, attrs...)...)
 }
 
 // mctx is one measurement's probing context: the caller's context
@@ -215,22 +206,6 @@ func (m *mctx) markDead(a ipv4.Addr) {
 		m.dead = make(map[ipv4.Addr]bool)
 	}
 	m.dead[a] = true
-}
-
-// retryPolicy resolves the measurement retry policy: the engine's
-// Options budget when set, else the pool's default.
-func (e *Engine) retryPolicy() probe.RetryPolicy {
-	switch {
-	case e.Opts.ProbeRetries > 0:
-		return probe.RetryPolicy{
-			Max:          e.Opts.ProbeRetries,
-			BackoffUS:    e.Opts.RetryBackoffUS,
-			MaxBackoffUS: e.Opts.RetryMaxBackoffUS,
-		}
-	case e.Opts.ProbeRetries < 0:
-		return probe.RetryPolicy{}
-	}
-	return e.Pool.Retry()
 }
 
 // next allocates the next probe sequence number.

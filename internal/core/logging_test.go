@@ -9,16 +9,11 @@ import (
 )
 
 // TestStructuredDebugLogging: decision events flow through the slog
-// logger with src/dst/stage attributes, and the legacy Debugf hook keeps
-// receiving formatted lines.
+// logger with src/dst/stage attributes.
 func TestStructuredDebugLogging(t *testing.T) {
 	h, eng := newHarness(t, nil)
 	var buf bytes.Buffer
 	eng.SetLogger(slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug})))
-	var legacy []string
-	eng.Debugf = func(format string, args ...any) {
-		legacy = append(legacy, format)
-	}
 
 	dst := h.env.ResponsiveHost(0, h.src.Agent.AS)
 	eng.MeasureReverse(context.Background(), h.src, dst.Addr)
@@ -31,8 +26,5 @@ func TestStructuredDebugLogging(t *testing.T) {
 		if !strings.Contains(out, attr) {
 			t.Errorf("debug events missing %q attribute:\n%s", attr, out)
 		}
-	}
-	if len(legacy) == 0 {
-		t.Fatal("legacy Debugf shim not invoked")
 	}
 }

@@ -447,7 +447,7 @@ func (mm *Machine) suspendProbes(reqs []probe.Request, spoofed bool, next phase)
 	mm.pending = &Pending{
 		Kind:    PendingProbes,
 		Reqs:    reqs,
-		Policy:  mm.e.retryPolicy(),
+		Policy:  mm.e.Pool.Retry(),
 		Spoofed: spoofed,
 	}
 	mm.ph = next
@@ -757,11 +757,14 @@ func (mm *Machine) stepAfterRR() {
 	mm.ph = phTS
 }
 
+// dbrRepeats is how many redundant re-revelations the DBR check issues
+// on top of the original one (1+dbrRepeats samples in all).
+const dbrRepeats = 2
+
 // beginDBR starts Appendix E's redundancy check: re-reveal the next hop
-// DBRRepeats more times as one direct batch.
+// dbrRepeats more times as one direct batch.
 func (mm *Machine) beginDBR() {
-	e := mm.e
-	direct := make([]probe.Request, e.Opts.DBRRepeats)
+	direct := make([]probe.Request, dbrRepeats)
 	for k := range direct {
 		direct[k] = probe.Request{Kind: measure.KindRR, VP: mm.src.Agent, Dst: mm.cur, Seq: mm.m.next()}
 	}
@@ -830,7 +833,7 @@ func (mm *Machine) onDBRFallback(b probe.Batch) {
 }
 
 // finishDBR classifies the samples: exactly two distinct next hops
-// across 1+DBRRepeats samples means the repeats agreed with each other
+// across 1+dbrRepeats samples means the repeats agreed with each other
 // against the original — a violator, not per-packet load balancing.
 func (mm *Machine) finishDBR() {
 	d := &mm.dbr

@@ -95,21 +95,6 @@ type Options struct {
 	// balancing) are flagged DBRSuspect. Costs roughly one extra RR
 	// probe per revelation; off in both standard configurations.
 	DetectDBRViolations bool
-	// DBRRepeats is how many redundant re-revelations checkDBR issues on
-	// top of the original one (1+DBRRepeats samples total). <= 0 selects
-	// the default of 2.
-	DBRRepeats int
-	// ProbeRetries is the engine's retry budget: unanswered probes are
-	// re-issued up to this many times with doubling backoff in virtual
-	// time. 0 inherits the probe pool's default policy; negative forces
-	// retries off even when the pool has one.
-	ProbeRetries int
-	// RetryBackoffUS is the delay before the first retry
-	// (probe.DefaultBackoffUS when 0); it doubles per retry up to
-	// RetryMaxBackoffUS.
-	RetryBackoffUS int64
-	// RetryMaxBackoffUS caps a single backoff step (0: uncapped).
-	RetryMaxBackoffUS int64
 	// MaxHops bounds the reverse path length.
 	MaxHops int
 }

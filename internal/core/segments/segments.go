@@ -25,12 +25,13 @@
 // (full-chain-or-nothing): a partial suffix would leave the engine
 // mid-path with nothing to continue from.
 //
-// Staleness and determinism follow the engine's other caches
-// (internal/core's cache and dead-VP cache): entries expire after a TTL
-// in *virtual* time — never the wall clock — so runs are reproducible;
-// expired entries are dropped on lookup and by a write-triggered sweep;
-// and a hard size cap evicts oldest-first with a total-order tie-break
-// so eviction is deterministic under Go's randomized map iteration.
+// Staleness and determinism are internal/ttlcache's, shared with the
+// engine's other caches (internal/core's cache and dead-VP cache):
+// entries expire after a TTL in *virtual* time — never the wall clock —
+// so runs are reproducible; expired entries are dropped on lookup and by
+// a write-triggered sweep; and a hard size cap evicts oldest-first with
+// a total-order tie-break so eviction is deterministic under Go's
+// randomized map iteration.
 // Under serial issuance the store contents are a pure function of the
 // measurement history; under concurrent issuance the store is advisory
 // (a racing measurement may or may not see a freshly published
@@ -43,6 +44,7 @@ import (
 
 	"revtr/internal/netsim/ipv4"
 	"revtr/internal/obs"
+	"revtr/internal/ttlcache"
 )
 
 // DefaultTTLUS is the default segment lifetime: one virtual hour. Much
@@ -59,9 +61,6 @@ const DefaultMaxEntries = 1 << 18
 // beyond it are treated as misses: real reverse paths are far shorter,
 // so an over-long walk indicates a corrupted or adversarial chain.
 const MaxChain = 64
-
-// sweepEvery is the opportunistic sweep interval, in store writes.
-const sweepEvery = 1024
 
 // Hop is one memoized reverse hop: its address and the technique that
 // revealed it. Tech carries the raw core.Technique value as uint8 so
@@ -89,10 +88,17 @@ type Key struct {
 	Anchor ipv4.Addr
 }
 
+// keyLess is the eviction tie-break among segments of equal age.
+func keyLess(a, b Key) bool {
+	if a.Src != b.Src {
+		return a.Src < b.Src
+	}
+	return a.Anchor < b.Anchor
+}
+
 type entry struct {
 	hops []Hop
 	next ipv4.Addr // the following anchor; the source terminates a chain
-	atUS int64
 }
 
 // Options configures a Store.
@@ -108,15 +114,14 @@ type Options struct {
 // Store is a shared, TTL'd reverse-segment store. It is internally
 // locked: one store typically serves every engine of a process (all
 // campaign workers, all service measurements), which is exactly what
-// makes cross-measurement sharing pay.
+// makes cross-measurement sharing pay. The lock spans a whole chain
+// walk or a whole Publish, which is why the ttlcache under it has none.
 type Store struct {
-	mu         sync.Mutex
-	ttlUS      int64
-	maxEntries int
-	m          map[Key]entry
-
-	writesSinceSweep int
-	staleEvictions   *obs.Counter
+	mu             sync.Mutex
+	ttlUS          int64 // the resolved Options, as handed to c
+	maxEntries     int
+	c              *ttlcache.Cache[Key, entry]
+	staleEvictions *obs.Counter
 }
 
 // New builds a segment store. The zero Options selects the defaults.
@@ -127,7 +132,8 @@ func New(o Options) *Store {
 	if o.MaxEntries <= 0 {
 		o.MaxEntries = DefaultMaxEntries
 	}
-	return &Store{ttlUS: o.TTLUS, maxEntries: o.MaxEntries, m: make(map[Key]entry)}
+	return &Store{ttlUS: o.TTLUS, maxEntries: o.MaxEntries,
+		c: ttlcache.New[Key, entry](o.TTLUS, o.MaxEntries, keyLess)}
 }
 
 // SetObs attaches an observability registry: TTL-expired evictions are
@@ -156,7 +162,7 @@ func (s *Store) Len() int {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.m)
+	return s.c.Len()
 }
 
 // Flush drops everything (used between experiment phases).
@@ -166,8 +172,7 @@ func (s *Store) Flush() {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.m = make(map[Key]entry)
-	s.writesSinceSweep = 0
+	s.c.Flush()
 }
 
 // Clone returns an independent deep copy of the store's contents with
@@ -179,12 +184,8 @@ func (s *Store) Clone() *Store {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cp := &Store{ttlUS: s.ttlUS, maxEntries: s.maxEntries,
-		m: make(map[Key]entry, len(s.m)), staleEvictions: s.staleEvictions}
-	for k, e := range s.m { // copy; iteration order cannot leak into contents
-		cp.m[k] = e
-	}
-	return cp
+	return &Store{ttlUS: s.ttlUS, maxEntries: s.maxEntries,
+		c: s.c.Clone(), staleEvictions: s.staleEvictions}
 }
 
 // Lookup walks the stored segments from the anchor `from` back to src
@@ -204,14 +205,9 @@ func (s *Store) Lookup(src, from ipv4.Addr, nowUS int64) ([]Hop, bool) {
 	seen := map[ipv4.Addr]bool{from: true}
 	cur := from
 	for cur != src {
-		k := Key{Src: src, Anchor: cur}
-		e, ok := s.m[k]
+		e, ok, expired := s.c.Get(Key{Src: src, Anchor: cur}, nowUS)
 		if !ok {
-			return nil, false
-		}
-		if nowUS-e.atUS > s.ttlUS {
-			delete(s.m, k)
-			s.staleEvictions.Inc()
+			s.staleEvictions.Add(uint64(expired))
 			return nil, false
 		}
 		chain = append(chain, e.hops...)
@@ -276,64 +272,10 @@ func (s *Store) Publish(src ipv4.Addr, segs []PathSeg, nowUS int64) {
 		if i+1 < len(merged) {
 			next = merged[i+1].Anchor
 		}
-		s.m[Key{Src: src, Anchor: a}] = entry{hops: sg.Hops, next: next, atUS: nowUS}
-		s.writesSinceSweep++
+		s.c.Put(Key{Src: src, Anchor: a}, entry{hops: sg.Hops, next: next}, nowUS)
 	}
-	s.maybeSweep(nowUS)
-}
-
-// maybeSweep runs the periodic sweep every sweepEvery writes, or
-// immediately when the size cap is exceeded. Callers hold s.mu.
-func (s *Store) maybeSweep(nowUS int64) {
-	if s.writesSinceSweep < sweepEvery && len(s.m) <= s.maxEntries {
-		return
-	}
-	s.writesSinceSweep = 0
-	s.sweep(nowUS)
-}
-
-// sweep drops TTL-expired segments, then — if the store is still over
-// its cap — evicts oldest-first until it fits. Callers hold s.mu.
-func (s *Store) sweep(nowUS int64) {
-	stale := 0
-	for k, e := range s.m { // deletion of expired entries is order-independent
-		if nowUS-e.atUS > s.ttlUS {
-			delete(s.m, k)
-			stale++
-		}
-	}
-	s.staleEvictions.Add(uint64(stale))
-	for len(s.m) > s.maxEntries {
-		s.evictOldest()
-	}
-}
-
-// keyLess orders keys so timestamp ties evict the same segment on every
-// run regardless of map iteration order.
-func keyLess(a, b Key) bool {
-	if a.Src != b.Src {
-		return a.Src < b.Src
-	}
-	return a.Anchor < b.Anchor
-}
-
-// evictOldest removes the single oldest segment. Slow path, only
-// reached when unexpired segments alone exceed the cap. Ties on age
-// break by key so eviction is deterministic under Go's randomized map
-// iteration.
-func (s *Store) evictOldest() {
-	var (
-		found    bool
-		oldestK  Key
-		oldestUS int64
-	)
-	//revtr:unordered min-selection with total-order tie-break (age, then key); any iteration order picks the same entry
-	for k, e := range s.m {
-		if !found || e.atUS < oldestUS || (e.atUS == oldestUS && keyLess(k, oldestK)) {
-			found, oldestK, oldestUS = true, k, e.atUS
-		}
-	}
-	if found {
-		delete(s.m, oldestK)
-	}
+	// One sweep per Publish, after the whole path is stored. Only expired
+	// segments count as stale evictions; cap evictions are not counted.
+	expired, _ := s.c.MaybeSweep(nowUS)
+	s.staleEvictions.Add(uint64(expired))
 }

@@ -6,6 +6,7 @@ import (
 
 	"revtr/internal/netsim/ipv4"
 	"revtr/internal/obs"
+	"revtr/internal/ttlcache"
 )
 
 func addr(t testing.TB, s string) ipv4.Addr {
@@ -15,6 +16,13 @@ func addr(t testing.TB, s string) ipv4.Addr {
 		t.Fatal(err)
 	}
 	return a
+}
+
+// stored reads one segment without walking its chain, at virtual time 0
+// so nothing the tests publish has expired.
+func stored(s *Store, src, anchor ipv4.Addr) (entry, bool) {
+	e, ok, _ := s.c.Get(Key{Src: src, Anchor: anchor}, 0)
+	return e, ok
 }
 
 // chainSegs turns an address walk d -> h1 -> ... -> src into single-hop
@@ -124,8 +132,8 @@ func TestTerminatorLinksIntoExistingChain(t *testing.T) {
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", s.Len())
 	}
-	if e := s.m[Key{Src: src, Anchor: b}]; e.atUS != 0 {
-		t.Fatalf("terminator refreshed the spliced segment: atUS = %d", e.atUS)
+	if _, ok := s.Lookup(src, b, DefaultTTLUS+1); ok {
+		t.Fatal("terminator refreshed the spliced segment: it outlived the TTL of its own publish")
 	}
 }
 
@@ -271,10 +279,10 @@ func TestPublishStopsAtRepeatedAnchor(t *testing.T) {
 		{Anchor: a, Hops: []Hop{{Addr: c}}},
 		{Anchor: c, Hops: []Hop{{Addr: src}}},
 	}, 0)
-	if _, ok := s.m[Key{Src: src, Anchor: c}]; ok {
+	if _, ok := stored(s, src, c); ok {
 		t.Fatal("segments past the repeated anchor stored")
 	}
-	if e := s.m[Key{Src: src, Anchor: a}]; len(e.hops) != 1 || e.hops[0].Addr != x {
+	if e, _ := stored(s, src, a); len(e.hops) != 1 || e.hops[0].Addr != x {
 		t.Fatalf("first segment at the repeated anchor overwritten: %v", e.hops)
 	}
 	// The loop cannot be walked to the source.
@@ -294,32 +302,6 @@ func TestRepublishRefreshes(t *testing.T) {
 	}
 }
 
-func TestSizeCapEvictsOldestDeterministically(t *testing.T) {
-	const maxN = 8
-	s := New(Options{TTLUS: 1 << 60, MaxEntries: maxN})
-	src := addr(t, "16.0.0.1")
-	for i := 0; i < 4*maxN; i++ {
-		d := addr(t, fmt.Sprintf("16.3.%d.%d", i/250, i%250+1))
-		s.Publish(src, chainSegs(d, src), int64(i))
-		if s.Len() > maxN {
-			t.Fatalf("store exceeded cap: Len = %d after %d publishes", s.Len(), i+1)
-		}
-	}
-	// The newest segment survived oldest-first eviction.
-	last := addr(t, fmt.Sprintf("16.3.%d.%d", (4*maxN-1)/250, (4*maxN-1)%250+1))
-	if _, ok := s.Lookup(src, last, int64(4*maxN)); !ok {
-		t.Fatal("newest segment evicted")
-	}
-	// The surviving set is exactly the last maxN publishes, on every run:
-	// timestamps are distinct so age alone decides.
-	for i := 0; i < 4*maxN-maxN; i++ {
-		old := addr(t, fmt.Sprintf("16.3.%d.%d", i/250, i%250+1))
-		if _, ok := s.Lookup(src, old, int64(4*maxN)); ok {
-			t.Fatalf("stale-ranked segment %d survived", i)
-		}
-	}
-}
-
 func TestEvictionTieBreakByKey(t *testing.T) {
 	s := New(Options{TTLUS: 1 << 60, MaxEntries: 2})
 	src := addr(t, "16.0.0.1")
@@ -331,13 +313,13 @@ func TestEvictionTieBreakByKey(t *testing.T) {
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", s.Len())
 	}
-	if _, ok := s.m[Key{Src: src, Anchor: a}]; ok {
+	if _, ok := stored(s, src, a); ok {
 		t.Fatal("tie-break kept the smallest key; want it evicted deterministically")
 	}
-	if _, ok := s.m[Key{Src: src, Anchor: b}]; !ok {
+	if _, ok := stored(s, src, b); !ok {
 		t.Fatal("key b evicted")
 	}
-	if _, ok := s.m[Key{Src: src, Anchor: c}]; !ok {
+	if _, ok := stored(s, src, c); !ok {
 		t.Fatal("key c evicted")
 	}
 }
@@ -347,7 +329,7 @@ func TestSweepDropsExpiredOnWriteInterval(t *testing.T) {
 	s := New(Options{TTLUS: 1_000, MaxEntries: 1 << 20})
 	s.SetObs(reg)
 	src := addr(t, "16.0.0.1")
-	for i := 0; i < sweepEvery-1; i++ {
+	for i := 0; i < ttlcache.SweepEvery-1; i++ {
 		d := addr(t, fmt.Sprintf("16.4.%d.%d", i/250, i%250+1))
 		s.Publish(src, chainSegs(d, src), 0)
 	}
@@ -357,8 +339,8 @@ func TestSweepDropsExpiredOnWriteInterval(t *testing.T) {
 	if got := s.Len(); got != 1 {
 		t.Fatalf("sweep left %d segments, want 1 (the fresh one)", got)
 	}
-	if got := reg.Counter("engine_segment_stale_evictions_total").Value(); got != sweepEvery-1 {
-		t.Fatalf("stale evictions = %d, want %d", got, sweepEvery-1)
+	if got := reg.Counter("engine_segment_stale_evictions_total").Value(); got != ttlcache.SweepEvery-1 {
+		t.Fatalf("stale evictions = %d, want %d", got, ttlcache.SweepEvery-1)
 	}
 }
 

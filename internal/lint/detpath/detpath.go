@@ -44,6 +44,7 @@ var deterministicPrefixes = []string{
 	"revtr/internal/measure",
 	"revtr/internal/probe",
 	"revtr/internal/core",
+	"revtr/internal/ttlcache",
 	"revtr/internal/campaign",
 	"revtr/internal/eval",
 	"revtr/internal/ingress",

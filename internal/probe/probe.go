@@ -1,20 +1,23 @@
-// Package probe executes batches of measurement probes concurrently over
-// the simulated fabric — the §5.2.4 scalability substrate. The paper's
+// Package probe executes batches of measurement probes over the
+// simulated fabric — the §5.2.4 scalability substrate. The paper's
 // system issues each spoofed-RR batch of 3 vantage points in parallel and
 // runs many reverse traceroutes at once; Pool provides exactly that: a
-// bounded worker pool over the (thread-safe) fabric that executes
-// []probe.Request batches, aggregates probe counters atomically, and
-// charges virtual time per batch as the max RTT within the batch rather
-// than a serial sum.
+// bounded worker budget over the (thread-safe) fabric under which many
+// callers execute []probe.Request batches at once, aggregating probe
+// counters atomically and charging virtual time per batch as the max RTT
+// within the batch rather than a serial sum. The parallelism is across
+// batches: one batch holds one worker slot and issues its requests in
+// request order, because the engine's widest batch is 3 probes and a
+// probe into the simulated fabric costs a few microseconds of CPU, far
+// less than handing it to another goroutine.
 //
 // Determinism contract: requests are measure.Specs, whose probe IDs and
 // load-balancer nonces are pure functions of (packet source, destination,
-// sequence). Do always issues every request of a batch (no intra-batch
-// early exit), so the replies and counters of a batch are bit-identical
-// no matter how many workers execute it or in what order — serial and
-// concurrent runs of the same measurement cannot diverge. DoStop trades
-// that guarantee for latency and is therefore not used on measurement
-// paths that require reproducibility.
+// sequence). Do always issues every request of a batch at one virtual
+// instant (no intra-batch early exit), so the replies and counters of a
+// batch are bit-identical no matter how many workers the pool has or how
+// concurrent batches interleave — serial and concurrent runs of the same
+// measurement cannot diverge.
 //
 // Cancellation contract: Do observes ctx between request launches. A
 // cancelled batch still returns the replies of every request already
@@ -131,14 +134,13 @@ type Batch struct {
 	// semantics (probes fly in parallel; the batch is done when the
 	// slowest reply lands).
 	MaxRTTUS int64
-	// Skipped counts requests never launched (context cancelled or a
-	// DoStop predicate fired first).
+	// Skipped counts requests never launched (context cancelled first).
 	Skipped int
 }
 
 // Pool executes probe batches over a fabric with bounded concurrency.
-// It is safe for concurrent use by any number of goroutines; all Do/One
-// calls share one worker budget.
+// It is safe for concurrent use by any number of goroutines; all calls
+// share one worker budget.
 type Pool struct {
 	F *fabric.Fabric
 
@@ -170,10 +172,6 @@ type Pool struct {
 // batchSizeBuckets spans single probes through revtr 1.0's widest VP
 // sweeps.
 var batchSizeBuckets = []int64{1, 2, 3, 6, 12, 24, 48, 96, 200}
-
-// inlineBatch is the batch size at or below which run executes requests
-// on the caller's goroutine instead of fanning out (see run).
-const inlineBatch = 4
 
 // New creates a pool over f sharing clock. workers <= 0 selects
 // GOMAXPROCS.
@@ -207,8 +205,8 @@ func (p *Pool) SetObs(reg *obs.Registry) {
 	p.retries = reg.Counter("probe_retries_total")
 }
 
-// SetRetry installs the pool's default retry policy (used by Do/DoStop/
-// One; DoPolicy overrides per call). Call before the pool is in use.
+// SetRetry installs the pool's default retry policy (used by Do;
+// DoPolicy and Go take one per call). Call before the pool is in use.
 func (p *Pool) SetRetry(pol RetryPolicy) { p.retry = pol }
 
 // Retry reports the pool's default retry policy.
@@ -253,130 +251,79 @@ func (p *Pool) account(sp Request) {
 	}
 }
 
-// Do executes every request concurrently (bounded by the pool's worker
-// budget) at one virtual instant and returns when all launched requests
-// have completed. Every request is launched unless ctx is cancelled
-// first, so the result is deterministic for a deterministic fabric.
+// Do executes every request at one virtual instant, under the pool's
+// default retry policy, and returns when all launched requests have
+// completed. Every request is launched unless ctx is cancelled first, so
+// the result is deterministic for a deterministic fabric.
 func (p *Pool) Do(ctx context.Context, reqs []Request) Batch {
-	return p.run(ctx, reqs, nil, p.retry)
+	return p.run(ctx, reqs, p.retry)
 }
 
 // DoPolicy is Do with an explicit retry policy for this batch,
-// overriding the pool default (engine retry budgets in core.Options use
-// this).
+// overriding the pool default.
 func (p *Pool) DoPolicy(ctx context.Context, reqs []Request, pol RetryPolicy) Batch {
-	return p.run(ctx, reqs, nil, pol)
+	return p.run(ctx, reqs, pol)
 }
 
-// DoStop is Do with early cancellation: once a completed reply satisfies
-// stop, no further requests are launched (already-launched ones finish
-// and are reported). The set of launched requests then depends on
-// completion timing, so DoStop is for latency-sensitive callers that do
-// not need bit-reproducible probe counts.
-func (p *Pool) DoStop(ctx context.Context, reqs []Request, stop func(measure.Reply) bool) Batch {
-	return p.run(ctx, reqs, stop, p.retry)
-}
-
-func (p *Pool) run(ctx context.Context, reqs []Request, stop func(measure.Reply) bool, pol RetryPolicy) Batch {
+// run takes one worker slot, issues the batch in request order on the
+// caller's goroutine, and releases the slot (like Traceroute).
+func (p *Pool) run(ctx context.Context, reqs []Request, pol RetryPolicy) Batch {
 	out := Batch{Replies: make([]measure.Reply, len(reqs))}
 	if len(reqs) == 0 {
 		return out
 	}
 	nowUS := p.clock.Now()
-	attempts := make([]uint64, len(reqs))
-	var stopped atomic.Bool
-	var wg sync.WaitGroup
 	launched := 0
-	issue := func(i int) {
-		p.inFlight.Add(1)
-		rep := measure.Issue(p.F, reqs[i], nowUS)
-		if rep.Sent {
-			p.account(reqs[i])
-			attempts[i] = 1
-			// Unanswered probes are re-issued later in virtual time with
-			// doubling backoff. The retry decision depends only on the
-			// reply, so batches with retries stay deterministic.
-			var delayUS int64
-			for a := 1; a <= pol.Max && !responded(reqs[i], rep); a++ {
-				delayUS += pol.backoffFor(a)
-				r2 := measure.Issue(p.F, reqs[i], nowUS+delayUS)
-				p.retries.Inc()
-				if !r2.Sent {
-					break // VP went dark mid-measurement; not transient
-				}
-				p.account(reqs[i])
-				attempts[i]++
-				rep = addDelay(r2, delayUS)
-			}
+	p.sem <- struct{}{}
+	for i, req := range reqs {
+		if ctx != nil && ctx.Err() != nil {
+			break
 		}
+		launched++
+		p.inFlight.Add(1)
+		rep, attempts := p.issue(req, nowUS, pol)
 		p.inFlight.Add(-1)
 		out.Replies[i] = rep
-		if stop != nil && stop(rep) {
-			stopped.Store(true)
-		}
-	}
-	// Batches at or below inlineBatch execute sequentially on the
-	// caller's goroutine, occupying a single worker slot for the whole
-	// batch (like Traceroute): issuing a probe into the simulated fabric
-	// is a few microseconds of CPU, so goroutine fan-out only pays off
-	// for wide sweeps. Concurrency across measurements is unaffected
-	// (each caller is its own goroutine; the worker budget still
-	// applies), and because replies, counters, and virtual time are
-	// computed by request index either way, inline and fanned-out
-	// execution are bit-identical.
-	if len(reqs) <= inlineBatch || p.workers == 1 {
-		p.sem <- struct{}{}
-		for i := range reqs {
-			if (ctx != nil && ctx.Err() != nil) || stopped.Load() {
-				break
-			}
-			launched++
-			issue(i)
-		}
-		<-p.sem
-	} else {
-		for i := range reqs {
-			if (ctx != nil && ctx.Err() != nil) || stopped.Load() {
-				break
-			}
-			p.sem <- struct{}{}
-			// Re-check after a possibly long wait for a worker slot.
-			if (ctx != nil && ctx.Err() != nil) || stopped.Load() {
-				<-p.sem
-				break
-			}
-			launched++
-			// The caller's goroutine executes the batch's final request
-			// itself instead of idling in wg.Wait.
-			if i == len(reqs)-1 {
-				issue(i)
-				<-p.sem
-				break
-			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-p.sem }()
-				issue(i)
-			}(i)
-		}
-		wg.Wait()
-	}
-	out.Skipped = len(reqs) - launched
-	for i := range out.Replies {
-		rep := &out.Replies[i]
 		if !rep.Sent {
 			continue
 		}
-		out.Sent = out.Sent.Add(reqs[i].Delta().Scale(attempts[i]))
+		out.Sent = out.Sent.Add(req.Delta().Scale(attempts))
 		if rtt := rep.RTTUS(); rtt > out.MaxRTTUS {
 			out.MaxRTTUS = rtt
 		}
 	}
+	<-p.sem
+	out.Skipped = len(reqs) - launched
 	p.batches.Inc()
 	p.batchSize.Observe(int64(len(reqs)))
 	p.batchWallUS.Observe(out.MaxRTTUS)
 	return out
+}
+
+// issue sends one request at nowUS and re-issues it while it goes
+// unanswered, later in virtual time with doubling backoff. It returns
+// the last reply and the number of probes sent. The retry decision
+// depends only on the reply, so batches with retries stay deterministic.
+func (p *Pool) issue(req Request, nowUS int64, pol RetryPolicy) (measure.Reply, uint64) {
+	rep := measure.Issue(p.F, req, nowUS)
+	if !rep.Sent {
+		return rep, 0
+	}
+	p.account(req)
+	attempts := uint64(1)
+	var delayUS int64
+	for a := 1; a <= pol.Max && !responded(req, rep); a++ {
+		delayUS += pol.backoffFor(a)
+		r2 := measure.Issue(p.F, req, nowUS+delayUS)
+		p.retries.Inc()
+		if !r2.Sent {
+			break // VP went dark mid-measurement; not transient
+		}
+		p.account(req)
+		attempts++
+		rep = addDelay(r2, delayUS)
+	}
+	return rep, attempts
 }
 
 // Traceroute runs one pure Paris traceroute occupying a single worker
@@ -409,7 +356,7 @@ func (p *Pool) Traceroute(ctx context.Context, a measure.Agent, dst ipv4.Addr, s
 //
 //revtr:suspends queues the batch and parks the measurement until an executor resumes it
 func (p *Pool) Go(ctx context.Context, reqs []Request, pol RetryPolicy, done func(Batch)) {
-	p.submit(func() { done(p.run(ctx, reqs, nil, pol)) })
+	p.submit(func() { done(p.run(ctx, reqs, pol)) })
 }
 
 // GoTraceroute is Traceroute, asynchronously, under the same executor
@@ -465,23 +412,4 @@ func (p *Pool) AsyncBacklog() int {
 	p.qmu.Lock()
 	defer p.qmu.Unlock()
 	return len(p.queue)
-}
-
-// One issues a single probe inline on the caller's goroutine (still
-// respecting the worker budget and the cancellation contract). It is the
-// fast path for the engine's serial probes — direct RR pings, timestamp
-// tests — between batched stages.
-func (p *Pool) One(ctx context.Context, req Request) measure.Reply {
-	if ctx != nil && ctx.Err() != nil {
-		return measure.Reply{}
-	}
-	p.sem <- struct{}{}
-	defer func() { <-p.sem }()
-	p.inFlight.Add(1)
-	rep := measure.Issue(p.F, req, p.clock.Now())
-	p.inFlight.Add(-1)
-	if rep.Sent {
-		p.account(req)
-	}
-	return rep
 }

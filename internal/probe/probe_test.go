@@ -119,25 +119,8 @@ func TestPoolRepeatable(t *testing.T) {
 	}
 }
 
-// TestPoolDoStop: with one worker (strictly serial execution) a stop
-// predicate that fires on the first reply prevents every later launch.
-func TestPoolDoStop(t *testing.T) {
-	env := simtest.New(t, 150, 5)
-	reqs := buildRequests(env, 12)
-	pool := probe.New(env.Fabric, measure.NewClock(), 1)
-	b := pool.DoStop(context.Background(), reqs, func(measure.Reply) bool { return true })
-	if b.Skipped != len(reqs)-1 {
-		t.Fatalf("skipped = %d, want %d", b.Skipped, len(reqs)-1)
-	}
-	for i := 1; i < len(reqs); i++ {
-		if b.Replies[i].Sent {
-			t.Fatalf("request %d launched after stop", i)
-		}
-	}
-}
-
 // TestPoolCancellation: a cancelled context skips the whole batch and the
-// single-probe and traceroute paths return zero values without probing.
+// traceroute path returns zero values without probing.
 func TestPoolCancellation(t *testing.T) {
 	env := simtest.New(t, 150, 7)
 	reqs := buildRequests(env, 8)
@@ -153,9 +136,6 @@ func TestPoolCancellation(t *testing.T) {
 		t.Fatalf("cancelled batch accounted probes: %+v", b)
 	}
 
-	if rep := pool.One(ctx, reqs[0]); rep.Sent {
-		t.Fatal("One issued a probe on a cancelled context")
-	}
 	src := env.Agent(env.SourceHost(0))
 	if tr, sent := pool.Traceroute(ctx, src, env.ResponsiveHost(0, src.AS).Addr, 0); sent != 0 || len(tr.Hops) != 0 {
 		t.Fatal("Traceroute probed on a cancelled context")

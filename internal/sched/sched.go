@@ -455,14 +455,16 @@ func (s *Scheduler) Submit(ctx context.Context, user string, specs []JobSpec) (B
 		return BatchStatus{}, ErrRevoked
 	}
 
-	b := &Batch{id: fmt.Sprintf("b%d", s.nextID), user: user}
+	// Every job counts as open before the first is admitted: a job
+	// resolved inside this loop (day-cache hit, shed) must not see an
+	// empty batch and flag BatchDone while later jobs are still to come.
+	b := &Batch{id: fmt.Sprintf("b%d", s.nextID), user: user, open: len(specs)}
 	s.nextID++
 	now := time.Now() //revtr:wallclock dispatch-latency observability base, not simulation time
 	needed, capShed := 0, 0
 	for i, spec := range specs {
 		j := &Job{batch: b, idx: i, user: user, src: spec.Src, dst: spec.Dst, admitted: now}
 		b.jobs = append(b.jobs, j)
-		b.open++
 		k := key{spec.Src, spec.Dst}
 		if e, ok := s.cache[k]; ok {
 			// Day-cache hit: resolved immediately, zero probes.

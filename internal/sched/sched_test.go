@@ -436,3 +436,45 @@ func TestStopAndDrain(t *testing.T) {
 		t.Fatalf("post-stop submit err = %v", err)
 	}
 }
+
+// TestBatchDoneFiresOnceAndLast: a batch whose leading job is a
+// day-cache hit resolves that job inside Submit, before its later jobs
+// are admitted. BatchDone must still wait for the whole batch: it is
+// flagged exactly once, on the last event the batch ever emits.
+func TestBatchDoneFiresOnceAndLast(t *testing.T) {
+	ex := newPureExec()
+	var mu sync.Mutex
+	var events []sched.JobEvent
+	s := sched.New(ex.exec, sched.Options{Workers: 2, OnJob: func(ev sched.JobEvent) {
+		mu.Lock()
+		events = append(events, ev)
+		mu.Unlock()
+	}})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.Start(ctx)
+
+	src, cached, fresh := addr(1), addr(100), addr(101)
+	warm := mustSubmit(t, s, "alice", specs(src, cached))
+	waitBatch(t, s, warm.ID)
+
+	st := mustSubmit(t, s, "alice", specs(src, cached, fresh))
+	waitBatch(t, s, st.ID)
+
+	mu.Lock()
+	defer mu.Unlock()
+	var batch []sched.JobEvent
+	for _, ev := range events {
+		if ev.Batch == st.ID {
+			batch = append(batch, ev)
+		}
+	}
+	if len(batch) == 0 || batch[0].Index != 0 || batch[0].State != sched.StateCoalesced {
+		t.Fatalf("first event of the batch is not the cached job resolving: %+v", batch)
+	}
+	for i, ev := range batch {
+		if last := i == len(batch)-1; ev.BatchDone != last {
+			t.Fatalf("event %d of %d (job %d, %s) has BatchDone=%v", i+1, len(batch), ev.Index, ev.State, ev.BatchDone)
+		}
+	}
+}

@@ -97,15 +97,26 @@ func (r *Registry) batchExec(ctx context.Context, job sched.JobRef) (any, error)
 		return nil, ErrUnknownSource
 	}
 	res := r.safeMeasureStream(ctx, reg, dst, r.progressSink(job))
+	return r.finishBatchJob(ctx, sc, job, name, res)
+}
+
+// finishBatchJob is the tail both dispatch paths share once the backend
+// has returned: count the attempt, turn a panicked (nil) or cancelled
+// measurement into an error — wrapped as a revocation when that is why
+// it was cut short — and otherwise count, archive and publish the
+// measurement. It does not count the backend panic itself: the blocking
+// path already did, inside safeMeasureStream, so the async path counts
+// its own before calling here.
+func (r *Registry) finishBatchJob(ctx context.Context, sc *sched.Scheduler, job sched.JobRef, userName string, res *core.Result) (any, error) {
 	r.countBatchExec()
 	if res == nil {
-		return nil, sc.WrapRevoked(key, errors.New("service: backend panic"))
+		return nil, sc.WrapRevoked(job.User, errors.New("service: backend panic"))
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, sc.WrapRevoked(key, err)
+		return nil, sc.WrapRevoked(job.User, err)
 	}
-	m := buildMeasurement(src, dst, res)
-	m.User = name
+	m := buildMeasurement(job.Src, job.Dst, res)
+	m.User = userName
 	r.obs.Counter(obs.Label("service_measure_status_total", "status", m.Status)).Inc()
 	if err := r.archiveMeasurement(m); err != nil {
 		return nil, err
@@ -143,25 +154,10 @@ func (r *Registry) batchExecAsync(ctx context.Context, job sched.JobRef, done fu
 		return
 	}
 	finish := func(res *core.Result) {
-		r.countBatchExec()
 		if res == nil {
 			r.countBackendPanic()
-			done(nil, sc.WrapRevoked(key, errors.New("service: backend panic")))
-			return
 		}
-		if err := ctx.Err(); err != nil {
-			done(nil, sc.WrapRevoked(key, err))
-			return
-		}
-		m := buildMeasurement(src, dst, res)
-		m.User = name
-		r.obs.Counter(obs.Label("service_measure_status_total", "status", m.Status)).Inc()
-		if err := r.archiveMeasurement(m); err != nil {
-			done(nil, err)
-			return
-		}
-		r.publishMeasurement(m)
-		done(m, nil)
+		done(r.finishBatchJob(ctx, sc, job, name, res))
 	}
 	sink := r.progressSink(job)
 	sab, canStream := r.backend.(StreamAsyncBackend)

@@ -357,6 +357,42 @@ func TestStreamBackpressureStalledSubscriber(t *testing.T) {
 	}
 }
 
+// TestStreamEndAfterLateJob: a batch whose first job resolves from the
+// day cache at admission still has a job to run. Its follower must get
+// that job's terminal line before the end event, not an end published
+// while the job was still queued.
+func TestStreamEndAfterLateJob(t *testing.T) {
+	reg, bb, u, src := batchRegistry(t, 10000)
+	reg.EnableStream(stream.Options{SubBuffer: 64, Replay: 64})
+	close(bb.release)
+
+	warm, err := reg.SubmitBatch(context.Background(), u.APIKey, pairs(src, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, reg, u.APIKey, warm.ID)
+
+	st, err := reg.SubmitBatch(context.Background(), u.APIKey, pairs(src, 1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Jobs[0].State != "coalesced" {
+		t.Fatalf("job 0 admitted as %q, want a day-cache hit", st.Jobs[0].State)
+	}
+	waitDone(t, reg, u.APIKey, st.ID)
+
+	ts := streamServer(t, reg)
+	ch, _ := openStream(t, ts+"/api/v1/batch/"+st.ID+"/events",
+		map[string]string{"X-API-Key": u.APIKey})
+	evs := collectUntilEnd(t, ch, 10*time.Second)
+	for _, ev := range evs {
+		if ev.Kind == stream.KindState && ev.Job == 1 && ev.State == "done" {
+			return
+		}
+	}
+	t.Fatalf("end arrived before the fresh job's terminal line: %+v", evs)
+}
+
 // TestStreamSubscribeAfterDoneReplay: subscribing after completion
 // while the topic's replay window survives serves the retained events,
 // IDs intact, terminated by the retained end event.
