@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: build test short vet lint race ci bench benchmod chaos fuzz soak cover
+.PHONY: build test short vet lint race ci bench benchmod chaos fuzz soak cover loc
 
 build:
 	$(GO) build ./...
@@ -41,7 +41,16 @@ lint:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-ci: vet lint race bench benchmod chaos fuzz soak cover
+ci: vet lint race bench benchmod chaos fuzz soak cover loc
+
+# loc prints the number ROADMAP's consolidation round tracks: non-test Go
+# lines per package and in total, leaving out bench/ (a module of its
+# own) and the lint analyzers' testdata fixtures. CHANGES.md entries
+# quote this instead of hand counts; `make ci` ends with it.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # cover enforces a coverage floor on the segment store and on the TTL
 # cache under it: the store is shared mutable state spliced into other

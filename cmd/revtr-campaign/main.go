@@ -41,12 +41,7 @@ func main() {
 		dumpObs = flag.Bool("metrics", false, "print the observability registry (engine stages, cache, latency histograms) after the run")
 
 		faultSpec    = flag.String("faults", "", "fault plan spec, e.g. loss=0.01,icmp-frac=0.3,icmp-pass=0.5 (see internal/netsim/faults)")
-		faultLoss    = flag.Float64("fault-loss", 0, "per-link packet loss probability (overrides -faults)")
-		faultICMPFr  = flag.Float64("fault-icmp-frac", 0, "fraction of routers that ICMP-rate-limit (overrides -faults)")
-		faultICMPOK  = flag.Float64("fault-icmp-pass", 0, "steady-state pass probability at rate-limiting routers (overrides -faults)")
-		faultFlap    = flag.Float64("fault-flap", 0, "fraction of links mid route-flap per period (overrides -faults)")
 		faultVPOut   = flag.Int("fault-vp-outages", 0, "blackout this many spoof-capable non-source vantage point sites from t=0")
-		faultSeed    = flag.Uint64("fault-seed", 0, "fault plan seed (overrides -faults; 0 = keep)")
 		retries      = flag.Int("probe-retries", 0, "re-issue unanswered probes up to this many times (virtual-time backoff)")
 		retryBackoff = flag.Duration("probe-retry-backoff", 0, "delay before the first probe retry, doubling per retry (0 = default 50ms)")
 		segmentTTL   = flag.Duration("segment-ttl", 0, "memoize reverse-path segments across measurements for this long in virtual time (0 = off)")
@@ -65,24 +60,6 @@ func main() {
 	// measured healthy, the campaign's measurements contend with faults.
 	plan, err := faults.Parse(*faultSpec)
 	if err != nil {
-		log.Fatalf("fault plan: %v", err)
-	}
-	if *faultLoss > 0 {
-		plan.LinkLoss = *faultLoss
-	}
-	if *faultICMPFr > 0 {
-		plan.ICMPFrac = *faultICMPFr
-	}
-	if *faultICMPOK > 0 {
-		plan.ICMPPass = *faultICMPOK
-	}
-	if *faultFlap > 0 {
-		plan.FlapFrac = *faultFlap
-	}
-	if *faultSeed != 0 {
-		plan.Seed = *faultSeed
-	}
-	if err := plan.Validate(); err != nil {
 		log.Fatalf("fault plan: %v", err)
 	}
 	if *faultVPOut > 0 {

@@ -7,7 +7,7 @@
 //	GET /metrics   engine + service counters, gauges, latency histograms
 //	GET /healthz   plain-text liveness probe
 //
-// The batch scheduler (POST /api/v1/batch) is always on; -batch-workers,
+// The batch scheduler (POST /api/v1/batch) is always on; -batch-inflight,
 // -batch-queue-cap, -batch-quantum, and -max-batch-pairs (per-request
 // submission size cap) tune it. With -store-dir the
 // measurement archive is durable: a restarted server replays its WAL and
@@ -45,35 +45,6 @@ import (
 	"revtr/internal/stream"
 )
 
-// buildFaultPlan assembles the fault plan from the -faults spec string
-// overlaid with the individual -fault-* flags. Returns nil when nothing
-// is enabled.
-func buildFaultPlan(spec string, loss, icmpFrac, icmpPass, flap float64, fseed uint64) (*faults.Plan, error) {
-	plan, err := faults.Parse(spec)
-	if err != nil {
-		return nil, err
-	}
-	if loss > 0 {
-		plan.LinkLoss = loss
-	}
-	if icmpFrac > 0 {
-		plan.ICMPFrac = icmpFrac
-	}
-	if icmpPass > 0 {
-		plan.ICMPPass = icmpPass
-	}
-	if flap > 0 {
-		plan.FlapFrac = flap
-	}
-	if fseed != 0 {
-		plan.Seed = fseed
-	}
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
-	return plan, nil
-}
-
 func main() {
 	var (
 		listen        = flag.String("listen", ":8080", "listen address")
@@ -84,12 +55,7 @@ func main() {
 		probeWorkers  = flag.Int("probe-workers", 0, "concurrent probes in the shared probe pool (0 = GOMAXPROCS)")
 		measureTO     = flag.Duration("measure-timeout", 0, "per-measurement wall-clock cap when a request sets no timeoutMs (0 = none)")
 		faultSpec     = flag.String("faults", "", "fault plan spec, e.g. loss=0.01,icmp-frac=0.3,icmp-pass=0.5 (see internal/netsim/faults)")
-		faultLoss     = flag.Float64("fault-loss", 0, "per-link packet loss probability (overrides -faults)")
-		faultICMPFr   = flag.Float64("fault-icmp-frac", 0, "fraction of routers that ICMP-rate-limit (overrides -faults)")
-		faultICMPOK   = flag.Float64("fault-icmp-pass", 0, "steady-state pass probability at rate-limiting routers (overrides -faults)")
-		faultFlap     = flag.Float64("fault-flap", 0, "fraction of links mid route-flap per period (overrides -faults)")
 		faultVPOut    = flag.Int("fault-vp-outages", 0, "blackout this many spoof-capable vantage point sites from t=0")
-		faultSeed     = flag.Uint64("fault-seed", 0, "fault plan seed (overrides -faults; 0 = keep)")
 		segmentTTL    = flag.Duration("segment-ttl", 0, "memoize reverse-path segments across measurements for this long in virtual time (0 = off)")
 		segmentMax    = flag.Int("segment-max", 0, "max memoized segments when -segment-ttl is set (0 = default 262144)")
 		retries       = flag.Int("probe-retries", 0, "re-issue unanswered probes up to this many times (virtual-time backoff)")
@@ -98,8 +64,7 @@ func main() {
 		storeSync     = flag.Bool("store-sync", false, "fsync the measurement WAL after every append")
 		storeWALMax   = flag.Int64("store-max-wal-bytes", 0, "compact (snapshot + truncate) when the WAL exceeds this (0 = default 4 MiB)")
 		storeRecMax   = flag.Int("store-max-records", 0, "cap the live measurement set, dropping oldest (0 = unbounded)")
-		batchWorkers  = flag.Int("batch-workers", 4, "concurrent batch measurement workers (sync fallback; async dispatch bounds by -batch-inflight instead)")
-		batchInFlight = flag.Int("batch-inflight", 4096, "max concurrently in-flight async batch measurements")
+		batchInFlight = flag.Int("batch-inflight", 4096, "max concurrently in-flight batch measurements")
 		batchQueue    = flag.Int("batch-queue-cap", 1024, "batch dispatch queue cap; submissions past it are load-shed")
 		batchQuantum  = flag.Int("batch-quantum", 4, "deficit round-robin quantum: jobs served per user per ring visit")
 		batchPairs    = flag.Int("max-batch-pairs", 0, "max pairs per POST /api/v1/batch request, 400 past it (0 = default 10000)")
@@ -125,7 +90,7 @@ func main() {
 	// Fault injection attaches after Build, so the atlas and ingress
 	// survey are measured on a healthy network and only live measurements
 	// contend with the injected faults.
-	plan, err := buildFaultPlan(*faultSpec, *faultLoss, *faultICMPFr, *faultICMPOK, *faultFlap, *faultSeed)
+	plan, err := faults.Parse(*faultSpec)
 	if err != nil {
 		log.Fatalf("fault plan: %v", err)
 	}
@@ -204,18 +169,17 @@ func main() {
 	}
 	log.Printf("streaming: /api/v1/batch/{id}/events + /api/v1/firehose (subscriber ring %d)", effRing)
 
-	// The batch scheduler's workers live until the shutdown context
-	// fires; Drain below waits for the last in-flight measurements.
+	// The batch scheduler dispatches until the shutdown context fires;
+	// Drain below waits for the last in-flight measurements.
 	batchCtx, stopBatch := context.WithCancel(context.Background())
 	defer stopBatch()
 	sc := reg.EnableBatch(batchCtx, sched.Options{
-		Workers:     *batchWorkers,
 		QueueCap:    *batchQueue,
 		Quantum:     *batchQuantum,
 		MaxInFlight: *batchInFlight,
 	})
-	log.Printf("batch scheduler: %d workers (async: up to %d in flight), queue cap %d, quantum %d",
-		*batchWorkers, *batchInFlight, *batchQueue, *batchQuantum)
+	log.Printf("batch scheduler: up to %d in flight, queue cap %d, quantum %d",
+		*batchInFlight, *batchQueue, *batchQuantum)
 
 	// Print a few example destination addresses so users can try the API
 	// without reading the topology dump.

@@ -338,9 +338,9 @@ func (mm *Machine) Deliver(d Delivery) {
 
 // skippedByCancel reports whether the delivery reflects probe work the
 // pool skipped because the measurement's context was cancelled (the
-// caller checked ctx.Err() != nil already). A batch with Skipped > 0
-// can only arise from cancellation on the engine's paths (it never uses
-// DoStop); a traceroute that sent zero probes never started.
+// caller checked ctx.Err() != nil already). Cancellation is the only
+// thing that makes the pool skip a request, so a batch with Skipped > 0
+// was cut short by it; a traceroute that sent zero probes never started.
 func skippedByCancel(p *Pending, d Delivery) bool {
 	if p.Kind == PendingTraceroute {
 		return d.TrSent == 0

@@ -3,12 +3,12 @@
 // runner that the paper's bulk workload needs (revtr 2.0 sustains
 // 11.7M reverse traceroutes per day, §3). It accepts batches of
 // (src, dst) jobs, admits them into a bounded queue with explicit
-// load-shedding, dispatches onto a bounded worker set with per-user
-// fair share (deficit round-robin across users, FIFO within a user),
-// and coalesces duplicate (src, dst) work — Doubletree's redundancy
-// elimination applied at the request layer: one measurement, N
-// subscribers, and neither coalesced jobs nor day-cache hits charge
-// any probe budget (Insight 1.4's 24-hour reuse window).
+// load-shedding, dispatches from one loop under an in-flight bound
+// with per-user fair share (deficit round-robin across users, FIFO
+// within a user), and coalesces duplicate (src, dst) work —
+// Doubletree's redundancy elimination applied at the request layer: one
+// measurement, N subscribers, and neither coalesced jobs nor day-cache
+// hits charge any probe budget (Insight 1.4's 24-hour reuse window).
 //
 // The scheduler is measurement-agnostic: an Exec callback runs one
 // job, the service layer supplies one that drives the revtr engine and
@@ -87,18 +87,18 @@ type JobRef struct {
 	Dst   ipv4.Addr
 }
 
-// Exec runs one admitted job. It must honor ctx (cancelled jobs should
-// return promptly) and may be called from many workers concurrently.
-// The result is opaque to the scheduler; the service returns the
-// archived *service.Measurement.
+// Exec runs one admitted job, blocking until it finishes. It must honor
+// ctx (cancelled jobs should return promptly) and is called from up to
+// Options.Workers goroutines concurrently. The result is opaque to the
+// scheduler; the service returns the archived *service.Measurement.
 type Exec func(ctx context.Context, job JobRef) (any, error)
 
 // ExecAsync starts one admitted job without blocking the dispatcher:
 // the callee begins the measurement (e.g. core.Engine.MeasureAsync) and
-// calls done exactly once when it finishes. With an ExecAsync callback
-// the scheduler runs a single dispatcher instead of a worker pool, and
-// concurrency is bounded by Options.MaxInFlight suspended measurements
-// rather than Options.Workers parked goroutines — the §5.2.4 shape.
+// calls done exactly once when it finishes. Concurrency is bounded by
+// Options.MaxInFlight suspended measurements, not by parked goroutines —
+// the §5.2.4 shape. A blocking Exec is served by the same dispatcher:
+// New wraps it as an ExecAsync that finishes on a goroutine of its own.
 type ExecAsync func(ctx context.Context, job JobRef, done func(res any, err error))
 
 // JobEvent is one job lifecycle transition, delivered to Options.OnJob
@@ -124,16 +124,17 @@ type JobSpec struct {
 
 // Options tunes the scheduler.
 type Options struct {
-	// Workers bounds concurrent Exec calls. <= 0 means 4. Ignored when
-	// ExecAsync is set (MaxInFlight is the concurrency bound then).
+	// Workers is the in-flight bound for a blocking Exec: at most this
+	// many Exec calls run at once, each on its own goroutine. <= 0 means
+	// 4. Ignored when ExecAsync is set (MaxInFlight is the bound then).
 	Workers int
-	// ExecAsync, when set, replaces the blocking Exec worker pool with a
-	// single non-blocking dispatcher: jobs are started through this
-	// callback and complete through its done function, so thousands can
-	// be in flight without a goroutine parked per job.
+	// ExecAsync, when set, is used instead of the blocking Exec: jobs
+	// are started through this callback and complete through its done
+	// function, so thousands can be in flight without a goroutine parked
+	// per job.
 	ExecAsync ExecAsync
 	// MaxInFlight bounds concurrently started-but-unfinished ExecAsync
-	// jobs. <= 0 means 4096. Unused without ExecAsync.
+	// jobs. <= 0 means 4096. Without ExecAsync the bound is Workers.
 	MaxInFlight int
 	// QueueCap bounds jobs queued for dispatch across all users
 	// (coalesced subscribers ride their leader and do not count).
@@ -210,8 +211,9 @@ type Job struct {
 }
 
 // Batch groups the jobs of one submission. open counts its
-// non-terminal jobs (maintained by notifyLocked) so the final
-// transition can be flagged without rescanning the batch.
+// non-terminal jobs (maintained by setLocked): the batch is done when
+// it reaches zero, and the transition that takes it there is flagged
+// without rescanning the batch.
 type Batch struct {
 	id   string
 	user string
@@ -273,10 +275,9 @@ type userQueue struct {
 	inRing  bool
 }
 
-// Scheduler is the batch scheduler. Create with New, start workers with
-// Start, submit with Submit. Safe for concurrent use.
+// Scheduler is the batch scheduler. Create with New, start dispatching
+// with Start, submit with Submit. Safe for concurrent use.
 type Scheduler struct {
-	exec Exec
 	opts Options
 
 	mu       sync.Mutex
@@ -287,7 +288,7 @@ type Scheduler struct {
 	ring     []*userQueue // users with pending jobs, round-robin order
 	ringIdx  int
 	queued   int
-	inflight int // started-but-unfinished ExecAsync jobs
+	inflight int // started-but-unfinished jobs
 	flights  map[key]*flight
 	running  map[*Job]context.CancelFunc
 	revoked  map[string]bool
@@ -299,7 +300,7 @@ type Scheduler struct {
 	stopped  bool
 	started  bool
 	wg       sync.WaitGroup
-	drained  chan struct{} // closed when every worker has exited
+	drained  chan struct{} // closed when the dispatcher and every Exec goroutine have exited
 
 	mQueueDepth *obs.Gauge
 	mCoalesced  *obs.Counter
@@ -309,12 +310,11 @@ type Scheduler struct {
 	mDispatch   *obs.Histogram
 }
 
-// New builds a scheduler over an Exec callback. Call Start to begin
-// dispatching.
+// New builds a scheduler over an Exec callback (or opts.ExecAsync, which
+// takes precedence). Call Start to begin dispatching.
 func New(exec Exec, opts Options) *Scheduler {
 	opts = opts.withDefaults()
 	s := &Scheduler{
-		exec:        exec,
 		opts:        opts,
 		users:       make(map[string]*userQueue),
 		flights:     make(map[key]*flight),
@@ -331,24 +331,49 @@ func New(exec Exec, opts Options) *Scheduler {
 	}
 	s.dispatch = sync.NewCond(&s.mu)
 	s.progress = sync.NewCond(&s.mu)
+	if opts.ExecAsync == nil {
+		// A blocking Exec is an ExecAsync that calls done from a goroutine
+		// of its own, so the one dispatcher serves both callback kinds and
+		// Workers is its in-flight bound. wg tracks the goroutine: Drain
+		// returns only after the last Exec call has.
+		s.opts.MaxInFlight = opts.Workers
+		s.opts.ExecAsync = func(ctx context.Context, job JobRef, done func(res any, err error)) {
+			s.wg.Add(1)
+			go func() {
+				defer s.wg.Done()
+				defer s.failOnPanic(done)
+				done(exec(ctx, job))
+			}()
+		}
+	}
 	return s
 }
 
-// countState tallies a transition into a state on the labelled
-// sched_jobs_total counter.
-func (s *Scheduler) countState(st State) {
+// setLocked is the one job transition point, and the only writer of
+// Job.state: it records the job's state, result and error, keeps the
+// batch's open-job count, the sched_jobs_total{state} tally and the
+// shed/coalesced totals in step, and announces the transition. Call
+// with s.mu held.
+func (s *Scheduler) setLocked(j *Job, st State, res any, err error) {
+	j.state, j.result, j.err = st, res, err
+	switch st {
+	case StateShed:
+		s.mShed.Inc()
+	case StateCoalesced:
+		s.mCoalesced.Inc()
+	}
 	s.opts.Obs.Counter(obs.Label("sched_jobs_total", "state", st.String())).Inc()
-}
-
-// notifyLocked records one job state transition: it maintains the
-// batch's open-job count and delivers the transition to Options.OnJob.
-// Call exactly once per state assignment (including re-queue on
-// promotion, which re-announces "queued"), with s.mu held. The
-// transition that empties a batch is flagged BatchDone.
-func (s *Scheduler) notifyLocked(j *Job) {
-	if j.state.Terminal() {
+	if st.Terminal() {
 		j.batch.open--
 	}
+	s.announceLocked(j)
+}
+
+// announceLocked delivers the job's current state to Options.OnJob; the
+// transition that empties its batch is flagged BatchDone. Only
+// setLocked and promotion's leadership handoff (which re-announces
+// "queued" without a transition) call it, with s.mu held.
+func (s *Scheduler) announceLocked(j *Job) {
 	if s.opts.OnJob == nil {
 		return
 	}
@@ -360,15 +385,18 @@ func (s *Scheduler) notifyLocked(j *Job) {
 	})
 }
 
-// countExecPanic tallies one recovered Exec/ExecAsync panic.
-func (s *Scheduler) countExecPanic() {
-	s.opts.Obs.Counter("sched_exec_panics_total").Inc()
+// failOnPanic, deferred around an Exec/ExecAsync call, converts a
+// panic into that one job failing instead of the process dying.
+func (s *Scheduler) failOnPanic(done func(res any, err error)) {
+	if v := recover(); v != nil {
+		s.opts.Obs.Counter("sched_exec_panics_total").Inc()
+		done(nil, fmt.Errorf("sched: exec panic: %v", v))
+	}
 }
 
-// Start launches the worker set. Workers stop when ctx is cancelled
-// (or Stop is called); in-flight Exec calls inherit ctx and are
-// cancelled with it. Start returns immediately; it is a no-op after
-// the first call.
+// Start launches the dispatcher. It stops when ctx is cancelled (or
+// Stop is called); in-flight jobs inherit ctx and are cancelled with
+// it. Start returns immediately; it is a no-op after the first call.
 func (s *Scheduler) Start(ctx context.Context) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -381,28 +409,21 @@ func (s *Scheduler) Start(ctx context.Context) {
 	s.started = true
 	s.drained = make(chan struct{})
 	s.mu.Unlock()
-	if s.opts.ExecAsync != nil {
-		s.wg.Add(1)
-		go s.dispatcher(ctx)
-	} else {
-		for i := 0; i < s.opts.Workers; i++ {
-			s.wg.Add(1)
-			go s.worker(ctx)
-		}
-	}
+	s.wg.Add(1)
+	go s.dispatcher(ctx)
+	// AfterFunc, not a goroutine parked on ctx.Done(): a ctx that is never
+	// cancelled must not outlive Stop+Drain as a leaked goroutine.
+	unhook := context.AfterFunc(ctx, s.Stop)
 	go func() {
 		s.wg.Wait()
+		unhook()
 		close(s.drained)
-	}()
-	go func() {
-		<-ctx.Done()
-		s.Stop()
 	}()
 }
 
-// Stop cancels dispatching: workers finish their current job and
-// exit, queued jobs stay queued, and Submit starts rejecting. Stop
-// does not wait — pair it with Drain for an orderly shutdown.
+// Stop cancels dispatching: in-flight jobs run to completion, queued
+// jobs stay queued, and Submit starts rejecting. Stop does not wait —
+// pair it with Drain for an orderly shutdown.
 func (s *Scheduler) Stop() {
 	s.mu.Lock()
 	s.stopped = true
@@ -411,8 +432,8 @@ func (s *Scheduler) Stop() {
 	s.mu.Unlock()
 }
 
-// Drain blocks until every worker has exited (after Stop or Start-ctx
-// cancellation) or ctx ends.
+// Drain blocks until no job is running and the dispatcher has exited
+// (after Stop or Start-ctx cancellation), or ctx ends.
 func (s *Scheduler) Drain(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -468,47 +489,33 @@ func (s *Scheduler) Submit(ctx context.Context, user string, specs []JobSpec) (B
 		k := key{spec.Src, spec.Dst}
 		if e, ok := s.cache[k]; ok {
 			// Day-cache hit: resolved immediately, zero probes.
-			j.state = StateCoalesced
 			j.coalesced = true
-			j.result = e.res
 			s.mCacheHits.Inc()
-			s.mCoalesced.Inc()
-			s.countState(StateCoalesced)
-			s.notifyLocked(j)
+			s.setLocked(j, StateCoalesced, e.res, nil)
 			continue
 		}
 		if f, ok := s.flights[k]; ok {
 			// Identical job queued or in flight: subscribe to its result.
 			f.subs = append(f.subs, j)
 			j.coalesced = true
-			s.countState(StateQueued)
-			s.notifyLocked(j)
+			s.setLocked(j, StateQueued, nil, nil)
 			continue
 		}
 		needed++
 		// Queue space before quota: a cap-shed job never charges, so no
 		// refund path is needed.
 		if s.queued >= s.opts.QueueCap {
-			j.state = StateShed
-			j.err = ErrOverloaded
 			capShed++
-			s.mShed.Inc()
-			s.countState(StateShed)
-			s.notifyLocked(j)
+			s.setLocked(j, StateShed, nil, ErrOverloaded)
 			continue
 		}
 		if !s.tryChargeLocked(user) {
-			j.state = StateShed
-			j.err = ErrQuota
-			s.mShed.Inc()
-			s.countState(StateShed)
-			s.notifyLocked(j)
+			s.setLocked(j, StateShed, nil, ErrQuota)
 			continue
 		}
 		s.flights[k] = &flight{leader: j}
-		s.enqueueLocked(j)
-		s.countState(StateQueued)
-		s.notifyLocked(j)
+		s.enqueueLocked(j, false)
+		s.setLocked(j, StateQueued, nil, nil)
 	}
 	s.rememberBatchLocked(b)
 	s.mBatches.Inc()
@@ -525,35 +532,21 @@ func (s *Scheduler) tryChargeLocked(user string) bool {
 	return s.opts.TryCharge == nil || s.opts.TryCharge(user) //revtr:calls revtr/internal/service.Registry.tryCharge
 }
 
-// enqueueLocked appends a job to its user's FIFO and makes sure the
-// user is on the dispatch ring. Callers hold s.mu.
-func (s *Scheduler) enqueueLocked(j *Job) {
+// enqueueLocked puts a job on its user's FIFO — at the tail, or at the
+// head for a promoted job (it was admitted earlier than anything queued
+// behind it) — and makes sure the user is on the dispatch ring. Callers
+// hold s.mu.
+func (s *Scheduler) enqueueLocked(j *Job, front bool) {
 	u := s.users[j.user]
 	if u == nil {
 		u = &userQueue{name: j.user}
 		s.users[j.user] = u
 	}
-	u.jobs = append(u.jobs, j)
-	if !u.inRing {
-		u.inRing = true
-		u.deficit = 0
-		s.ring = append(s.ring, u)
+	if front {
+		u.jobs = append([]*Job{j}, u.jobs...)
+	} else {
+		u.jobs = append(u.jobs, j)
 	}
-	s.queued++
-	s.mQueueDepth.Set(int64(s.queued))
-	s.dispatch.Signal()
-}
-
-// requeueFrontLocked puts a promoted job back at the head of its
-// user's FIFO (it was admitted earlier than anything queued behind it).
-// Callers hold s.mu.
-func (s *Scheduler) requeueFrontLocked(j *Job) {
-	u := s.users[j.user]
-	if u == nil {
-		u = &userQueue{name: j.user}
-		s.users[j.user] = u
-	}
-	u.jobs = append([]*Job{j}, u.jobs...)
 	if !u.inRing {
 		u.inRing = true
 		u.deficit = 0
@@ -573,7 +566,7 @@ func (s *Scheduler) rememberBatchLocked(b *Batch) {
 		evicted := false
 		for i, id := range s.batchSeq {
 			old := s.batches[id]
-			if old != nil && !s.terminalLocked(old) {
+			if old != nil && old.open > 0 {
 				continue
 			}
 			delete(s.batches, id)
@@ -587,48 +580,11 @@ func (s *Scheduler) rememberBatchLocked(b *Batch) {
 	}
 }
 
-// worker dispatches jobs until the scheduler stops.
-func (s *Scheduler) worker(ctx context.Context) {
-	defer s.wg.Done()
-	for {
-		s.mu.Lock()
-		j := s.nextLocked()
-		if j == nil {
-			s.mu.Unlock()
-			return
-		}
-		j.state = StateRunning
-		s.countState(StateRunning)
-		s.notifyLocked(j)
-		s.mDispatch.Observe(time.Since(j.admitted).Microseconds()) //revtr:wallclock dispatch-latency histogram measures real queueing delay
-		jctx, cancel := context.WithCancel(ctx)
-		s.running[j] = cancel
-		s.mu.Unlock()
-
-		res, err := s.safeExec(jctx, j)
-		cancel()
-		s.complete(j, res, err)
-	}
-}
-
-// safeExec runs the Exec callback, converting a panic into a failed
-// job instead of killing the worker.
-func (s *Scheduler) safeExec(ctx context.Context, j *Job) (res any, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			s.countExecPanic()
-			res, err = nil, fmt.Errorf("sched: exec panic: %v", v)
-		}
-	}()
-	return s.exec(ctx, j.ref())
-}
-
-// dispatcher is the ExecAsync dispatch loop: one goroutine starts
-// every job, bounded by MaxInFlight unfinished starts, and each job's
-// completion callback signals it to start the next. On stop it waits
-// for in-flight jobs to complete before exiting (mirroring the worker
-// pool's "finish your current job" semantics), so Drain still means
-// "no job is running".
+// dispatcher is the one dispatch loop: a single goroutine starts every
+// job, bounded by MaxInFlight unfinished starts, and each job's
+// completion signals it to start the next. On stop it waits for
+// in-flight jobs to complete before exiting, so Drain means "no job is
+// running".
 func (s *Scheduler) dispatcher(ctx context.Context) {
 	defer s.wg.Done()
 	for {
@@ -636,10 +592,7 @@ func (s *Scheduler) dispatcher(ctx context.Context) {
 		for !s.stopped && s.inflight >= s.opts.MaxInFlight {
 			s.dispatch.Wait()
 		}
-		var j *Job
-		if !s.stopped {
-			j = s.nextLocked()
-		}
+		j := s.nextLocked()
 		if j == nil { // stopped
 			for s.inflight > 0 {
 				s.dispatch.Wait()
@@ -647,40 +600,29 @@ func (s *Scheduler) dispatcher(ctx context.Context) {
 			s.mu.Unlock()
 			return
 		}
-		j.state = StateRunning
-		s.countState(StateRunning)
-		s.notifyLocked(j)
+		s.setLocked(j, StateRunning, nil, nil)
 		s.mDispatch.Observe(time.Since(j.admitted).Microseconds()) //revtr:wallclock dispatch-latency histogram measures real queueing delay
 		jctx, cancel := context.WithCancel(ctx)
 		s.running[j] = cancel
 		s.inflight++
 		s.mu.Unlock()
 
-		s.execAsyncSafe(jctx, cancel, j)
+		s.start(jctx, cancel, j)
 	}
 }
 
-// execAsyncSafe starts one job through the ExecAsync callback with a
-// single-shot completion function, converting a synchronous panic into
-// a failed job instead of killing the dispatcher.
-func (s *Scheduler) execAsyncSafe(ctx context.Context, cancel context.CancelFunc, j *Job) {
+// start hands one job to the ExecAsync callback with a single-shot
+// completion function; a synchronous panic in the callback fails that
+// job instead of killing the dispatcher.
+func (s *Scheduler) start(ctx context.Context, cancel context.CancelFunc, j *Job) {
 	var once sync.Once
 	done := func(res any, err error) {
 		once.Do(func() {
 			cancel()
 			s.complete(j, res, err)
-			s.mu.Lock()
-			s.inflight--
-			s.dispatch.Signal()
-			s.mu.Unlock()
 		})
 	}
-	defer func() {
-		if v := recover(); v != nil {
-			s.countExecPanic()
-			done(nil, fmt.Errorf("sched: exec panic: %v", v))
-		}
-	}()
+	defer s.failOnPanic(done)
 	s.opts.ExecAsync(ctx, j.ref(), done) //revtr:calls revtr/internal/service.Registry.batchExecAsync
 }
 
@@ -722,47 +664,37 @@ func (s *Scheduler) nextLocked() *Job {
 	}
 }
 
-// complete resolves a finished leader and everyone coalesced onto it.
+// complete resolves a finished leader and everyone coalesced onto it,
+// and opens its dispatch slot.
 func (s *Scheduler) complete(j *Job, res any, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.running, j)
+	s.inflight--
+	s.dispatch.Signal()
 	k := key{j.src, j.dst}
 	f := s.flights[k]
 	delete(s.flights, k)
 
-	if err == nil {
-		j.state = StateDone
-		j.result = res
-		s.countState(StateDone)
-		s.cachePutLocked(k, res, j.user)
+	// A failed measurement resolves nobody and is never cached.
+	leadState, subState := StateDone, StateCoalesced
+	if err != nil {
+		leadState, subState, res = StateFailed, StateFailed, nil
 	} else {
-		j.state = StateFailed
-		j.err = err
-		s.countState(StateFailed)
+		s.cachePutLocked(k, res, j.user)
 	}
-	s.notifyLocked(j)
+	s.setLocked(j, leadState, res, err)
 
 	if f != nil {
 		subs := f.subs
-		if err != nil && errors.Is(err, ErrRevoked) {
+		if errors.Is(err, ErrRevoked) {
 			// The leader was cancelled by key revocation, not by the
 			// measurement failing: promote the first surviving
 			// subscriber to leader so other users' jobs still run.
 			subs = s.promoteLocked(k, subs)
 		}
 		for _, sub := range subs {
-			if err == nil {
-				sub.state = StateCoalesced
-				sub.result = res
-				s.mCoalesced.Inc()
-				s.countState(StateCoalesced)
-			} else {
-				sub.state = StateFailed
-				sub.err = err
-				s.countState(StateFailed)
-			}
-			s.notifyLocked(sub)
+			s.setLocked(sub, subState, res, err)
 		}
 	}
 	s.progress.Broadcast()
@@ -784,11 +716,7 @@ func (s *Scheduler) promoteLocked(k key, subs []*Job) (failNow []*Job) {
 			failNow = append(failNow, sub)
 		case newLeader == nil:
 			if !s.tryChargeLocked(sub.user) {
-				sub.state = StateShed
-				sub.err = ErrQuota
-				s.mShed.Inc()
-				s.countState(StateShed)
-				s.notifyLocked(sub)
+				s.setLocked(sub, StateShed, nil, ErrQuota)
 				continue
 			}
 			newLeader = sub
@@ -801,8 +729,8 @@ func (s *Scheduler) promoteLocked(k key, subs []*Job) (failNow []*Job) {
 	}
 	newLeader.coalesced = false
 	s.flights[k] = &flight{leader: newLeader, subs: carried}
-	s.requeueFrontLocked(newLeader)
-	s.notifyLocked(newLeader) // re-announces "queued": leadership handoff
+	s.enqueueLocked(newLeader, true)
+	s.announceLocked(newLeader) // re-announces "queued": leadership handoff
 	return failNow
 }
 
@@ -891,15 +819,9 @@ func (s *Scheduler) Revoke(user string) {
 				delete(s.flights, k)
 				failNow = s.promoteLocked(k, f.subs)
 			}
-			j.state = StateFailed
-			j.err = ErrRevoked
-			s.countState(StateFailed)
-			s.notifyLocked(j)
+			s.setLocked(j, StateFailed, nil, ErrRevoked)
 			for _, sub := range failNow {
-				sub.state = StateFailed
-				sub.err = ErrRevoked
-				s.countState(StateFailed)
-				s.notifyLocked(sub)
+				s.setLocked(sub, StateFailed, nil, ErrRevoked)
 			}
 		}
 	}
@@ -908,10 +830,7 @@ func (s *Scheduler) Revoke(user string) {
 		kept := f.subs[:0]
 		for _, sub := range f.subs {
 			if sub.user == user {
-				sub.state = StateFailed
-				sub.err = ErrRevoked
-				s.countState(StateFailed)
-				s.notifyLocked(sub)
+				s.setLocked(sub, StateFailed, nil, ErrRevoked)
 				continue
 			}
 			kept = append(kept, sub)
@@ -966,24 +885,13 @@ func (s *Scheduler) Status(batchID string) (BatchStatus, error) {
 	return s.statusLocked(b), nil
 }
 
-// terminalLocked reports whether every job of b is terminal. Callers
-// hold s.mu.
-func (s *Scheduler) terminalLocked(b *Batch) bool {
-	for _, j := range b.jobs {
-		if !j.state.Terminal() {
-			return false
-		}
-	}
-	return true
-}
-
 // statusLocked renders a batch snapshot. Callers hold s.mu.
 func (s *Scheduler) statusLocked(b *Batch) BatchStatus {
 	st := BatchStatus{
 		ID:     b.id,
 		User:   b.user,
 		Counts: make(map[string]int),
-		Done:   true,
+		Done:   b.open == 0,
 	}
 	for _, j := range b.jobs {
 		js := JobStatus{
@@ -999,9 +907,6 @@ func (s *Scheduler) statusLocked(b *Batch) BatchStatus {
 		}
 		st.Jobs = append(st.Jobs, js)
 		st.Counts[j.state.String()]++
-		if !j.state.Terminal() {
-			st.Done = false
-		}
 	}
 	return st
 }
@@ -1013,17 +918,11 @@ func (s *Scheduler) Wait(ctx context.Context, batchID string) (BatchStatus, erro
 		ctx = context.Background()
 	}
 	// Wake the cond loop when the caller's context ends.
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-			s.mu.Lock()
-			s.progress.Broadcast()
-			s.mu.Unlock()
-		case <-done:
-		}
-	}()
+	defer context.AfterFunc(ctx, func() {
+		s.mu.Lock()
+		s.progress.Broadcast()
+		s.mu.Unlock()
+	})()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1032,7 +931,7 @@ func (s *Scheduler) Wait(ctx context.Context, batchID string) (BatchStatus, erro
 		if !ok {
 			return BatchStatus{}, ErrUnknownBatch
 		}
-		if s.terminalLocked(b) {
+		if b.open == 0 {
 			return s.statusLocked(b), nil
 		}
 		if err := ctx.Err(); err != nil {

@@ -23,6 +23,7 @@ import (
 	"revtr/internal/netsim/ipv4"
 	"revtr/internal/obs"
 	"revtr/internal/sched"
+	"revtr/internal/stream"
 )
 
 // AsyncBackend is the optional non-blocking measurement interface: a
@@ -49,7 +50,7 @@ var (
 )
 
 // EnableBatch attaches a batch scheduler to the registry and starts its
-// workers; ctx stops them (pair with Drain on the returned scheduler
+// dispatcher; ctx stops it (pair with Drain on the returned scheduler
 // for an orderly shutdown). The scheduler shares the registry's metric
 // registry regardless of opts.Obs. Calling EnableBatch again returns
 // the already-enabled scheduler.
@@ -76,27 +77,35 @@ func (r *Registry) EnableBatch(ctx context.Context, opts sched.Options) *sched.S
 	return sc
 }
 
+// batchJob is the prelude both Exec callbacks share: resolve the job's
+// registered source, the scheduler (for revocation wrapping) and the
+// owning user's display name under one registry lock hold.
+func (r *Registry) batchJob(job sched.JobRef) (reg *registeredSource, sc *sched.Scheduler, userName string, err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	reg, ok := r.sources[job.Src]
+	if !ok {
+		return nil, nil, "", ErrUnknownSource
+	}
+	if u, known := r.users[job.User]; known {
+		userName = u.Name
+	}
+	return reg, r.sched, userName, nil
+}
+
 // batchExec is the scheduler's Exec callback: run one measurement and
 // archive it. Quota was charged at admission (or at promotion, for a
 // leader that inherited a revoked flight), so nothing is charged
 // here — and the user's MaxParallel sync-request limit does not apply;
-// the scheduler's worker bound is the batch concurrency control.
+// the scheduler's in-flight bound is the batch concurrency control.
 // Cancelled or panicked measurements return an error so their partial
 // results never resolve coalesced subscribers or enter the day cache.
 func (r *Registry) batchExec(ctx context.Context, job sched.JobRef) (any, error) {
-	key, src, dst := job.User, job.Src, job.Dst
-	r.mu.Lock()
-	reg, ok := r.sources[src]
-	sc := r.sched
-	name := ""
-	if u, known := r.users[key]; known {
-		name = u.Name
+	reg, sc, name, err := r.batchJob(job)
+	if err != nil {
+		return nil, err
 	}
-	r.mu.Unlock()
-	if !ok {
-		return nil, ErrUnknownSource
-	}
-	res := r.safeMeasureStream(ctx, reg, dst, r.progressSink(job))
+	res := r.safeMeasureStream(ctx, reg, job.Dst, r.progressSink(job))
 	return r.finishBatchJob(ctx, sc, job, name, res)
 }
 
@@ -125,56 +134,41 @@ func (r *Registry) finishBatchJob(ctx context.Context, sc *sched.Scheduler, job 
 	return m, nil
 }
 
-// batchExecAsync is the scheduler's ExecAsync callback: start one
-// measurement through the AsyncBackend and finish it — archive, status
-// metrics, revocation wrapping — inside the completion callback, which
-// runs on a probe-pool executor goroutine. The source's atlas lock is
-// held shared across the measurement's entire (suspended) lifetime,
-// exactly as the blocking path holds it across safeMeasure, so
-// DailyMaintenance cannot swap atlas entries mid-measurement. Falls
-// back to the blocking batchExec when the backend is not asynchronous.
+// batchExecAsync is the scheduler's ExecAsync callback (installed by
+// EnableBatch only over an AsyncBackend): start one measurement and
+// finish it — archive, status metrics, revocation wrapping — inside the
+// completion callback, which runs on a probe-pool executor goroutine.
+// The source's atlas lock is held shared across the measurement's
+// entire (suspended) lifetime, exactly as the blocking path holds it
+// across safeMeasure, so DailyMaintenance cannot swap atlas entries
+// mid-measurement.
 func (r *Registry) batchExecAsync(ctx context.Context, job sched.JobRef, done func(res any, err error)) {
-	key, src, dst := job.User, job.Src, job.Dst
-	r.mu.Lock()
-	reg, ok := r.sources[src]
-	sc := r.sched
-	name := ""
-	if u, known := r.users[key]; known {
-		name = u.Name
-	}
-	r.mu.Unlock()
-	if !ok {
-		done(nil, ErrUnknownSource)
+	reg, sc, name, err := r.batchJob(job)
+	if err != nil {
+		done(nil, err)
 		return
 	}
-	ab, isAsync := r.backend.(AsyncBackend)
-	if !isAsync {
-		res, err := r.batchExec(ctx, job)
-		done(res, err)
-		return
-	}
-	finish := func(res *core.Result) {
+	reg.atlasMu.RLock()
+	//revtr:heldacross the atlas read lock is pinned for the measurement's suspended lifetime — DailyMaintenance must not swap entries mid-measurement; the completion callback releases it
+	r.measureAsync(ctx, reg.src, job.Dst, r.progressSink(job), func(res *core.Result) {
+		reg.atlasMu.RUnlock()
 		if res == nil {
 			r.countBackendPanic()
 		}
 		done(r.finishBatchJob(ctx, sc, job, name, res))
+	})
+}
+
+// measureAsync starts one measurement on the AsyncBackend, with
+// hop-by-hop progress flowing to sink when there is one and the
+// backend can stream — safeMeasureStream's choice, for the path that
+// does not block.
+func (r *Registry) measureAsync(ctx context.Context, src core.Source, dst ipv4.Addr, sink func(stream.Event), done func(*core.Result)) {
+	if sab, ok := r.backend.(StreamAsyncBackend); ok && sink != nil {
+		sab.MeasureAsyncStream(ctx, src, dst, sink, done)
+		return
 	}
-	sink := r.progressSink(job)
-	sab, canStream := r.backend.(StreamAsyncBackend)
-	reg.atlasMu.RLock()
-	if canStream && sink != nil {
-		//revtr:heldacross the atlas read lock is pinned for the measurement's suspended lifetime — DailyMaintenance must not swap entries mid-measurement; the completion callback releases it
-		sab.MeasureAsyncStream(ctx, reg.src, dst, sink, func(res *core.Result) {
-			reg.atlasMu.RUnlock()
-			finish(res)
-		})
-	} else {
-		//revtr:heldacross the atlas read lock is pinned for the measurement's suspended lifetime — DailyMaintenance must not swap entries mid-measurement; the completion callback releases it
-		ab.MeasureAsync(ctx, reg.src, dst, func(res *core.Result) {
-			reg.atlasMu.RUnlock()
-			finish(res)
-		})
-	}
+	r.backend.(AsyncBackend).MeasureAsync(ctx, src, dst, done)
 }
 
 // countBatchExec tallies one finished batch measurement attempt.
