@@ -1,5 +1,5 @@
-# Build / test entry points. `make ci` is what every PR must pass: vet
-# and the repo's own static-analysis suite (revtr-lint: determinism,
+# Build / test entry points. `make ci` is what every PR must pass: gofmt,
+# vet and the repo's own static-analysis suite (revtr-lint: determinism,
 # context, metrics, lock, and concurrency contracts), plus the full
 # suite under the race detector (the service and campaign layers are
 # concurrent; -race is load-bearing, not optional), plus the chaos
@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: build test short vet lint race ci bench benchmod chaos fuzz soak cover loc
+.PHONY: build test short fmt vet lint race ci bench benchmod chaos fuzz soak cover loc
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,13 @@ test:
 
 short:
 	$(GO) test -short ./...
+
+# fmt fails when gofmt would change any Go file; the analyzers' testdata
+# fixtures are left out (they are inputs, laid out for their want
+# comments).
+fmt:
+	@out=$$(find . -name '*.go' ! -path '*/testdata/*' | xargs gofmt -l); \
+		if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -41,7 +48,7 @@ lint:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-ci: vet lint race bench benchmod chaos fuzz soak cover loc
+ci: fmt vet lint race bench benchmod chaos fuzz soak cover loc
 
 # loc prints the number ROADMAP's consolidation round tracks: non-test Go
 # lines per package and in total, leaving out bench/ (a module of its

@@ -215,7 +215,11 @@ func (ev *streamEvent) render(w io.Writer) {
 	case "gap":
 		fmt.Fprintf(w, "  (stream gap: %d events dropped)\n", ev.Gap)
 	case "started", "done", "aborted", "failed", "cancelled":
-		fmt.Fprintf(w, "  job %-4d %s > %s  measurement %s\n", ev.Job, ev.Src, ev.Dst, ev.Kind)
+		line := fmt.Sprintf("  job %-4d %s > %s  measurement %s", ev.Job, ev.Src, ev.Dst, ev.Kind)
+		if ev.Reason != "" { // aborted and failed say why
+			line += ": " + ev.Reason
+		}
+		fmt.Fprintln(w, line)
 	case "measurement":
 		fmt.Fprintf(w, "measurement %s > %s  %s  (user %s)\n", ev.Src, ev.Dst, ev.Status, ev.User)
 	case "end":

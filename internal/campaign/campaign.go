@@ -17,7 +17,6 @@ import (
 	"context"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"revtr"
 	"revtr/internal/core"
@@ -103,28 +102,18 @@ type Runner struct {
 	Obs *obs.Registry
 }
 
-// progressState tracks live campaign counters shared across workers.
-type progressState struct {
-	total     int
-	done      atomic.Int64
-	complete  atomic.Int64
-	aborted   atomic.Int64
-	failed    atomic.Int64
-	invalid   atomic.Int64
-	probes    atomic.Uint64
-	virtualUS atomic.Int64
-}
-
-func (p *progressState) snapshot() Progress {
+// progress is the live view of a running tally: the same books the
+// final Summary is, read part-way.
+func (s Summary) progress(total int) Progress {
 	return Progress{
-		Done:      int(p.done.Load()),
-		Total:     p.total,
-		Complete:  int(p.complete.Load()),
-		Aborted:   int(p.aborted.Load()),
-		Failed:    int(p.failed.Load()),
-		Invalid:   int(p.invalid.Load()),
-		Probes:    p.probes.Load(),
-		VirtualUS: p.virtualUS.Load(),
+		Done:      s.Attempted,
+		Total:     total,
+		Complete:  s.Complete,
+		Aborted:   s.Aborted,
+		Failed:    s.Failed,
+		Invalid:   s.Invalid,
+		Probes:    s.Probes.Total(),
+		VirtualUS: s.VirtualUS,
 	}
 }
 
@@ -160,10 +149,15 @@ func (r *Runner) Run(ctx context.Context, tasks []Task) Summary {
 		bySource[t.SourceIdx] = append(bySource[t.SourceIdx], t)
 	}
 
-	prog := &progressState{total: len(tasks)}
-	prog.done.Add(int64(invalid))
-	prog.failed.Add(int64(invalid))
-	prog.invalid.Add(int64(invalid))
+	// The campaign's one set of books: every worker posts each finished
+	// measurement here under mu (one uncontended lock next to a ≥65 µs
+	// measurement), Progress snapshots are read from it, and it is what
+	// Run returns.
+	var (
+		mu  sync.Mutex
+		sum = Summary{Attempted: invalid, Failed: invalid, Invalid: invalid}
+		wg  sync.WaitGroup
+	)
 
 	// One probe pool shared by every worker: probing concurrency is a
 	// property of the campaign (how many probes are in flight), separate
@@ -192,23 +186,13 @@ func (r *Runner) Run(ctx context.Context, tasks []Task) Summary {
 		obsInvalid.Add(uint64(invalid))
 	}
 	if invalid > 0 && r.OnProgress != nil {
-		r.OnProgress(prog.snapshot())
+		r.OnProgress(sum.progress(len(tasks)))
 	}
-
-	var (
-		mu  sync.Mutex
-		sum Summary
-		wg  sync.WaitGroup
-	)
-	sum.Attempted = invalid
-	sum.Failed = invalid
-	sum.Invalid = invalid
 
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			local := Summary{}
 			for si := w; si < len(r.Sources); si += workers {
 				// A fresh engine per source over the shared pool: the
 				// per-source cache stays deterministic (tasks of one
@@ -222,41 +206,30 @@ func (r *Runner) Run(ctx context.Context, tasks []Task) Summary {
 				src := r.Sources[si]
 				for _, t := range bySource[si] {
 					res := eng.MeasureReverse(ctx, src, t.Dst)
-					local.Attempted++
-					switch res.Status {
-					case core.StatusComplete:
-						local.Complete++
-						prog.complete.Add(1)
-					case core.StatusAborted:
-						local.Aborted++
-						prog.aborted.Add(1)
-					default:
-						local.Failed++
-						prog.failed.Add(1)
-						obsFailed.Inc()
-					}
-					local.VirtualUS += res.DurationUS
-					local.Probes = local.Probes.Add(res.Probes)
-					prog.virtualUS.Add(res.DurationUS)
-					prog.probes.Add(res.Probes.Total())
 					if r.OnResult != nil {
 						r.OnResult(Outcome{Task: t, Result: res})
 					}
-					done := prog.done.Add(1)
+					mu.Lock()
+					sum.Attempted++
+					switch res.Status {
+					case core.StatusComplete:
+						sum.Complete++
+					case core.StatusAborted:
+						sum.Aborted++
+					default:
+						sum.Failed++
+						obsFailed.Inc()
+					}
+					sum.VirtualUS += res.DurationUS
+					sum.Probes = sum.Probes.Add(res.Probes)
+					snap := sum.progress(len(tasks))
+					mu.Unlock()
 					obsDone.Inc()
-					if r.OnProgress != nil && (done%int64(every) == 0 || done == int64(prog.total)) {
-						r.OnProgress(prog.snapshot())
+					if r.OnProgress != nil && (snap.Done%every == 0 || snap.Done == snap.Total) {
+						r.OnProgress(snap)
 					}
 				}
 			}
-			mu.Lock()
-			sum.Attempted += local.Attempted
-			sum.Complete += local.Complete
-			sum.Aborted += local.Aborted
-			sum.Failed += local.Failed
-			sum.VirtualUS += local.VirtualUS
-			sum.Probes = sum.Probes.Add(local.Probes)
-			mu.Unlock()
 		}(w)
 	}
 	wg.Wait()

@@ -21,7 +21,7 @@ import (
 type cache struct {
 	mu      sync.Mutex
 	c       *ttlcache.Cache[cacheKey, cacheEntry]
-	metrics *Metrics
+	metrics *Metrics // never nil: a zero Metrics until Engine.SetMetrics
 }
 
 // defaultCacheMaxEntries bounds each engine cache when Options does not.
@@ -67,7 +67,10 @@ func newCache(ttlUS int64, maxEntries int) *cache {
 	if maxEntries <= 0 {
 		maxEntries = defaultCacheMaxEntries
 	}
-	return &cache{c: ttlcache.New[cacheKey, cacheEntry](ttlUS, maxEntries, cacheKeyLess)}
+	return &cache{
+		c:       ttlcache.New[cacheKey, cacheEntry](ttlUS, maxEntries, cacheKeyLess),
+		metrics: new(Metrics),
+	}
 }
 
 // size is the total entry count across both kinds.
@@ -77,12 +80,18 @@ func (c *cache) size() int {
 	return c.c.Len()
 }
 
-func (c *cache) getRR(target, src ipv4.Addr, nowUS int64) ([]ipv4.Addr, Technique, bool) {
+// get looks one entry up, counting the hit or miss and the expired
+// entry the lookup may have dropped.
+func (c *cache) get(k cacheKey, nowUS int64) (cacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok, expired := c.c.Get(cacheKey{kindRR, target, src}, nowUS)
-	c.metrics.evicted(expired)
-	c.metrics.cacheRR(ok)
+	e, ok, expired := c.c.Get(k, nowUS)
+	c.metrics.lookup(k.kind, ok, expired)
+	return e, ok
+}
+
+func (c *cache) getRR(target, src ipv4.Addr, nowUS int64) ([]ipv4.Addr, Technique, bool) {
+	e, ok := c.get(cacheKey{kindRR, target, src}, nowUS)
 	return e.revHops, e.tech, ok
 }
 
@@ -91,11 +100,7 @@ func (c *cache) putRR(target, src ipv4.Addr, hops []ipv4.Addr, tech Technique, n
 }
 
 func (c *cache) getTraceroute(target, src ipv4.Addr, nowUS int64) (measure.TracerouteResult, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok, expired := c.c.Get(cacheKey{kindTR, target, src}, nowUS)
-	c.metrics.evicted(expired)
-	c.metrics.cacheTR(ok)
+	e, ok := c.get(cacheKey{kindTR, target, src}, nowUS)
 	if !ok {
 		return measure.TracerouteResult{}, false
 	}
@@ -114,11 +119,4 @@ func (c *cache) put(k cacheKey, e cacheEntry, nowUS int64) {
 	c.c.Put(k, e, nowUS)
 	expired, capped := c.c.MaybeSweep(nowUS)
 	c.metrics.evicted(expired + capped)
-}
-
-// Flush drops everything (used between experiment phases).
-func (c *cache) Flush() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.c.Flush()
 }

@@ -73,13 +73,3 @@ func (c *deadVPCache) markDead(a ipv4.Addr, nowUS int64) {
 	defer c.mu.Unlock()
 	c.c.Put(a, struct{}{}, nowUS)
 }
-
-// flush drops all entries.
-func (c *deadVPCache) flush() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.c.Flush()
-}

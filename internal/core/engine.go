@@ -36,19 +36,8 @@ type Hop struct {
 	// Spliced marks a hop adopted from the shared segment store
 	// (Options.SegmentStore) rather than measured by this reverse
 	// traceroute: Tech records the technique of the measurement that
-	// originally revealed it. SegmentSpliced provenance, Doubletree-style.
+	// originally revealed it. Provenance, Doubletree-style.
 	Spliced bool
-}
-
-// SegmentSpliced reports whether any hop of the result was adopted from
-// the shared segment store rather than measured directly.
-func (r *Result) SegmentSpliced() bool {
-	for _, h := range r.Hops {
-		if h.Spliced {
-			return true
-		}
-	}
-	return false
 }
 
 // Result is a completed (or abandoned) reverse traceroute.
@@ -125,7 +114,7 @@ type Engine struct {
 	logger  *slog.Logger
 	cache   *cache
 	deadVPs *deadVPCache
-	metrics *Metrics
+	metrics Metrics // zero value records nothing
 }
 
 // NewEngine assembles an engine over a probe pool. adj may be nil (no
@@ -146,38 +135,22 @@ func NewEngine(f *fabric.Fabric, pool *probe.Pool, ing *ingress.Service, sites [
 	}
 }
 
-// FlushCache drops cached measurements (e.g. between experiment phases),
-// including the engine-level dead-VP cache.
-func (e *Engine) FlushCache() {
-	e.cache.Flush()
-	e.deadVPs.flush()
-}
-
 // SetMetrics attaches an observability metric set (nil detaches). The
 // engine and its cache record into it from then on. Call before issuing
 // measurements.
 func (e *Engine) SetMetrics(m *Metrics) {
-	e.metrics = m
+	if m == nil {
+		m = new(Metrics)
+	}
+	e.metrics = *m
 	e.cache.metrics = m
 }
 
-// SetLogger attaches a structured debug logger. Engine decision events
-// are emitted at Debug level with src/dst/stage attributes. Call before
-// issuing measurements.
+// SetLogger attaches a structured debug logger: every progress event
+// the machine emits (see Machine.emit) is also logged at Debug level,
+// with the same seq/virtualUs/src/dst stamps. Call before issuing
+// measurements.
 func (e *Engine) SetLogger(l *slog.Logger) { e.logger = l }
-
-// debug emits one engine decision event to the structured logger, with
-// src/dst/stage attributes.
-func (e *Engine) debug(src Source, cur ipv4.Addr, stage, msg string, attrs ...any) {
-	if e.logger == nil {
-		return
-	}
-	e.logger.Debug(msg, append([]any{
-		slog.String("src", src.Agent.Addr.String()),
-		slog.String("dst", cur.String()),
-		slog.String("stage", stage),
-	}, attrs...)...)
-}
 
 // mctx is one measurement's probing context: the caller's context
 // (deadline and cancellation are checked between Fig 2 stages), the
@@ -244,9 +217,7 @@ func (e *Engine) MeasureReverse(ctx context.Context, src Source, dst ipv4.Addr) 
 // silently.
 func (e *Engine) MeasureReverseStream(ctx context.Context, src Source, dst ipv4.Addr, sink func(stream.Event)) *Result {
 	mm := e.Begin(ctx, src, dst)
-	if sink != nil {
-		mm.SetSink(sink)
-	}
+	mm.SetSink(sink)
 	for p := mm.Next(); p != nil; p = mm.Next() {
 		mm.Deliver(e.ExecPending(mm.Context(), p))
 	}
@@ -266,12 +237,12 @@ func (e *Engine) reachedSource(addr ipv4.Addr, src Source) bool {
 }
 
 // finish closes a completed path, appending the source hop if the last
-// measured hop is not already it.
+// measured hop is not already it. The caller's terminal transition
+// (Machine.finishWith) sets the status.
 func (e *Engine) finish(res *Result, src Source) {
 	if len(res.Hops) == 0 || res.Hops[len(res.Hops)-1].Addr != src.Agent.Addr {
 		res.Hops = append(res.Hops, Hop{Addr: src.Agent.Addr, Tech: TechSource})
 	}
-	res.Status = StatusComplete
 }
 
 // atlasLookup applies the configuration's intersection rules.

@@ -176,9 +176,9 @@ type Machine struct {
 	eseq uint64
 }
 
-// SetSink attaches a progress-event sink and emits the opening
-// "started" event. Call immediately after Begin, before driving. The
-// sink is invoked synchronously on whichever goroutine is advancing
+// SetSink attaches a progress-event sink (nil for none) and emits the
+// opening "started" event. Call immediately after Begin, before driving.
+// The sink is invoked synchronously on whichever goroutine is advancing
 // the machine (one at a time, per the Machine contract); it must not
 // block — hand events to a non-blocking fan-out such as
 // stream.Broker.Publish.
@@ -190,12 +190,18 @@ func (mm *Machine) SetSink(sink func(stream.Event)) {
 	mm.emitHops(0)
 }
 
+// observed reports whether anything consumes this machine's events.
+func (mm *Machine) observed() bool { return mm.sink != nil || mm.e.logger != nil }
+
 // emit stamps and delivers one progress event: the per-measurement
 // sequence number and the accumulated virtual probing time — never the
 // wall clock, so the stamps are deterministic. Src/Dst identify the
-// measurement on every event.
+// measurement on every event. It is the only caller of the sink and of
+// the engine's debug logger, so a log line is an event: same stamps,
+// same order, "stage" naming the technique. An unobserved machine (the
+// served traffic without a follower) builds nothing.
 func (mm *Machine) emit(ev stream.Event) {
-	if mm.sink == nil {
+	if !mm.observed() {
 		return
 	}
 	mm.eseq++
@@ -203,13 +209,20 @@ func (mm *Machine) emit(ev stream.Event) {
 	ev.VirtUS = mm.res.DurationUS
 	ev.Src = mm.res.Src.String()
 	ev.Dst = mm.res.Dst.String()
-	mm.sink(ev)
+	if mm.sink != nil {
+		mm.sink(ev)
+	}
+	if l := mm.e.logger; l != nil {
+		l.Debug(ev.Kind, "seq", ev.Seq, "virtualUs", ev.VirtUS, "src", ev.Src, "dst", ev.Dst,
+			"stage", ev.Tech, "hop", ev.Hop, "spliced", ev.Spliced, "count", ev.Count,
+			"status", ev.Status, "reason", ev.Reason)
+	}
 }
 
 // emitHops emits one hop event per result hop adopted since mark, with
 // its revealing technique and splice provenance.
 func (mm *Machine) emitHops(mark int) {
-	if mm.sink == nil {
+	if !mm.observed() {
 		return
 	}
 	for _, h := range mm.res.Hops[mark:] {
@@ -220,16 +233,11 @@ func (mm *Machine) emitHops(mark int) {
 	}
 }
 
-// emitFallback emits a technique-fallback event naming the technique
-// the measurement falls back to.
-func (mm *Machine) emitFallback(next Technique) {
+// fallback moves the machine to the next technique's phase and reports
+// the technique it falls back to.
+func (mm *Machine) fallback(next Technique, ph phase) {
 	mm.emit(stream.Event{Kind: stream.KindFallback, Tech: next.String()})
-}
-
-// emitVPFailover emits a vantage-point failover event for a VP
-// observed dead; Hop carries the VP address.
-func (mm *Machine) emitVPFailover(vp ipv4.Addr) {
-	mm.emit(stream.Event{Kind: stream.KindVPFailover, Hop: vp.String()})
+	mm.ph = ph
 }
 
 // Begin opens a measurement of the reverse path from dst back to src as
@@ -311,8 +319,6 @@ func (mm *Machine) Deliver(d Delivery) {
 		} else {
 			mm.m.count = mm.m.count.Add(d.Batch.Sent)
 		}
-		mm.e.debug(mm.src, mm.cur, "cancel", "probe work cut short by cancellation",
-			"skipped", d.Batch.Skipped)
 		mm.failCancelled()
 		return
 	}
@@ -403,17 +409,20 @@ func (mm *Machine) isDead(a ipv4.Addr) bool {
 		return true
 	}
 	if mm.e.deadVPs.isDead(a, mm.e.Pool.Now()) {
-		mm.e.metrics.deadVPHit()
+		mm.e.metrics.deadVPHits.Inc()
 		return true
 	}
 	return false
 }
 
-// markDead remembers a blacked-out vantage point in both the
-// per-measurement set and the engine-level TTL cache.
-func (mm *Machine) markDead(a ipv4.Addr) {
+// vpDied reports a vantage point observed blacked out: remembered in
+// both the per-measurement set and the engine-level TTL cache, counted
+// as a failover, and announced (Hop carries the VP address).
+func (mm *Machine) vpDied(a ipv4.Addr) {
 	mm.m.markDead(a)
 	mm.e.deadVPs.markDead(a, mm.e.Pool.Now())
+	mm.e.metrics.vpFailover.Inc()
+	mm.emit(stream.Event{Kind: stream.KindVPFailover, Hop: a.String()})
 }
 
 // spliceable reports whether a memoized chain can be adopted: none of
@@ -459,25 +468,79 @@ func (mm *Machine) goTop() {
 	mm.ph = phTop
 }
 
-// finishMachine closes the measurement: per-measurement accounting,
-// suspect flags, and outcome metrics — the old MeasureReverse defer.
-func (mm *Machine) finishMachine() {
+// adopted reports the hops appended to the result since mark: one path
+// segment anchored at the cursor that adopted them, one hop event each.
+func (mm *Machine) adopted(mark int) {
+	mm.recordSeg(mm.cur, mark)
+	mm.emitHops(mark)
+}
+
+// reach closes the path: the hops tech revealed between the cursor and
+// the source (none when the cursor already stands on the source's
+// doorstep), then the source hop, then the terminal transition.
+func (mm *Machine) reach(tech Technique, hops ...ipv4.Addr) {
+	mm.e.metrics.stage[tech].Inc()
+	mark := len(mm.res.Hops)
+	for _, h := range hops {
+		mm.res.Hops = append(mm.res.Hops, Hop{Addr: h, Tech: tech})
+	}
+	mm.e.finish(mm.res, mm.src)
+	mm.adopted(mark)
+	mm.finishWith(StatusComplete, "")
+}
+
+// advance adopts the one new hop tech revealed and re-enters Fig 2 from
+// it.
+func (mm *Machine) advance(tech Technique, next ipv4.Addr) {
+	mm.e.metrics.stage[tech].Inc()
+	mm.visited[next] = true
+	mark := len(mm.res.Hops)
+	mm.res.Hops = append(mm.res.Hops, Hop{Addr: next, Tech: tech})
+	mm.adopted(mark)
+	mm.cur = next
+	mm.goTop()
+}
+
+// assumeSym takes one symmetry assumption (Q5), interdomain unless
+// intra. It is counted when taken, whatever becomes of the hop.
+func (mm *Machine) assumeSym(intra bool) {
+	mm.res.SymAssumed++
+	mm.e.metrics.symmetry.Inc()
+	if !intra {
+		mm.res.InterdomainAssumed++
+		mm.e.metrics.symInterAS.Inc()
+	}
+}
+
+// finishWith is the terminal transition: status, per-measurement
+// accounting, suspect flags, segment publication, outcome metrics and
+// the terminal event. reason says why an aborted or failed measurement
+// stopped; it travels on the terminal event only (complete and
+// cancelled ones carry none).
+func (mm *Machine) finishWith(st Status, reason string) {
 	mm.finished = true
 	mm.ph = phDone
+	mm.res.Status = st
 	mm.res.Probes = mm.m.count
 	mm.e.flagSuspects(mm.res)
 	mm.publishSegments()
-	mm.e.metrics.outcome(mm.res, time.Since(mm.wallStart).Microseconds(), mm.e.cache.size()) //revtr:wallclock engine wall-time metric, distinct from virtual probe time
-	kind := stream.KindDone
+
+	m := &mm.e.metrics
+	kind, outcome := stream.KindDone, m.complete
 	switch {
 	case mm.res.Cancelled:
-		kind = stream.KindCancelled
-	case mm.res.Status == StatusAborted:
-		kind = stream.KindAborted
-	case mm.res.Status != StatusComplete:
-		kind = stream.KindFailed
+		kind, outcome = stream.KindCancelled, m.cancelled
+	case st == StatusAborted:
+		kind, outcome = stream.KindAborted, m.aborted
+	case st != StatusComplete:
+		kind, outcome = stream.KindFailed, m.failed
 	}
-	mm.emit(stream.Event{Kind: kind, Status: mm.res.Status.String()})
+	outcome.Inc()
+	m.spoofBatches.Add(uint64(mm.res.SpoofBatches))
+	m.virtualUS.Observe(mm.res.DurationUS)
+	m.wallUS.Observe(time.Since(mm.wallStart).Microseconds()) //revtr:wallclock engine wall-time metric, distinct from virtual probe time
+	m.cacheSize.Set(int64(mm.e.cache.size()))
+	mm.emit(stream.Event{Kind: kind, Status: st.String(), Reason: reason})
 }
 
 // recordSeg captures the hops just appended to the result
@@ -519,17 +582,10 @@ func (mm *Machine) publishSegments() {
 	st.Publish(mm.res.Src, mm.segs, mm.e.Pool.Now())
 }
 
-// finishWith terminates with a status.
-func (mm *Machine) finishWith(st Status) {
-	mm.res.Status = st
-	mm.finishMachine()
-}
-
 // failCancelled terminates a measurement cut short by its context.
 func (mm *Machine) failCancelled() {
-	mm.res.Status = StatusFailed
 	mm.res.Cancelled = true
-	mm.finishMachine()
+	mm.finishWith(StatusFailed, "")
 }
 
 // stepTop is the head of the Fig 2 loop: hop budget, cancellation,
@@ -537,38 +593,23 @@ func (mm *Machine) failCancelled() {
 func (mm *Machine) stepTop() {
 	e, src, cur := mm.e, mm.src, mm.cur
 	if mm.step >= e.Opts.MaxHops {
-		mm.finishWith(StatusFailed)
+		mm.finishWith(StatusFailed, "hop budget exhausted")
 		return
 	}
-	if err := mm.m.ctx.Err(); err != nil {
-		e.debug(src, cur, "cancel", "context done between stages", "err", err.Error())
+	if mm.m.ctx.Err() != nil {
 		mm.failCancelled()
 		return
 	}
 	if e.reachedSource(cur, src) {
-		mark := len(mm.res.Hops)
-		e.finish(mm.res, src)
-		mm.recordSeg(cur, mark)
-		mm.emitHops(mark)
-		mm.finishMachine()
+		mm.reach(TechSource)
 		return
 	}
 
 	// Step 1: does the current hop intersect a traceroute to S?
 	if x, ok := e.atlasLookup(src, cur, mm.excludeAS); ok {
-		e.metrics.stage(TechTrIntersect)
 		x.Entry.MarkUseful()
-		e.debug(src, cur, "atlas", "intersected atlas traceroute",
-			"entry", x.Entry.ID, "pos", x.Pos, "suffix", len(x.Suffix))
 		mm.res.AtlasUses = append(mm.res.AtlasUses, AtlasUse{Entry: x.Entry, Pos: x.Pos})
-		mark := len(mm.res.Hops)
-		for _, h := range x.Suffix {
-			mm.res.Hops = append(mm.res.Hops, Hop{Addr: h, Tech: TechTrIntersect})
-		}
-		e.finish(mm.res, src)
-		mm.recordSeg(cur, mark)
-		mm.emitHops(mark)
-		mm.finishMachine()
+		mm.reach(TechTrIntersect, x.Suffix...)
 		return
 	}
 
@@ -580,11 +621,9 @@ func (mm *Machine) stepTop() {
 	// budgets, never the freshness of what is spliced).
 	if st := e.Opts.SegmentStore; st != nil {
 		if chain, ok := st.Lookup(src.Agent.Addr, cur, e.Pool.Now()); ok {
-			e.metrics.segmentHit()
+			e.metrics.segmentHits.Inc()
 			if mm.spliceable(chain) {
-				e.metrics.segmentSplice()
-				e.debug(src, cur, "segments", "spliced memoized reverse suffix",
-					"hops", len(chain))
+				e.metrics.segmentSplices.Inc()
 				mark := len(mm.res.Hops)
 				mm.emit(stream.Event{Kind: stream.KindSpliced, Count: len(chain)})
 				for _, h := range chain {
@@ -600,10 +639,9 @@ func (mm *Machine) stepTop() {
 				mm.segs = append(mm.segs, segments.PathSeg{Anchor: cur})
 				e.finish(mm.res, src)
 				mm.emitHops(mark)
-				mm.finishMachine()
+				mm.finishWith(StatusComplete, "")
 				return
 			}
-			e.debug(src, cur, "segments", "hit rejected: chain revisits a hop")
 		}
 	}
 
@@ -699,12 +737,8 @@ func (mm *Machine) onSpoofBatch(b probe.Batch) {
 			// The VP could not send at all: remember it and fail over to
 			// the next-closest VP in the ingress order instead of
 			// charging the attempt against the spoof budget.
-			mm.markDead(sp.vps[i].Addr)
-			e.metrics.vpFailover()
-			mm.emitVPFailover(sp.vps[i].Addr)
+			mm.vpDied(sp.vps[i].Addr)
 			deadHere++
-			e.debug(src, cur, "spoof-rr", "vantage point dead, failing over",
-				"vp", sp.vps[i].Addr.String())
 			continue
 		}
 		if !rep.RR.Responded {
@@ -734,27 +768,22 @@ func (mm *Machine) onSpoofBatch(b probe.Batch) {
 // cancellation, then adopt revealed hops (optionally after the DBR
 // redundancy check) or move on to Timestamp.
 func (mm *Machine) stepAfterRR() {
-	e, src, cur := mm.e, mm.src, mm.cur
 	mm.res.DurationUS += mm.rev.elapsedUS
 	mm.res.SpoofBatches += mm.rev.batches
-	if err := mm.m.ctx.Err(); err != nil {
-		e.debug(src, cur, "cancel", "context done during RR step", "err", err.Error())
+	if mm.m.ctx.Err() != nil {
 		mm.failCancelled()
 		return
 	}
 	if len(mm.rev.hops) > 0 {
-		e.metrics.stage(mm.rev.tech)
-		e.debug(src, cur, "rr", "revealed reverse hops",
-			"tech", mm.rev.tech.String(), "hops", len(mm.rev.hops), "batches", mm.rev.batches)
-		if e.Opts.DetectDBRViolations {
+		mm.e.metrics.stage[mm.rev.tech].Inc()
+		if mm.e.Opts.DetectDBRViolations {
 			mm.beginDBR()
 			return
 		}
 		mm.adoptRevealed(false)
 		return
 	}
-	mm.emitFallback(TechTS)
-	mm.ph = phTS
+	mm.fallback(TechTS, phTS)
 }
 
 // dbrRepeats is how many redundant re-revelations the DBR check issues
@@ -818,9 +847,7 @@ func (mm *Machine) onDBRFallback(b probe.Batch) {
 	d.elapsedUS += b.MaxRTTUS
 	for i, rep := range b.Replies {
 		if rep.VPDead {
-			mm.markDead(d.fallback[i].VP.Addr)
-			e.metrics.vpFailover()
-			mm.emitVPFailover(d.fallback[i].VP.Addr)
+			mm.vpDied(d.fallback[i].VP.Addr)
 			continue
 		}
 		if hops := extractReverse(rep.RR.Recorded, cur, e.Alias); len(hops) > 0 {
@@ -849,8 +876,7 @@ func (mm *Machine) adoptRevealed(dbrSuspect bool) {
 	for i, h := range mm.rev.hops {
 		mm.res.Hops = append(mm.res.Hops, Hop{Addr: h, Tech: mm.rev.tech, DBRSuspect: i == 0 && dbrSuspect})
 	}
-	mm.recordSeg(mm.cur, mark)
-	mm.emitHops(mark)
+	mm.adopted(mark)
 	next := lastProbeable(mm.rev.hops)
 	if !next.IsZero() && !mm.visited[next] {
 		mm.visited[next] = true
@@ -863,15 +889,13 @@ func (mm *Machine) adoptRevealed(dbrSuspect bool) {
 	if !next.IsZero() {
 		mm.cur = next
 	}
-	mm.emitFallback(TechTS)
-	mm.ph = phTS
+	mm.fallback(TechTS, phTS)
 }
 
 // stepTS opens the Timestamp adjacency stage (Q4; revtr 1.0 only).
 func (mm *Machine) stepTS() {
 	if !mm.e.Opts.UseTimestamp {
-		mm.emitFallback(TechSymmetry)
-		mm.ph = phSym
+		mm.fallback(TechSymmetry, phSym)
 		return
 	}
 	mm.ts = tsState{adjs: mm.e.Adj.Adjacent(mm.cur, mm.src.Agent.Addr)}
@@ -931,9 +955,7 @@ func (mm *Machine) onTSSpoof(b probe.Batch) {
 	mm.m.count = mm.m.count.Add(b.Sent)
 	rep := b.Replies[0]
 	if rep.VPDead {
-		mm.markDead(mm.ts.vp.Addr)
-		mm.e.metrics.vpFailover()
-		mm.emitVPFailover(mm.ts.vp.Addr)
+		mm.vpDied(mm.ts.vp.Addr)
 	}
 	mm.ts.elapsedUS += rep.TS.RTTUS
 	mm.evalTS(rep.TS)
@@ -954,18 +976,10 @@ func (mm *Machine) tsDone(next ipv4.Addr) {
 	mm.res.DurationUS += mm.ts.elapsedUS
 	mm.ts.elapsedUS = 0
 	if !next.IsZero() && !mm.visited[next] {
-		mm.e.metrics.stage(TechTS)
-		mm.visited[next] = true
-		mark := len(mm.res.Hops)
-		mm.res.Hops = append(mm.res.Hops, Hop{Addr: next, Tech: TechTS})
-		mm.recordSeg(mm.cur, mark)
-		mm.emitHops(mark)
-		mm.cur = next
-		mm.goTop()
+		mm.advance(TechTS, next)
 		return
 	}
-	mm.emitFallback(TechSymmetry)
-	mm.ph = phSym
+	mm.fallback(TechSymmetry, phSym)
 }
 
 // stepSym opens step 4: forward traceroute + symmetry assumption (Q5).
@@ -1050,25 +1064,15 @@ func (mm *Machine) classifyTraceroute(tr measure.TracerouteResult, elapsed int64
 		// attachment, a (usually intradomain) symmetry assumption away.
 		intra = ip2as.SameAS(e.Mapper, cur, src.Agent.Addr)
 		if e.Opts.Symmetry == SymIntraOnly && !intra || e.Opts.Symmetry == SymNever {
-			e.debug(src, cur, "symmetry", "abort: first-hop assumption not allowed", "intra", intra)
-			mm.finishWith(StatusAborted)
+			mm.finishWith(StatusAborted, "first-hop symmetry assumption not allowed")
 			return
 		}
-		mm.res.SymAssumed++
-		if !intra {
-			mm.res.InterdomainAssumed++
-		}
-		e.metrics.symmetry(!intra)
-		mark := len(mm.res.Hops)
-		e.finish(mm.res, src)
-		mm.recordSeg(cur, mark)
-		mm.emitHops(mark)
-		mm.finishMachine()
+		mm.assumeSym(intra)
+		mm.reach(TechSource)
 		return
 	}
 	if !usable {
-		e.debug(src, cur, "symmetry", "fail: no penultimate hop", "hops", len(mm.res.Hops))
-		mm.finishWith(StatusFailed)
+		mm.finishWith(StatusFailed, "no penultimate hop")
 		return
 	}
 	switch e.Opts.Symmetry {
@@ -1076,31 +1080,19 @@ func (mm *Machine) classifyTraceroute(tr measure.TracerouteResult, elapsed int64
 		// revtr 1.0: assume regardless, at known accuracy cost.
 	case SymIntraOnly:
 		if !intra {
-			e.debug(src, cur, "symmetry", "abort: interdomain assumption required", "penult", penult.String())
-			mm.finishWith(StatusAborted)
+			mm.finishWith(StatusAborted, "interdomain symmetry assumption required")
 			return
 		}
 	case SymNever:
-		mm.finishWith(StatusAborted)
+		mm.finishWith(StatusAborted, "symmetry assumptions disabled")
 		return
 	}
-	mm.res.SymAssumed++
-	if !intra {
-		mm.res.InterdomainAssumed++
-	}
-	e.metrics.symmetry(!intra)
+	mm.assumeSym(intra)
 	if mm.visited[penult] {
-		e.debug(src, cur, "symmetry", "fail: penultimate already visited", "penult", penult.String())
-		mm.finishWith(StatusFailed)
+		mm.finishWith(StatusFailed, "penultimate hop already on the path")
 		return
 	}
-	mm.visited[penult] = true
-	mark := len(mm.res.Hops)
-	mm.res.Hops = append(mm.res.Hops, Hop{Addr: penult, Tech: TechSymmetry})
-	mm.recordSeg(cur, mark)
-	mm.emitHops(mark)
-	mm.cur = penult
-	mm.goTop()
+	mm.advance(TechSymmetry, penult)
 }
 
 // ExecPending executes one pending work descriptor synchronously on the
@@ -1142,9 +1134,7 @@ func (e *Engine) MeasureAsync(ctx context.Context, src Source, dst ipv4.Addr, do
 //revtr:suspends parks the machine between probe rounds; completions resume it on pool executors
 func (e *Engine) MeasureAsyncStream(ctx context.Context, src Source, dst ipv4.Addr, sink func(stream.Event), done func(*Result)) {
 	mm := e.Begin(ctx, src, dst)
-	if sink != nil {
-		mm.SetSink(sink)
-	}
+	mm.SetSink(sink)
 	e.driveAsync(mm, nil, done)
 }
 

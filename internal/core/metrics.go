@@ -6,211 +6,120 @@ import (
 
 // Metrics is the engine's observability surface: per-stage outcome
 // counters matching the Fig 2 control flow, cache accounting, and the
-// latency histograms the §5.2.4 throughput analysis is built from. All
-// methods are safe on a nil *Metrics (no-ops), so instrumented engine code
-// runs unchanged whether or not a registry was attached. Engines built
-// from the same obs.Registry share the underlying metrics (counters are
-// atomic), which is how campaign workers aggregate into one set of
-// numbers.
+// latency histograms the §5.2.4 throughput analysis is built from. The
+// zero value is the off switch: every counter is nil, and obs's nil
+// receivers are no-ops, so the engine holds a Metrics by value and
+// records into it without asking whether a registry was attached.
+// Engines built from the same obs.Registry share the underlying metrics
+// (counters are atomic), which is how campaign workers aggregate into
+// one set of numbers. The fields are written once, by NewMetrics; the
+// machine's transition helpers (machine.go) and the cache are the only
+// readers.
 type Metrics struct {
-	// Stage counters: how each adopted reverse hop (or terminal decision)
-	// was produced.
-	StageAtlas    *obs.Counter // atlas traceroute intersections (Q1/Q2)
-	StageDirectRR *obs.Counter // direct Record Route revelations
-	StageSpoofRR  *obs.Counter // spoofed Record Route revelations
-	StageTS       *obs.Counter // Timestamp adjacency confirmations
-	StageSym      *obs.Counter // symmetry assumptions taken
-	SymInterAS    *obs.Counter // ...of which interdomain (SymAlways only)
+	// stage counts, by revealing technique, each time a stage produced
+	// the next reverse hop(s): atlas traceroute intersections (Q1/Q2),
+	// direct and spoofed Record Route revelations, Timestamp adjacency
+	// confirmations. Destination, source and symmetry have no slot — a
+	// symmetry assumption is counted when it is taken (assumeSym), even
+	// if the hop it yields is then rejected as a revisit.
+	stage [TechSource + 1]*obs.Counter
+	// symmetry counts symmetry assumptions taken; symInterAS those of
+	// them that were interdomain (SymAlways only).
+	symmetry   *obs.Counter
+	symInterAS *obs.Counter
 
-	// Outcome counters. Cancelled counts measurements cut short by their
+	// Outcome counters. cancelled counts measurements cut short by their
 	// context (Result.Cancelled): they end StatusFailed but are accounted
-	// here instead of Failed so partial runs do not skew the
+	// here instead of failed so partial runs do not skew the
 	// technique-coverage statistics.
-	Complete  *obs.Counter
-	Aborted   *obs.Counter
-	Failed    *obs.Counter
-	Cancelled *obs.Counter
+	complete  *obs.Counter
+	aborted   *obs.Counter
+	failed    *obs.Counter
+	cancelled *obs.Counter
 
-	// SpoofBatches counts spoofed-RR batches issued (each costs a
+	// spoofBatches counts spoofed-RR batches issued (each costs a
 	// 10 s timeout in virtual time, §5.2.4).
-	SpoofBatches *obs.Counter
+	spoofBatches *obs.Counter
 
-	// VPFailover counts probes redirected to another vantage point after
-	// the planned VP was observed inside a blackout window. DeadVPHits
+	// vpFailover counts probes redirected to another vantage point after
+	// the planned VP was observed inside a blackout window. deadVPHits
 	// counts plan slots skipped because the engine-level dead-VP cache
 	// already knew the VP was out — failovers that cost nothing.
-	VPFailover *obs.Counter
-	DeadVPHits *obs.Counter
+	vpFailover *obs.Counter
+	deadVPHits *obs.Counter
 
 	// Segment-store accounting (Doubletree memoization,
-	// Options.SegmentStore). SegmentHits counts lookups that returned a
-	// full fresh chain; SegmentSplices counts the hits actually spliced
+	// Options.SegmentStore). segmentHits counts lookups that returned a
+	// full fresh chain; segmentSplices counts the hits actually spliced
 	// into a path (a hit is rejected when the chain would revisit a hop
 	// this measurement already adopted). The store itself counts
 	// engine_segment_stale_evictions_total via segments.Store.SetObs.
-	SegmentHits    *obs.Counter
-	SegmentSplices *obs.Counter
+	segmentHits    *obs.Counter
+	segmentSplices *obs.Counter
 
-	// Cache accounting (Insight 1.4 reuse).
-	CacheHitRR     *obs.Counter
-	CacheMissRR    *obs.Counter
-	CacheHitTR     *obs.Counter
-	CacheMissTR    *obs.Counter
-	CacheEvictions *obs.Counter
-	CacheSize      *obs.Gauge
+	// Cache accounting (Insight 1.4 reuse), hits and misses by cacheKind.
+	cacheHits      [2]*obs.Counter
+	cacheMisses    [2]*obs.Counter
+	cacheEvictions *obs.Counter
+	cacheSize      *obs.Gauge
 
-	// VirtualUS observes per-measurement virtual duration (spoof
-	// timeouts included); WallUS observes real wall-clock time spent in
-	// MeasureReverse.
-	VirtualUS *obs.Histogram
-	WallUS    *obs.Histogram
+	// virtualUS observes per-measurement virtual duration (spoof
+	// timeouts included); wallUS observes real wall-clock time from Begin
+	// to the terminal transition.
+	virtualUS *obs.Histogram
+	wallUS    *obs.Histogram
 }
 
 // NewMetrics registers (or re-attaches to) the engine metric set on reg.
 func NewMetrics(reg *obs.Registry) *Metrics {
-	return &Metrics{
-		StageAtlas:    reg.Counter("engine_stage_atlas_intersect_total"),
-		StageDirectRR: reg.Counter("engine_stage_direct_rr_total"),
-		StageSpoofRR:  reg.Counter("engine_stage_spoofed_rr_total"),
-		StageTS:       reg.Counter("engine_stage_timestamp_total"),
-		StageSym:      reg.Counter("engine_stage_symmetry_total"),
-		SymInterAS:    reg.Counter("engine_symmetry_interdomain_total"),
+	m := &Metrics{
+		symmetry:   reg.Counter("engine_stage_symmetry_total"),
+		symInterAS: reg.Counter("engine_symmetry_interdomain_total"),
 
-		Complete:  reg.Counter("engine_measure_complete_total"),
-		Aborted:   reg.Counter("engine_measure_aborted_total"),
-		Failed:    reg.Counter("engine_measure_failed_total"),
-		Cancelled: reg.Counter("engine_measure_cancelled_total"),
+		complete:  reg.Counter("engine_measure_complete_total"),
+		aborted:   reg.Counter("engine_measure_aborted_total"),
+		failed:    reg.Counter("engine_measure_failed_total"),
+		cancelled: reg.Counter("engine_measure_cancelled_total"),
 
-		SpoofBatches: reg.Counter("engine_spoof_batches_total"),
-		VPFailover:   reg.Counter("vp_failover_total"),
-		DeadVPHits:   reg.Counter("engine_dead_vp_hits_total"),
+		spoofBatches: reg.Counter("engine_spoof_batches_total"),
+		vpFailover:   reg.Counter("vp_failover_total"),
+		deadVPHits:   reg.Counter("engine_dead_vp_hits_total"),
 
-		SegmentHits:    reg.Counter("engine_segment_hits_total"),
-		SegmentSplices: reg.Counter("engine_segment_splices_total"),
+		segmentHits:    reg.Counter("engine_segment_hits_total"),
+		segmentSplices: reg.Counter("engine_segment_splices_total"),
 
-		CacheHitRR:     reg.Counter("engine_cache_rr_hits_total"),
-		CacheMissRR:    reg.Counter("engine_cache_rr_misses_total"),
-		CacheHitTR:     reg.Counter("engine_cache_tr_hits_total"),
-		CacheMissTR:    reg.Counter("engine_cache_tr_misses_total"),
-		CacheEvictions: reg.Counter("engine_cache_evictions_total"),
-		CacheSize:      reg.Gauge("engine_cache_entries"),
+		cacheEvictions: reg.Counter("engine_cache_evictions_total"),
+		cacheSize:      reg.Gauge("engine_cache_entries"),
 
-		VirtualUS: reg.Histogram("engine_measure_virtual_us", nil),
-		WallUS:    reg.Histogram("engine_measure_wall_us", nil),
+		virtualUS: reg.Histogram("engine_measure_virtual_us", nil),
+		wallUS:    reg.Histogram("engine_measure_wall_us", nil),
 	}
+	m.stage[TechTrIntersect] = reg.Counter("engine_stage_atlas_intersect_total")
+	m.stage[TechRR] = reg.Counter("engine_stage_direct_rr_total")
+	m.stage[TechSpoofRR] = reg.Counter("engine_stage_spoofed_rr_total")
+	m.stage[TechTS] = reg.Counter("engine_stage_timestamp_total")
+	m.cacheHits[kindRR] = reg.Counter("engine_cache_rr_hits_total")
+	m.cacheMisses[kindRR] = reg.Counter("engine_cache_rr_misses_total")
+	m.cacheHits[kindTR] = reg.Counter("engine_cache_tr_hits_total")
+	m.cacheMisses[kindTR] = reg.Counter("engine_cache_tr_misses_total")
+	return m
 }
 
-// stage records how a hop (or batch of hops) was revealed.
-func (m *Metrics) stage(t Technique) {
-	if m == nil {
-		return
-	}
-	switch t {
-	case TechTrIntersect:
-		m.StageAtlas.Inc()
-	case TechRR:
-		m.StageDirectRR.Inc()
-	case TechSpoofRR:
-		m.StageSpoofRR.Inc()
-	case TechTS:
-		m.StageTS.Inc()
-	case TechSymmetry:
-		m.StageSym.Inc()
-	}
-}
-
-// vpFailover records one dead-VP failover.
-func (m *Metrics) vpFailover() {
-	if m == nil {
-		return
-	}
-	m.VPFailover.Inc()
-}
-
-// deadVPHit records one plan slot skipped via the shared dead-VP cache.
-func (m *Metrics) deadVPHit() {
-	if m == nil {
-		return
-	}
-	m.DeadVPHits.Inc()
-}
-
-// symmetry records one symmetry assumption.
-func (m *Metrics) symmetry(interdomain bool) {
-	if m == nil {
-		return
-	}
-	m.StageSym.Inc()
-	if interdomain {
-		m.SymInterAS.Inc()
-	}
-}
-
-// outcome closes one measurement.
-func (m *Metrics) outcome(res *Result, wallUS int64, cacheEntries int) {
-	if m == nil {
-		return
-	}
-	switch {
-	case res.Status == StatusComplete:
-		m.Complete.Inc()
-	case res.Status == StatusAborted:
-		m.Aborted.Inc()
-	case res.Cancelled:
-		m.Cancelled.Inc()
-	default:
-		m.Failed.Inc()
-	}
-	m.SpoofBatches.Add(uint64(res.SpoofBatches))
-	m.VirtualUS.Observe(res.DurationUS)
-	m.WallUS.Observe(wallUS)
-	m.CacheSize.Set(int64(cacheEntries))
-}
-
-// segmentHit records one full-chain segment-store hit.
-func (m *Metrics) segmentHit() {
-	if m == nil {
-		return
-	}
-	m.SegmentHits.Inc()
-}
-
-// segmentSplice records one memoized suffix spliced into a path.
-func (m *Metrics) segmentSplice() {
-	if m == nil {
-		return
-	}
-	m.SegmentSplices.Inc()
-}
-
-// cacheRR records an RR-cache lookup.
-func (m *Metrics) cacheRR(hit bool) {
-	if m == nil {
-		return
-	}
+// lookup records one cache lookup of kind and the expired entry it may
+// have dropped.
+func (m *Metrics) lookup(kind cacheKind, hit bool, expired int) {
 	if hit {
-		m.CacheHitRR.Inc()
+		m.cacheHits[kind].Inc()
 	} else {
-		m.CacheMissRR.Inc()
+		m.cacheMisses[kind].Inc()
 	}
+	m.evicted(expired)
 }
 
-// cacheTR records a traceroute-cache lookup.
-func (m *Metrics) cacheTR(hit bool) {
-	if m == nil {
-		return
-	}
-	if hit {
-		m.CacheHitTR.Inc()
-	} else {
-		m.CacheMissTR.Inc()
-	}
-}
-
-// evicted records n cache evictions.
+// evicted records n cache evictions; the usual n == 0 leaves the
+// counter, which every engine on the registry shares, untouched.
 func (m *Metrics) evicted(n int) {
-	if m == nil || n <= 0 {
-		return
+	if n > 0 {
+		m.cacheEvictions.Add(uint64(n))
 	}
-	m.CacheEvictions.Add(uint64(n))
 }

@@ -19,7 +19,26 @@ var (
 )
 
 func deployment(s Scale, vintage vantage.Vintage) *revtr.Deployment {
-	key := fmt.Sprintf("%d/%d/%d/%d/%d/%d", s.ASes, s.Sites, s.Probes, s.AtlasSize, s.Seed, vintage)
+	return cachedDeployment(s, vintage, false)
+}
+
+// deploymentNoSurvey builds a 2020 deployment without the ingress survey,
+// for experiments that issue all probes themselves (Table 6, Fig 11).
+func deploymentNoSurvey(s Scale) *revtr.Deployment {
+	return cachedDeployment(s, vantage.Vintage2020, true)
+}
+
+// deployment2016 builds the pre-flattening variant for Table 6 / Fig 11,
+// which only issue their own probes.
+func deployment2016(s Scale) *revtr.Deployment {
+	return cachedDeployment(s, vantage.Vintage2016, true)
+}
+
+// cachedDeployment builds, once per distinct input, the deployment of
+// scale s at a vintage, with or without the ingress survey. The 2016
+// vintage sits on the pre-flattening topology, with half the sites.
+func cachedDeployment(s Scale, vintage vantage.Vintage, skipSurvey bool) *revtr.Deployment {
+	key := fmt.Sprintf("%d/%d/%d/%d/%d/%d/%v", s.ASes, s.Sites, s.Probes, s.AtlasSize, s.Seed, vintage, skipSurvey)
 	depMu.Lock()
 	defer depMu.Unlock()
 	if d, ok := depCache[key]; ok {
@@ -34,69 +53,16 @@ func deployment(s Scale, vintage vantage.Vintage) *revtr.Deployment {
 		AtlasSize:     s.AtlasSize,
 		AliasCoverage: 0.35,
 		Seed:          s.Seed,
+		SkipSurvey:    skipSurvey,
+	}
+	if vintage == vantage.Vintage2016 {
+		cfg.Topology = topology.Config2016(s.ASes)
+		cfg.Sites = s.Sites / 2 // fewer sites existed in 2016
 	}
 	cfg.Topology.Seed = s.Seed
 	d := revtr.Build(cfg)
 	depCache[key] = d
 	return d
-}
-
-// deploymentNoSurvey builds a 2020 deployment without the ingress survey,
-// for experiments that issue all probes themselves (Table 6, Fig 11).
-func deploymentNoSurvey(s Scale) *revtr.Deployment {
-	key := fmt.Sprintf("nosurvey/%d/%d/%d/%d/%d", s.ASes, s.Sites, s.Probes, s.AtlasSize, s.Seed)
-	depMu.Lock()
-	defer depMu.Unlock()
-	if d, ok := depCache[key]; ok {
-		return d
-	}
-	cfg := revtr.Config{
-		Topology:      topology.DefaultConfig(s.ASes),
-		Sites:         s.Sites,
-		Vintage:       vantage.Vintage2020,
-		Probes:        s.Probes,
-		ProbeCredits:  1 << 30,
-		AtlasSize:     s.AtlasSize,
-		AliasCoverage: 0.35,
-		Seed:          s.Seed,
-		SkipSurvey:    true,
-	}
-	cfg.Topology.Seed = s.Seed
-	d := revtr.Build(cfg)
-	depCache[key] = d
-	return d
-}
-
-// deployment2016 builds the pre-flattening variant for Table 6 / Fig 11.
-func deployment2016(s Scale) *revtr.Deployment {
-	key := fmt.Sprintf("2016/%d/%d/%d/%d/%d", s.ASes, s.Sites, s.Probes, s.AtlasSize, s.Seed)
-	depMu.Lock()
-	defer depMu.Unlock()
-	if d, ok := depCache[key]; ok {
-		return d
-	}
-	cfg := revtr.Config{
-		Topology:      topology.Config2016(s.ASes),
-		Sites:         s.Sites / 2, // fewer sites existed in 2016
-		Vintage:       vantage.Vintage2016,
-		Probes:        s.Probes,
-		ProbeCredits:  1 << 30,
-		AtlasSize:     s.AtlasSize,
-		AliasCoverage: 0.35,
-		Seed:          s.Seed,
-		SkipSurvey:    true, // Table 6 / Fig 11 only issue their own probes
-	}
-	cfg.Topology.Seed = s.Seed
-	d := revtr.Build(cfg)
-	depCache[key] = d
-	return d
-}
-
-// ResetDeployments clears the cache (tests that mutate deployments).
-func ResetDeployments() {
-	depMu.Lock()
-	defer depMu.Unlock()
-	depCache = map[string]*revtr.Deployment{}
 }
 
 // sourcesFor registers the first n vantage point sites as Reverse

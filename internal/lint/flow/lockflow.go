@@ -95,8 +95,8 @@ const (
 
 type event struct {
 	kind   evKind
-	held   Held         // evLock/evUnlock
-	callee *types.Func  // evCall
+	held   Held        // evLock/evUnlock
+	callee *types.Func // evCall
 	pos    token.Pos
 }
 

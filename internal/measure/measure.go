@@ -111,11 +111,6 @@ type Prober struct {
 	seq   uint64
 }
 
-// NewProber creates a prober over f with its own clock.
-func NewProber(f *fabric.Fabric) *Prober {
-	return &Prober{F: f, clock: NewClock()}
-}
-
 // NewProberWithClock creates a prober sharing an existing clock (one
 // deployment: one clock).
 func NewProberWithClock(f *fabric.Fabric, c *Clock) *Prober {
@@ -210,15 +205,6 @@ type TSResult struct {
 func (p *Prober) TSPing(a Agent, dst ipv4.Addr, prespec []ipv4.Addr) TSResult {
 	p.Count.TS++
 	return Issue(p.F, Spec{Kind: KindTS, VP: a, Dst: dst, Prespec: prespec, Seq: p.next()}, p.clock.Now()).TS
-}
-
-// SpoofedTSPing is TSPing sent from vp spoofing src.
-func (p *Prober) SpoofedTSPing(vp Agent, src, dst ipv4.Addr, prespec []ipv4.Addr) TSResult {
-	if !vp.CanSpoof {
-		return TSResult{}
-	}
-	p.Count.SpoofTS++
-	return Issue(p.F, Spec{Kind: KindSpoofedTS, VP: vp, Src: src, Dst: dst, Prespec: prespec, Seq: p.next()}, p.clock.Now()).TS
 }
 
 // TracerouteHop is one hop of a traceroute.

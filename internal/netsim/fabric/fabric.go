@@ -117,9 +117,6 @@ func (f *Fabric) PacketsAbsorbed() uint64 { return f.packetsAbsorbed.Load() }
 // traffic flows; the hook is nil-safe and free when no plan is set.
 func (f *Fabric) SetFaults(p *faults.Plan) { f.faults = p }
 
-// Faults returns the attached fault plan (nil when none).
-func (f *Fabric) Faults() *faults.Plan { return f.faults }
-
 // VPDown reports whether the endpoint at a is inside a scheduled
 // blackout window at tUS, recording the suppressed probe when it is.
 // The probe layer consults it before putting a packet on the wire — a

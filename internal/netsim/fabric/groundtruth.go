@@ -58,8 +58,3 @@ func (f *Fabric) InvalidateRoutes() {
 	f.Routing.Invalidate()
 	f.intra.invalidate()
 }
-
-// RouterFor returns the router a measurement agent at host h injects at.
-func (f *Fabric) RouterFor(h topology.HostID) topology.RouterID {
-	return f.Topo.Hosts[h].Router
-}

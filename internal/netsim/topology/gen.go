@@ -400,10 +400,6 @@ func (g *generator) intraLat() int32 {
 	return g.cfg.IntraLatMinUS + g.rng.Int31n(g.cfg.IntraLatMaxUS-g.cfg.IntraLatMinUS+1)
 }
 
-func (g *generator) interLat() int32 {
-	return g.cfg.InterLatMinUS + g.rng.Int31n(g.cfg.InterLatMaxUS-g.cfg.InterLatMinUS+1)
-}
-
 func (g *generator) buildRouters() {
 	cfg := g.cfg
 	for _, as := range g.t.ASes {

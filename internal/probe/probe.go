@@ -218,9 +218,6 @@ func (p *Pool) Clock() *measure.Clock { return p.clock }
 // Now reads the pool's virtual clock (microseconds).
 func (p *Pool) Now() int64 { return p.clock.Now() }
 
-// Workers reports the pool's concurrency bound.
-func (p *Pool) Workers() int { return p.workers }
-
 // Counters snapshots the pool-wide probe tallies.
 func (p *Pool) Counters() measure.Counters {
 	return measure.Counters{

@@ -852,13 +852,6 @@ func (s *Scheduler) Revoke(user string) {
 	}
 }
 
-// Revoked reports whether a user has been revoked.
-func (s *Scheduler) Revoked(user string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.revoked[user]
-}
-
 // WrapRevoked converts an Exec error of a revoked user's job into
 // ErrRevoked so the scheduler's promotion logic applies. The service's
 // Exec calls this on its error return.

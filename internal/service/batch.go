@@ -124,13 +124,10 @@ func (r *Registry) finishBatchJob(ctx context.Context, sc *sched.Scheduler, job 
 	if err := ctx.Err(); err != nil {
 		return nil, sc.WrapRevoked(job.User, err)
 	}
-	m := buildMeasurement(job.Src, job.Dst, res)
-	m.User = userName
-	r.obs.Counter(obs.Label("service_measure_status_total", "status", m.Status)).Inc()
-	if err := r.archiveMeasurement(m); err != nil {
-		return nil, err
+	m, err := r.record(job.Src, job.Dst, userName, res)
+	if err != nil {
+		return nil, err // not record's nil *Measurement, which would be a non-nil any
 	}
-	r.publishMeasurement(m)
 	return m, nil
 }
 

@@ -233,18 +233,23 @@ func (a *API) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad src address"})
 		return
 	}
+	// Validate before measuring: a bad address anywhere rejects the whole
+	// request, as batch submit does, before any measurement is run,
+	// charged to the user's quota and archived.
+	dsts := make([]ipv4.Addr, len(req.Dsts))
+	for i, ds := range req.Dsts {
+		if dsts[i], err = ipv4.ParseAddr(ds); err != nil {
+			writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad dst address " + ds})
+			return
+		}
+	}
 	timeout := a.MeasureTimeout
 	if req.TimeoutMs > 0 {
 		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
 	}
 	key := r.Header.Get("X-API-Key")
 	var out []*Measurement
-	for _, ds := range req.Dsts {
-		dst, err := ipv4.ParseAddr(ds)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad dst address " + ds})
-			return
-		}
+	for _, dst := range dsts {
 		// The request context propagates into the engine, so a client
 		// that disconnects aborts its in-flight probing. The per-
 		// measurement timeout stacks on top of it.

@@ -298,14 +298,7 @@ func (r *Registry) Measure(ctx context.Context, key string, srcAddr, dstAddr ipv
 		r.obs.Counter("service_measure_cancelled_total").Inc()
 	}
 
-	m := buildMeasurement(srcAddr, dstAddr, res)
-	m.User = u.Name
-	r.obs.Counter(obs.Label("service_measure_status_total", "status", m.Status)).Inc()
-	if err := r.archiveMeasurement(m); err != nil {
-		return nil, err
-	}
-	r.publishMeasurement(m)
-	return m, nil
+	return r.record(srcAddr, dstAddr, u.Name, res)
 }
 
 // buildMeasurement converts a backend result (nil = backend panic)
@@ -333,10 +326,17 @@ func buildMeasurement(srcAddr, dstAddr ipv4.Addr, res *core.Result) *Measurement
 	return m
 }
 
-// archiveMeasurement appends m to the durable archive, stamping its ID
-// with the log's next sequence number. The marshalled bytes in the WAL
-// are what a restarted server replays, bit for bit.
-func (r *Registry) archiveMeasurement(m *Measurement) error {
+// record is the one tail every finished measurement goes through — sync,
+// batch job or NDT hook — so the three books it keeps always agree:
+// count it in service_measure_status_total{status}, append it to the
+// durable archive (stamping its ID with the log's next sequence number;
+// the marshalled bytes in the WAL are what a restarted server replays,
+// bit for bit), and put it on the firehose. user is the requesting
+// user's name, empty for NDT.
+func (r *Registry) record(srcAddr, dstAddr ipv4.Addr, user string, res *core.Result) (*Measurement, error) {
+	m := buildMeasurement(srcAddr, dstAddr, res)
+	m.User = user
+	r.obs.Counter(obs.Label("service_measure_status_total", "status", m.Status)).Inc()
 	_, err := r.archive.Append(func(id uint64) any {
 		m.ID = int(id)
 		return m
@@ -347,12 +347,21 @@ func (r *Registry) archiveMeasurement(m *Measurement) error {
 		// later append). Reporting failure here would push the caller
 		// into retrying a measurement that already exists.
 		r.obs.Counter("service_archive_compact_errors_total").Inc()
-		return nil
+	} else if err != nil {
+		return nil, fmt.Errorf("service: archive: %w", err)
 	}
-	if err != nil {
-		return fmt.Errorf("service: archive: %w", err)
+	if b := r.broker.Load(); b != nil {
+		b.Publish(stream.Firehose, stream.Event{
+			Kind:   stream.KindMeasurement,
+			Job:    -1,
+			User:   m.User,
+			Src:    m.Src,
+			Dst:    m.Dst,
+			Status: m.Status,
+			Result: m,
+		})
 	}
-	return nil
+	return m, nil
 }
 
 // safeMeasure runs one backend measurement holding the source's atlas
@@ -506,13 +515,7 @@ func (r *Registry) NDT(ctx context.Context, serverAddr, clientAddr ipv4.Addr) (*
 
 	res := r.safeMeasure(ctx, reg, clientAddr)
 	r.obs.Counter("service_ndt_total").Inc()
-
-	m := buildMeasurement(serverAddr, clientAddr, res)
-	if err := r.archiveMeasurement(m); err != nil {
-		return nil, err
-	}
-	r.publishMeasurement(m)
-	return m, nil
+	return r.record(serverAddr, clientAddr, "", res)
 }
 
 // maxNDTInFlight bounds opportunistic NDT-triggered measurements.

@@ -265,7 +265,7 @@ func TestSoakStream(t *testing.T) {
 	// delivered directly or summarized in a gap. Drain-lag is bounded by
 	// a settle deadline.
 	adm := fhCounts["admin"]
-	settle := time.Now().Add(10 * time.Second) //revtr:wallclock settle deadline
+	settle := time.Now().Add(10 * time.Second)                                 //revtr:wallclock settle deadline
 	for adm.meas.Load()+adm.gaps.Load() < execs && time.Now().Before(settle) { //revtr:wallclock settle deadline
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -329,7 +329,7 @@ func TestSoakStream(t *testing.T) {
 	// A cancelled firehose client observes its disconnect before the
 	// server handler runs its deferred unsubscribe; give teardown a
 	// moment to settle instead of racing it.
-	teardown := time.Now().Add(5 * time.Second) //revtr:wallclock teardown settle deadline
+	teardown := time.Now().Add(5 * time.Second)                    //revtr:wallclock teardown settle deadline
 	for broker.Subscribers() != 0 && time.Now().Before(teardown) { //revtr:wallclock teardown settle deadline
 		time.Sleep(5 * time.Millisecond)
 	}

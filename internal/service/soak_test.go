@@ -46,7 +46,7 @@ func TestSoakBatch(t *testing.T) {
 	// carol's destinations are disjoint from alice's and bob's so her
 	// jobs cannot ride their flights: her tiny budget must actually shed.
 	carolN := min(10, len(all)/3)
-	dsts := all[:len(all)-carolN]       // shared by alice and bob
+	dsts := all[:len(all)-carolN] // shared by alice and bob
 	carolDsts := all[len(all)-carolN:]
 
 	// Three users; carol's tiny daily budget guarantees quota shedding

@@ -91,23 +91,6 @@ func (r *Registry) publishJobEvent(ev sched.JobEvent) {
 	}
 }
 
-// publishMeasurement puts one archived measurement on the firehose.
-func (r *Registry) publishMeasurement(m *Measurement) {
-	b := r.broker.Load()
-	if b == nil {
-		return
-	}
-	b.Publish(stream.Firehose, stream.Event{
-		Kind:   stream.KindMeasurement,
-		Job:    -1,
-		User:   m.User,
-		Src:    m.Src,
-		Dst:    m.Dst,
-		Status: m.Status,
-		Result: m,
-	})
-}
-
 // progressSink tags engine progress events with their batch
 // coordinates and publishes them onto the batch topic. Nil when
 // streaming is not enabled, so backends fall back to their

@@ -107,7 +107,10 @@ type Event struct {
 	// State is the scheduler job state on KindState events.
 	State  string `json:"state,omitempty"`
 	Status string `json:"status,omitempty"`
-	// Reason qualifies KindEnd: "done", "revoked", "shutdown", "evicted".
+	// Reason qualifies KindEnd ("done", "revoked", "shutdown", "evicted")
+	// and says why a KindAborted or KindFailed measurement stopped (hop
+	// budget, no or revisited penultimate hop, a symmetry assumption the
+	// policy forbids); empty on KindDone and KindCancelled.
 	Reason string `json:"reason,omitempty"`
 	// Gap is the number of events missed on KindGap events.
 	Gap uint64 `json:"gap,omitempty"`
