@@ -110,9 +110,12 @@ fuzz:
 # that the benchmarks still compile and run, not a performance gate. It
 # also regenerates BENCH_engine.json (the checked-in engine benchmark
 # corpus — measurements/s at 1..10k in-flight, suspended-machine
-# footprint) so the numbers track the code; commit the refreshed file
-# when it moves materially.
+# footprint) and BENCH_fabric.json (ns per hop walked, allocs and bytes
+# per injected packet, BGP-tree hit ratio, at GOMAXPROCS 1 and 2) so the
+# numbers track the code; commit the refreshed files when they move
+# materially.
 bench:
 	BENCH_ENGINE_JSON=$(CURDIR)/BENCH_engine.json $(GO) test -run TestWriteEngineBenchJSON -count=1 ./internal/core/
 	BENCH_SEGMENTS_JSON=$(CURDIR)/BENCH_segments.json $(GO) test -run TestWriteSegmentsBenchJSON -count=1 ./internal/core/
+	BENCH_FABRIC_JSON=$(CURDIR)/BENCH_fabric.json $(GO) test -run TestWriteFabricBenchJSON -count=1 .
 	$(GO) test -bench . -benchtime 1x -benchmem ./...

@@ -14,6 +14,7 @@ package bgp
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"revtr/internal/netsim/topology"
 )
@@ -122,15 +123,21 @@ func mix(a, b uint64) uint64 {
 // local preference under the default policy.
 const DefaultPrefFrac = 0.15
 
-// Routing computes and caches per-destination routing trees.
+// Routing computes and caches per-destination routing trees. A hit is an
+// atomic load; mu serializes the writers (misses, policy, invalidation).
 type Routing struct {
 	topo *topology.Topology
-	tb   TieBreak
-	pref PrefFunc
+
+	// trees[dst] is the cached tree toward dst, or nil; used[dst] is tick
+	// as of its last use. tick advances per insertion, so recency counts
+	// misses and a hit on an entry already current writes nothing.
+	trees []atomic.Pointer[Tree]
+	used  []atomic.Uint64
+	tick  atomic.Uint64
 
 	mu       sync.Mutex
-	cache    map[topology.ASN]*Tree
-	order    []topology.ASN
+	tb       TieBreak
+	pref     PrefFunc
 	maxCache int
 	// generation invalidates the cache when dynamics change routing.
 	generation uint64
@@ -138,8 +145,8 @@ type Routing struct {
 
 // NewRouting creates a routing engine over topo with the default
 // local-preference policy. maxCache bounds the number of cached trees
-// (≥1); campaigns iterate destinations with high locality, so a small
-// cache suffices.
+// (≥1; a tree is 6 bytes per AS): at the AS count every tree stays once
+// computed, below it the least recently used one makes room.
 func NewRouting(topo *topology.Topology, tb TieBreak, maxCache int) *Routing {
 	if maxCache < 1 {
 		maxCache = 64
@@ -148,7 +155,8 @@ func NewRouting(topo *topology.Topology, tb TieBreak, maxCache int) *Routing {
 		topo:     topo,
 		tb:       tb,
 		pref:     DefaultPref(0x5eed, DefaultPrefFrac),
-		cache:    make(map[topology.ASN]*Tree),
+		trees:    make([]atomic.Pointer[Tree], len(topo.ASes)),
+		used:     make([]atomic.Uint64, len(topo.ASes)),
 		maxCache: maxCache,
 	}
 }
@@ -176,9 +184,7 @@ func (r *Routing) SetTieBreak(tb TieBreak) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.tb = tb
-	r.cache = make(map[topology.ASN]*Tree)
-	r.order = r.order[:0]
-	r.generation++
+	r.resetLocked()
 }
 
 // SetPolicy replaces both the tie-break and the local-preference function
@@ -188,9 +194,7 @@ func (r *Routing) SetPolicy(tb TieBreak, pref PrefFunc) {
 	defer r.mu.Unlock()
 	r.tb = tb
 	r.pref = pref
-	r.cache = make(map[topology.ASN]*Tree)
-	r.order = r.order[:0]
-	r.generation++
+	r.resetLocked()
 }
 
 // Generation increments whenever routing changes; consumers use it to
@@ -206,32 +210,55 @@ func (r *Routing) Generation() uint64 {
 func (r *Routing) Invalidate() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.cache = make(map[topology.ASN]*Tree)
-	r.order = r.order[:0]
+	r.resetLocked()
+}
+
+// resetLocked empties the cache and starts a new generation.
+func (r *Routing) resetLocked() {
+	for i := range r.trees {
+		r.trees[i].Store(nil)
+	}
 	r.generation++
 }
 
 // TreeTo returns the routing tree toward dst, computing it on demand.
 func (r *Routing) TreeTo(dst topology.ASN) *Tree {
-	r.mu.Lock()
-	if tr, ok := r.cache[dst]; ok {
-		r.mu.Unlock()
+	if tr := r.trees[dst].Load(); tr != nil {
+		if t := r.tick.Load(); r.used[dst].Load() != t {
+			r.used[dst].Store(t)
+		}
 		return tr
 	}
-	tb, pref := r.tb, r.pref
+	r.mu.Lock()
+	tb, pref, gen := r.tb, r.pref, r.generation
 	r.mu.Unlock()
 
 	tr := computeTree(r.topo, dst, tb, pref)
 
 	r.mu.Lock()
-	if len(r.order) >= r.maxCache {
-		evict := r.order[0]
-		r.order = r.order[1:]
-		delete(r.cache, evict)
+	defer r.mu.Unlock()
+	if gen != r.generation {
+		return tr // routing changed under the computation: serve it, cache nothing
 	}
-	r.cache[dst] = tr
-	r.order = append(r.order, dst)
-	r.mu.Unlock()
+	if won := r.trees[dst].Load(); won != nil {
+		return won // another caller missed with us and published first
+	}
+	// Count the cache and find its least recently used tree (lowest ASN on ties).
+	cached, lru := 0, -1
+	for i := range r.trees {
+		if r.trees[i].Load() == nil {
+			continue
+		}
+		cached++
+		if lru < 0 || r.used[i].Load() < r.used[lru].Load() {
+			lru = i
+		}
+	}
+	if cached >= r.maxCache {
+		r.trees[lru].Store(nil)
+	}
+	r.used[dst].Store(r.tick.Add(1))
+	r.trees[dst].Store(tr)
 	return tr
 }
 

@@ -6,21 +6,59 @@ import (
 	"revtr/internal/netsim/topology"
 )
 
+// route is what a walk resolves once about its destination address; none
+// of it can change while the packet is in flight.
+type route struct {
+	dst   ipv4.Addr
+	group *AnycastGroup // anycast group covering dst, or nil
+	// as is the destination's AS: the operating AS for allocated
+	// addresses, the block owner otherwise (the packet is carried to the
+	// block owner and dropped there, like probing a dark address); None
+	// for unrouted addresses.
+	as     topology.ASN
+	router topology.RouterID // router owning dst as an infrastructure address, or None
+	host   *topology.Host    // host owning dst, or nil
+}
+
+func (f *Fabric) resolve(dst ipv4.Addr) route {
+	rt := route{dst: dst, group: f.anycastFor(dst), as: topology.None, router: topology.None}
+	if as, ok := f.Topo.OwnerAS(dst); ok {
+		rt.as = as
+	}
+	if o, ok := f.Topo.Owner(dst); ok {
+		if o.Kind == topology.OwnerHost {
+			rt.host = &f.Topo.Hosts[o.Host]
+		} else {
+			rt.router = o.Router
+		}
+	}
+	return rt
+}
+
+// localTarget is the router inside the destination AS that terminates
+// dst: the owning router for infrastructure addresses, the access router
+// for host addresses, None for a dark address inside the block.
+func (rt *route) localTarget() topology.RouterID {
+	if rt.host != nil {
+		return rt.host.Router
+	}
+	return rt.router
+}
+
 // nextHopIface decides the egress interface router cur uses for a packet
-// to dst. This is where destination-based routing (and its violations),
+// to rt.dst. This is where destination-based routing (and its violations),
 // hot-potato egress selection, and load balancing live.
-func (f *Fabric) nextHopIface(cur topology.RouterID, dst, src ipv4.Addr, hasOpts bool, c *walkCtx) (topology.IfaceID, bool) {
-	topo := f.Topo
-	r := topo.Routers[cur]
-	curAS := r.AS
+func (f *Fabric) nextHopIface(cur topology.RouterID, rt *route, src ipv4.Addr, hasOpts bool, c *walkCtx) (topology.IfaceID, bool) {
+	curAS := f.Topo.Routers[cur].AS
+	dst := rt.dst
 
 	// Resolve the AS-level decision.
 	var nextAS topology.ASN = topology.None
 	var target topology.RouterID = topology.None
 
-	if g := f.anycastFor(dst); g != nil {
-		rt := &g.Routes.Per[curAS]
-		if rt.Site < 0 {
+	if g := rt.group; g != nil {
+		art := &g.Routes.Per[curAS]
+		if art.Site < 0 {
 			return topology.None, false
 		}
 		// Tied-best routes (same local-pref, class, AS-path length) are
@@ -28,7 +66,7 @@ func (f *Fabric) nextHopIface(cur topology.RouterID, dst, src ipv4.Addr, hasOpts
 		// router-id, as in the real BGP decision process. This is what
 		// lets one carrier's ingress routers reach different anycast
 		// sites (§6.1).
-		alt := f.pickAnycastAlt(cur, g, rt, dst, src, hasOpts, c)
+		alt := f.pickAnycastAlt(cur, g, art, c)
 		if alt.Next == g.Routes.Ann.Origin {
 			// We are in the site's attachment AS: head for the site router.
 			target = g.Sites[alt.Site].Router
@@ -36,18 +74,15 @@ func (f *Fabric) nextHopIface(cur topology.RouterID, dst, src ipv4.Addr, hasOpts
 			nextAS = alt.Next
 		}
 	} else {
-		dstAS, ok := f.dstAS(dst)
-		if !ok {
+		switch rt.as {
+		case topology.None:
 			return topology.None, false
-		}
-		if dstAS == curAS {
-			t, ok := f.localTarget(dst)
-			if !ok {
+		case curAS:
+			if target = rt.localTarget(); target == topology.None {
 				return topology.None, false
 			}
-			target = t
-		} else {
-			tr := f.Routing.TreeTo(dstAS)
+		default:
+			tr := f.Routing.TreeTo(rt.as)
 			if tr.Class[curAS] == bgp.ClassNone {
 				return topology.None, false
 			}
@@ -64,25 +99,30 @@ func (f *Fabric) nextHopIface(cur topology.RouterID, dst, src ipv4.Addr, hasOpts
 	return f.intraStep(cur, target, dst, src, hasOpts, c)
 }
 
-// dstAS resolves the destination's AS: the operating AS for allocated
-// addresses, the block owner otherwise (the packet is carried to the block
-// owner and dropped there, like probing a dark address).
-func (f *Fabric) dstAS(dst ipv4.Addr) (topology.ASN, bool) {
-	return f.Topo.OwnerAS(dst)
-}
-
-// localTarget finds the router inside the destination AS that terminates
-// dst: the owning router for infrastructure addresses, the access router
-// for host addresses.
-func (f *Fabric) localTarget(dst ipv4.Addr) (topology.RouterID, bool) {
-	topo := f.Topo
-	if o, ok := topo.Owner(dst); ok {
-		if o.Kind == topology.OwnerHost {
-			return topo.Hosts[o.Host].Router, true
+// nearestBorders scans the live links of adjacency nb of AS asn for the
+// border routers nearest to cur (hot potato). It returns their hop
+// distance, -1 when no link is usable, and the tied-nearest links appended
+// to eq in adjacency order; eq is stack-backed, so nothing is allocated.
+func (f *Fabric) nearestBorders(cur topology.RouterID, asn topology.ASN, nb *topology.Neighbor, tUS int64, eq []topology.LinkID) (int32, []topology.LinkID) {
+	best := int32(-1)
+	for _, l := range nb.Link {
+		if f.Topo.Links[l].Down || f.faults.LinkFlapped(l, tUS) {
+			continue
 		}
-		return o.Router, true
+		d := int32(0)
+		if b := f.borderEnd(l, asn); b != cur {
+			if d = f.intra.dist(b, cur); d < 0 {
+				continue // unreachable (should not happen)
+			}
+		}
+		switch {
+		case best < 0 || d < best:
+			best, eq = d, append(eq[:0], l)
+		case d == best:
+			eq = append(eq, l)
+		}
 	}
-	return topology.None, false // dark address inside the block
+	return best, eq
 }
 
 // egressToward picks the router-level path toward neighbor AS nextAS:
@@ -90,112 +130,56 @@ func (f *Fabric) localTarget(dst ipv4.Addr) (topology.RouterID, bool) {
 // with deterministic tie-breaking (perturbed for DBR violators and load
 // balancers).
 func (f *Fabric) egressToward(cur topology.RouterID, nextAS topology.ASN, dst, src ipv4.Addr, hasOpts bool, c *walkCtx) (topology.IfaceID, bool) {
-	topo := f.Topo
-	r := topo.Routers[cur]
-	nb := topo.ASes[r.AS].Neighbor(nextAS)
-	if nb == nil || len(nb.Link) == 0 {
+	r := f.Topo.Routers[cur]
+	nb := f.Topo.ASes[r.AS].Neighbor(nextAS)
+	if nb == nil {
 		return topology.None, false
 	}
-	type cand struct {
-		link   topology.LinkID
-		border topology.RouterID
-		dist   int32
-	}
-	var cands []cand
-	best := int32(1 << 30)
-	for _, l := range nb.Link {
-		if topo.Links[l].Down || f.faults.LinkFlapped(l, c.tUS) {
-			continue
-		}
-		b := f.borderEnd(l, r.AS)
-		d := int32(0)
-		if b != cur {
-			d = f.intra.dist(b, cur)
-			if d < 0 {
-				continue // unreachable (should not happen)
-			}
-		}
-		cands = append(cands, cand{link: l, border: b, dist: d})
-		if d < best {
-			best = d
-		}
-	}
-	if len(cands) == 0 {
+	var buf [8]topology.LinkID
+	best, eq := f.nearestBorders(cur, r.AS, nb, c.tUS, buf[:0])
+	if best < 0 {
 		return topology.None, false
 	}
-	// Keep only nearest-equal candidates (hot potato), then tie-break.
-	eq := cands[:0]
-	var links []topology.LinkID
-	for _, cd := range cands {
-		if cd.dist == best {
-			eq = append(eq, cd)
-			links = append(links, cd.link)
-		}
+	pick := f.pickLink(r, eq, dst, src, hasOpts, c)
+	if best == 0 { // cur is itself the border
+		return f.Topo.IfaceOn(pick, cur), true
 	}
-	pick := f.pickLink(r, links, dst, src, hasOpts, c)
-	sel := eq[0]
-	for _, cd := range eq {
-		if cd.link == pick {
-			sel = cd
-			break
-		}
-	}
-	if sel.border == cur {
-		return topo.IfaceOn(sel.link, cur), true
-	}
-	return f.intraStep(cur, sel.border, dst, src, hasOpts, c)
+	return f.intraStep(cur, f.borderEnd(pick, r.AS), dst, src, hasOpts, c)
 }
 
 // pickAnycastAlt chooses among an AS's tied-best anycast routes by the
 // current router's distance to each alternative's exit (IGP hot potato).
-func (f *Fabric) pickAnycastAlt(cur topology.RouterID, g *AnycastGroup, rt *bgp.Route, dst, src ipv4.Addr, hasOpts bool, c *walkCtx) bgp.RouteAlt {
+func (f *Fabric) pickAnycastAlt(cur topology.RouterID, g *AnycastGroup, rt *bgp.Route, c *walkCtx) bgp.RouteAlt {
 	primary := bgp.RouteAlt{Next: rt.Next, Site: rt.Site}
 	if len(rt.Alts) < 2 {
 		return primary
 	}
 	topo := f.Topo
-	r := topo.Routers[cur]
-	curAS := r.AS
+	curAS := topo.Routers[cur].AS
 	best := primary
-	bestDist := int32(1 << 30)
+	bestDist := int32(-1)
 	bestKey := uint64(0)
+	var buf [8]topology.LinkID
 	for _, alt := range rt.Alts {
 		// Distance from cur to this alternative's exit.
-		d := int32(1 << 30)
+		d := int32(-1)
 		if alt.Next == g.Routes.Ann.Origin {
 			sr := g.Sites[alt.Site].Router
-			if topo.Routers[sr].AS == curAS {
-				if sr == cur {
-					d = 0
-				} else if id := f.intra.dist(sr, cur); id >= 0 {
-					d = id
-				}
+			if sr == cur {
+				d = 0
+			} else {
+				d = f.intra.dist(sr, cur)
 			}
 		} else if nb := topo.ASes[curAS].Neighbor(alt.Next); nb != nil {
-			for _, l := range nb.Link {
-				if topo.Links[l].Down || f.faults.LinkFlapped(l, c.tUS) {
-					continue
-				}
-				b := f.borderEnd(l, curAS)
-				bd := int32(0)
-				if b != cur {
-					bd = f.intra.dist(b, cur)
-					if bd < 0 {
-						continue
-					}
-				}
-				if bd < d {
-					d = bd
-				}
-			}
+			d, _ = f.nearestBorders(cur, curAS, nb, c.tUS, buf[:0])
 		}
-		key := mix64(f.seed, uint64(r.ID)<<32|uint64(uint32(alt.Next))^uint64(alt.Site)<<16)
-		if d < bestDist || (d == bestDist && key > bestKey) {
+		if d < 0 {
+			continue // no live exit this way
+		}
+		key := mix64(f.seed, uint64(cur)<<32|uint64(uint32(alt.Next))^uint64(alt.Site)<<16)
+		if bestDist < 0 || d < bestDist || (d == bestDist && key > bestKey) {
 			best, bestDist, bestKey = alt, d, key
 		}
-	}
-	if bestDist == 1<<30 {
-		return primary
 	}
 	return best
 }

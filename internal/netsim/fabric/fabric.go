@@ -169,7 +169,8 @@ type walkCtx struct {
 // flowID should be constant for packets of one logical flow (Paris
 // traceroute semantics); nonce must differ per packet.
 func (f *Fabric) Inject(at topology.RouterID, pkt []byte, nowUS int64, flowID, nonce uint64) *Result {
-	res := &Result{}
+	// Sized once: at most one router per unit of TTL, and few paths exceed 32.
+	res := &Result{Trace: make([]topology.RouterID, 0, min(int(ipv4.PacketTTL(pkt)), 32))}
 	c := &walkCtx{res: res, flowID: flowID, nonce: nonce}
 	f.walk(at, topology.None, pkt, nowUS, c)
 	return res
@@ -180,7 +181,9 @@ func (f *Fabric) Inject(at topology.RouterID, pkt []byte, nowUS int64, flowID, n
 func (f *Fabric) walk(cur topology.RouterID, arrIface topology.IfaceID, pkt []byte, tUS int64, c *walkCtx) {
 	f.packetsInjected.Add(1)
 	topo := f.Topo
-	dst := ipv4.PacketDst(pkt)
+	// Resolved once: neither address nor what owns it changes during a walk.
+	dst, src := ipv4.PacketDst(pkt), ipv4.PacketSrc(pkt)
+	rt := f.resolve(dst)
 	hasOpts := ipv4.PacketHeaderLen(pkt) > ipv4.HeaderLen
 	prevAS := topology.ASN(topology.None)
 	if arrIface != topology.None {
@@ -188,7 +191,10 @@ func (f *Fabric) walk(cur topology.RouterID, arrIface topology.IfaceID, pkt []by
 		prevAS = topo.Routers[cur].AS
 	}
 
-	for hops := 0; hops < MaxHops; hops++ {
+	// Counted once per walk: per hop, walking cores would fight over the line.
+	hops := 0
+	defer func() { f.hopsForwarded.Add(uint64(hops)) }()
+	for ; hops < MaxHops; hops++ {
 		c.tUS = tUS
 		r := topo.Routers[cur]
 		if !c.isReply {
@@ -202,13 +208,13 @@ func (f *Fabric) walk(cur topology.RouterID, arrIface topology.IfaceID, pkt []by
 		}
 
 		// Destination processing: the packet is for this router.
-		if owner, ok := topo.Owner(dst); ok && owner.Kind != topology.OwnerHost && owner.Router == cur {
+		if rt.router == cur {
 			f.deliverToRouter(cur, arrIface, pkt, tUS, c)
 			return
 		}
 
 		// Host delivery: dst is a host hanging off this router.
-		if h, ok := topo.HostOf(dst); ok && h.Router == cur {
+		if h := rt.host; h != nil && h.Router == cur {
 			f.deliverToHost(h, pkt, tUS, c)
 			return
 		}
@@ -216,15 +222,12 @@ func (f *Fabric) walk(cur topology.RouterID, arrIface topology.IfaceID, pkt []by
 		// Anycast site delivery. The site machine answers echo requests
 		// like a host (stamping its service address into RR options), so
 		// pings measure catchments and RTTs.
-		if g := f.anycastFor(dst); g != nil {
+		if g := rt.group; g != nil {
 			if site := f.anycastSiteAt(g, cur); site >= 0 {
 				if !c.isReply {
 					c.res.ReachedDst = true
 				}
-				c.res.Deliveries = append(c.res.Deliveries, Delivery{
-					Pkt: pkt, To: dst, TimeUS: tUS, Site: site,
-				})
-				f.packetsDelivered.Add(1)
+				f.deliver(c, Delivery{Pkt: pkt, To: dst, TimeUS: tUS, Site: site})
 				if !c.isReply && ipv4.PacketProto(pkt) == ipv4.ProtoICMP {
 					var hdr ipv4.Header
 					if payload, err := hdr.Decode(pkt); err == nil {
@@ -248,7 +251,7 @@ func (f *Fabric) walk(cur topology.RouterID, arrIface topology.IfaceID, pkt []by
 			return
 		}
 
-		nextIface, ok := f.nextHopIface(cur, dst, ipv4.PacketSrc(pkt), hasOpts, c)
+		nextIface, ok := f.nextHopIface(cur, &rt, src, hasOpts, c)
 		if !ok {
 			f.packetsDropped.Add(1)
 			return
@@ -277,9 +280,17 @@ func (f *Fabric) walk(cur topology.RouterID, arrIface topology.IfaceID, pkt []by
 		tUS += int64(link.LatencyUS) + perHopProcUS
 		prevAS = r.AS
 		cur, arrIface = nxt, nxtIface
-		f.hopsForwarded.Add(1)
 	}
 	f.packetsDropped.Add(1)
+}
+
+// deliver records an endpoint delivery.
+func (f *Fabric) deliver(c *walkCtx, d Delivery) {
+	if c.res.Deliveries == nil {
+		c.res.Deliveries = make([]Delivery, 0, 2) // a request and its reply
+	}
+	c.res.Deliveries = append(c.res.Deliveries, d)
+	f.packetsDelivered.Add(1)
 }
 
 // deliverToRouter handles a packet addressed to a router interface or
@@ -294,8 +305,7 @@ func (f *Fabric) deliverToRouter(cur topology.RouterID, arrIface topology.IfaceI
 		// A reply addressed to a router (e.g. a router-sourced probe):
 		// deliver it as an endpoint delivery so measurement agents
 		// attached to routers can observe it.
-		c.res.Deliveries = append(c.res.Deliveries, Delivery{Pkt: pkt, To: ipv4.PacketDst(pkt), TimeUS: tUS, Site: -1})
-		f.packetsDelivered.Add(1)
+		f.deliver(c, Delivery{Pkt: pkt, To: ipv4.PacketDst(pkt), TimeUS: tUS, Site: -1})
 		return
 	}
 	hasOpts := ipv4.PacketHeaderLen(pkt) > ipv4.HeaderLen
@@ -312,7 +322,8 @@ func (f *Fabric) deliverToRouter(cur topology.RouterID, arrIface topology.IfaceI
 	// The destination stamps its own RR slot before replying (Fig 1c:
 	// "D records its address"). The stamped address follows the router's
 	// policy; the egress is the interface the reply will leave from.
-	replyIface, _ := f.nextHopIface(cur, src, ipv4.PacketDst(pkt), hasOpts, c)
+	back := f.resolve(src)
+	replyIface, _ := f.nextHopIface(cur, &back, ipv4.PacketDst(pkt), hasOpts, c)
 	reply := ipv4.BuildEchoReply(pkt, ipv4.PacketDst(pkt), 64)
 	if hasOpts {
 		f.stampPolicy(r, arrIface, replyIface, reply, tUS)
@@ -331,8 +342,7 @@ func (f *Fabric) deliverToHost(h *topology.Host, pkt []byte, tUS int64, c *walkC
 	if !c.isReply {
 		c.res.ReachedDst = true
 	}
-	c.res.Deliveries = append(c.res.Deliveries, Delivery{Pkt: pkt, To: h.Addr, TimeUS: tUS, Site: -1})
-	f.packetsDelivered.Add(1)
+	f.deliver(c, Delivery{Pkt: pkt, To: h.Addr, TimeUS: tUS, Site: -1})
 	if c.isReply {
 		return
 	}

@@ -17,20 +17,18 @@ import (
 func (f *Fabric) ForwardRouterPath(at topology.RouterID, dst, src ipv4.Addr, flowID uint64) []topology.RouterID {
 	topo := f.Topo
 	c := &walkCtx{res: &Result{}, flowID: flowID}
+	rt := f.resolve(dst)
 	cur := at
 	path := make([]topology.RouterID, 0, 16)
 	for hops := 0; hops < MaxHops; hops++ {
 		path = append(path, cur)
-		if owner, ok := topo.Owner(dst); ok && owner.Kind != topology.OwnerHost && owner.Router == cur {
+		if rt.router == cur || (rt.host != nil && rt.host.Router == cur) {
 			return path
 		}
-		if h, ok := topo.HostOf(dst); ok && h.Router == cur {
+		if rt.group != nil && f.anycastSiteAt(rt.group, cur) >= 0 {
 			return path
 		}
-		if g := f.anycastFor(dst); g != nil && f.anycastSiteAt(g, cur) >= 0 {
-			return path
-		}
-		next, ok := f.nextHopIface(cur, dst, src, false, c)
+		next, ok := f.nextHopIface(cur, &rt, src, false, c)
 		if !ok {
 			return nil
 		}

@@ -1,7 +1,7 @@
 package fabric
 
 import (
-	"sync"
+	"sync/atomic"
 
 	"revtr/internal/netsim/topology"
 )
@@ -9,68 +9,77 @@ import (
 // intraTrees caches per-target-router BFS trees within each AS: for a
 // target t, tree(t) gives every router in t's AS its hop distance to t and
 // the equal-cost next-hop links toward t (IGP shortest path with ECMP).
+// Lookups take no lock: trees are dense in their AS (indexed by pos) and
+// sit in one slot per RouterID; invalidate swaps the slot slice.
 type intraTrees struct {
-	topo *topology.Topology
-
-	mu       sync.Mutex
-	byTarget map[topology.RouterID]*intraTree
+	topo  *topology.Topology
+	pos   []int32 // pos[r] is r's index in its AS's Routers list
+	slots atomic.Pointer[[]atomic.Pointer[intraTree]]
 }
 
+// intraTree is indexed by a router's pos in the target's AS.
 type intraTree struct {
-	dist map[topology.RouterID]int32
-	next map[topology.RouterID][]topology.LinkID
+	dist []int32 // hops to the target; -1 if unreachable
+	next [][]topology.LinkID
 }
 
 func newIntraTrees(topo *topology.Topology) *intraTrees {
-	return &intraTrees{topo: topo, byTarget: make(map[topology.RouterID]*intraTree)}
+	it := &intraTrees{topo: topo, pos: make([]int32, len(topo.Routers))}
+	for _, as := range topo.ASes {
+		for i, r := range as.Routers {
+			it.pos[r] = int32(i)
+		}
+	}
+	it.invalidate()
+	return it
 }
 
-// invalidate drops cached trees (after intradomain link state changes).
+// invalidate drops cached trees (after intradomain link state changes);
+// a walk that already loaded the old slots finishes on the old trees.
 func (it *intraTrees) invalidate() {
-	it.mu.Lock()
-	it.byTarget = make(map[topology.RouterID]*intraTree)
-	it.mu.Unlock()
+	slots := make([]atomic.Pointer[intraTree], len(it.topo.Routers))
+	it.slots.Store(&slots)
 }
 
 func (it *intraTrees) tree(target topology.RouterID) *intraTree {
-	it.mu.Lock()
-	tr, ok := it.byTarget[target]
-	it.mu.Unlock()
-	if ok {
+	slot := &(*it.slots.Load())[target]
+	if tr := slot.Load(); tr != nil {
 		return tr
 	}
-	tr = it.compute(target)
-	it.mu.Lock()
-	it.byTarget[target] = tr
-	it.mu.Unlock()
+	tr := it.compute(target)
+	if !slot.CompareAndSwap(nil, tr) {
+		return slot.Load() // another walk published first; use its tree
+	}
 	return tr
 }
 
 func (it *intraTrees) compute(target topology.RouterID) *intraTree {
 	topo := it.topo
-	tr := &intraTree{
-		dist: make(map[topology.RouterID]int32),
-		next: make(map[topology.RouterID][]topology.LinkID),
+	n := len(topo.ASes[topo.Routers[target].AS].Routers)
+	tr := &intraTree{dist: make([]int32, n), next: make([][]topology.LinkID, n)}
+	for i := range tr.dist {
+		tr.dist[i] = -1
 	}
-	tr.dist[target] = 0
-	queue := []topology.RouterID{target}
+	tr.dist[it.pos[target]] = 0
+	queue := make([]topology.RouterID, 1, n)
+	queue[0] = target
 	for len(queue) > 0 {
 		x := queue[0]
 		queue = queue[1:]
+		nd := tr.dist[it.pos[x]] + 1
 		for _, e := range topo.IntraNeighbors(x) {
 			if topo.Links[e.Link].Down {
 				continue
 			}
-			d, seen := tr.dist[e.To]
-			nd := tr.dist[x] + 1
-			switch {
-			case !seen:
-				tr.dist[e.To] = nd
-				tr.next[e.To] = append(tr.next[e.To], e.Link)
+			to := it.pos[e.To]
+			switch d := tr.dist[to]; {
+			case d < 0:
+				tr.dist[to] = nd
+				tr.next[to] = append(tr.next[to], e.Link)
 				queue = append(queue, e.To)
 			case d == nd:
 				// Equal-cost alternative toward target.
-				tr.next[e.To] = append(tr.next[e.To], e.Link)
+				tr.next[to] = append(tr.next[to], e.Link)
 			}
 		}
 	}
@@ -83,12 +92,7 @@ func (it *intraTrees) dist(target, from topology.RouterID) int32 {
 	if it.topo.Routers[target].AS != it.topo.Routers[from].AS {
 		return -1
 	}
-	tr := it.tree(target)
-	d, ok := tr.dist[from]
-	if !ok {
-		return -1
-	}
-	return d
+	return it.tree(target).dist[it.pos[from]]
 }
 
 // nextCands returns the equal-cost next-hop links from from toward target.
@@ -96,5 +100,5 @@ func (it *intraTrees) nextCands(target, from topology.RouterID) []topology.LinkI
 	if it.topo.Routers[target].AS != it.topo.Routers[from].AS {
 		return nil
 	}
-	return it.tree(target).next[from]
+	return it.tree(target).next[it.pos[from]]
 }

@@ -196,13 +196,21 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	return h
 }
 
+var labelEscaper = strings.NewReplacer(`"`, `\"`, `\`, `\\`)
+
 // Label renders name{k1="v1",k2="v2"} from alternating key/value pairs,
-// for per-entity metric names (e.g. per-user quota gauges).
+// for per-entity metric names (e.g. per-user quota gauges): one
+// allocation unless a value needs escaping.
 func Label(name string, kv ...string) string {
 	if len(kv) == 0 {
 		return name
 	}
+	n := len(name) + 2
+	for i := 0; i+1 < len(kv); i += 2 {
+		n += len(kv[i]) + len(kv[i+1]) + 4
+	}
 	var b strings.Builder
+	b.Grow(n)
 	b.WriteString(name)
 	b.WriteByte('{')
 	for i := 0; i+1 < len(kv); i += 2 {
@@ -211,7 +219,7 @@ func Label(name string, kv ...string) string {
 		}
 		b.WriteString(kv[i])
 		b.WriteString(`="`)
-		b.WriteString(strings.NewReplacer(`"`, `\"`, `\`, `\\`).Replace(kv[i+1]))
+		b.WriteString(labelEscaper.Replace(kv[i+1]))
 		b.WriteString(`"`)
 	}
 	b.WriteByte('}')

@@ -308,6 +308,7 @@ type Scheduler struct {
 	mShed       *obs.Counter
 	mBatches    *obs.Counter
 	mDispatch   *obs.Histogram
+	mJobs       [len(stateNames)]*obs.Counter // sched_jobs_total{state}, by State
 }
 
 // New builds a scheduler over an Exec callback (or opts.ExecAsync, which
@@ -328,6 +329,9 @@ func New(exec Exec, opts Options) *Scheduler {
 		mShed:       opts.Obs.Counter("sched_shed_total"),
 		mBatches:    opts.Obs.Counter("sched_batches_total"),
 		mDispatch:   opts.Obs.Histogram("sched_dispatch_wall_us", nil),
+	}
+	for st, name := range stateNames {
+		s.mJobs[st] = opts.Obs.Counter(obs.Label("sched_jobs_total", "state", name))
 	}
 	s.dispatch = sync.NewCond(&s.mu)
 	s.progress = sync.NewCond(&s.mu)
@@ -362,7 +366,7 @@ func (s *Scheduler) setLocked(j *Job, st State, res any, err error) {
 	case StateCoalesced:
 		s.mCoalesced.Inc()
 	}
-	s.opts.Obs.Counter(obs.Label("sched_jobs_total", "state", st.String())).Inc()
+	s.mJobs[st].Inc()
 	if st.Terminal() {
 		j.batch.open--
 	}

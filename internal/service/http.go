@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"revtr/internal/netsim/ipv4"
@@ -35,6 +36,8 @@ import (
 type API struct {
 	reg *Registry
 	mux *http.ServeMux
+	// mClass is http_responses_total{class} by status/100, resolved on first use.
+	mClass [10]atomic.Pointer[obs.Counter]
 
 	// MeasureTimeout caps the wall-clock time of each measurement in a
 	// POST /api/v1/revtr request when the request does not set its own
@@ -95,8 +98,14 @@ func (a *API) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 	a.mux.ServeHTTP(sw, r)
 	o.Counter("http_requests_total").Inc()
-	o.Counter(obs.Label("http_responses_total", "class",
-		fmt.Sprintf("%dxx", sw.code/100))).Inc()
+	// net/http panics on a status outside 100–999, so the index is in range.
+	class := &a.mClass[sw.code/100]
+	c := class.Load()
+	if c == nil {
+		c = o.Counter(obs.Label("http_responses_total", "class", strconv.Itoa(sw.code/100)+"xx"))
+		class.Store(c)
+	}
+	c.Inc()
 	o.Histogram("http_request_duration_us", nil).Observe(time.Since(start).Microseconds()) //revtr:wallclock HTTP latency histogram measures real request time
 }
 

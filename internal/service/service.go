@@ -36,6 +36,8 @@ type User struct {
 
 	usedToday int
 	inFlight  int
+	// The quota gauges, resolved at AddUser.
+	mInFlight, mUsedToday *obs.Gauge
 }
 
 // SourceInfo describes a registered Reverse Traceroute source.
@@ -111,6 +113,7 @@ type Registry struct {
 	adminKey    string
 	ndtInFlight int
 	obs         *obs.Registry
+	mStatus     map[string]*obs.Counter // service_measure_status_total{status}
 
 	// broker is the progress-streaming fan-out; nil until EnableStream.
 	// Atomic because publishJobEvent reads it under sched.mu, where
@@ -152,6 +155,10 @@ func newRegistry(backend Backend, adminKey string, archive *store.Log, o *obs.Re
 	// The archive's metrics (store_wal_bytes, ...) join the registry's
 	// namespace, whatever obs it was opened with.
 	archive.SetObs(o)
+	mStatus := make(map[string]*obs.Counter)
+	for _, st := range []core.Status{core.StatusComplete, core.StatusAborted, core.StatusFailed} {
+		mStatus[st.String()] = o.Counter(obs.Label("service_measure_status_total", "status", st.String()))
+	}
 	return &Registry{
 		backend:  backend,
 		users:    make(map[string]*User),
@@ -159,6 +166,7 @@ func newRegistry(backend Backend, adminKey string, archive *store.Log, o *obs.Re
 		archive:  archive,
 		adminKey: adminKey,
 		obs:      o,
+		mStatus:  mStatus,
 	}
 }
 
@@ -167,8 +175,8 @@ func (r *Registry) Obs() *obs.Registry { return r.obs }
 
 // userGauges publishes a user's live quota consumption. Callers hold r.mu.
 func (r *Registry) userGauges(u *User) {
-	r.obs.Gauge(obs.Label("service_user_inflight", "user", u.Name)).Set(int64(u.inFlight))
-	r.obs.Gauge(obs.Label("service_user_used_today", "user", u.Name)).Set(int64(u.usedToday))
+	u.mInFlight.Set(int64(u.inFlight))
+	u.mUsedToday.Set(int64(u.usedToday))
 }
 
 // newKey mints a random API key.
@@ -192,7 +200,9 @@ func (r *Registry) AddUser(adminKey, name string, maxParallel, maxPerDay int) (*
 	if maxPerDay <= 0 {
 		maxPerDay = 1000
 	}
-	u := &User{Name: name, APIKey: newKey(), MaxParallel: maxParallel, MaxPerDay: maxPerDay}
+	u := &User{Name: name, APIKey: newKey(), MaxParallel: maxParallel, MaxPerDay: maxPerDay,
+		mInFlight:  r.obs.Gauge(obs.Label("service_user_inflight", "user", name)),
+		mUsedToday: r.obs.Gauge(obs.Label("service_user_used_today", "user", name))}
 	r.mu.Lock()
 	r.users[u.APIKey] = u
 	r.userGauges(u)
@@ -336,7 +346,7 @@ func buildMeasurement(srcAddr, dstAddr ipv4.Addr, res *core.Result) *Measurement
 func (r *Registry) record(srcAddr, dstAddr ipv4.Addr, user string, res *core.Result) (*Measurement, error) {
 	m := buildMeasurement(srcAddr, dstAddr, res)
 	m.User = user
-	r.obs.Counter(obs.Label("service_measure_status_total", "status", m.Status)).Inc()
+	r.mStatus[m.Status].Inc()
 	_, err := r.archive.Append(func(id uint64) any {
 		m.ID = int(id)
 		return m

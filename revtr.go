@@ -123,12 +123,18 @@ type Deployment struct {
 	rng *rand.Rand
 }
 
+// treeCacheBytes is the memory Build lets cached BGP routing trees take.
+const treeCacheBytes = 8 << 20
+
 // Build generates the topology and assembles every subsystem. With
 // cfg.SkipSurvey false this includes the ingress survey over all routed
 // prefixes — the dominant setup cost.
 func Build(cfg Config) *Deployment {
 	topo := topology.Generate(cfg.Topology)
-	routing := bgp.NewRouting(topo, bgp.DefaultTieBreak(cfg.Seed), 128)
+	// Every AS's routing tree (6 bytes per AS) stays cached when they fit
+	// treeCacheBytes — 6 MB at 1000 ASes; a larger world keeps the recent.
+	nAS := len(topo.ASes)
+	routing := bgp.NewRouting(topo, bgp.DefaultTieBreak(cfg.Seed), min(nAS, treeCacheBytes/(6*max(nAS, 1))))
 	fab := fabric.New(topo, routing, cfg.Seed)
 	clock := measure.NewClock()
 	prober := measure.NewProberWithClock(fab, clock)
