@@ -104,6 +104,7 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz FuzzParsePlan -fuzztime $(FUZZTIME) ./internal/netsim/faults/
 	$(GO) test -fuzz FuzzSpecCodec -fuzztime $(FUZZTIME) ./internal/measure/
+	$(GO) test -fuzz FuzzTracerouteStart -fuzztime $(FUZZTIME) ./internal/measure/
 	$(GO) test -fuzz FuzzSegmentStore -fuzztime $(FUZZTIME) ./internal/core/segments/
 
 # bench in CI runs every benchmark once (-benchtime 1x): a smoke test

@@ -13,6 +13,7 @@
 package atlas
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"revtr/internal/alias"
@@ -69,6 +70,12 @@ type Intersection struct {
 type Atlas struct {
 	Source  measure.Agent
 	Entries []*Entry
+	// MedianHops is the median length (responsive hops) of the atlas's
+	// traceroutes as of the last build or refresh, 0 for an atlas the
+	// Service has not filled. Paths into the source are about as long as
+	// paths out of it, so this is the TTL at which a traceroute from the
+	// source that needs only the far end of the path starts probing.
+	MedianHops int
 
 	nextID  int
 	index   map[ipv4.Addr]hopRef // direct traceroute hop addresses
@@ -239,6 +246,20 @@ func (a *Atlas) associate(recorded []ipv4.Addr, e *Entry, probedPos int, res ali
 			a.rrIndex[x] = hopRef{entry: e, pos: pos}
 		}
 	}
+}
+
+// setMedianHops recomputes MedianHops over the current entries.
+func (a *Atlas) setMedianHops() {
+	a.MedianHops = 0
+	if len(a.Entries) == 0 {
+		return
+	}
+	lens := make([]int, len(a.Entries))
+	for i, e := range a.Entries {
+		lens[i] = len(e.Hops)
+	}
+	slices.Sort(lens)
+	a.MedianHops = lens[len(lens)/2]
 }
 
 // ResetUseful clears the per-refresh usefulness marks.

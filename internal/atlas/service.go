@@ -46,8 +46,10 @@ func (s *Service) BuildFor(source measure.Agent) *Atlas {
 }
 
 // fill tops the atlas up to Size traceroutes from random probes not in
-// exclude (probe names).
+// exclude (probe names). It is the last step of a build and of a
+// refresh, so it also fixes the atlas's MedianHops.
 func (s *Service) fill(a *Atlas, exclude map[string]bool) {
+	defer a.setMedianHops()
 	inAtlas := map[string]bool{}
 	for _, e := range a.Entries {
 		inAtlas[e.ProbeName] = true

@@ -67,10 +67,13 @@ type Pending struct {
 	// out the SpoofTimeoutUS window and dominate measurement latency.
 	Spoofed bool
 
-	// Traceroute work (Kind == PendingTraceroute).
+	// Traceroute work (Kind == PendingTraceroute). Start is the TTL
+	// probing begins at (measure.RunTraceroute), fixed here so every way
+	// of executing the Pending sends the same packets.
 	Agent   measure.Agent
 	Dst     ipv4.Addr
 	SeqBase uint64
+	Start   int
 }
 
 // Delivery carries the completion of a Pending back into the machine.
@@ -983,6 +986,9 @@ func (mm *Machine) tsDone(next ipv4.Addr) {
 }
 
 // stepSym opens step 4: forward traceroute + symmetry assumption (Q5).
+// The stage reads only the traceroute's last link, so probing starts at
+// the tail: the median length of the source's own atlas traceroutes
+// (the whole path from TTL 1 for a source without an atlas).
 func (mm *Machine) stepSym() {
 	e, src, cur := mm.e, mm.src, mm.cur
 	var tr measure.TracerouteResult
@@ -992,11 +998,16 @@ func (mm *Machine) stepSym() {
 		}
 	}
 	if tr.Hops == nil {
+		start := 1
+		if src.Atlas != nil {
+			start = src.Atlas.MedianHops
+		}
 		mm.pending = &Pending{
 			Kind:    PendingTraceroute,
 			Agent:   src.Agent,
 			Dst:     cur,
 			SeqBase: mm.m.reserve(measure.MaxTracerouteTTL),
+			Start:   start,
 		}
 		mm.ph = phTrWait
 		return
@@ -1008,10 +1019,17 @@ func (mm *Machine) stepSym() {
 func (mm *Machine) onTraceroute(d Delivery) {
 	e, src, cur := mm.e, mm.src, mm.cur
 	mm.m.count.Traceroute += uint64(d.TrSent)
-	// A cancelled traceroute measured nothing; caching it would poison
-	// later measurements with an empty result.
-	if e.Opts.UseCache && mm.m.ctx.Err() == nil {
-		e.cache.putTraceroute(cur, src.Agent.Addr, d.Tr, e.Pool.Now())
+	// A traceroute that put nothing on the wire (cancelled, or the source
+	// inside a blackout) measured nothing: it is not counted as issued,
+	// and caching it would poison later measurements with an empty result.
+	if d.TrSent > 0 {
+		e.metrics.traceroutes.Inc()
+		if d.Tr.Swept {
+			e.metrics.tracerouteSweeps.Inc()
+		}
+		if e.Opts.UseCache && mm.m.ctx.Err() == nil {
+			e.cache.putTraceroute(cur, src.Agent.Addr, d.Tr, e.Pool.Now())
+		}
 	}
 	mm.classifyTraceroute(d.Tr, d.Tr.RTTUS)
 }
@@ -1101,7 +1119,7 @@ func (mm *Machine) classifyTraceroute(tr measure.TracerouteResult, elapsed int64
 // machines by hand at chosen suspension points.
 func (e *Engine) ExecPending(ctx context.Context, p *Pending) Delivery {
 	if p.Kind == PendingTraceroute {
-		tr, sent := e.Pool.Traceroute(ctx, p.Agent, p.Dst, p.SeqBase)
+		tr, sent := e.Pool.Traceroute(ctx, p.Agent, p.Dst, p.SeqBase, p.Start)
 		return Delivery{Tr: tr, TrSent: sent}
 	}
 	return Delivery{Batch: e.Pool.DoPolicy(ctx, p.Reqs, p.Policy)}
@@ -1162,7 +1180,7 @@ func (e *Engine) driveAsync(mm *Machine, d *Delivery, done func(*Result)) {
 		return
 	}
 	if p.Kind == PendingTraceroute {
-		e.Pool.GoTraceroute(mm.Context(), p.Agent, p.Dst, p.SeqBase, func(tr measure.TracerouteResult, sent int) {
+		e.Pool.GoTraceroute(mm.Context(), p.Agent, p.Dst, p.SeqBase, p.Start, func(tr measure.TracerouteResult, sent int) {
 			e.driveAsync(mm, &Delivery{Tr: tr, TrSent: sent}, done)
 		})
 		return

@@ -40,6 +40,12 @@ type Metrics struct {
 	// spoofBatches counts spoofed-RR batches issued (each costs a
 	// 10 s timeout in virtual time, §5.2.4).
 	spoofBatches *obs.Counter
+	// traceroutes counts symmetry-stage traceroutes that put packets on
+	// the wire; tracerouteSweeps those of them that ran the classic 1…N
+	// sweep because the tail window met a silent TTL (or the source has
+	// no atlas to take a start TTL from).
+	traceroutes      *obs.Counter
+	tracerouteSweeps *obs.Counter
 
 	// vpFailover counts probes redirected to another vantage point after
 	// the planned VP was observed inside a blackout window. deadVPHits
@@ -81,9 +87,11 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		failed:    reg.Counter("engine_measure_failed_total"),
 		cancelled: reg.Counter("engine_measure_cancelled_total"),
 
-		spoofBatches: reg.Counter("engine_spoof_batches_total"),
-		vpFailover:   reg.Counter("vp_failover_total"),
-		deadVPHits:   reg.Counter("engine_dead_vp_hits_total"),
+		spoofBatches:     reg.Counter("engine_spoof_batches_total"),
+		traceroutes:      reg.Counter("engine_traceroutes_total"),
+		tracerouteSweeps: reg.Counter("engine_traceroute_sweeps_total"),
+		vpFailover:       reg.Counter("vp_failover_total"),
+		deadVPHits:       reg.Counter("engine_dead_vp_hits_total"),
 
 		segmentHits:    reg.Counter("engine_segment_hits_total"),
 		segmentSplices: reg.Counter("engine_segment_splices_total"),

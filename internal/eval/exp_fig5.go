@@ -322,7 +322,7 @@ func init() {
 		f := runFig5(ctx, s)
 		t := &Table{
 			Title:  "Table 4 — packets sent per configuration (lower is better)",
-			Header: []string{"configuration", "RR", "SpoofRR", "TS", "SpoofTS", "Total"},
+			Header: []string{"configuration", "RR", "SpoofRR", "TS", "SpoofTS", "Total", "+Traceroute"},
 		}
 		base := f.byName["revtr1.0"].counters.Total()
 		for _, name := range ablationNames[:5] {
@@ -330,7 +330,8 @@ func init() {
 			t.AddRow(name,
 				fmt.Sprint(c.RR), fmt.Sprint(c.SpoofRR),
 				fmt.Sprint(c.TS), fmt.Sprint(c.SpoofTS),
-				fmt.Sprint(c.RR+c.SpoofRR+c.TS+c.SpoofTS))
+				fmt.Sprint(c.RR+c.SpoofRR+c.TS+c.SpoofTS),
+				fmt.Sprint(c.Traceroute))
 		}
 		t.Fprint(w)
 		r20 := f.byName["revtr2.0"].counters.Total()

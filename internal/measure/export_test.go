@@ -1,0 +1,6 @@
+package measure
+
+// RunTracerouteVia exposes runTraceroute to the external test package
+// (which, unlike this one, can import simtest): tests observe the specs
+// the traceroute issues, or script the replies.
+var RunTracerouteVia = runTraceroute

@@ -214,21 +214,28 @@ type TracerouteHop struct {
 	Responded bool
 }
 
-// TracerouteResult is a Paris traceroute outcome.
+// TracerouteResult is a Paris traceroute outcome. Hops is indexed by
+// TTL-1; a zero hop is a TTL that was silent or, below a tail window
+// (RunTraceroute with start > 1), never probed.
 type TracerouteResult struct {
 	Hops       []TracerouteHop
 	ReachedDst bool
 	RTTUS      int64 // total wall time of the traceroute
+	// Swept reports that the classic 1…N sweep produced the result: it was
+	// asked for (start 1), or the tail window met a TTL that did not
+	// answer.
+	Swept bool
 }
 
 // MaxTracerouteTTL bounds traceroute probing.
 const MaxTracerouteTTL = 40
 
 // Traceroute runs a Paris traceroute (constant flow identifier) from a to
-// dst. One probe per TTL; stops at the destination's echo reply or after
-// four consecutive silent hops.
+// dst. One probe per TTL from TTL 1 — atlas, adjacency and ground-truth
+// callers need the whole path; stops at the destination's echo reply or
+// after four consecutive silent hops.
 func (p *Prober) Traceroute(a Agent, dst ipv4.Addr) TracerouteResult {
-	tr, sent := RunTraceroute(p.F, a, dst, p.clock.Now(), p.seq)
+	tr, sent := RunTraceroute(p.F, a, dst, p.clock.Now(), p.seq, 1)
 	p.seq += MaxTracerouteTTL
 	p.Count.Traceroute += uint64(sent)
 	return tr

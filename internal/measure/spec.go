@@ -279,43 +279,128 @@ func issueTraceroutePkt(f *fabric.Fabric, sp Spec, nowUS int64) Reply {
 	return out
 }
 
-// RunTraceroute is the pure Paris traceroute: one probe per TTL with
-// sequence numbers seqBase+1, seqBase+2, …; stops at the destination's
-// echo reply or after four consecutive silent hops. Returns the result
-// and the number of probe packets sent. Callers reserve MaxTracerouteTTL
-// sequence numbers so concurrent measurements never collide.
-func RunTraceroute(f *fabric.Fabric, a Agent, dst ipv4.Addr, nowUS int64, seqBase uint64) (TracerouteResult, int) {
-	var out TracerouteResult
-	sent := 0
-	silent := 0
-	for ttl := 1; ttl <= MaxTracerouteTTL; ttl++ {
-		rep := Issue(f, Spec{
-			Kind: KindTraceroutePkt, VP: a, Dst: dst,
-			TTL: uint8(ttl), Seq: seqBase + uint64(ttl),
-		}, nowUS)
-		if rep.Sent {
-			sent++
+// RunTraceroute is the pure Paris traceroute: one probe per TTL, the
+// probe at TTL t always carrying sequence number seqBase+t. Callers
+// reserve MaxTracerouteTTL sequence numbers so concurrent measurements
+// never collide. Returns the result and the number of probe packets
+// sent; a vantage point inside a blackout sends nothing and returns the
+// zero result.
+//
+// start = 1 is the classic sweep: TTL 1, 2, … until the destination's
+// echo reply or four consecutive silent hops. A larger start probes a
+// window around the path's tail instead (Donnet et al.'s midpoint
+// start): start, start+1, … until the echo reply, then downwards only
+// until the result holds what a last-link reader needs — the TTL the
+// destination first answered at and the nearest responsive public hop
+// below it; TTLs never probed stay zero hops. The window is trusted only
+// when every TTL it probed answered. Any silence completes the classic
+// sweep over the replies already in hand, so no packet is sent twice and
+// every packet sent is bit-for-bit the one the sweep sends at that TTL.
+// One divergence from the sweep is admitted: a run of four silent TTLs
+// wholly below an answering window makes the sweep give up early, while
+// the window still reports the true last link.
+func RunTraceroute(f *fabric.Fabric, a Agent, dst ipv4.Addr, nowUS int64, seqBase uint64, start int) (TracerouteResult, int) {
+	base := Spec{Kind: KindTraceroutePkt, VP: a, Dst: dst, Seq: seqBase}
+	return runTraceroute(base, start, func(sp Spec) Reply { return Issue(f, sp, nowUS) })
+}
+
+// ttlReply is what the traceroute keeps of one TTL's reply.
+type ttlReply struct {
+	hop                     TracerouteHop // zero unless the hop answered
+	probed, delivered, echo bool
+}
+
+// ttlReplies holds the replies by TTL (index 0 unused), so the sweep
+// that follows an untrusted window reuses what the window saw.
+type ttlReplies struct {
+	base  Spec // the probe at TTL t is base with TTL = t and Seq += t
+	issue func(Spec) Reply
+	got   [MaxTracerouteTTL + 1]ttlReply
+	sent  int
+	rttUS int64
+	// dead: the vantage point is blacked out and put nothing on the wire.
+	// A traceroute runs at one virtual instant, so its first probe
+	// already says so and no other is attempted.
+	dead bool
+}
+
+// at returns the reply at ttl, probing it unless it is already in hand
+// (or the vantage point is dead).
+func (r *ttlReplies) at(ttl int) *ttlReply {
+	g := &r.got[ttl]
+	if g.probed || r.dead {
+		return g
+	}
+	sp := r.base
+	sp.TTL, sp.Seq = uint8(ttl), sp.Seq+uint64(ttl)
+	rep := r.issue(sp)
+	*g = ttlReply{hop: rep.Hop, probed: true, delivered: rep.Delivered, echo: rep.EchoReply}
+	if rep.VPDead {
+		r.dead = true
+	}
+	if rep.Sent {
+		r.sent++
+	}
+	r.rttUS += rep.Hop.RTTUS
+	return g
+}
+
+// window probes from start up to the echo reply and back down to the
+// nearest responsive public hop. It returns the TTL-indexed hops, or
+// false as soon as a TTL it probed did not answer.
+func (r *ttlReplies) window(start int) ([]TracerouteHop, bool) {
+	reached := min(start, MaxTracerouteTTL)
+	for g := r.at(reached); !g.echo; g = r.at(reached) {
+		if !g.hop.Responded || reached == MaxTracerouteTTL {
+			return nil, false
 		}
-		if !rep.Delivered {
-			out.Hops = append(out.Hops, TracerouteHop{})
-			silent++
-			if silent >= 4 {
-				break
-			}
-			continue
+		reached++
+	}
+	// An echo reply at start itself may be an overshoot: the destination
+	// first answers at the lowest TTL that still draws one.
+	for ttl := reached - 1; ttl >= 1; ttl-- {
+		g := r.at(ttl)
+		if !g.hop.Responded {
+			return nil, false
 		}
-		silent = 0
-		if !rep.Hop.Responded {
-			// Delivered but undecodable or an unexpected ICMP type.
-			out.Hops = append(out.Hops, TracerouteHop{})
-			continue
-		}
-		out.RTTUS += rep.Hop.RTTUS
-		out.Hops = append(out.Hops, rep.Hop)
-		if rep.EchoReply {
-			out.ReachedDst = true
-			return out, sent
+		if g.echo {
+			reached = ttl
+		} else if !g.hop.Addr.IsPrivate() {
+			break
 		}
 	}
-	return out, sent
+	hops := make([]TracerouteHop, reached)
+	for i := range hops {
+		hops[i] = r.got[i+1].hop
+	}
+	return hops, true
+}
+
+// runTraceroute is RunTraceroute over an abstract issue path (tests
+// observe the specs it is handed, and script the replies).
+func runTraceroute(base Spec, start int, issue func(Spec) Reply) (TracerouteResult, int) {
+	r := ttlReplies{base: base, issue: issue}
+	if start > 1 {
+		if hops, ok := r.window(start); ok {
+			return TracerouteResult{Hops: hops, ReachedDst: true, RTTUS: r.rttUS}, r.sent
+		}
+	}
+	out := TracerouteResult{Swept: true}
+	for ttl, silent := 1, 0; ttl <= MaxTracerouteTTL && silent < 4 && !out.ReachedDst; ttl++ {
+		g := r.at(ttl)
+		if r.dead {
+			return TracerouteResult{}, 0
+		}
+		// Delivered but undecodable, or an unexpected ICMP type, is a zero
+		// hop too; only silence counts towards giving up.
+		out.Hops = append(out.Hops, g.hop)
+		if g.delivered {
+			silent = 0
+		} else {
+			silent++
+		}
+		out.ReachedDst = g.echo
+	}
+	out.RTTUS = r.rttUS
+	return out, r.sent
 }

@@ -53,14 +53,14 @@ func TestGoTracerouteMatchesSync(t *testing.T) {
 	if dst == nil {
 		t.Skip("no destination")
 	}
-	wantTr, wantSent := pool.Traceroute(context.Background(), src, dst.Addr, 1000)
+	wantTr, wantSent := pool.Traceroute(context.Background(), src, dst.Addr, 1000, 8)
 
 	type out struct {
 		tr   measure.TracerouteResult
 		sent int
 	}
 	got := make(chan out, 1)
-	pool.GoTraceroute(context.Background(), src, dst.Addr, 1000, func(tr measure.TracerouteResult, sent int) {
+	pool.GoTraceroute(context.Background(), src, dst.Addr, 1000, 8, func(tr measure.TracerouteResult, sent int) {
 		got <- out{tr, sent}
 	})
 	o := <-got
