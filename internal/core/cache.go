@@ -11,7 +11,9 @@ import (
 // cache reuses RR revelations and forward traceroutes across reverse
 // traceroutes within a TTL window (Insight 1.4: most paths are stable, so
 // measurements can be cached for a day). Keys include the source because
-// reverse hops depend on the destination of the reply.
+// reverse hops depend on the destination of the reply. An RR entry may be
+// empty: the stage was measured in full and revealed nothing, which is a
+// measurement too (Machine.stepAfterRR).
 //
 // Expiry, the periodic sweep and the size cap are ttlcache's (DESIGN.md
 // "Virtual-time TTL cache contract"); both kinds of entry live in one
@@ -54,9 +56,10 @@ func cacheKeyLess(a, b cacheKey) bool {
 	return a.src < b.src
 }
 
-// cacheEntry holds an RR revelation (revHops, tech) or a traceroute
-// (tr), by kind. The traceroute sits behind a pointer so the far more
-// numerous RR entries do not pay for its size.
+// cacheEntry holds an RR revelation (revHops, tech; no hops when the
+// stage revealed none) or a traceroute (tr), by kind. The traceroute
+// sits behind a pointer so the far more numerous RR entries do not pay
+// for its size.
 type cacheEntry struct {
 	revHops []ipv4.Addr
 	tech    Technique

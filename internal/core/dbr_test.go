@@ -173,3 +173,45 @@ func TestDBRDetectionCostsProbes(t *testing.T) {
 		t.Errorf("DBR detection did not cost extra probes (%d <= %d)", detect, plain)
 	}
 }
+
+// TestDBRFallbackIsASpoofedBatch: the spoofed probes the redundancy check
+// falls back to are a spoofed batch like any other — the measurement
+// waits out SpoofTimeoutUS for them and counts them in SpoofBatches. (They
+// used to be charged the batch's largest RTT and not counted, though the
+// pending was marked Spoofed.)
+func TestDBRFallbackIsASpoofedBatch(t *testing.T) {
+	opts := core.Revtr20Options()
+	opts.DetectDBRViolations = true
+	env, eng, src := dbrHarness(t, 0.1, opts)
+	fallbacks := 0
+	for i := 0; i < 40; i++ {
+		dst := env.ResponsiveHost(i, src.Agent.AS)
+		if dst == nil {
+			break
+		}
+		spoofed, afterRepeats := 0, false
+		mm := eng.Begin(context.Background(), src, dst.Addr)
+		for p := mm.Next(); p != nil; p = mm.Next() {
+			if p.Spoofed {
+				spoofed++
+				if afterRepeats {
+					fallbacks++
+				}
+			}
+			// The redundancy check's direct repeats are the only direct
+			// batch of more than one request.
+			afterRepeats = !p.Spoofed && len(p.Reqs) > 1
+			mm.Deliver(eng.ExecPending(mm.Context(), p))
+		}
+		res := mm.Result()
+		if res.SpoofBatches != spoofed {
+			t.Errorf("dst %s: SpoofBatches = %d, the measurement suspended on %d spoofed batches", dst.Addr, res.SpoofBatches, spoofed)
+		}
+		if floor := int64(spoofed) * opts.SpoofTimeoutUS; res.DurationUS < floor {
+			t.Errorf("dst %s: DurationUS = %d, below the %d that %d spoofed batches wait out", dst.Addr, res.DurationUS, floor, spoofed)
+		}
+	}
+	if fallbacks == 0 {
+		t.Fatal("no redundancy check fell back to spoofed probes: the test exercises nothing")
+	}
+}

@@ -271,12 +271,16 @@ func (e *Engine) atlasLookup(src Source, cur ipv4.Addr, excludeAS int32) (atlas.
 // batches issued, and the virtual time spent. The sweep stops issuing
 // further batches once one reveals hops (batch-granular early exit,
 // which keeps probe counts deterministic — every launched batch runs to
-// completion). See Machine.stepSpoofNext / Machine.onSpoofBatch.
+// completion). measured says the stage was probed, not answered from
+// the cache, and that every probe it planned went out: the direct one
+// and every batch slot (a vantage point inside a blackout sends
+// nothing). See Machine.stepSpoofNext / Machine.onSpoofBatch.
 type revealed struct {
 	hops      []ipv4.Addr
 	tech      Technique
 	batches   int
 	elapsedUS int64
+	measured  bool
 }
 
 // flagSuspects inserts "*" markers where the AS-level path crosses a link

@@ -108,13 +108,17 @@ const (
 )
 
 // spoofState is the spoofed-RR sweep in progress: the ingress plan
-// cursor, the §5.3 spoof budget spent, and the vantage points of the
-// in-flight batch (indexed in reply order).
+// cursor, the §5.3 spoof budget spent, the vantage points of the
+// in-flight batch (indexed in reply order), and whether the direct probe
+// that preceded the sweep drew a reply of any kind — a hop that left it
+// unanswered gets one batch to prove it answers option packets at all
+// (onSpoofBatch).
 type spoofState struct {
-	plan   []int // ingress order over Engine.Sites (shared, read-only)
-	cursor int
-	tried  int
-	vps    []measure.Agent
+	plan           []int // ingress order over Engine.Sites (shared, read-only)
+	cursor         int
+	tried          int
+	vps            []measure.Agent
+	directAnswered bool
 }
 
 // dbrState is an Appendix E redundancy check in progress.
@@ -653,6 +657,9 @@ func (mm *Machine) stepTop() {
 	mm.spoof = spoofState{}
 	if e.Opts.UseCache {
 		if hops, tech, ok := e.cache.getRR(cur, src.Agent.Addr, e.Pool.Now()); ok {
+			if len(hops) == 0 {
+				e.metrics.cacheRRNegativeHits.Inc()
+			}
 			mm.rev = revealed{hops: hops, tech: tech}
 			mm.ph = phAfterRR
 			return
@@ -670,6 +677,7 @@ func (mm *Machine) onRRDirect(b probe.Batch) {
 	e, src, cur := mm.e, mm.src, mm.cur
 	rr := b.Replies[0].RR
 	mm.rev.elapsedUS += rr.RTTUS
+	mm.rev.measured = b.Replies[0].Sent
 	if rr.Responded {
 		if hops := extractReverse(rr.Recorded, cur, e.Alias); len(hops) > 0 {
 			mm.rev.hops, mm.rev.tech = hops, TechRR
@@ -685,7 +693,10 @@ func (mm *Machine) onRRDirect(b probe.Batch) {
 		mm.ph = phAfterRR
 		return
 	}
-	mm.spoof = spoofState{plan: e.Ingress.PlanFor(pfx, e.Opts.VPSelection).Order}
+	mm.spoof = spoofState{
+		plan:           e.Ingress.PlanFor(pfx, e.Opts.VPSelection).Order,
+		directAnswered: rr.Responded,
+	}
 	mm.ph = phSpoofNext
 }
 
@@ -728,25 +739,29 @@ func (mm *Machine) stepSpoofNext() {
 }
 
 // onSpoofBatch digests one spoofed batch: dead-VP failover, best
-// revelation so far, and the MaxSpoofVPs budget.
+// revelation so far, the silent-batch exit and the MaxSpoofVPs budget.
 func (mm *Machine) onSpoofBatch(b probe.Batch) {
 	mm.m.count = mm.m.count.Add(b.Sent)
 	e, src, cur := mm.e, mm.src, mm.cur
 	sp := &mm.spoof
 	deadHere := 0
+	answered := false
 	var best []ipv4.Addr
 	for i, rep := range b.Replies {
 		if rep.VPDead {
 			// The VP could not send at all: remember it and fail over to
 			// the next-closest VP in the ingress order instead of
-			// charging the attempt against the spoof budget.
+			// charging the attempt against the spoof budget. A stage a
+			// dead VP sat out was not fully measured (stepAfterRR).
 			mm.vpDied(sp.vps[i].Addr)
+			mm.rev.measured = false
 			deadHere++
 			continue
 		}
 		if !rep.RR.Responded {
 			continue
 		}
+		answered = true
 		if hops := extractReverse(rep.RR.Recorded, cur, e.Alias); len(hops) > len(best) {
 			best = hops
 		}
@@ -764,12 +779,28 @@ func (mm *Machine) onSpoofBatch(b probe.Batch) {
 		mm.ph = phAfterRR
 		return
 	}
+	// Silent-batch exit: the hop left the direct probe unanswered and now
+	// every probe this batch put on the wire as well — it does not answer
+	// option packets, and the rest of the plan would wait out a timeout
+	// per batch to learn the same. Only sent probes are evidence: a batch
+	// of dead vantage points says nothing about the hop. One reply of any
+	// kind, even out of range, shows the hop answers and keeps the sweep
+	// looking for a closer ingress.
+	if !sp.directAnswered && !answered && b.Sent.SpoofRR > 0 {
+		e.metrics.spoofSweepsSilent.Inc()
+		mm.ph = phAfterRR
+		return
+	}
 	mm.ph = phSpoofNext
 }
 
 // stepAfterRR closes the RR stage: charge its virtual time, re-check
 // cancellation, then adopt revealed hops (optionally after the DBR
-// redundancy check) or move on to Timestamp.
+// redundancy check) or move on to Timestamp. A stage that was measured
+// in full and revealed nothing is cached as an empty entry, so the next
+// measurement of this source stuck on this hop skips the stage; one that
+// a dead vantage point (the source's included) or a cancellation cut
+// short is not — it says nothing about the hop once the fault is over.
 func (mm *Machine) stepAfterRR() {
 	mm.res.DurationUS += mm.rev.elapsedUS
 	mm.res.SpoofBatches += mm.rev.batches
@@ -785,6 +816,9 @@ func (mm *Machine) stepAfterRR() {
 		}
 		mm.adoptRevealed(false)
 		return
+	}
+	if mm.rev.measured && mm.e.Opts.UseCache {
+		mm.e.cache.putRR(mm.cur, mm.src.Agent.Addr, nil, 0, mm.e.Pool.Now())
 	}
 	mm.fallback(TechTS, phTS)
 }
@@ -842,12 +876,14 @@ func (mm *Machine) onDBRDirect(b probe.Batch) {
 	mm.finishDBR()
 }
 
-// onDBRFallback digests the spoofed DBR fallbacks.
+// onDBRFallback digests the spoofed DBR fallbacks: one spoofed batch,
+// which waits out the spoof timeout like any other.
 func (mm *Machine) onDBRFallback(b probe.Batch) {
 	mm.m.count = mm.m.count.Add(b.Sent)
 	e, cur := mm.e, mm.cur
 	d := &mm.dbr
-	d.elapsedUS += b.MaxRTTUS
+	d.elapsedUS += e.Opts.SpoofTimeoutUS
+	mm.res.SpoofBatches++
 	for i, rep := range b.Replies {
 		if rep.VPDead {
 			mm.vpDied(d.fallback[i].VP.Addr)

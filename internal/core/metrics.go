@@ -40,6 +40,13 @@ type Metrics struct {
 	// spoofBatches counts spoofed-RR batches issued (each costs a
 	// 10 s timeout in virtual time, §5.2.4).
 	spoofBatches *obs.Counter
+	// spoofSweepsSilent counts spoofed sweeps ended at a batch no probe
+	// of which was answered, after a direct probe that was not either.
+	// cacheRRNegativeHits counts RR stages answered by an empty cache
+	// entry (a stage measured earlier that revealed nothing); they are
+	// RR cache hits too.
+	spoofSweepsSilent   *obs.Counter
+	cacheRRNegativeHits *obs.Counter
 	// traceroutes counts symmetry-stage traceroutes that put packets on
 	// the wire; tracerouteSweeps those of them that ran the classic 1…N
 	// sweep because the tail window met a silent TTL (or the source has
@@ -87,11 +94,13 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		failed:    reg.Counter("engine_measure_failed_total"),
 		cancelled: reg.Counter("engine_measure_cancelled_total"),
 
-		spoofBatches:     reg.Counter("engine_spoof_batches_total"),
-		traceroutes:      reg.Counter("engine_traceroutes_total"),
-		tracerouteSweeps: reg.Counter("engine_traceroute_sweeps_total"),
-		vpFailover:       reg.Counter("vp_failover_total"),
-		deadVPHits:       reg.Counter("engine_dead_vp_hits_total"),
+		spoofBatches:        reg.Counter("engine_spoof_batches_total"),
+		spoofSweepsSilent:   reg.Counter("engine_spoof_sweeps_silent_total"),
+		cacheRRNegativeHits: reg.Counter("engine_cache_rr_negative_hits_total"),
+		traceroutes:         reg.Counter("engine_traceroutes_total"),
+		tracerouteSweeps:    reg.Counter("engine_traceroute_sweeps_total"),
+		vpFailover:          reg.Counter("vp_failover_total"),
+		deadVPHits:          reg.Counter("engine_dead_vp_hits_total"),
 
 		segmentHits:    reg.Counter("engine_segment_hits_total"),
 		segmentSplices: reg.Counter("engine_segment_splices_total"),

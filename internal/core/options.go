@@ -42,7 +42,9 @@ type Options struct {
 	// UseTimestamp enables the IP Timestamp adjacency technique (Q4).
 	UseTimestamp bool
 	// UseCache reuses RR and traceroute measurements for CacheTTLUS
-	// across reverse traceroutes (Insight 1.4).
+	// across reverse traceroutes (Insight 1.4) — an RR stage that
+	// revealed nothing included, so a hop that does not answer Record
+	// Route is swept once a day per source, not once per measurement.
 	UseCache bool
 	// Symmetry is the Q5 policy.
 	Symmetry SymmetryPolicy
