@@ -98,14 +98,20 @@ chaos:
 soak:
 	$(GO) test -race -run 'TestSoak' -count=1 ./internal/service/
 
-# fuzz gives each fuzz target a short budget: a smoke pass over the
-# parser/codec fuzzers, not a soak (lengthen locally with FUZZTIME).
+# fuzz gives every fuzz target in the tree a short budget: a smoke pass
+# over the parser/codec fuzzers, not a soak (lengthen locally with
+# FUZZTIME). The engine's target names itself to -run as well, so the
+# rest of internal/core's suite is not run again under instrumentation.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz FuzzParsePlan -fuzztime $(FUZZTIME) ./internal/netsim/faults/
 	$(GO) test -fuzz FuzzSpecCodec -fuzztime $(FUZZTIME) ./internal/measure/
 	$(GO) test -fuzz FuzzTracerouteStart -fuzztime $(FUZZTIME) ./internal/measure/
 	$(GO) test -fuzz FuzzSegmentStore -fuzztime $(FUZZTIME) ./internal/core/segments/
+	$(GO) test -run FuzzExtractReverse -fuzz FuzzExtractReverse -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -fuzz FuzzHeaderDecode -fuzztime $(FUZZTIME) ./internal/netsim/ipv4/
+	$(GO) test -fuzz FuzzICMPDecode -fuzztime $(FUZZTIME) ./internal/netsim/ipv4/
+	$(GO) test -fuzz FuzzStampRecordRoute -fuzztime $(FUZZTIME) ./internal/netsim/ipv4/
 
 # bench in CI runs every benchmark once (-benchtime 1x): a smoke test
 # that the benchmarks still compile and run, not a performance gate. It

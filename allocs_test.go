@@ -14,6 +14,7 @@ import (
 	"context"
 	"testing"
 
+	"revtr/internal/core"
 	"revtr/internal/netsim/ipv4"
 	"revtr/internal/sched"
 	"revtr/internal/store"
@@ -102,4 +103,44 @@ func TestSchedSubmitToTerminalAllocCeiling(t *testing.T) {
 		}
 	})
 	checkAllocs(t, "submit to terminal", got, 24)
+}
+
+// TestMeasureReverseAllocCeiling: one Engine.MeasureReverse of a fixed
+// pair that sweeps spoofed batches and falls through to the traceroute
+// stage, on an engine that has measured nothing (cold: every stage
+// probes and writes its cache entries) and on one that measured the pair
+// before (warm: every stage is served from the cache). The ceilings are
+// what PR 18's parent allocated; with ingress.PlanFor handing out its
+// stored order the cold measurement read 291 when they were set.
+func TestMeasureReverseAllocCeiling(t *testing.T) {
+	cfg := DefaultConfig(300)
+	cfg.ProbeWorkers = 1
+	d := Build(cfg)
+	src := d.NewSource(d.PickSourceHost(0))
+	dst := d.OnePerPrefix()[12].Addr // 4 spoofed batches, 5 RR and 7 traceroute packets, 14 hops
+	ctx := context.Background()
+
+	const runs = 50
+	engines := make([]*core.Engine, runs+1) // AllocsPerRun warms up with a run of its own
+	for i := range engines {
+		engines[i] = d.Engine(core.Revtr20Options())
+	}
+	var res *core.Result
+	next := 0
+	cold := testing.AllocsPerRun(runs, func() {
+		res = engines[next].MeasureReverse(ctx, src, dst)
+		next++
+	})
+	if res.SpoofBatches == 0 || res.Probes.Traceroute == 0 {
+		t.Fatalf("the pair exercises too little: %d spoofed batches, %d traceroute packets (status %v)",
+			res.SpoofBatches, res.Probes.Traceroute, res.Status)
+	}
+	checkAllocs(t, "cold MeasureReverse", cold, 304)
+
+	eng := engines[0]
+	warm := testing.AllocsPerRun(runs, func() { res = eng.MeasureReverse(ctx, src, dst) })
+	if res.Probes.Total() != 0 {
+		t.Fatalf("the warm measurement sent %+v, want everything from the cache", res.Probes)
+	}
+	checkAllocs(t, "cache-warm MeasureReverse", warm, 12)
 }

@@ -3,89 +3,135 @@ package revtr
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"revtr/internal/core"
 	"revtr/internal/measure"
+	"revtr/internal/netsim/topology"
 )
 
-// TestProbeCountGate pins the paper's currency in tier-1: a fixed
-// 64-pair slice (8 sources x 8 destinations) of the benchmark's world —
-// 1000 ASes, 30 sites, seed 31 — measured serially by one revtr 2.0
-// engine must cost exactly these packets per kind, these spoofed batches
-// and this much virtual time (§5.2.4's currency: 10 s per batch), and end
-// in exactly these states. The counts are a pure function of the seed; a
-// change that moves one of them is a change to what a reverse traceroute
-// costs or finds, and says so here by editing the want row.
+// TestProbeCountGate pins the paper's currency in tier-1: two fixed
+// slices of the benchmark's world — 1000 ASes, 30 sites, seed 31 — each
+// measured serially by one revtr 2.0 engine of its own, must cost exactly
+// these packets per kind, these spoofed batches and this much virtual
+// time (§5.2.4's currency: 10 s per batch), and end in exactly these
+// states. The counts are a pure function of the seed; a change that moves
+// one of them is a change to what a reverse traceroute costs or finds,
+// and says so here by editing the want row.
+//
+// "distinct" is 8 sources x 8 destinations of their own: 64 pairs that
+// share almost no hop across sources. "shared" is the same 8 sources x
+// the same 16 destinations: what one source's sweep settles about a hop
+// for every source (the engine cache's verdicts) shows here as an exact
+// count.
 func TestProbeCountGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the 1000-AS world")
 	}
-	type row struct {
-		rr, spoofRR, traceroute   uint64
-		complete, aborted, failed int
-		spoofBatches              int
-		virtualUS                 int64
-	}
-	// RR and the three tallies have stood since PR 15. PR 16 (the
-	// symmetry-stage traceroute starts at the tail) moved Traceroute
-	// alone, 1258 -> 772. PR 17 (a spoofed sweep ends at its first silent
-	// batch; an RR stage that revealed nothing is cached) moved SpoofRR
-	// 811 -> 648, and the two columns added with it from the 303 batches
-	// and 3070389866 virtual us measured on its parent.
-	want := row{rr: 229, spoofRR: 648, traceroute: 772, complete: 38, aborted: 24, failed: 2,
-		spoofBatches: 240, virtualUS: 2440393092}
-
 	cfg := DefaultConfig(1000)
 	cfg.Seed, cfg.Topology.Seed, cfg.Sites = 31, 31, 30
 	d := Build(cfg)
-	eng := d.Engine(core.Revtr20Options())
 	dests := d.OnePerPrefix()
-
-	var got row
-	var sum measure.Counters
-	before := d.Pool.Counters()
+	var srcs []core.Source
 	for si := 0; si < 8; si++ {
-		src := d.NewSource(d.PickSourceHost(si * 17))
-		for k, n := 0, 0; n < 8; k++ {
-			dst := dests[(si*29+k*211)%len(dests)]
-			if dst.AS == src.Agent.AS {
-				continue
-			}
-			n++
-			res := eng.MeasureReverse(context.Background(), src, dst.Addr)
-			sum = sum.Add(res.Probes)
-			got.spoofBatches += res.SpoofBatches
-			got.virtualUS += res.DurationUS
-			switch res.Status {
-			case core.StatusComplete:
-				got.complete++
-			case core.StatusAborted:
-				got.aborted++
-			default:
-				got.failed++
+		srcs = append(srcs, d.NewSource(d.PickSourceHost(si*17)))
+	}
+	// pick returns the first n destinations of the stride-211 walk from
+	// start that lie in none of the ASes of avoid.
+	pick := func(start, n int, avoid ...core.Source) []*topology.Host {
+		var out []*topology.Host
+		for k := 0; len(out) < n; k++ {
+			dst := dests[(start+k*211)%len(dests)]
+			if !slices.ContainsFunc(avoid, func(s core.Source) bool { return s.Agent.AS == dst.AS }) {
+				out = append(out, dst)
 			}
 		}
+		return out
 	}
-	got.rr, got.spoofRR, got.traceroute = sum.RR, sum.SpoofRR, sum.Traceroute
-	if pool := d.Pool.Counters().Sub(before); pool != sum {
-		t.Errorf("pool ledger %+v != sum of per-measurement probes %+v", pool, sum)
+	shared := pick(0, 16, srcs...)
+
+	for _, tc := range []struct {
+		name  string
+		dests func(si int) []*topology.Host
+		want  countRow
+	}{
+		// RR and the three tallies have stood since PR 15. PR 16 (the
+		// symmetry-stage traceroute starts at the tail) moved Traceroute
+		// alone, 1258 -> 772. PR 17 (a spoofed sweep ends at its first
+		// silent batch; an RR stage that revealed nothing is cached) moved
+		// SpoofRR 811 -> 648, and the two columns added with it from the
+		// 303 batches and 3070389866 virtual us measured on its parent.
+		// PR 18 (out-of-range and unresponsive verdicts shared across
+		// sources) moved SpoofRR 648 -> 642, batches 240 -> 238 and virtual
+		// time by those two batches' 20 s: these pairs share few hops.
+		{"distinct", func(si int) []*topology.Host { return pick(si*29, 8, srcs[si]) },
+			countRow{rr: 229, spoofRR: 642, traceroute: 772, complete: 38, aborted: 24, failed: 2,
+				spoofBatches: 238, virtualUS: 2420393092}},
+		// Added with PR 18 and measured on its parent first: RR 445,
+		// SpoofRR 1395, Traceroute 1589, 86 / 40 / 2, 530 batches over
+		// 5388293358 virtual us. Every destination is stuck on the same few
+		// hops for all eight sources, and seven of them now read what the
+		// first one's sweep settled.
+		{"shared", func(int) []*topology.Host { return shared },
+			countRow{rr: 426, spoofRR: 754, traceroute: 1516, complete: 88, aborted: 38, failed: 2,
+				spoofBatches: 304, virtualUS: 3126401283}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := d.Engine(core.Revtr20Options())
+			var got countRow
+			var sum measure.Counters
+			before := d.Pool.Counters()
+			for si, src := range srcs {
+				for _, dst := range tc.dests(si) {
+					res := eng.MeasureReverse(context.Background(), src, dst.Addr)
+					sum = sum.Add(res.Probes)
+					got.spoofBatches += res.SpoofBatches
+					got.virtualUS += res.DurationUS
+					switch res.Status {
+					case core.StatusComplete:
+						got.complete++
+					case core.StatusAborted:
+						got.aborted++
+					default:
+						got.failed++
+					}
+				}
+			}
+			got.rr, got.spoofRR, got.traceroute = sum.RR, sum.SpoofRR, sum.Traceroute
+			if pool := d.Pool.Counters().Sub(before); pool != sum {
+				t.Errorf("pool ledger %+v != sum of per-measurement probes %+v", pool, sum)
+			}
+			if got != tc.want {
+				t.Fatalf("seed-31 slice moved:\n%s", got.diff(tc.want))
+			}
+		})
 	}
-	if got != want {
-		var sb strings.Builder
-		fmt.Fprintf(&sb, "%-12s %11s %11s %11s\n", "", "got", "want", "diff")
-		line := func(name string, g, w int64) {
-			fmt.Fprintf(&sb, "%-12s %11d %11d %+11d\n", name, g, w, g-w)
-		}
-		line("RR", int64(got.rr), int64(want.rr))
-		line("SpoofRR", int64(got.spoofRR), int64(want.spoofRR))
-		line("Traceroute", int64(got.traceroute), int64(want.traceroute))
-		line("complete", int64(got.complete), int64(want.complete))
-		line("aborted", int64(got.aborted), int64(want.aborted))
-		line("failed", int64(got.failed), int64(want.failed))
-		line("batches", int64(got.spoofBatches), int64(want.spoofBatches))
-		line("virtual us", got.virtualUS, want.virtualUS)
-		t.Fatalf("64-pair seed-31 slice moved:\n%s", sb.String())
+}
+
+// countRow is one slice's cost and outcome.
+type countRow struct {
+	rr, spoofRR, traceroute   uint64
+	complete, aborted, failed int
+	spoofBatches              int
+	virtualUS                 int64
+}
+
+// diff renders got against want, a line per column.
+func (got countRow) diff(want countRow) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%-12s %11s %11s %11s\n", "", "got", "want", "diff")
+	line := func(name string, g, w int64) {
+		fmt.Fprintf(&sb, "%-12s %11d %11d %+11d\n", name, g, w, g-w)
 	}
+	line("RR", int64(got.rr), int64(want.rr))
+	line("SpoofRR", int64(got.spoofRR), int64(want.spoofRR))
+	line("Traceroute", int64(got.traceroute), int64(want.traceroute))
+	line("complete", int64(got.complete), int64(want.complete))
+	line("aborted", int64(got.aborted), int64(want.aborted))
+	line("failed", int64(got.failed), int64(want.failed))
+	line("batches", int64(got.spoofBatches), int64(want.spoofBatches))
+	line("virtual us", got.virtualUS, want.virtualUS)
+	return sb.String()
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"revtr/internal/measure"
@@ -10,13 +11,18 @@ import (
 
 // cache reuses RR revelations and forward traceroutes across reverse
 // traceroutes within a TTL window (Insight 1.4: most paths are stable, so
-// measurements can be cached for a day). Keys include the source because
-// reverse hops depend on the destination of the reply. An RR entry may be
-// empty: the stage was measured in full and revealed nothing, which is a
-// measurement too (Machine.stepAfterRR).
+// measurements can be cached for a day). RR and traceroute keys include
+// the source because reverse hops depend on the destination of the reply.
+// An RR entry may be empty: the stage was measured in full and revealed
+// nothing, which is a measurement too (Machine.stepAfterRR).
+//
+// The exception is the half of an RR reply settled before the reply is
+// addressed to anybody — which vantage points' forward paths fill the nine
+// slots before a hop, whether the hop answers option packets at all —
+// kept once per hop (kindVerdict, no source in the key) for every source.
 //
 // Expiry, the periodic sweep and the size cap are ttlcache's (DESIGN.md
-// "Virtual-time TTL cache contract"); both kinds of entry live in one
+// "Virtual-time TTL cache contract"); every kind of entry lives in one
 // Cache so Options.CacheMaxEntries bounds them together. What this type
 // adds is the lock that lets one engine serve concurrent measurements
 // and the hit/miss/eviction counts that flow into the engine's Metrics.
@@ -36,6 +42,7 @@ type cacheKind uint32
 const (
 	kindRR cacheKind = iota
 	kindTR
+	kindVerdict // src is zero; lookups count as neither RR nor traceroute ones
 )
 
 type cacheKey struct {
@@ -45,7 +52,7 @@ type cacheKey struct {
 }
 
 // cacheKeyLess is the eviction tie-break among entries of equal age:
-// rr before tr, then by target, then by source.
+// rr before tr before verdicts, then by target, then by source.
 func cacheKeyLess(a, b cacheKey) bool {
 	if a.kind != b.kind {
 		return a.kind < b.kind
@@ -57,12 +64,20 @@ func cacheKeyLess(a, b cacheKey) bool {
 }
 
 // cacheEntry holds an RR revelation (revHops, tech; no hops when the
-// stage revealed none) or a traceroute (tr), by kind. The traceroute
-// sits behind a pointer so the far more numerous RR entries do not pay
-// for its size.
+// stage revealed none), a traceroute (tr) or a hop's verdicts, by kind.
+// The traceroute sits behind a pointer so the far more numerous RR
+// entries do not pay for its size.
+//
+// A hop's verdicts: the vantage points seen out of RR range of it (never
+// written in place: readers hold the slice without the lock), whether it
+// left a direct probe and a whole batch unanswered, and when the first of
+// them was written — the entry ages from then, not from the latest.
 type cacheEntry struct {
 	revHops []ipv4.Addr
 	tech    Technique
+	silent  bool
+	farVPs  []ipv4.Addr
+	sinceUS int64
 	tr      *measure.TracerouteResult
 }
 
@@ -112,6 +127,37 @@ func (c *cache) getTraceroute(target, src ipv4.Addr, nowUS int64) (measure.Trace
 
 func (c *cache) putTraceroute(target, src ipv4.Addr, tr measure.TracerouteResult, nowUS int64) {
 	c.put(cacheKey{kindTR, target, src}, cacheEntry{tr: &tr}, nowUS)
+}
+
+// verdicts returns what is known of target whichever source asks.
+func (c *cache) verdicts(target ipv4.Addr, nowUS int64) cacheEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, _, expired := c.c.Get(cacheKey{kind: kindVerdict, target: target}, nowUS)
+	c.metrics.evicted(expired)
+	return e
+}
+
+// addVerdicts adds to target's verdicts: the vantage points far are out
+// of range of it and, if silent, it answers no option packet.
+func (c *cache) addVerdicts(target ipv4.Addr, far []ipv4.Addr, silent bool, nowUS int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	k := cacheKey{kind: kindVerdict, target: target}
+	e, ok, expired := c.c.Get(k, nowUS)
+	if !ok {
+		e.sinceUS = nowUS
+	}
+	e.silent = e.silent || silent
+	e.farVPs = slices.Clip(e.farVPs) // so that appending copies
+	for _, vp := range far {
+		if !slices.Contains(e.farVPs, vp) {
+			e.farVPs = append(e.farVPs, vp)
+		}
+	}
+	c.c.Put(k, e, e.sinceUS)
+	swept, capped := c.c.MaybeSweep(nowUS)
+	c.metrics.evicted(expired + swept + capped)
 }
 
 // put stores one entry and lets the sweep run; every eviction, expired

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"revtr/internal/measure"
@@ -136,5 +137,54 @@ func TestEngineCacheBounded(t *testing.T) {
 	}
 	if c.size() > 8 {
 		t.Fatalf("size %d > configured cap 8", c.size())
+	}
+}
+
+// TestCacheVerdicts: a hop's verdicts are one entry, keyed without a
+// source, that accumulates; it expires CacheTTLUS after its first verdict
+// however recent the last; its slice is never modified in place; and its
+// lookups count as neither RR nor traceroute lookups.
+func TestCacheVerdicts(t *testing.T) {
+	reg := obs.New()
+	const ttl = 1_000
+	c := newCache(ttl, 0)
+	c.metrics = NewMetrics(reg)
+	hop := addr(t, "10.0.0.2")
+	a, b, d := addr(t, "10.4.0.1"), addr(t, "10.4.0.2"), addr(t, "10.4.0.3")
+
+	if v := c.verdicts(hop, 0); v.farVPs != nil || v.silent {
+		t.Fatalf("verdicts on an unknown hop: %+v", v)
+	}
+	c.addVerdicts(hop, []ipv4.Addr{a, b}, false, 0)
+	held := c.verdicts(hop, 0).farVPs
+	c.addVerdicts(hop, []ipv4.Addr{b, d}, false, 600) // b is known already
+	c.addVerdicts(hop, nil, true, 900)
+	if v := c.verdicts(hop, ttl); !slices.Equal(v.farVPs, []ipv4.Addr{a, b, d}) || !v.silent {
+		t.Fatalf("accumulated verdicts = %v silent=%v, want [a b d] and silent", v.farVPs, v.silent)
+	}
+	if held = held[:cap(held)]; !slices.Equal(held, []ipv4.Addr{a, b}) {
+		t.Fatalf("a slice handed out earlier was written behind: %v", held)
+	}
+	if c.size() != 1 {
+		t.Fatalf("size = %d, want one entry per hop", c.size())
+	}
+	// The first verdict was written at 0: everything goes at ttl+1, the
+	// verdicts written at 600 and 900 included.
+	if v := c.verdicts(hop, ttl+1); v.farVPs != nil || v.silent || c.size() != 0 {
+		t.Fatalf("verdicts served past the TTL of the first: %+v (size %d)", v, c.size())
+	}
+	if got := reg.Counter("engine_cache_evictions_total").Value(); got != 1 {
+		t.Fatalf("evictions counter = %d, want 1", got)
+	}
+	// A verdict written after the expiry starts a new entry with a new age.
+	c.addVerdicts(hop, []ipv4.Addr{d}, false, ttl+1)
+	if v := c.verdicts(hop, 2*ttl+1); len(v.farVPs) != 1 || v.farVPs[0] != d {
+		t.Fatalf("verdicts after re-learning = %+v, want [d]", v)
+	}
+	for _, name := range []string{"engine_cache_rr_hits_total", "engine_cache_rr_misses_total",
+		"engine_cache_tr_hits_total", "engine_cache_tr_misses_total"} {
+		if got := reg.Counter(name).Value(); got != 0 {
+			t.Errorf("%s = %d after verdict lookups only, want 0", name, got)
+		}
 	}
 }

@@ -1,6 +1,22 @@
 package core
 
+import (
+	"revtr/internal/alias"
+	"revtr/internal/netsim/ipv4"
+)
+
 // ExtractReverse exposes extractReverse to the external test package
 // (which, unlike this one, can import simtest): tests that replay the
 // probes a sweep did not send read the replies the way the engine would.
-var ExtractReverse = extractReverse
+func ExtractReverse(recorded []ipv4.Addr, target ipv4.Addr, res alias.Resolver) []ipv4.Addr {
+	hops, _ := extractReverse(recorded, target, res)
+	return hops
+}
+
+// Verdicts exposes what the engine cache holds about hop for every
+// source: the vantage points out of range of it, and whether it answers
+// no option packet.
+func (e *Engine) Verdicts(hop ipv4.Addr) (farVPs []ipv4.Addr, silent bool) {
+	v := e.cache.verdicts(hop, e.Pool.Now())
+	return v.farVPs, v.silent
+}

@@ -15,9 +15,9 @@ import (
 // but the probe looped (an address appearing twice non-adjacent), the
 // reverse hops follow the second occurrence (Appx C). Without any marker
 // the reply is unusable: the engine cannot tell forward stamps from
-// reverse ones.
-func extractReverse(recorded []ipv4.Addr, target ipv4.Addr, res alias.Resolver) []ipv4.Addr {
-	marker := -1
+// reverse ones. The marker's slot (-1: none) is returned for outOfRange.
+func extractReverse(recorded []ipv4.Addr, target ipv4.Addr, res alias.Resolver) (hops []ipv4.Addr, marker int) {
+	marker = -1
 	// Exact or alias match: prefer the last occurrence, since the target
 	// stamping twice (double stamp) means forward + reply stamps.
 	for k, x := range recorded {
@@ -51,9 +51,16 @@ func extractReverse(recorded []ipv4.Addr, target ipv4.Addr, res alias.Resolver) 
 		}
 	}
 	if marker < 0 || marker+1 >= len(recorded) {
-		return nil
+		return nil, marker
 	}
-	return dedupeAdjacent(recorded[marker+1:])
+	return dedupeAdjacent(recorded[marker+1:]), marker
+}
+
+// outOfRange reports whether a reply shows its vantage point out of RR
+// range of the target — nine slots full, the target's stamp last or
+// nowhere — which holds whichever source the probe claimed (§4.3).
+func outOfRange(recorded []ipv4.Addr, marker int) bool {
+	return len(recorded) == ipv4.RRSlots && (marker < 0 || marker == ipv4.RRSlots-1)
 }
 
 // dedupeAdjacent removes immediately repeated addresses.

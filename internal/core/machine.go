@@ -679,7 +679,7 @@ func (mm *Machine) onRRDirect(b probe.Batch) {
 	mm.rev.elapsedUS += rr.RTTUS
 	mm.rev.measured = b.Replies[0].Sent
 	if rr.Responded {
-		if hops := extractReverse(rr.Recorded, cur, e.Alias); len(hops) > 0 {
+		if hops, _ := extractReverse(rr.Recorded, cur, e.Alias); len(hops) > 0 {
 			mm.rev.hops, mm.rev.tech = hops, TechRR
 			if e.Opts.UseCache {
 				e.cache.putRR(cur, src.Agent.Addr, hops, TechRR, e.Pool.Now())
@@ -687,6 +687,12 @@ func (mm *Machine) onRRDirect(b probe.Batch) {
 			mm.ph = phAfterRR
 			return
 		}
+	} else if mm.rev.measured && e.Opts.UseCache && e.cache.verdicts(cur, e.Pool.Now()).silent {
+		// Silent to another source's direct probe and spoofed batch, and now
+		// to this one's: five option packets from five directions.
+		e.metrics.spoofSweepsUnresponsive.Inc()
+		mm.ph = phAfterRR
+		return
 	}
 	pfx, ok := e.F.Topo.BGPPrefixOf(cur)
 	if !ok {
@@ -701,15 +707,19 @@ func (mm *Machine) onRRDirect(b probe.Batch) {
 }
 
 // stepSpoofNext builds the next spoofed-RR batch from the §4.3 ingress
-// order, skipping the source and known-dead vantage points and
-// backfilling from further down the order so a dead VP costs its slot,
-// not the whole batch (graceful degradation).
+// order, skipping the source, known-dead vantage points and those already
+// seen out of range of cur, and backfilling from further down the order so
+// a skipped VP costs its slot, not the whole batch (graceful degradation).
 func (mm *Machine) stepSpoofNext() {
 	e, src, cur := mm.e, mm.src, mm.cur
 	sp := &mm.spoof
 	if mm.m.ctx.Err() != nil || sp.cursor >= len(sp.plan) {
 		mm.ph = phAfterRR
 		return
+	}
+	var far []ipv4.Addr
+	if e.Opts.UseCache {
+		far = e.cache.verdicts(cur, e.Pool.Now()).farVPs
 	}
 	reqs := make([]probe.Request, 0, e.Opts.BatchSize)
 	vps := make([]measure.Agent, 0, e.Opts.BatchSize)
@@ -720,6 +730,10 @@ func (mm *Machine) stepSpoofNext() {
 			continue
 		}
 		if mm.isDead(site.Addr) {
+			continue
+		}
+		if slices.Contains(far, site.Addr) {
+			e.metrics.spoofVPsOutOfRange.Inc()
 			continue
 		}
 		reqs = append(reqs, probe.Request{
@@ -738,15 +752,25 @@ func (mm *Machine) stepSpoofNext() {
 	mm.suspendProbes(reqs, true, phSpoofWait)
 }
 
+// shareVerdicts records what a spoofed batch settled about cur for every
+// source — if the stage was measured so far: its direct probe went out and
+// no dead vantage point sat a slot out.
+func (mm *Machine) shareVerdicts(far []ipv4.Addr, silent bool) {
+	if mm.rev.measured && mm.e.Opts.UseCache && (silent || len(far) > 0) {
+		mm.e.cache.addVerdicts(mm.cur, far, silent, mm.e.Pool.Now())
+	}
+}
+
 // onSpoofBatch digests one spoofed batch: dead-VP failover, best
-// revelation so far, the silent-batch exit and the MaxSpoofVPs budget.
+// revelation so far, the vantage points it showed out of range, the
+// silent-batch exit and the MaxSpoofVPs budget.
 func (mm *Machine) onSpoofBatch(b probe.Batch) {
 	mm.m.count = mm.m.count.Add(b.Sent)
 	e, src, cur := mm.e, mm.src, mm.cur
 	sp := &mm.spoof
 	deadHere := 0
 	answered := false
-	var best []ipv4.Addr
+	var best, far []ipv4.Addr
 	for i, rep := range b.Replies {
 		if rep.VPDead {
 			// The VP could not send at all: remember it and fail over to
@@ -762,10 +786,15 @@ func (mm *Machine) onSpoofBatch(b probe.Batch) {
 			continue
 		}
 		answered = true
-		if hops := extractReverse(rep.RR.Recorded, cur, e.Alias); len(hops) > len(best) {
+		hops, marker := extractReverse(rep.RR.Recorded, cur, e.Alias)
+		if len(hops) > len(best) {
 			best = hops
 		}
+		if outOfRange(rep.RR.Recorded, marker) {
+			far = append(far, sp.vps[i].Addr)
+		}
 	}
+	mm.shareVerdicts(far, false)
 	sp.tried += len(b.Replies) - b.Skipped - deadHere
 	if len(best) > 0 {
 		mm.rev.hops, mm.rev.tech = best, TechSpoofRR
@@ -788,6 +817,7 @@ func (mm *Machine) onSpoofBatch(b probe.Batch) {
 	// looking for a closer ingress.
 	if !sp.directAnswered && !answered && b.Sent.SpoofRR > 0 {
 		e.metrics.spoofSweepsSilent.Inc()
+		mm.shareVerdicts(nil, true)
 		mm.ph = phAfterRR
 		return
 	}
@@ -845,17 +875,16 @@ func (mm *Machine) onDBRDirect(b probe.Batch) {
 	e, src, cur := mm.e, mm.src, mm.cur
 	d := &mm.dbr
 	d.elapsedUS += b.MaxRTTUS
+	var order []int // stays empty for a hop in no BGP prefix
+	if pfx, ok := e.F.Topo.BGPPrefixOf(cur); ok {
+		order = e.Ingress.PlanFor(pfx, e.Opts.VPSelection).Order
+	}
 	var fallback []probe.Request
 	for _, rep := range b.Replies {
-		hops := extractReverse(rep.RR.Recorded, cur, e.Alias)
+		hops, _ := extractReverse(rep.RR.Recorded, cur, e.Alias)
 		if len(hops) == 0 {
 			// Direct probe out of range: one spoofed try for this repeat.
-			pfx, ok := e.F.Topo.BGPPrefixOf(cur)
-			if !ok {
-				continue
-			}
-			plan := e.Ingress.PlanFor(pfx, e.Opts.VPSelection)
-			vp, ok := mm.firstLiveVP(plan.Order)
+			vp, ok := mm.firstLiveVP(order)
 			if !ok {
 				continue
 			}
@@ -889,7 +918,7 @@ func (mm *Machine) onDBRFallback(b probe.Batch) {
 			mm.vpDied(d.fallback[i].VP.Addr)
 			continue
 		}
-		if hops := extractReverse(rep.RR.Recorded, cur, e.Alias); len(hops) > 0 {
+		if hops, _ := extractReverse(rep.RR.Recorded, cur, e.Alias); len(hops) > 0 {
 			d.got++
 			d.observed[hops[0]] = true
 		}

@@ -60,6 +60,10 @@ type Metrics struct {
 	// already knew the VP was out — failovers that cost nothing.
 	vpFailover *obs.Counter
 	deadVPHits *obs.Counter
+	// Saved by the cache's per-hop verdicts: plan slots skipped (VP out of
+	// range) and RR stages closed at a silent direct probe (hop unresponsive).
+	spoofVPsOutOfRange      *obs.Counter
+	spoofSweepsUnresponsive *obs.Counter
 
 	// Segment-store accounting (Doubletree memoization,
 	// Options.SegmentStore). segmentHits counts lookups that returned a
@@ -94,13 +98,15 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		failed:    reg.Counter("engine_measure_failed_total"),
 		cancelled: reg.Counter("engine_measure_cancelled_total"),
 
-		spoofBatches:        reg.Counter("engine_spoof_batches_total"),
-		spoofSweepsSilent:   reg.Counter("engine_spoof_sweeps_silent_total"),
-		cacheRRNegativeHits: reg.Counter("engine_cache_rr_negative_hits_total"),
-		traceroutes:         reg.Counter("engine_traceroutes_total"),
-		tracerouteSweeps:    reg.Counter("engine_traceroute_sweeps_total"),
-		vpFailover:          reg.Counter("vp_failover_total"),
-		deadVPHits:          reg.Counter("engine_dead_vp_hits_total"),
+		spoofBatches:            reg.Counter("engine_spoof_batches_total"),
+		spoofSweepsSilent:       reg.Counter("engine_spoof_sweeps_silent_total"),
+		cacheRRNegativeHits:     reg.Counter("engine_cache_rr_negative_hits_total"),
+		traceroutes:             reg.Counter("engine_traceroutes_total"),
+		tracerouteSweeps:        reg.Counter("engine_traceroute_sweeps_total"),
+		vpFailover:              reg.Counter("vp_failover_total"),
+		deadVPHits:              reg.Counter("engine_dead_vp_hits_total"),
+		spoofVPsOutOfRange:      reg.Counter("engine_spoof_vps_out_of_range_total"),
+		spoofSweepsUnresponsive: reg.Counter("engine_spoof_sweeps_unresponsive_total"),
 
 		segmentHits:    reg.Counter("engine_segment_hits_total"),
 		segmentSplices: reg.Counter("engine_segment_splices_total"),

@@ -44,7 +44,9 @@ type Options struct {
 	// UseCache reuses RR and traceroute measurements for CacheTTLUS
 	// across reverse traceroutes (Insight 1.4) — an RR stage that
 	// revealed nothing included, so a hop that does not answer Record
-	// Route is swept once a day per source, not once per measurement.
+	// Route is swept once a day per source, not once per measurement —
+	// and, across sources, what a sweep settled about the hop alone:
+	// the vantage points out of range of it, and that it stays silent.
 	UseCache bool
 	// Symmetry is the Q5 policy.
 	Symmetry SymmetryPolicy

@@ -54,6 +54,7 @@ type PrefixInfo struct {
 	// InRange lists sites within InRangeHops, closest first (the
 	// fallback plan when no ingress was identified).
 	InRange []int
+	order   []int // the SelIngress plan, built once; PlanFor hands it out
 }
 
 // Heuristics toggles the Appendix C candidate-extraction heuristics, for
@@ -192,7 +193,7 @@ func (s *Service) extractCandidates(pfx ipv4.Prefix, rec []ipv4.Addr) ([]ipv4.Ad
 }
 
 // selectIngresses runs the greedy set cover over candidates (§4.3) and
-// builds the ordered ingress list and the in-range fallback.
+// builds the ordered ingress list, the in-range fallback and the plan.
 func (s *Service) selectIngresses(info *PrefixInfo) {
 	covered := make([]bool, len(s.Sites))
 	sitesOf := map[ipv4.Addr][]int{}
@@ -265,6 +266,29 @@ func (s *Service) selectIngresses(info *PrefixInfo) {
 	})
 	for _, x := range in {
 		info.InRange = append(info.InRange, x.site)
+	}
+	// The SelIngress plan: one probe per ingress from the closest vantage
+	// point; fallback VPs for an ingress come only after every other
+	// ingress's primary has been tried (retrying the same ingress with
+	// another VP rarely reveals anything new — §4.3's ordering).
+	seen := map[int]bool{}
+	for depth := 0; depth < MaxFallbacksPerIngress; depth++ {
+		added := false
+		for _, ing := range info.Ingresses {
+			if depth >= len(ing.Sites) {
+				continue
+			}
+			si := ing.Sites[depth]
+			if seen[si] {
+				continue
+			}
+			info.order = append(info.order, si)
+			seen[si] = true
+			added = true
+		}
+		if !added {
+			break
+		}
 	}
 }
 
@@ -348,7 +372,8 @@ const (
 const MaxFallbacksPerIngress = 5
 
 // PlanFor returns the VP ordering for a destination prefix under the
-// given policy.
+// given policy. The order is the service's own slice, computed when the
+// prefix was surveyed: read it, do not write it.
 func (s *Service) PlanFor(pfx ipv4.Prefix, sel Selection) Plan {
 	switch sel {
 	case SelSetCover:
@@ -368,31 +393,7 @@ func (s *Service) PlanFor(pfx ipv4.Prefix, sel Selection) Plan {
 		// to the symmetry step instead of wasting 10-second batches.
 		return Plan{Order: info.InRange}
 	}
-	// One probe per ingress from the closest vantage point; fallback
-	// VPs for an ingress come only after every other ingress's primary
-	// has been tried (retrying the same ingress with another VP rarely
-	// reveals anything new — §4.3's ordering).
-	var order []int
-	seen := map[int]bool{}
-	for depth := 0; depth < MaxFallbacksPerIngress; depth++ {
-		added := false
-		for _, ing := range info.Ingresses {
-			if depth >= len(ing.Sites) {
-				continue
-			}
-			si := ing.Sites[depth]
-			if seen[si] {
-				continue
-			}
-			order = append(order, si)
-			seen[si] = true
-			added = true
-		}
-		if !added {
-			break
-		}
-	}
-	return Plan{Order: order, PerIngress: true}
+	return Plan{Order: info.order, PerIngress: true}
 }
 
 // ClosestSiteDist returns the smallest surveyed RR distance from any site

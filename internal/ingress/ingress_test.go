@@ -1,6 +1,7 @@
 package ingress_test
 
 import (
+	"slices"
 	"testing"
 
 	"revtr/internal/ingress"
@@ -10,8 +11,13 @@ import (
 
 func surveyEnv(t testing.TB) (*simtest.Env, *ingress.Service) {
 	t.Helper()
-	env := simtest.New(t, 300, 6)
-	svc := ingress.NewService(env.Prober, env.Sites, ingress.AllHeuristics, 6)
+	return surveyEnvSeed(t, 6)
+}
+
+func surveyEnvSeed(t testing.TB, seed int64) (*simtest.Env, *ingress.Service) {
+	t.Helper()
+	env := simtest.New(t, 300, seed)
+	svc := ingress.NewService(env.Prober, env.Sites, ingress.AllHeuristics, seed)
 	// Survey announced /24s only (cheap enough for tests).
 	var prefixes []ipv4.Prefix
 	for _, as := range env.Topo.ASes {
@@ -177,5 +183,64 @@ func TestHeuristicsExtractMore(t *testing.T) {
 	t.Logf("ingresses found: plain=%d full-heuristics=%d", nPlain, nFull)
 	if nFull < nPlain {
 		t.Errorf("heuristics reduced coverage: %d < %d", nFull, nPlain)
+	}
+}
+
+// planOrderPerCall is the SelIngress order as PlanFor built it on every
+// call before the order was stored with the survey: depth by depth over
+// the ingresses, each site once. The reference TestPlanForStoredOrder
+// compares the stored order against.
+func planOrderPerCall(info *ingress.PrefixInfo) []int {
+	var order []int
+	seen := map[int]bool{}
+	for depth := 0; depth < ingress.MaxFallbacksPerIngress; depth++ {
+		added := false
+		for _, ing := range info.Ingresses {
+			if depth >= len(ing.Sites) {
+				continue
+			}
+			si := ing.Sites[depth]
+			if seen[si] {
+				continue
+			}
+			order = append(order, si)
+			seen[si] = true
+			added = true
+		}
+		if !added {
+			break
+		}
+	}
+	return order
+}
+
+// TestPlanForStoredOrder: the order computed once per prefix at survey
+// time is the order PlanFor used to rebuild per call, for every surveyed
+// prefix of three worlds, and handing it out allocates nothing.
+func TestPlanForStoredOrder(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		_, svc := surveyEnvSeed(t, seed)
+		perIngress := 0
+		var some ipv4.Prefix
+		for pfx, info := range svc.Info {
+			plan := svc.PlanFor(pfx, ingress.SelIngress)
+			if len(info.Ingresses) == 0 {
+				if plan.PerIngress || !slices.Equal(plan.Order, info.InRange) {
+					t.Fatalf("seed %d %v: no ingress, plan %+v, want the in-range fallback %v", seed, pfx, plan, info.InRange)
+				}
+				continue
+			}
+			perIngress++
+			some = pfx
+			if want := planOrderPerCall(info); !plan.PerIngress || !slices.Equal(plan.Order, want) {
+				t.Fatalf("seed %d %v: stored order %v, built per call %v", seed, pfx, plan.Order, want)
+			}
+		}
+		if perIngress == 0 {
+			t.Fatalf("seed %d: no prefix with ingresses: the test compares nothing", seed)
+		}
+		if n := testing.AllocsPerRun(100, func() { svc.PlanFor(some, ingress.SelIngress) }); n != 0 {
+			t.Errorf("seed %d: PlanFor allocates %.0f times per call, want 0", seed, n)
+		}
 	}
 }
