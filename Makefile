@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: build test short fmt vet lint race ci bench benchmod chaos fuzz soak cover loc
+.PHONY: build test short fmt vet lint race ci bench benchcheck benchmod chaos fuzz soak cover loc
 
 build:
 	$(GO) build ./...
@@ -48,7 +48,7 @@ lint:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-ci: fmt vet lint race bench benchmod chaos fuzz soak cover loc
+ci: fmt vet lint race bench benchcheck benchmod chaos fuzz soak cover loc
 
 # loc prints the number ROADMAP's consolidation round tracks: non-test Go
 # lines per package and in total, leaving out bench/ (a module of its
@@ -71,6 +71,16 @@ cover:
 			pct = $$3 + 0; printf "%s coverage: %s (floor 90%%)\n", pkg, $$3; \
 			if (pct < 90) { print "coverage below floor"; exit 1 } }' || exit 1; \
 	done
+
+# benchcheck is the regression gate on what is deterministic: exact probe
+# counts, spoofed batches, virtual time and outcomes of two fixed slices
+# of the benchmark's world (counts_test.go) and the allocation ceilings of
+# one engine measurement, one sched submit→terminal, one store append and
+# one stream publish (allocs_test.go). Without -race: the ceilings are
+# not built under the detector. Timing stays with the registered
+# benchmark and its alternating pairs.
+benchcheck:
+	$(GO) test -run 'TestProbeCountGate|AllocCeiling' -count=1 .
 
 # benchmod compiles and smoke-tests bench/, the end-to-end benchmark. It
 # is a module of its own (revtr/bench, replace revtr => ../), so the

@@ -66,17 +66,22 @@ func TestProbeCountGate(t *testing.T) {
 		// PR 18 (out-of-range and unresponsive verdicts shared across
 		// sources) moved SpoofRR 648 -> 642, batches 240 -> 238 and virtual
 		// time by those two batches' 20 s: these pairs share few hops.
+		// PR 19 (a tail window walks through silence; the traceroute to a
+		// hop a symmetry assumption adopted starts where that hop answered)
+		// moved Traceroute 772 -> 409 and virtual time by the traceroutes'
+		// RTT sums alone, 2420393092 on its parent; no batch moved.
 		{"distinct", func(si int) []*topology.Host { return pick(si*29, 8, srcs[si]) },
-			countRow{rr: 229, spoofRR: 642, traceroute: 772, complete: 38, aborted: 24, failed: 2,
-				spoofBatches: 238, virtualUS: 2420393092}},
+			countRow{rr: 229, spoofRR: 642, traceroute: 409, complete: 38, aborted: 24, failed: 2,
+				spoofBatches: 238, virtualUS: 2409137809}},
 		// Added with PR 18 and measured on its parent first: RR 445,
 		// SpoofRR 1395, Traceroute 1589, 86 / 40 / 2, 530 batches over
 		// 5388293358 virtual us. Every destination is stuck on the same few
 		// hops for all eight sources, and seven of them now read what the
-		// first one's sweep settled.
+		// first one's sweep settled. PR 19 moved Traceroute 1516 -> 797 and
+		// virtual time from 3126401283, as above.
 		{"shared", func(int) []*topology.Host { return shared },
-			countRow{rr: 426, spoofRR: 754, traceroute: 1516, complete: 88, aborted: 38, failed: 2,
-				spoofBatches: 304, virtualUS: 3126401283}},
+			countRow{rr: 426, spoofRR: 754, traceroute: 797, complete: 88, aborted: 38, failed: 2,
+				spoofBatches: 304, virtualUS: 3106024832}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := d.Engine(core.Revtr20Options())

@@ -74,7 +74,9 @@ type Atlas struct {
 	// traceroutes as of the last build or refresh, 0 for an atlas the
 	// Service has not filled. Paths into the source are about as long as
 	// paths out of it, so this is the TTL at which a traceroute from the
-	// source that needs only the far end of the path starts probing.
+	// source that needs only the far end of the path starts probing when
+	// nothing better is known of the target (core's stepSym: a target read
+	// off an earlier traceroute starts where it answered that one).
 	MedianHops int
 
 	nextID  int

@@ -20,3 +20,7 @@ func (e *Engine) Verdicts(hop ipv4.Addr) (farVPs []ipv4.Addr, silent bool) {
 	v := e.cache.verdicts(hop, e.Pool.Now())
 	return v.farVPs, v.silent
 }
+
+// Cursor exposes the hop the machine is measuring back from. Inside a
+// hop event's sink call it is still the hop the adoption was made at.
+func (mm *Machine) Cursor() ipv4.Addr { return mm.cur }

@@ -27,7 +27,7 @@ package core
 // state besides the engine caches; probe identities derive from the
 // per-measurement sequence counter exactly as in the blocking engine,
 // so the suspension points — and Clone/resume at any of them — cannot
-// change replies, counters, or hops (TestSuspendResumeEquivalence).
+// change replies, counters, or hops (TestResumeBitIdentity).
 import (
 	"context"
 	"maps"
@@ -68,8 +68,9 @@ type Pending struct {
 	Spoofed bool
 
 	// Traceroute work (Kind == PendingTraceroute). Start is the TTL
-	// probing begins at (measure.RunTraceroute), fixed here so every way
-	// of executing the Pending sends the same packets.
+	// probing begins at (measure.RunTraceroute; stepSym chooses it), fixed
+	// here so every way of executing the Pending — blocking, from a pool
+	// callback, on a clone — sends the same packets.
 	Agent   measure.Agent
 	Dst     ipv4.Addr
 	SeqBase uint64
@@ -167,6 +168,9 @@ type Machine struct {
 	spoof spoofState
 	dbr   dbrState
 	ts    tsState
+	// symTTL is the TTL at which the hop the last symmetry assumption
+	// adopted answered the traceroute it was read off (stepSym).
+	symTTL int
 
 	// segs accumulates the path's segments at adoption granularity —
 	// one entry per (stitching cursor, adopted hop group) — for
@@ -1052,8 +1056,13 @@ func (mm *Machine) tsDone(next ipv4.Addr) {
 
 // stepSym opens step 4: forward traceroute + symmetry assumption (Q5).
 // The stage reads only the traceroute's last link, so probing starts at
-// the tail: the median length of the source's own atlas traceroutes
-// (the whole path from TTL 1 for a source without an atlas).
+// the tail. A cursor the previous symmetry assumption adopted was read off
+// a traceroute from this source at symTTL, and routing is destination
+// based: the path to it is that traceroute's path cut short, its last link
+// the one that ends at symTTL, so probing starts one TTL below. Any other
+// cursor gets the median length of the source's own atlas traceroutes
+// (the whole path from TTL 1 for a source without an atlas). A start that
+// guesses wrong costs packets, never the result.
 func (mm *Machine) stepSym() {
 	e, src, cur := mm.e, mm.src, mm.cur
 	var tr measure.TracerouteResult
@@ -1064,7 +1073,9 @@ func (mm *Machine) stepSym() {
 	}
 	if tr.Hops == nil {
 		start := 1
-		if src.Atlas != nil {
+		if mm.res.Hops[len(mm.res.Hops)-1].Tech == TechSymmetry { // nothing adopted since: cur is that hop
+			start = mm.symTTL - 1
+		} else if src.Atlas != nil {
 			start = src.Atlas.MedianHops
 		}
 		mm.pending = &Pending{
@@ -1089,6 +1100,7 @@ func (mm *Machine) onTraceroute(d Delivery) {
 	// and caching it would poison later measurements with an empty result.
 	if d.TrSent > 0 {
 		e.metrics.traceroutes.Inc()
+		e.metrics.traceroutePackets.Add(uint64(d.TrSent))
 		if d.Tr.Swept {
 			e.metrics.tracerouteSweeps.Inc()
 		}
@@ -1111,19 +1123,18 @@ func (mm *Machine) classifyTraceroute(tr measure.TracerouteResult, elapsed int64
 	var penult ipv4.Addr
 	intra, adjacent, usable := false, false, false
 	if !requireReached || tr.ReachedDst {
-		hops := tr.HopAddrs()
-		// When the traceroute reaches cur, hops ends with cur's echo
+		// When the traceroute reaches cur, tr.Hops ends with cur's echo
 		// reply and the penultimate responsive hop precedes it. When cur
 		// itself does not answer, the last responsive hop stands in as
 		// the penultimate — the symmetry policy still gates whether it
 		// is usable.
-		last := len(hops) - 1
+		last := len(tr.Hops) - 1
 		if tr.ReachedDst {
-			last = len(hops) - 2
+			last--
 		}
 		for i := last; i >= 0; i-- {
-			if !hops[i].IsPrivate() {
-				penult = hops[i]
+			if h := tr.Hops[i]; h.Responded && !h.Addr.IsPrivate() {
+				penult, mm.symTTL = h.Addr, i+1
 				break
 			}
 		}

@@ -48,11 +48,13 @@ type Metrics struct {
 	spoofSweepsSilent   *obs.Counter
 	cacheRRNegativeHits *obs.Counter
 	// traceroutes counts symmetry-stage traceroutes that put packets on
-	// the wire; tracerouteSweeps those of them that ran the classic 1…N
-	// sweep because the tail window met a silent TTL (or the source has
-	// no atlas to take a start TTL from).
-	traceroutes      *obs.Counter
-	tracerouteSweeps *obs.Counter
+	// the wire and traceroutePackets the packets; tracerouteSweeps those
+	// of them that ran the classic 1…N sweep: four silent TTLs under an
+	// echo reply ended the tail window, or probing began at TTL 1 (no
+	// atlas to take a start from, a hop adopted one or two hops out).
+	traceroutes       *obs.Counter
+	traceroutePackets *obs.Counter
+	tracerouteSweeps  *obs.Counter
 
 	// vpFailover counts probes redirected to another vantage point after
 	// the planned VP was observed inside a blackout window. deadVPHits
@@ -102,6 +104,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		spoofSweepsSilent:       reg.Counter("engine_spoof_sweeps_silent_total"),
 		cacheRRNegativeHits:     reg.Counter("engine_cache_rr_negative_hits_total"),
 		traceroutes:             reg.Counter("engine_traceroutes_total"),
+		traceroutePackets:       reg.Counter("engine_traceroute_packets_total"),
 		tracerouteSweeps:        reg.Counter("engine_traceroute_sweeps_total"),
 		vpFailover:              reg.Counter("vp_failover_total"),
 		deadVPHits:              reg.Counter("engine_dead_vp_hits_total"),

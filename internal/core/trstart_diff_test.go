@@ -9,82 +9,121 @@ import (
 	"revtr/internal/atlas"
 	"revtr/internal/core"
 	"revtr/internal/ip2as"
+	"revtr/internal/netsim/ipv4"
 	"revtr/internal/obs"
 )
 
-// TestTracerouteStartDifferential: starting the symmetry-stage
-// traceroute at the source's atlas-median TTL instead of TTL 1 changes
-// what a measurement costs in traceroute packets and nothing else. Every
-// pair is measured by two engines over the same world — one whose
-// sources carry the atlas's own MedianHops, one whose sources carry the
-// same atlas with MedianHops zeroed (start at TTL 1) — and status, hop
-// list and the Record Route columns must match pair for pair.
+// TestTracerouteStartDifferential: where the symmetry-stage traceroute
+// starts probing changes what a measurement costs in traceroute packets
+// and nothing else. Every pair is measured four ways over the same world,
+// each by an engine of its own, dearest first: "classic" forces every
+// traceroute Pending to TTL 1 (the machines are hand-driven: the start is
+// fixed in the Pending, so the test can overrule it); "no-median" is the
+// engine as it is over an atlas whose MedianHops is zeroed — the first
+// traceroute sweeps, the rest chain; "median" forces the atlas's
+// MedianHops on every one; "chained" is the engine as it is. Status, hop
+// list and the Record Route columns must match the classic run pair for
+// pair, and each variant must send fewer packets than the one before.
 func TestTracerouteStartDifferential(t *testing.T) {
 	h, _ := newHarness(t, nil)
 	env := h.env
 	svc := atlas.NewService(env.Prober, env.Probes, atlas.FixedSites(env.Sites), env.Alias, 25, true, 8)
-	var tail, whole []core.Source
+	type variant struct {
+		name     string
+		start    func(at *atlas.Atlas) int // the start forced on every traceroute; nil: the machine's own
+		noMedian bool
+		eng      *core.Engine
+		reg      *obs.Registry
+		sources  []core.Source
+		packets  uint64
+	}
+	variants := []*variant{
+		{name: "classic", start: func(*atlas.Atlas) int { return 1 }},
+		{name: "no-median", noMedian: true},
+		{name: "median", start: func(at *atlas.Atlas) int { return at.MedianHops }},
+		{name: "chained"},
+	}
 	for i := 0; i < 4; i++ {
 		a := env.Agent(env.SourceHost(i * 5))
 		at := svc.BuildFor(a)
 		if at.MedianHops < 2 {
 			t.Fatalf("source %s: MedianHops = %d, no tail to start at", a.Addr, at.MedianHops)
 		}
-		fromOne := *at // shares the (read-only) entries and indexes
-		fromOne.MedianHops = 0
-		tail = append(tail, core.Source{Agent: a, Atlas: at})
-		whole = append(whole, core.Source{Agent: a, Atlas: &fromOne})
+		noMedian := *at // shares the (read-only) entries and indexes
+		noMedian.MedianHops = 0
+		for _, v := range variants {
+			src := core.Source{Agent: a, Atlas: at}
+			if v.noMedian {
+				src.Atlas = &noMedian
+			}
+			v.sources = append(v.sources, src)
+		}
 	}
-	engine := func() (*core.Engine, *obs.Registry) {
-		eng := core.NewEngine(env.Fabric, env.Pool, h.ing, env.Sites, env.Alias,
+	for _, v := range variants {
+		v.eng = core.NewEngine(env.Fabric, env.Pool, h.ing, env.Sites, env.Alias,
 			ip2as.Origin{Topo: env.Topo}, nil, core.Revtr20Options())
-		reg := obs.New()
-		eng.SetMetrics(core.NewMetrics(reg))
-		return eng, reg
+		v.reg = obs.New()
+		v.eng.SetMetrics(core.NewMetrics(v.reg))
 	}
-	tailEng, tailReg := engine()
-	wholeEng, wholeReg := engine()
 	var text strings.Builder
-	if err := tailReg.WriteText(&text); err != nil {
+	if err := variants[0].reg.WriteText(&text); err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range []string{"engine_traceroutes_total 0\n", "engine_traceroute_sweeps_total 0\n"} {
+	for _, line := range []string{"engine_traceroutes_total 0\n", "engine_traceroute_sweeps_total 0\n", "engine_traceroute_packets_total 0\n"} {
 		if !strings.Contains(text.String(), line) {
 			t.Fatalf("/metrics before any measurement lacks %q", line)
 		}
 	}
+	measure := func(v *variant, si int, dst ipv4.Addr) *core.Result {
+		mm := v.eng.Begin(context.Background(), v.sources[si], dst)
+		for p := mm.Next(); p != nil; p = mm.Next() {
+			if p.Kind == core.PendingTraceroute && v.start != nil {
+				p.Start = v.start(v.sources[si].Atlas)
+			}
+			mm.Deliver(v.eng.ExecPending(mm.Context(), p))
+		}
+		return mm.Result()
+	}
 
 	pairs := 0
-	var tailPkts, wholePkts uint64
-	for si := range tail {
+	for si := range variants[0].sources {
 		for i := 0; i < 130; i++ {
-			dst := env.ResponsiveHost(i, tail[si].Agent.AS)
+			dst := env.ResponsiveHost(i, variants[0].sources[si].Agent.AS)
 			if dst == nil {
 				break
 			}
 			pairs++
-			got := tailEng.MeasureReverse(context.Background(), tail[si], dst.Addr)
-			want := wholeEng.MeasureReverse(context.Background(), whole[si], dst.Addr)
-			if got.Status != want.Status || !reflect.DeepEqual(got.Hops, want.Hops) ||
-				got.Probes.RR != want.Probes.RR || got.Probes.SpoofRR != want.Probes.SpoofRR {
-				t.Fatalf("%s→%s: start %d vs start 1 diverge:\n%s\n%s", tail[si].Agent.Addr, dst.Addr,
-					tail[si].Atlas.MedianHops, renderCoreResult(got), renderCoreResult(want))
+			var want *core.Result
+			for _, v := range variants {
+				got := measure(v, si, dst.Addr)
+				if want == nil {
+					want = got
+				}
+				if got.Status != want.Status || !reflect.DeepEqual(got.Hops, want.Hops) ||
+					got.Probes.RR != want.Probes.RR || got.Probes.SpoofRR != want.Probes.SpoofRR {
+					t.Fatalf("%s→%s: %s and %s diverge:\n%s\n%s", v.sources[si].Agent.Addr, dst.Addr,
+						v.name, variants[0].name, renderCoreResult(got), renderCoreResult(want))
+				}
+				v.packets += got.Probes.Traceroute
 			}
-			tailPkts += got.Probes.Traceroute
-			wholePkts += want.Probes.Traceroute
 		}
 	}
 	if pairs < 500 {
 		t.Fatalf("only %d pairs measured, want >= 500", pairs)
 	}
-	issued := tailReg.Counter("engine_traceroutes_total").Value()
-	swept := tailReg.Counter("engine_traceroute_sweeps_total").Value()
-	if wi, ws := wholeReg.Counter("engine_traceroutes_total").Value(), wholeReg.Counter("engine_traceroute_sweeps_total").Value(); wi != issued || ws != wi {
-		t.Fatalf("start 1: %d traceroutes, %d sweeps; the tail engine issued %d", wi, ws, issued)
+	issued := variants[0].reg.Counter("engine_traceroutes_total").Value()
+	for i, v := range variants {
+		n, swept := v.reg.Counter("engine_traceroutes_total").Value(), v.reg.Counter("engine_traceroute_sweeps_total").Value()
+		t.Logf("%-9s %d traceroutes, %d swept, %d packets", v.name, n, swept, v.packets)
+		if n != issued || v.reg.Counter("engine_traceroute_packets_total").Value() != v.packets {
+			t.Fatalf("%s: %d traceroutes of %d packets on /metrics; classic issued %d, the results sum to %d packets", v.name,
+				n, v.reg.Counter("engine_traceroute_packets_total").Value(), issued, v.packets)
+		}
+		if v.name == "classic" && swept != n {
+			t.Fatalf("classic: %d of %d traceroutes swept", swept, n)
+		}
+		if i > 0 && v.packets >= variants[i-1].packets {
+			t.Fatalf("%s saved nothing on %s: %d packets against %d", v.name, variants[i-1].name, v.packets, variants[i-1].packets)
+		}
 	}
-	if swept >= issued || tailPkts >= wholePkts {
-		t.Fatalf("the tail start saved nothing: %d of %d traceroutes swept, %d packets against %d", swept, issued, tailPkts, wholePkts)
-	}
-	t.Logf("%d pairs: %d traceroutes, %d fell back to the sweep; traceroute packets %d from the tail, %d from TTL 1",
-		pairs, issued, swept, tailPkts, wholePkts)
 }

@@ -215,15 +215,15 @@ type TracerouteHop struct {
 }
 
 // TracerouteResult is a Paris traceroute outcome. Hops is indexed by
-// TTL-1; a zero hop is a TTL that was silent or, below a tail window
+// TTL-1; a zero hop is a TTL that was silent or, in a tail window
 // (RunTraceroute with start > 1), never probed.
 type TracerouteResult struct {
 	Hops       []TracerouteHop
 	ReachedDst bool
 	RTTUS      int64 // total wall time of the traceroute
 	// Swept reports that the classic 1…N sweep produced the result: it was
-	// asked for (start 1), or the tail window met a TTL that did not
-	// answer.
+	// asked for (start 1), or the tail window found four silent TTLs in a
+	// row under an echo reply, where the sweep gives up.
 	Swept bool
 }
 

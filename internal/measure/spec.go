@@ -292,13 +292,18 @@ func issueTraceroutePkt(f *fabric.Fabric, sp Spec, nowUS int64) Reply {
 // start): start, start+1, … until the echo reply, then downwards only
 // until the result holds what a last-link reader needs — the TTL the
 // destination first answered at and the nearest responsive public hop
-// below it; TTLs never probed stay zero hops. The window is trusted only
-// when every TTL it probed answered. Any silence completes the classic
-// sweep over the replies already in hand, so no packet is sent twice and
-// every packet sent is bit-for-bit the one the sweep sends at that TTL.
-// One divergence from the sweep is admitted: a run of four silent TTLs
-// wholly below an answering window makes the sweep give up early, while
-// the window still reports the true last link.
+// below it; TTLs never probed stay zero hops. Silence does not end the
+// window. Going up it is skipped, and the fourth silent TTL in a row
+// gives up as the sweep does: the destination did not answer, and the
+// walk down finds the hop that stands in for it. Going down it is
+// skipped like a private hop. Only four silent TTLs in a row under an
+// echo reply — the sweep would have given up before it saw that reply —
+// complete the classic sweep over the replies already in hand. Either
+// way no packet is sent twice and every packet sent is bit-for-bit the
+// one the sweep sends at that TTL. One divergence from the sweep is
+// admitted: a run of four silent TTLs that begins below the lowest TTL
+// the window probed makes the sweep give up early, while the window,
+// which cannot see the whole run, still reports the true last link.
 func RunTraceroute(f *fabric.Fabric, a Agent, dst ipv4.Addr, nowUS int64, seqBase uint64, start int) (TracerouteResult, int) {
 	base := Spec{Kind: KindTraceroutePkt, VP: a, Dst: dst, Seq: seqBase}
 	return runTraceroute(base, start, func(sp Spec) Reply { return Issue(f, sp, nowUS) })
@@ -311,7 +316,7 @@ type ttlReply struct {
 }
 
 // ttlReplies holds the replies by TTL (index 0 unused), so the sweep
-// that follows an untrusted window reuses what the window saw.
+// that takes over from a window reuses what the window saw.
 type ttlReplies struct {
 	base  Spec // the probe at TTL t is base with TTL = t and Seq += t
 	issue func(Spec) Reply
@@ -345,35 +350,57 @@ func (r *ttlReplies) at(ttl int) *ttlReply {
 	return g
 }
 
-// window probes from start up to the echo reply and back down to the
-// nearest responsive public hop. It returns the TTL-indexed hops, or
-// false as soon as a TTL it probed did not answer.
-func (r *ttlReplies) window(start int) ([]TracerouteHop, bool) {
-	reached := min(start, MaxTracerouteTTL)
-	for g := r.at(reached); !g.echo; g = r.at(reached) {
-		if !g.hop.Responded || reached == MaxTracerouteTTL {
-			return nil, false
+// silentRun is the sweep's give-up rule: this many TTLs in a row that
+// delivered nothing. A reply that does not decode, or of an unexpected
+// ICMP type, is a zero hop but not silence.
+const silentRun = 4
+
+// window probes from start up to the echo reply or the sweep's give-up
+// point, and back down to the nearest responsive public hop. It returns
+// false where the sweep has to decide: the vantage point is dead, or the
+// sweep would have given up below an echo reply the window holds.
+func (r *ttlReplies) window(start int) (TracerouteResult, bool) {
+	top, reached := min(start, MaxTracerouteTTL), false
+	for silent := 0; ; top++ {
+		g := r.at(top)
+		if r.dead {
+			return TracerouteResult{}, false
 		}
-		reached++
-	}
-	// An echo reply at start itself may be an overshoot: the destination
-	// first answers at the lowest TTL that still draws one.
-	for ttl := reached - 1; ttl >= 1; ttl-- {
-		g := r.at(ttl)
-		if !g.hop.Responded {
-			return nil, false
+		if reached = g.echo; reached {
+			break
 		}
-		if g.echo {
-			reached = ttl
-		} else if !g.hop.Addr.IsPrivate() {
+		if silent = nextSilent(silent, g); silent == silentRun || top == MaxTracerouteTTL {
 			break
 		}
 	}
-	hops := make([]TracerouteHop, reached)
-	for i := range hops {
-		hops[i] = r.got[i+1].hop
+	// Down from top itself: it may be the hop that stands in. An echo reply
+	// may be an overshoot — the destination first answers at the lowest TTL
+	// that still draws one — and one may turn up under an upward walk that
+	// lost every reply it drew.
+	for ttl, silent := top, 0; ttl >= 1; ttl-- {
+		g := r.at(ttl)
+		if g.echo {
+			top, reached, silent = ttl, true, 0
+		} else if g.hop.Responded && !g.hop.Addr.IsPrivate() {
+			break
+		} else if silent = nextSilent(silent, g); silent == silentRun && reached {
+			return TracerouteResult{}, false
+		}
 	}
-	return hops, true
+	out := TracerouteResult{Hops: make([]TracerouteHop, top), ReachedDst: reached, RTTUS: r.rttUS}
+	for i := range out.Hops {
+		out.Hops[i] = r.got[i+1].hop
+	}
+	return out, true
+}
+
+// nextSilent is the length of the run of silent TTLs that ends at g, given
+// the length of the run that ended at its neighbour.
+func nextSilent(run int, g *ttlReply) int {
+	if g.delivered {
+		return 0
+	}
+	return run + 1
 }
 
 // runTraceroute is RunTraceroute over an abstract issue path (tests
@@ -381,24 +408,18 @@ func (r *ttlReplies) window(start int) ([]TracerouteHop, bool) {
 func runTraceroute(base Spec, start int, issue func(Spec) Reply) (TracerouteResult, int) {
 	r := ttlReplies{base: base, issue: issue}
 	if start > 1 {
-		if hops, ok := r.window(start); ok {
-			return TracerouteResult{Hops: hops, ReachedDst: true, RTTUS: r.rttUS}, r.sent
+		if out, ok := r.window(start); ok {
+			return out, r.sent
 		}
 	}
 	out := TracerouteResult{Swept: true}
-	for ttl, silent := 1, 0; ttl <= MaxTracerouteTTL && silent < 4 && !out.ReachedDst; ttl++ {
+	for ttl, silent := 1, 0; ttl <= MaxTracerouteTTL && silent < silentRun && !out.ReachedDst; ttl++ {
 		g := r.at(ttl)
 		if r.dead {
 			return TracerouteResult{}, 0
 		}
-		// Delivered but undecodable, or an unexpected ICMP type, is a zero
-		// hop too; only silence counts towards giving up.
 		out.Hops = append(out.Hops, g.hop)
-		if g.delivered {
-			silent = 0
-		} else {
-			silent++
-		}
+		silent = nextSilent(silent, g)
 		out.ReachedDst = g.echo
 	}
 	out.RTTUS = r.rttUS

@@ -77,6 +77,23 @@ func startCorpus(env *simtest.Env) (agents []measure.Agent, targets []ipv4.Addr)
 	return agents, targets
 }
 
+// parentPackets is the corpus's packet total for each start 1…12, by
+// seed and plan, measured on the parent of the change that let a window
+// walk through silence (any silent TTL then ran the whole sweep). The new
+// window must not cost more at any of them. Twelve is one and a half
+// times these worlds' median path length; far above the end of a path a
+// window pays for its start — it walks down every echo reply, or for a
+// target that does not answer every silent TTL, where the old sweep
+// walked up the short path — and the table the test logs shows how much.
+var parentPackets = map[string][12]int{
+	"seed1/clean":  {1408, 1258, 1116, 990, 868, 802, 768, 830, 944, 1074, 1242, 1422},
+	"seed1/faulty": {1126, 1118, 1090, 1081, 1066, 1024, 1019, 1089, 1200, 1286, 1323, 1390},
+	"seed2/clean":  {1710, 1547, 1394, 1259, 1150, 1057, 1035, 1018, 1080, 1124, 1263, 1424},
+	"seed2/faulty": {1494, 1485, 1482, 1476, 1442, 1439, 1476, 1492, 1509, 1570, 1646, 1703},
+	"seed3/clean":  {2083, 2035, 1993, 1840, 1601, 1313, 1237, 1201, 1208, 1263, 1328, 1403},
+	"seed3/faulty": {1735, 1728, 1722, 1714, 1700, 1666, 1666, 1707, 1774, 1829, 1895, 1953},
+}
+
 func TestTracerouteStartDifferential(t *testing.T) {
 	const seqBase = 5000
 	plans := []struct {
@@ -91,11 +108,12 @@ func TestTracerouteStartDifferential(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		for _, plan := range plans {
-			t.Run(fmt.Sprintf("seed%d/%s", seed, plan.name), func(t *testing.T) {
+			name := fmt.Sprintf("seed%d/%s", seed, plan.name)
+			t.Run(name, func(t *testing.T) {
 				env := simtest.NewFaulty(t, 300, seed, faults.MustParse(plan.spec))
 				agents, targets := startCorpus(env)
 				var packets [measure.MaxTracerouteTTL + 1]int
-				trusted, divergent := 0, 0
+				stood, swept, divergent := 0, 0, 0
 				for _, a := range agents {
 					for _, dst := range targets {
 						classic, classicSent := measure.RunTraceroute(env.Fabric, a, dst, plan.nowUS, seqBase, 1)
@@ -104,21 +122,8 @@ func TestTracerouteStartDifferential(t *testing.T) {
 						}
 						want := lastLinkOf(classic)
 						for start := 1; start <= measure.MaxTracerouteTTL; start++ {
-							var probed [measure.MaxTracerouteTTL + 1]bool
-							lowest := measure.MaxTracerouteTTL + 1
 							base := measure.Spec{Kind: measure.KindTraceroutePkt, VP: a, Dst: dst, Seq: seqBase}
-							tr, sent := measure.RunTracerouteVia(base, start, func(sp measure.Spec) measure.Reply {
-								ttl := int(sp.TTL)
-								want := base
-								want.TTL, want.Seq = sp.TTL, seqBase+uint64(ttl)
-								if ttl < 1 || ttl > measure.MaxTracerouteTTL || !reflect.DeepEqual(sp, want) {
-									t.Fatalf("start %d: issued %+v, the sweep's packet at that TTL is %+v", start, sp, want)
-								}
-								if probed[ttl] {
-									t.Fatalf("start %d: TTL %d sent twice", start, ttl)
-								}
-								probed[ttl] = true
-								lowest = min(lowest, ttl)
+							tr, sent, w := runWatched(t, base, start, func(sp measure.Spec) measure.Reply {
 								return measure.Issue(env.Fabric, sp, plan.nowUS)
 							})
 							packets[start] += sent
@@ -128,15 +133,23 @@ func TestTracerouteStartDifferential(t *testing.T) {
 							got := lastLinkOf(tr)
 							switch {
 							case tr.Swept:
-								// The sweep ran over the window's replies: the same hops.
+								// The sweep ran over the window's replies: the same hops,
+								// and it ran only because the window met four silent TTLs
+								// in a row.
 								if !reflect.DeepEqual(tr.Hops, classic.Hops) || tr.ReachedDst != classic.ReachedDst {
 									t.Fatalf("%s→%s start %d: swept result differs from the classic one:\n%+v\n%+v", a.Addr, dst, start, tr, classic)
 								}
+								if start > 1 {
+									swept++
+									if !w.silentRun {
+										t.Fatalf("%s→%s start %d: swept without a run of four silent TTLs:\n%+v", a.Addr, dst, start, tr)
+									}
+								}
 							case got == want:
-								trusted++
-							case !classic.ReachedDst && len(classic.Hops) < lowest:
-								// The admissible divergence: the sweep gave up on four
-								// silent TTLs wholly below a window that answered.
+								stood++
+							case !classic.ReachedDst && len(classic.Hops)-3 < w.lowest:
+								// The admissible divergence: the sweep gave up on a run of
+								// four silent TTLs that begins below what the window probed.
 								divergent++
 							default:
 								t.Fatalf("%s→%s start %d: last link %+v, classic %+v\n%+v\n%+v", a.Addr, dst, start, got, want, tr, classic)
@@ -144,8 +157,8 @@ func TestTracerouteStartDifferential(t *testing.T) {
 						}
 					}
 				}
-				if trusted == 0 {
-					t.Fatal("no window was ever trusted")
+				if stood == 0 {
+					t.Fatal("no window ever stood")
 				}
 				if plan.spec == "" && divergent != 0 {
 					t.Fatalf("%d divergences from the classic sweep on a clean plan", divergent)
@@ -154,11 +167,57 @@ func TestTracerouteStartDifferential(t *testing.T) {
 				for start := 1; start <= measure.MaxTracerouteTTL; start++ {
 					fmt.Fprintf(&sb, " %d:%d", start, packets[start])
 				}
-				t.Logf("%d pairs, %d trusted windows, %d admissible divergences; corpus packets by start:%s",
-					len(agents)*len(targets), trusted, divergent, sb.String())
+				for i, was := range parentPackets[name] {
+					if packets[i+1] > was {
+						t.Errorf("start %d: %d packets over the corpus, %d before windows walked through silence", i+1, packets[i+1], was)
+					}
+				}
+				t.Logf("%d pairs, %d windows stood, %d handed over to the sweep, %d admissible divergences; corpus packets by start:%s",
+					len(agents)*len(targets), stood, swept, divergent, sb.String())
 			})
 		}
 	}
+}
+
+// watch is what runWatched saw of one traceroute: how many probes were
+// issued, the lowest TTL among them, and whether four consecutive TTLs
+// drew nothing.
+type watch struct {
+	issued, lowest int
+	silentRun      bool
+}
+
+// runWatched runs the traceroute from start over issue and fails the
+// test unless every Spec it is handed is the sweep's packet at that TTL —
+// base with the TTL set and the sequence number advanced by it — and no
+// TTL is issued twice.
+func runWatched(t *testing.T, base measure.Spec, start int, issue func(measure.Spec) measure.Reply) (measure.TracerouteResult, int, watch) {
+	var probed, silent [measure.MaxTracerouteTTL + 1]bool
+	w := watch{lowest: measure.MaxTracerouteTTL + 1}
+	tr, sent := measure.RunTracerouteVia(base, start, func(sp measure.Spec) measure.Reply {
+		ttl := int(sp.TTL)
+		want := base
+		want.TTL, want.Seq = sp.TTL, base.Seq+uint64(ttl)
+		if ttl < 1 || ttl > measure.MaxTracerouteTTL || !reflect.DeepEqual(sp, want) {
+			t.Fatalf("start %d: issued %+v, the sweep's packet at that TTL is %+v", start, sp, want)
+		}
+		if probed[ttl] {
+			t.Fatalf("start %d: TTL %d sent twice", start, ttl)
+		}
+		probed[ttl] = true
+		w.issued++
+		w.lowest = min(w.lowest, ttl)
+		rep := issue(sp)
+		silent[ttl] = !rep.Delivered
+		return rep
+	})
+	for ttl, run := 1, 0; ttl <= measure.MaxTracerouteTTL; ttl++ {
+		if run++; !silent[ttl] {
+			run = 0
+		}
+		w.silentRun = w.silentRun || run == 4
+	}
+	return tr, sent, w
 }
 
 // FuzzTracerouteStart scripts the replies instead of walking a fabric: a
@@ -167,10 +226,11 @@ func TestTracerouteStartDifferential(t *testing.T) {
 // undecodable, and whose target answers or is lost, one choice per TTL.
 // For any start TTL the traceroute must issue each TTL at most once with
 // the sweep's sequence number, account exactly what it sent, return the
-// classic result whenever it swept, and otherwise show the classic last
-// link — or have skipped a run of silence the sweep gave up on below
-// the window. A dead vantage point costs one suppressed probe and
-// yields the zero result.
+// classic result whenever it swept — which it may only behind four
+// silent TTLs in a row — and otherwise show the classic last link, or
+// have missed the start of the run of silence the sweep gave up on. A
+// dead vantage point costs one suppressed probe and yields the zero
+// result.
 func FuzzTracerouteStart(f *testing.F) {
 	f.Add(uint8(1), uint8(6), false, []byte{})
 	f.Add(uint8(14), uint8(12), false, []byte{0, 0, 1, 0})
@@ -179,6 +239,11 @@ func FuzzTracerouteStart(f *testing.F) {
 	f.Add(uint8(40), uint8(3), false, []byte{3, 0, 0, 2})
 	f.Add(uint8(12), uint8(0), false, []byte{0, 0, 2})
 	f.Add(uint8(200), uint8(41), true, []byte{})
+	// Walks up into MaxTracerouteTTL on a hop that answers, above a run of
+	// four silent TTLs: that hop stands in, not one under the run.
+	f.Add(uint8(43), uint8(41), false, []byte("000000000000000000000000000000000002222"))
+	f.Add(uint8(6), uint8(8), false, []byte{0, 0, 0, 2, 2, 2, 2, 0})
+	f.Add(uint8(9), uint8(5), false, []byte{0, 0, 0, 0, 0, 2, 2, 2, 2})
 
 	const seqBase = 77
 	dst := ipv4.MustParseAddr("9.9.9.9")
@@ -210,33 +275,19 @@ func FuzzTracerouteStart(f *testing.F) {
 			return rep
 		}
 		base := measure.Spec{Kind: measure.KindTraceroutePkt, Dst: dst, Seq: seqBase}
-		run := func(start int) (measure.TracerouteResult, int, int) {
-			var probed [measure.MaxTracerouteTTL + 1]bool
-			issued, lowest := 0, measure.MaxTracerouteTTL+1
-			tr, sent := measure.RunTracerouteVia(base, start, func(sp measure.Spec) measure.Reply {
-				ttl := int(sp.TTL)
-				if ttl < 1 || ttl > measure.MaxTracerouteTTL || sp.Seq != seqBase+uint64(ttl) || sp.Dst != dst {
-					t.Fatalf("start %d: issued %+v", start, sp)
-				}
-				if probed[ttl] {
-					t.Fatalf("start %d: TTL %d sent twice", start, ttl)
-				}
-				probed[ttl] = true
-				issued++
-				lowest = min(lowest, ttl)
-				return reply(ttl)
-			})
+		run := func(start int) (measure.TracerouteResult, int, watch) {
+			tr, sent, w := runWatched(t, base, start, func(sp measure.Spec) measure.Reply { return reply(int(sp.TTL)) })
 			if dead {
-				if issued != 1 || sent != 0 || !reflect.DeepEqual(tr, measure.TracerouteResult{}) {
-					t.Fatalf("start %d, dead VP: %d issued, %d sent, result %+v", start, issued, sent, tr)
+				if w.issued != 1 || sent != 0 || !reflect.DeepEqual(tr, measure.TracerouteResult{}) {
+					t.Fatalf("start %d, dead VP: %d issued, %d sent, result %+v", start, w.issued, sent, tr)
 				}
-			} else if sent != issued {
-				t.Fatalf("start %d: %d sent, %d issued", start, sent, issued)
+			} else if sent != w.issued {
+				t.Fatalf("start %d: %d sent, %d issued", start, sent, w.issued)
 			}
-			return tr, sent, lowest
+			return tr, sent, w
 		}
 		classic, classicSent, _ := run(1)
-		tr, sent, lowest := run(int(start))
+		tr, sent, w := run(int(start))
 		switch {
 		case dead:
 		case start <= 1:
@@ -247,8 +298,11 @@ func FuzzTracerouteStart(f *testing.F) {
 			if !reflect.DeepEqual(tr.Hops, classic.Hops) || tr.ReachedDst != classic.ReachedDst {
 				t.Fatalf("start %d: swept result %+v, classic %+v", start, tr, classic)
 			}
+			if !w.silentRun {
+				t.Fatalf("start %d: swept without a run of four silent TTLs: %+v", start, tr)
+			}
 		case lastLinkOf(tr) == lastLinkOf(classic):
-		case !classic.ReachedDst && len(classic.Hops) < lowest:
+		case !classic.ReachedDst && len(classic.Hops)-3 < w.lowest:
 		default:
 			t.Fatalf("start %d: last link %+v, classic %+v\n%+v\n%+v", start, lastLinkOf(tr), lastLinkOf(classic), tr, classic)
 		}
