@@ -10,13 +10,15 @@ import (
 	"revtr/internal/core"
 	"revtr/internal/measure"
 	"revtr/internal/netsim/topology"
+	"revtr/internal/probe"
 )
 
 // TestProbeCountGate pins the paper's currency in tier-1: two fixed
 // slices of the benchmark's world — 1000 ASes, 30 sites, seed 31 — each
 // measured serially by one revtr 2.0 engine of its own, must cost exactly
 // these packets per kind, these spoofed batches and this much virtual
-// time (§5.2.4's currency: 10 s per batch), and end in exactly these
+// time (§5.2.4's currency: 10 s per batch short of a reply, the slowest
+// round trip of one that holds them all), and end in exactly these
 // states. The counts are a pure function of the seed; a change that moves
 // one of them is a change to what a reverse traceroute costs or finds,
 // and says so here by editing the want row.
@@ -70,18 +72,23 @@ func TestProbeCountGate(t *testing.T) {
 		// hop a symmetry assumption adopted starts where that hop answered)
 		// moved Traceroute 772 -> 409 and virtual time by the traceroutes'
 		// RTT sums alone, 2420393092 on its parent; no batch moved.
+		// PR 20 (a spoofed batch that holds a reply to every request ends
+		// at the last one) moved virtual time alone, from 2409137809 on its
+		// parent; topped up to the timeout again (waitOutUS) it is that
+		// number still, so nothing but the wait changed.
 		{"distinct", func(si int) []*topology.Host { return pick(si*29, 8, srcs[si]) },
 			countRow{rr: 229, spoofRR: 642, traceroute: 409, complete: 38, aborted: 24, failed: 2,
-				spoofBatches: 238, virtualUS: 2409137809}},
+				spoofBatches: 238, virtualUS: 390963308, waitOutUS: 2409137809}},
 		// Added with PR 18 and measured on its parent first: RR 445,
 		// SpoofRR 1395, Traceroute 1589, 86 / 40 / 2, 530 batches over
 		// 5388293358 virtual us. Every destination is stuck on the same few
 		// hops for all eight sources, and seven of them now read what the
 		// first one's sweep settled. PR 19 moved Traceroute 1516 -> 797 and
-		// virtual time from 3126401283, as above.
+		// virtual time from 3126401283, as above; PR 20 virtual time from
+		// 3106024832, which waitOutUS still reads.
 		{"shared", func(int) []*topology.Host { return shared },
 			countRow{rr: 426, spoofRR: 754, traceroute: 797, complete: 88, aborted: 38, failed: 2,
-				spoofBatches: 304, virtualUS: 3106024832}},
+				spoofBatches: 304, virtualUS: 321610590, waitOutUS: 3106024832}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := d.Engine(core.Revtr20Options())
@@ -90,10 +97,21 @@ func TestProbeCountGate(t *testing.T) {
 			before := d.Pool.Counters()
 			for si, src := range srcs {
 				for _, dst := range tc.dests(si) {
-					res := eng.MeasureReverse(context.Background(), src, dst.Addr)
+					// MeasureReverse's own loop, seeing each spoofed batch: one
+					// that holds every reply is topped up to the timeout.
+					mm := eng.Begin(context.Background(), src, dst.Addr)
+					for p := mm.Next(); p != nil; p = mm.Next() {
+						dl := eng.ExecPending(mm.Context(), p)
+						if p.Spoofed && holdsEveryReply(dl.Batch) {
+							got.waitOutUS += eng.Opts.SpoofTimeoutUS - dl.Batch.MaxRTTUS
+						}
+						mm.Deliver(dl)
+					}
+					res := mm.Result()
 					sum = sum.Add(res.Probes)
 					got.spoofBatches += res.SpoofBatches
 					got.virtualUS += res.DurationUS
+					got.waitOutUS += res.DurationUS
 					switch res.Status {
 					case core.StatusComplete:
 						got.complete++
@@ -115,12 +133,22 @@ func TestProbeCountGate(t *testing.T) {
 	}
 }
 
+// holdsEveryReply reports whether a delivered spoofed-RR batch has a reply
+// to each of its requests, so that nothing was left to wait for.
+func holdsEveryReply(b probe.Batch) bool {
+	return !slices.ContainsFunc(b.Replies, func(r measure.Reply) bool { return !r.RR.Responded })
+}
+
 // countRow is one slice's cost and outcome.
 type countRow struct {
 	rr, spoofRR, traceroute   uint64
 	complete, aborted, failed int
 	spoofBatches              int
 	virtualUS                 int64
+	// waitOutUS is virtualUS with every spoofed batch that held all its
+	// replies topped up to the timeout: what the slice cost when every
+	// batch waited it out.
+	waitOutUS int64
 }
 
 // diff renders got against want, a line per column.
@@ -138,5 +166,6 @@ func (got countRow) diff(want countRow) string {
 	line("failed", int64(got.failed), int64(want.failed))
 	line("batches", int64(got.spoofBatches), int64(want.spoofBatches))
 	line("virtual us", got.virtualUS, want.virtualUS)
+	line("waited out", got.waitOutUS, want.waitOutUS)
 	return sb.String()
 }

@@ -175,43 +175,51 @@ func TestDBRDetectionCostsProbes(t *testing.T) {
 }
 
 // TestDBRFallbackIsASpoofedBatch: the spoofed probes the redundancy check
-// falls back to are a spoofed batch like any other — the measurement
-// waits out SpoofTimeoutUS for them and counts them in SpoofBatches. (They
-// used to be charged the batch's largest RTT and not counted, though the
-// pending was marked Spoofed.)
+// falls back to are a spoofed batch like any other — counted in
+// SpoofBatches and made to wait like one: out the timeout when a reply is
+// missing, until the last reply otherwise. (They used to be charged the
+// batch's largest RTT whatever came back and not counted, though the
+// pending was marked Spoofed.) Driven by hand, every spoofed delivery
+// classed as it goes by: DurationUS is at least a timeout per batch short
+// of a reply plus the slowest round trip of each complete one.
 func TestDBRFallbackIsASpoofedBatch(t *testing.T) {
 	opts := core.Revtr20Options()
 	opts.DetectDBRViolations = true
 	env, eng, src := dbrHarness(t, 0.1, opts)
-	fallbacks := 0
+	var all waitLedger                               // every spoofed batch
+	fb := waitLedger{timeoutUS: opts.SpoofTimeoutUS} // the fallbacks alone
 	for i := 0; i < 40; i++ {
 		dst := env.ResponsiveHost(i, src.Agent.AS)
 		if dst == nil {
 			break
 		}
-		spoofed, afterRepeats := 0, false
-		mm := eng.Begin(context.Background(), src, dst.Addr)
-		for p := mm.Next(); p != nil; p = mm.Next() {
-			if p.Spoofed {
-				spoofed++
-				if afterRepeats {
-					fallbacks++
-				}
+		l := waitLedger{timeoutUS: opts.SpoofTimeoutUS}
+		afterRepeats := false
+		res := driveSeeing(context.Background(), eng, src, dst.Addr, func(p *core.Pending, d core.Delivery) {
+			l.see(p, d)
+			if p.Spoofed && afterRepeats {
+				fb.see(p, d)
 			}
 			// The redundancy check's direct repeats are the only direct
 			// batch of more than one request.
 			afterRepeats = !p.Spoofed && len(p.Reqs) > 1
-			mm.Deliver(eng.ExecPending(mm.Context(), p))
-		}
-		res := mm.Result()
+		})
+		spoofed := l.complete + l.short
 		if res.SpoofBatches != spoofed {
 			t.Errorf("dst %s: SpoofBatches = %d, the measurement suspended on %d spoofed batches", dst.Addr, res.SpoofBatches, spoofed)
 		}
-		if floor := int64(spoofed) * opts.SpoofTimeoutUS; res.DurationUS < floor {
-			t.Errorf("dst %s: DurationUS = %d, below the %d that %d spoofed batches wait out", dst.Addr, res.DurationUS, floor, spoofed)
+		if floor := l.spoofWaitUS(); res.DurationUS < floor {
+			t.Errorf("dst %s: DurationUS = %d, below the %d that %d batches short of a reply and %d complete ones waited",
+				dst.Addr, res.DurationUS, floor, l.short, l.complete)
 		}
+		all.add(l)
 	}
-	if fallbacks == 0 {
+	t.Logf("spoofed batches: %d complete, %d short of a reply; of them fallbacks: %d complete, %d short",
+		all.complete, all.short, fb.complete, fb.short)
+	if fb.complete+fb.short == 0 {
 		t.Fatal("no redundancy check fell back to spoofed probes: the test exercises nothing")
+	}
+	if all.complete == 0 || all.short == 0 {
+		t.Fatalf("spoofed batches: %d complete, %d short of a reply; want some of each", all.complete, all.short)
 	}
 }

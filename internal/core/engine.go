@@ -60,8 +60,9 @@ type Result struct {
 
 	// Probes is the packet budget this measurement consumed.
 	Probes measure.Counters
-	// DurationUS is the virtual wall-clock cost (spoofed batches wait
-	// out a 10 s timeout each, §5.2.4).
+	// DurationUS is the virtual wall-clock cost: answered probes' round
+	// trips and, per spoofed batch (SpoofBatches), its slowest one — or the
+	// 10 s timeout when a reply is missing (§5.2.4; Machine.spoofWait).
 	DurationUS   int64
 	SpoofBatches int
 

@@ -3,10 +3,11 @@ package core
 // The resumable measurement state machine. A reverse traceroute is an
 // explicit state record (Machine) that advances through the Fig 2
 // control flow with pure compute steps and *suspends* whenever it needs
-// probe results — most importantly across the 10 s spoofed-batch
-// timeout that dominates measurement latency (§5.2.4). While suspended
-// a measurement costs memory, not a parked goroutine, so one process
-// can keep tens of thousands in flight.
+// probe results — most importantly across a spoofed batch, which is over
+// when its last reply lands at the source or, short of one, at the 10 s
+// timeout where measurement latency goes (§5.2.4; spoofWait). While
+// suspended a measurement costs memory, not a parked goroutine, so one
+// process can keep tens of thousands in flight.
 //
 // The protocol is pull/push:
 //
@@ -63,8 +64,9 @@ type Pending struct {
 	// Probe-batch work (Kind == PendingProbes).
 	Reqs   []probe.Request
 	Policy probe.RetryPolicy
-	// Spoofed marks a spoofed-RR batch: the suspension points that wait
-	// out the SpoofTimeoutUS window and dominate measurement latency.
+	// Spoofed marks a batch of spoofed probes (an RR sweep's, the DBR
+	// check's fallbacks, revtr 1.0's spoofed Timestamp): the suspension
+	// points Machine.spoofWait charges, where measurement latency goes.
 	Spoofed bool
 
 	// Traceroute work (Kind == PendingTraceroute). Start is the TTL
@@ -752,8 +754,24 @@ func (mm *Machine) stepSpoofNext() {
 	}
 	sp.vps = vps
 	mm.rev.batches++
-	mm.rev.elapsedUS += e.Opts.SpoofTimeoutUS
 	mm.suspendProbes(reqs, true, phSpoofWait)
+}
+
+// spoofWait is the virtual time the measurement waited on the delivered
+// spoofed batch b. Every probe has an identity and its reply lands at the
+// source being measured for, so a batch that holds a reply to every
+// request is over when the slowest one landed (MaxRTTUS, retry backoff
+// included). A request without one — silent, lost, never sent, its vantage
+// point dead — may yet be answered, and the batch waits out the timeout.
+func (mm *Machine) spoofWait(b probe.Batch) int64 {
+	short := slices.ContainsFunc(b.Replies, func(rep measure.Reply) bool {
+		return !rep.RR.Responded && !rep.TS.Responded
+	})
+	if !short && b.MaxRTTUS < mm.e.Opts.SpoofTimeoutUS {
+		return b.MaxRTTUS
+	}
+	mm.e.metrics.spoofBatchTimeouts.Inc()
+	return mm.e.Opts.SpoofTimeoutUS
 }
 
 // shareVerdicts records what a spoofed batch settled about cur for every
@@ -770,6 +788,7 @@ func (mm *Machine) shareVerdicts(far []ipv4.Addr, silent bool) {
 // silent-batch exit and the MaxSpoofVPs budget.
 func (mm *Machine) onSpoofBatch(b probe.Batch) {
 	mm.m.count = mm.m.count.Add(b.Sent)
+	mm.rev.elapsedUS += mm.spoofWait(b)
 	e, src, cur := mm.e, mm.src, mm.cur
 	sp := &mm.spoof
 	deadHere := 0
@@ -910,12 +929,12 @@ func (mm *Machine) onDBRDirect(b probe.Batch) {
 }
 
 // onDBRFallback digests the spoofed DBR fallbacks: one spoofed batch,
-// which waits out the spoof timeout like any other.
+// which waits like any other (spoofWait).
 func (mm *Machine) onDBRFallback(b probe.Batch) {
 	mm.m.count = mm.m.count.Add(b.Sent)
 	e, cur := mm.e, mm.cur
 	d := &mm.dbr
-	d.elapsedUS += e.Opts.SpoofTimeoutUS
+	d.elapsedUS += mm.spoofWait(b)
 	mm.res.SpoofBatches++
 	for i, rep := range b.Replies {
 		if rep.VPDead {
@@ -1015,21 +1034,23 @@ func (mm *Machine) onTSDirect(b probe.Batch) {
 			mm.suspendProbes([]probe.Request{
 				{Kind: measure.KindSpoofedTS, VP: site, Src: src.Agent.Addr, Dst: cur,
 					Prespec: []ipv4.Addr{cur, t.adj}, Seq: mm.m.next()},
-			}, false, phTSSpoofWait)
+			}, true, phTSSpoofWait)
 			return
 		}
 	}
 	mm.evalTS(ts)
 }
 
-// onTSSpoof digests the spoofed Timestamp fallback.
+// onTSSpoof digests the spoofed Timestamp fallback: a spoofed batch of
+// one, which waits like any other (spoofWait).
 func (mm *Machine) onTSSpoof(b probe.Batch) {
 	mm.m.count = mm.m.count.Add(b.Sent)
 	rep := b.Replies[0]
 	if rep.VPDead {
 		mm.vpDied(mm.ts.vp.Addr)
 	}
-	mm.ts.elapsedUS += rep.TS.RTTUS
+	mm.ts.elapsedUS += mm.spoofWait(b)
+	mm.res.SpoofBatches++
 	mm.evalTS(rep.TS)
 }
 

@@ -37,9 +37,11 @@ type Metrics struct {
 	failed    *obs.Counter
 	cancelled *obs.Counter
 
-	// spoofBatches counts spoofed-RR batches issued (each costs a
-	// 10 s timeout in virtual time, §5.2.4).
-	spoofBatches *obs.Counter
+	// spoofBatches counts spoofed batches issued; spoofBatchTimeouts
+	// those delivered short of a reply, which waited out SpoofTimeoutUS
+	// (the others cost their slowest round trip; Machine.spoofWait).
+	spoofBatches       *obs.Counter
+	spoofBatchTimeouts *obs.Counter
 	// spoofSweepsSilent counts spoofed sweeps ended at a batch no probe
 	// of which was answered, after a direct probe that was not either.
 	// cacheRRNegativeHits counts RR stages answered by an empty cache
@@ -82,8 +84,8 @@ type Metrics struct {
 	cacheEvictions *obs.Counter
 	cacheSize      *obs.Gauge
 
-	// virtualUS observes per-measurement virtual duration (spoof
-	// timeouts included); wallUS observes real wall-clock time from Begin
+	// virtualUS observes per-measurement virtual duration (spoofed-batch
+	// waits included); wallUS observes real wall-clock time from Begin
 	// to the terminal transition.
 	virtualUS *obs.Histogram
 	wallUS    *obs.Histogram
@@ -101,6 +103,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		cancelled: reg.Counter("engine_measure_cancelled_total"),
 
 		spoofBatches:            reg.Counter("engine_spoof_batches_total"),
+		spoofBatchTimeouts:      reg.Counter("engine_spoof_batch_timeouts_total"),
 		spoofSweepsSilent:       reg.Counter("engine_spoof_sweeps_silent_total"),
 		cacheRRNegativeHits:     reg.Counter("engine_cache_rr_negative_hits_total"),
 		traceroutes:             reg.Counter("engine_traceroutes_total"),

@@ -54,9 +54,10 @@ type Options struct {
 	// BatchSize is the number of spoofed VPs probed per round (3 in
 	// revtr 2.0, §5.3).
 	BatchSize int
-	// SpoofTimeoutUS is the wall-clock cost of each spoofed batch: the
-	// system cannot know when all spoofed replies have arrived, so it
-	// waits out a timeout (10 s, §5.2.4).
+	// SpoofTimeoutUS is the longest a spoofed batch waits (10 s, §5.2.4):
+	// the replies land at the source, which knows what it asked for, so a
+	// batch that holds them all is over at the last one and only a batch
+	// that is missing a reply waits this out (Machine.spoofWait).
 	SpoofTimeoutUS int64
 	// MaxSpoofVPs bounds the total vantage points tried per stuck hop.
 	MaxSpoofVPs int

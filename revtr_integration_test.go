@@ -199,22 +199,47 @@ func TestAbortedMeansInterdomain(t *testing.T) {
 	t.Logf("saw abort: %v (over %d attempts)", sawAbort, n)
 }
 
+// TestSpoofedBatchesCostTenSeconds: a spoofed batch short of a reply costs
+// the 10 s timeout; one that holds a reply to every request costs its
+// slowest round trip. Driven by hand so each spoofed delivery is classed
+// as it goes by, and both classes must turn up.
 func TestSpoofedBatchesCostTenSeconds(t *testing.T) {
 	d := buildSmall(t)
 	src := d.NewSource(d.PickSourceHost(5))
 	eng := d.Engine(core.Revtr20Options())
 	dests := d.OnePerPrefix()
+	const timeoutUS = 10_000_000
+	complete, timeouts := 0, 0
 	for i := 0; i < len(dests) && i < 200; i++ {
 		if dests[i].AS == src.Agent.AS {
 			continue
 		}
-		res := eng.MeasureReverse(context.Background(), src, dests[i].Addr)
-		if res.SpoofBatches > 0 {
-			if res.DurationUS < int64(res.SpoofBatches)*10_000_000 {
-				t.Fatalf("duration %dus < batches %d × 10s", res.DurationUS, res.SpoofBatches)
+		batches := 0
+		var floorUS int64
+		mm := eng.Begin(context.Background(), src, dests[i].Addr)
+		for p := mm.Next(); p != nil; p = mm.Next() {
+			dl := eng.ExecPending(mm.Context(), p)
+			if p.Spoofed {
+				batches++
+				if holdsEveryReply(dl.Batch) {
+					complete++
+					floorUS += dl.Batch.MaxRTTUS
+				} else {
+					timeouts++
+					floorUS += timeoutUS
+				}
 			}
-			return
+			mm.Deliver(dl)
+		}
+		res := mm.Result()
+		if res.SpoofBatches != batches {
+			t.Fatalf("%s: SpoofBatches = %d, the measurement suspended on %d spoofed batches", dests[i].Addr, res.SpoofBatches, batches)
+		}
+		if res.DurationUS < floorUS {
+			t.Fatalf("%s: duration %dus, below the %dus its %d spoofed batches waited", dests[i].Addr, res.DurationUS, floorUS, batches)
 		}
 	}
-	t.Skip("no measurement needed spoofed batches")
+	if complete == 0 || timeouts == 0 {
+		t.Fatalf("spoofed batches: %d complete, %d short of a reply; want some of each", complete, timeouts)
+	}
 }
