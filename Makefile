@@ -53,11 +53,16 @@ ci: fmt vet lint race bench benchcheck benchmod chaos fuzz soak cover loc
 # loc prints the number ROADMAP's consolidation round tracks: non-test Go
 # lines per package and in total, leaving out bench/ (a module of its
 # own) and the lint analyzers' testdata fixtures. CHANGES.md entries
-# quote this instead of hand counts; `make ci` ends with it.
+# quote this instead of hand counts; `make ci` ends with it, and fails
+# when the total is above LOC_CEILING — the total the last PR landed at.
+# A PR that adds lines says why and raises it; one that removes lines
+# lowers it to where it lands.
+LOC_CEILING = 22401
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs wc -l | \
-		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
-			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+		awk -v ceiling=$(LOC_CEILING) '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t; \
+				if (t > ceiling) { printf "non-test lines above LOC_CEILING (%d)\n", ceiling; exit 1 } }'
 
 # cover enforces a coverage floor on the segment store and on the TTL
 # cache under it: the store is shared mutable state spliced into other

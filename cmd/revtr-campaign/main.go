@@ -179,10 +179,3 @@ func main() {
 		_ = obsReg.WriteText(os.Stdout)
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -23,7 +23,7 @@ import (
 //
 // Expiry, the periodic sweep and the size cap are ttlcache's (DESIGN.md
 // "Virtual-time TTL cache contract"); every kind of entry lives in one
-// Cache so Options.CacheMaxEntries bounds them together. What this type
+// Cache so cacheMaxEntries bounds them together. What this type
 // adds is the lock that lets one engine serve concurrent measurements
 // and the hit/miss/eviction counts that flow into the engine's Metrics.
 type cache struct {
@@ -32,8 +32,9 @@ type cache struct {
 	metrics *Metrics // never nil: a zero Metrics until Engine.SetMetrics
 }
 
-// defaultCacheMaxEntries bounds each engine cache when Options does not.
-const defaultCacheMaxEntries = 1 << 16
+// cacheMaxEntries bounds an engine's cache, every kind of entry combined;
+// oldest entries are evicted past it.
+const cacheMaxEntries = 1 << 16
 
 // cacheKind is as wide as an address so cacheKey has no padding and the
 // map hashes and compares it as plain memory.
@@ -83,7 +84,7 @@ type cacheEntry struct {
 
 func newCache(ttlUS int64, maxEntries int) *cache {
 	if maxEntries <= 0 {
-		maxEntries = defaultCacheMaxEntries
+		maxEntries = cacheMaxEntries
 	}
 	return &cache{
 		c:       ttlcache.New[cacheKey, cacheEntry](ttlUS, maxEntries, cacheKeyLess),

@@ -35,44 +35,6 @@ func TestCacheTTLExpiry(t *testing.T) {
 	}
 }
 
-// TestAtlasMaxAge: entries older than AtlasMaxAgeUS are not used for
-// intersections.
-func TestAtlasMaxAge(t *testing.T) {
-	opts := core.Revtr20Options()
-	opts.AtlasMaxAgeUS = 1_000_000
-	opts.UseCache = false
-	h, eng := newHarness(t, &opts)
-
-	// Find a destination whose measurement uses the atlas.
-	for i := 0; i < 60; i++ {
-		dst := h.env.ResponsiveHost(i, h.src.Agent.AS)
-		if dst == nil {
-			break
-		}
-		res := eng.MeasureReverse(context.Background(), h.src, dst.Addr)
-		usedAtlas := false
-		for _, hop := range res.Hops {
-			if hop.Tech == core.TechTrIntersect {
-				usedAtlas = true
-			}
-		}
-		if !usedAtlas {
-			continue
-		}
-		// Age the world past the limit: the same measurement must no
-		// longer intersect (entries were measured at time 0).
-		h.env.Prober.Advance(5_000_000)
-		res2 := eng.MeasureReverse(context.Background(), h.src, dst.Addr)
-		for _, hop := range res2.Hops {
-			if hop.Tech == core.TechTrIntersect {
-				t.Fatal("stale atlas entry used despite AtlasMaxAgeUS")
-			}
-		}
-		return
-	}
-	t.Skip("no atlas-using measurement found")
-}
-
 // TestSuspectFlagConsistency: every "*"-flagged hop must actually sit
 // after an AS-level jump that is not a known adjacency (§5.2.2's
 // suspicious-link rule), and unflagged transitions must be adjacencies.

@@ -231,9 +231,7 @@ func TestChaosVPFailoverDegrades(t *testing.T) {
 		t.Skip("no spoof-capable non-source sites in this seed")
 	}
 	c.env.Fabric.SetFaults(plan)
-	o := core.Revtr20Options()
-	o.DeadVPTTLUS = 1 << 60 // never expires within the test's virtual horizon
-	eng, _ := c.engineOpts(4, probe.RetryPolicy{}, o)
+	eng, _ := c.engine(4, probe.RetryPolicy{})
 	reg := obs.New()
 	eng.SetMetrics(core.NewMetrics(reg))
 	for pass := 0; pass < 2; pass++ {
@@ -255,8 +253,9 @@ func TestChaosVPFailoverDegrades(t *testing.T) {
 		t.Skip("no measurement reached a spoofed stage under this seed")
 	}
 	// Serially issued batches are built after every prior delivery has
-	// been absorbed, so with the cache never expiring, a site can be
-	// caught dead at most once across the engine's whole lifetime.
+	// been absorbed, and the virtual clock stands still for the test, so no
+	// mark expires: a site can be caught dead at most once across the
+	// engine's whole lifetime.
 	if failovers > uint64(len(plan.Blackouts)) {
 		t.Fatalf("failover probes repeated: %d failovers recorded for %d blacked-out sites over %d measurements",
 			failovers, len(plan.Blackouts), 2*len(c.dsts))

@@ -60,9 +60,10 @@ type Result struct {
 
 	// Probes is the packet budget this measurement consumed.
 	Probes measure.Counters
-	// DurationUS is the virtual wall-clock cost: answered probes' round
-	// trips and, per spoofed batch (SpoofBatches), its slowest one — or the
-	// 10 s timeout when a reply is missing (§5.2.4; Machine.spoofWait).
+	// DurationUS is the virtual wall-clock cost, booked per suspension by
+	// Machine.Deliver: answered probes' round trips and, per spoofed batch
+	// (SpoofBatches), its slowest one — or the 10 s timeout when a reply is
+	// missing (§5.2.4; Machine.spoofWait).
 	DurationUS   int64
 	SpoofBatches int
 
@@ -131,8 +132,8 @@ func NewEngine(f *fabric.Fabric, pool *probe.Pool, ing *ingress.Service, sites [
 	return &Engine{
 		F: f, Pool: pool, Ingress: ing, Sites: sites,
 		Alias: res, Mapper: mapper, Adj: adj, Opts: opts,
-		cache:   newCache(opts.CacheTTLUS, opts.CacheMaxEntries),
-		deadVPs: newDeadVPCache(opts.DeadVPTTLUS),
+		cache:   newCache(opts.CacheTTLUS, cacheMaxEntries),
+		deadVPs: newDeadVPCache(),
 	}
 }
 
@@ -261,27 +262,21 @@ func (e *Engine) atlasLookup(src Source, cur ipv4.Addr, excludeAS int32) (atlas.
 	if x.ViaRRAlias && !e.Opts.UseRRAtlas {
 		return atlas.Intersection{}, false
 	}
-	if e.Opts.AtlasMaxAgeUS > 0 && e.Pool.Now()-x.Entry.MeasuredAtUS > e.Opts.AtlasMaxAgeUS {
-		return atlas.Intersection{}, false
-	}
 	return x, true
 }
 
 // revealed is the outcome of the RR step: the reverse hops the direct
-// probe (Fig 1b) or the spoofed sweep (Fig 1c–d) uncovered, the spoof
-// batches issued, and the virtual time spent. The sweep stops issuing
-// further batches once one reveals hops (batch-granular early exit,
-// which keeps probe counts deterministic — every launched batch runs to
-// completion). measured says the stage was probed, not answered from
+// probe (Fig 1b) or the spoofed sweep (Fig 1c–d) uncovered. The sweep
+// stops issuing further batches once one reveals hops (batch-granular
+// early exit, which keeps probe counts deterministic — every launched
+// batch runs to completion). measured says the stage was probed, not answered from
 // the cache, and that every probe it planned went out: the direct one
 // and every batch slot (a vantage point inside a blackout sends
 // nothing). See Machine.stepSpoofNext / Machine.onSpoofBatch.
 type revealed struct {
-	hops      []ipv4.Addr
-	tech      Technique
-	batches   int
-	elapsedUS int64
-	measured  bool
+	hops     []ipv4.Addr
+	tech     Technique
+	measured bool
 }
 
 // flagSuspects inserts "*" markers where the AS-level path crosses a link

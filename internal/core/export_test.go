@@ -2,6 +2,7 @@ package core
 
 import (
 	"revtr/internal/alias"
+	"revtr/internal/measure"
 	"revtr/internal/netsim/ipv4"
 )
 
@@ -19,6 +20,12 @@ func ExtractReverse(recorded []ipv4.Addr, target ipv4.Addr, res alias.Resolver) 
 func (e *Engine) Verdicts(hop ipv4.Addr) (farVPs []ipv4.Addr, silent bool) {
 	v := e.cache.verdicts(hop, e.Pool.Now())
 	return v.farVPs, v.silent
+}
+
+// Booked exposes what the machine has been charged so far — the three
+// books Deliver keeps — while it is still running.
+func (mm *Machine) Booked() (probes measure.Counters, durationUS int64, spoofBatches int) {
+	return mm.m.count, mm.res.DurationUS, mm.res.SpoofBatches
 }
 
 // Cursor exposes the hop the machine is measuring back from. Inside a

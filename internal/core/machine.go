@@ -7,7 +7,9 @@ package core
 // when its last reply lands at the source or, short of one, at the 10 s
 // timeout where measurement latency goes (§5.2.4; spoofWait). While
 // suspended a measurement costs memory, not a parked goroutine, so one
-// process can keep tens of thousands in flight.
+// process can keep tens of thousands in flight. What a suspension cost —
+// packets, virtual wait, spoofed-batch count — is booked by Deliver alone;
+// the phase handlers only decide.
 //
 // The protocol is pull/push:
 //
@@ -65,8 +67,9 @@ type Pending struct {
 	Reqs   []probe.Request
 	Policy probe.RetryPolicy
 	// Spoofed marks a batch of spoofed probes (an RR sweep's, the DBR
-	// check's fallbacks, revtr 1.0's spoofed Timestamp): the suspension
-	// points Machine.spoofWait charges, where measurement latency goes.
+	// check's fallbacks, revtr 1.0's spoofed Timestamp): Deliver books it
+	// as one of Result.SpoofBatches and charges it Machine.spoofWait, not
+	// its slowest round trip — where measurement latency goes.
 	Spoofed bool
 
 	// Traceroute work (Kind == PendingTraceroute). Start is the TTL
@@ -111,34 +114,28 @@ const (
 )
 
 // spoofState is the spoofed-RR sweep in progress: the ingress plan
-// cursor, the §5.3 spoof budget spent, the vantage points of the
-// in-flight batch (indexed in reply order), and whether the direct probe
-// that preceded the sweep drew a reply of any kind — a hop that left it
+// cursor, the §5.3 spoof budget spent, and whether the direct probe that
+// preceded the sweep drew a reply of any kind — a hop that left it
 // unanswered gets one batch to prove it answers option packets at all
 // (onSpoofBatch).
 type spoofState struct {
 	plan           []int // ingress order over Engine.Sites (shared, read-only)
 	cursor         int
 	tried          int
-	vps            []measure.Agent
 	directAnswered bool
 }
 
 // dbrState is an Appendix E redundancy check in progress.
 type dbrState struct {
-	observed  map[ipv4.Addr]bool
-	got       int
-	elapsedUS int64
-	fallback  []probe.Request
+	observed map[ipv4.Addr]bool
+	got      int
 }
 
 // tsState is the Timestamp adjacency sweep in progress.
 type tsState struct {
-	adjs      []ipv4.Addr
-	i, n      int
-	adj       ipv4.Addr
-	vp        measure.Agent // spoof VP of the in-flight spoofed-TS probe
-	elapsedUS int64
+	adjs []ipv4.Addr
+	i, n int
+	adj  ipv4.Addr
 }
 
 // Machine is one measurement's complete suspended state: current hop,
@@ -315,39 +312,54 @@ func (mm *Machine) Next() *Pending {
 // Deliver resumes a suspended machine with the outcome of its pending
 // probe work. It must be called exactly once per Pending returned by
 // Next; call Next afterwards to advance to the next suspension.
+//
+// It is also the one place a suspension is charged, before the phase
+// handler sees the replies: the packets sent, then the virtual time waited
+// — a traceroute's round trips, a direct batch's slowest reply (of one
+// probe: its own), a spoofed batch's spoofWait and its place in
+// SpoofBatches.
 func (mm *Machine) Deliver(d Delivery) {
 	if mm.finished || mm.pending == nil {
 		panic("core: Machine.Deliver without pending work")
 	}
 	p := mm.pending
 	mm.pending = nil
+	var waitUS int64
+	if p.Kind == PendingTraceroute {
+		mm.m.count.Traceroute += uint64(d.TrSent)
+		waitUS = d.Tr.RTTUS
+	} else {
+		mm.m.count = mm.m.count.Add(d.Batch.Sent)
+		waitUS = d.Batch.MaxRTTUS
+	}
 	if mm.m.ctx.Err() != nil && skippedByCancel(p, d) {
-		// The pool stopped launching on cancellation: the unsent
-		// requests carry zero-value replies (Sent == false) that the
-		// per-technique handlers would misread as "probed but silent",
-		// skewing coverage accounting. Charge only what was actually
-		// sent and terminate as cancelled, not as a technique failure.
-		if p.Kind == PendingTraceroute {
-			mm.m.count.Traceroute += uint64(d.TrSent)
-		} else {
-			mm.m.count = mm.m.count.Add(d.Batch.Sent)
-		}
+		// The pool stopped launching on cancellation: the unsent requests
+		// carry zero-value replies (Sent == false) that the handlers would
+		// misread as "probed but silent", skewing coverage accounting.
+		// Charged what was sent and nothing else, the measurement ends
+		// cancelled, not as a technique failure.
 		mm.failCancelled()
 		return
 	}
+	if p.Spoofed {
+		waitUS = mm.spoofWait(d.Batch)
+		mm.res.SpoofBatches++
+		mm.e.metrics.spoofBatches.Inc()
+	}
+	mm.res.DurationUS += waitUS
 	switch mm.ph {
 	case phRRWait:
 		mm.onRRDirect(d.Batch)
 	case phSpoofWait:
-		mm.onSpoofBatch(d.Batch)
+		mm.onSpoofBatch(p.Reqs, d.Batch)
 	case phDBRWait:
 		mm.onDBRDirect(d.Batch)
 	case phDBRFallbackWait:
-		mm.onDBRFallback(d.Batch)
+		mm.onDBRFallback(p.Reqs, d.Batch)
 	case phTSDirectWait:
 		mm.onTSDirect(d.Batch)
 	case phTSSpoofWait:
-		mm.onTSSpoof(d.Batch)
+		mm.onTSSpoof(p.Reqs, d.Batch)
 	case phTrWait:
 		mm.onTraceroute(d)
 	default:
@@ -398,9 +410,7 @@ func (mm *Machine) Clone() *Machine {
 	cp.visited = maps.Clone(mm.visited)
 	cp.m.dead = maps.Clone(mm.m.dead)
 	cp.rev.hops = slices.Clone(mm.rev.hops)
-	cp.spoof.vps = slices.Clone(mm.spoof.vps)
 	cp.dbr.observed = maps.Clone(mm.dbr.observed)
-	cp.dbr.fallback = slices.Clone(mm.dbr.fallback)
 	cp.ts.adjs = slices.Clone(mm.ts.adjs)
 	cp.segs = slices.Clone(mm.segs) // hop groups are built once and never mutated
 	if mm.pending != nil {
@@ -416,7 +426,7 @@ func (mm *Machine) Clone() *Machine {
 // dead-VP cache remembers a recent death from an earlier measurement.
 // The shared cache is deterministic under serial issuance (the
 // bit-identity suites vary worker counts, not issue order); under
-// concurrent issuance it is advisory — see Options.DeadVPTTLUS.
+// concurrent issuance it is advisory — see deadVPCache.
 func (mm *Machine) isDead(a ipv4.Addr) bool {
 	if mm.m.isDead(a) {
 		return true
@@ -549,7 +559,6 @@ func (mm *Machine) finishWith(st Status, reason string) {
 		kind, outcome = stream.KindFailed, m.failed
 	}
 	outcome.Inc()
-	m.spoofBatches.Add(uint64(mm.res.SpoofBatches))
 	m.virtualUS.Observe(mm.res.DurationUS)
 	m.wallUS.Observe(time.Since(mm.wallStart).Microseconds()) //revtr:wallclock engine wall-time metric, distinct from virtual probe time
 	m.cacheSize.Set(int64(mm.e.cache.size()))
@@ -679,10 +688,8 @@ func (mm *Machine) stepTop() {
 // onRRDirect handles the direct RR reply: adopt revealed hops, or set
 // up the spoofed sweep (Fig 1c–d).
 func (mm *Machine) onRRDirect(b probe.Batch) {
-	mm.m.count = mm.m.count.Add(b.Sent)
 	e, src, cur := mm.e, mm.src, mm.cur
 	rr := b.Replies[0].RR
-	mm.rev.elapsedUS += rr.RTTUS
 	mm.rev.measured = b.Replies[0].Sent
 	if rr.Responded {
 		if hops, _ := extractReverse(rr.Recorded, cur, e.Alias); len(hops) > 0 {
@@ -728,7 +735,6 @@ func (mm *Machine) stepSpoofNext() {
 		far = e.cache.verdicts(cur, e.Pool.Now()).farVPs
 	}
 	reqs := make([]probe.Request, 0, e.Opts.BatchSize)
-	vps := make([]measure.Agent, 0, e.Opts.BatchSize)
 	for sp.cursor < len(sp.plan) && len(reqs) < e.Opts.BatchSize {
 		site := e.Sites[sp.plan[sp.cursor]]
 		sp.cursor++
@@ -746,14 +752,11 @@ func (mm *Machine) stepSpoofNext() {
 			Kind: measure.KindSpoofedRR, VP: site,
 			Src: src.Agent.Addr, Dst: cur, Seq: mm.m.next(),
 		})
-		vps = append(vps, site)
 	}
 	if len(reqs) == 0 {
 		mm.ph = phAfterRR
 		return
 	}
-	sp.vps = vps
-	mm.rev.batches++
 	mm.suspendProbes(reqs, true, phSpoofWait)
 }
 
@@ -783,12 +786,10 @@ func (mm *Machine) shareVerdicts(far []ipv4.Addr, silent bool) {
 	}
 }
 
-// onSpoofBatch digests one spoofed batch: dead-VP failover, best
-// revelation so far, the vantage points it showed out of range, the
-// silent-batch exit and the MaxSpoofVPs budget.
-func (mm *Machine) onSpoofBatch(b probe.Batch) {
-	mm.m.count = mm.m.count.Add(b.Sent)
-	mm.rev.elapsedUS += mm.spoofWait(b)
+// onSpoofBatch digests one spoofed batch, reqs answered by b in order:
+// dead-VP failover, best revelation so far, the vantage points it showed
+// out of range, the silent-batch exit and the MaxSpoofVPs budget.
+func (mm *Machine) onSpoofBatch(reqs []probe.Request, b probe.Batch) {
 	e, src, cur := mm.e, mm.src, mm.cur
 	sp := &mm.spoof
 	deadHere := 0
@@ -800,7 +801,7 @@ func (mm *Machine) onSpoofBatch(b probe.Batch) {
 			// the next-closest VP in the ingress order instead of
 			// charging the attempt against the spoof budget. A stage a
 			// dead VP sat out was not fully measured (stepAfterRR).
-			mm.vpDied(sp.vps[i].Addr)
+			mm.vpDied(reqs[i].VP.Addr)
 			mm.rev.measured = false
 			deadHere++
 			continue
@@ -814,7 +815,7 @@ func (mm *Machine) onSpoofBatch(b probe.Batch) {
 			best = hops
 		}
 		if outOfRange(rep.RR.Recorded, marker) {
-			far = append(far, sp.vps[i].Addr)
+			far = append(far, reqs[i].VP.Addr)
 		}
 	}
 	mm.shareVerdicts(far, false)
@@ -847,16 +848,14 @@ func (mm *Machine) onSpoofBatch(b probe.Batch) {
 	mm.ph = phSpoofNext
 }
 
-// stepAfterRR closes the RR stage: charge its virtual time, re-check
-// cancellation, then adopt revealed hops (optionally after the DBR
-// redundancy check) or move on to Timestamp. A stage that was measured
-// in full and revealed nothing is cached as an empty entry, so the next
-// measurement of this source stuck on this hop skips the stage; one that
-// a dead vantage point (the source's included) or a cancellation cut
-// short is not — it says nothing about the hop once the fault is over.
+// stepAfterRR closes the RR stage: re-check cancellation, then adopt
+// revealed hops (optionally after the DBR redundancy check) or move on to
+// Timestamp. A stage that was measured in full and revealed nothing is
+// cached as an empty entry, so the next measurement of this source stuck
+// on this hop skips the stage; one that a dead vantage point (the source's
+// included) or a cancellation cut short is not — it says nothing about the
+// hop once the fault is over.
 func (mm *Machine) stepAfterRR() {
-	mm.res.DurationUS += mm.rev.elapsedUS
-	mm.res.SpoofBatches += mm.rev.batches
 	if mm.m.ctx.Err() != nil {
 		mm.failCancelled()
 		return
@@ -894,10 +893,8 @@ func (mm *Machine) beginDBR() {
 // onDBRDirect digests the direct DBR repeats; repeats whose direct
 // probe revealed nothing fall back to one spoofed probe each, batched.
 func (mm *Machine) onDBRDirect(b probe.Batch) {
-	mm.m.count = mm.m.count.Add(b.Sent)
 	e, src, cur := mm.e, mm.src, mm.cur
 	d := &mm.dbr
-	d.elapsedUS += b.MaxRTTUS
 	var order []int // stays empty for a hop in no BGP prefix
 	if pfx, ok := e.F.Topo.BGPPrefixOf(cur); ok {
 		order = e.Ingress.PlanFor(pfx, e.Opts.VPSelection).Order
@@ -921,7 +918,6 @@ func (mm *Machine) onDBRDirect(b probe.Batch) {
 		d.observed[hops[0]] = true
 	}
 	if len(fallback) > 0 {
-		d.fallback = fallback
 		mm.suspendProbes(fallback, true, phDBRFallbackWait)
 		return
 	}
@@ -930,15 +926,12 @@ func (mm *Machine) onDBRDirect(b probe.Batch) {
 
 // onDBRFallback digests the spoofed DBR fallbacks: one spoofed batch,
 // which waits like any other (spoofWait).
-func (mm *Machine) onDBRFallback(b probe.Batch) {
-	mm.m.count = mm.m.count.Add(b.Sent)
+func (mm *Machine) onDBRFallback(reqs []probe.Request, b probe.Batch) {
 	e, cur := mm.e, mm.cur
 	d := &mm.dbr
-	d.elapsedUS += mm.spoofWait(b)
-	mm.res.SpoofBatches++
 	for i, rep := range b.Replies {
 		if rep.VPDead {
-			mm.vpDied(d.fallback[i].VP.Addr)
+			mm.vpDied(reqs[i].VP.Addr)
 			continue
 		}
 		if hops, _ := extractReverse(rep.RR.Recorded, cur, e.Alias); len(hops) > 0 {
@@ -946,7 +939,6 @@ func (mm *Machine) onDBRFallback(b probe.Batch) {
 			d.observed[hops[0]] = true
 		}
 	}
-	d.fallback = nil
 	mm.finishDBR()
 }
 
@@ -954,10 +946,7 @@ func (mm *Machine) onDBRFallback(b probe.Batch) {
 // across 1+dbrRepeats samples means the repeats agreed with each other
 // against the original — a violator, not per-packet load balancing.
 func (mm *Machine) finishDBR() {
-	d := &mm.dbr
-	suspect := d.got > 0 && len(d.observed) == 2
-	mm.res.DurationUS += d.elapsedUS
-	mm.adoptRevealed(suspect)
+	mm.adoptRevealed(mm.dbr.got > 0 && len(mm.dbr.observed) == 2)
 }
 
 // adoptRevealed appends the RR-revealed hops to the result and decides
@@ -993,14 +982,14 @@ func (mm *Machine) stepTS() {
 	mm.ph = phTSNext
 }
 
+// maxTSAdjacencies bounds Timestamp probes per stuck hop.
+const maxTSAdjacencies = 10
+
 // stepTSNext issues the next tsprespec probe ⟨cur, adjacency⟩ (Fig 1e).
 func (mm *Machine) stepTSNext() {
-	e, cur := mm.e, mm.cur
+	cur := mm.cur
 	t := &mm.ts
-	for t.i < len(t.adjs) {
-		if t.n >= e.Opts.MaxTSAdjacencies {
-			break
-		}
+	for t.i < len(t.adjs) && t.n < maxTSAdjacencies {
 		adj := t.adjs[t.i]
 		t.i++
 		if adj.IsPrivate() || adj == cur {
@@ -1019,18 +1008,15 @@ func (mm *Machine) stepTSNext() {
 // onTSDirect digests a direct Timestamp reply; silent hops get one
 // spoofed try from a site (Table 4's spoof-TS).
 func (mm *Machine) onTSDirect(b probe.Batch) {
-	mm.m.count = mm.m.count.Add(b.Sent)
 	e, src, cur := mm.e, mm.src, mm.cur
 	t := &mm.ts
 	ts := b.Replies[0].TS
-	t.elapsedUS += ts.RTTUS
 	if !ts.Responded {
 		// Some hops only answer options probes arriving on other paths.
 		for _, site := range e.Sites {
 			if !site.CanSpoof || site.Addr == src.Agent.Addr || mm.isDead(site.Addr) {
 				continue
 			}
-			t.vp = site
 			mm.suspendProbes([]probe.Request{
 				{Kind: measure.KindSpoofedTS, VP: site, Src: src.Agent.Addr, Dst: cur,
 					Prespec: []ipv4.Addr{cur, t.adj}, Seq: mm.m.next()},
@@ -1043,14 +1029,11 @@ func (mm *Machine) onTSDirect(b probe.Batch) {
 
 // onTSSpoof digests the spoofed Timestamp fallback: a spoofed batch of
 // one, which waits like any other (spoofWait).
-func (mm *Machine) onTSSpoof(b probe.Batch) {
-	mm.m.count = mm.m.count.Add(b.Sent)
+func (mm *Machine) onTSSpoof(reqs []probe.Request, b probe.Batch) {
 	rep := b.Replies[0]
 	if rep.VPDead {
-		mm.vpDied(mm.ts.vp.Addr)
+		mm.vpDied(reqs[0].VP.Addr)
 	}
-	mm.ts.elapsedUS += mm.spoofWait(b)
-	mm.res.SpoofBatches++
 	mm.evalTS(rep.TS)
 }
 
@@ -1066,8 +1049,6 @@ func (mm *Machine) evalTS(ts measure.TSResult) {
 
 // tsDone closes the Timestamp stage, adopting next if it is new.
 func (mm *Machine) tsDone(next ipv4.Addr) {
-	mm.res.DurationUS += mm.ts.elapsedUS
-	mm.ts.elapsedUS = 0
 	if !next.IsZero() && !mm.visited[next] {
 		mm.advance(TechTS, next)
 		return
@@ -1109,13 +1090,12 @@ func (mm *Machine) stepSym() {
 		mm.ph = phTrWait
 		return
 	}
-	mm.classifyTraceroute(tr, 0)
+	mm.classifyTraceroute(tr)
 }
 
-// onTraceroute accounts a measured traceroute and classifies it.
+// onTraceroute counts and caches a measured traceroute and classifies it.
 func (mm *Machine) onTraceroute(d Delivery) {
 	e, src, cur := mm.e, mm.src, mm.cur
-	mm.m.count.Traceroute += uint64(d.TrSent)
 	// A traceroute that put nothing on the wire (cancelled, or the source
 	// inside a blackout) measured nothing: it is not counted as issued,
 	// and caching it would poison later measurements with an empty result.
@@ -1129,16 +1109,15 @@ func (mm *Machine) onTraceroute(d Delivery) {
 			e.cache.putTraceroute(cur, src.Agent.Addr, d.Tr, e.Pool.Now())
 		}
 	}
-	mm.classifyTraceroute(d.Tr, d.Tr.RTTUS)
+	mm.classifyTraceroute(d.Tr)
 }
 
 // classifyTraceroute is the last-link classification of penultimateHop
 // plus the symmetry policy decision. For the destination itself the
 // traceroute must actually reach it — a host that answered nothing
 // gives no evidence a reverse path exists at all.
-func (mm *Machine) classifyTraceroute(tr measure.TracerouteResult, elapsed int64) {
+func (mm *Machine) classifyTraceroute(tr measure.TracerouteResult) {
 	e, src, cur := mm.e, mm.src, mm.cur
-	mm.res.DurationUS += elapsed
 	requireReached := cur == mm.dst
 
 	var penult ipv4.Addr

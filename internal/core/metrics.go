@@ -37,9 +37,9 @@ type Metrics struct {
 	failed    *obs.Counter
 	cancelled *obs.Counter
 
-	// spoofBatches counts spoofed batches issued; spoofBatchTimeouts
-	// those delivered short of a reply, which waited out SpoofTimeoutUS
-	// (the others cost their slowest round trip; Machine.spoofWait).
+	// spoofBatches counts spoofed batches delivered; spoofBatchTimeouts
+	// those short of a reply, which waited out SpoofTimeoutUS (the others
+	// cost their slowest round trip). Both move where Deliver books one.
 	spoofBatches       *obs.Counter
 	spoofBatchTimeouts *obs.Counter
 	// spoofSweepsSilent counts spoofed sweeps ended at a batch no probe

@@ -32,7 +32,9 @@ const (
 	SymNever
 )
 
-// Options selects the engine configuration.
+// Options selects the engine configuration: what the paper's two systems
+// and Table 4's ablation vary. Bounds every configuration shares (cache
+// cap, dead-VP TTL, Timestamp probes per hop) are constants, not fields.
 type Options struct {
 	// VPSelection picks the spoofed-RR vantage point policy (Q3).
 	VPSelection ingress.Selection
@@ -61,24 +63,8 @@ type Options struct {
 	SpoofTimeoutUS int64
 	// MaxSpoofVPs bounds the total vantage points tried per stuck hop.
 	MaxSpoofVPs int
-	// MaxTSAdjacencies bounds Timestamp probes per stuck hop.
-	MaxTSAdjacencies int
 	// CacheTTLUS is the measurement reuse window (one day).
 	CacheTTLUS int64
-	// CacheMaxEntries caps the engine cache (RR + traceroute entries
-	// combined); oldest entries are evicted past the cap. 0 uses a
-	// default of 65536. TTL-expired entries are always evicted on lookup
-	// and by a periodic sweep regardless of this cap.
-	CacheMaxEntries int
-	// AtlasMaxAgeUS rejects atlas entries older than this (0 = no limit).
-	AtlasMaxAgeUS int64
-	// DeadVPTTLUS is how long a blacked-out vantage point stays in the
-	// engine-level dead-VP cache (virtual microseconds), letting later
-	// measurements skip it instead of re-discovering the blackout with a
-	// timed-out spoofed batch of their own. 0 selects
-	// DefaultDeadVPTTLUS; negative disables the shared cache, reverting
-	// to strictly per-measurement dead-VP state.
-	DeadVPTTLUS int64
 	// SegmentStore, when non-nil, enables Doubletree-style
 	// cross-measurement memoization: before probing for the next reverse
 	// hop the engine consults the store and splices a memoized suffix
@@ -107,17 +93,16 @@ type Options struct {
 // Revtr20Options returns the revtr 2.0 configuration.
 func Revtr20Options() Options {
 	return Options{
-		VPSelection:      ingress.SelIngress,
-		UseRRAtlas:       true,
-		UseTimestamp:     false,
-		UseCache:         true,
-		Symmetry:         SymIntraOnly,
-		BatchSize:        3,
-		SpoofTimeoutUS:   10_000_000,
-		MaxSpoofVPs:      12,
-		MaxTSAdjacencies: 10,
-		CacheTTLUS:       24 * 3_600_000_000,
-		MaxHops:          40,
+		VPSelection:    ingress.SelIngress,
+		UseRRAtlas:     true,
+		UseTimestamp:   false,
+		UseCache:       true,
+		Symmetry:       SymIntraOnly,
+		BatchSize:      3,
+		SpoofTimeoutUS: 10_000_000,
+		MaxSpoofVPs:    12,
+		CacheTTLUS:     24 * 3_600_000_000,
+		MaxHops:        40,
 	}
 }
 

@@ -1,10 +1,12 @@
 package core_test
 
-// Tests for what a spoofed batch costs in virtual time: its slowest round
-// trip when every request drew a reply, the timeout when one is missing.
-// The unit cases pin the rule on fabricated deliveries; the ledger keeps
-// the books of an engine that waits out every batch beside hand-driven
-// measurements and requires that only the wait differs from them.
+// Tests for what a suspension costs, booked by Machine.Deliver: packets,
+// virtual wait, spoofed-batch count — and for the rule a spoofed batch's
+// wait follows: its slowest round trip when every request drew a reply,
+// the timeout when one is missing. The unit cases pin both on fabricated
+// deliveries; the ledger keeps the books of an engine that waits out every
+// batch beside hand-driven measurements and requires that only the wait
+// differs from them.
 
 import (
 	"context"
@@ -18,6 +20,7 @@ import (
 	"revtr/internal/ip2as"
 	"revtr/internal/measure"
 	"revtr/internal/netsim/faults"
+	"revtr/internal/netsim/ipv4"
 	"revtr/internal/probe"
 	"revtr/internal/stream"
 )
@@ -90,6 +93,221 @@ func (l *waitLedger) add(o waitLedger) {
 	l.savedUS += o.savedUS
 }
 
+// fabricate builds the delivery of p the way the pool does: a packet
+// counted per sent request, MaxRTTUS the slowest reply. Fewer replies than
+// requests repeat the last one.
+func fabricate(p *core.Pending, replies ...measure.Reply) core.Delivery {
+	b := probe.Batch{Replies: make([]measure.Reply, len(p.Reqs))}
+	for i, req := range p.Reqs {
+		rep := replies[min(i, len(replies)-1)]
+		b.Replies[i] = rep
+		if rep.Sent {
+			b.Sent = b.Sent.Add(req.Delta())
+		}
+		b.MaxRTTUS = max(b.MaxRTTUS, rep.RTTUS())
+	}
+	return core.Delivery{Batch: b}
+}
+
+// answerTo is a reply to req that took rttUS and says nothing about the
+// path: a full Record Route array that does not locate the hop, a
+// Timestamp reply that stamped neither address. At 0 the probe was sent
+// and not answered.
+func answerTo(req probe.Request, rttUS int64) measure.Reply {
+	if rttUS == 0 {
+		return measure.Reply{Sent: true}
+	}
+	if req.Kind == measure.KindTS || req.Kind == measure.KindSpoofedTS {
+		return measure.Reply{Sent: true, TS: measure.TSResult{Responded: true, RTTUS: rttUS, Stamped: []bool{false, false}}}
+	}
+	return measure.Reply{Sent: true, RR: measure.RRResult{Responded: true, RTTUS: rttUS, Recorded: nineStamps(req.Dst)}}
+}
+
+// waitPhase names the wait phase the machine suspended in, read off the
+// shape of its pending p. prev is the phase before: spoofed Record Route
+// probes straight after the DBR check's direct repeats are its fallback,
+// not a sweep.
+func waitPhase(p *core.Pending, prev string) string {
+	if p.Kind == core.PendingTraceroute {
+		return "phTrWait"
+	}
+	switch p.Reqs[0].Kind {
+	case measure.KindRR:
+		if len(p.Reqs) > 1 {
+			return "phDBRWait"
+		}
+		return "phRRWait"
+	case measure.KindSpoofedRR:
+		if prev == "phDBRWait" {
+			return "phDBRFallbackWait"
+		}
+		return "phSpoofWait"
+	case measure.KindTS:
+		return "phTSDirectWait"
+	case measure.KindSpoofedTS:
+		return "phTSSpoofWait"
+	}
+	return "?"
+}
+
+// sourceAdjacencies are the Timestamp adjacencies revtr 1.0 tests: those
+// on the source's own traceroutes to c's destinations.
+func sourceAdjacencies(c *chaosEnv) core.AdjacencyProvider {
+	adj := core.NewTracerouteAdjacencies()
+	for i, dst := range c.dsts {
+		tr, _ := c.env.Pool.Traceroute(context.Background(), c.src.Agent, dst, uint64(1)<<32+uint64(i*measure.MaxTracerouteTTL), 1)
+		adj.Ingest(tr)
+	}
+	return adj
+}
+
+// TestDeliverBooks pins what one Deliver charges, phase by phase: the
+// packets the delivery says were sent; then a traceroute's round trips, a
+// direct batch's slowest reply, or a spoofed batch's spoofWait and one
+// more of SpoofBatches — and for a delivery the cancellation cut short,
+// the packets alone. Real deliveries drive a measurement up to the first
+// suspension in the phase; that one is fabricated and the books are read
+// on either side of it.
+func TestDeliverBooks(t *testing.T) {
+	c := newChaosEnv(t, 8, 60)
+	bg := context.Background()
+	adj := sourceAdjacencies(c)
+	r20, dbr, r10 := core.Revtr20Options(), core.Revtr20Options(), core.Revtr10Options()
+	dbr.DetectDBRViolations = true
+	timeoutUS := r20.SpoofTimeoutUS
+
+	for _, tc := range []struct {
+		name, phase string
+		opts        core.Options
+		// rttUS is each slot's round trip, 0 for a probe sent and not
+		// answered (the last repeats); a traceroute's total, with sent
+		// packets. cancel cuts the delivery short: the batch launched its
+		// first slot only, the traceroute nothing.
+		rttUS       []int64
+		sent        int
+		cancel      bool
+		wantUS      int64
+		wantBatches int
+	}{
+		{"direct RR", "phRRWait", r20, []int64{4000}, 0, false, 4000, 0},
+		{"sweep batch, every reply in", "phSpoofWait", r20, []int64{1000, 3000, 2000}, 0, false, 3000, 1},
+		{"sweep batch, short of a reply", "phSpoofWait", r20, []int64{1000, 0}, 0, false, timeoutUS, 1},
+		{"DBR repeats", "phDBRWait", dbr, []int64{2000, 5000}, 0, false, 5000, 0},
+		{"DBR fallback", "phDBRFallbackWait", dbr, []int64{1500}, 0, false, 1500, 1},
+		{"direct Timestamp", "phTSDirectWait", r10, []int64{2500}, 0, false, 2500, 0},
+		{"spoofed Timestamp", "phTSSpoofWait", r10, []int64{0}, 0, false, timeoutUS, 1},
+		{"traceroute", "phTrWait", r20, []int64{7000}, 5, false, 7000, 0},
+		{"cancel-skipped batch", "phSpoofWait", r20, []int64{3000}, 0, true, 0, 0},
+		{"cancel-skipped traceroute", "phTrWait", r20, []int64{7000}, 0, true, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := core.NewEngine(c.env.Fabric, c.env.Pool, c.ing, c.env.Sites, c.env.Alias,
+				ip2as.Origin{Topo: c.env.Topo}, adj, tc.opts)
+			for _, dst := range c.dsts {
+				ctx, cancel := context.WithCancel(bg)
+				defer cancel()
+				mm, prev := eng.Begin(ctx, c.src, dst), ""
+				for p := mm.Next(); p != nil; p = mm.Next() {
+					prev = waitPhase(p, prev)
+					if prev != tc.phase {
+						mm.Deliver(eng.ExecPending(ctx, p))
+						continue
+					}
+					d := core.Delivery{Tr: measure.TracerouteResult{RTTUS: tc.rttUS[0]}, TrSent: tc.sent}
+					if p.Kind == core.PendingProbes {
+						replies := make([]measure.Reply, len(tc.rttUS))
+						for i, rtt := range tc.rttUS {
+							replies[i] = answerTo(p.Reqs[i], rtt)
+						}
+						if tc.cancel {
+							replies = append(replies, measure.Reply{}) // never launched
+						}
+						d = fabricate(p, replies...)
+					}
+					sent := d.Batch.Sent
+					sent.Traceroute += uint64(d.TrSent)
+					if tc.cancel {
+						cancel()
+						d.Batch.Skipped = len(p.Reqs) - 1
+					}
+					probes0, us0, batches0 := mm.Booked()
+					mm.Deliver(d)
+					probes, us, batches := mm.Booked()
+					if probes.Sub(probes0) != sent || us-us0 != tc.wantUS || batches-batches0 != tc.wantBatches {
+						t.Errorf("one Deliver in %s booked %+v, %d us and %d spoofed batches; want %+v, %d and %d",
+							tc.phase, probes.Sub(probes0), us-us0, batches-batches0, sent, tc.wantUS, tc.wantBatches)
+					}
+					if res := mm.Result(); tc.cancel && (res == nil || !res.Cancelled || res.Probes != probes) {
+						t.Errorf("the cut-short delivery did not end the measurement cancelled and charged %+v", probes)
+					}
+					return
+				}
+			}
+			t.Fatalf("no measurement suspended in %s: the row exercises nothing", tc.phase)
+		})
+	}
+}
+
+// TestCancelKeepsDeliveredWaits: a measurement cancelled in the middle of a
+// sweep keeps the wait and the count of every batch that was delivered to
+// it, whichever step notices the cancellation — stepSpoofNext building the
+// next batch, or Deliver handed a batch the pool skipped.
+func TestCancelKeepsDeliveredWaits(t *testing.T) {
+	c := newChaosEnv(t, 8, 60)
+	bg := context.Background()
+	// A sweep that goes on to a second batch.
+	var dst, hop ipv4.Addr
+	eng, _ := c.engine(1, probe.RetryPolicy{})
+	for _, d := range c.dsts {
+		var last ipv4.Addr
+		driveSeeing(bg, eng, c.src, d, func(p *core.Pending, _ core.Delivery) {
+			if !isSpoofSweep(p) {
+				return
+			}
+			if p.Reqs[0].Dst == last && hop.IsZero() {
+				dst, hop = d, last
+			}
+			last = p.Reqs[0].Dst
+		})
+	}
+	if hop.IsZero() {
+		t.Fatal("no sweep went on to a second batch: the test exercises nothing")
+	}
+	for _, inDeliver := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(bg)
+		defer cancel()
+		eng, _ := c.engine(1, probe.RetryPolicy{})
+		l := waitLedger{timeoutUS: eng.Opts.SpoofTimeoutUS}
+		var firstUS int64 // what the sweep's first batch waited
+		mm := eng.Begin(ctx, c.src, dst)
+		for p := mm.Next(); p != nil; p = mm.Next() {
+			if firstUS > 0 {
+				cancel() // the second batch is pending: the pool skips all of it
+				mm.Deliver(eng.ExecPending(ctx, p))
+				break
+			}
+			d := eng.ExecPending(ctx, p)
+			before := l.spoofWaitUS()
+			l.see(p, d)
+			mm.Deliver(d)
+			if isSpoofSweep(p) && p.Reqs[0].Dst == hop {
+				firstUS = l.spoofWaitUS() - before
+				if !inDeliver {
+					cancel() // stepSpoofNext finds it before building the second
+				}
+			}
+		}
+		res := mm.Result()
+		if res == nil || !res.Cancelled || firstUS == 0 {
+			t.Fatalf("in Deliver %v: the cancellation did not end the measurement after the sweep's first batch", inDeliver)
+		}
+		if res.DurationUS != l.chargedUS() || res.DurationUS < firstUS || res.SpoofBatches != l.complete+l.short || res.Probes != l.probes {
+			t.Errorf("in Deliver %v: DurationUS %d, SpoofBatches %d, Probes %+v; the delivered batches add up to %d (%d the sweep's first), %d and %+v",
+				inDeliver, res.DurationUS, res.SpoofBatches, res.Probes, l.chargedUS(), firstUS, l.complete+l.short, l.probes)
+		}
+	}
+}
+
 // TestSpoofWait pins the rule on one spoofed batch. A sweep behind a
 // silent direct probe is replayed on fresh engines with a fabricated
 // delivery in place of its first batch; every other delivery is real and
@@ -106,24 +324,8 @@ func TestSpoofWait(t *testing.T) {
 	timeoutUS := core.Revtr20Options().SpoofTimeoutUS
 	const timeouts, failovers = "engine_spoof_batch_timeouts_total", "vp_failover_total"
 
-	answer := func(rttUS int64) measure.Reply {
-		return measure.Reply{Sent: true, RR: measure.RRResult{Responded: true, RTTUS: rttUS, Recorded: nineStamps(s.hop)}}
-	}
-	silence := measure.Reply{Sent: true}
-	// fabricate builds the delivery of p the way the pool does: a packet
-	// counted per sent request, MaxRTTUS the slowest reply.
-	fabricate := func(p *core.Pending, replies ...measure.Reply) core.Delivery {
-		b := probe.Batch{Replies: make([]measure.Reply, len(p.Reqs))}
-		for i := range p.Reqs {
-			rep := replies[min(i, len(replies)-1)]
-			b.Replies[i] = rep
-			if rep.Sent {
-				b.Sent.SpoofRR++
-			}
-			b.MaxRTTUS = max(b.MaxRTTUS, rep.RTTUS())
-		}
-		return core.Delivery{Batch: b}
-	}
+	answer := func(rttUS int64) measure.Reply { return answerTo(probe.Request{Dst: s.hop}, rttUS) }
+	silence := answer(0)
 
 	for _, tc := range []struct {
 		name     string
@@ -253,14 +455,8 @@ func TestSpoofWait(t *testing.T) {
 	t.Run("spoofed timestamp", func(t *testing.T) {
 		// revtr 1.0's spoofed Timestamp fallback is a spoofed batch of one:
 		// marked Spoofed, counted in SpoofBatches, charged by the same rule.
-		// The adjacencies it tests come from the source's own traceroutes.
-		adj := core.NewTracerouteAdjacencies()
-		for i, dst := range c.dsts {
-			tr, _ := c.env.Pool.Traceroute(bg, c.src.Agent, dst, uint64(1)<<32+uint64(i*measure.MaxTracerouteTTL), 1)
-			adj.Ingest(tr)
-		}
 		eng := core.NewEngine(c.env.Fabric, c.env.Pool, c.ing, c.env.Sites, c.env.Alias,
-			ip2as.Origin{Topo: c.env.Topo}, adj, core.Revtr10Options())
+			ip2as.Origin{Topo: c.env.Topo}, sourceAdjacencies(c), core.Revtr10Options())
 		reg := observe(eng)
 		var tot waitLedger
 		answered, silent := 0, 0

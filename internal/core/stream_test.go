@@ -19,6 +19,7 @@ import (
 
 	"revtr/internal/core"
 	"revtr/internal/ip2as"
+	"revtr/internal/netsim/faults"
 	"revtr/internal/netsim/ipv4"
 	"revtr/internal/probe"
 	"revtr/internal/stream"
@@ -140,6 +141,52 @@ func TestStreamEventDeterminism(t *testing.T) {
 			t.Fatalf("%s: workers=1 event sequence diverged from workers=N\nworkers=1:\n%s\nworkers=N:\n%s",
 				d, got, want[d])
 		}
+	}
+}
+
+// TestVPFailoverStampedAfterTheWait: a batch that finds a vantage point
+// dead is short of a reply and waits out the timeout, and Deliver books
+// that before the handler announces the failover — so a vp-failover event
+// is stamped at least one timeout after the event before the batch,
+// blocking and async alike.
+func TestVPFailoverStampedAfterTheWait(t *testing.T) {
+	c := newChaosEnv(t, 8, 20)
+	plan := &faults.Plan{}
+	for _, site := range c.env.Sites {
+		if site.CanSpoof && site.Addr != c.src.Agent.Addr {
+			plan.AddBlackout(site.Addr, 0, 0)
+		}
+	}
+	c.env.Fabric.SetFaults(plan)
+	defer c.env.Fabric.SetFaults(nil)
+	failovers := 0
+	for _, dst := range c.dsts {
+		// A fresh engine each: nothing in the dead-VP cache yet.
+		eng, _ := c.engine(1, probe.RetryPolicy{})
+		var blocking, async collector
+		eng.MeasureReverseStream(context.Background(), c.src, dst, blocking.sink)
+		eng, _ = c.engine(4, probe.RetryPolicy{})
+		done := make(chan struct{})
+		eng.MeasureAsyncStream(context.Background(), c.src, dst, async.sink, func(*core.Result) { close(done) })
+		<-done
+		if got, want := renderEvents(async.evs), renderEvents(blocking.evs); got != want {
+			t.Fatalf("%s: async event sequence diverged from blocking\nasync:\n%s\nblocking:\n%s", dst, got, want)
+		}
+		var before stream.Event // the last event ahead of the batch
+		for _, ev := range blocking.evs {
+			if ev.Kind != stream.KindVPFailover {
+				before = ev
+				continue
+			}
+			failovers++
+			if ev.VirtUS < before.VirtUS+eng.Opts.SpoofTimeoutUS {
+				t.Errorf("%s: vp-failover at %d us, %s before it at %d us: the batch's wait is missing from the stamp",
+					dst, ev.VirtUS, before.Kind, before.VirtUS)
+			}
+		}
+	}
+	if failovers == 0 {
+		t.Fatal("no measurement met a dead vantage point: the test exercises nothing")
 	}
 }
 

@@ -315,7 +315,7 @@ func init() {
 		}
 
 		dests := d.OnePerPrefix()
-		perHour := maxInt2(5, s.Pairs/24)
+		perHour := max(5, s.Pairs/24)
 		staleNoInt, staleASPath, totalIntersecting := 0, 0, 0
 		total := 0
 		t := &Table{
@@ -380,11 +380,4 @@ func init() {
 
 func agentAt(addr ipv4.Addr, router topology.RouterID) measure.Agent {
 	return measure.Agent{Addr: addr, Router: router}
-}
-
-func maxInt2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

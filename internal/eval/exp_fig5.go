@@ -420,10 +420,3 @@ func init() {
 		return nil
 	})
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

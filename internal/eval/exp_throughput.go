@@ -12,8 +12,8 @@ import (
 // measurable from the fig5 workload:
 //
 //   - latency-bound: with P parallel measurements in flight, throughput is
-//     P / mean(duration) — spoofed batches hold a slot for their 10 s
-//     timeout;
+//     P / mean(duration) — a spoofed batch short of a reply holds its
+//     slot for the 10 s timeout;
 //   - probe-budget-bound: vantage points cap probing at 100 pps (§8), so
 //     throughput can never exceed sites×100 / probes-per-revtr.
 //

@@ -85,8 +85,8 @@ type Histogram struct {
 }
 
 // DurationBucketsUS is the default latency bucket layout in microseconds:
-// 1ms to 2min, spanning cached sub-millisecond hits through multi-batch
-// spoofed measurements that wait out 10 s timeouts (§5.2.4).
+// 1ms to 2min, spanning cached sub-millisecond hits through measurements
+// with several spoofed batches short of a reply, 10 s each (§5.2.4).
 var DurationBucketsUS = []int64{
 	1_000, 10_000, 100_000, 1_000_000, 5_000_000,
 	10_000_000, 30_000_000, 60_000_000, 120_000_000,

@@ -45,7 +45,7 @@ type Request = measure.Spec
 // retries without choosing one.
 const DefaultBackoffUS = 50_000
 
-// RetryPolicy re-issues unanswered probes with capped exponential
+// RetryPolicy re-issues unanswered probes with exponential
 // backoff in virtual time: retry k of a request issued at t is issued at
 // t plus the cumulative backoff, with no wall-clock sleeping. Retries
 // are decided purely by the reply content (answered or not), so a batch
@@ -58,8 +58,6 @@ type RetryPolicy struct {
 	// BackoffUS is the virtual-time delay before the first retry
 	// (DefaultBackoffUS when 0); it doubles per retry.
 	BackoffUS int64
-	// MaxBackoffUS caps a single backoff step (0: uncapped).
-	MaxBackoffUS int64
 }
 
 // backoffFor is the delay before retry attempt (1-based).
@@ -68,16 +66,7 @@ func (rp RetryPolicy) backoffFor(attempt int) int64 {
 	if b <= 0 {
 		b = DefaultBackoffUS
 	}
-	for i := 1; i < attempt; i++ {
-		if rp.MaxBackoffUS > 0 && b >= rp.MaxBackoffUS {
-			break
-		}
-		b *= 2
-	}
-	if rp.MaxBackoffUS > 0 && b > rp.MaxBackoffUS {
-		b = rp.MaxBackoffUS
-	}
-	return b
+	return b << (attempt - 1)
 }
 
 // responded reports whether rep answers req (per probe kind), i.e.

@@ -144,12 +144,6 @@ type Options struct {
 	// user may dispatch per ring visit before the next user is served.
 	// <= 0 means 4.
 	Quantum int
-	// CacheCap bounds the day cache of completed results. <= 0 means
-	// 65536 entries.
-	CacheCap int
-	// MaxBatches bounds retained batch statuses; the oldest fully
-	// terminal batches are forgotten first. <= 0 means 4096.
-	MaxBatches int
 	// TryCharge, when set, is the admission quota: it is consulted once
 	// per job that will drive a measurement of its own — at admission
 	// for new flight leaders, and at promotion when a revoked leader's
@@ -173,6 +167,14 @@ type Options struct {
 	Obs *obs.Registry
 }
 
+// cacheCap bounds the day cache of completed results; maxBatches bounds
+// retained batch statuses (the oldest fully terminal ones are forgotten
+// first).
+const (
+	cacheCap   = 1 << 16
+	maxBatches = 4096
+)
+
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = 4
@@ -183,14 +185,8 @@ func (o Options) withDefaults() Options {
 	if o.Quantum <= 0 {
 		o.Quantum = 4
 	}
-	if o.CacheCap <= 0 {
-		o.CacheCap = 1 << 16
-	}
 	if o.MaxInFlight <= 0 {
 		o.MaxInFlight = 4096
-	}
-	if o.MaxBatches <= 0 {
-		o.MaxBatches = 4096
 	}
 	return o
 }
@@ -566,7 +562,7 @@ func (s *Scheduler) enqueueLocked(j *Job, front bool) {
 func (s *Scheduler) rememberBatchLocked(b *Batch) {
 	s.batches[b.id] = b
 	s.batchSeq = append(s.batchSeq, b.id)
-	for len(s.batchSeq) > s.opts.MaxBatches {
+	for len(s.batchSeq) > maxBatches {
 		evicted := false
 		for i, id := range s.batchSeq {
 			old := s.batches[id]
@@ -746,7 +742,7 @@ func (s *Scheduler) cachePutLocked(k key, res any, user string) {
 		s.cacheSeq = append(s.cacheSeq, k)
 	}
 	s.cache[k] = cacheEntry{res: res, user: user}
-	for len(s.cache) > s.opts.CacheCap && len(s.cacheSeq) > 0 {
+	for len(s.cache) > cacheCap && len(s.cacheSeq) > 0 {
 		old := s.cacheSeq[0]
 		s.cacheSeq = s.cacheSeq[1:]
 		delete(s.cache, old)
