@@ -110,14 +110,15 @@ func TestSchedSubmitToTerminalAllocCeiling(t *testing.T) {
 // stage, on an engine that has measured nothing (cold: every stage
 // probes and writes its cache entries) and on one that measured the pair
 // before (warm: every stage is served from the cache). The ceilings are
-// what PR 18's parent allocated; with ingress.PlanFor handing out its
-// stored order the cold measurement read 291 when they were set.
+// what PR 22 allocates: its parent read 271 cold (the ceiling was PR 18's
+// parent's 304), and the one direct RR probe this pair is no longer sent
+// took it to 258; warm reads 10 on both.
 func TestMeasureReverseAllocCeiling(t *testing.T) {
 	cfg := DefaultConfig(300)
 	cfg.ProbeWorkers = 1
 	d := Build(cfg)
 	src := d.NewSource(d.PickSourceHost(0))
-	dst := d.OnePerPrefix()[12].Addr // 4 spoofed batches, 5 RR and 7 traceroute packets, 14 hops
+	dst := d.OnePerPrefix()[12].Addr // 4 spoofed batches, 4 RR and 5 traceroute packets
 	ctx := context.Background()
 
 	const runs = 50
@@ -135,12 +136,12 @@ func TestMeasureReverseAllocCeiling(t *testing.T) {
 		t.Fatalf("the pair exercises too little: %d spoofed batches, %d traceroute packets (status %v)",
 			res.SpoofBatches, res.Probes.Traceroute, res.Status)
 	}
-	checkAllocs(t, "cold MeasureReverse", cold, 304)
+	checkAllocs(t, "cold MeasureReverse", cold, 258)
 
 	eng := engines[0]
 	warm := testing.AllocsPerRun(runs, func() { res = eng.MeasureReverse(ctx, src, dst) })
 	if res.Probes.Total() != 0 {
 		t.Fatalf("the warm measurement sent %+v, want everything from the cache", res.Probes)
 	}
-	checkAllocs(t, "cache-warm MeasureReverse", warm, 12)
+	checkAllocs(t, "cache-warm MeasureReverse", warm, 10)
 }

@@ -76,19 +76,35 @@ func TestProbeCountGate(t *testing.T) {
 		// at the last one) moved virtual time alone, from 2409137809 on its
 		// parent; topped up to the timeout again (waitOutUS) it is that
 		// number still, so nothing but the wait changed.
+		// PR 22, measured on its parent first (the row above this one's).
+		// The reverse-distance estimate alone — the direct probe not sent
+		// to a cursor more than eight hops out, the traceroute started one
+		// TTL past the distance — moved RR 229 -> 125 and Traceroute
+		// 409 -> 318, and virtual time by the round trips not made
+		// (382053661); no spoofed packet, batch or outcome moved. The
+		// adoption cut at the first revealed hop the atlas intersects moved
+		// the rest: two aborted paths and one more now complete (41 / 21),
+		// and the stages no longer probed past a known way home took SpoofRR
+		// 642 -> 624, six batches, five more direct probes and 26 traceroute
+		// packets with them.
 		{"distinct", func(si int) []*topology.Host { return pick(si*29, 8, srcs[si]) },
-			countRow{rr: 229, spoofRR: 642, traceroute: 409, complete: 38, aborted: 24, failed: 2,
-				spoofBatches: 238, virtualUS: 390963308, waitOutUS: 2409137809}},
+			countRow{rr: 120, spoofRR: 624, traceroute: 292, complete: 41, aborted: 21, failed: 2,
+				spoofBatches: 232, virtualUS: 351494956, waitOutUS: 2339823785}},
 		// Added with PR 18 and measured on its parent first: RR 445,
 		// SpoofRR 1395, Traceroute 1589, 86 / 40 / 2, 530 batches over
 		// 5388293358 virtual us. Every destination is stuck on the same few
 		// hops for all eight sources, and seven of them now read what the
 		// first one's sweep settled. PR 19 moved Traceroute 1516 -> 797 and
 		// virtual time from 3126401283, as above; PR 20 virtual time from
-		// 3106024832, which waitOutUS still reads.
+		// 3106024832, which waitOutUS still reads. PR 22's estimate moved
+		// RR 426 -> 252 and Traceroute 797 -> 707 and, a sweep now the
+		// longest of three revelations where a direct probe used to settle
+		// the stage, SpoofRR 754 -> 757 in one batch more; the adoption cut
+		// RR 245, SpoofRR 748, Traceroute 697 and three batches. Outcomes
+		// did not move.
 		{"shared", func(int) []*topology.Host { return shared },
-			countRow{rr: 426, spoofRR: 754, traceroute: 797, complete: 88, aborted: 38, failed: 2,
-				spoofBatches: 304, virtualUS: 321610590, waitOutUS: 3106024832}},
+			countRow{rr: 245, spoofRR: 748, traceroute: 697, complete: 88, aborted: 38, failed: 2,
+				spoofBatches: 302, virtualUS: 306820788, waitOutUS: 3071351736}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := d.Engine(core.Revtr20Options())

@@ -117,6 +117,9 @@ type Engine struct {
 	cache   *cache
 	deadVPs *deadVPCache
 	metrics Metrics // zero value records nothing
+	// adoptWhole is a test hook: adoptRevealed adopts every revealed hop,
+	// not up to the first one the atlas intersects (its differential's "off").
+	adoptWhole bool
 }
 
 // NewEngine assembles an engine over a probe pool. adj may be nil (no

@@ -31,3 +31,16 @@ func (mm *Machine) Booked() (probes measure.Counters, durationUS int64, spoofBat
 // Cursor exposes the hop the machine is measuring back from. Inside a
 // hop event's sink call it is still the hop the adoption was made at.
 func (mm *Machine) Cursor() ipv4.Addr { return mm.cur }
+
+// RevDist exposes the machine's reverse-distance estimate of its cursor
+// (negative: none).
+func (mm *Machine) RevDist() int { return mm.revDist }
+
+// ForgetDistance drops the estimate. Called before every Next it leaves the
+// machine without one wherever it is read: the engine that sends every
+// direct probe and starts no traceroute from a distance.
+func (mm *Machine) ForgetDistance() { mm.revDist = -1 }
+
+// AdoptWhole turns off adoptRevealed's cut at the first revealed hop the
+// atlas intersects: every revealed hop is adopted, as before the rule.
+func (e *Engine) AdoptWhole() { e.adoptWhole = true }

@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"revtr/internal/core/segments"
+	"revtr/internal/ingress"
 	"revtr/internal/ip2as"
 	"revtr/internal/measure"
 	"revtr/internal/netsim/ipv4"
@@ -114,10 +115,10 @@ const (
 )
 
 // spoofState is the spoofed-RR sweep in progress: the ingress plan
-// cursor, the §5.3 spoof budget spent, and whether the direct probe that
-// preceded the sweep drew a reply of any kind — a hop that left it
-// unanswered gets one batch to prove it answers option packets at all
-// (onSpoofBatch).
+// cursor, the §5.3 spoof budget spent, and whether a direct probe
+// preceded the sweep and drew a reply of any kind — a hop that left it
+// unanswered, or was not sent one (skipDirect), gets one batch to prove it
+// answers option packets at all (onSpoofBatch).
 type spoofState struct {
 	plan           []int // ingress order over Engine.Sites (shared, read-only)
 	cursor         int
@@ -170,6 +171,12 @@ type Machine struct {
 	// symTTL is the TTL at which the hop the last symmetry assumption
 	// adopted answered the traceroute it was read off (stepSym).
 	symTTL int
+	// revDist is how many hops the cursor is from the source along the
+	// reverse path: read off the TTL of every RR reply a stage draws (heard)
+	// and carried across adoptions less the hops adopted, so a hop that
+	// answers nothing still has one. Negative: no reply has said, or more
+	// hops were adopted than it counted.
+	revDist int
 
 	// segs accumulates the path's segments at adoption granularity —
 	// one entry per (stitching cursor, adopted hop group) — for
@@ -273,6 +280,7 @@ func (e *Engine) Begin(ctx context.Context, src Source, dst ipv4.Addr) *Machine 
 		cur:       dst,
 		visited:   map[ipv4.Addr]bool{dst: true},
 		excludeAS: -1,
+		revDist:   -1,
 	}
 	if e.Opts.ExcludeAtlasFromDstAS {
 		if asn, ok := e.Mapper.ASOf(dst); ok {
@@ -485,6 +493,14 @@ func (mm *Machine) suspendProbes(reqs []probe.Request, spoofed bool, next phase)
 	mm.ph = next
 }
 
+// heard takes the cursor's reverse distance from an answered RR reply,
+// direct or spoofed: both travel cursor → source.
+func (mm *Machine) heard(rr measure.RRResult) {
+	if d := measure.ReverseHops(rr.ReplyTTL); d >= 0 {
+		mm.revDist = d
+	}
+}
+
 // goTop re-enters the Fig 2 loop for the next reverse hop.
 func (mm *Machine) goTop() {
 	mm.step++
@@ -520,6 +536,7 @@ func (mm *Machine) advance(tech Technique, next ipv4.Addr) {
 	mark := len(mm.res.Hops)
 	mm.res.Hops = append(mm.res.Hops, Hop{Addr: next, Tech: tech})
 	mm.adopted(mark)
+	mm.revDist--
 	mm.cur = next
 	mm.goTop()
 }
@@ -680,9 +697,28 @@ func (mm *Machine) stepTop() {
 			return
 		}
 	}
+	if mm.revDist > ingress.InRangeHops && !(e.Opts.UseCache && e.cache.verdicts(cur, e.Pool.Now()).silent) {
+		mm.skipDirect()
+		return
+	}
 	mm.suspendProbes([]probe.Request{
 		{Kind: measure.KindRR, VP: src.Agent, Dst: cur, Seq: mm.m.next()},
 	}, false, phRRWait)
+}
+
+// skipDirect opens the RR stage at the spoofed sweep: Record Route has
+// nine slots, so a direct probe to a cursor more than InRangeHops out
+// comes back full before the reverse path begins (§4.3). The stage counts
+// as measured and the sweep runs as behind an unanswered direct probe. A
+// hop under a silent verdict keeps its direct probe (stepTop): one packet
+// closes that stage, a batch would wait out the timeout. The probe not
+// sent keeps its sequence number, so every later packet is the one sent
+// behind a direct probe and a differential prices the skip alone.
+func (mm *Machine) skipDirect() {
+	mm.e.metrics.directRRSkipped.Inc()
+	mm.m.next()
+	mm.rev.measured = true
+	mm.sweep(false)
 }
 
 // onRRDirect handles the direct RR reply: adopt revealed hops, or set
@@ -692,6 +728,7 @@ func (mm *Machine) onRRDirect(b probe.Batch) {
 	rr := b.Replies[0].RR
 	mm.rev.measured = b.Replies[0].Sent
 	if rr.Responded {
+		mm.heard(rr)
 		if hops, _ := extractReverse(rr.Recorded, cur, e.Alias); len(hops) > 0 {
 			mm.rev.hops, mm.rev.tech = hops, TechRR
 			if e.Opts.UseCache {
@@ -707,14 +744,20 @@ func (mm *Machine) onRRDirect(b probe.Batch) {
 		mm.ph = phAfterRR
 		return
 	}
-	pfx, ok := e.F.Topo.BGPPrefixOf(cur)
+	mm.sweep(rr.Responded)
+}
+
+// sweep sets up the spoofed sweep over the cursor's ingress plan (a hop in
+// no BGP prefix has none).
+func (mm *Machine) sweep(directAnswered bool) {
+	pfx, ok := mm.e.F.Topo.BGPPrefixOf(mm.cur)
 	if !ok {
 		mm.ph = phAfterRR
 		return
 	}
 	mm.spoof = spoofState{
-		plan:           e.Ingress.PlanFor(pfx, e.Opts.VPSelection).Order,
-		directAnswered: rr.Responded,
+		plan:           mm.e.Ingress.PlanFor(pfx, mm.e.Opts.VPSelection).Order,
+		directAnswered: directAnswered,
 	}
 	mm.ph = phSpoofNext
 }
@@ -810,6 +853,7 @@ func (mm *Machine) onSpoofBatch(reqs []probe.Request, b probe.Batch) {
 			continue
 		}
 		answered = true
+		mm.heard(rep.RR)
 		hops, marker := extractReverse(rep.RR.Recorded, cur, e.Alias)
 		if len(hops) > len(best) {
 			best = hops
@@ -950,14 +994,27 @@ func (mm *Machine) finishDBR() {
 }
 
 // adoptRevealed appends the RR-revealed hops to the result and decides
-// where the loop continues.
+// where the loop continues. The adoption ends at the first revealed hop
+// the atlas knows the way home from, so the loop intersects there instead
+// of probing on from a later one that may intersect nothing.
 func (mm *Machine) adoptRevealed(dbrSuspect bool) {
+	hops := mm.rev.hops
+	for i, h := range hops {
+		if mm.e.adoptWhole || h.IsPrivate() || mm.visited[h] {
+			continue
+		}
+		if _, ok := mm.e.atlasLookup(mm.src, h, mm.excludeAS); ok {
+			hops = hops[:i+1]
+			break
+		}
+	}
 	mark := len(mm.res.Hops)
-	for i, h := range mm.rev.hops {
+	for i, h := range hops {
 		mm.res.Hops = append(mm.res.Hops, Hop{Addr: h, Tech: mm.rev.tech, DBRSuspect: i == 0 && dbrSuspect})
 	}
 	mm.adopted(mark)
-	next := lastProbeable(mm.rev.hops)
+	mm.revDist -= len(hops)
+	next := lastProbeable(hops)
 	if !next.IsZero() && !mm.visited[next] {
 		mm.visited[next] = true
 		mm.cur = next
@@ -1062,9 +1119,11 @@ func (mm *Machine) tsDone(next ipv4.Addr) {
 // a traceroute from this source at symTTL, and routing is destination
 // based: the path to it is that traceroute's path cut short, its last link
 // the one that ends at symTTL, so probing starts one TTL below. Any other
-// cursor gets the median length of the source's own atlas traceroutes
-// (the whole path from TTL 1 for a source without an atlas). A start that
-// guesses wrong costs packets, never the result.
+// cursor is expected to answer one TTL past its reverse distance (the
+// source's own router answers TTL 1; paths are about as long out as back)
+// or, short of a distance, at the median length of the source's own atlas
+// traceroutes (the whole path from TTL 1 for a source without an atlas).
+// A start that guesses wrong costs packets, never the result.
 func (mm *Machine) stepSym() {
 	e, src, cur := mm.e, mm.src, mm.cur
 	var tr measure.TracerouteResult
@@ -1075,9 +1134,13 @@ func (mm *Machine) stepSym() {
 	}
 	if tr.Hops == nil {
 		start := 1
-		if mm.res.Hops[len(mm.res.Hops)-1].Tech == TechSymmetry { // nothing adopted since: cur is that hop
+		switch {
+		case mm.res.Hops[len(mm.res.Hops)-1].Tech == TechSymmetry: // nothing adopted since: cur is that hop
 			start = mm.symTTL - 1
-		} else if src.Atlas != nil {
+		case mm.revDist >= 0:
+			e.metrics.tracerouteDistStarts.Inc()
+			start = mm.revDist + 1
+		case src.Atlas != nil:
 			start = src.Atlas.MedianHops
 		}
 		mm.pending = &Pending{

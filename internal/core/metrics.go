@@ -57,6 +57,11 @@ type Metrics struct {
 	traceroutes       *obs.Counter
 	traceroutePackets *obs.Counter
 	tracerouteSweeps  *obs.Counter
+	// Read off Machine.revDist: traceroutes given their start TTL by it,
+	// counted where it is chosen (the rest start at the chain or the atlas
+	// median), and RR stages opened at the sweep, no direct probe sent.
+	tracerouteDistStarts *obs.Counter
+	directRRSkipped      *obs.Counter
 
 	// vpFailover counts probes redirected to another vantage point after
 	// the planned VP was observed inside a blackout window. deadVPHits
@@ -109,6 +114,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		traceroutes:             reg.Counter("engine_traceroutes_total"),
 		traceroutePackets:       reg.Counter("engine_traceroute_packets_total"),
 		tracerouteSweeps:        reg.Counter("engine_traceroute_sweeps_total"),
+		tracerouteDistStarts:    reg.Counter("engine_traceroute_distance_starts_total"),
+		directRRSkipped:         reg.Counter("engine_rr_direct_skipped_total"),
 		vpFailover:              reg.Counter("vp_failover_total"),
 		deadVPHits:              reg.Counter("engine_dead_vp_hits_total"),
 		spoofVPsOutOfRange:      reg.Counter("engine_spoof_vps_out_of_range_total"),

@@ -109,6 +109,18 @@ func (w *verdictWatch) measure(src core.Source, dst ipv4.Addr) *core.Result {
 	for {
 		farBefore := w.far.Value()
 		p := mm.Next()
+		// A new stage: opened by its direct probe or — the direct probe
+		// skipped — by the first batch of its sweep, or by no pending at all
+		// where every slot of that sweep's plan was dropped.
+		opened := hop
+		if p != nil && (isDirectRR(p) || isSpoofSweep(p)) {
+			opened = p.Reqs[0].Dst
+		} else if w.far.Value() != farBefore {
+			opened = mm.Cursor()
+		}
+		if opened != hop {
+			hop, plan, walked = opened, w.plan(opened), 0
+		}
 		sweep := p != nil && isSpoofSweep(p) && p.Reqs[0].Dst == hop
 		// The walk ends behind the last vantage point of a full batch, and
 		// at the end of the plan otherwise (a short batch, or none at all).
@@ -139,9 +151,6 @@ func (w *verdictWatch) measure(src core.Source, dst ipv4.Addr) *core.Result {
 		}
 		if p == nil {
 			return mm.Result()
-		}
-		if isDirectRR(p) {
-			hop, plan, walked = p.Reqs[0].Dst, w.plan(p.Reqs[0].Dst), 0
 		}
 		d := eng.ExecPending(mm.Context(), p)
 		if sweep {

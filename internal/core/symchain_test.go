@@ -67,11 +67,14 @@ func ttlOf(tr measure.TracerouteResult, hop ipv4.Addr) int {
 // hop's TTL in the traceroute it was read off, less one — also when that
 // traceroute came out of the engine cache: each destination is first
 // measured up to its first symmetry adoption and abandoned, so the full
-// measurement that follows reads that traceroute from the cache. Any
-// other traceroute starts at the atlas median, or sweeps from TTL 1 for a
-// source whose atlas has none. The plan is clean, so four in five chained
-// traceroutes must get by on three packets.
+// measurement that follows reads that traceroute from the cache — and
+// whatever the machine's reverse-distance estimate says: the chain wins.
+// Any other traceroute starts one TTL past the estimate; without one, at
+// the atlas median, or sweeps from TTL 1 for a source whose atlas has
+// none. The plan is clean, so four in five chained traceroutes must get
+// by on three packets.
 func TestSymmetryChainStart(t *testing.T) {
+	swept := 0 // first traceroutes of a source without a median, to a hop without an estimate
 	for seed := int64(1); seed <= 3; seed++ {
 		for _, atlasMedian := range []bool{true, false} {
 			t.Run(fmt.Sprintf("seed%d/median=%v", seed, atlasMedian), func(t *testing.T) {
@@ -84,7 +87,7 @@ func TestSymmetryChainStart(t *testing.T) {
 				}
 				eng, _ := c.engineOpts(1, probe.RetryPolicy{}, symAlways())
 				held := map[ipv4.Addr]measure.TracerouteResult{} // by target: what the engine cache holds
-				chained, cheap, fromCache, first := 0, 0, 0, 0
+				chained, cheap, fromCache, byDist := 0, 0, 0, 0
 				for _, dst := range c.dsts {
 					for _, abandon := range []bool{true, false} {
 						mm := eng.Begin(context.Background(), src, dst)
@@ -106,13 +109,18 @@ func TestSymmetryChainStart(t *testing.T) {
 									if !measured[s.readOff] {
 										fromCache++
 									}
+								case mm.RevDist() >= 0:
+									if p.Start != mm.RevDist()+1 {
+										t.Fatalf("%s: unchained traceroute to %s, %d hops out, starts at %d", dst, p.Dst, mm.RevDist(), p.Start)
+									}
+									byDist++
 								case atlasMedian && p.Start != src.Atlas.MedianHops:
 									t.Fatalf("%s: unchained traceroute to %s starts at %d, atlas median %d", dst, p.Dst, p.Start, src.Atlas.MedianHops)
 								case !atlasMedian:
 									if p.Start > 1 || !d.Tr.Swept {
 										t.Fatalf("%s: unchained traceroute to %s without an atlas median: start %d, swept %v", dst, p.Dst, p.Start, d.Tr.Swept)
 									}
-									first++
+									swept++
 								}
 								held[p.Dst], measured[p.Dst] = d.Tr, true
 							}
@@ -123,15 +131,18 @@ func TestSymmetryChainStart(t *testing.T) {
 				if chained < 10 || fromCache == 0 {
 					t.Fatalf("%d chained traceroutes, %d off a cached one: corpus too thin", chained, fromCache)
 				}
-				if !atlasMedian && first == 0 {
-					t.Fatal("no first traceroute swept")
+				if byDist == 0 {
+					t.Fatal("no traceroute started from the distance estimate")
 				}
 				if cheap*5 < chained*4 {
 					t.Fatalf("%d of %d chained traceroutes sent at most 3 packets, want 80 %%", cheap, chained)
 				}
-				t.Logf("%d chained traceroutes (%d read off a cached one), %d sent at most 3 packets", chained, fromCache, cheap)
+				t.Logf("%d chained traceroutes (%d read off a cached one), %d sent at most 3 packets; %d started from the estimate", chained, fromCache, cheap, byDist)
 			})
 		}
+	}
+	if swept == 0 {
+		t.Error("no first traceroute swept")
 	}
 }
 

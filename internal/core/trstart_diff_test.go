@@ -15,49 +15,56 @@ import (
 
 // TestTracerouteStartDifferential: where the symmetry-stage traceroute
 // starts probing changes what a measurement costs in traceroute packets
-// and nothing else. Every pair is measured four ways over the same world,
-// each by an engine of its own, dearest first: "classic" forces every
-// traceroute Pending to TTL 1 (the machines are hand-driven: the start is
-// fixed in the Pending, so the test can overrule it); "no-median" is the
-// engine as it is over an atlas whose MedianHops is zeroed — the first
-// traceroute sweeps, the rest chain; "median" forces the atlas's
-// MedianHops on every one; "chained" is the engine as it is. Status, hop
-// list and the Record Route columns must match the classic run pair for
-// pair, and each variant must send fewer packets than the one before.
+// and nothing else. Every pair is measured five ways over the same world,
+// each by an engine of its own, dearest first. The machines are
+// hand-driven: the start is fixed in the Pending, so the test can overrule
+// it, and a traceroute is chained when it goes to the hop the last
+// symmetry assumption adopted. "classic" forces every traceroute to TTL 1;
+// "no-median" leaves the chained ones their start and sweeps the rest;
+// "median" forces the atlas's MedianHops on every one; "chained" leaves
+// the chained ones theirs and gives the rest the median; "distance" is the
+// engine as it is — the rest start one TTL past the reverse-distance
+// estimate. Status, hop list and the Record Route columns must match the
+// classic run pair for pair, and each variant must send fewer packets than
+// the one before.
 func TestTracerouteStartDifferential(t *testing.T) {
 	h, _ := newHarness(t, nil)
 	env := h.env
 	svc := atlas.NewService(env.Prober, env.Probes, atlas.FixedSites(env.Sites), env.Alias, 25, true, 8)
 	type variant struct {
-		name     string
-		start    func(at *atlas.Atlas) int // the start forced on every traceroute; nil: the machine's own
-		noMedian bool
-		eng      *core.Engine
-		reg      *obs.Registry
-		sources  []core.Source
-		packets  uint64
+		name string
+		// start is the TTL forced on a traceroute the machine would start at
+		// own; nil: the machine's own.
+		start   func(median, own int, chained bool) int
+		eng     *core.Engine
+		reg     *obs.Registry
+		packets uint64
 	}
 	variants := []*variant{
-		{name: "classic", start: func(*atlas.Atlas) int { return 1 }},
-		{name: "no-median", noMedian: true},
-		{name: "median", start: func(at *atlas.Atlas) int { return at.MedianHops }},
-		{name: "chained"},
+		{name: "classic", start: func(int, int, bool) int { return 1 }},
+		{name: "no-median", start: func(_, own int, chained bool) int {
+			if chained {
+				return own
+			}
+			return 1
+		}},
+		{name: "median", start: func(median, _ int, _ bool) int { return median }},
+		{name: "chained", start: func(median, own int, chained bool) int {
+			if chained {
+				return own
+			}
+			return median
+		}},
+		{name: "distance"},
 	}
+	var sources []core.Source
 	for i := 0; i < 4; i++ {
 		a := env.Agent(env.SourceHost(i * 5))
 		at := svc.BuildFor(a)
 		if at.MedianHops < 2 {
 			t.Fatalf("source %s: MedianHops = %d, no tail to start at", a.Addr, at.MedianHops)
 		}
-		noMedian := *at // shares the (read-only) entries and indexes
-		noMedian.MedianHops = 0
-		for _, v := range variants {
-			src := core.Source{Agent: a, Atlas: at}
-			if v.noMedian {
-				src.Atlas = &noMedian
-			}
-			v.sources = append(v.sources, src)
-		}
+		sources = append(sources, core.Source{Agent: a, Atlas: at})
 	}
 	for _, v := range variants {
 		v.eng = core.NewEngine(env.Fabric, env.Pool, h.ing, env.Sites, env.Alias,
@@ -75,10 +82,11 @@ func TestTracerouteStartDifferential(t *testing.T) {
 		}
 	}
 	measure := func(v *variant, si int, dst ipv4.Addr) *core.Result {
-		mm := v.eng.Begin(context.Background(), v.sources[si], dst)
+		mm := v.eng.Begin(context.Background(), sources[si], dst)
+		s := trackSym(mm)
 		for p := mm.Next(); p != nil; p = mm.Next() {
 			if p.Kind == core.PendingTraceroute && v.start != nil {
-				p.Start = v.start(v.sources[si].Atlas)
+				p.Start = v.start(sources[si].Atlas.MedianHops, p.Start, p.Dst == s.lastSym)
 			}
 			mm.Deliver(v.eng.ExecPending(mm.Context(), p))
 		}
@@ -86,9 +94,9 @@ func TestTracerouteStartDifferential(t *testing.T) {
 	}
 
 	pairs := 0
-	for si := range variants[0].sources {
+	for si := range sources {
 		for i := 0; i < 130; i++ {
-			dst := env.ResponsiveHost(i, variants[0].sources[si].Agent.AS)
+			dst := env.ResponsiveHost(i, sources[si].Agent.AS)
 			if dst == nil {
 				break
 			}
@@ -101,7 +109,7 @@ func TestTracerouteStartDifferential(t *testing.T) {
 				}
 				if got.Status != want.Status || !reflect.DeepEqual(got.Hops, want.Hops) ||
 					got.Probes.RR != want.Probes.RR || got.Probes.SpoofRR != want.Probes.SpoofRR {
-					t.Fatalf("%s→%s: %s and %s diverge:\n%s\n%s", v.sources[si].Agent.Addr, dst.Addr,
+					t.Fatalf("%s→%s: %s and %s diverge:\n%s\n%s", sources[si].Agent.Addr, dst.Addr,
 						v.name, variants[0].name, renderCoreResult(got), renderCoreResult(want))
 				}
 				v.packets += got.Probes.Traceroute

@@ -15,8 +15,9 @@ import (
 // sequence numbers included), issuing the same Spec at the same virtual
 // time twice is bit-identical (the determinism guarantee the concurrent
 // probe layer rests on), Record Route never records more than its nine
-// slots, RTTs are never negative, and per-kind counter deltas account
-// exactly one probe for known kinds and zero for unknown ones.
+// slots, an answered one states how far its reply came, RTTs are never
+// negative, and per-kind counter deltas account exactly one probe for
+// known kinds and zero for unknown ones.
 func FuzzSpecCodec(f *testing.F) {
 	env := simtest.New(f, 300, 1)
 	src := env.Agent(env.SourceHost(0))
@@ -29,6 +30,7 @@ func FuzzSpecCodec(f *testing.F) {
 	f.Add(uint8(4), uint16(1), uint32(src.Addr), uint32(someDst.Addr), uint8(0), uint64(5), int64(0), true)
 	f.Add(uint8(5), uint16(0), uint32(0), uint32(someDst.Addr), uint8(30), uint64(6), int64(0), false)
 	f.Add(uint8(250), uint16(9), uint32(1), uint32(2), uint8(255), uint64(0), int64(-1), true)
+	f.Add(uint8(2), uint16(7), uint32(src.Addr), uint32(someDst.Addr), uint8(64), uint64(7), int64(0), false) // spoofed RR from another site: its reply's TTL must read as a distance
 
 	f.Fuzz(func(t *testing.T, kind uint8, vpSel uint16, srcRaw, dstRaw uint32, ttl uint8, seq uint64, nowUS int64, prespec bool) {
 		vp := src
@@ -54,6 +56,9 @@ func FuzzSpecCodec(f *testing.F) {
 		}
 		if n := len(r1.RR.Recorded); n > ipv4.RRSlots {
 			t.Fatalf("RR recorded %d hops > %d slots", n, ipv4.RRSlots)
+		}
+		if h := measure.ReverseHops(r1.RR.ReplyTTL); r1.RR.Responded && h < 0 {
+			t.Fatalf("answered RR reply with TTL %d reads as %d hops", r1.RR.ReplyTTL, h)
 		}
 		if rtt := r1.RTTUS(); rtt < 0 {
 			t.Fatalf("negative RTT %d for %+v", rtt, sp)

@@ -170,6 +170,20 @@ type RRResult struct {
 	Recorded []ipv4.Addr
 	// ReplyFrom is the source address of the echo reply.
 	ReplyFrom ipv4.Addr
+	// ReplyTTL is the TTL the echo reply arrived with (ReverseHops).
+	ReplyTTL uint8
+}
+
+// ReverseHops is the number of routers that forwarded a reply which
+// arrived with TTL ttl, or -1 when the TTL does not say. The one
+// assumption is made here: a reply starts out at TTL 64, as fabric builds
+// every one. None arrives with 0, and one above 64 started elsewhere.
+func ReverseHops(ttl uint8) int {
+	const initialTTL = 64
+	if ttl == 0 || ttl > initialTTL {
+		return -1
+	}
+	return initialTTL - int(ttl)
 }
 
 // RRPing sends an echo request with a 9-slot Record Route option from

@@ -170,3 +170,47 @@ func TestClock(t *testing.T) {
 		t.Errorf("clock = %d", e.Prober.Now())
 	}
 }
+
+// TestReverseHops pins the TTL → hops reading at its edges: a reply starts
+// at 64, cannot arrive with 0, and one above 64 started somewhere else. A
+// real reply must read as the distance its own path has: a direct RR
+// reply's, and a spoofed one's to the same source, come back over the same
+// reverse path and agree.
+func TestReverseHops(t *testing.T) {
+	for _, tc := range []struct {
+		ttl  uint8
+		want int
+	}{{0, -1}, {1, 63}, {63, 1}, {64, 0}, {65, -1}, {128, -1}, {255, -1}} {
+		if got := measure.ReverseHops(tc.ttl); got != tc.want {
+			t.Errorf("ReverseHops(%d) = %d, want %d", tc.ttl, got, tc.want)
+		}
+	}
+	e := simtest.New(t, 300, 2)
+	src := e.Agent(e.SourceHost(0))
+	agreed := 0
+	for i := 0; i < 30; i++ {
+		dst := e.ResponsiveHost(i, src.AS)
+		if dst == nil {
+			break
+		}
+		direct := e.Prober.RRPing(src, dst.Addr)
+		if !direct.Responded {
+			continue
+		}
+		hops := measure.ReverseHops(direct.ReplyTTL)
+		if hops < 1 {
+			t.Fatalf("%s: reply TTL %d reads as %d hops from another AS", dst.Addr, direct.ReplyTTL, hops)
+		}
+		for _, vp := range e.Sites {
+			if sp := e.Prober.SpoofedRRPing(vp, src.Addr, dst.Addr); sp.Responded {
+				if got := measure.ReverseHops(sp.ReplyTTL); got != hops {
+					t.Fatalf("%s: spoofed reply via %s reads %d hops, the direct one %d", dst.Addr, vp.Addr, got, hops)
+				}
+				agreed++
+			}
+		}
+	}
+	if agreed == 0 {
+		t.Fatal("no destination answered a direct and a spoofed probe")
+	}
+}

@@ -218,6 +218,7 @@ func issueRR(f *fabric.Fabric, sp Spec, nowUS int64) Reply {
 		RTTUS:     d.TimeUS - nowUS,
 		Recorded:  rec,
 		ReplyFrom: h.Src,
+		ReplyTTL:  h.TTL,
 	}
 	return out
 }
