@@ -2,9 +2,9 @@
 # vet and the repo's own static-analysis suite (revtr-lint: determinism,
 # context, metrics, lock, and concurrency contracts), plus the full
 # suite under the race detector (the service and campaign layers are
-# concurrent; -race is load-bearing, not optional), plus the chaos
-# suite under deterministic fault injection and a smoke pass over the
-# fuzz targets.
+# concurrent; -race is load-bearing, not optional) — which includes the
+# chaos suites under deterministic fault injection and the soak — and a
+# smoke pass over the fuzz targets.
 
 GO ?= go
 
@@ -29,26 +29,29 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# lint runs the repo's go/analysis-style suite (cmd/revtr-lint). Per
-# package: detpath (wall clock / global rand / unsorted map ranges),
+# lint runs the repo's go/analysis-style suite (cmd/revtr-lint): seven
+# analyzers of one shape over one module-wide program. Judging a package
+# at a time: detpath (wall clock / global rand / unsorted map ranges),
 # ctxflow (context threading), obsnames (metric naming), locksafe
-# (mutex hygiene). Module-wide, over the flow layer's CFG + call graph:
+# (mutex hygiene, no TryLock). Over the flow layer's CFG + call graph:
 # lockorder (lock-order cycles), suspendsafe (locks/tickets held across
 # suspension points), spawnbound (goroutine lifetime bounds). Any
 # finding is a CI failure; see DESIGN.md "Determinism contract and
 # static enforcement" and "Concurrency contract" for the rules and
-# //revtr: escape hatches. `revtr-lint -json` / `-run <analyzers>`
-# machine-reads and filters the same sweep.
+# //revtr: escape hatches. revtr-lint takes package patterns, no flags.
 lint:
 	$(GO) run ./cmd/revtr-lint ./...
 
 # -shuffle=on randomizes test order: the suites must not depend on
 # package-level execution order (chaos plans and fabrics are built per
-# test, so shuffling is free coverage).
+# test, so shuffling is free coverage). Never -short: this is the run of
+# every Chaos and TestSoak test in `make ci`, so `chaos` and `soak`
+# below are not prerequisites of `ci` — they would run the same tests a
+# second time (measured: 39 s + 10 s).
 race:
 	$(GO) test -race -shuffle=on ./...
 
-ci: fmt vet lint race bench benchcheck benchmod chaos fuzz soak cover loc
+ci: fmt vet lint race bench benchcheck benchmod fuzz cover loc
 
 # loc prints the number ROADMAP's consolidation round tracks: non-test Go
 # lines per package and in total, leaving out bench/ (a module of its
@@ -57,7 +60,7 @@ ci: fmt vet lint race bench benchcheck benchmod chaos fuzz soak cover loc
 # when the total is above LOC_CEILING — the total the last PR landed at.
 # A PR that adds lines says why and raises it; one that removes lines
 # lowers it to where it lands.
-LOC_CEILING = 22489
+LOC_CEILING = 22170
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs wc -l | \
 		awk -v ceiling=$(LOC_CEILING) '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
@@ -67,15 +70,24 @@ loc:
 # cover enforces a coverage floor on the segment store and on the TTL
 # cache under it: the store is shared mutable state spliced into other
 # measurements' results, so its chain-walk edge cases and the cache's
-# eviction and expiry edge cases must all stay exercised.
+# eviction and expiry edge cases must all stay exercised. The lint
+# framework is held to the same floor: every concurrency gate rests on
+# the one dataflow in flow, which its own tests barely touch (16 %) — it
+# is exercised by the analyzers' fixture suites, so it is measured
+# across the whole lint tree's tests.
 COVER_PKGS = internal/core/segments internal/ttlcache
+LINT_COVER_PKGS = ./internal/lint/flow,./internal/lint/directive,./internal/lint/analysis,./internal/lint/loader
+COVER_FLOOR = awk -v pkg=$$pkg '/^total:/ { \
+	pct = $$3 + 0; printf "%s coverage: %s (floor 90%%)\n", pkg, $$3; \
+	if (pct < 90) { print "coverage below floor"; exit 1 } }'
 cover:
 	@for pkg in $(COVER_PKGS); do \
 		$(GO) test -coverprofile=/tmp/revtr.cover ./$$pkg/ || exit 1; \
-		$(GO) tool cover -func=/tmp/revtr.cover | awk -v pkg=$$pkg '/^total:/ { \
-			pct = $$3 + 0; printf "%s coverage: %s (floor 90%%)\n", pkg, $$3; \
-			if (pct < 90) { print "coverage below floor"; exit 1 } }' || exit 1; \
+		$(GO) tool cover -func=/tmp/revtr.cover | $(COVER_FLOOR) || exit 1; \
 	done
+	@pkg=internal/lint-framework; \
+		$(GO) test -coverprofile=/tmp/revtr.cover -coverpkg=$(LINT_COVER_PKGS) ./internal/lint/... || exit 1; \
+		$(GO) tool cover -func=/tmp/revtr.cover | $(COVER_FLOOR)
 
 # benchcheck is the regression gate on what is deterministic: exact probe
 # counts, spoofed batches, virtual time and outcomes of two fixed slices
@@ -95,10 +107,12 @@ benchmod:
 	$(GO) -C bench vet .
 	$(GO) -C bench test .
 
-# chaos runs the fault-injection suites under -race: engine and campaign
+# chaos runs the fault-injection suites under -race, on their own, for a
+# focused local run (`make race` covers them in ci): engine and campaign
 # measured over lossy links, rate-limited routers, flapping routes, and
 # blacked-out vantage points. The tests bake in 3 fault seeds x 2 loss
-# levels each; -count=1 defeats caching so every CI run re-rolls.
+# levels each, so every run sees the same faults; -count=1 only defeats
+# the test cache.
 chaos:
 	$(GO) test -race -run Chaos -count=1 ./internal/core/ ./internal/campaign/
 
@@ -109,7 +123,8 @@ chaos:
 # the per-job ledger, and nobody overdraws their daily quota.
 # TestSoakStream reruns the workload with the full streaming surface
 # attached — per-batch followers, firehose subscribers, one permanently
-# stalled subscriber — and checks event/ledger conservation.
+# stalled subscriber — and checks event/ledger conservation. A focused
+# local run; `make race` covers both in ci.
 soak:
 	$(GO) test -race -run 'TestSoak' -count=1 ./internal/service/
 

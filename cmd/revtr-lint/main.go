@@ -1,52 +1,32 @@
 // Command revtr-lint runs the repo's static-analysis suite — detpath,
-// ctxflow, obsnames, locksafe per package; lockorder, suspendsafe,
-// spawnbound module-wide — over the given package patterns and exits
-// non-zero on any diagnostic. It is the determinism and concurrency
+// ctxflow, obsnames, locksafe, lockorder, suspendsafe, spawnbound, all
+// over one module-wide program — on the given package patterns and
+// exits non-zero on any finding. It is the determinism and concurrency
 // gate in `make lint` / `make ci`: introducing a wall-clock read, an
 // unseeded random draw, an unsorted map range, a context/metrics/lock
-// contract violation, a lock-order cycle, a lock held across a
-// suspension point, or an unbounded goroutine fails the build with a
-// message naming the invariant.
+// contract violation, a TryLock, a lock-order cycle, a lock held across
+// a suspension point, or an unbounded goroutine fails the build with a
+// message naming the invariant. It has no flags: the gate is the whole
+// suite or nothing.
 //
 //	revtr-lint ./...
-//	revtr-lint -run lockorder,suspendsafe ./internal/sched/
-//	revtr-lint -json ./... > findings.json
+//	revtr-lint ./internal/sched/
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"revtr/internal/lint"
 )
 
-// jsonFinding is the -json wire shape, one object per finding.
-type jsonFinding struct {
-	File      string `json:"file"`
-	Line      int    `json:"line"`
-	Col       int    `json:"col"`
-	Analyzer  string `json:"analyzer"`
-	Message   string `json:"message"`
-	Directive string `json:"directive,omitempty"`
-}
-
 func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array (file/line/col/analyzer/message/directive)")
-	runFilter := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: revtr-lint [-json] [-run analyzers] [packages]\n\nPer-package analyzers:\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: revtr-lint [packages]\n\nAnalyzers:\n")
 		for _, a := range lint.Analyzers() {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-12s %s\n", a.Name, a.Doc)
 		}
-		fmt.Fprintf(flag.CommandLine.Output(), "\nModule analyzers:\n")
-		for _, a := range lint.FlowAnalyzers() {
-			fmt.Fprintf(flag.CommandLine.Output(), "  %-12s %s\n", a.Name, a.Doc)
-		}
-		fmt.Fprintf(flag.CommandLine.Output(), "\nFlags:\n")
-		flag.PrintDefaults()
 	}
 	flag.Parse()
 
@@ -54,41 +34,13 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	var only []string
-	if *runFilter != "" {
-		for _, n := range strings.Split(*runFilter, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				only = append(only, n)
-			}
-		}
-	}
-	findings, err := lint.RunSelected(".", only, patterns...)
+	findings, err := lint.Run(".", patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "revtr-lint: %v\n", err)
 		os.Exit(2)
 	}
-	if *jsonOut {
-		out := make([]jsonFinding, 0, len(findings))
-		for _, f := range findings {
-			out = append(out, jsonFinding{
-				File:      f.Position.Filename,
-				Line:      f.Position.Line,
-				Col:       f.Position.Column,
-				Analyzer:  f.Analyzer,
-				Message:   f.Message,
-				Directive: f.Directive,
-			})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(os.Stderr, "revtr-lint: %v\n", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Println(f)
-		}
+	for _, f := range findings {
+		fmt.Println(f)
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "revtr-lint: %d finding(s)\n", len(findings))

@@ -92,7 +92,7 @@ func newCache(ttlUS int64, maxEntries int) *cache {
 	}
 }
 
-// size is the total entry count across both kinds.
+// size is the total entry count across the three kinds.
 func (c *cache) size() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -1,9 +1,9 @@
-// Package analysis is a minimal, dependency-free re-implementation of
-// the golang.org/x/tools/go/analysis surface the revtr-lint suite needs:
-// an Analyzer runs over one type-checked package at a time and reports
-// position-tagged diagnostics. The container this repo builds in has no
-// module proxy access, so the framework is grown from the standard
-// library (go/ast, go/types) instead of imported.
+// Package analysis holds what every revtr-lint analyzer shares below
+// the flow layer: the Finding an analyzer reports and the go/ast +
+// go/types helpers for resolving calls. The container this repo builds
+// in has no module proxy access, so the suite is grown from the standard
+// library instead of golang.org/x/tools/go/analysis (flow.Analyzer is
+// the analyzer shape).
 package analysis
 
 import (
@@ -14,62 +14,11 @@ import (
 	"sort"
 )
 
-// Analyzer is one named, self-contained static check.
-type Analyzer struct {
-	// Name identifies the analyzer in diagnostics (e.g. "detpath").
-	Name string
-	// Doc is a one-paragraph description of the invariant enforced.
-	Doc string
-	// Run inspects one package and reports findings through the pass.
-	Run func(*Pass) error
-}
-
-// Pass carries one type-checked package through one analyzer.
-type Pass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	// Files are the package's non-test source files.
-	Files []*ast.File
-	// Pkg is the type-checked package.
-	Pkg *types.Package
-	// Info holds the type-checker's expression and identifier facts.
-	Info *types.Info
-
-	report func(Diagnostic)
-}
-
-// NewPass assembles a pass; report receives every diagnostic.
-func NewPass(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, report func(Diagnostic)) *Pass {
-	return &Pass{Analyzer: a, Fset: fset, Files: files, Pkg: pkg, Info: info, report: report}
-}
-
-// Reportf records a diagnostic at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// ReportfDir records a diagnostic at pos that the named //revtr:
-// directive kind would suppress; the kind rides along so machine-read
-// output (revtr-lint -json) can say which escape hatch applies.
-func (p *Pass) ReportfDir(pos token.Pos, dir, format string, args ...any) {
-	p.report(Diagnostic{Pos: pos, Directive: dir, Message: fmt.Sprintf(format, args...)})
-}
-
-// Diagnostic is one finding.
-type Diagnostic struct {
-	Pos     token.Pos
-	Message string
-	// Directive, when non-empty, names the //revtr: directive kind that
-	// suppresses diagnostics of this sort.
-	Directive string
-}
-
-// Finding is a rendered diagnostic, ready for printing or comparison.
+// Finding is one rendered diagnostic, ready for printing or comparison.
 type Finding struct {
-	Position  token.Position
-	Analyzer  string
-	Message   string
-	Directive string
+	Position token.Position
+	Analyzer string
+	Message  string
 }
 
 func (f Finding) String() string {

@@ -29,30 +29,32 @@ import (
 	"go/types"
 
 	"revtr/internal/lint/analysis"
+	"revtr/internal/lint/flow"
 )
 
 // Analyzer is the ctxflow analyzer.
-var Analyzer = &analysis.Analyzer{
+var Analyzer = &flow.Analyzer{
 	Name: "ctxflow",
 	Doc:  "exported probe-issuing/blocking functions take ctx first; context.Background only in main, tests, and nil-normalization",
 	Run:  run,
 }
 
-func run(pass *analysis.Pass) error {
-	if pass.Pkg.Name() == "main" {
-		return nil
-	}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkSignature(pass, fd)
+func run(pass *flow.Pass) {
+	for _, pkg := range pass.Prog.Pkgs {
+		if pkg.Name == "main" {
+			continue
 		}
-		checkBackground(pass, f)
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				checkSignature(pass, pkg.Info, fd)
+			}
+			checkBackground(pass, pkg.Info, f)
+		}
 	}
-	return nil
 }
 
 // isContext reports whether t is context.Context.
@@ -67,14 +69,14 @@ func isContext(t types.Type) bool {
 
 // exported reports whether fd is part of the package's exported API
 // (exported name; for methods, an exported receiver type too).
-func exported(pass *analysis.Pass, fd *ast.FuncDecl) bool {
+func exported(info *types.Info, fd *ast.FuncDecl) bool {
 	if !fd.Name.IsExported() {
 		return false
 	}
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
 		return true
 	}
-	t := pass.Info.TypeOf(fd.Recv.List[0].Type)
+	t := info.TypeOf(fd.Recv.List[0].Type)
 	if t == nil {
 		return true
 	}
@@ -87,11 +89,11 @@ func exported(pass *analysis.Pass, fd *ast.FuncDecl) bool {
 	return true
 }
 
-func checkSignature(pass *analysis.Pass, fd *ast.FuncDecl) {
-	if !exported(pass, fd) {
+func checkSignature(pass *flow.Pass, info *types.Info, fd *ast.FuncDecl) {
+	if !exported(info, fd) {
 		return
 	}
-	obj, _ := pass.Info.Defs[fd.Name].(*types.Func)
+	obj, _ := info.Defs[fd.Name].(*types.Func)
 	if obj == nil {
 		return
 	}
@@ -110,7 +112,7 @@ func checkSignature(pass *analysis.Pass, fd *ast.FuncDecl) {
 	if hasCtx {
 		return
 	}
-	if why := issuesOrBlocks(pass, fd.Body); why != "" {
+	if why := issuesOrBlocks(info, fd.Body); why != "" {
 		pass.Reportf(fd.Name.Pos(),
 			"exported %s %s but takes no context.Context; add ctx as the first parameter so callers can cancel it", fd.Name.Name, why)
 	}
@@ -121,7 +123,7 @@ func checkSignature(pass *analysis.Pass, fd *ast.FuncDecl) {
 // started in a goroutine still needs the caller's context) and for
 // direct blocking operations (top level only: blocking inside a spawned
 // goroutine does not block the exported caller).
-func issuesOrBlocks(pass *analysis.Pass, body *ast.BlockStmt) string {
+func issuesOrBlocks(info *types.Info, body *ast.BlockStmt) string {
 	why := ""
 	depth := 0
 	var visit func(n ast.Node) bool
@@ -136,7 +138,7 @@ func issuesOrBlocks(pass *analysis.Pass, body *ast.BlockStmt) string {
 			depth--
 			return false
 		case *ast.CallExpr:
-			if fn := analysis.CalleeFunc(pass.Info, n); fn != nil {
+			if fn := analysis.CalleeFunc(info, n); fn != nil {
 				if analysis.IsPkgFunc(fn, "time", "Sleep") {
 					if depth == 0 {
 						why = "blocks (time.Sleep)"
@@ -191,17 +193,17 @@ func recvTypeName(fn *types.Func) string {
 
 // checkBackground flags context.Background()/TODO() synthesis outside
 // the nil-normalization idiom.
-func checkBackground(pass *analysis.Pass, f *ast.File) {
+func checkBackground(pass *flow.Pass, info *types.Info, f *ast.File) {
 	analysis.WalkStack(f, func(n ast.Node, stack []ast.Node) {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return
 		}
-		fn := analysis.CalleeFunc(pass.Info, call)
+		fn := analysis.CalleeFunc(info, call)
 		if !analysis.IsPkgFunc(fn, "context", "Background", "TODO") {
 			return
 		}
-		if fn.Name() == "Background" && isNilNormalization(pass, call, stack) {
+		if fn.Name() == "Background" && isNilNormalization(info, call, stack) {
 			return
 		}
 		pass.Reportf(call.Pos(),
@@ -210,7 +212,7 @@ func checkBackground(pass *analysis.Pass, f *ast.File) {
 }
 
 // isNilNormalization matches `if x == nil { x = context.Background() }`.
-func isNilNormalization(pass *analysis.Pass, call *ast.CallExpr, stack []ast.Node) bool {
+func isNilNormalization(info *types.Info, call *ast.CallExpr, stack []ast.Node) bool {
 	// stack: ... IfStmt BlockStmt AssignStmt CallExpr
 	if len(stack) < 4 {
 		return false
@@ -241,7 +243,7 @@ func isNilNormalization(pass *analysis.Pass, call *ast.CallExpr, stack []ast.Nod
 		if !ok || nilIdent.Name != "nil" {
 			continue
 		}
-		if pass.Info.ObjectOf(id) == pass.Info.ObjectOf(lhs) {
+		if info.ObjectOf(id) == info.ObjectOf(lhs) {
 			return true
 		}
 	}

@@ -8,5 +8,5 @@ import (
 )
 
 func TestCtxflow(t *testing.T) {
-	linttest.Run(t, "testdata", "ctxpkg", ctxflow.Analyzer)
+	linttest.Run(t, "testdata/src", ctxflow.Analyzer)
 }

@@ -21,9 +21,6 @@
 //     appends that are never sorted, prints/writes, channel sends,
 //     returns, string/float accumulation, and plain assignments to
 //     variables declared outside the loop.
-//
-// The analyzer also validates //revtr: directive syntax everywhere (it
-// is the one suite member that visits every package).
 package detpath
 
 import (
@@ -34,6 +31,7 @@ import (
 
 	"revtr/internal/lint/analysis"
 	"revtr/internal/lint/directive"
+	"revtr/internal/lint/flow"
 )
 
 // deterministicPrefixes lists the packages under the determinism
@@ -68,44 +66,40 @@ func IsDeterministic(path string) bool {
 }
 
 // Analyzer is the detpath analyzer.
-var Analyzer = &analysis.Analyzer{
+var Analyzer = &flow.Analyzer{
 	Name: "detpath",
 	Doc:  "forbid wall-clock reads, global math/rand, and unsorted map ranges in deterministic packages",
 	Run:  run,
 }
 
-func run(pass *analysis.Pass) error {
-	dirs := directive.Parse(pass.Fset, pass.Files)
-	for _, p := range dirs.Problems() {
-		pass.Reportf(p.Pos, "%s", p.Message)
-	}
-	det := IsDeterministic(pass.Pkg.Path())
-
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				checkCall(pass, dirs, det, n)
-			case *ast.RangeStmt:
-				if det {
-					checkMapRange(pass, dirs, f, n)
+func run(pass *flow.Pass) {
+	for _, pkg := range pass.Prog.Pkgs {
+		det := IsDeterministic(pkg.PkgPath)
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					checkCall(pass, pkg.Info, det, n)
+				case *ast.RangeStmt:
+					if det {
+						checkMapRange(pass, pkg.Info, f, n)
+					}
 				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
-	return nil
 }
 
-func checkCall(pass *analysis.Pass, dirs *directive.Map, det bool, call *ast.CallExpr) {
-	fn := analysis.CalleeFunc(pass.Info, call)
+func checkCall(pass *flow.Pass, info *types.Info, det bool, call *ast.CallExpr) {
+	fn := analysis.CalleeFunc(info, call)
 	if fn == nil || fn.Pkg() == nil {
 		return
 	}
 	switch fn.Pkg().Path() {
 	case "time":
 		if fn.Name() == "Now" || fn.Name() == "Since" {
-			if !dirs.Allows(pass.Fset, call.Pos(), directive.Wallclock) {
+			if !pass.Prog.Allows(call.Pos(), directive.Wallclock) {
 				pass.Reportf(call.Pos(),
 					"time.%s reads the wall clock and breaks virtual-time determinism; use the deployment's measure.Clock, or annotate //revtr:wallclock <why> if this is intentional observability", fn.Name())
 			}
@@ -127,19 +121,19 @@ func checkCall(pass *analysis.Pass, dirs *directive.Map, det bool, call *ast.Cal
 }
 
 // checkMapRange flags order-sensitive iteration over a map.
-func checkMapRange(pass *analysis.Pass, dirs *directive.Map, file *ast.File, rs *ast.RangeStmt) {
-	tv, ok := pass.Info.Types[rs.X]
+func checkMapRange(pass *flow.Pass, info *types.Info, file *ast.File, rs *ast.RangeStmt) {
+	tv, ok := info.Types[rs.X]
 	if !ok {
 		return
 	}
 	if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
 		return
 	}
-	if dirs.Allows(pass.Fset, rs.Pos(), directive.Unordered) {
+	if pass.Prog.Allows(rs.Pos(), directive.Unordered) {
 		return
 	}
 	fn := enclosingFunc(file, rs.Pos())
-	if why := orderSensitive(pass, fn, rs); why != "" {
+	if why := orderSensitive(info, fn, rs); why != "" {
 		pass.Reportf(rs.Pos(),
 			"range over map %s is order-sensitive (%s): map iteration order is randomized, breaking bit-identical replies/counters/output; sort the keys first or annotate //revtr:unordered <why>",
 			types.ExprString(rs.X), why)
@@ -167,7 +161,7 @@ func enclosingFunc(file *ast.File, pos token.Pos) *ast.BlockStmt {
 // orderSensitive classifies the loop body; it returns a short reason if
 // the body observably depends on iteration order, or "" if every
 // statement is commutative.
-func orderSensitive(pass *analysis.Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt) string {
+func orderSensitive(info *types.Info, fnBody *ast.BlockStmt, rs *ast.RangeStmt) string {
 	reason := ""
 	depth := 0 // FuncLit nesting inside the loop body
 	var visit func(n ast.Node) bool
@@ -190,14 +184,14 @@ func orderSensitive(pass *analysis.Pass, fnBody *ast.BlockStmt, rs *ast.RangeStm
 			reason = "sends on a channel"
 			return false
 		case *ast.CallExpr:
-			if why := sinkCall(pass, n); why != "" {
+			if why := sinkCall(info, n); why != "" {
 				reason = why
 				return false
 			}
 		case *ast.IncDecStmt:
 			return false // x++ / x-- commute
 		case *ast.AssignStmt:
-			if why := assignSensitive(pass, fnBody, rs, n); why != "" {
+			if why := assignSensitive(info, fnBody, rs, n); why != "" {
 				reason = why
 				return false
 			}
@@ -209,13 +203,13 @@ func orderSensitive(pass *analysis.Pass, fnBody *ast.BlockStmt, rs *ast.RangeStm
 }
 
 // sinkCall reports calls that emit in iteration order.
-func sinkCall(pass *analysis.Pass, call *ast.CallExpr) string {
+func sinkCall(info *types.Info, call *ast.CallExpr) string {
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if strings.HasPrefix(sel.Sel.Name, "Write") {
 			return "writes output via " + sel.Sel.Name
 		}
 	}
-	fn := analysis.CalleeFunc(pass.Info, call)
+	fn := analysis.CalleeFunc(info, call)
 	if fn == nil || fn.Pkg() == nil {
 		return ""
 	}
@@ -233,7 +227,7 @@ func sinkCall(pass *analysis.Pass, call *ast.CallExpr) string {
 }
 
 // assignSensitive classifies one assignment inside the loop body.
-func assignSensitive(pass *analysis.Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt, as *ast.AssignStmt) string {
+func assignSensitive(info *types.Info, fnBody *ast.BlockStmt, rs *ast.RangeStmt, as *ast.AssignStmt) string {
 	if as.Tok == token.DEFINE {
 		return "" // new locals are per-iteration
 	}
@@ -244,7 +238,7 @@ func assignSensitive(pass *analysis.Pass, fnBody *ast.BlockStmt, rs *ast.RangeSt
 		if _, ok := lhs.(*ast.IndexExpr); ok {
 			continue
 		}
-		target, outside := outsideLoop(pass, rs, lhs)
+		target, outside := outsideLoop(info, rs, lhs)
 		if !outside {
 			continue
 		}
@@ -257,20 +251,20 @@ func assignSensitive(pass *analysis.Pass, fnBody *ast.BlockStmt, rs *ast.RangeSt
 		switch as.Tok {
 		case token.ASSIGN:
 			if isAppend(rhs) {
-				if !sortedLater(pass, fnBody, rs, target) {
+				if !sortedLater(info, fnBody, rs, target) {
 					return "appends to " + target + " without sorting it afterwards"
 				}
 				continue
 			}
 			if rhs != nil {
-				if tv, ok := pass.Info.Types[rhs]; ok && tv.Value != nil {
+				if tv, ok := info.Types[rhs]; ok && tv.Value != nil {
 					continue // x = <constant> converges regardless of order
 				}
 			}
 			return "assigns " + target + " (declared outside the loop) in iteration order"
 		case token.ADD_ASSIGN:
 			if rhs != nil {
-				if tv, ok := pass.Info.Types[rhs]; ok {
+				if tv, ok := info.Types[rhs]; ok {
 					switch b := tv.Type.Underlying().(type) {
 					case *types.Basic:
 						if b.Info()&types.IsInteger != 0 {
@@ -297,13 +291,13 @@ func assignSensitive(pass *analysis.Pass, fnBody *ast.BlockStmt, rs *ast.RangeSt
 
 // outsideLoop reports whether lhs names a variable declared outside the
 // range statement, and renders it for messages.
-func outsideLoop(pass *analysis.Pass, rs *ast.RangeStmt, lhs ast.Expr) (string, bool) {
+func outsideLoop(info *types.Info, rs *ast.RangeStmt, lhs ast.Expr) (string, bool) {
 	switch l := lhs.(type) {
 	case *ast.Ident:
 		if l.Name == "_" {
 			return "", false
 		}
-		obj := pass.Info.ObjectOf(l)
+		obj := info.ObjectOf(l)
 		if obj == nil {
 			return l.Name, true
 		}
@@ -328,7 +322,7 @@ func isAppend(e ast.Expr) bool {
 // sortedLater reports whether target is passed to a sort.* / slices.*
 // call after the range statement within the same function body — the
 // collect-keys-then-sort idiom.
-func sortedLater(pass *analysis.Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt, target string) bool {
+func sortedLater(info *types.Info, fnBody *ast.BlockStmt, rs *ast.RangeStmt, target string) bool {
 	if fnBody == nil {
 		return false
 	}
@@ -341,7 +335,7 @@ func sortedLater(pass *analysis.Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt, 
 		if !ok || call.Pos() < rs.End() {
 			return true
 		}
-		fn := analysis.CalleeFunc(pass.Info, call)
+		fn := analysis.CalleeFunc(info, call)
 		if fn == nil || fn.Pkg() == nil {
 			return true
 		}

@@ -8,11 +8,11 @@ import (
 )
 
 func TestDeterministicPackage(t *testing.T) {
-	linttest.Run(t, "testdata", "det", detpath.Analyzer)
+	linttest.Run(t, "testdata/src/det", detpath.Analyzer)
 }
 
 func TestPlainPackage(t *testing.T) {
-	linttest.Run(t, "testdata", "plain", detpath.Analyzer)
+	linttest.Run(t, "testdata/src/plain", detpath.Analyzer)
 }
 
 func TestIsDeterministic(t *testing.T) {

@@ -79,3 +79,11 @@ func mapRanges(m map[string]int, w interface{ Write([]byte) (int, error) }) (str
 	_ = sum
 	return last, total
 }
+
+// trailingWaiver pins the placement rule: a waiver written after one
+// statement covers that statement, not the one on the next line.
+func trailingWaiver() (time.Time, time.Time) {
+	a := time.Now() //revtr:wallclock excuses this line only
+	b := time.Now() // want "time.Now reads the wall clock"
+	return a, b
+}

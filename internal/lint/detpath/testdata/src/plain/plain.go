@@ -19,3 +19,9 @@ func randAndMapsAreFine(m map[string]int) {
 		fmt.Println(k)
 	}
 }
+
+// malformedDirective is reported by the suite's driver, whichever
+// analyzer runs: the kind is not one the suite honours.
+func malformedDirective() int {
+	return 0 //revtr:frobnicate because // want "unknown revtr directive //revtr:frobnicate"
+}

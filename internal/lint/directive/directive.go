@@ -5,13 +5,14 @@
 //	//revtr:unordered <justification>
 //	//revtr:heldacross <justification>
 //	//revtr:spawnbound <justification>
-//	//revtr:lockorder <justification>
 //	//revtr:suspends <justification>
 //	//revtr:calls <pkgpath.Func | pkgpath.Type.Method>
 //
-// A directive suppresses matching diagnostics on the line it occupies
-// (trailing comment) and on the line directly below it (standalone
-// comment above the flagged statement). The justification is mandatory:
+// A trailing directive (code before it on its line) covers that line; a
+// standalone one (alone on its line) covers the line directly below it,
+// the flagged statement. A trailing directive does not reach the next
+// line: a waiver written for one statement must not excuse its
+// neighbour. The justification is mandatory:
 // a directive without one is itself a diagnostic, so every escape hatch
 // in the tree carries its reason next to the code it excuses. The two
 // declarative kinds reuse the justification slot: //revtr:suspends
@@ -39,10 +40,6 @@ const (
 	// SpawnBound excuses a goroutine launch whose lifetime bound the CFG
 	// cannot see (spawnbound).
 	SpawnBound = "spawnbound"
-	// LockOrder excuses a lock-acquisition edge from the module lock-order
-	// graph (lockorder) — for edges that cannot deadlock for reasons the
-	// analyzer cannot prove (e.g. distinct instances).
-	LockOrder = "lockorder"
 	// Suspends declares that the function (or interface method) on the
 	// annotated line parks the caller's measurement: calls reaching it are
 	// suspension points for suspendsafe. The payload is the reason.
@@ -54,8 +51,10 @@ const (
 	Calls = "calls"
 )
 
-// knownKinds is the closed set of directive kinds, in grammar order.
-var knownKinds = []string{Wallclock, Unordered, HeldAcross, SpawnBound, LockOrder, Suspends, Calls}
+// Kinds is the closed set of directive kinds, in grammar order. Each has
+// at least one use in the tree (lint.TestDirectiveKindsInUse): a hatch
+// nothing opens is deleted, not kept.
+var Kinds = []string{Wallclock, Unordered, HeldAcross, SpawnBound, Suspends, Calls}
 
 const prefix = "//revtr:"
 
@@ -64,6 +63,8 @@ type Directive struct {
 	Kind          string
 	Justification string
 	Pos           token.Pos
+	// Standalone is set when no code precedes the directive on its line.
+	Standalone bool
 }
 
 // Problem is a malformed directive (unknown kind or no justification).
@@ -72,7 +73,7 @@ type Problem struct {
 	Message string
 }
 
-// Map indexes a package's directives by file and line.
+// Map indexes the parsed files' directives by file and line.
 type Map struct {
 	byLine   map[string]map[int][]Directive // filename -> line -> directives
 	problems []Problem
@@ -82,6 +83,7 @@ type Map struct {
 func Parse(fset *token.FileSet, files []*ast.File) *Map {
 	m := &Map{byLine: map[string]map[int][]Directive{}}
 	for _, f := range files {
+		var code map[int]bool // lines of f holding code; built at f's first directive
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				if !strings.HasPrefix(c.Text, prefix) {
@@ -93,7 +95,7 @@ func Parse(fset *token.FileSet, files []*ast.File) *Map {
 				if !known(kind) {
 					m.problems = append(m.problems, Problem{
 						Pos:     c.Pos(),
-						Message: "unknown revtr directive //revtr:" + kind + " (known kinds: " + strings.Join(knownKinds, ", ") + ")",
+						Message: "unknown revtr directive //revtr:" + kind + " (known kinds: " + strings.Join(Kinds, ", ") + ")",
 					})
 					continue
 				}
@@ -116,7 +118,10 @@ func Parse(fset *token.FileSet, files []*ast.File) *Map {
 					lines = map[int][]Directive{}
 					m.byLine[pos.Filename] = lines
 				}
-				lines[pos.Line] = append(lines[pos.Line], Directive{Kind: kind, Justification: just, Pos: c.Pos()})
+				if code == nil {
+					code = codeLines(fset, f)
+				}
+				lines[pos.Line] = append(lines[pos.Line], Directive{Kind: kind, Justification: just, Pos: c.Pos(), Standalone: !code[pos.Line]})
 			}
 		}
 	}
@@ -124,7 +129,7 @@ func Parse(fset *token.FileSet, files []*ast.File) *Map {
 }
 
 func known(kind string) bool {
-	for _, k := range knownKinds {
+	for _, k := range Kinds {
 		if kind == k {
 			return true
 		}
@@ -132,16 +137,35 @@ func known(kind string) bool {
 	return false
 }
 
+// codeLines returns the lines of f on which a syntax node starts or
+// ends. A // comment runs to the end of its line, so a directive on such
+// a line has code before it: it is trailing, not standalone.
+func codeLines(fset *token.FileSet, f *ast.File) map[int]bool {
+	lines := map[int]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n.(type) {
+		case nil, *ast.Comment, *ast.CommentGroup:
+			return false
+		}
+		if n.Pos().IsValid() && n.End().IsValid() {
+			lines[fset.Position(n.Pos()).Line] = true
+			lines[fset.Position(n.End()-1).Line] = true
+		}
+		return true
+	})
+	return lines
+}
+
 // Allows reports whether a diagnostic of the given kind at pos is
-// suppressed by a directive on the same line or the line above.
+// suppressed by a directive attached to pos (see At).
 func (m *Map) Allows(fset *token.FileSet, pos token.Pos, kind string) bool {
 	return len(m.At(fset, pos, kind)) > 0
 }
 
-// At returns the directives of the given kind attached to pos: on the
-// same line (trailing comment) or the line directly above (standalone
-// comment). Declarative kinds (suspends, calls) are read through At, so
-// their payloads follow the same placement rule as suppressions.
+// At returns the directives of the given kind attached to pos: trailing
+// on the same line, or standalone on the line directly above.
+// Declarative kinds (suspends, calls) are read through At, so their
+// payloads follow the same placement rule as suppressions.
 func (m *Map) At(fset *token.FileSet, pos token.Pos, kind string) []Directive {
 	p := fset.Position(pos)
 	lines, ok := m.byLine[p.Filename]
@@ -151,7 +175,7 @@ func (m *Map) At(fset *token.FileSet, pos token.Pos, kind string) []Directive {
 	var out []Directive
 	for _, line := range [2]int{p.Line, p.Line - 1} {
 		for _, d := range lines[line] {
-			if d.Kind == kind {
+			if d.Kind == kind && d.Standalone == (line != p.Line) {
 				out = append(out, d)
 			}
 		}

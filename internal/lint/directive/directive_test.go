@@ -40,17 +40,53 @@ func f() {
 	if !m.Allows(fset, pos(4), directive.Wallclock) {
 		t.Error("trailing directive should allow its own line")
 	}
-	if !m.Allows(fset, pos(5), directive.Wallclock) {
-		t.Error("directive should allow the line below")
-	}
-	if m.Allows(fset, pos(6), directive.Wallclock) {
-		t.Error("directive must not reach two lines down")
+	if m.Allows(fset, pos(5), directive.Wallclock) {
+		t.Error("trailing directive must not leak to the line below")
 	}
 	if m.Allows(fset, pos(4), directive.Unordered) {
 		t.Error("wallclock directive must not allow unordered diagnostics")
 	}
 	if !m.Allows(fset, pos(7), directive.Unordered) {
 		t.Error("standalone directive should allow the statement below")
+	}
+}
+
+// TestPlacement pins the placement rule for every kind, read through At
+// (the declarative kinds, suspends and calls, take the same road): a
+// trailing directive covers its own line only, a standalone one the
+// line below only.
+func TestPlacement(t *testing.T) {
+	for _, kind := range directive.Kinds {
+		fset, files := parse(t, `package p
+
+func f() {
+	g() //revtr:`+kind+` trailing
+	g()
+	//revtr:`+kind+` standalone
+	g(
+		0)
+	g()
+}
+
+//revtr:`+kind+` standalone above a declaration
+func g(...int) {}
+`)
+		m := directive.Parse(fset, files)
+		if len(m.Problems()) != 0 {
+			t.Fatalf("%s: unexpected problems: %v", kind, m.Problems())
+		}
+		for line, want := range map[int]string{
+			4: "trailing", 5: "", 6: "", 7: "standalone", 8: "", 9: "",
+			11: "", 12: "", 13: "standalone above a declaration",
+		} {
+			ds := m.At(fset, fset.File(files[0].Pos()).LineStart(line), kind)
+			switch {
+			case want == "" && len(ds) != 0:
+				t.Errorf("%s: line %d: got %v, want no directive", kind, line, ds)
+			case want != "" && (len(ds) != 1 || ds[0].Justification != want):
+				t.Errorf("%s: line %d: got %v, want the %q directive", kind, line, ds, want)
+			}
+		}
 	}
 }
 

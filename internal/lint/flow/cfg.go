@@ -21,7 +21,8 @@ type Block struct {
 	Stmts []ast.Stmt
 	// Cond, when non-nil, is a condition evaluated after Stmts; Succs[0]
 	// is then the true edge and Succs[1] the false edge. The lock
-	// dataflow uses this to model TryLock-guarded branches.
+	// dataflow reads it for events: a condition's calls run like any
+	// statement's.
 	Cond ast.Expr
 	// Succs are the successor blocks.
 	Succs []*Block

@@ -16,9 +16,8 @@
 //     that registers it. Deferred closures contribute their call events
 //     (they run on this goroutine, with the locks held at return), but
 //     not their unlocks.
-//   - TryLock/TryRLock used as an if condition is modelled edge-
-//     sensitively: the lock is held only on the branch where the call
-//     returned true. Any other TryLock shape is untracked.
+//   - TryLock/TryRLock is not modelled: nothing outside tests calls it,
+//     and locksafe forbids it so that stays true.
 package flow
 
 import (
@@ -100,30 +99,22 @@ type event struct {
 	pos    token.Pos
 }
 
-// condAcq describes a TryLock-shaped branch condition.
-type condAcq struct {
-	held    Held
-	negated bool // `if !mu.TryLock()`: held on the FALSE edge
-}
-
 func computeLockFacts(p *Program, fi *FuncInfo) *LockFacts {
 	cfg := BuildCFG(fi.Decl.Body)
 	x := &extractor{pkg: fi.Pkg, prog: p}
 
 	events := make([][]event, len(cfg.Blocks))
-	conds := make([]*condAcq, len(cfg.Blocks))
 	for i, b := range cfg.Blocks {
 		for _, s := range b.Stmts {
 			events[i] = x.stmtEvents(events[i], s)
 		}
 		if b.Cond != nil {
 			events[i] = x.exprEvents(events[i], b.Cond, true)
-			conds[i] = x.condTry(b.Cond)
 		}
 	}
 
 	// Forward may-held fixpoint: join is union, transfer is the block's
-	// event sequence, TryLock conditions adjust per-edge.
+	// event sequence.
 	type heldSet = map[string]Held
 	apply := func(in heldSet, evs []event) heldSet {
 		out := make(heldSet, len(in))
@@ -150,21 +141,14 @@ func computeLockFacts(p *Program, fi *FuncInfo) *LockFacts {
 		work = work[:len(work)-1]
 		b := cfg.Blocks[bi]
 		out := apply(ins[bi], events[bi])
-		for si, succ := range b.Succs {
-			eo := out
-			if c := conds[bi]; c != nil && b.Cond != nil {
-				onTrue := si == 0
-				if onTrue != c.negated {
-					eo = apply(out, []event{{kind: evLock, held: c.held}})
-				}
-			}
+		for _, succ := range b.Succs {
 			if ins[succ.index] == nil {
-				ins[succ.index] = apply(eo, nil)
+				ins[succ.index] = apply(out, nil)
 				work = append(work, succ.index)
 				continue
 			}
 			grew := false
-			for k, v := range eo {
+			for k, v := range out {
 				if _, ok := ins[succ.index][k]; !ok {
 					ins[succ.index][k] = v
 					grew = true
@@ -204,9 +188,6 @@ func computeLockFacts(p *Program, fi *FuncInfo) *LockFacts {
 			case evCall:
 				facts.Calls = append(facts.Calls, CallSite{Callee: e.callee, Pos: e.pos, Holding: snapshot(state)})
 			}
-		}
-		if c := conds[bi]; c != nil {
-			facts.Acquires = append(facts.Acquires, Acquire{Held: c.held, Holding: snapshot(state)})
 		}
 	}
 	sort.Slice(facts.Acquires, func(i, j int) bool { return facts.Acquires[i].Pos < facts.Acquires[j].Pos })
@@ -256,15 +237,15 @@ func (x *extractor) exprEvents(evs []event, e ast.Expr, descend bool) []event {
 // deferEvents handles `defer f(...)`: a deferred unlock is NOT a release
 // (it fires at return); a deferred closure contributes only its calls.
 func (x *extractor) deferEvents(evs []event, s *ast.DeferStmt) []event {
-	if _, _, ok := x.mutexMethod(s.Call); ok {
+	if _, _, ok := MutexMethod(x.pkg, s.Call); ok {
 		return evs // a deferred Unlock releases at return, not here
 	}
 	if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
 		ast.Inspect(lit.Body, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
-				if _, _, isMu := x.mutexMethod(call); !isMu {
+				if _, _, isMu := MutexMethod(x.pkg, call); !isMu {
 					if callee := analysis.CalleeFunc(x.pkg.Info, call); callee != nil {
-						evs = append(evs, event{kind: evCall, callee: x.canon(callee), pos: call.Pos()})
+						evs = append(evs, event{kind: evCall, callee: x.prog.Canon(callee), pos: call.Pos()})
 					}
 				}
 			}
@@ -276,7 +257,7 @@ func (x *extractor) deferEvents(evs []event, s *ast.DeferStmt) []event {
 	}
 	// Deferred named call: runs at return; approximate at the defer site.
 	if callee := analysis.CalleeFunc(x.pkg.Info, s.Call); callee != nil {
-		evs = append(evs, event{kind: evCall, callee: x.canon(callee), pos: s.Call.Pos()})
+		evs = append(evs, event{kind: evCall, callee: x.prog.Canon(callee), pos: s.Call.Pos()})
 	}
 	return evs
 }
@@ -285,20 +266,19 @@ func (x *extractor) deferEvents(evs []event, s *ast.DeferStmt) []event {
 func (x *extractor) nodeEvents(evs []event, n ast.Node) []event {
 	switch n := n.(type) {
 	case *ast.CallExpr:
-		if h, name, ok := x.mutexMethod(n); ok {
+		if h, name, ok := MutexMethod(x.pkg, n); ok {
 			switch name {
 			case "Lock", "RLock":
 				evs = append(evs, event{kind: evLock, held: h})
 			case "Unlock", "RUnlock":
 				evs = append(evs, event{kind: evUnlock, held: h})
 			}
-			// TryLock/TryRLock outside an if condition is untracked.
 			return evs
 		}
 		if callee := analysis.CalleeFunc(x.pkg.Info, n); callee != nil {
-			evs = append(evs, event{kind: evCall, callee: x.canon(callee), pos: n.Pos()})
+			evs = append(evs, event{kind: evCall, callee: x.prog.Canon(callee), pos: n.Pos()})
 		}
-		for _, callee := range x.declared(n) {
+		for _, callee := range x.prog.DeclaredCallees(n.Pos()) {
 			evs = append(evs, event{kind: evCall, callee: callee, pos: n.Pos()})
 		}
 	case *ast.SendStmt:
@@ -316,52 +296,16 @@ func (x *extractor) nodeEvents(evs []event, n ast.Node) []event {
 	return evs
 }
 
-// declared resolves the //revtr:calls directives attached to a call.
-func (x *extractor) declared(call *ast.CallExpr) []*types.Func {
-	if x.prog == nil {
-		return nil
-	}
-	return x.prog.DeclaredCallees(call.Pos())
-}
-
-// canon maps an imported callee object back to its source-checked
-// counterpart (see Program.Canon); identity must line up or cross-
-// package facts never join.
-func (x *extractor) canon(fn *types.Func) *types.Func {
-	if x.prog == nil {
-		return fn
-	}
-	return x.prog.Canon(fn)
-}
-
-// condTry recognizes `mu.TryLock()` / `!mu.TryLock()` branch conditions.
-func (x *extractor) condTry(cond ast.Expr) *condAcq {
-	negated := false
-	e := ast.Unparen(cond)
-	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.NOT {
-		negated = true
-		e = ast.Unparen(u.X)
-	}
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return nil
-	}
-	h, name, ok := x.mutexMethod(call)
-	if !ok || (name != "TryLock" && name != "TryRLock") {
-		return nil
-	}
-	h.Read = name == "TryRLock"
-	return &condAcq{held: h, negated: negated}
-}
-
-// mutexMethod resolves a sync.Mutex/sync.RWMutex method call into a Held
-// fact plus the method name.
-func (x *extractor) mutexMethod(call *ast.CallExpr) (Held, string, bool) {
+// MutexMethod resolves a sync.Mutex/sync.RWMutex lock-method call into
+// a Held fact plus the method name: Lock, Unlock, RLock, RUnlock, and
+// TryLock/TryRLock, which the dataflow does not model and locksafe
+// forbids. It is the suite's one resolver for sync methods.
+func MutexMethod(pkg *loader.Package, call *ast.CallExpr) (Held, string, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return Held{}, "", false
 	}
-	fn := analysis.CalleeFunc(x.pkg.Info, call)
+	fn := analysis.CalleeFunc(pkg.Info, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
 		return Held{}, "", false
 	}
@@ -370,7 +314,7 @@ func (x *extractor) mutexMethod(call *ast.CallExpr) (Held, string, bool) {
 	default:
 		return Held{}, "", false
 	}
-	key, render := x.lockRef(sel.X)
+	key, render := lockRef(pkg, sel.X)
 	return Held{
 		Key:    key,
 		Render: render,
@@ -384,11 +328,11 @@ func (x *extractor) mutexMethod(call *ast.CallExpr) (Held, string, bool) {
 // by package path + name, and anything else falls back to the package-
 // qualified source spelling. Lock and RLock of the same mutex share one
 // key: the order graph has one node per lock, whatever the mode.
-func (x *extractor) lockRef(e ast.Expr) (key, render string) {
+func lockRef(pkg *loader.Package, e ast.Expr) (key, render string) {
 	e = ast.Unparen(e)
 	render = types.ExprString(e)
 	if sel, ok := e.(*ast.SelectorExpr); ok {
-		t := x.pkg.Info.TypeOf(sel.X)
+		t := pkg.Info.TypeOf(sel.X)
 		if t != nil {
 			if ptr, ok := t.(*types.Pointer); ok {
 				t = ptr.Elem()
@@ -399,17 +343,17 @@ func (x *extractor) lockRef(e ast.Expr) (key, render string) {
 		}
 	}
 	if id, ok := e.(*ast.Ident); ok {
-		if obj := x.pkg.Info.ObjectOf(id); obj != nil && obj.Pkg() != nil {
+		if obj := pkg.Info.ObjectOf(id); obj != nil && obj.Pkg() != nil {
 			if obj.Parent() == obj.Pkg().Scope() {
 				return obj.Pkg().Path() + "." + obj.Name(), render
 			}
 			// Local mutex: qualify by declaration site so distinct locals
 			// in different functions never alias.
-			pos := x.pkg.Fset.Position(obj.Pos())
+			pos := pkg.Fset.Position(obj.Pos())
 			return obj.Pkg().Path() + "." + obj.Name() + "@" + pos.Filename + ":" + strconv.Itoa(pos.Line), render
 		}
 	}
-	return x.pkg.PkgPath + ":" + render, render
+	return pkg.PkgPath + ":" + render, render
 }
 
 // ticketRef canonicalizes a `chan struct{}` semaphore expression.
@@ -426,7 +370,7 @@ func (x *extractor) ticketRef(ch ast.Expr) (Held, bool) {
 	if !ok || st.NumFields() != 0 {
 		return Held{}, false
 	}
-	key, render := x.lockRef(ch)
+	key, render := lockRef(x.pkg, ch)
 	return Held{Key: "ticket " + key, Render: render, Ticket: true, Pos: ch.Pos()}, true
 }
 

@@ -1,9 +1,11 @@
-// Package flow is the flow-aware layer of the lint suite: a module-wide
-// view of every loaded package (Program), a statement-level
-// intraprocedural CFG (BuildCFG), a module-local call graph, and a
-// may-held lock/ticket dataflow (LockFacts). The concurrency analyzers
-// (lockorder, suspendsafe, spawnbound) consume it; the per-package
-// analyzers in internal/lint/analysis do not need it.
+// Package flow is the lint suite's framework: the one Analyzer/Pass
+// shape every check has, run over a module-wide view of every loaded
+// package (Program) with its parsed //revtr: directives, plus the
+// flow-aware layer the concurrency analyzers (lockorder, suspendsafe,
+// spawnbound) consume — a statement-level intraprocedural CFG
+// (BuildCFG), a module-local call graph, and a may-held lock/ticket
+// dataflow (LockFacts). The per-package checks (detpath, ctxflow,
+// obsnames, locksafe) loop Program.Pkgs.
 //
 // Two //revtr: directives make the static graphs match the dynamic
 // ones:
@@ -55,15 +57,10 @@ type Program struct {
 	// packages.
 	Funcs map[*types.Func]*FuncInfo
 
-	dirs   []pkgDirs
+	dirs   *directive.Map
 	byName map[string]*types.Func
 	calls  map[*types.Func][]*types.Func
 	facts  map[*types.Func]*LockFacts
-}
-
-type pkgDirs struct {
-	pkg *loader.Package
-	m   *directive.Map
 }
 
 // BuildProgram assembles the module view from one loader.Load result.
@@ -80,8 +77,9 @@ func BuildProgram(pkgs []*loader.Package) *Program {
 		p.Fset = pkgs[0].Fset
 	}
 	p.Pkgs = pkgs
+	var files []*ast.File
 	for _, pkg := range pkgs {
-		p.dirs = append(p.dirs, pkgDirs{pkg, directive.Parse(pkg.Fset, pkg.Files)})
+		files = append(files, pkg.Files...)
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
@@ -118,6 +116,7 @@ func BuildProgram(pkgs []*loader.Package) *Program {
 			})
 		}
 	}
+	p.dirs = directive.Parse(p.Fset, files)
 	return p
 }
 
@@ -177,26 +176,10 @@ func (p *Program) SortedFuncs() []*FuncInfo {
 	return out
 }
 
-// Allows reports whether any package's directives suppress kind at pos.
+// Allows reports whether a directive of the given kind is attached to
+// pos (directive.Map.At has the placement rule).
 func (p *Program) Allows(pos token.Pos, kind string) bool {
-	for _, d := range p.dirs {
-		if d.m.Allows(p.Fset, pos, kind) {
-			return true
-		}
-	}
-	return false
-}
-
-// directivesAt collects directives of the given kind attached to pos
-// across all packages (a position lives in exactly one file, so at most
-// one package contributes).
-func (p *Program) directivesAt(pos token.Pos, kind string) []directive.Directive {
-	for _, d := range p.dirs {
-		if ds := d.m.At(p.Fset, pos, kind); len(ds) > 0 {
-			return ds
-		}
-	}
-	return nil
+	return p.dirs.Allows(p.Fset, pos, kind)
 }
 
 // DeclaredCallees resolves the //revtr:calls directives attached to a
@@ -205,7 +188,7 @@ func (p *Program) directivesAt(pos token.Pos, kind string) []directive.Directive
 // declarations about packages that are not in view).
 func (p *Program) DeclaredCallees(pos token.Pos) []*types.Func {
 	var out []*types.Func
-	for _, d := range p.directivesAt(pos, directive.Calls) {
+	for _, d := range p.dirs.At(p.Fset, pos, directive.Calls) {
 		if fn := p.byName[d.Justification]; fn != nil {
 			out = append(out, fn)
 		}
@@ -257,13 +240,13 @@ func (p *Program) Callees(fn *types.Func) []*types.Func {
 // suspension points with //revtr:suspends.
 func (p *Program) SuspendSeeds() map[*types.Func]bool {
 	seeds := map[*types.Func]bool{}
-	for _, d := range p.dirs {
-		for _, f := range d.pkg.Files {
+	for _, pkg := range p.Pkgs {
+		for _, f := range pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.FuncDecl:
-					if d.m.Allows(p.Fset, n.Pos(), directive.Suspends) {
-						if fn, ok := d.pkg.Info.Defs[n.Name].(*types.Func); ok {
+					if p.Allows(n.Pos(), directive.Suspends) {
+						if fn, ok := pkg.Info.Defs[n.Name].(*types.Func); ok {
 							seeds[fn] = true
 						}
 					}
@@ -272,8 +255,8 @@ func (p *Program) SuspendSeeds() map[*types.Func]bool {
 						if len(field.Names) == 0 {
 							continue // embedded interface
 						}
-						if d.m.Allows(p.Fset, field.Pos(), directive.Suspends) {
-							if fn, ok := d.pkg.Info.Defs[field.Names[0]].(*types.Func); ok {
+						if p.Allows(field.Pos(), directive.Suspends) {
+							if fn, ok := pkg.Info.Defs[field.Names[0]].(*types.Func); ok {
 								seeds[fn] = true
 							}
 						}
@@ -286,35 +269,46 @@ func (p *Program) SuspendSeeds() map[*types.Func]bool {
 	return seeds
 }
 
-// Analyzer is one module-wide, flow-aware static check. It differs from
-// analysis.Analyzer in scope: one run sees every loaded package through
-// a shared Program instead of one package at a time.
+// Analyzer is one named static check over the whole Program. Lock
+// order and suspension safety are properties of cross-package call
+// chains; a check that judges one package at a time loops Prog.Pkgs.
 type Analyzer struct {
+	// Name identifies the analyzer in findings (e.g. "detpath").
 	Name string
-	Doc  string
-	Run  func(*Pass) error
+	// Doc is a one-line description of the invariant enforced.
+	Doc string
+	// Run inspects the program and reports findings through the pass.
+	Run func(*Pass)
 }
 
-// Pass carries one Program through one module analyzer.
+// Pass carries the Program through one analyzer.
 type Pass struct {
 	Analyzer *Analyzer
 	Prog     *Program
 
-	report func(analysis.Diagnostic)
+	findings *[]analysis.Finding
 }
 
-// NewPass assembles a module pass; report receives every diagnostic.
-func NewPass(a *Analyzer, prog *Program, report func(analysis.Diagnostic)) *Pass {
-	return &Pass{Analyzer: a, Prog: prog, report: report}
-}
-
-// Reportf records a diagnostic at pos.
+// Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(analysis.Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
+	*p.findings = append(*p.findings, analysis.Finding{
+		Position: p.Prog.Fset.Position(pos),
+		Analyzer: p.Analyzer.Name,
+		Message:  fmt.Sprintf(format, args...),
+	})
 }
 
-// ReportfDir records a diagnostic at pos suppressible by the named
-// //revtr: directive kind.
-func (p *Pass) ReportfDir(pos token.Pos, dir, format string, args ...any) {
-	p.report(analysis.Diagnostic{Pos: pos, Directive: dir, Message: fmt.Sprintf(format, args...)})
+// Run runs the analyzers over the program in order and returns the
+// sorted findings. Malformed //revtr: directives are reported here, once,
+// from the program's one directive parse, whichever analyzers run.
+func (p *Program) Run(analyzers ...*Analyzer) []analysis.Finding {
+	var findings []analysis.Finding
+	for _, pr := range p.dirs.Problems() {
+		findings = append(findings, analysis.Finding{Position: p.Fset.Position(pr.Pos), Analyzer: "directive", Message: pr.Message})
+	}
+	for _, a := range analyzers {
+		a.Run(&Pass{Analyzer: a, Prog: p, findings: &findings})
+	}
+	analysis.SortFindings(findings)
+	return findings
 }

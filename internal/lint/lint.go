@@ -3,19 +3,16 @@
 // concurrency contracts (DESIGN.md "Determinism contract and static
 // enforcement" and "Concurrency contract") into compile-time gates.
 // `make lint` / `make ci` run the suite over the whole module via
-// cmd/revtr-lint and fail on any diagnostic.
+// cmd/revtr-lint and fail on any finding.
 //
-// The suite has two analyzer shapes: per-package analyzers
-// (analysis.Analyzer — detpath, ctxflow, obsnames, locksafe) that see
-// one type-checked package at a time, and module analyzers
-// (flow.Analyzer — lockorder, suspendsafe, spawnbound) that see every
-// loaded package at once through a flow.Program, because lock order and
-// suspension safety are properties of cross-package call chains.
+// Every analyzer has one shape, flow.Analyzer: it sees every loaded
+// package at once through a flow.Program, because lock order and
+// suspension safety are properties of cross-package call chains; the
+// checks that judge one package at a time (detpath, ctxflow, obsnames,
+// locksafe) loop the program's packages.
 package lint
 
 import (
-	"fmt"
-
 	"revtr/internal/lint/analysis"
 	"revtr/internal/lint/ctxflow"
 	"revtr/internal/lint/detpath"
@@ -28,108 +25,25 @@ import (
 	"revtr/internal/lint/suspendsafe"
 )
 
-// Analyzers returns the per-package analyzers in their fixed run order.
-func Analyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{
+// Analyzers returns the suite in its fixed run order.
+func Analyzers() []*flow.Analyzer {
+	return []*flow.Analyzer{
 		detpath.Analyzer,
 		ctxflow.Analyzer,
 		obsnames.Analyzer,
 		locksafe.Analyzer,
-	}
-}
-
-// FlowAnalyzers returns the module-wide analyzers in their fixed run
-// order.
-func FlowAnalyzers() []*flow.Analyzer {
-	return []*flow.Analyzer{
 		lockorder.Analyzer,
 		suspendsafe.Analyzer,
 		spawnbound.Analyzer,
 	}
 }
 
-// Names lists every analyzer in the suite, per-package first, in run
-// order. The -run filter of cmd/revtr-lint accepts exactly these names.
-func Names() []string {
-	var names []string
-	for _, a := range Analyzers() {
-		names = append(names, a.Name)
-	}
-	for _, a := range FlowAnalyzers() {
-		names = append(names, a.Name)
-	}
-	return names
-}
-
 // Run loads the packages matched by patterns (relative to dir) and runs
 // the whole suite, returning the sorted findings.
 func Run(dir string, patterns ...string) ([]analysis.Finding, error) {
-	return RunSelected(dir, nil, patterns...)
-}
-
-// RunSelected is Run restricted to the named analyzers (nil or empty
-// means all). Unknown names are an error, so a typo in -run fails loudly
-// instead of silently passing.
-func RunSelected(dir string, only []string, patterns ...string) ([]analysis.Finding, error) {
-	selected := map[string]bool{}
-	if len(only) > 0 {
-		known := map[string]bool{}
-		for _, n := range Names() {
-			known[n] = true
-		}
-		for _, n := range only {
-			if !known[n] {
-				return nil, fmt.Errorf("unknown analyzer %q (have %v)", n, Names())
-			}
-			selected[n] = true
-		}
-	}
-	want := func(name string) bool { return len(selected) == 0 || selected[name] }
-
 	pkgs, err := loader.Load(dir, patterns...)
 	if err != nil {
 		return nil, err
 	}
-	var findings []analysis.Finding
-	for _, p := range pkgs {
-		for _, a := range Analyzers() {
-			if !want(a.Name) {
-				continue
-			}
-			pass := analysis.NewPass(a, p.Fset, p.Files, p.Types, p.Info, func(d analysis.Diagnostic) {
-				findings = append(findings, analysis.Finding{
-					Position:  p.Fset.Position(d.Pos),
-					Analyzer:  a.Name,
-					Message:   d.Message,
-					Directive: d.Directive,
-				})
-			})
-			if err := a.Run(pass); err != nil {
-				return nil, err
-			}
-		}
-	}
-	var prog *flow.Program
-	for _, a := range FlowAnalyzers() {
-		if !want(a.Name) {
-			continue
-		}
-		if prog == nil {
-			prog = flow.BuildProgram(pkgs)
-		}
-		a := a
-		pass := flow.NewPass(a, prog, func(d analysis.Diagnostic) {
-			findings = append(findings, analysis.Finding{
-				Position:  prog.Fset.Position(d.Pos),
-				Analyzer:  a.Name,
-				Message:   d.Message,
-				Directive: d.Directive,
-			})
-		})
-		if err := a.Run(pass); err != nil {
-			return nil, err
-		}
-	}
-	analysis.SortFindings(findings)
-	return findings, nil
+	return flow.BuildProgram(pkgs).Run(Analyzers()...), nil
 }

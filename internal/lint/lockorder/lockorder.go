@@ -15,8 +15,8 @@
 // instances of one type are distinct locks, and instance identity is
 // beyond a static key.
 //
-// An edge is excused with //revtr:lockorder <why> on the acquisition or
-// call line that creates it.
+// There is no escape hatch: a cycle is resolved by picking one order,
+// not by annotating an edge (the tree has no benign edge to excuse).
 package lockorder
 
 import (
@@ -27,7 +27,6 @@ import (
 	"sort"
 	"strings"
 
-	"revtr/internal/lint/directive"
 	"revtr/internal/lint/flow"
 )
 
@@ -46,7 +45,7 @@ type edge struct {
 	via string
 }
 
-func run(pass *flow.Pass) error {
+func run(pass *flow.Pass) {
 	prog := pass.Prog
 
 	// Transitive acquire sets: every lock a call into fn may take, on
@@ -108,9 +107,6 @@ func run(pass *flow.Pass) error {
 			if a.Ticket || len(a.Holding) == 0 {
 				continue
 			}
-			if prog.Allows(a.Pos, directive.LockOrder) {
-				continue
-			}
 			for _, h := range a.Holding {
 				if !h.Ticket {
 					addEdge(edge{from: h.Key, to: a.Key, pos: a.Pos})
@@ -119,9 +115,6 @@ func run(pass *flow.Pass) error {
 		}
 		for _, c := range facts.Calls {
 			if c.Callee == nil || len(c.Holding) == 0 {
-				continue
-			}
-			if prog.Allows(c.Pos, directive.LockOrder) {
 				continue
 			}
 			for to := range transAcq(c.Callee, map[*types.Func]bool{}) {
@@ -167,11 +160,10 @@ func run(pass *flow.Pass) error {
 			}
 			steps = append(steps, fmt.Sprintf("%s (%s:%d%s)", cycle[(i+1)%len(cycle)], filepath.Base(p.Filename), p.Line, via))
 		}
-		pass.ReportfDir(first.pos, directive.LockOrder,
-			"lock-order cycle: %s → %s; two goroutines taking these locks in opposite orders deadlock — pick one order everywhere or annotate the benign edge //revtr:lockorder <why>",
+		pass.Reportf(first.pos,
+			"lock-order cycle: %s → %s; two goroutines taking these locks in opposite orders deadlock — pick one order everywhere",
 			cycle[0], strings.Join(steps, " → "))
 	}
-	return nil
 }
 
 // tarjan returns the strongly connected components of the graph in a

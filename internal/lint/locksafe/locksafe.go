@@ -1,4 +1,4 @@
-// Package locksafe extends `go vet copylocks` with two repo-specific
+// Package locksafe extends `go vet copylocks` with three repo-specific
 // mutex-hygiene checks:
 //
 //  1. Escaped critical sections: a function that calls mu.Lock() (or
@@ -11,6 +11,16 @@
 //     sync.Mutex/RWMutex must not return a pointer to one of the
 //     struct's other fields — handing out &s.field lets callers mutate
 //     guarded state without the lock.
+//  3. No TryLock/TryRLock: nothing in the tree uses them, so none of the
+//     three lock analyses (lockorder, suspendsafe, this one) models a
+//     conditional acquisition; a call is a finding rather than a lock
+//     the suite silently does not see.
+//
+// Check 1 counts holds per lock and mode, walks closures as bodies of
+// their own and must see every release; flow.LockFacts is may-held,
+// mode-merged and treats closures as opaque, for ordering. They answer
+// different questions, so they stay two analyses over one resolver of
+// sync methods (flow.MutexMethod).
 //
 // The analysis is linear over source positions, not path-sensitive: the
 // manual unlock-before-every-return idiom passes, and conditional locks
@@ -24,88 +34,40 @@ import (
 	"go/types"
 	"sort"
 
-	"revtr/internal/lint/analysis"
+	"revtr/internal/lint/flow"
+	"revtr/internal/lint/loader"
 )
 
 // Analyzer is the locksafe analyzer.
-var Analyzer = &analysis.Analyzer{
+var Analyzer = &flow.Analyzer{
 	Name: "locksafe",
-	Doc:  "returns must not escape held mutexes; methods must not return pointers to mutex-guarded fields",
+	Doc:  "returns must not escape held mutexes; methods must not return pointers to mutex-guarded fields; no TryLock",
 	Run:  run,
 }
 
-func run(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+func run(pass *flow.Pass) {
+	for _, pkg := range pass.Prog.Pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				checkFuncBody(pass, pkg, fd.Body)
+				checkGuardedFieldReturn(pass, pkg, fd)
 			}
-			checkFuncBody(pass, fd.Body)
-			checkGuardedFieldReturn(pass, fd)
 		}
 	}
-	return nil
 }
 
-// mutexMethod resolves a call to a sync.Mutex / sync.RWMutex lock or
-// unlock method, returning the lock-expression key and the lock mode
-// ("w" for Lock/Unlock/TryLock, "r" for RLock/RUnlock/TryRLock).
-func mutexMethod(pass *analysis.Pass, call *ast.CallExpr) (key, mode, name string, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", "", false
+// lockKey is the linear model's state key for a sync-method call: the
+// lock expression as spelled, per mode (read and write holds of one
+// RWMutex are counted apart).
+func lockKey(h flow.Held) string {
+	if h.Read {
+		return h.Render + "\x00r"
 	}
-	fn := analysis.CalleeFunc(pass.Info, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", "", "", false
-	}
-	switch fn.Name() {
-	case "Lock", "Unlock", "TryLock":
-		mode = "w"
-	case "RLock", "RUnlock", "TryRLock":
-		mode = "r"
-	default:
-		return "", "", "", false
-	}
-	return types.ExprString(sel.X), mode, fn.Name(), true
-}
-
-// tryLockCond recognizes an if condition of the shape `mu.TryLock()` or
-// `!mu.TryLock()` (and the TryRLock variants), returning the lock key
-// and whether the condition is negated.
-func tryLockCond(pass *analysis.Pass, cond ast.Expr) (key, render string, negated, ok bool) {
-	e := ast.Unparen(cond)
-	if u, isNot := e.(*ast.UnaryExpr); isNot && u.Op == token.NOT {
-		negated = true
-		e = ast.Unparen(u.X)
-	}
-	call, isCall := e.(*ast.CallExpr)
-	if !isCall {
-		return "", "", false, false
-	}
-	k, mode, name, isMu := mutexMethod(pass, call)
-	if !isMu || (name != "TryLock" && name != "TryRLock") {
-		return "", "", false, false
-	}
-	return k + "\x00" + mode, k, negated, true
-}
-
-// terminates reports whether a block's last statement unconditionally
-// leaves the enclosing function or loop (return / break / continue /
-// goto / panic-shaped call is left out on purpose: only the syntactic
-// terminators the linear simulation can trust).
-func terminates(body *ast.BlockStmt) bool {
-	if len(body.List) == 0 {
-		return false
-	}
-	switch s := body.List[len(body.List)-1].(type) {
-	case *ast.ReturnStmt:
-		return true
-	case *ast.BranchStmt:
-		return s.Tok == token.BREAK || s.Tok == token.CONTINUE || s.Tok == token.GOTO
-	}
-	return false
+	return h.Render + "\x00w"
 }
 
 type lockEvent struct {
@@ -122,13 +84,7 @@ type lockEvent struct {
 // RUnlock holds one real lock at return — a boolean model (what this
 // analyzer used before) cancels them and misses the leak. At each
 // return, a key whose count exceeds its deferred-unlock count is held.
-//
-// TryLock/TryRLock used as an if condition is modelled on the branch
-// where it succeeded: `if mu.TryLock() { ... }` holds the lock only
-// inside the body (with a synthetic release at the closing brace), and
-// `if !mu.TryLock() { return }` holds it from the statement after the
-// if. Any other TryLock shape is untracked, as before.
-func checkFuncBody(pass *analysis.Pass, body *ast.BlockStmt) {
+func checkFuncBody(pass *flow.Pass, pkg *loader.Package, body *ast.BlockStmt) {
 	var events []lockEvent
 	deferred := map[string]int{} // key -> number of deferred unlocks
 	renders := map[string]string{}
@@ -142,67 +98,37 @@ func checkFuncBody(pass *analysis.Pass, body *ast.BlockStmt) {
 	visit = func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			checkFuncBody(pass, n.Body)
+			checkFuncBody(pass, pkg, n.Body)
 			return false
 		case *ast.DeferStmt:
-			if key, mode, name, ok := mutexMethod(pass, n.Call); ok && (name == "Unlock" || name == "RUnlock") {
-				deferred[key+"\x00"+mode]++
+			if h, name, ok := flow.MutexMethod(pkg, n.Call); ok && (name == "Unlock" || name == "RUnlock") {
+				deferred[lockKey(h)]++
 			} else if lit, isLit := ast.Unparen(n.Call.Fun).(*ast.FuncLit); isLit {
 				// A deferred closure is its own scope, but any unlock it
 				// performs runs at function exit, so it also counts as a
 				// deferred unlock for this body.
-				checkFuncBody(pass, lit.Body)
+				checkFuncBody(pass, pkg, lit.Body)
 				ast.Inspect(lit.Body, func(m ast.Node) bool {
 					if call, isCall := m.(*ast.CallExpr); isCall {
-						if key, mode, name, ok := mutexMethod(pass, call); ok && (name == "Unlock" || name == "RUnlock") {
-							deferred[key+"\x00"+mode]++
+						if h, name, ok := flow.MutexMethod(pkg, call); ok && (name == "Unlock" || name == "RUnlock") {
+							deferred[lockKey(h)]++
 						}
 					}
 					return true
 				})
 			}
 			return false
-		case *ast.IfStmt:
-			if key, render, negated, ok := tryLockCond(pass, n.Cond); ok {
-				if n.Init != nil {
-					ast.Inspect(n.Init, visit)
-				}
-				if !negated {
-					// Held inside the taken branch only: synthetic release
-					// at the closing brace catches the merge, real returns
-					// inside the body are checked against the hold.
-					record(n.Body.Lbrace, key, render, "lock")
-					ast.Inspect(n.Body, visit)
-					record(n.Body.Rbrace, key, render, "unlock")
-					if n.Else != nil {
-						ast.Inspect(n.Else, visit)
-					}
-					return false
-				}
-				if terminates(n.Body) {
-					// `if !mu.TryLock() { return }`: the failure path
-					// leaves, so the lock is held from the if statement's
-					// end onward.
-					ast.Inspect(n.Body, visit)
-					record(n.End(), key, render, "lock")
-					if n.Else != nil {
-						ast.Inspect(n.Else, visit)
-					}
-					return false
-				}
-				// A non-terminating failure branch merges held and
-				// not-held paths; leave the TryLock untracked.
-			}
-			return true
 		case *ast.CallExpr:
-			if key, mode, name, ok := mutexMethod(pass, n); ok {
+			if h, name, ok := flow.MutexMethod(pkg, n); ok {
 				switch name {
 				case "Unlock", "RUnlock":
-					record(n.Pos(), key+"\x00"+mode, key, "unlock")
+					record(n.Pos(), lockKey(h), h.Render, "unlock")
 				case "Lock", "RLock":
-					record(n.Pos(), key+"\x00"+mode, key, "lock")
-					// TryLock/TryRLock outside a recognized if condition is
-					// untracked: its success is unknowable linearly.
+					record(n.Pos(), lockKey(h), h.Render, "lock")
+				case "TryLock", "TryRLock":
+					pass.Reportf(n.Pos(),
+						"%s.%s is not modelled by lockorder/suspendsafe/locksafe; take the lock or restructure",
+						h.Render, name)
 				}
 			}
 		case *ast.ReturnStmt:
@@ -245,7 +171,7 @@ func checkFuncBody(pass *analysis.Pass, body *ast.BlockStmt) {
 
 // checkGuardedFieldReturn flags `return &recv.field` in methods of
 // structs that carry a sync.Mutex/RWMutex field.
-func checkGuardedFieldReturn(pass *analysis.Pass, fd *ast.FuncDecl) {
+func checkGuardedFieldReturn(pass *flow.Pass, pkg *loader.Package, fd *ast.FuncDecl) {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
 		return
 	}
@@ -253,7 +179,7 @@ func checkGuardedFieldReturn(pass *analysis.Pass, fd *ast.FuncDecl) {
 	if recvName == "_" {
 		return
 	}
-	recvType := pass.Info.TypeOf(fd.Recv.List[0].Type)
+	recvType := pkg.Info.TypeOf(fd.Recv.List[0].Type)
 	if recvType == nil {
 		return
 	}
@@ -264,7 +190,7 @@ func checkGuardedFieldReturn(pass *analysis.Pass, fd *ast.FuncDecl) {
 	if !ok || !hasMutexField(st) {
 		return
 	}
-	recvObj := pass.Info.ObjectOf(fd.Recv.List[0].Names[0])
+	recvObj := pkg.Info.ObjectOf(fd.Recv.List[0].Names[0])
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		ret, ok := n.(*ast.ReturnStmt)
@@ -281,10 +207,10 @@ func checkGuardedFieldReturn(pass *analysis.Pass, fd *ast.FuncDecl) {
 				continue
 			}
 			base, ok := ast.Unparen(sel.X).(*ast.Ident)
-			if !ok || pass.Info.ObjectOf(base) != recvObj {
+			if !ok || pkg.Info.ObjectOf(base) != recvObj {
 				continue
 			}
-			if ft := pass.Info.TypeOf(sel); ft != nil && isSyncType(ft) {
+			if ft := pkg.Info.TypeOf(sel); ft != nil && isSyncType(ft) {
 				continue // returning the locker itself (sync.Locker accessor)
 			}
 			pass.Reportf(ue.Pos(),

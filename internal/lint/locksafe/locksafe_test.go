@@ -8,5 +8,5 @@ import (
 )
 
 func TestLocksafe(t *testing.T) {
-	linttest.Run(t, "testdata", "locks", locksafe.Analyzer)
+	linttest.Run(t, "testdata/src", locksafe.Analyzer)
 }

@@ -1,12 +1,13 @@
-// TryLock / TryRLock and rwmutex recursive-read (downgrade) regression
-// cases: the shapes the boolean held-set model miscounted.
+// TryLock / TryRLock (forbidden: every call is a finding, whatever the
+// branch does with the lock) and rwmutex recursive-read (downgrade)
+// regression cases: the shapes the boolean held-set model miscounted.
 package locks
 
 // tryLeak leaks inside the branch where TryLock succeeded.
 func (s *store) tryLeak(k string) int {
-	if s.mu.TryLock() {
+	if s.mu.TryLock() { // want "s.mu.TryLock is not modelled"
 		if v, ok := s.state[k]; ok {
-			return v // want "return while s.mu is held"
+			return v
 		}
 		s.mu.Unlock()
 	}
@@ -16,12 +17,12 @@ func (s *store) tryLeak(k string) int {
 // tryEarlyExit is the guard idiom: the failure path returns, so the
 // lock is held only after the if — and the later bare return leaks it.
 func (s *store) tryEarlyExit(k string) int {
-	if !s.mu.TryLock() {
+	if !s.mu.TryLock() { // want "s.mu.TryLock is not modelled"
 		return -1
 	}
 	v := s.state[k]
 	if v < 0 {
-		return v // want "return while s.mu is held"
+		return v
 	}
 	s.mu.Unlock()
 	return v
@@ -29,12 +30,12 @@ func (s *store) tryEarlyExit(k string) int {
 
 // tryClean brackets the critical section correctly in both shapes.
 func (s *store) tryClean(k string) int {
-	if s.mu.TryLock() {
+	if s.mu.TryLock() { // want "s.mu.TryLock is not modelled"
 		v := s.state[k]
 		s.mu.Unlock()
 		return v
 	}
-	if !s.mu.TryLock() {
+	if !s.mu.TryLock() { // want "s.mu.TryLock is not modelled"
 		return -1
 	}
 	defer s.mu.Unlock()
@@ -43,9 +44,9 @@ func (s *store) tryClean(k string) int {
 
 // tryReadLeak is the read-mode variant.
 func (r *rw) tryReadLeak() int {
-	if r.mu.TryRLock() {
+	if r.mu.TryRLock() { // want "r.mu.TryRLock is not modelled by lockorder/suspendsafe/locksafe; take the lock or restructure"
 		if len(r.data) == 0 {
-			return 0 // want "return while r.mu is held"
+			return 0
 		}
 		r.mu.RUnlock()
 	}

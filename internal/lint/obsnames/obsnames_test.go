@@ -8,5 +8,5 @@ import (
 )
 
 func TestObsnames(t *testing.T) {
-	linttest.Run(t, "testdata", "obsuser", obsnames.Analyzer)
+	linttest.Run(t, "testdata/src", obsnames.Analyzer)
 }

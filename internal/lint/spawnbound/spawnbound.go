@@ -28,7 +28,7 @@ var Analyzer = &flow.Analyzer{
 	Run:  run,
 }
 
-func run(pass *flow.Pass) error {
+func run(pass *flow.Pass) {
 	prog := pass.Prog
 	b := &bounder{prog: prog, memo: map[*types.Func]int{}}
 	for _, pkg := range prog.Pkgs {
@@ -44,13 +44,12 @@ func run(pass *flow.Pass) error {
 				if b.goBounded(pkg, g) || prog.Allows(g.Pos(), directive.SpawnBound) {
 					return true
 				}
-				pass.ReportfDir(g.Pos(), directive.SpawnBound,
+				pass.Reportf(g.Pos(),
 					"goroutine has no provable lifetime bound (no WaitGroup Done/Wait and no ctx.Done/ctx.Err on any visible path); track it with the pool, a WaitGroup, or a context, or annotate //revtr:spawnbound <why>")
 				return true
 			})
 		}
 	}
-	return nil
 }
 
 type bounder struct {

@@ -12,5 +12,5 @@ import (
 // bound proven transitively in the spawned callee), and
 // //revtr:spawnbound suppresses with a justification.
 func TestSpawnBound(t *testing.T) {
-	linttest.RunModule(t, "testdata", spawnbound.Analyzer)
+	linttest.Run(t, "testdata/src", spawnbound.Analyzer)
 }

@@ -29,7 +29,7 @@ var Analyzer = &flow.Analyzer{
 	Run:  run,
 }
 
-func run(pass *flow.Pass) error {
+func run(pass *flow.Pass) {
 	prog := pass.Prog
 	may := prog.SuspendSeeds()
 
@@ -65,12 +65,11 @@ func run(pass *flow.Pass) error {
 			if prog.Allows(c.Pos, directive.HeldAcross) {
 				continue
 			}
-			pass.ReportfDir(c.Pos, directive.HeldAcross,
+			pass.Reportf(c.Pos,
 				"%s held across a suspension point (%s may suspend the measurement); a parked machine keeps it indefinitely — release before the call or annotate //revtr:heldacross <why>",
 				describe(c.Holding), calleeName(c.Callee))
 		}
 	}
-	return nil
 }
 
 // describe renders the held set for the message, locks before tickets,

@@ -12,5 +12,5 @@ import (
 // and that //revtr:heldacross and release-before-call keep quiet paths
 // quiet.
 func TestSuspendSafe(t *testing.T) {
-	linttest.RunModule(t, "testdata", suspendsafe.Analyzer)
+	linttest.Run(t, "testdata/src", suspendsafe.Analyzer)
 }

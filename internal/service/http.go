@@ -67,6 +67,19 @@ type API struct {
 // API.MaxBatchPairs is unset.
 const defaultMaxBatchPairs = 10000
 
+// Request bodies are read through http.MaxBytesReader, so a hostile
+// client cannot make a handler buffer more than its endpoint can use:
+// maxBodyBytes on the small bodies (one user, source, NDT report, or a
+// /revtr destination list), and on batch submit the pair cap at
+// batchPairBytes a pair (a compact {"src":"a.b.c.d","dst":"a.b.c.d"},
+// is at most 51) plus batchSlackBytes — enough that a body just over
+// the pair cap still decodes and gets the 400 that says so.
+const (
+	maxBodyBytes    = 64 << 10
+	batchPairBytes  = 64
+	batchSlackBytes = 4 << 10
+)
+
 // NewAPI builds the HTTP handler over a registry.
 func NewAPI(reg *Registry) *API {
 	a := &API{reg: reg, mux: http.NewServeMux()}
@@ -181,14 +194,31 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, code, errorBody{Error: err.Error()})
 }
 
+// decodeBody decodes the request's JSON body into v, reading at most
+// limit bytes of it. On failure it has answered — 413 past the limit,
+// 400 for anything json rejects — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			errorBody{Error: fmt.Sprintf("request body exceeds the %d-byte limit", limit)})
+	} else {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body"})
+	}
+	return false
+}
+
 func (a *API) handleAddUser(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Name        string `json:"name"`
 		MaxParallel int    `json:"maxParallel"`
 		MaxPerDay   int    `json:"maxPerDay"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body"})
+	if !decodeBody(w, r, maxBodyBytes, &req) {
 		return
 	}
 	u, err := a.reg.AddUser(r.Header.Get("X-Admin-Key"), req.Name, req.MaxParallel, req.MaxPerDay)
@@ -204,8 +234,7 @@ func (a *API) handleAddSource(w http.ResponseWriter, r *http.Request) {
 		Addr      string `json:"addr"`
 		ServeAsVP bool   `json:"serveAsVP"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body"})
+	if !decodeBody(w, r, maxBodyBytes, &req) {
 		return
 	}
 	addr, err := ipv4.ParseAddr(req.Addr)
@@ -233,8 +262,7 @@ func (a *API) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		// to the server's MeasureTimeout.
 		TimeoutMs int64 `json:"timeoutMs"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body"})
+	if !decodeBody(w, r, maxBodyBytes, &req) {
 		return
 	}
 	src, err := ipv4.ParseAddr(req.Src)
@@ -303,17 +331,16 @@ func (a *API) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 			Dst string `json:"dst"`
 		} `json:"pairs"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body"})
+	maxPairs := a.MaxBatchPairs
+	if maxPairs <= 0 {
+		maxPairs = defaultMaxBatchPairs
+	}
+	if !decodeBody(w, r, int64(maxPairs)*batchPairBytes+batchSlackBytes, &req) {
 		return
 	}
 	if len(req.Pairs) == 0 {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "empty batch"})
 		return
-	}
-	maxPairs := a.MaxBatchPairs
-	if maxPairs <= 0 {
-		maxPairs = defaultMaxBatchPairs
 	}
 	if len(req.Pairs) > maxPairs {
 		writeJSON(w, http.StatusBadRequest, errorBody{
@@ -373,8 +400,7 @@ func (a *API) handleNDT(w http.ResponseWriter, r *http.Request) {
 		Server string `json:"server"`
 		Client string `json:"client"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body"})
+	if !decodeBody(w, r, maxBodyBytes, &req) {
 		return
 	}
 	server, err1 := ipv4.ParseAddr(req.Server)
