@@ -60,7 +60,7 @@ ci: fmt vet lint race bench benchcheck benchmod fuzz cover loc
 # when the total is above LOC_CEILING — the total the last PR landed at.
 # A PR that adds lines says why and raises it; one that removes lines
 # lowers it to where it lands.
-LOC_CEILING = 22170
+LOC_CEILING = 22028
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs wc -l | \
 		awk -v ceiling=$(LOC_CEILING) '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
@@ -70,12 +70,14 @@ loc:
 # cover enforces a coverage floor on the segment store and on the TTL
 # cache under it: the store is shared mutable state spliced into other
 # measurements' results, so its chain-walk edge cases and the cache's
-# eviction and expiry edge cases must all stay exercised. The lint
+# eviction and expiry edge cases must all stay exercised. The
+# measurement archive is held to it too: what it leaves uncovered is
+# I/O error arms, and every recovery rule must stay exercised. The lint
 # framework is held to the same floor: every concurrency gate rests on
 # the one dataflow in flow, which its own tests barely touch (16 %) — it
 # is exercised by the analyzers' fixture suites, so it is measured
 # across the whole lint tree's tests.
-COVER_PKGS = internal/core/segments internal/ttlcache
+COVER_PKGS = internal/core/segments internal/ttlcache internal/store
 LINT_COVER_PKGS = ./internal/lint/flow,./internal/lint/directive,./internal/lint/analysis,./internal/lint/loader
 COVER_FLOOR = awk -v pkg=$$pkg '/^total:/ { \
 	pct = $$3 + 0; printf "%s coverage: %s (floor 90%%)\n", pkg, $$3; \
@@ -138,6 +140,7 @@ fuzz:
 	$(GO) test -fuzz FuzzSpecCodec -fuzztime $(FUZZTIME) ./internal/measure/
 	$(GO) test -fuzz FuzzTracerouteStart -fuzztime $(FUZZTIME) ./internal/measure/
 	$(GO) test -fuzz FuzzSegmentStore -fuzztime $(FUZZTIME) ./internal/core/segments/
+	$(GO) test -run FuzzStoreRecover -fuzz FuzzStoreRecover -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run FuzzExtractReverse -fuzz FuzzExtractReverse -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -fuzz FuzzHeaderDecode -fuzztime $(FUZZTIME) ./internal/netsim/ipv4/
 	$(GO) test -fuzz FuzzICMPDecode -fuzztime $(FUZZTIME) ./internal/netsim/ipv4/

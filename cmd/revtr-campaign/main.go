@@ -49,8 +49,12 @@ func main() {
 	)
 	flag.Parse()
 
-	log.Printf("building simulated Internet (%d ASes)...", *ases)
 	cfg := revtr.DefaultConfig(*ases)
+	if err := cfg.Topology.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	log.Printf("building simulated Internet (%d ASes)...", *ases)
 	cfg.Seed = *seed
 	cfg.Topology.Seed = *seed
 	d := revtr.Build(cfg)

@@ -61,8 +61,7 @@ func main() {
 		retries       = flag.Int("probe-retries", 0, "re-issue unanswered probes up to this many times (virtual-time backoff)")
 		retryBackoff  = flag.Duration("probe-retry-backoff", 0, "delay before the first probe retry, doubling per retry (0 = default 50ms)")
 		storeDir      = flag.String("store-dir", "", "durable measurement store directory (empty = memory-only; measurements vanish on restart)")
-		storeSync     = flag.Bool("store-sync", false, "fsync the measurement WAL after every append")
-		storeWALMax   = flag.Int64("store-max-wal-bytes", 0, "compact (snapshot + truncate) when the WAL exceeds this (0 = default 4 MiB)")
+		storeSync     = flag.Bool("store-sync", false, "fsync the measurement log after every append")
 		storeRecMax   = flag.Int("store-max-records", 0, "cap the live measurement set, dropping oldest (0 = unbounded)")
 		batchInFlight = flag.Int("batch-inflight", 4096, "max concurrently in-flight batch measurements")
 		batchQueue    = flag.Int("batch-queue-cap", 1024, "batch dispatch queue cap; submissions past it are load-shed")
@@ -77,8 +76,12 @@ func main() {
 	)
 	flag.Parse()
 
-	log.Printf("building simulated Internet (%d ASes, %d sites)...", *ases, *sites)
 	cfg := revtr.DefaultConfig(*ases)
+	if err := cfg.Topology.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	log.Printf("building simulated Internet (%d ASes, %d sites)...", *ases, *sites)
 	cfg.Seed = *seed
 	cfg.Topology.Seed = *seed
 	cfg.Sites = *sites
@@ -130,9 +133,8 @@ func main() {
 	var reg *service.Registry
 	if *storeDir != "" {
 		archive, err := store.Open(*storeDir, store.Options{
-			Sync:        *storeSync,
-			MaxWALBytes: *storeWALMax,
-			MaxRecords:  *storeRecMax,
+			Sync:       *storeSync,
+			MaxRecords: *storeRecMax,
 		})
 		if err != nil {
 			log.Fatalf("measurement store: %v", err)

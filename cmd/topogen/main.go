@@ -36,6 +36,10 @@ func main() {
 		os.Exit(2)
 	}
 	cfg.Seed = *seed
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	topo := topology.Generate(cfg)
 
 	if *dumpAS >= 0 {

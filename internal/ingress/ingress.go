@@ -395,19 +395,3 @@ func (s *Service) PlanFor(pfx ipv4.Prefix, sel Selection) Plan {
 	}
 	return Plan{Order: info.order, PerIngress: true}
 }
-
-// ClosestSiteDist returns the smallest surveyed RR distance from any site
-// to the prefix (the "Optimal" baseline of §5.3), or -1.
-func (s *Service) ClosestSiteDist(pfx ipv4.Prefix) int {
-	info := s.Info[pfx]
-	if info == nil {
-		return -1
-	}
-	best := -1
-	for _, obs := range info.Obs {
-		if obs.Dist > 0 && (best < 0 || obs.Dist < best) {
-			best = obs.Dist
-		}
-	}
-	return best
-}

@@ -124,25 +124,6 @@ func TestPlanPolicies(t *testing.T) {
 	}
 }
 
-func TestClosestSiteDist(t *testing.T) {
-	_, svc := surveyEnv(t)
-	found := false
-	for p := range svc.Info {
-		if d := svc.ClosestSiteDist(p); d > 0 {
-			found = true
-			if d > 30 {
-				t.Fatalf("absurd distance %d", d)
-			}
-		}
-	}
-	if !found {
-		t.Error("no prefix has a known closest-site distance")
-	}
-	if d := svc.ClosestSiteDist(ipv4.MustParsePrefix("198.18.0.0/24")); d != -1 {
-		t.Error("unknown prefix should return -1")
-	}
-}
-
 func TestHeuristicsExtractMore(t *testing.T) {
 	env := simtest.New(t, 300, 6)
 	var prefixes []ipv4.Prefix

@@ -250,25 +250,3 @@ func sameOffer(a, b *offer) bool {
 	}
 	return true
 }
-
-// CatchmentShares returns, per site, the fraction of routed ASes whose
-// selected route leads to that site — the anycast catchment the TE study
-// measures.
-func (r *Routes) CatchmentShares() []float64 {
-	counts := make([]int, len(r.Ann.Sites))
-	total := 0
-	for _, rt := range r.Per {
-		if rt.Site >= 0 {
-			counts[rt.Site]++
-			total++
-		}
-	}
-	out := make([]float64, len(counts))
-	if total == 0 {
-		return out
-	}
-	for i, c := range counts {
-		out[i] = float64(c) / float64(total)
-	}
-	return out
-}

@@ -25,23 +25,6 @@ func PacketProto(pkt []byte) uint8 { return pkt[9] }
 // PacketHeaderLen returns the header length of a serialized IPv4 packet.
 func PacketHeaderLen(pkt []byte) int { return int(pkt[0]&0x0f) * 4 }
 
-// SetPacketSrc rewrites the source address in place, updating the checksum.
-// The spoofing vantage points use this: "the request sent from a different
-// vantage point than where the response is received" (Insight 1.3).
-func SetPacketSrc(pkt []byte, a Addr) {
-	old := binary.BigEndian.Uint32(pkt[12:])
-	binary.BigEndian.PutUint32(pkt[12:], uint32(a))
-	updateChecksum32(pkt, old, uint32(a))
-}
-
-// SetPacketDst rewrites the destination address in place, updating the
-// checksum.
-func SetPacketDst(pkt []byte, a Addr) {
-	old := binary.BigEndian.Uint32(pkt[16:])
-	binary.BigEndian.PutUint32(pkt[16:], uint32(a))
-	updateChecksum32(pkt, old, uint32(a))
-}
-
 // DecrementTTL decrements the TTL in place with an incremental checksum
 // update and reports the new TTL.
 func DecrementTTL(pkt []byte) uint8 {
@@ -97,11 +80,6 @@ func patchHeaderBytes(pkt []byte, off int, val []byte) {
 	}
 }
 
-func updateChecksum32(pkt []byte, old, new uint32) {
-	updateChecksum16(pkt, uint16(old>>16), uint16(new>>16))
-	updateChecksum16(pkt, uint16(old), uint16(new))
-}
-
 // findOption locates an option of the given type in the options area of a
 // serialized packet and returns its offset within pkt, or -1.
 func findOption(pkt []byte, typ uint8) int {
@@ -145,17 +123,6 @@ func StampRecordRoute(pkt []byte, addr Addr) bool {
 	patchHeaderBytes(pkt, o+ptr-1, val[:])
 	patchHeaderBytes(pkt, o+2, []byte{uint8(ptr + 4)})
 	return true
-}
-
-// RecordRouteFull reports whether the packet carries a Record Route option
-// with no free slots (or no RR option at all, in which case it returns
-// false, false).
-func RecordRouteFull(pkt []byte) (full, present bool) {
-	o := findOption(pkt, OptRecordRoute)
-	if o < 0 {
-		return false, false
-	}
-	return int(pkt[o+2])+3 > int(pkt[o+1]), true
 }
 
 // StampTimestamp implements tsprespec semantics on a serialized packet: if
@@ -261,36 +228,4 @@ func BuildTimeExceeded(orig []byte, from Addr, ttl uint8) []byte {
 	binary.BigEndian.PutUint16(pkt[2:], uint16(len(pkt)))
 	SetChecksum(pkt)
 	return pkt
-}
-
-// BuildDestUnreachable constructs an ICMP destination-unreachable error.
-func BuildDestUnreachable(orig []byte, from Addr, code uint8, ttl uint8) []byte {
-	hlen := PacketHeaderLen(orig)
-	embed := hlen + 8
-	if embed > len(orig) {
-		embed = len(orig)
-	}
-	h := Header{
-		TTL:      ttl,
-		Protocol: ProtoICMP,
-		Src:      from,
-		Dst:      PacketSrc(orig),
-	}
-	m := ICMP{Type: ICMPDestUnreach, Code: code, Payload: orig[:embed]}
-	pkt := h.Marshal(nil)
-	pkt = m.Marshal(pkt)
-	binary.BigEndian.PutUint16(pkt[2:], uint16(len(pkt)))
-	SetChecksum(pkt)
-	return pkt
-}
-
-// EmbeddedOriginal extracts the embedded original datagram header from an
-// ICMP error payload, returning its source, destination and ID. Traceroute
-// uses the ID to match time-exceeded errors to its probes.
-func EmbeddedOriginal(errPayload []byte) (src, dst Addr, id uint16, ok bool) {
-	var h Header
-	if _, err := h.Decode(errPayload); err != nil {
-		return 0, 0, 0, false
-	}
-	return h.Src, h.Dst, h.ID, true
 }

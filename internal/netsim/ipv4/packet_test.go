@@ -3,7 +3,6 @@ package ipv4
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestBuildEchoRequestDecodes(t *testing.T) {
@@ -56,18 +55,6 @@ func TestDecrementTTLKeepsChecksum(t *testing.T) {
 	}
 }
 
-func TestSetSrcDstKeepChecksum(t *testing.T) {
-	f := func(a, b uint32) bool {
-		pkt := BuildEchoRequest(111, 222, 1, 1, 64, 3, nil)
-		SetPacketSrc(pkt, Addr(a))
-		SetPacketDst(pkt, Addr(b))
-		return PacketSrc(pkt) == Addr(a) && PacketDst(pkt) == Addr(b) && VerifyChecksum(pkt)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestStampRecordRouteNeverExceedsSlots is the central RR-option invariant:
 // no matter how many routers stamp, at most Slots addresses are recorded
 // and the checksum stays valid.
@@ -93,10 +80,6 @@ func TestStampRecordRouteNeverExceedsSlots(t *testing.T) {
 		}
 		if h.RR.N != slots {
 			t.Errorf("slots=%d: decoded N=%d", slots, h.RR.N)
-		}
-		full, present := RecordRouteFull(pkt)
-		if !present || !full {
-			t.Errorf("slots=%d: full=%v present=%v", slots, full, present)
 		}
 	}
 }
@@ -124,9 +107,6 @@ func TestStampRecordRouteNoOption(t *testing.T) {
 	pkt := BuildEchoRequest(1, 2, 1, 1, 64, 0, nil)
 	if StampRecordRoute(pkt, 42) {
 		t.Error("stamped a packet with no RR option")
-	}
-	if _, present := RecordRouteFull(pkt); present {
-		t.Error("RR reported present")
 	}
 }
 
@@ -230,32 +210,9 @@ func TestTimeExceededEmbedsOriginal(t *testing.T) {
 	if m.Type != ICMPTimeExceeded {
 		t.Fatalf("type = %d", m.Type)
 	}
-	esrc, edst, eid, ok := EmbeddedOriginal(m.Payload)
-	if !ok || esrc != src || edst != dst || eid != 0x4242 {
-		t.Fatalf("embedded original mismatch: %v %v %v %v", esrc, edst, eid, ok)
-	}
-}
-
-func TestDestUnreachable(t *testing.T) {
-	orig := BuildEchoRequest(1, 2, 3, 4, 64, 0, nil)
-	du := BuildDestUnreachable(orig, 99, 1, 64)
-	var h Header
-	payload, err := h.Decode(du)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m ICMP
-	if err := m.Decode(payload); err != nil {
-		t.Fatal(err)
-	}
-	if m.Type != ICMPDestUnreach || m.Code != 1 {
-		t.Fatalf("icmp: %+v", m)
-	}
-}
-
-func TestEmbeddedOriginalBad(t *testing.T) {
-	if _, _, _, ok := EmbeddedOriginal([]byte{1, 2, 3}); ok {
-		t.Error("accepted junk")
+	var emb Header
+	if _, err := emb.Decode(m.Payload); err != nil || emb.Src != src || emb.Dst != dst || emb.ID != 0x4242 {
+		t.Fatalf("embedded original mismatch: %v %v %v %v", emb.Src, emb.Dst, emb.ID, err)
 	}
 }
 

@@ -105,13 +105,18 @@ func DefaultConfig(n int) Config {
 	}
 }
 
+// minASes is the smallest AS count Generate accepts: the tier-1 clique
+// and three ASes under it.
+func (c Config) minASes() int { return c.Tier1Count + 3 }
+
 // Validate rejects unusable configurations: NaN/Inf or out-of-range
-// probability fields and non-positive population counts. Generate does
-// not call it (deterministic generation is seed-stable); harnesses that
-// accept configs from outside (simtest, fuzzers) should.
+// probability fields and an AS count below the generator's floor.
+// Generate does not call it — there a bad config is a programmer error
+// and panics — so whatever accepts configs from outside (the binaries'
+// -ases flag, simtest, fuzzers) must.
 func (c Config) Validate() error {
-	if c.NumASes <= 0 {
-		return fmt.Errorf("topology: NumASes=%d not positive", c.NumASes)
+	if c.NumASes < c.minASes() {
+		return fmt.Errorf("topology: %d ASes is below the minimum of %d", c.NumASes, c.minASes())
 	}
 	for _, f := range []struct {
 		name string

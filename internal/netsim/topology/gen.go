@@ -12,7 +12,7 @@ import (
 // Generate builds a topology from cfg. Generation is deterministic in
 // cfg.Seed.
 func Generate(cfg Config) *Topology {
-	if cfg.NumASes < cfg.Tier1Count+3 {
+	if cfg.NumASes < cfg.minASes() {
 		panic(fmt.Sprintf("topology: NumASes=%d too small", cfg.NumASes))
 	}
 	g := &generator{

@@ -323,3 +323,27 @@ func TestGeneratePanicsOnTinyConfig(t *testing.T) {
 	cfg.NumASes = 2
 	Generate(cfg)
 }
+
+// TestValidateASFloor: Validate and Generate share one floor, so every
+// -ases value Validate turns away is one Generate would have panicked
+// on, and every value it lets through generates.
+func TestValidateASFloor(t *testing.T) {
+	for _, tc := range []struct {
+		ases int
+		ok   bool
+	}{{-3, false}, {0, false}, {5, false}, {8, true}} {
+		cfg := DefaultConfig(tc.ases)
+		err := cfg.Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("%d ASes: Validate = %v, want ok = %v", tc.ases, err, tc.ok)
+		}
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			Generate(cfg)
+			return
+		}()
+		if panicked == tc.ok {
+			t.Errorf("%d ASes: Generate panicked = %v, Validate said ok = %v", tc.ases, panicked, tc.ok)
+		}
+	}
+}

@@ -340,7 +340,7 @@ func buildMeasurement(srcAddr, dstAddr ipv4.Addr, res *core.Result) *Measurement
 // batch job or NDT hook — so the three books it keeps always agree:
 // count it in service_measure_status_total{status}, append it to the
 // durable archive (stamping its ID with the log's next sequence number;
-// the marshalled bytes in the WAL are what a restarted server replays,
+// the marshalled bytes in the log are what a restarted server replays,
 // bit for bit), and put it on the firehose. user is the requesting
 // user's name, empty for NDT.
 func (r *Registry) record(srcAddr, dstAddr ipv4.Addr, user string, res *core.Result) (*Measurement, error) {
@@ -351,13 +351,7 @@ func (r *Registry) record(srcAddr, dstAddr ipv4.Addr, user string, res *core.Res
 		m.ID = int(id)
 		return m
 	})
-	if errors.Is(err, store.ErrCompaction) {
-		// The measurement is durably archived and its ID consumed; only
-		// the store's post-append compaction failed (it retries on a
-		// later append). Reporting failure here would push the caller
-		// into retrying a measurement that already exists.
-		r.obs.Counter("service_archive_compact_errors_total").Inc()
-	} else if err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("service: archive: %w", err)
 	}
 	if b := r.broker.Load(); b != nil {

@@ -111,15 +111,19 @@ func (r *Registry) progressSink(job sched.JobRef) func(stream.Event) {
 // replayMeasurements serves firehose replay-on-connect: up to k of the
 // newest archived measurements matching the (empty = wildcard)
 // user/src/dst filters, oldest first. The scan walks archive IDs
-// downward from the newest, bounded by k matches and the archive's
-// retention base.
+// downward from the newest, bounded by k matches, the archive's
+// retention base and firehoseReplayScan records examined.
 func (r *Registry) replayMeasurements(k int, user, src, dst string) []*Measurement {
 	if k <= 0 {
 		return nil
 	}
 	var out []*Measurement
+	next := r.archive.NextID()
 	base := r.archive.Base()
-	for id := r.archive.NextID(); id > base && len(out) < k; id-- {
+	if next-base > firehoseReplayScan {
+		base = next - firehoseReplayScan
+	}
+	for id := next; id > base && len(out) < k; id-- {
 		var m Measurement
 		ok, err := r.archive.Get(id-1, &m)
 		if err != nil || !ok {

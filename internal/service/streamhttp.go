@@ -36,6 +36,13 @@ const defaultHeartbeat = 15 * time.Second
 // defaultFirehoseReplay caps ?replay= when API.FirehoseReplay is unset.
 const defaultFirehoseReplay = 64
 
+// firehoseReplayScan is how many archived records, newest first, one
+// ?replay= examines looking for its matches. Each costs a decode
+// (≈ 9 µs), and a filter nothing matches — ?dst= an address never
+// measured — would otherwise walk the whole day's retention on every
+// connection. A filter's matches older than this are not replayed.
+const firehoseReplayScan = 64 * defaultFirehoseReplay
+
 // heartbeatLine is the raw NDJSON keep-alive record. It is not an
 // Event: it carries no id and consumes no sequence number.
 const heartbeatLine = "{\"kind\":\"heartbeat\"}\n"

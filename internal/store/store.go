@@ -1,34 +1,40 @@
 // Package store is the durable measurement archive behind the service:
 // an append-only log of JSON records with monotonically increasing IDs,
-// persisted as a JSON-lines write-ahead log plus a periodic snapshot.
-// A restarted server replays snapshot + WAL and recovers the identical
-// record set — same IDs, same bytes — which is what lets measurement
-// IDs handed to clients survive a crash (the paper's open service keeps
-// revtrs retrievable for a day; Insight 1.4).
+// persisted as a sequence of JSON-lines segment files. A restarted
+// server replays the segments and recovers the identical record set —
+// same IDs, same bytes — which is what lets measurement IDs handed to
+// clients survive a crash (the paper's open service keeps revtrs
+// retrievable for a day; Insight 1.4).
 //
 // Durability model:
 //
 //   - Append marshals the record once and writes one line
-//     `{"id":N,"data":<record>}` to wal.jsonl (optionally fsynced).
-//   - When the WAL grows past MaxWALBytes, the log compacts: the live
-//     records are written to snapshot.jsonl.tmp, renamed into place
-//     atomically, and the WAL is truncated.
-//   - Recovery loads the snapshot, then replays the WAL on top. A
-//     truncated tail line (the torn write of a crash mid-append) is
-//     tolerated: replay stops at the first malformed line, and Open
-//     then compacts immediately — the recovered set is snapshotted and
-//     the WAL restarted empty — so new appends can never land behind
-//     the torn garbage (where a later restart would stop replay before
-//     them and silently drop acknowledged writes).
-//   - MaxRecords caps the live set; exceeding it drops the oldest
-//     records (the base ID advances, so surviving IDs never move).
+//     `{"id":N,"data":<record>}` to the active segment,
+//     seg-<first id, 20 digits>.jsonl (fsynced per append under Sync).
+//   - An append that finds the active segment at or past segmentBytes
+//     first rolls: the segment is fsynced and closed for good, and the
+//     next one, named after the ID about to be assigned, becomes
+//     active. A file is written once, in order, and never rewritten.
+//   - MaxRecords caps the live set; exceeding it advances the base ID
+//     (surviving IDs never move). A roll deletes every segment whose
+//     records all lie below the base, oldest first.
+//   - Recovery replays the segments in name order under three rules.
+//     IDs must run contiguously through every line of every file, each
+//     file starting at the ID in its name. A line of the last file that
+//     breaks this or does not parse — the torn write of a crash
+//     mid-append — is cut off with everything behind it: the file is
+//     truncated to its last good line before the first new append, so
+//     a new record can never land behind garbage a later replay would
+//     stop at. The same fault in an earlier file, or a .jsonl file in
+//     the directory that is not a segment (an archive written in the
+//     format before this one), is an Open error naming the file.
 //
 // A Log opened with dir == "" is memory-only: same API, same IDs, no
 // files — the mode unit tests and the default in-process registry use.
 package store
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -41,51 +47,36 @@ import (
 
 // Options tunes durability and retention.
 type Options struct {
-	// MaxWALBytes triggers compaction (snapshot + WAL truncate) when the
-	// WAL file exceeds it. <= 0 means the default 4 MiB.
-	MaxWALBytes int64
 	// MaxRecords caps the live record set; the oldest records are
 	// dropped (base advances) when exceeded. <= 0 means unbounded.
 	MaxRecords int
-	// Sync fsyncs the WAL after every append. Slow but loses nothing;
-	// off by default (a crash can lose the last buffered appends, never
-	// corrupt earlier ones).
+	// Sync fsyncs the active segment after every append. Slow but loses
+	// nothing; off by default (a crash can lose the last buffered
+	// appends, never corrupt earlier ones).
 	Sync bool
 	// Obs, when set, receives store metrics (store_wal_bytes,
-	// store_records, store_appends_total, store_compactions_total,
-	// store_dropped_total, store_replayed_total, store_torn_tail_total).
+	// store_records, store_appends_total, store_dropped_total,
+	// store_replayed_total, store_torn_tail_total).
 	Obs *obs.Registry
 }
 
-// defaultMaxWALBytes bounds WAL growth between compactions.
-const defaultMaxWALBytes = 4 << 20
-
-const (
-	walName      = "wal.jsonl"
-	snapName     = "snapshot.jsonl"
-	snapTempName = "snapshot.jsonl.tmp"
-)
+// segmentBytes is the size at which the active segment is closed and
+// the next one started. A segment overshoots it by at most one record.
+const segmentBytes = 4 << 20
 
 // ErrDropped is returned by Get for IDs older than the retention cap.
 var ErrDropped = errors.New("store: record dropped by retention cap")
 
-// ErrCompaction wraps a failure of the post-append compaction. The
-// append itself already succeeded — the record is durably in the WAL
-// and the id returned next to this error is valid and consumed — so
-// callers must not retry the append; compaction is retried when the
-// next append crosses the WAL cap.
-var ErrCompaction = errors.New("store: compaction failed")
-
-// walRecord is one WAL/snapshot line.
-type walRecord struct {
+// line is one segment line.
+type line struct {
 	ID   uint64          `json:"id"`
 	Data json.RawMessage `json:"data"`
 }
 
-// snapHeader is the first line of a snapshot file.
-type snapHeader struct {
-	Base uint64 `json:"base"`
-	N    int    `json:"n"`
+// segment is one file on disk: the ID of its first line and its size.
+type segment struct {
+	first uint64
+	size  int64
 }
 
 // Log is the append-only record log. Safe for concurrent use.
@@ -97,16 +88,17 @@ type Log struct {
 	base uint64   // ID of recs[0]
 	recs [][]byte // marshalled record JSON, index i holds ID base+i
 
-	wal      *os.File
-	walBytes int64
+	segs     []segment // files on disk in ID order; the last is active
+	active   *os.File
+	size     int64 // bytes on disk: the sum over segs
+	segBytes int64 // segmentBytes; only this package's tests set another
 
-	mWALBytes    *obs.Gauge
-	mRecords     *obs.Gauge
-	mAppends     *obs.Counter
-	mCompactions *obs.Counter
-	mDropped     *obs.Counter
-	mReplayed    *obs.Counter
-	mTorn        *obs.Counter
+	mBytes    *obs.Gauge
+	mRecords  *obs.Gauge
+	mAppends  *obs.Counter
+	mDropped  *obs.Counter
+	mReplayed *obs.Counter
+	mTorn     *obs.Counter
 
 	// Replay outcomes are also kept as plain fields so SetObs can
 	// republish them: recovery runs in Open, typically before the
@@ -119,10 +111,9 @@ type Log struct {
 // handles stay usable either way). The single registration site per
 // name keeps the obsnames contract.
 func (l *Log) bindObs(o *obs.Registry) {
-	l.mWALBytes = o.Gauge("store_wal_bytes")
+	l.mBytes = o.Gauge("store_wal_bytes")
 	l.mRecords = o.Gauge("store_records")
 	l.mAppends = o.Counter("store_appends_total")
-	l.mCompactions = o.Counter("store_compactions_total")
 	l.mDropped = o.Counter("store_dropped_total")
 	l.mReplayed = o.Counter("store_replayed_total")
 	l.mTorn = o.Counter("store_torn_tail_total")
@@ -138,19 +129,16 @@ func (l *Log) SetObs(o *obs.Registry) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.bindObs(o)
-	l.mWALBytes.Set(l.walBytes)
+	l.mBytes.Set(l.size)
 	l.mRecords.Set(int64(len(l.recs)))
 	l.mReplayed.Add(l.nReplayed)
 	l.mTorn.Add(l.nTorn)
 }
 
-// Open opens (or creates) a log rooted at dir, replaying any snapshot
-// and WAL found there. dir == "" opens a memory-only log.
+// Open opens (or creates) a log rooted at dir, replaying the segments
+// found there. dir == "" opens a memory-only log.
 func Open(dir string, opts Options) (*Log, error) {
-	if opts.MaxWALBytes <= 0 {
-		opts.MaxWALBytes = defaultMaxWALBytes
-	}
-	l := &Log{dir: dir, opts: opts}
+	l := &Log{dir: dir, opts: opts, segBytes: segmentBytes}
 	l.bindObs(opts.Obs)
 	if dir == "" {
 		return l, nil
@@ -161,43 +149,73 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err := l.recover(); err != nil {
 		return nil, err
 	}
-	wal, err := os.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+	if len(l.segs) == 0 {
+		l.segs = []segment{{first: l.base}}
+	}
+	active, err := l.openSegment(l.segs[len(l.segs)-1].first)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	st, err := wal.Stat()
-	if err != nil {
-		wal.Close()
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	l.wal = wal
-	l.walBytes = st.Size()
-	if l.nTorn > 0 {
-		// Replay stopped before the end of a file (torn tail or damaged
-		// ID sequence). The WAL still holds the unreadable bytes, and
-		// O_APPEND would write new records *after* them — a second
-		// restart would stop replay at the old tear and silently lose
-		// every acknowledged post-recovery append, then reassign their
-		// IDs. Compact now: snapshot the recovered set and restart the
-		// WAL empty, so the tear is gone before the first new append.
-		if err := l.compactLocked(); err != nil {
-			wal.Close()
-			return nil, err
-		}
-	}
-	l.mWALBytes.Set(l.walBytes)
+	l.active = active
+	l.mBytes.Set(l.size)
 	l.mRecords.Set(int64(len(l.recs)))
 	return l, nil
 }
 
-// recover loads snapshot then WAL into memory. Torn WAL tails (a
-// malformed or truncated last line) end the replay without error.
+func (l *Log) segmentPath(first uint64) string {
+	return filepath.Join(l.dir, fmt.Sprintf("seg-%020d.jsonl", first))
+}
+
+func (l *Log) openSegment(first uint64) (*os.File, error) {
+	return os.OpenFile(l.segmentPath(first), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+}
+
+// recover loads every segment into memory in name order and truncates a
+// torn tail off the last one.
 func (l *Log) recover() error {
-	if err := l.loadLines(filepath.Join(l.dir, snapName), true); err != nil {
-		return err
+	// ReadDir sorts by name, and 20 digits hold any uint64: name order
+	// is ID order.
+	entries, err := os.ReadDir(l.dir)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
 	}
-	if err := l.loadLines(filepath.Join(l.dir, walName), false); err != nil {
-		return err
+	var firsts []uint64
+	for _, e := range entries {
+		if filepath.Ext(e.Name()) != ".jsonl" {
+			continue
+		}
+		var first uint64
+		if _, err := fmt.Sscanf(e.Name(), "seg-%020d.jsonl", &first); err != nil || e.Name() != filepath.Base(l.segmentPath(first)) {
+			return fmt.Errorf("store: %s is not a segment file (seg-<first id, 20 digits>.jsonl); an archive in any other format is not read",
+				filepath.Join(l.dir, e.Name()))
+		}
+		firsts = append(firsts, first)
+	}
+	for i, first := range firsts {
+		path := l.segmentPath(first)
+		if i == 0 {
+			l.base = first
+		}
+		if next := l.base + uint64(len(l.recs)); first != next {
+			return fmt.Errorf("store: %s: segment starts at id %d, want %d", path, first, next)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+		good := l.loadLines(raw)
+		if good < len(raw) {
+			if i < len(firsts)-1 {
+				return fmt.Errorf("store: %s: malformed line at byte %d of a closed segment", path, good)
+			}
+			if err := os.Truncate(path, int64(good)); err != nil {
+				return fmt.Errorf("store: %w", err)
+			}
+			l.nTorn++
+			l.mTorn.Inc()
+		}
+		l.segs = append(l.segs, segment{first: first, size: int64(good)})
+		l.size += int64(good)
 	}
 	l.enforceCap()
 	l.nReplayed = uint64(len(l.recs))
@@ -205,74 +223,30 @@ func (l *Log) recover() error {
 	return nil
 }
 
-// loadLines replays one JSON-lines file. Snapshot files carry a header
-// line; both kinds tolerate a torn final line.
-func (l *Log) loadLines(path string, snapshot bool) error {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
+// loadLines replays one segment's bytes and returns the length of the
+// prefix that held whole, parseable lines carrying the expected IDs.
+func (l *Log) loadLines(raw []byte) (good int) {
+	for good < len(raw) {
+		nl := bytes.IndexByte(raw[good:], '\n')
+		if nl < 0 {
+			break // no terminator: the write never finished
 		}
-		return fmt.Errorf("store: %w", err)
+		var rec line
+		if err := json.Unmarshal(raw[good:good+nl], &rec); err != nil || rec.Data == nil ||
+			rec.ID != l.base+uint64(len(l.recs)) {
+			break
+		}
+		l.recs = append(l.recs, bytes.Clone(rec.Data))
+		good += nl + 1
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64<<10), 64<<20)
-	first := snapshot
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		if first {
-			first = false
-			var h snapHeader
-			if err := json.Unmarshal(line, &h); err != nil {
-				return fmt.Errorf("store: corrupt snapshot header in %s: %w", path, err)
-			}
-			l.base = h.Base
-			l.recs = l.recs[:0]
-			continue
-		}
-		var rec walRecord
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Data == nil {
-			// Torn tail from a crash mid-append: keep what replayed so
-			// far and stop. Anything after a torn line is unreachable by
-			// construction (appends are sequential).
-			l.nTorn++
-			l.mTorn.Inc()
-			return nil
-		}
-		next := l.base + uint64(len(l.recs))
-		if rec.ID < next {
-			continue // WAL line already covered by the snapshot
-		}
-		if rec.ID > next {
-			// A gap means the file is damaged beyond a torn tail; stop
-			// replay rather than invent IDs.
-			l.nTorn++
-			l.mTorn.Inc()
-			return nil
-		}
-		data := make([]byte, len(rec.Data))
-		copy(data, rec.Data)
-		l.recs = append(l.recs, data)
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("store: reading %s: %w", path, err)
-	}
-	return nil
+	return good
 }
 
 // Append marshals and durably appends one record. build receives the ID
 // the record will carry, so callers can embed it in the record itself
 // (the service stamps Measurement.ID this way); the marshalled bytes
-// are what Get and recovery return, bit for bit.
-//
-// An error wrapping ErrCompaction is the one partial-success case: the
-// record was durably appended and the returned id is valid, only the
-// post-append compaction failed. Every other error means the record was
-// not appended and the id was not consumed.
+// are what Get and recovery return, bit for bit. An error means the
+// record was not appended and the ID was not consumed.
 func (l *Log) Append(build func(id uint64) any) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -281,46 +255,79 @@ func (l *Log) Append(build func(id uint64) any) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("store: marshal: %w", err)
 	}
-	if l.wal != nil {
-		line, err := json.Marshal(walRecord{ID: id, Data: data})
-		if err != nil {
-			return 0, fmt.Errorf("store: marshal wal record: %w", err)
-		}
-		line = append(line, '\n')
-		if _, err := l.wal.Write(line); err != nil {
-			return 0, fmt.Errorf("store: wal append: %w", err)
-		}
-		if l.opts.Sync {
-			if err := l.wal.Sync(); err != nil {
-				return 0, fmt.Errorf("store: wal sync: %w", err)
+	if l.active != nil {
+		if l.segs[len(l.segs)-1].size >= l.segBytes {
+			if err := l.roll(id); err != nil {
+				return 0, fmt.Errorf("store: roll: %w", err)
 			}
 		}
-		l.walBytes += int64(len(line))
-		l.mWALBytes.Set(l.walBytes)
+		ln, err := json.Marshal(line{ID: id, Data: data})
+		if err != nil {
+			return 0, fmt.Errorf("store: marshal line: %w", err)
+		}
+		ln = append(ln, '\n')
+		active := &l.segs[len(l.segs)-1]
+		_, err = l.active.Write(ln)
+		if err == nil && l.opts.Sync {
+			err = l.active.Sync()
+		}
+		if err != nil {
+			// Take the line, or the part of it that was written, back
+			// out of the file: the next append carries this ID again,
+			// and recovery accepts an ID once.
+			return 0, fmt.Errorf("store: append: %w", errors.Join(err, l.active.Truncate(active.size)))
+		}
+		active.size += int64(len(ln))
+		l.size += int64(len(ln))
+		l.mBytes.Set(l.size)
 	}
 	l.recs = append(l.recs, data)
 	l.enforceCap()
 	l.mAppends.Inc()
 	l.mRecords.Set(int64(len(l.recs)))
-	if l.wal != nil && l.walBytes > l.opts.MaxWALBytes {
-		if err := l.compactLocked(); err != nil {
-			// The record is already durably in the WAL and in recs; only
-			// the compaction failed. Hand the caller its valid id next to
-			// the error so the append is not mistaken for a failure (a
-			// retry would duplicate the record).
-			return id, fmt.Errorf("%w: %v", ErrCompaction, err)
-		}
-	}
 	return id, nil
 }
 
-// enforceCap drops oldest records past MaxRecords. Callers hold l.mu.
+// roll closes the active segment for good, starts the one whose first
+// line will carry id, and deletes the segments retention has passed.
+// The fsync comes before the new file exists, so a segment that is not
+// the last on disk is whole: recovery may demand it. Callers hold l.mu.
+func (l *Log) roll(id uint64) error {
+	if err := l.active.Sync(); err != nil {
+		return err
+	}
+	next, err := l.openSegment(id)
+	if err != nil {
+		return err
+	}
+	closed := l.active
+	l.active = next
+	l.segs = append(l.segs, segment{first: id})
+	if err := closed.Close(); err != nil {
+		return err
+	}
+	for len(l.segs) > 1 && l.segs[1].first <= l.base {
+		if err := os.Remove(l.segmentPath(l.segs[0].first)); err != nil {
+			return err
+		}
+		l.size -= l.segs[0].size
+		l.segs = l.segs[1:]
+	}
+	l.mBytes.Set(l.size)
+	return nil
+}
+
+// enforceCap drops the oldest records past MaxRecords by moving the
+// window's start; append reallocates (and lets go of the dropped
+// prefix) once the capacity behind the window runs out. Callers hold
+// l.mu.
 func (l *Log) enforceCap() {
-	if l.opts.MaxRecords <= 0 || len(l.recs) <= l.opts.MaxRecords {
+	drop := len(l.recs) - l.opts.MaxRecords
+	if l.opts.MaxRecords <= 0 || drop <= 0 {
 		return
 	}
-	drop := len(l.recs) - l.opts.MaxRecords
-	l.recs = append(l.recs[:0], l.recs[drop:]...)
+	clear(l.recs[:drop])
+	l.recs = l.recs[drop:]
 	l.base += uint64(drop)
 	l.mDropped.Add(uint64(drop))
 }
@@ -383,84 +390,18 @@ func (l *Log) Replay(fn func(id uint64, data []byte) error) error {
 	return nil
 }
 
-// WALBytes reports the current WAL file size (0 when memory-only).
-func (l *Log) WALBytes() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.walBytes
-}
-
-// Compact forces a snapshot + WAL truncation.
-func (l *Log) Compact() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.wal == nil {
-		return nil
-	}
-	return l.compactLocked()
-}
-
-// compactLocked writes the live set to a temp snapshot, renames it into
-// place, and truncates the WAL. Callers hold l.mu.
-func (l *Log) compactLocked() error {
-	tmpPath := filepath.Join(l.dir, snapTempName)
-	tmp, err := os.Create(tmpPath)
-	if err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	w := bufio.NewWriter(tmp)
-	hdr, _ := json.Marshal(snapHeader{Base: l.base, N: len(l.recs)})
-	w.Write(hdr)
-	w.WriteByte('\n')
-	for i, data := range l.recs {
-		line, err := json.Marshal(walRecord{ID: l.base + uint64(i), Data: data})
-		if err != nil {
-			tmp.Close()
-			return fmt.Errorf("store: compact: %w", err)
-		}
-		w.Write(line)
-		w.WriteByte('\n')
-	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	if err := os.Rename(tmpPath, filepath.Join(l.dir, snapName)); err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	// The snapshot now covers everything; restart the WAL from empty.
-	if err := l.wal.Close(); err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	wal, err := os.Create(filepath.Join(l.dir, walName))
-	if err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	l.wal = wal
-	l.walBytes = 0
-	l.mWALBytes.Set(0)
-	l.mCompactions.Inc()
-	return nil
-}
-
-// Close flushes and closes the WAL. The Log must not be used after.
+// Close flushes and closes the active segment. The Log must not be used
+// after.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.wal == nil {
+	if l.active == nil {
 		return nil
 	}
-	err := l.wal.Sync()
-	if cerr := l.wal.Close(); err == nil {
+	err := l.active.Sync()
+	if cerr := l.active.Close(); err == nil {
 		err = cerr
 	}
-	l.wal = nil
+	l.active = nil
 	return err
 }

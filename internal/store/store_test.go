@@ -3,10 +3,10 @@ package store_test
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -29,6 +29,53 @@ func appendRec(t *testing.T, l *store.Log, n int) uint64 {
 		t.Fatal(err)
 	}
 	return id
+}
+
+// firstSegment is the file a fresh log writes to.
+const firstSegment = "seg-00000000000000000000.jsonl"
+
+// openSmall opens a durable log that rolls every 256 bytes (3–4 of the
+// test records), so a short test crosses many segment boundaries.
+func openSmall(t *testing.T, dir string, opts store.Options) *store.Log {
+	t.Helper()
+	l, err := store.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.SetSegmentBytes(256)
+	return l
+}
+
+// segmentNames lists dir, failing the test on any name that is not a
+// segment file: the store creates nothing else, ever.
+func segmentNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		if ok, _ := filepath.Match("seg-"+strings.Repeat("[0-9]", 20)+".jsonl", e.Name()); !ok {
+			t.Fatalf("%s in the archive directory is not a segment file", e.Name())
+		}
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// dirBytes sums the sizes of the files in dir.
+func dirBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	var n int64
+	for _, name := range segmentNames(t, dir) {
+		st, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += st.Size()
+	}
+	return n
 }
 
 // snapshotAll renders the live record set as one byte blob for
@@ -99,27 +146,27 @@ func TestRestartRecoversIdenticalSet(t *testing.T) {
 	}
 }
 
-func TestRecoveryAcrossCompaction(t *testing.T) {
+func TestRecoveryAcrossRolls(t *testing.T) {
 	dir := t.TempDir()
-	// A tiny WAL cap forces several compactions over 50 appends.
-	l, err := store.Open(dir, store.Options{MaxWALBytes: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openSmall(t, dir, store.Options{})
+	// 256-byte segments: 50 appends cross a dozen roll boundaries.
 	for i := 0; i < 50; i++ {
 		appendRec(t, l, i)
+	}
+	if n := len(segmentNames(t, dir)); n < 5 {
+		t.Fatalf("%d segment files after 50 appends, want several", n)
 	}
 	before := snapshotAll(t, l)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l2, err := store.Open(dir, store.Options{MaxWALBytes: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l2 := openSmall(t, dir, store.Options{})
 	defer l2.Close()
 	if got := snapshotAll(t, l2); !bytes.Equal(got, before) {
-		t.Fatal("compacted store did not recover the identical set")
+		t.Fatal("rolled store did not recover the identical set")
+	}
+	if id := appendRec(t, l2, 50); id != 50 {
+		t.Fatalf("post-restart id = %d, want 50", id)
 	}
 }
 
@@ -136,14 +183,14 @@ func TestTornWALTailTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Simulate a crash mid-append: chop the last 9 bytes off the WAL,
-	// leaving a malformed final line.
-	walPath := filepath.Join(dir, "wal.jsonl")
-	raw, err := os.ReadFile(walPath)
+	// Simulate a crash mid-append: chop the last 9 bytes off the
+	// segment, leaving a malformed final line.
+	segPath := filepath.Join(dir, firstSegment)
+	raw, err := os.ReadFile(segPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(walPath, raw[:len(raw)-9], 0o644); err != nil {
+	if err := os.WriteFile(segPath, raw[:len(raw)-9], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -209,26 +256,34 @@ func TestRetentionCapAdvancesBaseKeepsIDs(t *testing.T) {
 	}
 }
 
-func TestWALBytesMetricAndCompactionReset(t *testing.T) {
+// TestSegmentBytesMetricFollowsFiles: store_wal_bytes is the bytes in the
+// segment files on disk — it grows with appends, shrinks when a roll
+// deletes a segment retention has passed, and is republished on restart.
+func TestSegmentBytesMetricFollowsFiles(t *testing.T) {
 	o := obs.New()
 	dir := t.TempDir()
-	l, err := store.Open(dir, store.Options{Obs: o})
-	if err != nil {
+	l := openSmall(t, dir, store.Options{MaxRecords: 8, Obs: o})
+	shrank := false
+	for i := 0; i < 60; i++ {
+		before := o.Gauge("store_wal_bytes").Value()
+		appendRec(t, l, i)
+		got := o.Gauge("store_wal_bytes").Value()
+		if want := dirBytes(t, dir); got != want || got == 0 {
+			t.Fatalf("append %d: store_wal_bytes = %d, files hold %d", i, got, want)
+		}
+		shrank = shrank || got < before
+	}
+	if !shrank {
+		t.Fatal("no roll ever deleted a segment")
+	}
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	appendRec(t, l, 1)
-	if o.Gauge("store_wal_bytes").Value() == 0 || l.WALBytes() == 0 {
-		t.Fatal("wal bytes not tracked")
-	}
-	if err := l.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if o.Gauge("store_wal_bytes").Value() != 0 || l.WALBytes() != 0 {
-		t.Fatal("compaction did not reset wal bytes")
-	}
-	if o.Counter("store_compactions_total").Value() != 1 {
-		t.Fatal("compaction not counted")
+	o2 := obs.New()
+	l2 := openSmall(t, dir, store.Options{MaxRecords: 8, Obs: o2})
+	defer l2.Close()
+	if got, want := o2.Gauge("store_wal_bytes").Value(), dirBytes(t, dir); got != want {
+		t.Fatalf("after restart: store_wal_bytes = %d, files hold %d", got, want)
 	}
 }
 
@@ -286,7 +341,7 @@ func TestConcurrentAppendsAssignUniqueIDs(t *testing.T) {
 // TestTornTailTruncatedBeforeNewAppends is the double-crash regression:
 // records appended after a torn-tail recovery must survive the next
 // restart. Recovery that merely stopped replay at the tear but left the
-// WAL intact would append new records *behind* the torn line (O_APPEND),
+// file intact would append new records *behind* the torn line (O_APPEND),
 // where a second replay never reaches them — acknowledged, even fsynced,
 // writes would vanish and their IDs be silently reassigned.
 func TestTornTailTruncatedBeforeNewAppends(t *testing.T) {
@@ -303,12 +358,12 @@ func TestTornTailTruncatedBeforeNewAppends(t *testing.T) {
 	}
 
 	// Crash mid-append: the last record's line is torn.
-	walPath := filepath.Join(dir, "wal.jsonl")
-	raw, err := os.ReadFile(walPath)
+	segPath := filepath.Join(dir, firstSegment)
+	raw, err := os.ReadFile(segPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(walPath, raw[:len(raw)-7], 0o644); err != nil {
+	if err := os.WriteFile(segPath, raw[:len(raw)-7], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -330,7 +385,7 @@ func TestTornTailTruncatedBeforeNewAppends(t *testing.T) {
 	}
 
 	// Second restart: the post-recovery record must still be there, with
-	// no torn tail in sight (recovery compacted the tear away).
+	// no torn tail in sight (recovery truncated the tear away).
 	o := obs.New()
 	l3, err := store.Open(dir, store.Options{Obs: o})
 	if err != nil {
@@ -345,40 +400,111 @@ func TestTornTailTruncatedBeforeNewAppends(t *testing.T) {
 		t.Fatalf("record 2 after double restart: ok=%v err=%v r=%+v", ok, err, r)
 	}
 	if o.Counter("store_torn_tail_total").Value() != 0 {
-		t.Fatal("second restart still sees a torn tail; recovery did not truncate the WAL")
+		t.Fatal("second restart still sees a torn tail; recovery did not truncate the segment")
 	}
 }
 
-// TestAppendCompactionFailureKeepsRecord: when the post-append
-// compaction fails, the append itself already succeeded — Append must
-// return the valid consumed id next to an error wrapping ErrCompaction,
-// so callers do not retry (and duplicate) a durably written record.
-func TestAppendCompactionFailureKeepsRecord(t *testing.T) {
+// TestAppendRollFailureConsumesNoID: Append has one error contract. A
+// roll that cannot start the next segment fails the append that needed
+// it — nothing written, the ID not consumed, earlier records intact —
+// and the same ID goes to the next append that succeeds.
+func TestAppendRollFailureConsumesNoID(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "s")
-	// A 1-byte WAL cap makes every append attempt a compaction.
-	l, err := store.Open(dir, store.Options{MaxWALBytes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendRec(t, l, 0) // compacts successfully
+	l := openSmall(t, dir, store.Options{})
+	l.SetSegmentBytes(1) // every append after the first rolls
+	appendRec(t, l, 0)
 
-	// Break compaction: the directory vanishes, so the snapshot temp
-	// file cannot be created; the WAL fd itself still accepts writes.
+	// Break the roll: the directory vanishes, so the next segment cannot
+	// be created; the active file descriptor itself still accepts writes.
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	id, err := l.Append(func(id uint64) any { return rec{ID: int(id), N: 1} })
-	if !errors.Is(err, store.ErrCompaction) {
-		t.Fatalf("err = %v, want ErrCompaction", err)
+	if id, err := l.Append(func(id uint64) any { return rec{ID: int(id), N: 1} }); err == nil {
+		t.Fatalf("append across a failed roll succeeded with id %d", id)
 	}
-	if id != 1 {
-		t.Fatalf("id = %d, want 1 (the append succeeded)", id)
+	if l.NextID() != 1 || l.Len() != 1 {
+		t.Fatalf("failed append consumed an id: next=%d len=%d", l.NextID(), l.Len())
 	}
 	var r rec
-	if ok, err := l.Get(1, &r); !ok || err != nil || r.N != 1 {
-		t.Fatalf("record written before failed compaction lost: ok=%v err=%v r=%+v", ok, err, r)
+	if ok, err := l.Get(0, &r); !ok || err != nil || r.N != 0 {
+		t.Fatalf("record 0 after the failed roll: ok=%v err=%v r=%+v", ok, err, r)
 	}
-	if l.NextID() != 2 {
-		t.Fatalf("next id = %d, want 2", l.NextID())
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if id := appendRec(t, l, 1); id != 1 {
+		t.Fatalf("id after the roll recovered = %d, want 1", id)
+	}
+}
+
+// TestSetObsRepublishesRecovery: an archive is opened before the
+// registry that serves /metrics exists, so SetObs must carry what Open
+// learned — records replayed, tails torn, bytes and records held — into
+// the registry it is handed.
+func TestSetObsRepublishesRecovery(t *testing.T) {
+	dir := t.TempDir()
+	l := openSmall(t, dir, store.Options{})
+	for i := 0; i < 10; i++ {
+		appendRec(t, l, i)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names := segmentNames(t, dir)
+	f, err := os.OpenFile(filepath.Join(dir, names[len(names)-1]), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString(`{"id":10,"da`)
+	f.Close()
+
+	l2 := openSmall(t, dir, store.Options{})
+	defer l2.Close()
+	o := obs.New()
+	l2.SetObs(o)
+	if got := o.Counter("store_replayed_total").Value(); got != 10 {
+		t.Fatalf("store_replayed_total = %d, want 10", got)
+	}
+	if got := o.Counter("store_torn_tail_total").Value(); got != 1 {
+		t.Fatalf("store_torn_tail_total = %d, want 1", got)
+	}
+	if got := o.Gauge("store_records").Value(); got != 10 {
+		t.Fatalf("store_records = %d, want 10", got)
+	}
+	if got, want := o.Gauge("store_wal_bytes").Value(), dirBytes(t, dir); got != want {
+		t.Fatalf("store_wal_bytes = %d, files hold %d", got, want)
+	}
+}
+
+// TestErrorsLeaveTheLogAlone: a record that will not marshal, a Get into
+// the wrong type, a Replay callback that gives up and an archive path
+// that cannot be a directory each fail without consuming an ID.
+func TestErrorsLeaveTheLogAlone(t *testing.T) {
+	l, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	appendRec(t, l, 0)
+	if _, err := l.Append(func(uint64) any { return func() {} }); err == nil {
+		t.Fatal("appended a record that does not marshal")
+	}
+	if l.NextID() != 1 {
+		t.Fatalf("failed append consumed an id: next=%d", l.NextID())
+	}
+	var wrong []int
+	if ok, err := l.Get(0, &wrong); !ok || err == nil {
+		t.Fatalf("Get into the wrong type: ok=%v err=%v", ok, err)
+	}
+	stop := fmt.Errorf("stop")
+	if err := l.Replay(func(uint64, []byte) error { return stop }); err != stop {
+		t.Fatalf("Replay returned %v, want the callback's error", err)
+	}
+	file := filepath.Join(t.TempDir(), "f")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Open(filepath.Join(file, "archive"), store.Options{}); err == nil {
+		t.Fatal("opened an archive under a regular file")
 	}
 }
