@@ -1,7 +1,7 @@
 package core_test
 
-// Concurrency-at-scale test for the resumable machine: MeasureAsync
-// must sustain 10k concurrent measurements with memory-bounded state
+// Concurrency-at-scale test for the resumable machine:
+// MeasureAsyncStream must sustain 10k concurrent measurements with memory-bounded state
 // (suspended Machines on the heap) rather than a parked goroutine per
 // measurement, and every result must match the synchronous engine.
 
@@ -17,7 +17,7 @@ import (
 )
 
 // TestMeasureAsyncTenThousand launches 10k measurements (2k under the
-// race detector) through MeasureAsync before any of them completes its
+// race detector) through MeasureAsyncStream before any of them completes its
 // probing, then checks (a) the process never grew a goroutine per
 // in-flight measurement — concurrency lives in suspended machine
 // records drained by the probe pool's bounded executors — and (b) every
@@ -55,7 +55,7 @@ func TestMeasureAsyncTenThousand(t *testing.T) {
 	wg.Add(n)
 	for i := 0; i < n; i++ {
 		i := i
-		eng.MeasureAsync(context.Background(), h.src, dsts[i%len(dsts)], func(res *core.Result) {
+		eng.MeasureAsyncStream(context.Background(), h.src, dsts[i%len(dsts)], nil, func(res *core.Result) {
 			results[i] = res
 			wg.Done()
 		})

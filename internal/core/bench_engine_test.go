@@ -44,7 +44,7 @@ func runConcurrent(eng *core.Engine, h *harness, dsts []ipv4.Addr, n, level int)
 	start := time.Now() //revtr:wallclock benchmark timing
 	for i := 0; i < n; i++ {
 		sem <- struct{}{}
-		eng.MeasureAsync(context.Background(), h.src, dsts[i%len(dsts)], func(*core.Result) {
+		eng.MeasureAsyncStream(context.Background(), h.src, dsts[i%len(dsts)], nil, func(*core.Result) {
 			<-sem
 			wg.Done()
 		})

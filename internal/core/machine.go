@@ -1264,8 +1264,8 @@ func (e *Engine) ExecPending(ctx context.Context, p *Pending) Delivery {
 	return Delivery{Batch: e.Pool.DoPolicy(ctx, p.Reqs, p.Policy)}
 }
 
-// MeasureAsync runs one measurement without parking a goroutine: the
-// machine's pending probe work is queued on the pool's asynchronous
+// MeasureAsyncStream runs one measurement without parking a goroutine:
+// the machine's pending probe work is queued on the pool's asynchronous
 // executors and each completion resumes the machine where it suspended.
 // done is called exactly once with the finished Result — possibly
 // synchronously (cache hits, atlas intersections at the destination, or
@@ -1276,14 +1276,8 @@ func (e *Engine) ExecPending(ctx context.Context, p *Pending) Delivery {
 // machines cost heap, while goroutines stay bounded by the pool's
 // worker budget.
 //
-//revtr:suspends parks the machine between probe rounds; completions resume it on pool executors
-func (e *Engine) MeasureAsync(ctx context.Context, src Source, dst ipv4.Addr, done func(*Result)) {
-	e.MeasureAsyncStream(ctx, src, dst, nil, done)
-}
-
-// MeasureAsyncStream is MeasureAsync with a progress-event sink: the
-// machine emits typed events (started, hop reveals, fallbacks, the
-// terminal status) as it advances — from whichever goroutine is
+// The machine emits typed events (started, hop reveals, fallbacks, the
+// terminal status) to sink as it advances — from whichever goroutine is
 // driving it at the time, so the sink must be safe for use across
 // goroutines (though never concurrently for one measurement). A nil
 // sink measures silently.

@@ -94,7 +94,7 @@ type JobRef struct {
 type Exec func(ctx context.Context, job JobRef) (any, error)
 
 // ExecAsync starts one admitted job without blocking the dispatcher:
-// the callee begins the measurement (e.g. core.Engine.MeasureAsync) and
+// the callee begins the measurement (core.Engine.MeasureAsyncStream) and
 // calls done exactly once when it finishes. Concurrency is bounded by
 // Options.MaxInFlight suspended measurements, not by parked goroutines —
 // the §5.2.4 shape. A blocking Exec is served by the same dispatcher:

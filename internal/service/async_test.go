@@ -1,9 +1,8 @@
 package service_test
 
-// Async batch dispatch: when the backend implements AsyncBackend, the
-// batch scheduler routes jobs through the non-blocking path, so the
-// number of measurements in flight is bounded by MaxInFlight suspended
-// measurements — not by Workers goroutines.
+// Async batch dispatch: every batch job starts through the backend's
+// MeasureAsyncStream, so the number of measurements in flight is bounded
+// by MaxInFlight suspended measurements — not by parked goroutines.
 
 import (
 	"context"
@@ -18,30 +17,30 @@ import (
 	"revtr/internal/netsim/ipv4"
 	"revtr/internal/sched"
 	"revtr/internal/service"
+	"revtr/internal/stream"
 )
 
-// asyncGate is an AsyncBackend that parks every measurement as a stored
-// completion callback until the test releases it — the measurement
-// holds no goroutine while parked, exactly like a suspended machine.
+// asyncGate parks every batch measurement as a stored completion
+// callback until the test releases it — the measurement holds no
+// goroutine while parked, exactly like a suspended machine.
 type asyncGate struct {
 	mu      sync.Mutex
 	pending []func()
-	started chan struct{} // one tick per MeasureAsync entry
+	started chan struct{} // one tick per MeasureAsyncStream entry
 }
 
 func (b *asyncGate) RegisterSource(addr ipv4.Addr) (core.Source, error) {
 	return core.Source{Agent: measure.Agent{Addr: addr}, Atlas: atlas.New(measure.Agent{Addr: addr})}, nil
 }
 
-// Measure is the blocking fallback; the async dispatch path must never
-// use it.
+// Measure serves sync requests; batch dispatch must never use it.
 func (b *asyncGate) Measure(ctx context.Context, src core.Source, dst ipv4.Addr) *core.Result {
 	return &core.Result{Src: src.Agent.Addr, Dst: dst, Status: core.StatusComplete}
 }
 
 func (b *asyncGate) RefreshAtlas(core.Source) {}
 
-func (b *asyncGate) MeasureAsync(ctx context.Context, src core.Source, dst ipv4.Addr, done func(*core.Result)) {
+func (b *asyncGate) MeasureAsyncStream(ctx context.Context, src core.Source, dst ipv4.Addr, _ func(stream.Event), done func(*core.Result)) {
 	res := &core.Result{Src: src.Agent.Addr, Dst: dst, Status: core.StatusComplete}
 	b.mu.Lock()
 	b.pending = append(b.pending, func() { done(res) })
@@ -63,17 +62,17 @@ func (b *asyncGate) flushOne() bool {
 	return true
 }
 
-// TestBatchAsyncInFlightBeyondWorkers: with one worker but MaxInFlight
-// of 8, eight measurements enter the backend before any completes —
-// impossible on the blocking path, where a single worker goroutine
-// serializes them — and a ninth is dispatched only once a slot frees.
+// TestBatchAsyncInFlightBeyondWorkers: with MaxInFlight of 8, eight
+// measurements enter the backend before any completes — no goroutine
+// is parked for any of them — and a ninth is dispatched only once a
+// slot frees.
 func TestBatchAsyncInFlightBeyondWorkers(t *testing.T) {
 	const maxInFlight = 8
 	bb := &asyncGate{started: make(chan struct{}, 64)}
 	reg := service.NewRegistry(bb, "adm")
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	sc := reg.EnableBatch(ctx, sched.Options{Workers: 1, MaxInFlight: maxInFlight})
+	sc := reg.EnableBatch(ctx, sched.Options{MaxInFlight: maxInFlight})
 	t.Cleanup(func() {
 		cancel()
 		_ = sc.Drain(context.Background())
@@ -144,7 +143,7 @@ func TestBatchAsyncInFlightBeyondWorkers(t *testing.T) {
 	}
 }
 
-// TestBatchAsyncEndToEnd: the real engine's MeasureAsync drives a batch
+// TestBatchAsyncEndToEnd: the real engine's MeasureAsyncStream drives a batch
 // through the service layer — submitted jobs complete, results carry
 // reverse paths, and measurements land in the archive.
 func TestBatchAsyncEndToEnd(t *testing.T) {
@@ -190,5 +189,62 @@ func TestBatchAsyncEndToEnd(t *testing.T) {
 	}
 	if got := reg.Stats().Measurements; got != len(sp) {
 		t.Fatalf("archived %d measurements, want %d", got, len(sp))
+	}
+}
+
+// panicOnStart is a deployment whose batch entry panics on the calling
+// goroutine, before the measurement could arrange a completion.
+type panicOnStart struct{ *service.DeploymentBackend }
+
+func (panicOnStart) MeasureAsyncStream(context.Context, core.Source, ipv4.Addr, func(stream.Event), func(*core.Result)) {
+	panic("backend exploded before starting the measurement")
+}
+
+// TestBatchStartPanicReleasesAtlasLock: a backend that panics inside the
+// batch entry never calls done. The job must still fail as a counted
+// backend panic, and the atlas read lock taken for the measurement must
+// be released — otherwise the next DailyMaintenance blocks forever.
+func TestBatchStartPanicReleasesAtlasLock(t *testing.T) {
+	cfg := revtr.DefaultConfig(300)
+	cfg.Seed = 31
+	cfg.Topology.Seed = 31
+	d := revtr.Build(cfg)
+	reg := service.NewRegistry(panicOnStart{service.NewDeploymentBackend(d)}, "adm")
+	reg.EnableStream(stream.Options{})
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	sc := reg.EnableBatch(ctx, sched.Options{})
+	t.Cleanup(func() {
+		cancel()
+		_ = sc.Drain(context.Background())
+	})
+	u, err := reg.AddUser("adm", "alice", 4, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcHost := d.PickSourceHost(0)
+	if _, err := reg.RegisterSource(u.APIKey, srcHost.Addr, false); err != nil {
+		t.Fatal(err)
+	}
+	st, err := reg.SubmitBatch(context.Background(), u.APIKey,
+		[]sched.JobSpec{{Src: srcHost.Addr, Dst: d.PickSourceHost(1).Addr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin := waitDone(t, reg, u.APIKey, st.ID); fin.Counts["failed"] != 1 {
+		t.Fatalf("counts = %v, want the job failed", fin.Counts)
+	}
+	if got := reg.Obs().Counter("service_backend_panics_total").Value(); got != 1 {
+		t.Fatalf("service_backend_panics_total = %d, want 1", got)
+	}
+	maintained := make(chan struct{})
+	go func() {
+		reg.DailyMaintenance()
+		close(maintained)
+	}()
+	select {
+	case <-maintained:
+	case <-time.After(30 * time.Second):
+		t.Fatal("DailyMaintenance blocked: the panicked job kept the atlas read lock")
 	}
 }

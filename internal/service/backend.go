@@ -77,26 +77,25 @@ func (b *DeploymentBackend) Measure(ctx context.Context, src core.Source, dst ip
 	return b.Engine.MeasureReverse(ctx, src, dst)
 }
 
-// MeasureAsync implements AsyncBackend: the engine's resumable state
+// MeasureAsyncStream implements Backend: the engine's resumable state
 // machine runs the measurement without parking a goroutine across
-// spoofed-batch timeouts, and done receives the finished result (nil on
-// a backend panic, matching Measure's recover contract in the service).
-func (b *DeploymentBackend) MeasureAsync(ctx context.Context, src core.Source, dst ipv4.Addr, done func(*core.Result)) {
-	b.Engine.MeasureAsync(ctx, src, dst, done)
-}
-
-// MeasureStream implements StreamBackend: a blocking measurement that
-// reports hop-by-hop progress events to sink as the engine reveals the
-// reverse path.
-func (b *DeploymentBackend) MeasureStream(ctx context.Context, src core.Source, dst ipv4.Addr, sink func(stream.Event)) *core.Result {
-	return b.Engine.MeasureReverseStream(ctx, src, dst, sink)
-}
-
-// MeasureAsyncStream implements StreamAsyncBackend: MeasureAsync with
-// progress events flowing to sink from whichever pool executor resumes
-// the suspended machine.
+// spoofed-batch timeouts, progress events flow to sink from whichever
+// pool executor resumes it, and done receives the finished result (nil
+// on a panic mid-measurement).
 func (b *DeploymentBackend) MeasureAsyncStream(ctx context.Context, src core.Source, dst ipv4.Addr, sink func(stream.Event), done func(*core.Result)) {
 	b.Engine.MeasureAsyncStream(ctx, src, dst, sink, done)
+}
+
+// MeasureAsync is MeasureAsyncStream without a sink. Only the
+// benchmark's tracing backend calls it.
+func (b *DeploymentBackend) MeasureAsync(ctx context.Context, src core.Source, dst ipv4.Addr, done func(*core.Result)) {
+	b.Engine.MeasureAsyncStream(ctx, src, dst, nil, done)
+}
+
+// MeasureStream is a blocking measurement reporting progress to sink.
+// Only the benchmark's tracing backend calls it.
+func (b *DeploymentBackend) MeasureStream(ctx context.Context, src core.Source, dst ipv4.Addr, sink func(stream.Event)) *core.Result {
+	return b.Engine.MeasureReverseStream(ctx, src, dst, sink)
 }
 
 // RefreshAtlas implements Backend with the deployment's atlas service.

@@ -18,28 +18,12 @@ package service
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 
 	"revtr/internal/core"
-	"revtr/internal/netsim/ipv4"
 	"revtr/internal/obs"
 	"revtr/internal/sched"
-	"revtr/internal/stream"
 )
-
-// AsyncBackend is the optional non-blocking measurement interface: a
-// backend that can start a measurement and deliver its result through a
-// callback without parking a goroutine for the duration
-// (core.Engine.MeasureAsync). When the registry's backend implements
-// it, EnableBatch dispatches batch jobs through the scheduler's
-// asynchronous path, so batch concurrency is bounded by
-// sched.Options.MaxInFlight suspended measurements instead of
-// Options.Workers goroutines. done receives nil when the backend
-// panicked mid-measurement (mirroring Backend.Measure's recover
-// contract in safeMeasure).
-type AsyncBackend interface {
-	//revtr:suspends starting a measurement parks it until the backend's completion callback fires
-	MeasureAsync(ctx context.Context, src core.Source, dst ipv4.Addr, done func(*core.Result))
-}
 
 var (
 	// ErrBatchDisabled rejects batch calls on a registry without an
@@ -51,9 +35,11 @@ var (
 
 // EnableBatch attaches a batch scheduler to the registry and starts its
 // dispatcher; ctx stops it (pair with Drain on the returned scheduler
-// for an orderly shutdown). The scheduler shares the registry's metric
-// registry regardless of opts.Obs. Calling EnableBatch again returns
-// the already-enabled scheduler.
+// for an orderly shutdown). Every job starts through the backend's
+// MeasureAsyncStream, so opts.MaxInFlight suspended measurements bound
+// batch concurrency (opts.Workers has no effect here). The scheduler
+// shares the registry's metric registry regardless of opts.Obs. Calling
+// EnableBatch again returns the already-enabled scheduler.
 func (r *Registry) EnableBatch(ctx context.Context, opts sched.Options) *sched.Scheduler {
 	if ctx == nil {
 		ctx = context.Background()
@@ -61,10 +47,8 @@ func (r *Registry) EnableBatch(ctx context.Context, opts sched.Options) *sched.S
 	opts.Obs = r.obs
 	opts.TryCharge = r.tryCharge
 	opts.OnJob = r.publishJobEvent
-	if _, ok := r.backend.(AsyncBackend); ok && opts.ExecAsync == nil {
-		opts.ExecAsync = r.batchExecAsync
-	}
-	sc := sched.New(r.batchExec, opts)
+	opts.ExecAsync = r.batchExecAsync
+	sc := sched.New(nil, opts)
 	r.mu.Lock()
 	if r.sched != nil {
 		sc = r.sched
@@ -77,48 +61,64 @@ func (r *Registry) EnableBatch(ctx context.Context, opts sched.Options) *sched.S
 	return sc
 }
 
-// batchJob is the prelude both Exec callbacks share: resolve the job's
-// registered source, the scheduler (for revocation wrapping) and the
-// owning user's display name under one registry lock hold.
-func (r *Registry) batchJob(job sched.JobRef) (reg *registeredSource, sc *sched.Scheduler, userName string, err error) {
+// batchExecAsync is the scheduler's ExecAsync callback: start one
+// measurement through the backend's MeasureAsyncStream and finish it —
+// archive, status metrics, revocation wrapping — in the completion
+// callback, which runs on a probe-pool executor goroutine (or on this
+// one, when the measurement needs no probes). Quota was charged at
+// admission (or at promotion, for a leader that inherited a revoked
+// flight), so nothing is charged here — and the user's MaxParallel
+// sync-request limit does not apply; the scheduler's in-flight bound is
+// the batch concurrency control. Cancelled or panicked measurements
+// fail the job so their partial results never resolve coalesced
+// subscribers or enter the day cache.
+//
+// The source's atlas lock is held shared across the measurement's
+// entire (suspended) lifetime, so DailyMaintenance cannot swap atlas
+// entries mid-measurement. It is released exactly once: by the
+// completion, or — when the backend panics before arranging one — by
+// the recover below, which then counts the panic and fails the job.
+func (r *Registry) batchExecAsync(ctx context.Context, job sched.JobRef, done func(res any, err error)) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	reg, ok := r.sources[job.Src]
-	if !ok {
-		return nil, nil, "", ErrUnknownSource
-	}
+	sc := r.sched
+	var name string
 	if u, known := r.users[job.User]; known {
-		userName = u.Name
+		name = u.Name
 	}
-	return reg, r.sched, userName, nil
+	r.mu.Unlock()
+	if !ok {
+		done(nil, ErrUnknownSource)
+		return
+	}
+	var finished atomic.Bool
+	defer func() {
+		if v := recover(); v != nil {
+			if finished.Swap(true) {
+				panic(v) // the completion ran already, or raised this: the scheduler's recover takes it
+			}
+			reg.atlasMu.RUnlock()
+			done(r.finishBatchJob(ctx, sc, job, name, nil))
+		}
+	}()
+	reg.atlasMu.RLock()
+	//revtr:heldacross the atlas read lock is pinned for the measurement's suspended lifetime — DailyMaintenance must not swap entries mid-measurement; the completion callback releases it
+	r.backend.MeasureAsyncStream(ctx, reg.src, job.Dst, r.progressSink(job), func(res *core.Result) {
+		if !finished.Swap(true) {
+			reg.atlasMu.RUnlock()
+			done(r.finishBatchJob(ctx, sc, job, name, res))
+		}
+	})
 }
 
-// batchExec is the scheduler's Exec callback: run one measurement and
-// archive it. Quota was charged at admission (or at promotion, for a
-// leader that inherited a revoked flight), so nothing is charged
-// here — and the user's MaxParallel sync-request limit does not apply;
-// the scheduler's in-flight bound is the batch concurrency control.
-// Cancelled or panicked measurements return an error so their partial
-// results never resolve coalesced subscribers or enter the day cache.
-func (r *Registry) batchExec(ctx context.Context, job sched.JobRef) (any, error) {
-	reg, sc, name, err := r.batchJob(job)
-	if err != nil {
-		return nil, err
-	}
-	res := r.safeMeasureStream(ctx, reg, job.Dst, r.progressSink(job))
-	return r.finishBatchJob(ctx, sc, job, name, res)
-}
-
-// finishBatchJob is the tail both dispatch paths share once the backend
-// has returned: count the attempt, turn a panicked (nil) or cancelled
-// measurement into an error — wrapped as a revocation when that is why
-// it was cut short — and otherwise count, archive and publish the
-// measurement. It does not count the backend panic itself: the blocking
-// path already did, inside safeMeasureStream, so the async path counts
-// its own before calling here.
+// finishBatchJob books one finished batch measurement: a panicked (nil)
+// or cancelled measurement becomes the job's error — wrapped as a
+// revocation when that is why it was cut short — and any other is
+// counted, archived and published.
 func (r *Registry) finishBatchJob(ctx context.Context, sc *sched.Scheduler, job sched.JobRef, userName string, res *core.Result) (any, error) {
-	r.countBatchExec()
+	r.obs.Counter("service_batch_exec_total").Inc()
 	if res == nil {
+		r.countBackendPanic()
 		return nil, sc.WrapRevoked(job.User, errors.New("service: backend panic"))
 	}
 	if err := ctx.Err(); err != nil {
@@ -129,48 +129,6 @@ func (r *Registry) finishBatchJob(ctx context.Context, sc *sched.Scheduler, job 
 		return nil, err // not record's nil *Measurement, which would be a non-nil any
 	}
 	return m, nil
-}
-
-// batchExecAsync is the scheduler's ExecAsync callback (installed by
-// EnableBatch only over an AsyncBackend): start one measurement and
-// finish it — archive, status metrics, revocation wrapping — inside the
-// completion callback, which runs on a probe-pool executor goroutine.
-// The source's atlas lock is held shared across the measurement's
-// entire (suspended) lifetime, exactly as the blocking path holds it
-// across safeMeasure, so DailyMaintenance cannot swap atlas entries
-// mid-measurement.
-func (r *Registry) batchExecAsync(ctx context.Context, job sched.JobRef, done func(res any, err error)) {
-	reg, sc, name, err := r.batchJob(job)
-	if err != nil {
-		done(nil, err)
-		return
-	}
-	reg.atlasMu.RLock()
-	//revtr:heldacross the atlas read lock is pinned for the measurement's suspended lifetime — DailyMaintenance must not swap entries mid-measurement; the completion callback releases it
-	r.measureAsync(ctx, reg.src, job.Dst, r.progressSink(job), func(res *core.Result) {
-		reg.atlasMu.RUnlock()
-		if res == nil {
-			r.countBackendPanic()
-		}
-		done(r.finishBatchJob(ctx, sc, job, name, res))
-	})
-}
-
-// measureAsync starts one measurement on the AsyncBackend, with
-// hop-by-hop progress flowing to sink when there is one and the
-// backend can stream — safeMeasureStream's choice, for the path that
-// does not block.
-func (r *Registry) measureAsync(ctx context.Context, src core.Source, dst ipv4.Addr, sink func(stream.Event), done func(*core.Result)) {
-	if sab, ok := r.backend.(StreamAsyncBackend); ok && sink != nil {
-		sab.MeasureAsyncStream(ctx, src, dst, sink, done)
-		return
-	}
-	r.backend.(AsyncBackend).MeasureAsync(ctx, src, dst, done)
-}
-
-// countBatchExec tallies one finished batch measurement attempt.
-func (r *Registry) countBatchExec() {
-	r.obs.Counter("service_batch_exec_total").Inc()
 }
 
 // tryCharge is the scheduler's admission-quota callback: atomically

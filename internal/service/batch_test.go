@@ -20,14 +20,22 @@ import (
 	"revtr/internal/sched"
 	"revtr/internal/service"
 	"revtr/internal/store"
+	"revtr/internal/stream"
 )
 
 // gatedBackend holds every measurement until release is closed, then
 // completes it. Lets tests park batch jobs in flight across ResetDay
 // or a revocation.
 type gatedBackend struct {
-	entered chan struct{} // one tick per Measure entry
+	entered chan struct{} // one tick per measurement entry
 	release chan struct{} // close to let measurements finish
+}
+
+// MeasureAsyncStream parks the batch job on a goroutine of its own until
+// the gate opens; its completion arrives there, as a suspended
+// measurement's arrives on a pool executor.
+func (b *gatedBackend) MeasureAsyncStream(ctx context.Context, src core.Source, dst ipv4.Addr, _ func(stream.Event), done func(*core.Result)) {
+	go func() { done(b.Measure(ctx, src, dst)) }()
 }
 
 func (b *gatedBackend) RegisterSource(addr ipv4.Addr) (core.Source, error) {
@@ -57,7 +65,7 @@ func batchRegistry(t *testing.T, maxPerDay int) (*service.Registry, *gatedBacken
 	reg := service.NewRegistry(bb, "adm")
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	sc := reg.EnableBatch(ctx, sched.Options{Workers: 4, QueueCap: 256})
+	sc := reg.EnableBatch(ctx, sched.Options{QueueCap: 256})
 	t.Cleanup(func() {
 		cancel()
 		_ = sc.Drain(context.Background())
@@ -250,7 +258,7 @@ func TestBatchRestartRecoversArchive(t *testing.T) {
 	close(bb.release)
 	reg := service.NewRegistryWithArchive(bb, "adm", arch)
 	ctx, cancel := context.WithCancel(context.Background())
-	sc := reg.EnableBatch(ctx, sched.Options{Workers: 2})
+	sc := reg.EnableBatch(ctx, sched.Options{})
 	u, err := reg.AddUser("adm", "alice", 4, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -344,7 +352,7 @@ func TestBatchHTTPFlow(t *testing.T) {
 	reg := service.NewRegistry(service.NewDeploymentBackend(d), "admin-secret")
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	reg.EnableBatch(ctx, sched.Options{Workers: 4})
+	reg.EnableBatch(ctx, sched.Options{})
 	ts := httptestServer(t, reg)
 
 	alice := decode[service.User](t, postJSON(t, ts+"/api/v1/users",
@@ -477,7 +485,7 @@ func TestBatchPromotionChargesQuota(t *testing.T) {
 	bb := &gatedBackend{entered: make(chan struct{}, 64), release: make(chan struct{})}
 	reg := service.NewRegistry(bb, "adm")
 	ctx, cancel := context.WithCancel(context.Background())
-	sc := reg.EnableBatch(ctx, sched.Options{Workers: 4, QueueCap: 64})
+	sc := reg.EnableBatch(ctx, sched.Options{QueueCap: 64})
 	t.Cleanup(func() {
 		cancel()
 		_ = sc.Drain(context.Background())

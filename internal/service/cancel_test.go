@@ -10,6 +10,7 @@ import (
 	"revtr/internal/measure"
 	"revtr/internal/netsim/ipv4"
 	"revtr/internal/service"
+	"revtr/internal/stream"
 )
 
 // blockingBackend simulates a slow topology: Measure blocks until its
@@ -30,6 +31,10 @@ func (b *blockingBackend) Measure(ctx context.Context, src core.Source, dst ipv4
 	}
 	<-ctx.Done()
 	return &core.Result{Src: src.Agent.Addr, Dst: dst, Status: core.StatusFailed}
+}
+
+func (b *blockingBackend) MeasureAsyncStream(ctx context.Context, src core.Source, dst ipv4.Addr, _ func(stream.Event), done func(*core.Result)) {
+	go func() { done(b.Measure(ctx, src, dst)) }()
 }
 
 func (b *blockingBackend) RefreshAtlas(core.Source) {}

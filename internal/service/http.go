@@ -180,6 +180,10 @@ func writeErr(w http.ResponseWriter, err error) {
 		code = http.StatusNotFound
 	case errors.Is(err, ErrBootstrap):
 		code = http.StatusUnprocessableEntity
+	case errors.Is(err, ErrNoUserName):
+		code = http.StatusBadRequest
+	case errors.Is(err, ErrUserExists):
+		code = http.StatusConflict
 	case errors.Is(err, sched.ErrRevoked):
 		code = http.StatusUnauthorized
 	case errors.Is(err, sched.ErrUnknownBatch), errors.Is(err, ErrUnknownUser):

@@ -14,6 +14,8 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,6 +85,10 @@ var (
 	ErrUnauthorized = errors.New("service: unauthorized")
 	// ErrBootstrap is returned when a source cannot be bootstrapped.
 	ErrBootstrap = errors.New("service: source bootstrap failed")
+	// ErrNoUserName rejects a user without a name.
+	ErrNoUserName = errors.New("service: user name required")
+	// ErrUserExists rejects a user whose name a live user already holds.
+	ErrUserExists = errors.New("service: user name taken")
 )
 
 // Backend abstracts the measurement system the service fronts (the
@@ -91,9 +97,18 @@ var (
 type Backend interface {
 	// RegisterSource bootstraps a source: RR reachability check + atlas.
 	RegisterSource(addr ipv4.Addr) (core.Source, error)
-	// Measure runs one reverse traceroute. Implementations must honor ctx
+	// Measure runs one reverse traceroute, blocking: POST /api/v1/revtr
+	// and the NDT hook. Implementations must honor ctx
 	// cancellation/deadline by returning promptly with a failed result.
 	Measure(ctx context.Context, src core.Source, dst ipv4.Addr) *core.Result
+	// MeasureAsyncStream starts one reverse traceroute without parking a
+	// goroutine for it — every batch job goes through here — and calls
+	// done exactly once with the result, nil if the measurement panicked
+	// after it started (core.Engine.MeasureAsyncStream). Progress events
+	// flow to sink when it is non-nil; the sink must not block.
+	//
+	//revtr:suspends starting a measurement parks it until the backend's completion callback fires
+	MeasureAsyncStream(ctx context.Context, src core.Source, dst ipv4.Addr, sink func(stream.Event), done func(*core.Result))
 	// RefreshAtlas re-measures a source's atlas (the daily Random++
 	// replacement of Appendix D.2).
 	RefreshAtlas(src core.Source)
@@ -189,10 +204,14 @@ func newKey() string {
 }
 
 // AddUser registers a user (admin operation; the real system maintains
-// this database manually).
+// this database manually). The name must be non-empty and held by no
+// live user: firehose owner-scoping and the per-user gauges key on it.
 func (r *Registry) AddUser(adminKey, name string, maxParallel, maxPerDay int) (*User, error) {
 	if adminKey != r.adminKey {
 		return nil, ErrUnauthorized
+	}
+	if name == "" {
+		return nil, ErrNoUserName
 	}
 	if maxParallel <= 0 {
 		maxParallel = 4
@@ -204,9 +223,14 @@ func (r *Registry) AddUser(adminKey, name string, maxParallel, maxPerDay int) (*
 		mInFlight:  r.obs.Gauge(obs.Label("service_user_inflight", "user", name)),
 		mUsedToday: r.obs.Gauge(obs.Label("service_user_used_today", "user", name))}
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, other := range r.users {
+		if other.Name == name {
+			return nil, ErrUserExists
+		}
+	}
 	r.users[u.APIKey] = u
 	r.userGauges(u)
-	r.mu.Unlock()
 	return u, nil
 }
 
@@ -252,13 +276,25 @@ func (r *Registry) RegisterSource(key string, addr ipv4.Addr, serveAsVP bool) (S
 	return info, nil
 }
 
-// Sources lists registered sources.
+// Sources lists registered sources in address order.
 func (r *Registry) Sources() []SourceInfo {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]SourceInfo, 0, len(r.sources))
-	for _, s := range r.sources {
+	for _, s := range r.sourcesLocked() {
 		out = append(out, s.info)
+	}
+	return out
+}
+
+// sourcesLocked lists the registered sources in address order, never
+// the map's: atlas refreshes draw randomness and probe credit in call
+// order, so DailyMaintenance's order decides what the atlases become.
+// Callers hold r.mu.
+func (r *Registry) sourcesLocked() []*registeredSource {
+	out := make([]*registeredSource, 0, len(r.sources))
+	for _, addr := range slices.Sorted(maps.Keys(r.sources)) {
+		out = append(out, r.sources[addr])
 	}
 	return out
 }
@@ -373,13 +409,6 @@ func (r *Registry) record(srcAddr, dstAddr ipv4.Addr, user string, res *core.Res
 // and converts a backend panic into a nil result instead of letting it
 // unwind through the service.
 func (r *Registry) safeMeasure(ctx context.Context, reg *registeredSource, dst ipv4.Addr) (res *core.Result) {
-	return r.safeMeasureStream(ctx, reg, dst, nil)
-}
-
-// safeMeasureStream is safeMeasure with an optional progress sink:
-// when the backend can stream (StreamBackend) and a sink is given,
-// hop-by-hop events flow to it as the measurement runs.
-func (r *Registry) safeMeasureStream(ctx context.Context, reg *registeredSource, dst ipv4.Addr, sink func(stream.Event)) (res *core.Result) {
 	reg.atlasMu.RLock()
 	defer reg.atlasMu.RUnlock()
 	defer func() {
@@ -388,16 +417,11 @@ func (r *Registry) safeMeasureStream(ctx context.Context, reg *registeredSource,
 			res = nil
 		}
 	}()
-	if sink != nil {
-		if sb, ok := r.backend.(StreamBackend); ok {
-			return sb.MeasureStream(ctx, reg.src, dst, sink)
-		}
-	}
 	return r.backend.Measure(ctx, reg.src, dst)
 }
 
-// countBackendPanic tallies one recovered backend panic (blocking or
-// asynchronous measurement path).
+// countBackendPanic tallies one recovered backend panic (sync request
+// or batch job).
 func (r *Registry) countBackendPanic() {
 	r.obs.Counter("service_backend_panics_total").Inc()
 }
@@ -437,14 +461,12 @@ func (r *Registry) ResetDay() {
 // DailyMaintenance is the midnight job: refresh every source's traceroute
 // atlas (entries intersected during the day survive and are re-measured;
 // the rest are replaced with fresh random probes — Appendix D.2's
-// Random++ policy) and roll the per-user quotas. Returns per-source atlas
-// sizes after refresh.
+// Random++ policy) and roll the per-user quotas. Sources refresh in
+// address order, so identically seeded deployments end the day with
+// identical atlases. Returns per-source atlas sizes after refresh.
 func (r *Registry) DailyMaintenance() map[string]int {
 	r.mu.Lock()
-	var srcs []*registeredSource
-	for _, reg := range r.sources {
-		srcs = append(srcs, reg)
-	}
+	srcs := r.sourcesLocked()
 	r.mu.Unlock()
 
 	out := make(map[string]int, len(srcs))

@@ -2,13 +2,19 @@ package service_test
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"testing"
 
 	"revtr"
+	"revtr/internal/core"
+	"revtr/internal/netsim/ipv4"
 	"revtr/internal/netsim/topology"
 	"revtr/internal/service"
 )
@@ -208,4 +214,95 @@ func TestBootstrapRejectsDeadSource(t *testing.T) {
 		t.Fatalf("phantom source accepted: %d", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestAddUserNameRequiredAndUnique: firehose owner-scoping and the
+// per-user gauges key on the user's name, so an empty name (which would
+// disable the scoping filter) answers 400 and a name a live user holds
+// answers 409.
+func TestAddUserNameRequiredAndUnique(t *testing.T) {
+	reg := service.NewRegistry(&fakeBackend{}, "adm")
+	ts := httptestServer(t, reg)
+	addUser := func(name string) int {
+		resp := postJSON(t, ts+"/api/v1/users", map[string]string{"X-Admin-Key": "adm"},
+			map[string]any{"name": name})
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, tc := range []struct {
+		name string
+		want int
+	}{
+		{"", http.StatusBadRequest},
+		{"alice", http.StatusCreated},
+		{"alice", http.StatusConflict},
+		{"bob", http.StatusCreated},
+	} {
+		if got := addUser(tc.name); got != tc.want {
+			t.Fatalf("add user %q: status %d, want %d", tc.name, got, tc.want)
+		}
+	}
+	if st := reg.Stats(); st.Users != 2 {
+		t.Fatalf("%d users registered, want 2", st.Users)
+	}
+}
+
+// atlasRecorder keeps the sources its deployment bootstraps, so a test
+// can read the atlases maintenance refreshes.
+type atlasRecorder struct {
+	*service.DeploymentBackend
+	srcs map[ipv4.Addr]core.Source
+}
+
+func (b *atlasRecorder) RegisterSource(addr ipv4.Addr) (core.Source, error) {
+	src, err := b.DeploymentBackend.RegisterSource(addr)
+	if err == nil {
+		b.srcs[addr] = src
+	}
+	return src, err
+}
+
+// TestDailyMaintenanceDeterministic: atlas refreshes draw randomness and
+// probe credit from the deployment in call order, so two identically
+// seeded deployments end three days of maintenance with identical
+// atlases only if the sources refresh in one fixed order. Sources()
+// lists them in address order too.
+func TestDailyMaintenanceDeterministic(t *testing.T) {
+	run := func() (string, []service.SourceInfo) {
+		cfg := revtr.DefaultConfig(200)
+		cfg.Seed = 31
+		cfg.Topology.Seed = 31
+		d := revtr.Build(cfg)
+		rec := &atlasRecorder{DeploymentBackend: service.NewDeploymentBackend(d), srcs: map[ipv4.Addr]core.Source{}}
+		reg := service.NewRegistry(rec, "adm")
+		u, err := reg.AddUser("adm", "alice", 4, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 7; i >= 0 && len(rec.srcs) < 4; i-- {
+			_, _ = reg.RegisterSource(u.APIKey, d.PickSourceHost(i).Addr, false)
+		}
+		if len(rec.srcs) < 4 {
+			t.Skipf("only %d sources bootstrapped", len(rec.srcs))
+		}
+		for day := 0; day < 3; day++ {
+			reg.DailyMaintenance()
+		}
+		var b strings.Builder
+		for _, addr := range slices.Sorted(maps.Keys(rec.srcs)) {
+			for _, e := range rec.srcs[addr].Atlas.Entries {
+				fmt.Fprintf(&b, "%s %s %v\n", addr, e.ProbeName, e.Hops)
+			}
+		}
+		return b.String(), reg.Sources()
+	}
+	first, srcs := run()
+	if second, _ := run(); first != second {
+		t.Fatal("identically seeded deployments refreshed to different atlases")
+	}
+	if !slices.IsSortedFunc(srcs, func(a, b service.SourceInfo) int {
+		return cmp.Compare(mustAddr(a.Addr), mustAddr(b.Addr))
+	}) {
+		t.Fatalf("sources not listed in address order: %+v", srcs)
+	}
 }

@@ -41,7 +41,7 @@ func TestSoakStream(t *testing.T) {
 	broker := reg.EnableStream(stream.Options{SubBuffer: 8, Replay: 64})
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	reg.EnableBatch(ctx, sched.Options{Workers: 6, QueueCap: 2048, Quantum: 3})
+	reg.EnableBatch(ctx, sched.Options{QueueCap: 2048, Quantum: 3})
 	ts := streamServer(t, reg)
 
 	srcHost := d.PickSourceHost(0)

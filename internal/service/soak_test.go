@@ -27,7 +27,7 @@ func TestSoakBatch(t *testing.T) {
 	reg := service.NewRegistry(service.NewDeploymentBackend(d), "admin-secret")
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	sc := reg.EnableBatch(ctx, sched.Options{Workers: 6, QueueCap: 2048, Quantum: 3})
+	sc := reg.EnableBatch(ctx, sched.Options{QueueCap: 2048, Quantum: 3})
 	ts := httptestServer(t, reg)
 
 	srcHost := d.PickSourceHost(0)

@@ -153,7 +153,7 @@ func deploymentRegistry(t *testing.T, streamOpts stream.Options) (*service.Regis
 	reg.EnableStream(streamOpts)
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	sc := reg.EnableBatch(ctx, sched.Options{Workers: 4})
+	sc := reg.EnableBatch(ctx, sched.Options{})
 	t.Cleanup(func() {
 		cancel()
 		_ = sc.Drain(context.Background())

@@ -361,3 +361,57 @@ func TestConcurrentPublish(t *testing.T) {
 		s.Close()
 	}
 }
+
+// TestEndSurvivesFullRing: terminating a subscription whose ring is full
+// drops the oldest buffered event, never the end: the consumer is woken
+// and reads a gap, the survivor and the end, then ErrClosed, and the
+// ledger still balances.
+func TestEndSurvivesFullRing(t *testing.T) {
+	b := stream.New(stream.Options{SubBuffer: 2})
+	topic := stream.BatchTopic("b7")
+	if topic != "batch/b7" {
+		t.Fatalf("BatchTopic(b7) = %q", topic)
+	}
+	sub, err := b.Subscribe(topic, stream.SubOptions{Owner: "alice"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := b.Subscribe(stream.Firehose, stream.SubOptions{Owner: "bob"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	if n := b.Subscribers(); n != 2 {
+		t.Fatalf("Subscribers() = %d, want 2", n)
+	}
+	b.Publish(topic, stream.Event{Kind: stream.KindHop})
+	b.Publish(topic, stream.Event{Kind: stream.KindHop})
+	<-sub.Ready() // drain the publish wakeup
+	if n := sub.Buffered(); n != 2 {
+		t.Fatalf("Buffered() = %d before termination, want 2", n)
+	}
+
+	b.CloseUser("alice", "revoked")
+	select {
+	case <-sub.Ready():
+	default:
+		t.Fatal("termination did not wake the consumer")
+	}
+	if n := sub.Buffered(); n != 3 {
+		t.Fatalf("Buffered() = %d after termination, want 3 (gap, survivor, end)", n)
+	}
+	if n := b.Subscribers(); n != 1 {
+		t.Fatalf("Subscribers() = %d after CloseUser, want 1", n)
+	}
+	evs := drain(t, sub)
+	if len(evs) != 3 || evs[0].Kind != stream.KindGap || evs[0].Gap != 1 ||
+		evs[1].ID != 2 || evs[2].Kind != stream.KindEnd || evs[2].Reason != "revoked" {
+		t.Fatalf("events after a full-ring termination: %+v", evs)
+	}
+	if _, _, err := sub.TryNext(); !errors.Is(err, stream.ErrClosed) {
+		t.Fatalf("TryNext after the end: %v, want ErrClosed", err)
+	}
+	if st := sub.Stats(); st.Offered != st.Delivered+st.Dropped+uint64(st.Buffered) || st.Dropped != 1 {
+		t.Fatalf("ledger after a full-ring termination: %+v", st)
+	}
+}
