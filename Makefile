@@ -60,7 +60,7 @@ ci: fmt vet lint race bench benchcheck benchmod fuzz cover loc
 # when the total is above LOC_CEILING — the total the last PR landed at.
 # A PR that adds lines says why and raises it; one that removes lines
 # lowers it to where it lands.
-LOC_CEILING = 21981
+LOC_CEILING = 21821
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs wc -l | \
 		awk -v ceiling=$(LOC_CEILING) '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
@@ -76,11 +76,14 @@ loc:
 # the batch scheduler and the stream broker, the two layers every batch
 # job crosses: their caps (remembered batches, the day cache, a full
 # ring at termination) are the paths a long-running server reaches and
-# a short test does not. The lint framework is held to the same floor:
-# every concurrency gate rests on the one dataflow in flow, which its
-# own tests barely touch (16 %) — it is exercised by the analyzers'
-# fixture suites, so it is measured across the whole lint tree's tests.
-COVER_PKGS = internal/core/segments internal/ttlcache internal/store internal/sched internal/stream
+# a short test does not. So is the probe pool every measurement crosses:
+# its retry arms (a VP dark between attempts, each kind's late answer)
+# are the recovery path only a faulty fabric reaches. The lint framework
+# is held to the same floor: every concurrency gate rests on the one
+# dataflow in flow, which its own tests barely touch (16 %) — it is
+# exercised by the analyzers' fixture suites, so it is measured across
+# the whole lint tree's tests.
+COVER_PKGS = internal/core/segments internal/ttlcache internal/store internal/sched internal/stream internal/probe
 LINT_COVER_PKGS = ./internal/lint/flow,./internal/lint/directive,./internal/lint/analysis,./internal/lint/loader
 COVER_FLOOR = awk -v pkg=$$pkg '/^total:/ { \
 	pct = $$3 + 0; printf "%s coverage: %s (floor 90%%)\n", pkg, $$3; \

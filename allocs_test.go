@@ -115,7 +115,6 @@ func TestSchedSubmitToTerminalAllocCeiling(t *testing.T) {
 // took it to 258; warm reads 10 on both.
 func TestMeasureReverseAllocCeiling(t *testing.T) {
 	cfg := DefaultConfig(300)
-	cfg.ProbeWorkers = 1
 	d := Build(cfg)
 	src := d.NewSource(d.PickSourceHost(0))
 	dst := d.OnePerPrefix()[12].Addr // 4 spoofed batches, 4 RR and 5 traceroute packets

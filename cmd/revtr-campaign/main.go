@@ -26,7 +26,6 @@ import (
 	"revtr/internal/netsim/ipv4"
 	"revtr/internal/netsim/topology"
 	"revtr/internal/obs"
-	"revtr/internal/probe"
 )
 
 func main() {
@@ -35,17 +34,14 @@ func main() {
 		seed    = flag.Int64("seed", 1, "simulation seed")
 		sources = flag.Int("sources", 8, "number of sources (vantage point sites)")
 		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel workers")
-		pworker = flag.Int("probe-workers", 0, "concurrent probes in the shared probe pool (0 = GOMAXPROCS)")
 		maxDest = flag.Int("dests", 0, "cap destinations (0 = one per routed prefix)")
 		every   = flag.Int("progress-every", 500, "log live progress every N completed tasks (0 = off)")
 		dumpObs = flag.Bool("metrics", false, "print the observability registry (engine stages, cache, latency histograms) after the run")
 
-		faultSpec    = flag.String("faults", "", "fault plan spec, e.g. loss=0.01,icmp-frac=0.3,icmp-pass=0.5 (see internal/netsim/faults)")
-		faultVPOut   = flag.Int("fault-vp-outages", 0, "blackout this many spoof-capable non-source vantage point sites from t=0")
-		retries      = flag.Int("probe-retries", 0, "re-issue unanswered probes up to this many times (virtual-time backoff)")
-		retryBackoff = flag.Duration("probe-retry-backoff", 0, "delay before the first probe retry, doubling per retry (0 = default 50ms)")
-		segmentTTL   = flag.Duration("segment-ttl", 0, "memoize reverse-path segments across measurements for this long in virtual time (0 = off)")
-		segmentMax   = flag.Int("segment-max", 0, "max memoized segments when -segment-ttl is set (0 = default 262144)")
+		faultSpec  = flag.String("faults", "", "fault plan spec, e.g. loss=0.01,icmp-frac=0.3,icmp-pass=0.5 (see internal/netsim/faults)")
+		faultVPOut = flag.Int("fault-vp-outages", 0, "blackout this many spoof-capable non-source vantage point sites from t=0")
+		retries    = flag.Int("probe-retries", 0, "re-issue unanswered probes up to this many times (virtual-time backoff from 50ms, doubling)")
+		segmentTTL = flag.Duration("segment-ttl", 0, "memoize reverse-path segments across measurements for this long in virtual time (0 = off)")
 	)
 	flag.Parse()
 
@@ -60,30 +56,14 @@ func main() {
 	d := revtr.Build(cfg)
 	log.Printf("topology: %s", d.Topo.Stats())
 
-	// Fault injection attaches after Build: atlas and ingress survey are
-	// measured healthy, the campaign's measurements contend with faults.
-	plan, err := faults.Parse(*faultSpec)
+	// Black out only sites that are not campaign sources, so the run
+	// exercises VP failover rather than just killing sources.
+	plan, err := d.InjectFaults(*faultSpec, *faultVPOut, *sources, *retries)
 	if err != nil {
 		log.Fatalf("fault plan: %v", err)
 	}
-	if *faultVPOut > 0 {
-		// Black out spoof-capable sites that are not campaign sources, so
-		// the run exercises VP failover rather than just killing sources.
-		n := 0
-		for i := len(d.SiteAgents) - 1; i >= *sources && n < *faultVPOut; i-- {
-			if d.SiteAgents[i].CanSpoof {
-				plan.AddBlackout(d.SiteAgents[i].Addr, 0, 0)
-				n++
-			}
-		}
-		log.Printf("fault plan: %d vantage point sites blacked out", n)
-	}
 	if plan.Enabled() {
-		d.Fabric.SetFaults(plan)
 		log.Printf("fault plan active: %s", plan)
-	}
-	if *retries > 0 {
-		d.Pool.SetRetry(probe.RetryPolicy{Max: *retries, BackoffUS: retryBackoff.Microseconds()})
 	}
 
 	var srcs []core.Source
@@ -110,22 +90,14 @@ func main() {
 	plan.SetObs(obsReg)
 	campaignOpts := core.Revtr20Options()
 	if *segmentTTL > 0 {
-		st := segments.New(segments.Options{
-			TTLUS:      segmentTTL.Microseconds(),
-			MaxEntries: *segmentMax,
-		})
+		st := segments.New(segments.Options{TTLUS: segmentTTL.Microseconds()})
 		st.SetObs(obsReg)
 		campaignOpts.SegmentStore = st
-		eff := *segmentMax
-		if eff <= 0 {
-			eff = segments.DefaultMaxEntries
-		}
-		log.Printf("segment memoization: ttl %s, max %d segments", *segmentTTL, eff)
+		log.Printf("segment memoization: ttl %s, max %d segments", *segmentTTL, segments.DefaultMaxEntries)
 	}
 	start := time.Now() //revtr:wallclock operator-facing throughput log, not simulation time
 	r := &campaign.Runner{
 		D: d, Sources: srcs, Opts: campaignOpts, Workers: *workers,
-		ProbeWorkers:  *pworker,
 		Obs:           obsReg,
 		ProgressEvery: *every,
 		OnResult: func(o campaign.Outcome) {
@@ -144,12 +116,12 @@ func main() {
 	}
 	if *every > 0 {
 		// Live §5.2.4-style throughput accounting while the campaign runs.
-		r.OnProgress = func(p campaign.Progress) {
+		r.OnProgress = func(p campaign.Summary, total int) {
 			elapsed := time.Since(start).Seconds() //revtr:wallclock operator-facing throughput log, not simulation time
 			log.Printf("progress: %d/%d (%.1f%%) complete=%d aborted=%d failed=%d | %.0f revtr/s | %d probes",
-				p.Done, p.Total, 100*float64(p.Done)/float64(max(1, p.Total)),
+				p.Attempted, total, 100*float64(p.Attempted)/float64(max(1, total)),
 				p.Complete, p.Aborted, p.Failed,
-				float64(p.Done)/elapsed, p.Probes)
+				float64(p.Attempted)/elapsed, p.Probes.Total())
 		}
 	}
 	sum := r.Run(context.Background(), tasks)

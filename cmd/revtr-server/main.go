@@ -7,12 +7,11 @@
 //	GET /metrics   engine + service counters, gauges, latency histograms
 //	GET /healthz   plain-text liveness probe
 //
-// The batch scheduler (POST /api/v1/batch) is always on; -batch-inflight,
-// -batch-queue-cap, -batch-quantum, and -max-batch-pairs (per-request
-// submission size cap) tune it. With -store-dir the
-// measurement archive is durable: a restarted server replays its WAL and
-// snapshot and serves the identical pre-crash measurement set under the
-// same IDs.
+// The batch scheduler (POST /api/v1/batch) and the event streams are
+// always on, at sched.Options' and stream.Options' defaults. With
+// -store-dir the measurement archive is durable: a restarted server
+// replays its segment files and serves the identical pre-crash
+// measurement set under the same IDs.
 //
 //	revtr-server -listen :8080 -ases 1000 -admin-key secret -store-dir /var/lib/revtr
 //
@@ -37,8 +36,6 @@ import (
 	"revtr"
 	"revtr/internal/core"
 	"revtr/internal/core/segments"
-	"revtr/internal/netsim/faults"
-	"revtr/internal/probe"
 	"revtr/internal/sched"
 	"revtr/internal/service"
 	"revtr/internal/store"
@@ -47,32 +44,21 @@ import (
 
 func main() {
 	var (
-		listen        = flag.String("listen", ":8080", "listen address")
-		ases          = flag.Int("ases", 1000, "ASes in the simulated Internet")
-		seed          = flag.Int64("seed", 1, "simulation seed")
-		adminKey      = flag.String("admin-key", "admin", "admin API key for user management")
-		sites         = flag.Int("sites", 30, "vantage point sites")
-		probeWorkers  = flag.Int("probe-workers", 0, "concurrent probes in the shared probe pool (0 = GOMAXPROCS)")
-		measureTO     = flag.Duration("measure-timeout", 0, "per-measurement wall-clock cap when a request sets no timeoutMs (0 = none)")
-		faultSpec     = flag.String("faults", "", "fault plan spec, e.g. loss=0.01,icmp-frac=0.3,icmp-pass=0.5 (see internal/netsim/faults)")
-		faultVPOut    = flag.Int("fault-vp-outages", 0, "blackout this many spoof-capable vantage point sites from t=0")
-		segmentTTL    = flag.Duration("segment-ttl", 0, "memoize reverse-path segments across measurements for this long in virtual time (0 = off)")
-		segmentMax    = flag.Int("segment-max", 0, "max memoized segments when -segment-ttl is set (0 = default 262144)")
-		retries       = flag.Int("probe-retries", 0, "re-issue unanswered probes up to this many times (virtual-time backoff)")
-		retryBackoff  = flag.Duration("probe-retry-backoff", 0, "delay before the first probe retry, doubling per retry (0 = default 50ms)")
-		storeDir      = flag.String("store-dir", "", "durable measurement store directory (empty = memory-only; measurements vanish on restart)")
-		storeSync     = flag.Bool("store-sync", false, "fsync the measurement log after every append")
-		storeRecMax   = flag.Int("store-max-records", 0, "cap the live measurement set, dropping oldest (0 = unbounded)")
-		batchInFlight = flag.Int("batch-inflight", 4096, "max concurrently in-flight batch measurements")
-		batchQueue    = flag.Int("batch-queue-cap", 1024, "batch dispatch queue cap; submissions past it are load-shed")
-		batchQuantum  = flag.Int("batch-quantum", 4, "deficit round-robin quantum: jobs served per user per ring visit")
-		batchPairs    = flag.Int("max-batch-pairs", 0, "max pairs per POST /api/v1/batch request, 400 past it (0 = default 10000)")
-		streamBuffer  = flag.Int("stream-buffer", 0, "per-subscriber event ring on /events and /firehose; a slow subscriber past it drops oldest and gaps (0 = default 256)")
-		firehoseRepl  = flag.Int("firehose-replay", 0, "max archived measurements GET /api/v1/firehose?replay= serves before going live (0 = default 64)")
-		heartbeat     = flag.Duration("stream-heartbeat", 0, "keep-alive interval on idle event streams (0 = default 15s)")
-		readTimeout   = flag.Duration("read-timeout", 30*time.Second, "http.Server ReadTimeout")
-		writeTimeout  = flag.Duration("write-timeout", 2*time.Minute, "http.Server WriteTimeout (bulk measurements take a while)")
-		drainTimeout  = flag.Duration("drain-timeout", 15*time.Second, "graceful shutdown deadline after SIGINT/SIGTERM")
+		listen       = flag.String("listen", ":8080", "listen address")
+		ases         = flag.Int("ases", 1000, "ASes in the simulated Internet")
+		seed         = flag.Int64("seed", 1, "simulation seed")
+		adminKey     = flag.String("admin-key", "admin", "admin API key for user management")
+		sites        = flag.Int("sites", 30, "vantage point sites")
+		faultSpec    = flag.String("faults", "", "fault plan spec, e.g. loss=0.01,icmp-frac=0.3,icmp-pass=0.5 (see internal/netsim/faults)")
+		faultVPOut   = flag.Int("fault-vp-outages", 0, "blackout this many spoof-capable vantage point sites from t=0")
+		segmentTTL   = flag.Duration("segment-ttl", 0, "memoize reverse-path segments across measurements for this long in virtual time (0 = off)")
+		retries      = flag.Int("probe-retries", 0, "re-issue unanswered probes up to this many times (virtual-time backoff from 50ms, doubling)")
+		storeDir     = flag.String("store-dir", "", "durable measurement store directory (empty = memory-only; measurements vanish on restart)")
+		storeSync    = flag.Bool("store-sync", false, "fsync the measurement log after every append")
+		storeRecMax  = flag.Int("store-max-records", 0, "cap the live measurement set, dropping oldest (0 = unbounded)")
+		readTimeout  = flag.Duration("read-timeout", 30*time.Second, "http.Server ReadTimeout")
+		writeTimeout = flag.Duration("write-timeout", 2*time.Minute, "http.Server WriteTimeout (bulk measurements take a while; event streams are exempt)")
+		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "graceful shutdown deadline after SIGINT/SIGTERM")
 	)
 	flag.Parse()
 
@@ -85,49 +71,24 @@ func main() {
 	cfg.Seed = *seed
 	cfg.Topology.Seed = *seed
 	cfg.Sites = *sites
-	cfg.ProbeWorkers = *probeWorkers
 	d := revtr.Build(cfg)
 	log.Printf("topology: %s", d.Topo.Stats())
 	log.Printf("background probes consumed: %d", d.BackgroundProbes.Total())
 
-	// Fault injection attaches after Build, so the atlas and ingress
-	// survey are measured on a healthy network and only live measurements
-	// contend with the injected faults.
-	plan, err := faults.Parse(*faultSpec)
+	plan, err := d.InjectFaults(*faultSpec, *faultVPOut, 0, *retries)
 	if err != nil {
 		log.Fatalf("fault plan: %v", err)
 	}
-	if *faultVPOut > 0 {
-		n := 0
-		for i := len(d.SiteAgents) - 1; i >= 0 && n < *faultVPOut; i-- {
-			if d.SiteAgents[i].CanSpoof {
-				plan.AddBlackout(d.SiteAgents[i].Addr, 0, 0)
-				n++
-			}
-		}
-		log.Printf("fault plan: %d vantage point sites blacked out", n)
-	}
 	if plan.Enabled() {
-		d.Fabric.SetFaults(plan)
 		log.Printf("fault plan active: %s", plan)
-	}
-	if *retries > 0 {
-		d.Pool.SetRetry(probe.RetryPolicy{Max: *retries, BackoffUS: retryBackoff.Microseconds()})
 	}
 
 	engineOpts := core.Revtr20Options()
 	var segStore *segments.Store
 	if *segmentTTL > 0 {
-		segStore = segments.New(segments.Options{
-			TTLUS:      segmentTTL.Microseconds(),
-			MaxEntries: *segmentMax,
-		})
+		segStore = segments.New(segments.Options{TTLUS: segmentTTL.Microseconds()})
 		engineOpts.SegmentStore = segStore
-		eff := *segmentMax
-		if eff <= 0 {
-			eff = segments.DefaultMaxEntries
-		}
-		log.Printf("segment memoization: ttl %s, max %d segments", *segmentTTL, eff)
+		log.Printf("segment memoization: ttl %s, max %d segments", *segmentTTL, segments.DefaultMaxEntries)
 	}
 	backend := service.NewDeploymentBackendOptions(d, engineOpts)
 	var reg *service.Registry
@@ -157,31 +118,17 @@ func main() {
 	d.Pool.SetObs(reg.Obs())
 	plan.SetObs(reg.Obs())
 	api := service.NewAPI(reg)
-	api.MeasureTimeout = *measureTO
-	api.MaxBatchPairs = *batchPairs
-	api.HeartbeatInterval = *heartbeat
-	api.FirehoseReplay = *firehoseRepl
 
 	// Streaming before EnableBatch: the first batch job's first event
 	// already has a broker to land on.
-	broker := reg.EnableStream(stream.Options{SubBuffer: *streamBuffer})
-	effRing := *streamBuffer
-	if effRing <= 0 {
-		effRing = 256
-	}
-	log.Printf("streaming: /api/v1/batch/{id}/events + /api/v1/firehose (subscriber ring %d)", effRing)
+	broker := reg.EnableStream(stream.Options{})
+	log.Printf("streaming: /api/v1/batch/{id}/events + /api/v1/firehose")
 
 	// The batch scheduler dispatches until the shutdown context fires;
 	// Drain below waits for the last in-flight measurements.
 	batchCtx, stopBatch := context.WithCancel(context.Background())
 	defer stopBatch()
-	sc := reg.EnableBatch(batchCtx, sched.Options{
-		QueueCap:    *batchQueue,
-		Quantum:     *batchQuantum,
-		MaxInFlight: *batchInFlight,
-	})
-	log.Printf("batch scheduler: up to %d in flight, queue cap %d, quantum %d",
-		*batchInFlight, *batchQueue, *batchQuantum)
+	sc := reg.EnableBatch(batchCtx, sched.Options{})
 
 	// Print a few example destination addresses so users can try the API
 	// without reading the topology dump.

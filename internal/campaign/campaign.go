@@ -23,7 +23,6 @@ import (
 	"revtr/internal/measure"
 	"revtr/internal/netsim/ipv4"
 	"revtr/internal/obs"
-	"revtr/internal/probe"
 )
 
 // Task is one reverse traceroute request.
@@ -61,20 +60,6 @@ func (s Summary) Coverage() float64 {
 	return float64(s.Complete) / float64(s.Attempted)
 }
 
-// Progress is a live snapshot of a running campaign, delivered through
-// Runner.OnProgress — the §5.2.4 throughput accounting (revtrs completed,
-// probes spent, virtual time consumed) observable while the campaign runs
-// instead of only in the final Summary.
-type Progress struct {
-	Done, Total int
-	Complete    int
-	Aborted     int
-	Failed      int
-	Invalid     int
-	Probes      uint64
-	VirtualUS   int64
-}
-
 // Runner executes campaigns over a deployment.
 type Runner struct {
 	D       *revtr.Deployment
@@ -83,38 +68,20 @@ type Runner struct {
 	// Workers defaults to GOMAXPROCS (capped by the number of sources:
 	// sharding is per source).
 	Workers int
-	// ProbeWorkers bounds the campaign's shared probe pool (0 = the
-	// deployment's own pool with its existing bound). All campaign
-	// workers submit batches to one pool, mirroring how the real system
-	// shares its vantage-point fleet across concurrent measurements.
-	ProbeWorkers int
 	// OnResult, if set, receives every outcome (called concurrently).
 	OnResult func(Outcome)
-	// OnProgress, if set, receives a snapshot every ProgressEvery
-	// completed tasks and once at the end (called concurrently from
-	// workers; keep it cheap).
-	OnProgress func(Progress)
+	// OnProgress, if set, receives the running Summary and the task
+	// total every ProgressEvery completed tasks and once at the end — the
+	// §5.2.4 throughput accounting (revtrs done, probes spent, virtual
+	// time consumed) while the campaign runs. Called concurrently from
+	// workers; keep it cheap.
+	OnProgress func(sum Summary, total int)
 	// ProgressEvery is the OnProgress cadence in tasks (default 64).
 	ProgressEvery int
 	// Obs, if set, receives campaign_* counters/gauges plus the shared
 	// engine metrics of every worker engine, live while the campaign
 	// runs. The same registry can back a service's GET /metrics.
 	Obs *obs.Registry
-}
-
-// progress is the live view of a running tally: the same books the
-// final Summary is, read part-way.
-func (s Summary) progress(total int) Progress {
-	return Progress{
-		Done:      s.Attempted,
-		Total:     total,
-		Complete:  s.Complete,
-		Aborted:   s.Aborted,
-		Failed:    s.Failed,
-		Invalid:   s.Invalid,
-		Probes:    s.Probes.Total(),
-		VirtualUS: s.VirtualUS,
-	}
 }
 
 // Run measures every (source, destination) task. Tasks are sharded by
@@ -151,31 +118,20 @@ func (r *Runner) Run(ctx context.Context, tasks []Task) Summary {
 
 	// The campaign's one set of books: every worker posts each finished
 	// measurement here under mu (one uncontended lock next to a ≥65 µs
-	// measurement), Progress snapshots are read from it, and it is what
-	// Run returns.
+	// measurement), OnProgress reads copies of it, and it is what Run
+	// returns.
 	var (
 		mu  sync.Mutex
 		sum = Summary{Attempted: invalid, Failed: invalid, Invalid: invalid}
 		wg  sync.WaitGroup
 	)
 
-	// One probe pool shared by every worker: probing concurrency is a
-	// property of the campaign (how many probes are in flight), separate
-	// from task concurrency (how many measurements run at once).
-	pool := r.D.Pool
-	if r.ProbeWorkers > 0 {
-		pool = probe.New(r.D.Fabric, r.D.Clock, r.ProbeWorkers)
-		pool.SetRetry(r.D.Pool.Retry())
-	}
-	if r.Obs != nil {
-		pool.SetObs(r.Obs)
-	}
-
-	// Campaign metrics and shared engine metrics: counters are atomic,
-	// so every worker engine can record into the same set.
+	// Campaign, pool and shared engine metrics: counters are atomic, so
+	// every worker engine can record into the same set.
 	var engineMetrics *core.Metrics
 	var obsDone, obsFailed, obsInvalid *obs.Counter
 	if r.Obs != nil {
+		r.D.Pool.SetObs(r.Obs)
 		engineMetrics = core.NewMetrics(r.Obs)
 		r.Obs.Gauge("campaign_tasks_total").Set(int64(len(tasks)))
 		obsDone = r.Obs.Counter("campaign_tasks_done_total")
@@ -186,7 +142,7 @@ func (r *Runner) Run(ctx context.Context, tasks []Task) Summary {
 		obsInvalid.Add(uint64(invalid))
 	}
 	if invalid > 0 && r.OnProgress != nil {
-		r.OnProgress(sum.progress(len(tasks)))
+		r.OnProgress(sum, len(tasks))
 	}
 
 	for w := 0; w < workers; w++ {
@@ -194,13 +150,14 @@ func (r *Runner) Run(ctx context.Context, tasks []Task) Summary {
 		go func(w int) {
 			defer wg.Done()
 			for si := w; si < len(r.Sources); si += workers {
-				// A fresh engine per source over the shared pool: the
-				// per-source cache stays deterministic (tasks of one
-				// source run in order), probe identities derive from
-				// per-measurement sequence numbers, and the fabric is
-				// deterministic — so per-source results are identical
-				// regardless of how sources map to workers.
-				eng := core.NewEngine(r.D.Fabric, pool, r.D.IngressSvc, r.D.SiteAgents,
+				// A fresh engine per source over the deployment's one
+				// probe pool: the per-source cache stays deterministic
+				// (tasks of one source run in order), probe identities
+				// derive from per-measurement sequence numbers, and the
+				// fabric is deterministic — so per-source results are
+				// identical regardless of how sources map to workers or
+				// how many probes the pool flies at once.
+				eng := core.NewEngine(r.D.Fabric, r.D.Pool, r.D.IngressSvc, r.D.SiteAgents,
 					r.D.Alias, r.D.Mapper, nil, r.Opts)
 				eng.SetMetrics(engineMetrics)
 				src := r.Sources[si]
@@ -222,11 +179,11 @@ func (r *Runner) Run(ctx context.Context, tasks []Task) Summary {
 					}
 					sum.VirtualUS += res.DurationUS
 					sum.Probes = sum.Probes.Add(res.Probes)
-					snap := sum.progress(len(tasks))
+					snap := sum
 					mu.Unlock()
 					obsDone.Inc()
-					if r.OnProgress != nil && (snap.Done%every == 0 || snap.Done == snap.Total) {
-						r.OnProgress(snap)
+					if r.OnProgress != nil && (snap.Attempted%every == 0 || snap.Attempted == len(tasks)) {
+						r.OnProgress(snap, len(tasks))
 					}
 				}
 			}

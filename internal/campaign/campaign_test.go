@@ -14,6 +14,7 @@ import (
 	"revtr/internal/core"
 	"revtr/internal/netsim/ipv4"
 	"revtr/internal/obs"
+	"revtr/internal/probe"
 )
 
 func testRunner(t *testing.T, workers int) (*campaign.Runner, []ipv4.Addr) {
@@ -39,6 +40,14 @@ func testRunner(t *testing.T, workers int) (*campaign.Runner, []ipv4.Addr) {
 		Opts:    core.Revtr20Options(),
 		Workers: workers,
 	}, dsts
+}
+
+// sizePool replaces the deployment's probe pool with one of n workers
+// under the same retry policy, before anything has probed through it.
+func sizePool(d *revtr.Deployment, n int) {
+	pool := probe.New(d.Fabric, d.Clock, n)
+	pool.SetRetry(d.Pool.Retry())
+	d.Pool = pool
 }
 
 func TestCampaignSerial(t *testing.T) {
@@ -82,7 +91,7 @@ func renderResult(res *core.Result) string {
 func runCollecting(t *testing.T, workers, probeWorkers int) (campaign.Summary, map[taskKey]string) {
 	t.Helper()
 	r, dsts := testRunner(t, workers)
-	r.ProbeWorkers = probeWorkers
+	sizePool(r.D, probeWorkers)
 	var mu sync.Mutex
 	got := make(map[taskKey]string)
 	r.OnResult = func(o campaign.Outcome) {
@@ -187,28 +196,32 @@ func TestCampaignProgress(t *testing.T) {
 	r.Obs = reg
 	r.ProgressEvery = 7
 	var (
-		mu       sync.Mutex
-		lastDone int
-		calls    int
-		final    campaign.Progress
+		mu         sync.Mutex
+		lastDone   int
+		calls      int
+		final      campaign.Summary
+		finalTotal int
 	)
-	r.OnProgress = func(p campaign.Progress) {
+	r.OnProgress = func(p campaign.Summary, total int) {
 		mu.Lock()
 		defer mu.Unlock()
 		calls++
-		if p.Done < lastDone {
-			t.Errorf("progress went backwards: %d after %d", p.Done, lastDone)
+		if p.Attempted < lastDone {
+			t.Errorf("progress went backwards: %d after %d", p.Attempted, lastDone)
 		}
-		lastDone = p.Done
-		final = p
+		lastDone = p.Attempted
+		final, finalTotal = p, total
 	}
 	tasks := campaign.AllPairs(len(r.Sources), dsts[:10])
 	sum := r.Run(context.Background(), tasks)
 	if calls == 0 {
 		t.Fatal("OnProgress never called")
 	}
-	if final.Done != len(tasks) || final.Total != len(tasks) {
-		t.Fatalf("final progress %d/%d, want %d/%d", final.Done, final.Total, len(tasks), len(tasks))
+	if final.Attempted != len(tasks) || finalTotal != len(tasks) {
+		t.Fatalf("final progress %d/%d, want %d/%d", final.Attempted, finalTotal, len(tasks), len(tasks))
+	}
+	if final != sum {
+		t.Fatalf("final progress %+v, want the returned summary %+v", final, sum)
 	}
 	if got := reg.Counter("campaign_tasks_done_total").Value(); got != uint64(len(tasks)) {
 		t.Fatalf("obs done counter = %d, want %d", got, len(tasks))

@@ -20,8 +20,8 @@ import (
 
 // faultyRunner is testRunner plus a fault plan attached after Build —
 // atlas and ingress are surveyed healthy, the campaign's measurements
-// contend with the faults — and per-probe retries enabled so the
-// campaign's cloned pools inherit the policy.
+// contend with the faults — and per-probe retries enabled so a resized
+// pool inherits the policy.
 func faultyRunner(t *testing.T, workers int, plan *faults.Plan) (*campaign.Runner, []ipv4.Addr) {
 	t.Helper()
 	cfg := revtr.DefaultConfig(300)
@@ -32,7 +32,7 @@ func faultyRunner(t *testing.T, workers int, plan *faults.Plan) (*campaign.Runne
 		t.Fatalf("fault plan: %v", err)
 	}
 	d.Fabric.SetFaults(plan)
-	d.Pool.SetRetry(probe.RetryPolicy{Max: 2, BackoffUS: 30_000})
+	d.Pool.SetRetry(probe.RetryPolicy{Max: 2})
 	var sources []core.Source
 	for i := 0; i < 4 && i < len(d.SiteAgents); i++ {
 		sources = append(sources, d.SourceFromAgent(d.SiteAgents[i]))
@@ -55,7 +55,7 @@ func faultyRunner(t *testing.T, workers int, plan *faults.Plan) (*campaign.Runne
 func runFaultyCollecting(t *testing.T, workers, probeWorkers int, plan *faults.Plan) (campaign.Summary, map[taskKey]string) {
 	t.Helper()
 	r, dsts := faultyRunner(t, workers, plan)
-	r.ProbeWorkers = probeWorkers
+	sizePool(r.D, probeWorkers)
 	var mu sync.Mutex
 	got := make(map[taskKey]string)
 	r.OnResult = func(o campaign.Outcome) {

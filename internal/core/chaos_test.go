@@ -156,7 +156,7 @@ func TestChaosWorkerBitIdentity(t *testing.T) {
 			c.env.Fabric.SetFaults(&faults.Plan{
 				Seed: 99, LinkLoss: 0.15, ICMPFrac: 0.4, ICMPPass: 0.4, FlapFrac: 0.05,
 			})
-			pol := probe.RetryPolicy{Max: 2, BackoffUS: 30_000}
+			pol := probe.RetryPolicy{Max: 2}
 			run := func(workers int) []string {
 				eng, _ := c.engine(workers, pol)
 				out := make([]string, len(c.dsts))

@@ -65,8 +65,7 @@ type Pending struct {
 	Kind PendingKind
 
 	// Probe-batch work (Kind == PendingProbes).
-	Reqs   []probe.Request
-	Policy probe.RetryPolicy
+	Reqs []probe.Request
 	// Spoofed marks a batch of spoofed probes (an RR sweep's, the DBR
 	// check's fallbacks, revtr 1.0's spoofed Timestamp): Deliver books it
 	// as one of Result.SpoofBatches and charges it Machine.spoofWait, not
@@ -487,7 +486,6 @@ func (mm *Machine) suspendProbes(reqs []probe.Request, spoofed bool, next phase)
 	mm.pending = &Pending{
 		Kind:    PendingProbes,
 		Reqs:    reqs,
-		Policy:  mm.e.Pool.Retry(),
 		Spoofed: spoofed,
 	}
 	mm.ph = next
@@ -1261,7 +1259,7 @@ func (e *Engine) ExecPending(ctx context.Context, p *Pending) Delivery {
 		tr, sent := e.Pool.Traceroute(ctx, p.Agent, p.Dst, p.SeqBase, p.Start)
 		return Delivery{Tr: tr, TrSent: sent}
 	}
-	return Delivery{Batch: e.Pool.DoPolicy(ctx, p.Reqs, p.Policy)}
+	return Delivery{Batch: e.Pool.Do(ctx, p.Reqs)}
 }
 
 // MeasureAsyncStream runs one measurement without parking a goroutine:
@@ -1318,7 +1316,7 @@ func (e *Engine) driveAsync(mm *Machine, d *Delivery, done func(*Result)) {
 		})
 		return
 	}
-	e.Pool.Go(mm.Context(), p.Reqs, p.Policy, func(b probe.Batch) {
+	e.Pool.Go(mm.Context(), p.Reqs, e.Pool.Retry(), func(b probe.Batch) {
 		e.driveAsync(mm, &Delivery{Batch: b}, done)
 	})
 }

@@ -17,7 +17,8 @@ import (
 )
 
 // TestGoMatchesDoPolicy: an async batch yields byte-identical replies
-// and counters to the same specs through DoPolicy, and the queue is
+// and counters to the same specs through Do under the same retry
+// policy, and the queue is
 // empty once the completion callback has fired.
 func TestGoMatchesDoPolicy(t *testing.T) {
 	env := simtest.New(t, 150, 3)
@@ -27,13 +28,14 @@ func TestGoMatchesDoPolicy(t *testing.T) {
 		t.Skip("no requests")
 	}
 	pol := probe.RetryPolicy{Max: 1}
-	want := pool.DoPolicy(context.Background(), reqs, pol)
+	pool.SetRetry(pol)
+	want := pool.Do(context.Background(), reqs)
 
 	got := make(chan probe.Batch, 1)
 	pool.Go(context.Background(), reqs, pol, func(b probe.Batch) { got <- b })
 	b := <-got
 	if !reflect.DeepEqual(b.Replies, want.Replies) {
-		t.Fatal("async replies diverge from DoPolicy")
+		t.Fatal("async replies diverge from Do")
 	}
 	if b.Sent != want.Sent || b.Skipped != want.Skipped {
 		t.Fatalf("async accounting %+v/%d != sync %+v/%d", b.Sent, b.Skipped, want.Sent, want.Skipped)

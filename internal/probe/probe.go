@@ -41,8 +41,8 @@ import (
 // description introduced by the probe-layer split).
 type Request = measure.Spec
 
-// DefaultBackoffUS is the first-retry delay when a policy enables
-// retries without choosing one.
+// DefaultBackoffUS is the virtual-time delay before the first retry; it
+// doubles per retry.
 const DefaultBackoffUS = 50_000
 
 // RetryPolicy re-issues unanswered probes with exponential
@@ -55,26 +55,11 @@ const DefaultBackoffUS = 50_000
 type RetryPolicy struct {
 	// Max is the number of re-issues after the first attempt (0: none).
 	Max int
-	// BackoffUS is the virtual-time delay before the first retry
-	// (DefaultBackoffUS when 0); it doubles per retry.
-	BackoffUS int64
 }
 
-// backoffFor is the delay before retry attempt (1-based).
-func (rp RetryPolicy) backoffFor(attempt int) int64 {
-	b := rp.BackoffUS
-	if b <= 0 {
-		b = DefaultBackoffUS
-	}
-	return b << (attempt - 1)
-}
-
-// responded reports whether rep answers req (per probe kind), i.e.
-// whether a retry would be pointless.
+// responded reports whether the sent reply rep answers req (per probe
+// kind), i.e. whether a retry would be pointless.
 func responded(req Request, rep measure.Reply) bool {
-	if !rep.Sent {
-		return false
-	}
 	switch req.Kind {
 	case measure.KindPing:
 		return rep.Ping.Alive
@@ -82,19 +67,15 @@ func responded(req Request, rep measure.Reply) bool {
 		return rep.RR.Responded
 	case measure.KindTS, measure.KindSpoofedTS:
 		return rep.TS.Responded
-	case measure.KindTraceroutePkt:
+	default: // measure.KindTraceroutePkt
 		return rep.Delivered
 	}
-	return true
 }
 
 // addDelay folds the cumulative retry delay into the reply's responder
 // RTT, so batch wall-clock (MaxRTTUS) charges the full elapsed virtual
 // time of the request including the backoff spent waiting.
 func addDelay(rep measure.Reply, delayUS int64) measure.Reply {
-	if delayUS == 0 {
-		return rep
-	}
 	if rep.Ping.Alive {
 		rep.Ping.RTTUS += delayUS
 	}
@@ -194,11 +175,11 @@ func (p *Pool) SetObs(reg *obs.Registry) {
 	p.retries = reg.Counter("probe_retries_total")
 }
 
-// SetRetry installs the pool's default retry policy (used by Do;
-// DoPolicy and Go take one per call). Call before the pool is in use.
+// SetRetry installs the pool's retry policy (used by Do; Go takes one
+// per call). Call before the pool is in use.
 func (p *Pool) SetRetry(pol RetryPolicy) { p.retry = pol }
 
-// Retry reports the pool's default retry policy.
+// Retry reports the pool's retry policy.
 func (p *Pool) Retry() RetryPolicy { return p.retry }
 
 // Clock exposes the pool's virtual clock.
@@ -238,17 +219,11 @@ func (p *Pool) account(sp Request) {
 }
 
 // Do executes every request at one virtual instant, under the pool's
-// default retry policy, and returns when all launched requests have
+// retry policy, and returns when all launched requests have
 // completed. Every request is launched unless ctx is cancelled first, so
 // the result is deterministic for a deterministic fabric.
 func (p *Pool) Do(ctx context.Context, reqs []Request) Batch {
 	return p.run(ctx, reqs, p.retry)
-}
-
-// DoPolicy is Do with an explicit retry policy for this batch,
-// overriding the pool default.
-func (p *Pool) DoPolicy(ctx context.Context, reqs []Request, pol RetryPolicy) Batch {
-	return p.run(ctx, reqs, pol)
 }
 
 // run takes one worker slot, issues the batch in request order on the
@@ -299,7 +274,7 @@ func (p *Pool) issue(req Request, nowUS int64, pol RetryPolicy) (measure.Reply, 
 	attempts := uint64(1)
 	var delayUS int64
 	for a := 1; a <= pol.Max && !responded(req, rep); a++ {
-		delayUS += pol.backoffFor(a)
+		delayUS += DefaultBackoffUS << (a - 1)
 		r2 := measure.Issue(p.F, req, nowUS+delayUS)
 		p.retries.Inc()
 		if !r2.Sent {
@@ -334,7 +309,7 @@ func (p *Pool) Traceroute(ctx context.Context, a measure.Agent, dst ipv4.Addr, s
 
 // Go executes a batch asynchronously: the request is queued and done is
 // called with the finished Batch from an executor goroutine. The batch
-// itself runs through the same run path as DoPolicy, so replies,
+// itself runs through the same run path as Do, so replies,
 // counters, and virtual time are bit-identical to a synchronous call.
 // Executors are bounded by the pool's worker budget and spin down when
 // the queue drains: a caller with 10k suspended measurements holds 10k

@@ -164,3 +164,22 @@ func TestPoolObs(t *testing.T) {
 		t.Fatalf("inflight gauge = %d after drain, want 0", got)
 	}
 }
+
+// TestPoolZeroConfig: New with no worker count and no clock still gives
+// a working pool — its own clock at zero, no retry policy — and SetObs
+// with no registry leaves it unmetered.
+func TestPoolZeroConfig(t *testing.T) {
+	env := simtest.New(t, 150, 3)
+	pool := probe.New(env.Fabric, nil, 0)
+	pool.SetObs(nil)
+	if pool.Clock() == nil || pool.Now() != 0 {
+		t.Fatalf("clock %v at %d, want a fresh clock at 0", pool.Clock(), pool.Now())
+	}
+	if pool.Retry() != (probe.RetryPolicy{}) {
+		t.Fatalf("retry policy %+v, want none", pool.Retry())
+	}
+	reqs := buildRequests(env, 6)
+	if b := pool.Do(context.Background(), reqs); b.Sent.Total() == 0 || b.Skipped != 0 {
+		t.Fatalf("zero-config pool batch %+v", b)
+	}
+}

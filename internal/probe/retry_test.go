@@ -7,6 +7,7 @@ import (
 
 	"revtr/internal/measure"
 	"revtr/internal/netsim/faults"
+	"revtr/internal/netsim/ipv4"
 	"revtr/internal/obs"
 	"revtr/internal/probe"
 	"revtr/internal/simtest"
@@ -121,7 +122,7 @@ func TestRetryDeterministicAcrossWorkers(t *testing.T) {
 		if len(reqs) == 0 {
 			t.Fatalf("seed %d: no requests", seed)
 		}
-		pol := probe.RetryPolicy{Max: 2, BackoffUS: 40_000}
+		pol := probe.RetryPolicy{Max: 2}
 
 		run := func(workers int) ([]measure.Reply, measure.Counters, uint64) {
 			pool := newRetryPool(env, workers, pol)
@@ -159,7 +160,7 @@ func TestRetryChargesBackoffToRTT(t *testing.T) {
 
 	// LinkLoss=1 on the plan would kill every attempt; instead find a
 	// plan seed where the first attempt drops and a retry succeeds.
-	pol := probe.RetryPolicy{Max: 6, BackoffUS: 10_000}
+	pol := probe.RetryPolicy{Max: 6}
 	for planSeed := uint64(1); planSeed < 60; planSeed++ {
 		fenv := simtest.NewFaulty(t, 150, 3, &faults.Plan{Seed: planSeed, LinkLoss: 0.5})
 		pool := newRetryPool(fenv, 1, pol)
@@ -190,5 +191,101 @@ func TestRetryZeroLengthBatch(t *testing.T) {
 	}
 	if pool.Counters().Total() != 0 {
 		t.Fatal("empty batch charged probes")
+	}
+}
+
+// Every probe kind that can go unanswered is retried until it lands, and
+// the landing reply carries the backoff in whichever RTT it answers with
+// (echo, Record Route, Timestamp, traceroute hop). The pool's first
+// attempt is reproduced with measure.Issue at the same instant, so a
+// request whose first attempt was silent and whose final reply answers
+// is exactly one the pool retried.
+func TestRetryEveryKindChargesBackoff(t *testing.T) {
+	const nowUS = 1_000_000
+	seen := map[string]bool{}
+	for planSeed := uint64(1); planSeed <= 8 && len(seen) < 4; planSeed++ {
+		env := simtest.NewFaulty(t, 150, 3, &faults.Plan{Seed: planSeed, LinkLoss: 0.4})
+		reqs := buildRequests(env, 60)
+		// Timestamp probes answer with the option only when they carry a
+		// prespecified address list.
+		src := env.Agent(env.SourceHost(0))
+		for i := 0; i < 8; i++ {
+			dst := env.ResponsiveHost(i, src.AS)
+			if dst == nil {
+				break
+			}
+			prespec := []ipv4.Addr{dst.Addr}
+			reqs = append(reqs, probe.Request{Kind: measure.KindTS, VP: src, Dst: dst.Addr, Prespec: prespec, Seq: uint64(1000 + i)})
+			for j, site := range env.Sites {
+				if site.CanSpoof && site.Addr != src.Addr {
+					reqs = append(reqs, probe.Request{Kind: measure.KindSpoofedTS, VP: site, Src: src.Addr,
+						Dst: dst.Addr, Prespec: prespec, Seq: uint64(2000 + 100*i + j)})
+				}
+			}
+		}
+		pool := newRetryPool(env, 2, probe.RetryPolicy{Max: 4})
+		b := pool.Do(context.Background(), reqs)
+		for i, got := range b.Replies {
+			first := measure.Issue(env.Fabric, reqs[i], nowUS)
+			if !first.Sent || first.RTTUS() != 0 || got.RTTUS() == 0 {
+				continue
+			}
+			if got.RTTUS() < probe.DefaultBackoffUS {
+				t.Fatalf("seed %d req %d (kind %d): retried reply RTT %dus lacks the %dus backoff",
+					planSeed, i, reqs[i].Kind, got.RTTUS(), probe.DefaultBackoffUS)
+			}
+			switch {
+			case got.Ping.Alive:
+				seen["echo"] = true
+			case got.RR.Responded:
+				seen["rr"] = true
+			case got.TS.Responded:
+				seen["ts"] = true
+			case got.Hop.Responded:
+				seen["hop"] = true
+			}
+		}
+	}
+	if len(seen) < 4 {
+		t.Fatalf("retried-then-answered replies seen only as %v", seen)
+	}
+}
+
+// A vantage point that goes dark between attempts ends the retries: the
+// re-issue is not sent, not charged, and the batch keeps the first
+// attempt's reply. One that is dark from the start sends nothing.
+func TestRetryStopsWhenVPGoesDark(t *testing.T) {
+	const nowUS = 1_000_000
+	env := simtest.New(t, 150, 3)
+	src := env.Agent(env.SourceHost(0))
+	gone := env.Agent(env.SourceHost(1))
+	dst := env.ResponsiveHost(0, src.AS)
+	if dst == nil {
+		t.Skip("no destination")
+	}
+	plan := (&faults.Plan{}).AddBlackout(src.Addr, nowUS+1, 0).AddBlackout(gone.Addr, 0, 0)
+	env.Fabric.SetFaults(plan)
+	reqs := []probe.Request{
+		{Kind: measure.KindPing, VP: gone, Dst: dst.Addr, Seq: 1},
+		{Kind: measure.KindPing, VP: src, Dst: dst.Addr + 199, Seq: 2}, // dark neighbour: never answers
+	}
+	pool := newRetryPool(env, 1, probe.RetryPolicy{Max: 3})
+	reg := obs.New()
+	pool.SetObs(reg)
+	b := pool.Do(context.Background(), reqs)
+	if b.Replies[0].Sent || !b.Replies[0].VPDead {
+		t.Fatalf("dark vantage point: reply %+v, want unsent and VPDead", b.Replies[0])
+	}
+	if !b.Replies[1].Sent || b.Replies[1].Ping.Alive {
+		t.Fatalf("silent probe: reply %+v, want sent and unanswered", b.Replies[1])
+	}
+	if got := b.Sent.Total(); got != 1 {
+		t.Fatalf("batch charged %d probes, want the one first attempt", got)
+	}
+	if got := pool.Counters().Total(); got != 1 {
+		t.Fatalf("pool charged %d probes, want 1", got)
+	}
+	if got := reg.Counter("probe_retries_total").Value(); got != 1 {
+		t.Fatalf("probe_retries_total=%d, want the one re-issue that found the VP dark", got)
 	}
 }

@@ -578,7 +578,7 @@ func TestBatchHTTPPairCap(t *testing.T) {
 	reg, bb, u, src := batchRegistry(t, 100)
 	close(bb.release)
 	api := service.NewAPI(reg)
-	api.MaxBatchPairs = 3
+	api.SetMaxBatchPairs(3)
 	ts := httptest.NewServer(api)
 	t.Cleanup(ts.Close)
 

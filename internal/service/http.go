@@ -39,32 +39,17 @@ type API struct {
 	// mClass is http_responses_total{class} by status/100, resolved on first use.
 	mClass [10]atomic.Pointer[obs.Counter]
 
-	// MeasureTimeout caps the wall-clock time of each measurement in a
-	// POST /api/v1/revtr request when the request does not set its own
-	// timeoutMs. Zero means no server-imposed limit (the client can still
-	// abort by closing the connection: the request context propagates
-	// into the engine either way).
-	MeasureTimeout time.Duration
-
-	// MaxBatchPairs caps the pairs accepted in one POST /api/v1/batch
-	// request (400 past it). Every pair allocates a scheduler job
-	// retained until its batch is evicted and is echoed in every status
-	// poll, so without a cap a single request with millions of pairs
-	// means unbounded allocation even though the queue cap sheds them.
-	// <= 0 means the default 10000.
-	MaxBatchPairs int
-
-	// HeartbeatInterval paces keep-alive lines on idle event streams
-	// (/events, /firehose). <= 0 means 15s.
-	HeartbeatInterval time.Duration
-
-	// FirehoseReplay caps the ?replay= parameter of GET /api/v1/firehose
-	// (archived measurements served before going live). <= 0 means 64.
-	FirehoseReplay int
+	// maxBatchPairs and heartbeat are defaultMaxBatchPairs and
+	// defaultHeartbeat; only this package's tests set others.
+	maxBatchPairs int
+	heartbeat     time.Duration
 }
 
-// defaultMaxBatchPairs bounds a POST /api/v1/batch submission when
-// API.MaxBatchPairs is unset.
+// defaultMaxBatchPairs caps the pairs accepted in one POST
+// /api/v1/batch request (400 past it). Every pair allocates a scheduler
+// job retained until its batch is evicted and is echoed in every status
+// poll, so without a cap a single request with millions of pairs means
+// unbounded allocation even though the queue cap sheds them.
 const defaultMaxBatchPairs = 10000
 
 // Request bodies are read through http.MaxBytesReader, so a hostile
@@ -82,7 +67,8 @@ const (
 
 // NewAPI builds the HTTP handler over a registry.
 func NewAPI(reg *Registry) *API {
-	a := &API{reg: reg, mux: http.NewServeMux()}
+	a := &API{reg: reg, mux: http.NewServeMux(),
+		maxBatchPairs: defaultMaxBatchPairs, heartbeat: defaultHeartbeat}
 	a.mux.HandleFunc("POST /api/v1/users", a.handleAddUser)
 	a.mux.HandleFunc("POST /api/v1/sources", a.handleAddSource)
 	a.mux.HandleFunc("GET /api/v1/sources", a.handleListSources)
@@ -133,15 +119,10 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// Flush forwards to the wrapped writer so the NDJSON event streams can
-// push partial responses; without it the wrapper would mask the
-// Flusher interface and events would sit buffered until the handler
-// returned.
-func (w *statusWriter) Flush() {
-	if fl, ok := w.ResponseWriter.(http.Flusher); ok {
-		fl.Flush()
-	}
-}
+// Unwrap lets an http.ResponseController reach the connection's own
+// writer: the NDJSON event streams flush through it and clear the
+// server's write deadline.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // handleHealthz is the plain-text liveness probe for load balancers and
 // orchestration: cheap, no JSON, no auth.
@@ -262,8 +243,8 @@ func (a *API) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Src  string   `json:"src"`
 		Dsts []string `json:"dsts"`
-		// TimeoutMs caps each measurement's wall-clock time; 0 falls back
-		// to the server's MeasureTimeout.
+		// TimeoutMs caps each measurement's wall-clock time; 0 sets no
+		// cap beyond the request's own context.
 		TimeoutMs int64 `json:"timeoutMs"`
 	}
 	if !decodeBody(w, r, maxBodyBytes, &req) {
@@ -284,10 +265,7 @@ func (a *API) handleMeasure(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	timeout := a.MeasureTimeout
-	if req.TimeoutMs > 0 {
-		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
-	}
+	timeout := time.Duration(req.TimeoutMs) * time.Millisecond
 	key := r.Header.Get("X-API-Key")
 	var out []*Measurement
 	for _, dst := range dsts {
@@ -335,10 +313,7 @@ func (a *API) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 			Dst string `json:"dst"`
 		} `json:"pairs"`
 	}
-	maxPairs := a.MaxBatchPairs
-	if maxPairs <= 0 {
-		maxPairs = defaultMaxBatchPairs
-	}
+	maxPairs := a.maxBatchPairs
 	if !decodeBody(w, r, int64(maxPairs)*batchPairBytes+batchSlackBytes, &req) {
 		return
 	}

@@ -48,7 +48,7 @@ type wireEvent struct {
 func streamServer(t *testing.T, reg *service.Registry) string {
 	t.Helper()
 	api := service.NewAPI(reg)
-	api.HeartbeatInterval = 25 * time.Millisecond
+	api.SetHeartbeat(25 * time.Millisecond)
 	ts := httptest.NewServer(api)
 	t.Cleanup(ts.Close)
 	return ts.URL
@@ -354,6 +354,48 @@ func TestStreamBackpressureStalledSubscriber(t *testing.T) {
 	}
 	if got := reg.Obs().Counter(obs.Label("stream_dropped_total", "reason", "slow-subscriber")).Value(); got < stats.Dropped {
 		t.Fatalf("stream_dropped_total{slow-subscriber} = %d, want >= %d", got, stats.Dropped)
+	}
+}
+
+// TestStreamOutlivesWriteTimeout: an event stream is not cut at the
+// server's WriteTimeout. A batch held in flight while its follower, on a
+// server whose WriteTimeout is 200 ms, receives three timeouts' worth of
+// heartbeats still ends on its end event once the batch finishes.
+func TestStreamOutlivesWriteTimeout(t *testing.T) {
+	const writeTimeout, heartbeat = 200 * time.Millisecond, 25 * time.Millisecond
+	reg, bb, u, src := batchRegistry(t, 100)
+	reg.EnableStream(stream.Options{})
+	api := service.NewAPI(reg)
+	api.SetHeartbeat(heartbeat)
+	ts := httptest.NewUnstartedServer(api)
+	ts.Config.WriteTimeout = writeTimeout
+	ts.Start()
+	t.Cleanup(ts.Close)
+
+	st, err := reg.SubmitBatch(context.Background(), u.APIKey, pairs(src, 1, 2, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, _ := openStream(t, ts.URL+"/api/v1/batch/"+st.ID+"/events",
+		map[string]string{"X-API-Key": u.APIKey})
+	timeout := time.After(10 * time.Second)
+	for beats := 0; beats < int(3*writeTimeout/heartbeat); {
+		select {
+		case ev, ok := <-ch:
+			if !ok {
+				t.Fatalf("stream cut after %d heartbeats (%v of %v)", beats, time.Duration(beats)*heartbeat, writeTimeout)
+			}
+			if ev.Kind == "heartbeat" {
+				beats++
+			}
+		case <-timeout:
+			t.Fatalf("only %d heartbeats within 10s", beats)
+		}
+	}
+	close(bb.release)
+	evs := collectUntilEnd(t, ch, 10*time.Second)
+	if last := evs[len(evs)-1]; last.Reason != "done" {
+		t.Fatalf("terminal event %s/%s, want end/done", last.Kind, last.Reason)
 	}
 }
 

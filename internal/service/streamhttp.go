@@ -29,11 +29,12 @@ import (
 // an attached broker (EnableStream was never called).
 var ErrStreamDisabled = errors.New("service: streaming not enabled")
 
-// defaultHeartbeat keeps idle streams alive through proxies when
-// API.HeartbeatInterval is unset.
+// defaultHeartbeat paces keep-alive lines on idle event streams
+// (/events, /firehose), keeping them alive through proxies.
 const defaultHeartbeat = 15 * time.Second
 
-// defaultFirehoseReplay caps ?replay= when API.FirehoseReplay is unset.
+// defaultFirehoseReplay caps the ?replay= parameter of GET
+// /api/v1/firehose (archived measurements served before going live).
 const defaultFirehoseReplay = 64
 
 // firehoseReplayScan is how many archived records, newest first, one
@@ -156,13 +157,7 @@ func (a *API) handleFirehose(w http.ResponseWriter, r *http.Request) {
 		}
 		replay = v
 	}
-	maxReplay := a.FirehoseReplay
-	if maxReplay <= 0 {
-		maxReplay = defaultFirehoseReplay
-	}
-	if replay > maxReplay {
-		replay = maxReplay
-	}
+	replay = min(replay, defaultFirehoseReplay)
 
 	filter := func(ev stream.Event) bool {
 		if userF != "" && ev.User != userF {
@@ -221,13 +216,15 @@ func (a *API) pumpFiltered(w http.ResponseWriter, r *http.Request, sub *stream.S
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	w.Header().Set("X-Accel-Buffering", "no")
+	// A stream outlives any write timeout the server sets for ordinary
+	// responses: clear the deadline, or the connection is cut mid-stream
+	// (a writer that cannot clear it has none to clear).
+	rc := http.NewResponseController(w)
+	_ = rc.SetWriteDeadline(time.Time{})
 	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
-	flush := func() {
-		if fl != nil {
-			fl.Flush()
-		}
-	}
+	// A failed flush needs no handling here: the dead connection cancels
+	// the request context or fails a later write, and either ends the pump.
+	flush := func() { _ = rc.Flush() }
 	enc := json.NewEncoder(w)
 	for _, ev := range prelude {
 		if err := enc.Encode(ev); err != nil {
@@ -236,11 +233,7 @@ func (a *API) pumpFiltered(w http.ResponseWriter, r *http.Request, sub *stream.S
 	}
 	flush()
 
-	hb := a.HeartbeatInterval
-	if hb <= 0 {
-		hb = defaultHeartbeat
-	}
-	ticker := time.NewTicker(hb)
+	ticker := time.NewTicker(a.heartbeat)
 	defer ticker.Stop()
 	ctx := r.Context()
 	for {

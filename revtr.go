@@ -30,6 +30,7 @@ import (
 	"revtr/internal/measure"
 	"revtr/internal/netsim/bgp"
 	"revtr/internal/netsim/fabric"
+	"revtr/internal/netsim/faults"
 	"revtr/internal/netsim/ipv4"
 	"revtr/internal/netsim/topology"
 	"revtr/internal/probe"
@@ -58,11 +59,7 @@ type Config struct {
 	// SkipSurvey skips the ingress survey (callers that never issue
 	// spoofed RR probes, or that run their own survey).
 	SkipSurvey bool
-	// ProbeWorkers bounds the deployment's shared probe pool (0 =
-	// GOMAXPROCS): the number of probes in flight at once across all
-	// engines and measurements.
-	ProbeWorkers int
-	Seed         int64
+	Seed       int64
 }
 
 // DefaultConfig returns a deployment sized for n ASes.
@@ -138,7 +135,7 @@ func Build(cfg Config) *Deployment {
 	fab := fabric.New(topo, routing, cfg.Seed)
 	clock := measure.NewClock()
 	prober := measure.NewProberWithClock(fab, clock)
-	pool := probe.New(fab, clock, cfg.ProbeWorkers)
+	pool := probe.New(fab, clock, 0) // GOMAXPROCS probe batches in flight
 
 	sites := vantage.PlaceSites(topo, cfg.Sites, cfg.Vintage, cfg.Seed)
 	agents := make([]measure.Agent, len(sites))
@@ -198,6 +195,32 @@ func Build(cfg Config) *Deployment {
 	}
 	d.BackgroundProbes = prober.Count
 	return d
+}
+
+// InjectFaults makes the built deployment unreliable: it parses spec
+// (faults.Parse syntax), blacks out the last vpOutages spoof-capable
+// vantage point sites from t=0 — never one of the first spare sites (a
+// campaign's sources) — attaches the plan to the fabric, and has the
+// probe pool re-issue an unanswered probe up to retries times. Called
+// after Build, so the atlas and ingress survey are measured on a healthy
+// network and only live measurements contend with the faults. It returns
+// the plan, for SetObs and its tallies.
+func (d *Deployment) InjectFaults(spec string, vpOutages, spare, retries int) (*faults.Plan, error) {
+	plan, err := faults.Parse(spec)
+	if err != nil {
+		return nil, err
+	}
+	for i, n := len(d.SiteAgents)-1, 0; i >= spare && n < vpOutages; i-- {
+		if d.SiteAgents[i].CanSpoof {
+			plan.AddBlackout(d.SiteAgents[i].Addr, 0, 0)
+			n++
+		}
+	}
+	if plan.Enabled() {
+		d.Fabric.SetFaults(plan)
+	}
+	d.Pool.SetRetry(probe.RetryPolicy{Max: retries})
+	return plan, nil
 }
 
 // RunSurvey (re-)runs the weekly ingress survey over every routed prefix

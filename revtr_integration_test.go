@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"revtr/internal/core"
+	"revtr/internal/measure"
 	"revtr/internal/netsim/ipv4"
 	"revtr/internal/netsim/topology"
+	"revtr/internal/probe"
 )
 
 func buildSmall(t testing.TB) *Deployment {
@@ -241,5 +243,53 @@ func TestSpoofedBatchesCostTenSeconds(t *testing.T) {
 	}
 	if complete == 0 || timeouts == 0 {
 		t.Fatalf("spoofed batches: %d complete, %d short of a reply; want some of each", complete, timeouts)
+	}
+}
+
+// TestInjectFaults: the fault wiring revtr-server and revtr-campaign
+// share blacks out spoof-capable sites from the end of the site list,
+// never one of the spared leading sites, attaches the plan to the fabric
+// (a dark site sends nothing) and the retry policy to the pool, and
+// rejects a malformed spec before touching either.
+func TestInjectFaults(t *testing.T) {
+	d := buildSmall(t)
+	if _, err := d.InjectFaults("loss=2", 1, 0, 1); err == nil {
+		t.Fatal("malformed spec accepted")
+	}
+	if d.Pool.Retry().Max != 0 {
+		t.Fatal("a rejected spec changed the retry policy")
+	}
+	const spare = 4
+	spared := map[ipv4.Addr]bool{}
+	for _, a := range d.SiteAgents[:spare] {
+		spared[a.Addr] = true
+	}
+	plan, err := d.InjectFaults("loss=0.01", 3, spare, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Blackouts) != 3 {
+		t.Fatalf("%d sites blacked out, want 3", len(plan.Blackouts))
+	}
+	byAddr := map[ipv4.Addr]measure.Agent{}
+	for _, a := range d.SiteAgents {
+		byAddr[a.Addr] = a
+	}
+	dst := d.OnePerPrefix()[0].Addr
+	for i, b := range plan.Blackouts {
+		site := byAddr[b.Addr]
+		if spared[b.Addr] || !site.CanSpoof {
+			t.Fatalf("blacked out %s: spared %v, spoof-capable %v", b.Addr, spared[b.Addr], site.CanSpoof)
+		}
+		rep := d.Pool.Do(context.Background(), []probe.Request{{Kind: measure.KindPing, VP: site, Dst: dst, Seq: uint64(i + 1)}})
+		if rep.Replies[0].Sent {
+			t.Fatalf("dark site %s sent a probe: the plan is not on the fabric", b.Addr)
+		}
+	}
+	if got := d.Pool.Retry().Max; got != 2 {
+		t.Fatalf("pool retries %d, want 2", got)
+	}
+	if plan, _ := d.InjectFaults("", len(d.SiteAgents), len(d.SiteAgents), 0); len(plan.Blackouts) != 0 {
+		t.Fatalf("blacked out %d sites with every site spared", len(plan.Blackouts))
 	}
 }
