@@ -1,10 +1,10 @@
 # Build / test entry points. `make ci` is what every PR must pass: gofmt,
 # vet and the repo's own static-analysis suite (revtr-lint: determinism,
-# context, metrics, lock, and concurrency contracts), plus the full
-# suite under the race detector (the service and campaign layers are
-# concurrent; -race is load-bearing, not optional) — which includes the
-# chaos suites under deterministic fault injection and the soak — and a
-# smoke pass over the fuzz targets.
+# context, metrics, lock, and concurrency contracts), the -short suite,
+# plus the full suite under the race detector (the service and campaign
+# layers are concurrent; -race is load-bearing, not optional) — which
+# includes the chaos suites under deterministic fault injection and the
+# soak — and a smoke pass over the fuzz targets.
 
 GO ?= go
 
@@ -51,7 +51,7 @@ lint:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-ci: fmt vet lint race bench benchcheck benchmod fuzz cover loc
+ci: fmt vet lint short race bench benchcheck benchmod fuzz cover loc
 
 # loc prints the number ROADMAP's consolidation round tracks: non-test Go
 # lines per package and in total, leaving out bench/ (a module of its
@@ -60,7 +60,7 @@ ci: fmt vet lint race bench benchcheck benchmod fuzz cover loc
 # when the total is above LOC_CEILING — the total the last PR landed at.
 # A PR that adds lines says why and raises it; one that removes lines
 # lowers it to where it lands.
-LOC_CEILING = 21821
+LOC_CEILING = 21694
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs wc -l | \
 		awk -v ceiling=$(LOC_CEILING) '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
@@ -78,12 +78,14 @@ loc:
 # ring at termination) are the paths a long-running server reaches and
 # a short test does not. So is the probe pool every measurement crosses:
 # its retry arms (a VP dark between attempts, each kind's late answer)
-# are the recovery path only a faulty fabric reaches. The lint framework
+# are the recovery path only a faulty fabric reaches. So is the engine
+# itself: its cache holds three kinds of entry, one of them (the per-hop
+# verdicts) shared across sources. The lint framework
 # is held to the same floor: every concurrency gate rests on the one
 # dataflow in flow, which its own tests barely touch (16 %) — it is
 # exercised by the analyzers' fixture suites, so it is measured across
 # the whole lint tree's tests.
-COVER_PKGS = internal/core/segments internal/ttlcache internal/store internal/sched internal/stream internal/probe
+COVER_PKGS = internal/core internal/core/segments internal/ttlcache internal/store internal/sched internal/stream internal/probe
 LINT_COVER_PKGS = ./internal/lint/flow,./internal/lint/directive,./internal/lint/analysis,./internal/lint/loader
 COVER_FLOOR = awk -v pkg=$$pkg '/^total:/ { \
 	pct = $$3 + 0; printf "%s coverage: %s (floor 90%%)\n", pkg, $$3; \

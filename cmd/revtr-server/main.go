@@ -73,7 +73,7 @@ func main() {
 	cfg.Sites = *sites
 	d := revtr.Build(cfg)
 	log.Printf("topology: %s", d.Topo.Stats())
-	log.Printf("background probes consumed: %d", d.BackgroundProbes.Total())
+	log.Printf("background probes consumed: %d", d.Prober.Count.Total())
 
 	plan, err := d.InjectFaults(*faultSpec, *faultVPOut, 0, *retries)
 	if err != nil {

@@ -119,7 +119,7 @@ func TestProbeCountGate(t *testing.T) {
 					for p := mm.Next(); p != nil; p = mm.Next() {
 						dl := eng.ExecPending(mm.Context(), p)
 						if p.Spoofed && holdsEveryReply(dl.Batch) {
-							got.waitOutUS += eng.Opts.SpoofTimeoutUS - dl.Batch.MaxRTTUS
+							got.waitOutUS += core.SpoofTimeoutUS - dl.Batch.MaxRTTUS
 						}
 						mm.Deliver(dl)
 					}

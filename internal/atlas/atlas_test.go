@@ -115,7 +115,7 @@ func TestBuildRRAliasesEnablesIntersections(t *testing.T) {
 func TestServiceBuildAndRefresh(t *testing.T) {
 	env := simtest.New(t, 300, 4)
 	src := env.Agent(env.SourceHost(0))
-	svc := atlas.NewService(env.Prober, env.Probes, atlas.FixedSites(env.Sites), env.Alias, 20, true, 4)
+	svc := atlas.NewService(env.Prober, env.Probes, atlas.FixedSites(env.Sites), env.Alias, 20, 4)
 	at := svc.BuildFor(src)
 	if at.Size() == 0 {
 		t.Fatal("empty atlas")
@@ -154,7 +154,7 @@ func TestRateLimitStopsAtlasGrowth(t *testing.T) {
 	for _, p := range env.Probes {
 		p.Credits = 0
 	}
-	svc := atlas.NewService(env.Prober, env.Probes, atlas.FixedSites(env.Sites), env.Alias, 20, false, 4)
+	svc := atlas.NewService(env.Prober, env.Probes, atlas.FixedSites(env.Sites), env.Alias, 20, 4)
 	at := svc.BuildFor(src)
 	if at.Size() != 0 {
 		t.Fatalf("atlas built despite exhausted credits: %d", at.Size())

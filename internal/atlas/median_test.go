@@ -14,7 +14,7 @@ import (
 func TestMedianHopsFollowsBuildAndRefresh(t *testing.T) {
 	env := simtest.New(t, 300, 4)
 	src := env.Agent(env.SourceHost(0))
-	svc := atlas.NewService(env.Prober, env.Probes, atlas.FixedSites(env.Sites), env.Alias, 20, false, 4)
+	svc := atlas.NewService(env.Prober, env.Probes, atlas.FixedSites(env.Sites), env.Alias, 20, 4)
 	median := func(at *atlas.Atlas) int {
 		var lens []int
 		for _, e := range at.Entries {

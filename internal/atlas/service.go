@@ -22,17 +22,14 @@ type Service struct {
 	// Size is the target number of traceroutes per source (the paper
 	// settles on 1000 random RIPE Atlas probes per source daily).
 	Size int
-	// UseRRAliases enables the §4.2 background probes (revtr 2.0 only).
-	UseRRAliases bool
 
 	rng *rand.Rand
 }
 
 // NewService creates an atlas service.
-func NewService(p *measure.Prober, probes []*vantage.Probe, pick SitePicker, res alias.Resolver, size int, useRRAliases bool, seed int64) *Service {
+func NewService(p *measure.Prober, probes []*vantage.Probe, pick SitePicker, res alias.Resolver, size int, seed int64) *Service {
 	return &Service{
-		Prober: p, Probes: probes, Pick: pick, Alias: res,
-		Size: size, UseRRAliases: useRRAliases,
+		Prober: p, Probes: probes, Pick: pick, Alias: res, Size: size,
 		rng: rand.New(rand.NewSource(seed)),
 	}
 }
@@ -71,9 +68,7 @@ func (s *Service) fill(a *Atlas, exclude map[string]bool) {
 			continue
 		}
 		e := a.Add(probe.Agent.Name, int32(probe.Agent.AS), tr.HopAddrs(), s.Prober.Now())
-		if s.UseRRAliases {
-			a.BuildRRAliases(s.Prober, s.Pick, s.Alias, e)
-		}
+		a.BuildRRAliases(s.Prober, s.Pick, s.Alias, e)
 		inAtlas[probe.Agent.Name] = true
 	}
 }
@@ -110,9 +105,7 @@ func (s *Service) Refresh(a *Atlas) {
 		}
 		a.Remove(e)
 		ne := a.Add(e.ProbeName, e.ProbeAS, tr.HopAddrs(), s.Prober.Now())
-		if s.UseRRAliases {
-			a.BuildRRAliases(s.Prober, s.Pick, s.Alias, ne)
-		}
+		a.BuildRRAliases(s.Prober, s.Pick, s.Alias, ne)
 	}
 	s.fill(a, dropped)
 	a.ResetUseful()

@@ -127,7 +127,7 @@ func TestCacheEvictOldestDeterministic(t *testing.T) {
 
 // TestEngineCacheBounded drives the cap under the engine's TTL.
 func TestEngineCacheBounded(t *testing.T) {
-	c := newCache(Revtr20Options().CacheTTLUS, 8)
+	c := newCache(CacheTTLUS, 8)
 	src := addr(t, "10.0.0.1")
 	for i := 0; i < 100; i++ {
 		c.putTraceroute(addr(t, fmt.Sprintf("10.3.0.%d", i+1)), src,

@@ -11,9 +11,7 @@ import (
 // TestCacheTTLExpiry: cached RR results are reused within the TTL window
 // and re-measured after it — the Insight 1.4 one-day reuse policy.
 func TestCacheTTLExpiry(t *testing.T) {
-	opts := core.Revtr20Options()
-	opts.CacheTTLUS = 1_000_000 // one virtual second, for the test
-	h, eng := newHarness(t, &opts)
+	h, eng := newHarness(t, nil)
 
 	var dstAddr = h.env.ResponsiveHost(2, h.src.Agent.AS).Addr
 	r1 := eng.MeasureReverse(context.Background(), h.src, dstAddr)
@@ -27,7 +25,7 @@ func TestCacheTTLExpiry(t *testing.T) {
 	}
 
 	// Past the TTL: the engine must probe again.
-	h.env.Prober.Advance(2_000_000)
+	h.env.Prober.Advance(core.CacheTTLUS + 1)
 	r3 := eng.MeasureReverse(context.Background(), h.src, dstAddr)
 	p3 := r3.Probes.RR + r3.Probes.SpoofRR
 	if r1.Status == core.StatusComplete && p1 > 0 && p3 == 0 {

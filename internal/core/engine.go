@@ -29,10 +29,6 @@ type Hop struct {
 	// SuspectBefore flags a possible missing hop ("*") before this hop:
 	// the AS-level link into it is not a known adjacency (§5.2.2).
 	SuspectBefore bool
-	// DBRSuspect flags a hop whose router answered redundant probes with
-	// a different next hop — a destination-based-routing violator
-	// (Appendix E's optional detection).
-	DBRSuspect bool
 	// Spliced marks a hop adopted from the shared segment store
 	// (Options.SegmentStore) rather than measured by this reverse
 	// traceroute: Tech records the technique of the measurement that
@@ -120,6 +116,10 @@ type Engine struct {
 	// adoptWhole is a test hook: adoptRevealed adopts every revealed hop,
 	// not up to the first one the atlas intersects (its differential's "off").
 	adoptWhole bool
+	// spoofTimeoutUS and maxHops are SpoofTimeoutUS and MaxHops; only
+	// this package's tests set others.
+	spoofTimeoutUS int64
+	maxHops        int
 }
 
 // NewEngine assembles an engine over a probe pool. adj may be nil (no
@@ -129,14 +129,13 @@ func NewEngine(f *fabric.Fabric, pool *probe.Pool, ing *ingress.Service, sites [
 	if adj == nil {
 		adj = NoAdjacencies{}
 	}
-	if opts.MaxHops == 0 {
-		opts.MaxHops = 40
-	}
 	return &Engine{
 		F: f, Pool: pool, Ingress: ing, Sites: sites,
 		Alias: res, Mapper: mapper, Adj: adj, Opts: opts,
-		cache:   newCache(opts.CacheTTLUS, cacheMaxEntries),
-		deadVPs: newDeadVPCache(),
+		cache:          newCache(CacheTTLUS, cacheMaxEntries),
+		deadVPs:        newDeadVPCache(),
+		spoofTimeoutUS: SpoofTimeoutUS,
+		maxHops:        MaxHops,
 	}
 }
 

@@ -44,3 +44,10 @@ func (mm *Machine) ForgetDistance() { mm.revDist = -1 }
 // AdoptWhole turns off adoptRevealed's cut at the first revealed hop the
 // atlas intersects: every revealed hop is adopted, as before the rule.
 func (e *Engine) AdoptWhole() { e.adoptWhole = true }
+
+// SetSpoofTimeout makes a spoofed batch short of a reply wait us instead of
+// SpoofTimeoutUS.
+func (e *Engine) SetSpoofTimeout(us int64) { e.spoofTimeoutUS = us }
+
+// SetMaxHops bounds the reverse path at n hops instead of MaxHops.
+func (e *Engine) SetMaxHops(n int) { e.maxHops = n }

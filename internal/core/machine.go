@@ -51,7 +51,7 @@ type PendingKind uint8
 
 const (
 	// PendingProbes is a batch of probe requests (direct or spoofed RR,
-	// Timestamp, DBR repeats) to run as one pool batch.
+	// Timestamp) to run as one pool batch.
 	PendingProbes PendingKind = iota
 	// PendingTraceroute is one forward Paris traceroute.
 	PendingTraceroute
@@ -66,8 +66,8 @@ type Pending struct {
 
 	// Probe-batch work (Kind == PendingProbes).
 	Reqs []probe.Request
-	// Spoofed marks a batch of spoofed probes (an RR sweep's, the DBR
-	// check's fallbacks, revtr 1.0's spoofed Timestamp): Deliver books it
+	// Spoofed marks a batch of spoofed probes (an RR sweep's, revtr 1.0's
+	// spoofed Timestamp): Deliver books it
 	// as one of Result.SpoofBatches and charges it Machine.spoofWait, not
 	// its slowest round trip — where measurement latency goes.
 	Spoofed bool
@@ -102,8 +102,6 @@ const (
 	phSpoofNext
 	phSpoofWait
 	phAfterRR
-	phDBRWait
-	phDBRFallbackWait
 	phTS
 	phTSNext
 	phTSDirectWait
@@ -123,12 +121,6 @@ type spoofState struct {
 	cursor         int
 	tried          int
 	directAnswered bool
-}
-
-// dbrState is an Appendix E redundancy check in progress.
-type dbrState struct {
-	observed map[ipv4.Addr]bool
-	got      int
 }
 
 // tsState is the Timestamp adjacency sweep in progress.
@@ -165,7 +157,6 @@ type Machine struct {
 
 	rev   revealed
 	spoof spoofState
-	dbr   dbrState
 	ts    tsState
 	// symTTL is the TTL at which the hop the last symmetry assumption
 	// adopted answered the traceroute it was read off (stepSym).
@@ -359,10 +350,6 @@ func (mm *Machine) Deliver(d Delivery) {
 		mm.onRRDirect(d.Batch)
 	case phSpoofWait:
 		mm.onSpoofBatch(p.Reqs, d.Batch)
-	case phDBRWait:
-		mm.onDBRDirect(d.Batch)
-	case phDBRFallbackWait:
-		mm.onDBRFallback(p.Reqs, d.Batch)
 	case phTSDirectWait:
 		mm.onTSDirect(d.Batch)
 	case phTSSpoofWait:
@@ -417,7 +404,6 @@ func (mm *Machine) Clone() *Machine {
 	cp.visited = maps.Clone(mm.visited)
 	cp.m.dead = maps.Clone(mm.m.dead)
 	cp.rev.hops = slices.Clone(mm.rev.hops)
-	cp.dbr.observed = maps.Clone(mm.dbr.observed)
 	cp.ts.adjs = slices.Clone(mm.ts.adjs)
 	cp.segs = slices.Clone(mm.segs) // hop groups are built once and never mutated
 	if mm.pending != nil {
@@ -468,17 +454,6 @@ func (mm *Machine) spliceable(chain []segments.Hop) bool {
 		}
 	}
 	return true
-}
-
-// firstLiveVP returns the first vantage point in the §4.3 ingress order
-// not currently known dead.
-func (mm *Machine) firstLiveVP(order []int) (measure.Agent, bool) {
-	for _, si := range order {
-		if site := mm.e.Sites[si]; !mm.isDead(site.Addr) {
-			return site, true
-		}
-	}
-	return measure.Agent{}, false
 }
 
 // suspendProbes parks the machine on a probe batch.
@@ -629,7 +604,7 @@ func (mm *Machine) failCancelled() {
 // source-reached, atlas intersection, then the Record Route stage.
 func (mm *Machine) stepTop() {
 	e, src, cur := mm.e, mm.src, mm.cur
-	if mm.step >= e.Opts.MaxHops {
+	if mm.step >= e.maxHops {
 		mm.finishWith(StatusFailed, "hop budget exhausted")
 		return
 	}
@@ -775,8 +750,8 @@ func (mm *Machine) stepSpoofNext() {
 	if e.Opts.UseCache {
 		far = e.cache.verdicts(cur, e.Pool.Now()).farVPs
 	}
-	reqs := make([]probe.Request, 0, e.Opts.BatchSize)
-	for sp.cursor < len(sp.plan) && len(reqs) < e.Opts.BatchSize {
+	reqs := make([]probe.Request, 0, SpoofBatchSize)
+	for sp.cursor < len(sp.plan) && len(reqs) < SpoofBatchSize {
 		site := e.Sites[sp.plan[sp.cursor]]
 		sp.cursor++
 		if site.Addr == src.Agent.Addr { // that would be the direct probe again
@@ -811,11 +786,11 @@ func (mm *Machine) spoofWait(b probe.Batch) int64 {
 	short := slices.ContainsFunc(b.Replies, func(rep measure.Reply) bool {
 		return !rep.RR.Responded && !rep.TS.Responded
 	})
-	if !short && b.MaxRTTUS < mm.e.Opts.SpoofTimeoutUS {
+	if !short && b.MaxRTTUS < mm.e.spoofTimeoutUS {
 		return b.MaxRTTUS
 	}
 	mm.e.metrics.spoofBatchTimeouts.Inc()
-	return mm.e.Opts.SpoofTimeoutUS
+	return mm.e.spoofTimeoutUS
 }
 
 // shareVerdicts records what a spoofed batch settled about cur for every
@@ -891,12 +866,11 @@ func (mm *Machine) onSpoofBatch(reqs []probe.Request, b probe.Batch) {
 }
 
 // stepAfterRR closes the RR stage: re-check cancellation, then adopt
-// revealed hops (optionally after the DBR redundancy check) or move on to
-// Timestamp. A stage that was measured in full and revealed nothing is
-// cached as an empty entry, so the next measurement of this source stuck
-// on this hop skips the stage; one that a dead vantage point (the source's
-// included) or a cancellation cut short is not — it says nothing about the
-// hop once the fault is over.
+// revealed hops or move on to Timestamp. A stage that was measured in full
+// and revealed nothing is cached as an empty entry, so the next measurement
+// of this source stuck on this hop skips the stage; one that a dead vantage
+// point (the source's included) or a cancellation cut short is not — it
+// says nothing about the hop once the fault is over.
 func (mm *Machine) stepAfterRR() {
 	if mm.m.ctx.Err() != nil {
 		mm.failCancelled()
@@ -904,11 +878,7 @@ func (mm *Machine) stepAfterRR() {
 	}
 	if len(mm.rev.hops) > 0 {
 		mm.e.metrics.stage[mm.rev.tech].Inc()
-		if mm.e.Opts.DetectDBRViolations {
-			mm.beginDBR()
-			return
-		}
-		mm.adoptRevealed(false)
+		mm.adoptRevealed()
 		return
 	}
 	if mm.rev.measured && mm.e.Opts.UseCache {
@@ -917,85 +887,11 @@ func (mm *Machine) stepAfterRR() {
 	mm.fallback(TechTS, phTS)
 }
 
-// dbrRepeats is how many redundant re-revelations the DBR check issues
-// on top of the original one (1+dbrRepeats samples in all).
-const dbrRepeats = 2
-
-// beginDBR starts Appendix E's redundancy check: re-reveal the next hop
-// dbrRepeats more times as one direct batch.
-func (mm *Machine) beginDBR() {
-	direct := make([]probe.Request, dbrRepeats)
-	for k := range direct {
-		direct[k] = probe.Request{Kind: measure.KindRR, VP: mm.src.Agent, Dst: mm.cur, Seq: mm.m.next()}
-	}
-	mm.dbr = dbrState{observed: map[ipv4.Addr]bool{mm.rev.hops[0]: true}}
-	mm.suspendProbes(direct, false, phDBRWait)
-}
-
-// onDBRDirect digests the direct DBR repeats; repeats whose direct
-// probe revealed nothing fall back to one spoofed probe each, batched.
-func (mm *Machine) onDBRDirect(b probe.Batch) {
-	e, src, cur := mm.e, mm.src, mm.cur
-	d := &mm.dbr
-	var order []int // stays empty for a hop in no BGP prefix
-	if pfx, ok := e.F.Topo.BGPPrefixOf(cur); ok {
-		order = e.Ingress.PlanFor(pfx, e.Opts.VPSelection).Order
-	}
-	var fallback []probe.Request
-	for _, rep := range b.Replies {
-		hops, _ := extractReverse(rep.RR.Recorded, cur, e.Alias)
-		if len(hops) == 0 {
-			// Direct probe out of range: one spoofed try for this repeat.
-			vp, ok := mm.firstLiveVP(order)
-			if !ok {
-				continue
-			}
-			fallback = append(fallback, probe.Request{
-				Kind: measure.KindSpoofedRR, VP: vp,
-				Src: src.Agent.Addr, Dst: cur, Seq: mm.m.next(),
-			})
-			continue
-		}
-		d.got++
-		d.observed[hops[0]] = true
-	}
-	if len(fallback) > 0 {
-		mm.suspendProbes(fallback, true, phDBRFallbackWait)
-		return
-	}
-	mm.finishDBR()
-}
-
-// onDBRFallback digests the spoofed DBR fallbacks: one spoofed batch,
-// which waits like any other (spoofWait).
-func (mm *Machine) onDBRFallback(reqs []probe.Request, b probe.Batch) {
-	e, cur := mm.e, mm.cur
-	d := &mm.dbr
-	for i, rep := range b.Replies {
-		if rep.VPDead {
-			mm.vpDied(reqs[i].VP.Addr)
-			continue
-		}
-		if hops, _ := extractReverse(rep.RR.Recorded, cur, e.Alias); len(hops) > 0 {
-			d.got++
-			d.observed[hops[0]] = true
-		}
-	}
-	mm.finishDBR()
-}
-
-// finishDBR classifies the samples: exactly two distinct next hops
-// across 1+dbrRepeats samples means the repeats agreed with each other
-// against the original — a violator, not per-packet load balancing.
-func (mm *Machine) finishDBR() {
-	mm.adoptRevealed(mm.dbr.got > 0 && len(mm.dbr.observed) == 2)
-}
-
 // adoptRevealed appends the RR-revealed hops to the result and decides
 // where the loop continues. The adoption ends at the first revealed hop
 // the atlas knows the way home from, so the loop intersects there instead
 // of probing on from a later one that may intersect nothing.
-func (mm *Machine) adoptRevealed(dbrSuspect bool) {
+func (mm *Machine) adoptRevealed() {
 	hops := mm.rev.hops
 	for i, h := range hops {
 		if mm.e.adoptWhole || h.IsPrivate() || mm.visited[h] {
@@ -1007,8 +903,8 @@ func (mm *Machine) adoptRevealed(dbrSuspect bool) {
 		}
 	}
 	mark := len(mm.res.Hops)
-	for i, h := range hops {
-		mm.res.Hops = append(mm.res.Hops, Hop{Addr: h, Tech: mm.rev.tech, DBRSuspect: i == 0 && dbrSuspect})
+	for _, h := range hops {
+		mm.res.Hops = append(mm.res.Hops, Hop{Addr: h, Tech: mm.rev.tech})
 	}
 	mm.adopted(mark)
 	mm.revDist -= len(hops)

@@ -32,9 +32,26 @@ const (
 	SymNever
 )
 
+// Bounds every configuration shares, beside the unexported cache cap,
+// dead-VP TTL and Timestamp probes per hop.
+const (
+	// SpoofBatchSize is the number of spoofed VPs probed per round (3 in
+	// revtr 2.0, §5.3).
+	SpoofBatchSize = 3
+	// SpoofTimeoutUS is the longest a spoofed batch waits (10 s, §5.2.4):
+	// the replies land at the source, which knows what it asked for, so a
+	// batch that holds them all is over at the last one and only a batch
+	// that is missing a reply waits this out (Machine.spoofWait).
+	SpoofTimeoutUS int64 = 10_000_000
+	// CacheTTLUS is the measurement reuse window (one day, Insight 1.4).
+	CacheTTLUS int64 = 24 * 3_600_000_000
+	// MaxHops bounds the reverse path length.
+	MaxHops = 40
+)
+
 // Options selects the engine configuration: what the paper's two systems
-// and Table 4's ablation vary. Bounds every configuration shares (cache
-// cap, dead-VP TTL, Timestamp probes per hop) are constants, not fields.
+// and Table 4's ablation vary. Bounds every configuration shares are
+// constants, not fields.
 type Options struct {
 	// VPSelection picks the spoofed-RR vantage point policy (Q3).
 	VPSelection ingress.Selection
@@ -53,18 +70,8 @@ type Options struct {
 	// Symmetry is the Q5 policy.
 	Symmetry SymmetryPolicy
 
-	// BatchSize is the number of spoofed VPs probed per round (3 in
-	// revtr 2.0, §5.3).
-	BatchSize int
-	// SpoofTimeoutUS is the longest a spoofed batch waits (10 s, §5.2.4):
-	// the replies land at the source, which knows what it asked for, so a
-	// batch that holds them all is over at the last one and only a batch
-	// that is missing a reply waits this out (Machine.spoofWait).
-	SpoofTimeoutUS int64
 	// MaxSpoofVPs bounds the total vantage points tried per stuck hop.
 	MaxSpoofVPs int
-	// CacheTTLUS is the measurement reuse window (one day).
-	CacheTTLUS int64
 	// SegmentStore, when non-nil, enables Doubletree-style
 	// cross-measurement memoization: before probing for the next reverse
 	// hop the engine consults the store and splices a memoized suffix
@@ -80,29 +87,17 @@ type Options struct {
 	// keeps the system from trivially "measuring" a path by reading the
 	// ground-truth traceroute.
 	ExcludeAtlasFromDstAS bool
-	// DetectDBRViolations enables Appendix E's optional redundancy: each
-	// Record Route revelation is re-measured, and hops whose next hop
-	// differs consistently across probes (i.e. not per-packet load
-	// balancing) are flagged DBRSuspect. Costs roughly one extra RR
-	// probe per revelation; off in both standard configurations.
-	DetectDBRViolations bool
-	// MaxHops bounds the reverse path length.
-	MaxHops int
 }
 
 // Revtr20Options returns the revtr 2.0 configuration.
 func Revtr20Options() Options {
 	return Options{
-		VPSelection:    ingress.SelIngress,
-		UseRRAtlas:     true,
-		UseTimestamp:   false,
-		UseCache:       true,
-		Symmetry:       SymIntraOnly,
-		BatchSize:      3,
-		SpoofTimeoutUS: 10_000_000,
-		MaxSpoofVPs:    12,
-		CacheTTLUS:     24 * 3_600_000_000,
-		MaxHops:        40,
+		VPSelection:  ingress.SelIngress,
+		UseRRAtlas:   true,
+		UseTimestamp: false,
+		UseCache:     true,
+		Symmetry:     SymIntraOnly,
+		MaxSpoofVPs:  12,
 	}
 }
 

@@ -125,7 +125,7 @@ func (w *verdictWatch) measure(src core.Source, dst ipv4.Addr) *core.Result {
 		// The walk ends behind the last vantage point of a full batch, and
 		// at the end of the plan otherwise (a short batch, or none at all).
 		end := len(plan)
-		if sweep && len(p.Reqs) == eng.Opts.BatchSize {
+		if sweep && len(p.Reqs) == core.SpoofBatchSize {
 			last := p.Reqs[len(p.Reqs)-1].VP.Addr
 			end = 1 + slices.IndexFunc(plan, func(a measure.Agent) bool { return a.Addr == last })
 		}
@@ -189,7 +189,7 @@ func btoi(b bool) int {
 // moreSources returns n sources in distinct ASes of c's world, c.src
 // first, each with an atlas built as c.src's was.
 func moreSources(c *chaosEnv, n int) []core.Source {
-	svc := atlas.NewService(c.env.Prober, c.env.Probes, atlas.FixedSites(c.env.Sites), c.env.Alias, 25, true, 8)
+	svc := atlas.NewService(c.env.Prober, c.env.Probes, atlas.FixedSites(c.env.Sites), c.env.Alias, 25, 8)
 	out := []core.Source{c.src}
 	for i := 1; len(out) < n; i++ {
 		a := c.env.Agent(c.env.SourceHost(i))
@@ -498,7 +498,7 @@ func TestSecondSourceReadsVerdicts(t *testing.T) {
 		t.Error("one of the two verdicts was never read: the test exercises half of what it claims")
 	}
 
-	c.env.Pool.Clock().Advance(shared.Opts.CacheTTLUS + 1)
+	c.env.Pool.Clock().Advance(core.CacheTTLUS + 1)
 	if expired := day(shared, b); expired != alone {
 		t.Errorf("B on the shared engine a day later: %+v, want what the fresh engine's run cost: %+v", expired, alone)
 	}

@@ -169,9 +169,9 @@ func TestTransitionsReportedOnce(t *testing.T) {
 			}
 			measure(eng, cancelled, c.dsts[0])
 			tight := o
-			tight.MaxHops = 1
 			tight.SegmentStore = nil
 			eng = engine(tight)
+			eng.SetMaxHops(1)
 			for _, d := range c.dsts {
 				measure(eng, context.Background(), d)
 			}

@@ -38,18 +38,13 @@ func driveMachine(eng *core.Engine, mm *core.Machine) (*core.Result, int) {
 // bit-identical to the reference straight-through run — then resume the
 // abandoned original too and require the same, proving the clone and
 // its parent share no mutable state. Three topology seeds under a lossy
-// fault plan, in both the revtr 2.0 (+DBR redundancy) and revtr 1.0
-// configurations.
+// fault plan, in both the revtr 2.0 and revtr 1.0 configurations.
 func TestResumeBitIdentity(t *testing.T) {
 	configs := []struct {
 		name string
 		opts func() core.Options
 	}{
-		{"revtr20+dbr", func() core.Options {
-			o := core.Revtr20Options()
-			o.DetectDBRViolations = true
-			return o
-		}},
+		{"revtr20", core.Revtr20Options},
 		{"revtr10", core.Revtr10Options},
 	}
 	for _, seed := range []int64{1, 4, 9} {

@@ -62,7 +62,7 @@ func replayRemainder(eng *core.Engine, p *core.Pending, seq *uint64) (answered, 
 		rest = append(rest, probe.Request{Kind: measure.KindSpoofedRR, VP: site, Src: src, Dst: cur, Seq: *seq})
 	}
 	for len(rest) > 0 {
-		n := min(eng.Opts.BatchSize, len(rest))
+		n := min(core.SpoofBatchSize, len(rest))
 		for _, rep := range eng.Pool.Do(context.Background(), rest[:n]).Replies {
 			if rep.RR.Responded {
 				answered = true
@@ -271,7 +271,7 @@ func TestNegativeRRCache(t *testing.T) {
 		t.Logf("%d of %d second measurements crossed a hop cached as revealing nothing (%d such hits)",
 			served, len(c.dsts), negHits.Value())
 
-		clock.Advance(eng.Opts.CacheTTLUS + 1)
+		clock.Advance(core.CacheTTLUS + 1)
 		remeasured(t, eng, negHits, stuck[0])
 	})
 

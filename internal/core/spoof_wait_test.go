@@ -124,23 +124,15 @@ func answerTo(req probe.Request, rttUS int64) measure.Reply {
 }
 
 // waitPhase names the wait phase the machine suspended in, read off the
-// shape of its pending p. prev is the phase before: spoofed Record Route
-// probes straight after the DBR check's direct repeats are its fallback,
-// not a sweep.
-func waitPhase(p *core.Pending, prev string) string {
+// shape of its pending p.
+func waitPhase(p *core.Pending) string {
 	if p.Kind == core.PendingTraceroute {
 		return "phTrWait"
 	}
 	switch p.Reqs[0].Kind {
 	case measure.KindRR:
-		if len(p.Reqs) > 1 {
-			return "phDBRWait"
-		}
 		return "phRRWait"
 	case measure.KindSpoofedRR:
-		if prev == "phDBRWait" {
-			return "phDBRFallbackWait"
-		}
 		return "phSpoofWait"
 	case measure.KindTS:
 		return "phTSDirectWait"
@@ -172,9 +164,8 @@ func TestDeliverBooks(t *testing.T) {
 	c := newChaosEnv(t, 8, 60)
 	bg := context.Background()
 	adj := sourceAdjacencies(c)
-	r20, dbr, r10 := core.Revtr20Options(), core.Revtr20Options(), core.Revtr10Options()
-	dbr.DetectDBRViolations = true
-	timeoutUS := r20.SpoofTimeoutUS
+	r20, r10 := core.Revtr20Options(), core.Revtr10Options()
+	timeoutUS := core.SpoofTimeoutUS
 
 	for _, tc := range []struct {
 		name, phase string
@@ -192,8 +183,6 @@ func TestDeliverBooks(t *testing.T) {
 		{"direct RR", "phRRWait", r20, []int64{4000}, 0, false, 4000, 0},
 		{"sweep batch, every reply in", "phSpoofWait", r20, []int64{1000, 3000, 2000}, 0, false, 3000, 1},
 		{"sweep batch, short of a reply", "phSpoofWait", r20, []int64{1000, 0}, 0, false, timeoutUS, 1},
-		{"DBR repeats", "phDBRWait", dbr, []int64{2000, 5000}, 0, false, 5000, 0},
-		{"DBR fallback", "phDBRFallbackWait", dbr, []int64{1500}, 0, false, 1500, 1},
 		{"direct Timestamp", "phTSDirectWait", r10, []int64{2500}, 0, false, 2500, 0},
 		{"spoofed Timestamp", "phTSSpoofWait", r10, []int64{0}, 0, false, timeoutUS, 1},
 		{"traceroute", "phTrWait", r20, []int64{7000}, 5, false, 7000, 0},
@@ -206,10 +195,9 @@ func TestDeliverBooks(t *testing.T) {
 			for _, dst := range c.dsts {
 				ctx, cancel := context.WithCancel(bg)
 				defer cancel()
-				mm, prev := eng.Begin(ctx, c.src, dst), ""
+				mm := eng.Begin(ctx, c.src, dst)
 				for p := mm.Next(); p != nil; p = mm.Next() {
-					prev = waitPhase(p, prev)
-					if prev != tc.phase {
+					if waitPhase(p) != tc.phase {
 						mm.Deliver(eng.ExecPending(ctx, p))
 						continue
 					}
@@ -277,7 +265,7 @@ func TestCancelKeepsDeliveredWaits(t *testing.T) {
 		ctx, cancel := context.WithCancel(bg)
 		defer cancel()
 		eng, _ := c.engine(1, probe.RetryPolicy{})
-		l := waitLedger{timeoutUS: eng.Opts.SpoofTimeoutUS}
+		l := waitLedger{timeoutUS: core.SpoofTimeoutUS}
 		var firstUS int64 // what the sweep's first batch waited
 		mm := eng.Begin(ctx, c.src, dst)
 		for p := mm.Next(); p != nil; p = mm.Next() {
@@ -321,7 +309,7 @@ func TestSpoofWait(t *testing.T) {
 	}
 	s := stuck[0]
 	bg := context.Background()
-	timeoutUS := core.Revtr20Options().SpoofTimeoutUS
+	timeoutUS := core.SpoofTimeoutUS
 	const timeouts, failovers = "engine_spoof_batch_timeouts_total", "vp_failover_total"
 
 	answer := func(rttUS int64) measure.Reply { return answerTo(probe.Request{Dst: s.hop}, rttUS) }
@@ -505,7 +493,8 @@ func TestReplyCompleteLedger(t *testing.T) {
 	bg := context.Background()
 	t.Logf("%-14s %6s %8s %9s %6s %7s %12s %12s", "plan", "pairs", "batches", "complete", "short", "share", "wait-out s", "charged s")
 	check := func(name string, eng, twin *core.Engine, pairs []srcDst, minShare float64) {
-		timeoutUS := eng.Opts.SpoofTimeoutUS
+		timeoutUS := core.SpoofTimeoutUS
+		twin.SetSpoofTimeout(2 * timeoutUS)
 		timedOut := observe(eng).Counter("engine_spoof_batch_timeouts_total")
 		tot := waitLedger{timeoutUS: timeoutUS}
 		for _, pr := range pairs {
@@ -521,7 +510,7 @@ func TestReplyCompleteLedger(t *testing.T) {
 				t.Errorf("%s %s->%s: a longer timeout changed the measurement:\n%s\n%s",
 					name, pr.src.Agent.Addr, pr.dst, renderCoreResult(res), renderCoreResult(tw))
 			}
-			if got, want := tw.DurationUS-res.DurationUS, int64(l.short)*(twin.Opts.SpoofTimeoutUS-timeoutUS); got != want {
+			if got, want := tw.DurationUS-res.DurationUS, int64(l.short)*timeoutUS; got != want {
 				t.Errorf("%s %s->%s: twice the timeout costs %d more, want %d for %d batches short of a reply",
 					name, pr.src.Agent.Addr, pr.dst, got, want, l.short)
 			}
@@ -538,8 +527,6 @@ func TestReplyCompleteLedger(t *testing.T) {
 			t.Errorf("%s: %d of %d spoofed batches complete, want both classes and a share of at least %.2f", name, tot.complete, batches, minShare)
 		}
 	}
-	twice := core.Revtr20Options()
-	twice.SpoofTimeoutUS *= 2
 	for _, seed := range []int64{1, 2, 3} {
 		c := newChaosEnv(t, seed, 100)
 		var pairs []srcDst
@@ -547,12 +534,12 @@ func TestReplyCompleteLedger(t *testing.T) {
 			pairs = append(pairs, srcDst{c.src, dst})
 		}
 		eng, _ := c.engine(1, probe.RetryPolicy{})
-		twin, _ := c.engineOpts(1, probe.RetryPolicy{}, twice)
+		twin, _ := c.engine(1, probe.RetryPolicy{})
 		check(fmt.Sprintf("seed%d/clean", seed), eng, twin, pairs, 0.7)
 
 		c.env.Fabric.SetFaults(&faults.Plan{Seed: uint64(seed), LinkLoss: 0.02, ICMPFrac: 0.3, ICMPPass: 0.5})
 		eng, _ = c.engine(1, probe.RetryPolicy{Max: 2})
-		twin, _ = c.engineOpts(1, probe.RetryPolicy{Max: 2}, twice)
+		twin, _ = c.engine(1, probe.RetryPolicy{Max: 2})
 		check(fmt.Sprintf("seed%d/faulty", seed), eng, twin, pairs, 0)
 	}
 	if testing.Short() {
@@ -574,5 +561,5 @@ func TestReplyCompleteLedger(t *testing.T) {
 			}
 		}
 	}
-	check("bench/clean", d.Engine(core.Revtr20Options()), d.Engine(twice), pairs, 0.7)
+	check("bench/clean", d.Engine(core.Revtr20Options()), d.Engine(core.Revtr20Options()), pairs, 0.7)
 }

@@ -179,7 +179,7 @@ func TestVPFailoverStampedAfterTheWait(t *testing.T) {
 				continue
 			}
 			failovers++
-			if ev.VirtUS < before.VirtUS+eng.Opts.SpoofTimeoutUS {
+			if ev.VirtUS < before.VirtUS+core.SpoofTimeoutUS {
 				t.Errorf("%s: vp-failover at %d us, %s before it at %d us: the batch's wait is missing from the stamp",
 					dst, ev.VirtUS, before.Kind, before.VirtUS)
 			}

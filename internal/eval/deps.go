@@ -45,15 +45,14 @@ func cachedDeployment(s Scale, vintage vantage.Vintage, skipSurvey bool) *revtr.
 		return d
 	}
 	cfg := revtr.Config{
-		Topology:      topology.DefaultConfig(s.ASes),
-		Sites:         s.Sites,
-		Vintage:       vintage,
-		Probes:        s.Probes,
-		ProbeCredits:  1 << 30,
-		AtlasSize:     s.AtlasSize,
-		AliasCoverage: 0.35,
-		Seed:          s.Seed,
-		SkipSurvey:    skipSurvey,
+		Topology:     topology.DefaultConfig(s.ASes),
+		Sites:        s.Sites,
+		Vintage:      vintage,
+		Probes:       s.Probes,
+		ProbeCredits: 1 << 30,
+		AtlasSize:    s.AtlasSize,
+		Seed:         s.Seed,
+		SkipSurvey:   skipSurvey,
 	}
 	if vintage == vantage.Vintage2016 {
 		cfg.Topology = topology.Config2016(s.ASes)

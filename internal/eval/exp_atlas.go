@@ -292,14 +292,13 @@ func init() {
 	register("fig9d", "Fig 9d: atlas staleness over a day of churn", func(ctx context.Context, s Scale, w io.Writer) error {
 		// Dedicated deployment: churn mutates routing state.
 		cfg := revtr.Config{
-			Topology:      topology.DefaultConfig(s.ASes),
-			Sites:         s.Sites,
-			Vintage:       vantage.Vintage2020,
-			Probes:        s.Probes,
-			ProbeCredits:  1 << 30,
-			AtlasSize:     s.AtlasSize,
-			AliasCoverage: 0.35,
-			Seed:          s.Seed + 9,
+			Topology:     topology.DefaultConfig(s.ASes),
+			Sites:        s.Sites,
+			Vintage:      vantage.Vintage2020,
+			Probes:       s.Probes,
+			ProbeCredits: 1 << 30,
+			AtlasSize:    s.AtlasSize,
+			Seed:         s.Seed + 9,
 		}
 		cfg.Topology.Seed = s.Seed + 9
 		d := revtr.Build(cfg)

@@ -58,14 +58,13 @@ type teEnv struct {
 
 func buildTE(s Scale) *teEnv {
 	cfg := revtr.Config{
-		Topology:      topology.DefaultConfig(s.ASes),
-		Sites:         s.Sites,
-		Vintage:       vantage.Vintage2020,
-		Probes:        s.Probes,
-		ProbeCredits:  1 << 30,
-		AtlasSize:     s.AtlasSize,
-		AliasCoverage: 0.35,
-		Seed:          s.Seed + 11,
+		Topology:     topology.DefaultConfig(s.ASes),
+		Sites:        s.Sites,
+		Vintage:      vantage.Vintage2020,
+		Probes:       s.Probes,
+		ProbeCredits: 1 << 30,
+		AtlasSize:    s.AtlasSize,
+		Seed:         s.Seed + 11,
 	}
 	cfg.Topology.Seed = s.Seed + 11
 	d := revtr.Build(cfg)

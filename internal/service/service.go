@@ -44,11 +44,10 @@ type User struct {
 
 // SourceInfo describes a registered Reverse Traceroute source.
 type SourceInfo struct {
-	Addr           string `json:"addr"`
-	AtlasSize      int    `json:"atlasSize"`
-	RRReachable    bool   `json:"rrReachable"`
-	ServesAsVP     bool   `json:"servesAsVP"`
-	RegisteredAtUS int64  `json:"registeredAtUs"`
+	Addr        string `json:"addr"`
+	AtlasSize   int    `json:"atlasSize"`
+	RRReachable bool   `json:"rrReachable"`
+	ServesAsVP  bool   `json:"servesAsVP"`
 }
 
 // Measurement is a stored reverse traceroute result.

@@ -53,9 +53,6 @@ type Config struct {
 	// AtlasSize is the number of traceroutes per source's atlas (1000 in
 	// the paper).
 	AtlasSize int
-	// AliasCoverage is the fraction of routers the MIDAR-like dataset
-	// resolves.
-	AliasCoverage float64
 	// SkipSurvey skips the ingress survey (callers that never issue
 	// spoofed RR probes, or that run their own survey).
 	SkipSurvey bool
@@ -65,14 +62,13 @@ type Config struct {
 // DefaultConfig returns a deployment sized for n ASes.
 func DefaultConfig(n int) Config {
 	return Config{
-		Topology:      topology.DefaultConfig(n),
-		Sites:         clamp(n/20, 8, 146),
-		Vintage:       vantage.Vintage2020,
-		Probes:        clamp(n/2, 20, 10000),
-		ProbeCredits:  100000,
-		AtlasSize:     clamp(n/6, 10, 1000),
-		AliasCoverage: 0.35,
-		Seed:          1,
+		Topology:     topology.DefaultConfig(n),
+		Sites:        clamp(n/20, 8, 146),
+		Vintage:      vantage.Vintage2020,
+		Probes:       clamp(n/2, 20, 10000),
+		ProbeCredits: 100000,
+		AtlasSize:    clamp(n/6, 10, 1000),
+		Seed:         1,
 	}
 }
 
@@ -112,16 +108,15 @@ type Deployment struct {
 	AtlasSvc   *atlas.Service
 	IngressSvc *ingress.Service
 
-	// BackgroundProbes snapshots the probe budget consumed by offline
-	// work (survey + atlas building), excluded from per-measurement
-	// accounting.
-	BackgroundProbes measure.Counters
-
 	rng *rand.Rand
 }
 
 // treeCacheBytes is the memory Build lets cached BGP routing trees take.
 const treeCacheBytes = 8 << 20
+
+// aliasCoverage is the fraction of routers the MIDAR-like dataset
+// resolves (the alias ablation varies it on its own datasets).
+const aliasCoverage = 0.35
 
 // Build generates the topology and assembles every subsystem. With
 // cfg.SkipSurvey false this includes the ingress survey over all routed
@@ -145,7 +140,7 @@ func Build(cfg Config) *Deployment {
 	probes := vantage.PlaceProbes(topo, cfg.Probes, cfg.ProbeCredits, cfg.Seed)
 
 	res := &alias.Combined{
-		Midar: alias.NewMidar(topo, cfg.AliasCoverage, cfg.Seed),
+		Midar: alias.NewMidar(topo, aliasCoverage, cfg.Seed),
 		SNMP:  alias.NewSNMP(topo, alias.SNMPConfig{}, cfg.Seed),
 	}
 
@@ -189,11 +184,10 @@ func Build(cfg Config) *Deployment {
 		}
 		return out
 	}
-	d.AtlasSvc = atlas.NewService(prober, probes, pick, res, cfg.AtlasSize, true, cfg.Seed)
+	d.AtlasSvc = atlas.NewService(prober, probes, pick, res, cfg.AtlasSize, cfg.Seed)
 	if !cfg.SkipSurvey {
 		d.RunSurvey()
 	}
-	d.BackgroundProbes = prober.Count
 	return d
 }
 
