@@ -30,7 +30,9 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
+	"net/url"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -270,18 +272,18 @@ func (c *client) stream(path string, extraHeaders map[string]string) error {
 
 // tail follows the server-wide firehose of completed measurements.
 func (c *client) tail(adminKey, user, src, dst string, replay int) error {
-	q := make([]string, 0, 4)
+	q := url.Values{}
 	for _, kv := range [][2]string{{"user", user}, {"src", src}, {"dst", dst}} {
 		if kv[1] != "" {
-			q = append(q, kv[0]+"="+kv[1])
+			q.Set(kv[0], kv[1])
 		}
 	}
 	if replay > 0 {
-		q = append(q, fmt.Sprintf("replay=%d", replay))
+		q.Set("replay", strconv.Itoa(replay))
 	}
 	path := "/api/v1/firehose"
 	if len(q) > 0 {
-		path += "?" + strings.Join(q, "&")
+		path += "?" + q.Encode()
 	}
 	var hdr map[string]string
 	if adminKey != "" {

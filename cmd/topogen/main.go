@@ -1,6 +1,5 @@
 // Command topogen generates a simulated Internet topology and prints its
-// statistics — useful for understanding what the experiments run over and
-// for tuning topology parameters.
+// statistics — useful for understanding what the experiments run over.
 //
 //	topogen -ases 1000 -seed 7
 //	topogen -ases 1000 -vintage 2016
@@ -25,17 +24,15 @@ func main() {
 	)
 	flag.Parse()
 
-	var cfg topology.Config
+	cfg := topology.Config{Seed: *seed, NumASes: *ases}
 	switch *vintage {
 	case "2020":
-		cfg = topology.DefaultConfig(*ases)
 	case "2016":
-		cfg = topology.Config2016(*ases)
+		cfg.Vintage = topology.Vintage2016
 	default:
 		fmt.Fprintf(os.Stderr, "unknown vintage %q\n", *vintage)
 		os.Exit(2)
 	}
-	cfg.Seed = *seed
 	if err := cfg.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

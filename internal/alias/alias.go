@@ -68,22 +68,19 @@ type SNMP struct {
 	id map[ipv4.Addr]uint64
 }
 
-// SNMPConfig tunes the dataset imperfections; zero values take the
-// paper's numbers.
-type SNMPConfig struct {
-	AllAddrsFrac float64 // routers responding on all addresses (else one)
-	SameIDFrac   float64 // routers using one identifier on all addresses
-}
+// The dataset's imperfections, at the paper's rates (§4.4).
+const (
+	snmpAllAddrsFrac = 0.814 // routers responding on all addresses (else one)
+	snmpSameIDFrac   = 0.948 // routers using one identifier on all addresses
+)
 
 // NewSNMP builds the dataset over the topology's SNMPv3-responsive
 // routers.
-func NewSNMP(topo *topology.Topology, cfg SNMPConfig, seed int64) *SNMP {
-	if cfg.AllAddrsFrac == 0 {
-		cfg.AllAddrsFrac = 0.814
-	}
-	if cfg.SameIDFrac == 0 {
-		cfg.SameIDFrac = 0.948
-	}
+func NewSNMP(topo *topology.Topology, seed int64) *SNMP {
+	return newSNMP(topo, seed, snmpAllAddrsFrac, snmpSameIDFrac)
+}
+
+func newSNMP(topo *topology.Topology, seed int64, allAddrsFrac, sameIDFrac float64) *SNMP {
 	rng := rand.New(rand.NewSource(seed))
 	s := &SNMP{id: make(map[ipv4.Addr]uint64)}
 	for _, r := range topo.Routers {
@@ -92,8 +89,8 @@ func NewSNMP(topo *topology.Topology, cfg SNMPConfig, seed int64) *SNMP {
 		}
 		baseID := rng.Uint64() | 1
 		aliases := topo.Aliases(r.ID)
-		allAddrs := rng.Float64() < cfg.AllAddrsFrac
-		sameID := rng.Float64() < cfg.SameIDFrac
+		allAddrs := rng.Float64() < allAddrsFrac
+		sameID := rng.Float64() < sameIDFrac
 		for i, a := range aliases {
 			if !allAddrs && i > 0 {
 				continue // only the first address responds

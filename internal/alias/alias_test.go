@@ -68,7 +68,7 @@ func TestMidarNoCrossRouterAliases(t *testing.T) {
 
 func TestSNMPIdentifiers(t *testing.T) {
 	topo := topoFor(t)
-	s := NewSNMP(topo, SNMPConfig{AllAddrsFrac: 1.0, SameIDFrac: 1.0}, 1)
+	s := newSNMP(topo, 1, 1.0, 1.0)
 	responded := 0
 	for _, r := range topo.Routers {
 		if !r.SNMPv3 {
@@ -100,7 +100,7 @@ func TestSNMPIdentifiers(t *testing.T) {
 
 func TestSNMPPartialResponse(t *testing.T) {
 	topo := topoFor(t)
-	s := NewSNMP(topo, SNMPConfig{AllAddrsFrac: 0.0001, SameIDFrac: 1.0}, 1)
+	s := newSNMP(topo, 1, 0.0001, 1.0)
 	// With AllAddrsFrac≈0 nearly every responder answers only on its
 	// first address.
 	multi := 0
@@ -144,7 +144,7 @@ func TestCombinedFallsThrough(t *testing.T) {
 	topo := topoFor(t)
 	c := &Combined{
 		Midar: NewMidar(topo, 0.0, 1), // empty
-		SNMP:  NewSNMP(topo, SNMPConfig{AllAddrsFrac: 1, SameIDFrac: 1}, 1),
+		SNMP:  newSNMP(topo, 1, 1, 1),
 	}
 	for _, r := range topo.Routers {
 		if r.SNMPv3 {

@@ -207,7 +207,7 @@ func (m *mctx) reserve(n int) uint64 {
 // is exactly the machine's. ctx deadlines and cancellation are honoured
 // between stages and between spoofed batches: a cancelled measurement
 // returns promptly with StatusFailed (and Cancelled set) and its
-// partial probe accounting. ctx may be nil (context.Background()).
+// partial probe accounting.
 func (e *Engine) MeasureReverse(ctx context.Context, src Source, dst ipv4.Addr) *Result {
 	return e.MeasureReverseStream(ctx, src, dst, nil)
 }

@@ -248,13 +248,10 @@ func (mm *Machine) fallback(next Technique, ph phase) {
 }
 
 // Begin opens a measurement of the reverse path from dst back to src as
-// a resumable state machine. ctx may be nil (context.Background());
-// deadlines and cancellation are honoured between stages and between
-// spoofed batches, exactly as in MeasureReverse.
+// a resumable state machine. ctx deadlines and cancellation are
+// honoured between stages and between spoofed batches, exactly as in
+// MeasureReverse.
 func (e *Engine) Begin(ctx context.Context, src Source, dst ipv4.Addr) *Machine {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	mm := &Machine{
 		e:   e,
 		src: src,

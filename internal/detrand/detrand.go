@@ -26,12 +26,13 @@ func New(seed int64, stream string) *rand.Rand {
 func Seed(seed int64, stream string) int64 {
 	h := fnv.New64a()
 	h.Write([]byte(stream))
-	return int64(mix64(uint64(seed) ^ h.Sum64()))
+	return int64(Mix64(uint64(seed) ^ h.Sum64()))
 }
 
-// mix64 is the splitmix64-style finalizer used across the simulation
-// (fabric tie-breakers, fault plans, probe keys).
-func mix64(x uint64) uint64 {
+// Mix64 is the splitmix64 finalizer every deterministic hash in the
+// simulation is built on (fabric and BGP tie-breakers, fault draws,
+// probe keys, stream seeds).
+func Mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
@@ -39,3 +40,7 @@ func mix64(x uint64) uint64 {
 	x ^= x >> 31
 	return x
 }
+
+// Mix hashes the pair (a, b): b spread by the golden-ratio increment,
+// folded into a, then finalized.
+func Mix(a, b uint64) uint64 { return Mix64(a ^ b*0x9e3779b97f4a7c15) }

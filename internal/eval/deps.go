@@ -8,7 +8,6 @@ import (
 	"revtr/internal/core"
 	"revtr/internal/measure"
 	"revtr/internal/netsim/topology"
-	"revtr/internal/vantage"
 )
 
 // Deployments are expensive (topology generation + ingress survey), so
@@ -18,26 +17,26 @@ var (
 	depCache = map[string]*revtr.Deployment{}
 )
 
-func deployment(s Scale, vintage vantage.Vintage) *revtr.Deployment {
+func deployment(s Scale, vintage topology.Vintage) *revtr.Deployment {
 	return cachedDeployment(s, vintage, false)
 }
 
 // deploymentNoSurvey builds a 2020 deployment without the ingress survey,
 // for experiments that issue all probes themselves (Table 6, Fig 11).
 func deploymentNoSurvey(s Scale) *revtr.Deployment {
-	return cachedDeployment(s, vantage.Vintage2020, true)
+	return cachedDeployment(s, topology.Vintage2020, true)
 }
 
 // deployment2016 builds the pre-flattening variant for Table 6 / Fig 11,
 // which only issue their own probes.
 func deployment2016(s Scale) *revtr.Deployment {
-	return cachedDeployment(s, vantage.Vintage2016, true)
+	return cachedDeployment(s, topology.Vintage2016, true)
 }
 
 // cachedDeployment builds, once per distinct input, the deployment of
 // scale s at a vintage, with or without the ingress survey. The 2016
 // vintage sits on the pre-flattening topology, with half the sites.
-func cachedDeployment(s Scale, vintage vantage.Vintage, skipSurvey bool) *revtr.Deployment {
+func cachedDeployment(s Scale, vintage topology.Vintage, skipSurvey bool) *revtr.Deployment {
 	key := fmt.Sprintf("%d/%d/%d/%d/%d/%d/%v", s.ASes, s.Sites, s.Probes, s.AtlasSize, s.Seed, vintage, skipSurvey)
 	depMu.Lock()
 	defer depMu.Unlock()
@@ -45,20 +44,17 @@ func cachedDeployment(s Scale, vintage vantage.Vintage, skipSurvey bool) *revtr.
 		return d
 	}
 	cfg := revtr.Config{
-		Topology:     topology.DefaultConfig(s.ASes),
+		Topology:     topology.Config{Seed: s.Seed, NumASes: s.ASes, Vintage: vintage},
 		Sites:        s.Sites,
-		Vintage:      vintage,
 		Probes:       s.Probes,
 		ProbeCredits: 1 << 30,
 		AtlasSize:    s.AtlasSize,
 		Seed:         s.Seed,
 		SkipSurvey:   skipSurvey,
 	}
-	if vintage == vantage.Vintage2016 {
-		cfg.Topology = topology.Config2016(s.ASes)
+	if vintage == topology.Vintage2016 {
 		cfg.Sites = s.Sites / 2 // fewer sites existed in 2016
 	}
-	cfg.Topology.Seed = s.Seed
 	d := revtr.Build(cfg)
 	depCache[key] = d
 	return d

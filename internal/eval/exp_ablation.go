@@ -2,14 +2,13 @@ package eval
 
 import (
 	"context"
-
 	"fmt"
 	"io"
 
 	"revtr/internal/alias"
 	"revtr/internal/core"
 	"revtr/internal/ip2as"
-	"revtr/internal/vantage"
+	"revtr/internal/netsim/topology"
 )
 
 // The ablation experiment covers the DESIGN.md §4 design choices not
@@ -19,7 +18,7 @@ import (
 // extraction and the accuracy evaluation itself).
 func init() {
 	register("ablation", "design-choice ablations (symmetry policy, alias coverage)", func(ctx context.Context, s Scale, w io.Writer) error {
-		d := deployment(s, vantage.Vintage2020)
+		d := deployment(s, topology.Vintage2020)
 		src := d.SourceFromAgent(d.SiteAgents[0])
 		dests := probeDestinations(d)
 		if len(dests) > s.Pairs {

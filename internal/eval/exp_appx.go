@@ -11,7 +11,7 @@ import (
 	"revtr/internal/ip2as"
 	"revtr/internal/measure"
 	"revtr/internal/netsim/ipv4"
-	"revtr/internal/vantage"
+	"revtr/internal/netsim/topology"
 )
 
 // Appendix E: quantifying destination-based routing violations. For each
@@ -24,7 +24,7 @@ import (
 // balancing does not make the measured path wrong).
 func init() {
 	register("appxE", "Appx E: destination-based routing violations", func(ctx context.Context, s Scale, w io.Writer) error {
-		d := deployment(s, vantage.Vintage2020)
+		d := deployment(s, topology.Vintage2020)
 		rng := rand.New(rand.NewSource(s.Seed + 13))
 		dests := d.OnePerPrefix()
 		tuples, violations, asAffecting, lbExcluded := 0, 0, 0, 0

@@ -15,7 +15,6 @@ import (
 	"revtr/internal/netsim/dynamics"
 	"revtr/internal/netsim/ipv4"
 	"revtr/internal/netsim/topology"
-	"revtr/internal/vantage"
 )
 
 // Appx D.2: traceroute atlas design studies. Fig 9a–c operate on a corpus
@@ -292,15 +291,13 @@ func init() {
 	register("fig9d", "Fig 9d: atlas staleness over a day of churn", func(ctx context.Context, s Scale, w io.Writer) error {
 		// Dedicated deployment: churn mutates routing state.
 		cfg := revtr.Config{
-			Topology:     topology.DefaultConfig(s.ASes),
+			Topology:     topology.Config{Seed: s.Seed + 9, NumASes: s.ASes},
 			Sites:        s.Sites,
-			Vintage:      vantage.Vintage2020,
 			Probes:       s.Probes,
 			ProbeCredits: 1 << 30,
 			AtlasSize:    s.AtlasSize,
 			Seed:         s.Seed + 9,
 		}
-		cfg.Topology.Seed = s.Seed + 9
 		d := revtr.Build(cfg)
 		churn := dynamics.New(d.Fabric, s.Seed+9)
 		src := d.SourceFromAgent(d.SiteAgents[0])

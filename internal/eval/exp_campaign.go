@@ -13,7 +13,6 @@ import (
 	"revtr/internal/ip2as"
 	"revtr/internal/measure"
 	"revtr/internal/netsim/topology"
-	"revtr/internal/vantage"
 )
 
 // The large-scale bidirectional campaign (§5.1, §6.2): reverse traceroutes
@@ -49,7 +48,7 @@ func runCampaign(ctx context.Context, s Scale) *campaignData {
 	}
 	campMu.Unlock()
 
-	d := deployment(s, vantage.Vintage2020)
+	d := deployment(s, topology.Vintage2020)
 	c := &campaignData{d: d, sources: sourcesFor(d, s.Sources)}
 	eng := d.Engine(core.Revtr20Options())
 

@@ -15,7 +15,6 @@ import (
 	"revtr/internal/measure"
 	"revtr/internal/netsim/ipv4"
 	"revtr/internal/netsim/topology"
-	"revtr/internal/vantage"
 )
 
 // The §5.2 comparison workload: reverse traceroutes from RIPE-Atlas-style
@@ -128,7 +127,7 @@ func runFig5(ctx context.Context, s Scale) *fig5Data {
 	}
 	fig5Mu.Unlock()
 
-	d := deployment(s, vantage.Vintage2020)
+	d := deployment(s, topology.Vintage2020)
 	f := &fig5Data{
 		d:       d,
 		sources: sourcesFor(d, s.Sources),

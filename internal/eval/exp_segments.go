@@ -8,8 +8,8 @@ import (
 	"revtr/internal/core"
 	"revtr/internal/core/segments"
 	"revtr/internal/netsim/ipv4"
+	"revtr/internal/netsim/topology"
 	"revtr/internal/obs"
-	"revtr/internal/vantage"
 )
 
 // The segments experiment ablates Doubletree-style segment memoization
@@ -23,7 +23,7 @@ import (
 // internal/core pins this bit-for-bit).
 func init() {
 	register("segments", "segment memoization ablation: probe savings vs path fidelity", func(ctx context.Context, s Scale, w io.Writer) error {
-		d := deployment(s, vantage.Vintage2020)
+		d := deployment(s, topology.Vintage2020)
 		src := d.SourceFromAgent(d.SiteAgents[0])
 		dests := probeDestinations(d)
 		if len(dests) > s.Pairs/2 {

@@ -12,7 +12,7 @@ import (
 	"revtr/internal/ip2as"
 	"revtr/internal/measure"
 	"revtr/internal/netsim/ipv4"
-	"revtr/internal/vantage"
+	"revtr/internal/netsim/topology"
 )
 
 // Table 2 (§4.4): how often is the penultimate hop of a forward traceroute
@@ -48,7 +48,7 @@ type table2Result struct {
 }
 
 func runTable2(s Scale) table2Result {
-	d := deployment(s, vantage.Vintage2020)
+	d := deployment(s, topology.Vintage2020)
 	rng := rand.New(rand.NewSource(s.Seed + 2))
 	var res table2Result
 	var p2p alias.Slash30

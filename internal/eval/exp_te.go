@@ -15,7 +15,6 @@ import (
 	"revtr/internal/netsim/fabric"
 	"revtr/internal/netsim/ipv4"
 	"revtr/internal/netsim/topology"
-	"revtr/internal/vantage"
 )
 
 // Fig 7 (§6.1): the PEERING traffic-engineering case study. A testbed
@@ -58,15 +57,13 @@ type teEnv struct {
 
 func buildTE(s Scale) *teEnv {
 	cfg := revtr.Config{
-		Topology:     topology.DefaultConfig(s.ASes),
+		Topology:     topology.Config{Seed: s.Seed + 11, NumASes: s.ASes},
 		Sites:        s.Sites,
-		Vintage:      vantage.Vintage2020,
 		Probes:       s.Probes,
 		ProbeCredits: 1 << 30,
 		AtlasSize:    s.AtlasSize,
 		Seed:         s.Seed + 11,
 	}
-	cfg.Topology.Seed = s.Seed + 11
 	d := revtr.Build(cfg)
 
 	// Attachment ASes for the 7 sites: a far "UFMG" site behind an NREN

@@ -11,7 +11,7 @@ import (
 	"revtr/internal/ingress"
 	"revtr/internal/measure"
 	"revtr/internal/netsim/ipv4"
-	"revtr/internal/vantage"
+	"revtr/internal/netsim/topology"
 )
 
 // §5.3: evaluating Record Route vantage point selection. For every BGP
@@ -58,7 +58,7 @@ func runVPSel(s Scale) *vpselData {
 	}
 	vpselMu.Unlock()
 
-	d := deployment(s, vantage.Vintage2020)
+	d := deployment(s, topology.Vintage2020)
 	v := &vpselData{
 		d:          d,
 		evalDst:    map[ipv4.Prefix]ipv4.Addr{},

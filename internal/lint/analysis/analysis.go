@@ -76,18 +76,3 @@ func IsPkgFunc(fn *types.Func, pkgPath string, names ...string) bool {
 	}
 	return false
 }
-
-// WalkStack traverses the file like ast.Inspect but hands visit the full
-// ancestor stack (stack[len(stack)-1] == n).
-func WalkStack(file *ast.File, visit func(n ast.Node, stack []ast.Node)) {
-	var stack []ast.Node
-	ast.Inspect(file, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		stack = append(stack, n)
-		visit(n, stack)
-		return true
-	})
-}

@@ -13,14 +13,8 @@
 //
 //  3. context.Background() and context.TODO() must not be synthesized
 //     outside package main and tests: minting a fresh context severs
-//     the caller's cancellation. The one allowed shape is nil-context
-//     normalization at an API boundary:
-//
-//     if ctx == nil {
-//     ctx = context.Background()
-//     }
-//
-// which preserves the caller's context whenever one was provided.
+//     the caller's cancellation. There is no exception — contexts are
+//     never nil, so no API boundary normalizes one.
 package ctxflow
 
 import (
@@ -35,7 +29,7 @@ import (
 // Analyzer is the ctxflow analyzer.
 var Analyzer = &flow.Analyzer{
 	Name: "ctxflow",
-	Doc:  "exported probe-issuing/blocking functions take ctx first; context.Background only in main, tests, and nil-normalization",
+	Doc:  "exported probe-issuing/blocking functions take ctx first; context.Background only in main and tests",
 	Run:  run,
 }
 
@@ -191,61 +185,15 @@ func recvTypeName(fn *types.Func) string {
 	return t.String()
 }
 
-// checkBackground flags context.Background()/TODO() synthesis outside
-// the nil-normalization idiom.
+// checkBackground flags every context.Background()/TODO() synthesis.
 func checkBackground(pass *flow.Pass, info *types.Info, f *ast.File) {
-	analysis.WalkStack(f, func(n ast.Node, stack []ast.Node) {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return
+	ast.Inspect(f, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if fn := analysis.CalleeFunc(info, call); analysis.IsPkgFunc(fn, "context", "Background", "TODO") {
+				pass.Reportf(call.Pos(),
+					"context.%s() synthesized outside main/tests severs the caller's cancellation; thread the caller's ctx through", fn.Name())
+			}
 		}
-		fn := analysis.CalleeFunc(info, call)
-		if !analysis.IsPkgFunc(fn, "context", "Background", "TODO") {
-			return
-		}
-		if fn.Name() == "Background" && isNilNormalization(info, call, stack) {
-			return
-		}
-		pass.Reportf(call.Pos(),
-			"context.%s() synthesized outside main/tests severs the caller's cancellation; thread the caller's ctx through (or normalize only via `if ctx == nil { ctx = context.Background() }`)", fn.Name())
+		return true
 	})
-}
-
-// isNilNormalization matches `if x == nil { x = context.Background() }`.
-func isNilNormalization(info *types.Info, call *ast.CallExpr, stack []ast.Node) bool {
-	// stack: ... IfStmt BlockStmt AssignStmt CallExpr
-	if len(stack) < 4 {
-		return false
-	}
-	as, ok := stack[len(stack)-2].(*ast.AssignStmt)
-	if !ok || as.Tok != token.ASSIGN || len(as.Lhs) != 1 || len(as.Rhs) != 1 || as.Rhs[0] != call {
-		return false
-	}
-	lhs, ok := ast.Unparen(as.Lhs[0]).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	ifStmt, ok := stack[len(stack)-4].(*ast.IfStmt)
-	if !ok {
-		return false
-	}
-	cond, ok := ast.Unparen(ifStmt.Cond).(*ast.BinaryExpr)
-	if !ok || cond.Op != token.EQL {
-		return false
-	}
-	x, y := ast.Unparen(cond.X), ast.Unparen(cond.Y)
-	for _, pair := range [2][2]ast.Expr{{x, y}, {y, x}} {
-		id, ok := pair[0].(*ast.Ident)
-		if !ok {
-			continue
-		}
-		nilIdent, ok := pair[1].(*ast.Ident)
-		if !ok || nilIdent.Name != "nil" {
-			continue
-		}
-		if info.ObjectOf(id) == info.ObjectOf(lhs) {
-			return true
-		}
-	}
-	return false
 }

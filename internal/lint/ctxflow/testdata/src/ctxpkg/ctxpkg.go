@@ -45,10 +45,11 @@ func SpawnOnly(ch chan int) {
 	}()
 }
 
-// Normalize is the one sanctioned context.Background shape.
+// Normalize replaces a nil context: rule 3 has no exception, so even
+// this shape is flagged.
 func Normalize(ctx context.Context) error {
 	if ctx == nil {
-		ctx = context.Background()
+		ctx = context.Background() // want "context.Background.. synthesized outside main/tests"
 	}
 	return issue(ctx, "x")
 }

@@ -3,6 +3,7 @@ package measure
 import (
 	"sync/atomic"
 
+	"revtr/internal/detrand"
 	"revtr/internal/netsim/fabric"
 	"revtr/internal/netsim/ipv4"
 )
@@ -137,24 +138,14 @@ func (r Reply) RTTUS() int64 {
 	return 0
 }
 
-// mix64 is a splitmix64-style finalizer.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // probeKey derives the probe's ICMP identifier and per-packet
 // load-balancer nonce as a pure function of (packet source, destination,
 // sequence, kind). Serial and concurrent execution therefore put
 // bit-identical packets on the wire.
 func probeKey(sp Spec) (id uint16, nonce uint64) {
 	h := uint64(uint32(sp.src()))<<32 | uint64(uint32(sp.Dst))
-	h = mix64(h ^ (sp.Seq+1)*0x9e3779b97f4a7c15 ^ uint64(sp.Kind)<<56)
-	return uint16(h >> 48), mix64(h ^ 0xa5a5a5a55a5a5a5a)
+	h = detrand.Mix(h^uint64(sp.Kind)<<56, sp.Seq+1)
+	return uint16(h >> 48), detrand.Mix64(h ^ 0xa5a5a5a55a5a5a5a)
 }
 
 // Issue sends the probe described by sp on f at virtual time nowUS and

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"revtr/internal/detrand"
 	"revtr/internal/netsim/topology"
 )
 
@@ -84,7 +85,7 @@ type TieBreak func(chooser, candidate topology.ASN) uint64
 // DefaultTieBreak builds a seeded tie-break function.
 func DefaultTieBreak(seed int64) TieBreak {
 	return func(chooser, candidate topology.ASN) uint64 {
-		return mix(uint64(seed), uint64(chooser)<<32|uint64(uint32(candidate)))
+		return detrand.Mix(uint64(seed), uint64(chooser)<<32|uint64(uint32(candidate)))
 	}
 }
 
@@ -101,23 +102,12 @@ type PrefFunc func(chooser, candidate topology.ASN) bool
 func DefaultPref(seed int64, frac float64) PrefFunc {
 	cut := uint64(frac * float64(^uint64(0)))
 	return func(chooser, candidate topology.ASN) bool {
-		return mix(uint64(seed)^0xa5a5, uint64(chooser)<<32|uint64(uint32(candidate))) < cut
+		return detrand.Mix(uint64(seed)^0xa5a5, uint64(chooser)<<32|uint64(uint32(candidate))) < cut
 	}
 }
 
 // NoPref disables local-preference diversity.
 func NoPref(_, _ topology.ASN) bool { return false }
-
-// mix is splitmix64-style hashing.
-func mix(a, b uint64) uint64 {
-	x := a ^ b*0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
 
 // DefaultPrefFrac is the fraction of neighbor routes carrying elevated
 // local preference under the default policy.

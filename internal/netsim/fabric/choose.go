@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"revtr/internal/detrand"
 	"revtr/internal/netsim/bgp"
 	"revtr/internal/netsim/ipv4"
 	"revtr/internal/netsim/topology"
@@ -176,7 +177,7 @@ func (f *Fabric) pickAnycastAlt(cur topology.RouterID, g *AnycastGroup, rt *bgp.
 		if d < 0 {
 			continue // no live exit this way
 		}
-		key := mix64(f.seed, uint64(cur)<<32|uint64(uint32(alt.Next))^uint64(alt.Site)<<16)
+		key := detrand.Mix(f.seed, uint64(cur)<<32|uint64(uint32(alt.Next))^uint64(alt.Site)<<16)
 		if bestDist < 0 || d < bestDist || (d == bestDist && key > bestKey) {
 			best, bestDist, bestKey = alt, d, key
 		}
@@ -223,32 +224,22 @@ func (f *Fabric) pickLink(r *topology.Router, cands []topology.LinkID, dst, src 
 	}
 	var extra uint64
 	if r.DBRViolator {
-		extra = mix64(uint64(uint32(dst)), uint64(src))
+		extra = detrand.Mix(uint64(uint32(dst)), uint64(src))
 	}
 	if r.PerPacketLB {
 		if hasOpts {
-			extra = mix64(extra, c.nonce)
+			extra = detrand.Mix(extra, c.nonce)
 		} else {
-			extra = mix64(extra, mix64(c.flowID, uint64(uint32(dst))))
+			extra = detrand.Mix(extra, detrand.Mix(c.flowID, uint64(uint32(dst))))
 		}
 	}
 	best := cands[0]
 	bestKey := uint64(0)
 	for i, l := range cands {
-		key := mix64(f.seed^extra, uint64(r.ID)<<32|uint64(uint32(l)))
+		key := detrand.Mix(f.seed^extra, uint64(r.ID)<<32|uint64(uint32(l)))
 		if i == 0 || key > bestKey {
 			best, bestKey = l, key
 		}
 	}
 	return best
-}
-
-func mix64(a, b uint64) uint64 {
-	x := a ^ b*0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }

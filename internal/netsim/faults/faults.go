@@ -27,6 +27,7 @@ import (
 	"math"
 	"sync/atomic"
 
+	"revtr/internal/detrand"
 	"revtr/internal/netsim/ipv4"
 	"revtr/internal/netsim/topology"
 	"revtr/internal/obs"
@@ -313,19 +314,8 @@ func (p *Plan) AddBlackout(addr ipv4.Addr, fromUS, toUS int64) *Plan {
 
 // draw maps the mixed inputs to a uniform float64 in [0, 1).
 func draw(seed, kind, entity, epoch, nonce uint64) float64 {
-	h := mix64(seed ^ kind*0x9e3779b97f4a7c15)
-	h = mix64(h ^ entity<<32 ^ epoch)
-	h = mix64(h ^ nonce)
+	h := detrand.Mix(seed, kind)
+	h = detrand.Mix64(h ^ entity<<32 ^ epoch)
+	h = detrand.Mix64(h ^ nonce)
 	return float64(h>>11) / float64(1<<53)
-}
-
-// mix64 is a splitmix64-style finalizer (same family as the fabric's
-// deterministic tie-breakers).
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }

@@ -1,166 +1,108 @@
 package topology
 
-import (
-	"fmt"
-	"math"
+import "fmt"
+
+// Vintage is the era of a generated Internet and of the vantage point
+// deployment on it: the paper's 2016-versus-2020 contrast (Fig 11,
+// Table 6, the flattening of Insight 1.7).
+type Vintage int
+
+const (
+	// Vintage2020 is the flattened Internet: colo ASes near most
+	// networks, vantage point sites hosted at them.
+	Vintage2020 Vintage = iota
+	// Vintage2016 is the pre-flattening Internet: far fewer colo ASes and
+	// sparser peering, vantage point sites mostly at education and stub
+	// networks — so they sit farther (in RR hops) from destinations.
+	Vintage2016
 )
 
-// Config controls topology generation. The zero value is not usable; start
-// from DefaultConfig (a 2020-flavoured Internet: flattened, with colo ASes
-// near most networks) or Config2016 (the pre-flattening Internet used for
-// the Fig 11 / Table 6 comparison).
+// Config selects a generated Internet: a seed, a size and an era. Every
+// other generator parameter is a constant below (or inline in gen.go).
 type Config struct {
 	Seed    int64
 	NumASes int
+	Vintage Vintage
+}
 
-	// Tier mix. Tier1Count tier-1 ASes form a clique; ColoFrac of ASes
-	// are colocation-style densely-peering networks (the flattening knob:
-	// Insight 1.7), NRENFrac are research networks, TransitFrac classic
-	// transit, and the remainder stubs.
-	Tier1Count  int
-	TransitFrac float64
-	ColoFrac    float64
-	NRENFrac    float64
+// DefaultConfig returns the 2020 Internet with n ASes, seed 1.
+func DefaultConfig(n int) Config {
+	return Config{Seed: 1, NumASes: n}
+}
 
-	// Peering density multipliers (2016 topologies peer less).
-	ColoPeerMin, ColoPeerMax int
-	NRENPeerMin, NRENPeerMax int
-	StubAtIXPFrac            float64 // stubs that peer directly at IXPs
+// era holds the generator parameters the two vintages differ in: the
+// share of colocation-style densely-peering ASes and how widely colo
+// ASes, NRENs and stubs peer.
+type era struct {
+	coloFrac                 float64
+	coloPeerMin, coloPeerMax int
+	nrenPeerMin, nrenPeerMax int
+	stubAtIXPFrac            float64 // stubs that peer directly at IXPs
+}
 
-	// Router counts per AS by tier.
-	CoreT1Min, CoreT1Max           int
-	CoreTransitMin, CoreTransitMax int
-	CoreStubMin, CoreStubMax       int
+var eras = [...]era{
+	Vintage2020: {coloFrac: 0.05, coloPeerMin: 4, coloPeerMax: 12, nrenPeerMin: 5, nrenPeerMax: 15, stubAtIXPFrac: 0.15},
+	Vintage2016: {coloFrac: 0.008, coloPeerMin: 2, coloPeerMax: 5, nrenPeerMin: 3, nrenPeerMax: 8, stubAtIXPFrac: 0.03},
+}
 
-	// Prefix/host population.
-	PrefixesPerStubMax int // stubs announce 1..max prefixes
-	HostsPerPrefix     int
+// Generator parameters every era shares.
+const (
+	// Tier mix: the tier-1 clique (tier1Count), then transitFrac classic
+	// transit, the era's colo share, nrenFrac research networks, and the
+	// remainder stubs.
+	transitFrac = 0.12
+	nrenFrac    = 0.015
 
-	// Host responsiveness (Table 6 knobs).
-	HostPingResponsive float64 // fraction of hosts answering plain ping
-	HostRRGivenPing    float64 // fraction of ping-responsive answering RR
-	HostStamps         float64 // fraction of RR-responsive hosts that stamp
+	// Core routers per AS, by tier.
+	coreT1Min, coreT1Max           = 5, 9
+	coreTransitMin, coreTransitMax = 2, 5
+	coreStubMin, coreStubMax       = 1, 2
+
+	prefixesPerStubMax = 3 // stubs announce 1..max prefixes
+	hostsPerPrefix     = 4
+
+	// Host responsiveness (Table 6).
+	hostPingResponsive = 0.73 // hosts answering plain ping
+	hostRRGivenPing    = 0.78 // ping-responsive hosts answering RR
+	hostStamps         = 0.80 // hosts stamping their own address
 
 	// Router behaviour.
-	RouterPingResponsive float64
-	RouterOptResponsive  float64 // routers answering echo with options
-	SNMPv3Responsive     float64 // routers answering SNMPv3 (Table 2 study)
-	StampEgressP         float64
-	StampIngressP        float64
-	StampLoopbackP       float64
-	StampPrivateP        float64 // remainder: StampNone
-	DBRViolatorP         float64 // destination-based-routing violators (Appx E)
-	PerPacketLBP         float64 // random balancing of option packets
+	routerPingResponsive = 0.92
+	routerOptResponsive  = 0.92  // ping-responsive routers answering echo with options
+	snmpv3Responsive     = 0.305 // routers answering SNMPv3: 30.5 % per §4.4
+	stampEgressP         = 0.68
+	stampIngressP        = 0.10
+	stampLoopbackP       = 0.08
+	stampPrivateP        = 0.05 // remainder: StampNone
+	dbrViolatorP         = 0.04 // destination-based-routing violators (Appx E)
+	perPacketLBP         = 0.05 // random balancing of option packets
 
 	// AS behaviour.
-	ASFiltersOptionsP float64 // ASes dropping transiting option packets
-	ASAllowsSpoofingP float64 // non-colo ASes permitting spoofed sources
+	asFiltersOptionsP = 0.015 // transit and stub ASes dropping transiting option packets
+	asAllowsSpoofingP = 0.25  // transit, NREN and stub ASes permitting spoofed sources
 
-	// Latency ranges, microseconds.
-	IntraLatMinUS, IntraLatMaxUS int32
-	InterLatMinUS, InterLatMaxUS int32
-}
+	// Link latency ranges, microseconds.
+	intraLatMinUS, intraLatMaxUS = 100, 3000
+	interLatMinUS, interLatMaxUS = 1000, 30000
+)
 
-// DefaultConfig returns a 2020-flavoured Internet with n ASes.
-func DefaultConfig(n int) Config {
-	return Config{
-		Seed:    1,
-		NumASes: n,
-
-		Tier1Count:  clampInt(n/400, 4, 14),
-		TransitFrac: 0.12,
-		ColoFrac:    0.05,
-		NRENFrac:    0.015,
-
-		ColoPeerMin: 4, ColoPeerMax: 12,
-		NRENPeerMin: 5, NRENPeerMax: 15,
-		StubAtIXPFrac: 0.15,
-
-		CoreT1Min: 5, CoreT1Max: 9,
-		CoreTransitMin: 2, CoreTransitMax: 5,
-		CoreStubMin: 1, CoreStubMax: 2,
-
-		PrefixesPerStubMax: 3,
-		HostsPerPrefix:     4,
-
-		HostPingResponsive: 0.73,
-		HostRRGivenPing:    0.78,
-		HostStamps:         0.80,
-
-		RouterPingResponsive: 0.92,
-		RouterOptResponsive:  0.92,
-		SNMPv3Responsive:     0.305, // 30.5% per §4.4
-		StampEgressP:         0.68,
-		StampIngressP:        0.10,
-		StampLoopbackP:       0.08,
-		StampPrivateP:        0.05,
-		DBRViolatorP:         0.04,
-		PerPacketLBP:         0.05,
-
-		ASFiltersOptionsP: 0.015,
-		ASAllowsSpoofingP: 0.25,
-
-		IntraLatMinUS: 100, IntraLatMaxUS: 3000,
-		InterLatMinUS: 1000, InterLatMaxUS: 30000,
-	}
-}
+// tier1Count is the size of the tier-1 clique: it grows with the AS
+// count, from 4 to 14.
+func (c Config) tier1Count() int { return clampInt(c.NumASes/400, 4, 14) }
 
 // minASes is the smallest AS count Generate accepts: the tier-1 clique
 // and three ASes under it.
-func (c Config) minASes() int { return c.Tier1Count + 3 }
+func (c Config) minASes() int { return c.tier1Count() + 3 }
 
-// Validate rejects unusable configurations: NaN/Inf or out-of-range
-// probability fields and an AS count below the generator's floor.
-// Generate does not call it — there a bad config is a programmer error
-// and panics — so whatever accepts configs from outside (the binaries'
-// -ases flag, simtest, fuzzers) must.
+// Validate rejects an AS count below the generator's floor. Generate
+// does not call it — there a bad count is a programmer error and panics
+// — so whatever takes the count from outside (the binaries' -ases flag)
+// must.
 func (c Config) Validate() error {
 	if c.NumASes < c.minASes() {
 		return fmt.Errorf("topology: %d ASes is below the minimum of %d", c.NumASes, c.minASes())
 	}
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"TransitFrac", c.TransitFrac},
-		{"ColoFrac", c.ColoFrac},
-		{"NRENFrac", c.NRENFrac},
-		{"StubAtIXPFrac", c.StubAtIXPFrac},
-		{"HostPingResponsive", c.HostPingResponsive},
-		{"HostRRGivenPing", c.HostRRGivenPing},
-		{"HostStamps", c.HostStamps},
-		{"RouterPingResponsive", c.RouterPingResponsive},
-		{"RouterOptResponsive", c.RouterOptResponsive},
-		{"SNMPv3Responsive", c.SNMPv3Responsive},
-		{"StampEgressP", c.StampEgressP},
-		{"StampIngressP", c.StampIngressP},
-		{"StampLoopbackP", c.StampLoopbackP},
-		{"StampPrivateP", c.StampPrivateP},
-		{"DBRViolatorP", c.DBRViolatorP},
-		{"PerPacketLBP", c.PerPacketLBP},
-		{"ASFiltersOptionsP", c.ASFiltersOptionsP},
-		{"ASAllowsSpoofingP", c.ASAllowsSpoofingP},
-	} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return fmt.Errorf("topology: %s is not a finite number", f.name)
-		}
-		if f.v < 0 || f.v > 1 {
-			return fmt.Errorf("topology: %s=%v outside [0,1]", f.name, f.v)
-		}
-	}
 	return nil
-}
-
-// Config2016 returns a pre-flattening Internet: far fewer colo ASes and
-// sparser peering, so vantage points end up farther (in RR hops) from
-// destinations — the Fig 11 contrast.
-func Config2016(n int) Config {
-	c := DefaultConfig(n)
-	c.ColoFrac = 0.008
-	c.ColoPeerMin, c.ColoPeerMax = 2, 5
-	c.NRENPeerMin, c.NRENPeerMax = 3, 8
-	c.StubAtIXPFrac = 0.03
-	return c
 }
 
 func clampInt(v, lo, hi int) int {

@@ -16,8 +16,9 @@ func Generate(cfg Config) *Topology {
 		panic(fmt.Sprintf("topology: NumASes=%d too small", cfg.NumASes))
 	}
 	g := &generator{
-		t:   &Topology{Cfg: cfg, byAddr: make(map[ipv4.Addr]AddrOwner)},
+		t:   &Topology{byAddr: make(map[ipv4.Addr]AddrOwner)},
 		cfg: cfg,
+		era: eras[cfg.Vintage],
 		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
 	g.assignTiers()
@@ -33,6 +34,7 @@ func Generate(cfg Config) *Topology {
 type generator struct {
 	t   *Topology
 	cfg Config
+	era era
 	rng *rand.Rand
 
 	nextBlock  uint32 // next /16 block base
@@ -63,12 +65,11 @@ func (g *generator) blockBase() ipv4.Prefix {
 }
 
 func (g *generator) assignTiers() {
-	cfg := g.cfg
-	n := cfg.NumASes
-	nT1 := cfg.Tier1Count
-	nTransit := int(float64(n) * cfg.TransitFrac)
-	nColo := maxInt(3, int(float64(n)*cfg.ColoFrac))
-	nNREN := maxInt(2, int(float64(n)*cfg.NRENFrac))
+	n := g.cfg.NumASes
+	nT1 := g.cfg.tier1Count()
+	nTransit := int(float64(n) * transitFrac)
+	nColo := maxInt(3, int(float64(n)*g.era.coloFrac))
+	nNREN := maxInt(2, int(float64(n)*nrenFrac))
 	g.custDegree = make([]int, n)
 	g.nextP2P = make([]uint32, n)
 	g.nextLoop = make([]uint32, n)
@@ -134,7 +135,7 @@ func (g *generator) pickProvider(cands []ASN, exclude map[ASN]bool) (ASN, bool) 
 }
 
 func (g *generator) buildASGraph() {
-	cfg := g.cfg
+	era := g.era
 	var t1s, transits, colos, nrens []ASN
 	for _, as := range g.t.ASes {
 		switch as.Tier {
@@ -187,7 +188,7 @@ func (g *generator) buildASGraph() {
 			}
 		}
 		peerCands := append(append(append([]ASN{}, transits...), colos[:idx]...), t1s...)
-		np := cfg.ColoPeerMin + g.rng.Intn(maxInt(1, cfg.ColoPeerMax-cfg.ColoPeerMin+1))
+		np := era.coloPeerMin + g.rng.Intn(maxInt(1, era.coloPeerMax-era.coloPeerMin+1))
 		for k := 0; k < np && len(peerCands) > 0; k++ {
 			p := peerCands[g.rng.Intn(len(peerCands))]
 			if p != a && !ex[p] {
@@ -207,7 +208,7 @@ func (g *generator) buildASGraph() {
 			ex[p] = true
 		}
 		peerCands := append(append(append([]ASN{}, transits...), colos...), nrens[:idx]...)
-		np := cfg.NRENPeerMin + g.rng.Intn(maxInt(1, cfg.NRENPeerMax-cfg.NRENPeerMin+1))
+		np := era.nrenPeerMin + g.rng.Intn(maxInt(1, era.nrenPeerMax-era.nrenPeerMin+1))
 		for k := 0; k < np && len(peerCands) > 0; k++ {
 			p := peerCands[g.rng.Intn(len(peerCands))]
 			if p != a && !ex[p] {
@@ -252,7 +253,7 @@ func (g *generator) buildASGraph() {
 				ex[p] = true
 			}
 		}
-		if g.rng.Float64() < cfg.StubAtIXPFrac && len(colos) > 0 {
+		if g.rng.Float64() < era.stubAtIXPFrac && len(colos) > 0 {
 			p := colos[g.rng.Intn(len(colos))]
 			if !ex[p] {
 				g.addASEdge(a, p, RelPeer)
@@ -303,11 +304,11 @@ func (g *generator) interLatBetween(a, b ASN) int32 {
 	// sqrt via simple iteration-free approximation is overkill; use the
 	// real thing.
 	d := math.Sqrt(dist)
-	base := float64(g.cfg.InterLatMinUS)
-	span := float64(g.cfg.InterLatMaxUS - g.cfg.InterLatMinUS)
+	base := float64(interLatMinUS)
+	span := float64(interLatMaxUS - interLatMinUS)
 	lat := base + span*d*(0.7+0.6*g.rng.Float64())
-	if lat < float64(g.cfg.InterLatMinUS) {
-		lat = float64(g.cfg.InterLatMinUS)
+	if lat < base {
+		lat = base
 	}
 	return int32(lat)
 }
@@ -344,27 +345,26 @@ func (g *generator) allocPrivate() ipv4.Addr {
 }
 
 func (g *generator) newRouter(asn ASN, role RouterRole) *Router {
-	cfg := g.cfg
 	r := &Router{
 		ID:       RouterID(len(g.t.Routers)),
 		AS:       asn,
 		Role:     role,
 		Loopback: g.allocLoopback(asn),
 	}
-	r.RespondsToPing = g.rng.Float64() < cfg.RouterPingResponsive
-	r.RespondsToOptions = r.RespondsToPing && g.rng.Float64() < cfg.RouterOptResponsive
-	r.SNMPv3 = g.rng.Float64() < cfg.SNMPv3Responsive
-	r.DBRViolator = g.rng.Float64() < cfg.DBRViolatorP
-	r.PerPacketLB = g.rng.Float64() < cfg.PerPacketLBP
+	r.RespondsToPing = g.rng.Float64() < routerPingResponsive
+	r.RespondsToOptions = r.RespondsToPing && g.rng.Float64() < routerOptResponsive
+	r.SNMPv3 = g.rng.Float64() < snmpv3Responsive
+	r.DBRViolator = g.rng.Float64() < dbrViolatorP
+	r.PerPacketLB = g.rng.Float64() < perPacketLBP
 	x := g.rng.Float64()
 	switch {
-	case x < cfg.StampEgressP:
+	case x < stampEgressP:
 		r.Stamp = StampEgress
-	case x < cfg.StampEgressP+cfg.StampIngressP:
+	case x < stampEgressP+stampIngressP:
 		r.Stamp = StampIngress
-	case x < cfg.StampEgressP+cfg.StampIngressP+cfg.StampLoopbackP:
+	case x < stampEgressP+stampIngressP+stampLoopbackP:
 		r.Stamp = StampLoopback
-	case x < cfg.StampEgressP+cfg.StampIngressP+cfg.StampLoopbackP+cfg.StampPrivateP:
+	case x < stampEgressP+stampIngressP+stampLoopbackP+stampPrivateP:
 		r.Stamp = StampPrivate
 		r.PrivateAddr = g.allocPrivate()
 	default:
@@ -397,20 +397,19 @@ func (g *generator) connectRouters(a, b RouterID, ownerAS ASN, inter bool, latUS
 }
 
 func (g *generator) intraLat() int32 {
-	return g.cfg.IntraLatMinUS + g.rng.Int31n(g.cfg.IntraLatMaxUS-g.cfg.IntraLatMinUS+1)
+	return intraLatMinUS + g.rng.Int31n(intraLatMaxUS-intraLatMinUS+1)
 }
 
 func (g *generator) buildRouters() {
-	cfg := g.cfg
 	for _, as := range g.t.ASes {
 		var nCore int
 		switch as.Tier {
 		case Tier1:
-			nCore = cfg.CoreT1Min + g.rng.Intn(cfg.CoreT1Max-cfg.CoreT1Min+1)
+			nCore = coreT1Min + g.rng.Intn(coreT1Max-coreT1Min+1)
 		case Transit, Colo, NREN:
-			nCore = cfg.CoreTransitMin + g.rng.Intn(cfg.CoreTransitMax-cfg.CoreTransitMin+1)
+			nCore = coreTransitMin + g.rng.Intn(coreTransitMax-coreTransitMin+1)
 		default:
-			nCore = cfg.CoreStubMin + g.rng.Intn(cfg.CoreStubMax-cfg.CoreStubMin+1)
+			nCore = coreStubMin + g.rng.Intn(coreStubMax-coreStubMin+1)
 		}
 		cores := make([]RouterID, nCore)
 		for i := range cores {
@@ -453,7 +452,7 @@ func (g *generator) buildRouters() {
 		// Announced prefixes and access routers.
 		var nPfx int
 		if as.Tier == Stub {
-			nPfx = 1 + g.rng.Intn(cfg.PrefixesPerStubMax)
+			nPfx = 1 + g.rng.Intn(prefixesPerStubMax)
 		} else {
 			nPfx = 1 + g.rng.Intn(2)
 		}
@@ -513,7 +512,6 @@ func (g *generator) buildInterLinks() {
 }
 
 func (g *generator) buildHosts() {
-	cfg := g.cfg
 	for _, as := range g.t.ASes {
 		// Access routers in order of creation correspond to prefixes.
 		var access []RouterID
@@ -524,17 +522,17 @@ func (g *generator) buildHosts() {
 		}
 		for pi, pfx := range as.Prefixes {
 			router := access[pi%len(access)]
-			for h := 0; h < cfg.HostsPerPrefix; h++ {
+			for h := 0; h < hostsPerPrefix; h++ {
 				addr := pfx.Nth(uint64(1 + h))
-				ping := g.rng.Float64() < cfg.HostPingResponsive
+				ping := g.rng.Float64() < hostPingResponsive
 				host := Host{
 					ID:             HostID(len(g.t.Hosts)),
 					Addr:           addr,
 					Router:         router,
 					AS:             as.ASN,
 					PingResponsive: ping,
-					RRResponsive:   ping && g.rng.Float64() < cfg.HostRRGivenPing,
-					Stamps:         g.rng.Float64() < cfg.HostStamps,
+					RRResponsive:   ping && g.rng.Float64() < hostRRGivenPing,
+					Stamps:         g.rng.Float64() < hostStamps,
 				}
 				g.t.Hosts = append(g.t.Hosts, host)
 				as.Hosts = append(as.Hosts, host.ID)
@@ -545,7 +543,6 @@ func (g *generator) buildHosts() {
 }
 
 func (g *generator) finish() {
-	cfg := g.cfg
 	t := g.t
 	// AS behaviour flags.
 	for _, as := range t.ASes {
@@ -555,10 +552,10 @@ func (g *generator) finish() {
 		case Tier1:
 			as.AllowsSpoofing = false
 		default:
-			as.AllowsSpoofing = g.rng.Float64() < cfg.ASAllowsSpoofingP
+			as.AllowsSpoofing = g.rng.Float64() < asAllowsSpoofingP
 		}
 		if as.Tier == Transit || as.Tier == Stub {
-			as.FiltersOptions = g.rng.Float64() < cfg.ASFiltersOptionsP
+			as.FiltersOptions = g.rng.Float64() < asFiltersOptionsP
 		}
 	}
 	// Block index for BGP-origin IP-to-AS mapping.

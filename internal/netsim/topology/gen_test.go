@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"revtr/internal/netsim/ipv4"
@@ -302,10 +304,8 @@ func TestResponsivenessRates(t *testing.T) {
 }
 
 func TestConfig2016LessColo(t *testing.T) {
-	c20 := DefaultConfig(800)
-	c16 := Config2016(800)
-	t20 := Generate(c20)
-	t16 := Generate(c16)
+	t20 := Generate(Config{Seed: 1, NumASes: 800, Vintage: Vintage2020})
+	t16 := Generate(Config{Seed: 1, NumASes: 800, Vintage: Vintage2016})
 	n20 := len(t20.ASesByTier(Colo))
 	n16 := len(t16.ASesByTier(Colo))
 	if n16 >= n20 {
@@ -344,6 +344,45 @@ func TestValidateASFloor(t *testing.T) {
 		}()
 		if panicked == tc.ok {
 			t.Errorf("%d ASes: Generate panicked = %v, Validate said ok = %v", tc.ases, panicked, tc.ok)
+		}
+	}
+}
+
+// fingerprint hashes every AS, router, interface, link and host of a
+// generated topology, every field included.
+func fingerprint(t *Topology) uint64 {
+	h := fnv.New64a()
+	for _, as := range t.ASes {
+		fmt.Fprintf(h, "%+v\n", *as)
+	}
+	for _, r := range t.Routers {
+		fmt.Fprintf(h, "%+v\n", *r)
+	}
+	fmt.Fprintf(h, "%+v\n%+v\n%+v\n", t.Ifaces, t.Links, t.Hosts)
+	return h.Sum64()
+}
+
+// TestGenerateGolden pins the generated Internet of both eras: a
+// generator change that moves one random draw or one threshold changes
+// a fingerprint. The constants were computed when every generator
+// parameter was still a Config field, so they also pin that moving the
+// parameters into constants and the era table changed nothing.
+func TestGenerateGolden(t *testing.T) {
+	for _, tc := range []struct {
+		vintage Vintage
+		seed    int64
+		want    uint64
+	}{
+		{Vintage2020, 1, 0x224f2286f2090ee},
+		{Vintage2020, 2, 0xab292bb43787aabb},
+		{Vintage2020, 3, 0x81571004b9b7c991},
+		{Vintage2016, 1, 0x40505780c3793785},
+		{Vintage2016, 2, 0x8c19b07e29205804},
+		{Vintage2016, 3, 0xa6aea39ed264d0f6},
+	} {
+		got := fingerprint(Generate(Config{Seed: tc.seed, NumASes: 300, Vintage: tc.vintage}))
+		if got != tc.want {
+			t.Errorf("vintage %d seed %d: fingerprint %#x, want %#x", tc.vintage, tc.seed, got, tc.want)
 		}
 	}
 }

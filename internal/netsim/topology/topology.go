@@ -1,8 +1,8 @@
 // Package topology generates and represents the simulated Internet the
 // Reverse Traceroute system runs over: an AS-level graph with
 // customer/provider/peer relationships, per-AS router-level topologies,
-// interface and prefix addressing, and a host population with configurable
-// responsiveness.
+// interface and prefix addressing, and a host population whose
+// responsiveness follows the paper's measured rates.
 //
 // The generated Internet has the structural properties the paper's results
 // depend on: a hierarchy with a tier-1 clique at the top and stubs at the
@@ -273,7 +273,6 @@ type AddrOwner struct {
 
 // Topology is a complete generated Internet.
 type Topology struct {
-	Cfg     Config
 	ASes    []*AS
 	Routers []*Router
 	Ifaces  []Iface

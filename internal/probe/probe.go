@@ -237,7 +237,7 @@ func (p *Pool) run(ctx context.Context, reqs []Request, pol RetryPolicy) Batch {
 	launched := 0
 	p.sem <- struct{}{}
 	for i, req := range reqs {
-		if ctx != nil && ctx.Err() != nil {
+		if ctx.Err() != nil {
 			break
 		}
 		launched++
@@ -295,7 +295,7 @@ func (p *Pool) issue(req Request, nowUS int64, pol RetryPolicy) (measure.Reply, 
 // a window around its tail). Returns the zero result when ctx is already
 // cancelled.
 func (p *Pool) Traceroute(ctx context.Context, a measure.Agent, dst ipv4.Addr, seqBase uint64, start int) (measure.TracerouteResult, int) {
-	if ctx != nil && ctx.Err() != nil {
+	if ctx.Err() != nil {
 		return measure.TracerouteResult{}, 0
 	}
 	p.sem <- struct{}{}

@@ -398,9 +398,6 @@ func (s *Scheduler) failOnPanic(done func(res any, err error)) {
 // Stop is called); in-flight jobs inherit ctx and are cancelled with
 // it. Start returns immediately; it is a no-op after the first call.
 func (s *Scheduler) Start(ctx context.Context) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	s.mu.Lock()
 	if s.started {
 		s.mu.Unlock()
@@ -435,9 +432,6 @@ func (s *Scheduler) Stop() {
 // Drain blocks until no job is running and the dispatcher has exited
 // (after Stop or Start-ctx cancellation), or ctx ends.
 func (s *Scheduler) Drain(ctx context.Context) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	s.mu.Lock()
 	d := s.drained
 	s.mu.Unlock()
@@ -907,9 +901,6 @@ func (s *Scheduler) statusLocked(b *Batch) BatchStatus {
 // Wait blocks until every job of the batch is terminal, the context is
 // cancelled, or the scheduler stops, and returns the final snapshot.
 func (s *Scheduler) Wait(ctx context.Context, batchID string) (BatchStatus, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	// Wake the cond loop when the caller's context ends.
 	defer context.AfterFunc(ctx, func() {
 		s.mu.Lock()

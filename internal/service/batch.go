@@ -41,9 +41,6 @@ var (
 // shares the registry's metric registry regardless of opts.Obs. Calling
 // EnableBatch again returns the already-enabled scheduler.
 func (r *Registry) EnableBatch(ctx context.Context, opts sched.Options) *sched.Scheduler {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	opts.Obs = r.obs
 	opts.TryCharge = r.tryCharge
 	opts.OnJob = r.publishJobEvent
@@ -158,9 +155,6 @@ func (r *Registry) tryCharge(key string) bool {
 // for completion. ErrOverloaded means the dispatch queue shed the
 // entire batch.
 func (r *Registry) SubmitBatch(ctx context.Context, key string, specs []sched.JobSpec) (sched.BatchStatus, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	r.mu.Lock()
 	sc := r.sched
 	if sc == nil {

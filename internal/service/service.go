@@ -306,9 +306,6 @@ func (r *Registry) sourcesLocked() []*registeredSource {
 // paths release the user's MaxParallel slot (the slot decrement runs
 // under defer, so no code path can leak it).
 func (r *Registry) Measure(ctx context.Context, key string, srcAddr, dstAddr ipv4.Addr) (*Measurement, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	u, err := r.Authenticate(key)
 	if err != nil {
 		return nil, err
@@ -513,9 +510,6 @@ func (r *Registry) UsefulEntries(addr ipv4.Addr) (useful, total int, ok bool) {
 // depends on system load, modelled as a simple in-flight cap; rejected
 // requests return (nil, nil) — they are best-effort by design.
 func (r *Registry) NDT(ctx context.Context, serverAddr, clientAddr ipv4.Addr) (*Measurement, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	r.mu.Lock()
 	reg, ok := r.sources[serverAddr]
 	if !ok {

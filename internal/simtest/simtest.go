@@ -31,36 +31,14 @@ type Env struct {
 // New builds an Env with n ASes, deterministic in seed.
 func New(t testing.TB, n int, seed int64) *Env {
 	t.Helper()
-	cfg := topology.DefaultConfig(n)
-	cfg.Seed = seed
-	return NewWithConfig(t, cfg)
-}
-
-// NewFaulty is New with a fault plan attached to the fabric: the chaos
-// harness entry point. plan may be nil (equivalent to New); a non-nil
-// plan must Validate.
-func NewFaulty(t testing.TB, n int, seed int64, plan *faults.Plan) *Env {
-	t.Helper()
-	if err := plan.Validate(); err != nil {
-		t.Fatalf("simtest: invalid fault plan: %v", err)
-	}
-	env := New(t, n, seed)
-	env.Fabric.SetFaults(plan)
-	return env
-}
-
-// NewWithConfig builds an Env over a custom topology configuration
-// (responsiveness/violator ablations).
-func NewWithConfig(t testing.TB, cfg topology.Config) *Env {
-	t.Helper()
+	cfg := topology.Config{Seed: seed, NumASes: n}
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("simtest: invalid topology config: %v", err)
 	}
-	seed := cfg.Seed
 	topo := topology.Generate(cfg)
 	routing := bgp.NewRouting(topo, bgp.DefaultTieBreak(seed), 64)
 	fab := fabric.New(topo, routing, seed)
-	sites := vantage.PlaceSites(topo, 12, vantage.Vintage2020, seed)
+	sites := vantage.PlaceSites(topo, 12, topology.Vintage2020, seed)
 	agents := make([]measure.Agent, len(sites))
 	for i, s := range sites {
 		agents[i] = s.Agent
@@ -75,9 +53,22 @@ func NewWithConfig(t testing.TB, cfg topology.Config) *Env {
 		Probes: vantage.PlaceProbes(topo, 60, 1_000_000, seed),
 		Alias: &alias.Combined{
 			Midar: alias.NewMidar(topo, 0.35, seed),
-			SNMP:  alias.NewSNMP(topo, alias.SNMPConfig{}, seed),
+			SNMP:  alias.NewSNMP(topo, seed),
 		},
 	}
+}
+
+// NewFaulty is New with a fault plan attached to the fabric: the chaos
+// harness entry point. plan may be nil (equivalent to New); a non-nil
+// plan must Validate.
+func NewFaulty(t testing.TB, n int, seed int64, plan *faults.Plan) *Env {
+	t.Helper()
+	if err := plan.Validate(); err != nil {
+		t.Fatalf("simtest: invalid fault plan: %v", err)
+	}
+	env := New(t, n, seed)
+	env.Fabric.SetFaults(plan)
+	return env
 }
 
 // SourceHost returns the i'th host usable as a source.

@@ -643,9 +643,6 @@ func (s *Sub) TryNext() (Event, bool, error) {
 // Next blocks for the next event until ctx ends. It returns ErrClosed
 // once the stream terminates and the ring is drained.
 func (s *Sub) Next(ctx context.Context) (Event, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	for {
 		ev, ok, err := s.TryNext()
 		if err != nil {

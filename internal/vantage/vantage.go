@@ -20,27 +20,18 @@ type Site struct {
 	Agent measure.Agent
 }
 
-// Vintage selects the deployment era for site placement.
-type Vintage int
-
-const (
-	// Vintage2020 places sites at colo ASes (flattened Internet).
-	Vintage2020 Vintage = iota
-	// Vintage2016 places sites mostly at education/stub networks.
-	Vintage2016
-)
-
-// PlaceSites selects up to n vantage point sites on the topology. A site
-// needs a ping- and RR-responsive host in an AS that permits spoofing and
-// does not filter options.
-func PlaceSites(topo *topology.Topology, n int, vintage Vintage, seed int64) []Site {
+// PlaceSites selects up to n vantage point sites on the topology: at
+// colo and transit ASes in the 2020 vintage, mostly at education and
+// stub networks in the 2016 one. A site needs a ping- and RR-responsive
+// host in an AS that permits spoofing and does not filter options.
+func PlaceSites(topo *topology.Topology, n int, vintage topology.Vintage, seed int64) []Site {
 	rng := detrand.New(seed, "vantage.sites")
 	var candidateASes []topology.ASN
 	switch vintage {
-	case Vintage2020:
+	case topology.Vintage2020:
 		candidateASes = append(candidateASes, topo.ASesByTier(topology.Colo)...)
 		candidateASes = append(candidateASes, topo.ASesByTier(topology.Transit)...)
-	case Vintage2016:
+	case topology.Vintage2016:
 		// Education networks: stubs homed behind NRENs, then other stubs.
 		for _, as := range topo.ASes {
 			if as.Tier != topology.Stub {

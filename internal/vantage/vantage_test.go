@@ -15,7 +15,7 @@ func topoFor(t testing.TB) *topology.Topology {
 
 func TestPlaceSites2020AtColos(t *testing.T) {
 	topo := topoFor(t)
-	sites := PlaceSites(topo, 15, Vintage2020, 1)
+	sites := PlaceSites(topo, 15, topology.Vintage2020, 1)
 	if len(sites) == 0 {
 		t.Fatal("no sites placed")
 	}
@@ -39,7 +39,7 @@ func TestPlaceSites2020AtColos(t *testing.T) {
 
 func TestPlaceSites2016AvoidColo(t *testing.T) {
 	topo := topoFor(t)
-	sites := PlaceSites(topo, 15, Vintage2016, 1)
+	sites := PlaceSites(topo, 15, topology.Vintage2016, 1)
 	for _, s := range sites {
 		if topo.ASes[s.Agent.AS].Tier == topology.Colo {
 			t.Fatalf("2016 site at a colo AS")
@@ -49,7 +49,7 @@ func TestPlaceSites2016AvoidColo(t *testing.T) {
 
 func TestSitesDistinctASes(t *testing.T) {
 	topo := topoFor(t)
-	sites := PlaceSites(topo, 30, Vintage2020, 1)
+	sites := PlaceSites(topo, 30, topology.Vintage2020, 1)
 	seen := map[topology.ASN]bool{}
 	for _, s := range sites {
 		if seen[s.Agent.AS] {
@@ -95,8 +95,8 @@ func TestProbeSpend(t *testing.T) {
 
 func TestPlacementDeterministic(t *testing.T) {
 	topo := topoFor(t)
-	a := PlaceSites(topo, 10, Vintage2020, 5)
-	b := PlaceSites(topo, 10, Vintage2020, 5)
+	a := PlaceSites(topo, 10, topology.Vintage2020, 5)
+	b := PlaceSites(topo, 10, topology.Vintage2020, 5)
 	if len(a) != len(b) {
 		t.Fatal("site counts differ")
 	}

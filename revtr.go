@@ -44,8 +44,6 @@ type Config struct {
 	// Sites is the number of spoofing vantage point sites (146 M-Lab
 	// sites in the paper's deployment).
 	Sites int
-	// Vintage controls site placement (2020 colos vs 2016 edges).
-	Vintage vantage.Vintage
 	// Probes is the number of RIPE-Atlas-style probes; ProbeCredits the
 	// per-probe traceroute budget.
 	Probes       int
@@ -64,7 +62,6 @@ func DefaultConfig(n int) Config {
 	return Config{
 		Topology:     topology.DefaultConfig(n),
 		Sites:        clamp(n/20, 8, 146),
-		Vintage:      vantage.Vintage2020,
 		Probes:       clamp(n/2, 20, 10000),
 		ProbeCredits: 100000,
 		AtlasSize:    clamp(n/6, 10, 1000),
@@ -84,7 +81,6 @@ func clamp(v, lo, hi int) int {
 
 // Deployment is a fully-assembled simulated Reverse Traceroute system.
 type Deployment struct {
-	Cfg     Config
 	Topo    *topology.Topology
 	Routing *bgp.Routing
 	Fabric  *fabric.Fabric
@@ -132,7 +128,9 @@ func Build(cfg Config) *Deployment {
 	prober := measure.NewProberWithClock(fab, clock)
 	pool := probe.New(fab, clock, 0) // GOMAXPROCS probe batches in flight
 
-	sites := vantage.PlaceSites(topo, cfg.Sites, cfg.Vintage, cfg.Seed)
+	// The topology's era decides site placement too (2020 colos vs 2016
+	// edges).
+	sites := vantage.PlaceSites(topo, cfg.Sites, cfg.Topology.Vintage, cfg.Seed)
 	agents := make([]measure.Agent, len(sites))
 	for i, s := range sites {
 		agents[i] = s.Agent
@@ -141,11 +139,10 @@ func Build(cfg Config) *Deployment {
 
 	res := &alias.Combined{
 		Midar: alias.NewMidar(topo, aliasCoverage, cfg.Seed),
-		SNMP:  alias.NewSNMP(topo, alias.SNMPConfig{}, cfg.Seed),
+		SNMP:  alias.NewSNMP(topo, cfg.Seed),
 	}
 
 	d := &Deployment{
-		Cfg:        cfg,
 		Topo:       topo,
 		Routing:    routing,
 		Fabric:     fab,
