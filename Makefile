@@ -60,7 +60,7 @@ ci: fmt vet lint short race bench benchcheck benchmod fuzz cover loc
 # when the total is above LOC_CEILING — the total the last PR landed at.
 # A PR that adds lines says why and raises it; one that removes lines
 # lowers it to where it lands.
-LOC_CEILING = 21467
+LOC_CEILING = 21507
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs wc -l | \
 		awk -v ceiling=$(LOC_CEILING) '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
@@ -80,12 +80,14 @@ loc:
 # its retry arms (a VP dark between attempts, each kind's late answer)
 # are the recovery path only a faulty fabric reaches. So is the engine
 # itself: its cache holds three kinds of entry, one of them (the per-hop
-# verdicts) shared across sources. The lint framework
-# is held to the same floor: every concurrency gate rests on the one
+# verdicts) shared across sources. So is the ingress survey: every
+# measurement's RR stage reads its plans and its silent destinations, and
+# a second survey must replace the first one's answers whole. The lint
+# framework is held to the same floor: every concurrency gate rests on the one
 # dataflow in flow, which its own tests barely touch (16 %) — it is
 # exercised by the analyzers' fixture suites, so it is measured across
 # the whole lint tree's tests.
-COVER_PKGS = internal/core internal/core/segments internal/ttlcache internal/store internal/sched internal/stream internal/probe
+COVER_PKGS = internal/core internal/core/segments internal/ttlcache internal/store internal/sched internal/stream internal/probe internal/ingress
 LINT_COVER_PKGS = ./internal/lint/flow,./internal/lint/directive,./internal/lint/analysis,./internal/lint/loader
 COVER_FLOOR = awk -v pkg=$$pkg '/^total:/ { \
 	pct = $$3 + 0; printf "%s coverage: %s (floor 90%%)\n", pkg, $$3; \

@@ -115,7 +115,8 @@ type Engine struct {
 	metrics Metrics // zero value records nothing
 	// adoptWhole is a test hook: adoptRevealed adopts every revealed hop,
 	// not up to the first one the atlas intersects (its differential's "off").
-	adoptWhole bool
+	adoptWhole        bool
+	hideSurveySilence bool // test hook: knownSilent reads the cache alone
 	// spoofTimeoutUS and maxHops are SpoofTimeoutUS and MaxHops; only
 	// this package's tests set others.
 	spoofTimeoutUS int64

@@ -45,6 +45,11 @@ func (mm *Machine) ForgetDistance() { mm.revDist = -1 }
 // atlas intersects: every revealed hop is adopted, as before the rule.
 func (e *Engine) AdoptWhole() { e.adoptWhole = true }
 
+// HideSurveySilence makes the engine blind to the ingress survey's silent
+// destinations: a hop is known silent only by the cache's verdict, as
+// before the survey's silence was read.
+func (e *Engine) HideSurveySilence() { e.hideSurveySilence = true }
+
 // SetSpoofTimeout makes a spoofed batch short of a reply wait us instead of
 // SpoofTimeoutUS.
 func (e *Engine) SetSpoofTimeout(us int64) { e.spoofTimeoutUS = us }

@@ -667,7 +667,7 @@ func (mm *Machine) stepTop() {
 			return
 		}
 	}
-	if mm.revDist > ingress.InRangeHops && !(e.Opts.UseCache && e.cache.verdicts(cur, e.Pool.Now()).silent) {
+	if mm.revDist > ingress.InRangeHops && !mm.knownSilent() {
 		mm.skipDirect()
 		return
 	}
@@ -680,8 +680,8 @@ func (mm *Machine) stepTop() {
 // nine slots, so a direct probe to a cursor more than InRangeHops out
 // comes back full before the reverse path begins (§4.3). The stage counts
 // as measured and the sweep runs as behind an unanswered direct probe. A
-// hop under a silent verdict keeps its direct probe (stepTop): one packet
-// closes that stage, a batch would wait out the timeout. The probe not
+// hop known silent (knownSilent) keeps its direct probe (stepTop): one
+// packet closes that stage, a batch would wait out the timeout. The probe not
 // sent keeps its sequence number, so every later packet is the one sent
 // behind a direct probe and a differential prices the skip alone.
 func (mm *Machine) skipDirect() {
@@ -707,14 +707,31 @@ func (mm *Machine) onRRDirect(b probe.Batch) {
 			mm.ph = phAfterRR
 			return
 		}
-	} else if mm.rev.measured && e.Opts.UseCache && e.cache.verdicts(cur, e.Pool.Now()).silent {
-		// Silent to another source's direct probe and spoofed batch, and now
-		// to this one's: five option packets from five directions.
+	} else if mm.rev.measured && mm.knownSilent() {
+		// Known silent, and silent to this direct probe too. Where only the
+		// survey knew, the sweep's first batch is built and not sent: its
+		// sequence numbers are spent and the verdict its silence would have
+		// settled is shared, as if it had gone out.
 		e.metrics.spoofSweepsUnresponsive.Inc()
+		if !e.cache.verdicts(cur, e.Pool.Now()).silent {
+			mm.sweep(false)
+			if len(mm.nextBatch()) > 0 {
+				mm.shareVerdicts(nil, true)
+			}
+		}
 		mm.ph = phAfterRR
 		return
 	}
 	mm.sweep(rr.Responded)
+}
+
+// knownSilent reports whether the cursor is known to answer no option
+// packet, by the cache's silent verdict or by the ingress survey, whose
+// silence lives beside the cache, not in it (DESIGN "(2) Unresponsive").
+func (mm *Machine) knownSilent() bool {
+	e := mm.e
+	return e.Opts.UseCache && (e.cache.verdicts(mm.cur, e.Pool.Now()).silent ||
+		!e.hideSurveySilence && e.Ingress.Silent(mm.cur))
 }
 
 // sweep sets up the spoofed sweep over the cursor's ingress plan (a hop in
@@ -732,16 +749,24 @@ func (mm *Machine) sweep(directAnswered bool) {
 	mm.ph = phSpoofNext
 }
 
-// stepSpoofNext builds the next spoofed-RR batch from the §4.3 ingress
-// order, skipping the source, known-dead vantage points and those already
-// seen out of range of cur, and backfilling from further down the order so
-// a skipped VP costs its slot, not the whole batch (graceful degradation).
+// stepSpoofNext suspends on the sweep's next batch or, short of one,
+// closes the stage.
 func (mm *Machine) stepSpoofNext() {
+	mm.ph = phAfterRR
+	if reqs := mm.nextBatch(); len(reqs) > 0 {
+		mm.suspendProbes(reqs, true, phSpoofWait)
+	}
+}
+
+// nextBatch builds the next spoofed-RR batch from the §4.3 ingress order,
+// skipping the source, known-dead vantage points and those already seen
+// out of range of cur, and backfilling from further down the order so a
+// skipped VP costs its slot, not the whole batch (graceful degradation).
+func (mm *Machine) nextBatch() []probe.Request {
 	e, src, cur := mm.e, mm.src, mm.cur
 	sp := &mm.spoof
 	if mm.m.ctx.Err() != nil || sp.cursor >= len(sp.plan) {
-		mm.ph = phAfterRR
-		return
+		return nil
 	}
 	var far []ipv4.Addr
 	if e.Opts.UseCache {
@@ -766,11 +791,7 @@ func (mm *Machine) stepSpoofNext() {
 			Src: src.Agent.Addr, Dst: cur, Seq: mm.m.next(),
 		})
 	}
-	if len(reqs) == 0 {
-		mm.ph = phAfterRR
-		return
-	}
-	mm.suspendProbes(reqs, true, phSpoofWait)
+	return reqs
 }
 
 // spoofWait is the virtual time the measurement waited on the delivered

@@ -79,8 +79,10 @@ type Service struct {
 	// orders sites by raw in-range prefix count.
 	rank10     []int
 	rankGlobal []int
+	heard      map[ipv4.Addr]bool // per survey destination: did any site's RR ping draw a reply
 
-	rng *rand.Rand
+	seed int64
+	rng  *rand.Rand // the ingress tie-break stream, restarted by every survey
 }
 
 // NewService creates the service.
@@ -89,15 +91,18 @@ func NewService(p *measure.Prober, sites []measure.Agent, heur Heuristics, seed 
 		Prober: p,
 		Sites:  sites,
 		Heur:   heur,
-		Info:   make(map[ipv4.Prefix]*PrefixInfo),
-		rng:    detrand.New(seed, "ingress.tiebreak"),
+		seed:   seed,
 	}
 }
 
 // Survey probes each prefix from every site. dests must yield at least
 // two (ideally responsive) destination addresses per prefix; the first
-// two are used for candidate extraction.
+// two are used for candidate extraction. It replaces all an earlier survey
+// found: the service answers as a fresh one that ran only this survey.
 func (s *Service) Survey(prefixes []ipv4.Prefix, dests func(ipv4.Prefix) []ipv4.Addr) {
+	s.Info = make(map[ipv4.Prefix]*PrefixInfo)
+	s.heard = make(map[ipv4.Addr]bool)
+	s.rng = detrand.New(s.seed, "ingress.tiebreak")
 	for _, pfx := range prefixes {
 		ds := dests(pfx)
 		if len(ds) == 0 {
@@ -108,6 +113,13 @@ func (s *Service) Survey(prefixes []ipv4.Prefix, dests func(ipv4.Prefix) []ipv4.
 	s.computeRankings()
 }
 
+// Silent reports whether addr was a destination of the last survey that no
+// site's RR ping drew a reply from: no option packet from any direction.
+func (s *Service) Silent(addr ipv4.Addr) bool {
+	heard, surveyed := s.heard[addr]
+	return surveyed && !heard
+}
+
 func (s *Service) surveyPrefix(pfx ipv4.Prefix, ds []ipv4.Addr) *PrefixInfo {
 	info := &PrefixInfo{Prefix: pfx}
 	d1 := ds[0]
@@ -115,14 +127,17 @@ func (s *Service) surveyPrefix(pfx ipv4.Prefix, ds []ipv4.Addr) *PrefixInfo {
 	if len(ds) > 1 {
 		d2 = ds[1]
 	}
+	heard1, heard2 := false, false
 	for si := range s.Sites {
 		obs := &SiteObs{Site: si, Dist: -1, CandIdx: make(map[ipv4.Addr]int)}
 		rr1 := s.Prober.RRPing(s.Sites[si], d1)
+		heard1 = heard1 || rr1.Responded
 		c1, m1 := s.extractCandidates(pfx, rr1.Recorded)
 		var c2 []ipv4.Addr
 		m2 := -1
 		if d2 != d1 {
 			rr2 := s.Prober.RRPing(s.Sites[si], d2)
+			heard2 = heard2 || rr2.Responded
 			c2, m2 = s.extractCandidates(pfx, rr2.Recorded)
 			obs.Reached = rr1.Responded || rr2.Responded
 		} else {
@@ -148,6 +163,8 @@ func (s *Service) surveyPrefix(pfx ipv4.Prefix, ds []ipv4.Addr) *PrefixInfo {
 		}
 		info.Obs = append(info.Obs, obs)
 	}
+	s.heard[d2] = heard2
+	s.heard[d1] = heard1 // last: d1 may be d2
 	s.selectIngresses(info)
 	return info
 }
@@ -317,6 +334,7 @@ func (s *Service) computeRankings() {
 	// revtr 1.0: greedy set cover of prefixes by sites.
 	covered := map[ipv4.Prefix]bool{}
 	used := make([]bool, len(s.Sites))
+	s.rank10 = nil // a fresh slice: PlanFor handed the last one out
 	for len(s.rank10) < len(s.Sites) {
 		best, bestGain := -1, -1
 		for si := range s.Sites {

@@ -1,10 +1,12 @@
 package ingress_test
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
 	"revtr/internal/ingress"
+	"revtr/internal/measure"
 	"revtr/internal/netsim/ipv4"
 	"revtr/internal/simtest"
 )
@@ -18,12 +20,19 @@ func surveyEnvSeed(t testing.TB, seed int64) (*simtest.Env, *ingress.Service) {
 	t.Helper()
 	env := simtest.New(t, 300, seed)
 	svc := ingress.NewService(env.Prober, env.Sites, ingress.AllHeuristics, seed)
-	// Survey announced /24s only (cheap enough for tests).
+	prefixes, dests := announced(env)
+	svc.Survey(prefixes, dests)
+	return env, svc
+}
+
+// announced returns the world's announced /24s (cheap enough to survey in
+// tests) and, for each, its first two ping-responsive hosts.
+func announced(env *simtest.Env) ([]ipv4.Prefix, func(ipv4.Prefix) []ipv4.Addr) {
 	var prefixes []ipv4.Prefix
 	for _, as := range env.Topo.ASes {
 		prefixes = append(prefixes, as.Prefixes...)
 	}
-	svc.Survey(prefixes, func(pfx ipv4.Prefix) []ipv4.Addr {
+	return prefixes, func(pfx ipv4.Prefix) []ipv4.Addr {
 		var out []ipv4.Addr
 		asn, ok := env.Topo.BlockAS(pfx.Addr)
 		if !ok {
@@ -39,8 +48,120 @@ func surveyEnvSeed(t testing.TB, seed int64) (*simtest.Env, *ingress.Service) {
 			}
 		}
 		return out
-	})
-	return env, svc
+	}
+}
+
+// TestSurveySilence: Silent holds exactly for the survey's destinations
+// that no site's RR ping drew a reply from — a host that answers no option
+// packet, a host behind an AS that drops transiting ones — and for no
+// answered destination and no address the survey never probed. Every
+// third prefix is surveyed through one destination, probed as both.
+func TestSurveySilence(t *testing.T) {
+	env := simtest.New(t, 300, 6)
+	svc := ingress.NewService(env.Prober, env.Sites, ingress.AllHeuristics, 6)
+	prefixes, two := announced(env)
+	single := map[ipv4.Prefix]bool{}
+	for i, pfx := range prefixes {
+		single[pfx] = i%3 == 0
+	}
+	dests := func(pfx ipv4.Prefix) []ipv4.Addr {
+		ds := two(pfx)
+		if single[pfx] && len(ds) > 1 {
+			ds = ds[:1]
+		}
+		return ds
+	}
+	svc.Survey(prefixes, dests)
+
+	heard := func(a ipv4.Addr) bool {
+		return slices.ContainsFunc(env.Sites, func(site measure.Agent) bool { return env.Prober.RRPing(site, a).Responded })
+	}
+	surveyed := map[ipv4.Addr]bool{}
+	var silent, answered, singleSilent, singleAnswered, notRR, filtered int
+	for _, pfx := range prefixes {
+		for _, a := range dests(pfx) {
+			surveyed[a] = true
+			want := !heard(a)
+			if got := svc.Silent(a); got != want {
+				t.Errorf("%s (prefix %v): Silent = %v, want %v", a, pfx, got, want)
+			}
+			h, _ := env.Topo.HostOf(a)
+			switch {
+			case !want:
+				answered++
+				singleAnswered += btoi(single[pfx])
+			default:
+				silent++
+				singleSilent += btoi(single[pfx])
+				notRR += btoi(!h.RRResponsive)
+				filtered += btoi(h.RRResponsive && env.Topo.ASes[h.AS].FiltersOptions)
+			}
+		}
+	}
+	t.Logf("%d survey destinations silent (%d alone in their prefix, %d not answering RR, %d behind an option filter), %d answered (%d alone)",
+		silent, singleSilent, notRR, filtered, answered, singleAnswered)
+	if singleSilent == 0 || singleAnswered == 0 || notRR == 0 || filtered == 0 || silent == singleSilent || answered == singleAnswered {
+		t.Fatal("the survey lacks a kind of destination the test is about")
+	}
+	never := 0
+	for i := range env.Topo.Hosts {
+		if h := &env.Topo.Hosts[i]; !surveyed[h.Addr] && !heard(h.Addr) {
+			never++
+			if svc.Silent(h.Addr) {
+				t.Errorf("%s: never surveyed, yet Silent", h.Addr)
+			}
+		}
+	}
+	if never == 0 || svc.Silent(ipv4.MustParseAddr("203.0.113.1")) {
+		t.Errorf("%d silent hosts outside the survey checked; Silent(203.0.113.1) = %v", never, svc.Silent(ipv4.MustParseAddr("203.0.113.1")))
+	}
+}
+
+// TestResurveyIsFresh: a survey replaces everything the last one found. A
+// service that surveyed every prefix and then a quarter of them answers
+// like a fresh service that surveyed only the quarter: the same per-prefix
+// products, rankings and silent destinations. A probe's sequence number
+// picks its way through per-packet balancers, so each quarter survey goes
+// out through a prober of its own, from the same first number.
+func TestResurveyIsFresh(t *testing.T) {
+	env := simtest.New(t, 300, 6)
+	prefixes, dests := announced(env)
+	quarter := prefixes[:len(prefixes)/4]
+	newProber := func() *measure.Prober { return measure.NewProberWithClock(env.Fabric, measure.NewClock()) }
+	again := ingress.NewService(env.Prober, env.Sites, ingress.AllHeuristics, 6)
+	again.Survey(prefixes, dests)
+	again.Prober = newProber()
+	again.Survey(quarter, dests)
+	fresh := ingress.NewService(newProber(), env.Sites, ingress.AllHeuristics, 6)
+	fresh.Survey(quarter, dests)
+
+	if len(again.Info) != len(fresh.Info) || !reflect.DeepEqual(again.Info, fresh.Info) {
+		t.Errorf("re-surveyed Info holds %d prefixes, fresh %d, or their products differ", len(again.Info), len(fresh.Info))
+	}
+	for _, sel := range []ingress.Selection{ingress.SelSetCover, ingress.SelGlobal} {
+		if got, want := again.PlanFor(quarter[0], sel).Order, fresh.PlanFor(quarter[0], sel).Order; !slices.Equal(got, want) {
+			t.Errorf("selection %d: re-surveyed order %v, fresh %v", sel, got, want)
+		}
+	}
+	silent := 0
+	for _, pfx := range prefixes {
+		for _, a := range dests(pfx) {
+			silent += btoi(fresh.Silent(a))
+			if again.Silent(a) != fresh.Silent(a) {
+				t.Errorf("%s: Silent re-surveyed %v, fresh %v", a, again.Silent(a), fresh.Silent(a))
+			}
+		}
+	}
+	if silent == 0 {
+		t.Error("the quarter has no silent destination: the test compares half of what it claims")
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func TestSurveyFindsIngresses(t *testing.T) {
@@ -126,27 +247,7 @@ func TestPlanPolicies(t *testing.T) {
 
 func TestHeuristicsExtractMore(t *testing.T) {
 	env := simtest.New(t, 300, 6)
-	var prefixes []ipv4.Prefix
-	for _, as := range env.Topo.ASes {
-		prefixes = append(prefixes, as.Prefixes...)
-	}
-	dests := func(pfx ipv4.Prefix) []ipv4.Addr {
-		var out []ipv4.Addr
-		asn, ok := env.Topo.BlockAS(pfx.Addr)
-		if !ok {
-			return nil
-		}
-		for _, hid := range env.Topo.ASes[asn].Hosts {
-			h := &env.Topo.Hosts[hid]
-			if pfx.Contains(h.Addr) && h.PingResponsive {
-				out = append(out, h.Addr)
-				if len(out) == 2 {
-					break
-				}
-			}
-		}
-		return out
-	}
+	prefixes, dests := announced(env)
 	plain := ingress.NewService(env.Prober, env.Sites, ingress.Heuristics{}, 6)
 	plain.Survey(prefixes, dests)
 	full := ingress.NewService(env.Prober, env.Sites, ingress.AllHeuristics, 6)
