@@ -60,7 +60,7 @@ ci: fmt vet lint short race bench benchcheck benchmod fuzz cover loc
 # when the total is above LOC_CEILING — the total the last PR landed at.
 # A PR that adds lines says why and raises it; one that removes lines
 # lowers it to where it lands.
-LOC_CEILING = 21507
+LOC_CEILING = 21565
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs wc -l | \
 		awk -v ceiling=$(LOC_CEILING) '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
@@ -82,12 +82,15 @@ loc:
 # itself: its cache holds three kinds of entry, one of them (the per-hop
 # verdicts) shared across sources. So is the ingress survey: every
 # measurement's RR stage reads its plans and its silent destinations, and
-# a second survey must replace the first one's answers whole. The lint
+# a second survey must replace the first one's answers whole. So is the
+# atlas: every measurement's intersections read its indexes, entries copy
+# suffixes out of one another, and a refresh's removals must hand shared
+# hops on to the entries that survive. The lint
 # framework is held to the same floor: every concurrency gate rests on the one
 # dataflow in flow, which its own tests barely touch (16 %) — it is
 # exercised by the analyzers' fixture suites, so it is measured across
 # the whole lint tree's tests.
-COVER_PKGS = internal/core internal/core/segments internal/ttlcache internal/store internal/sched internal/stream internal/probe internal/ingress
+COVER_PKGS = internal/core internal/core/segments internal/ttlcache internal/store internal/sched internal/stream internal/probe internal/ingress internal/atlas
 LINT_COVER_PKGS = ./internal/lint/flow,./internal/lint/directive,./internal/lint/analysis,./internal/lint/loader
 COVER_FLOOR = awk -v pkg=$$pkg '/^total:/ { \
 	pct = $$3 + 0; printf "%s coverage: %s (floor 90%%)\n", pkg, $$3; \

@@ -10,6 +10,11 @@
 // every traceroute hop to learn, ahead of time, which RR-visible addresses
 // correspond to which traceroute position — so runtime intersection is a
 // pure map lookup with no online alias resolution.
+//
+// The Service builds an atlas Doubletree-style (Donnet et al.): a probe's
+// traceroute stops at the first hop the atlas already holds, and the
+// entry is that measured prefix plus a copy of the holding entry's suffix.
+// Each hop is RR-probed once per atlas, whichever entries share it.
 package atlas
 
 import (
@@ -79,9 +84,13 @@ type Atlas struct {
 	// off an earlier traceroute starts where it answered that one).
 	MedianHops int
 
-	nextID  int
-	index   map[ipv4.Addr]hopRef // direct traceroute hop addresses
-	rrIndex map[ipv4.Addr]hopRef // RR-visible aliases per hop (§4.2)
+	nextID int
+	index  map[ipv4.Addr]hopRef // direct traceroute hop addresses
+	// rrIndex maps an RR-visible alias to the traceroute hop it aligned
+	// to (§4.2); a lookup resolves it through index, so it follows the
+	// hop to whichever entry holds it now.
+	rrIndex map[ipv4.Addr]ipv4.Addr
+	probed  map[ipv4.Addr]bool // hops BuildRRAliases has RR-probed
 }
 
 // New creates an empty atlas for a source.
@@ -89,7 +98,8 @@ func New(source measure.Agent) *Atlas {
 	return &Atlas{
 		Source:  source,
 		index:   make(map[ipv4.Addr]hopRef),
-		rrIndex: make(map[ipv4.Addr]hopRef),
+		rrIndex: make(map[ipv4.Addr]ipv4.Addr),
+		probed:  make(map[ipv4.Addr]bool),
 	}
 }
 
@@ -105,54 +115,69 @@ func (a *Atlas) Add(probeName string, probeAS int32, hops []ipv4.Addr, nowUS int
 	}
 	a.nextID++
 	a.Entries = append(a.Entries, e)
-	for i, h := range hops {
-		// First writer wins: earlier entries keep their hop claims so
-		// suffixes stay internally consistent.
-		if _, dup := a.index[h]; !dup {
-			a.index[h] = hopRef{entry: e, pos: i}
-		}
-	}
+	a.claim(e)
 	return e
 }
 
-// Remove deletes an entry and its index claims.
-func (a *Atlas) Remove(e *Entry) {
-	for i := range a.Entries {
-		if a.Entries[i] == e {
-			a.Entries = append(a.Entries[:i], a.Entries[i+1:]...)
-			break
+// claim indexes e's hops that no entry holds yet. First writer wins:
+// earlier entries keep their hop claims so suffixes stay internally
+// consistent.
+func (a *Atlas) claim(e *Entry) {
+	for i, h := range e.Hops {
+		if !a.holds(h) {
+			a.index[h] = hopRef{entry: e, pos: i}
 		}
 	}
-	drop := func(idx map[ipv4.Addr]hopRef) {
-		for k, ref := range idx {
-			if ref.entry == e {
-				delete(idx, k)
+}
+
+// holds reports whether some entry has h as a direct hop: the stop set of
+// the Doubletree sweep.
+func (a *Atlas) holds(h ipv4.Addr) bool {
+	_, ok := a.index[h]
+	return ok
+}
+
+// adopt completes a traceroute that stopped at a hop the atlas holds:
+// hops, then a copy of the holding entry's suffix from that hop on.
+func (a *Atlas) adopt(hops []ipv4.Addr) []ipv4.Addr {
+	met := a.index[hops[len(hops)-1]]
+	return append(hops, met.entry.Hops[met.pos+1:]...)
+}
+
+// Remove deletes entries and their index claims. A hop that a surviving
+// entry also holds (a copied suffix, say) passes to the earliest one.
+func (a *Atlas) Remove(es ...*Entry) {
+	a.Entries = slices.DeleteFunc(a.Entries, func(e *Entry) bool { return slices.Contains(es, e) })
+	for _, e := range es {
+		for _, h := range e.Hops {
+			if ref, ok := a.index[h]; ok && ref.entry == e {
+				delete(a.index, h)
 			}
 		}
 	}
-	drop(a.index)
-	drop(a.rrIndex)
+	for _, e := range a.Entries {
+		a.claim(e)
+	}
 }
 
 // Lookup checks whether addr is on (or RR-aliases to) an atlas traceroute
 // and returns the suffix toward the source.
 func (a *Atlas) Lookup(addr ipv4.Addr) (Intersection, bool) {
-	if ref, ok := a.index[addr]; ok {
-		return Intersection{
-			Entry:  ref.entry,
-			Pos:    ref.pos,
-			Suffix: ref.entry.Hops[ref.pos+1:],
-		}, true
+	ref, ok := a.index[addr]
+	viaRR := false
+	if hop, alias := a.rrIndex[addr]; alias && !ok {
+		ref, ok = a.index[hop]
+		viaRR = ok
 	}
-	if ref, ok := a.rrIndex[addr]; ok {
-		return Intersection{
-			Entry:      ref.entry,
-			Pos:        ref.pos,
-			Suffix:     ref.entry.Hops[ref.pos+1:],
-			ViaRRAlias: true,
-		}, true
+	if !ok {
+		return Intersection{}, false
 	}
-	return Intersection{}, false
+	return Intersection{
+		Entry:      ref.entry,
+		Pos:        ref.pos,
+		Suffix:     ref.entry.Hops[ref.pos+1:],
+		ViaRRAlias: viaRR,
+	}, true
 }
 
 // SitePicker selects spoofing vantage points for a background RR probe
@@ -162,8 +187,10 @@ type SitePicker func(target ipv4.Addr) []measure.Agent
 
 // BuildRRAliases issues the §4.2 background measurements for entry e:
 // an RR ping from the source (or spoofed as the source from vantage
-// points near the hop) to each traceroute hop, recording which RR-visible
-// addresses correspond to which traceroute positions.
+// points near the hop) to each traceroute hop the atlas has not probed
+// yet, recording which RR-visible addresses correspond to which
+// traceroute positions. A hop is probed once per atlas: an entry that
+// shares it, or a re-measure of the entry, finds its aliases in hand.
 //
 // Alignment of RR stamps to traceroute positions uses, in order: identity
 // (ingress-stamping routers), the /30 point-to-point heuristic (an RR
@@ -172,6 +199,10 @@ type SitePicker func(target ipv4.Addr) []measure.Agent
 func (a *Atlas) BuildRRAliases(p *measure.Prober, pick SitePicker, res alias.Resolver, e *Entry) {
 	var p2p alias.Slash30
 	for i, h := range e.Hops {
+		if a.probed[h] {
+			continue
+		}
+		a.probed[h] = true
 		rr := p.RRPing(a.Source, h)
 		if !rr.Responded || len(rr.Recorded) == 0 {
 			// Out of direct range or unresponsive: spoof from up to
@@ -241,11 +272,12 @@ func (a *Atlas) associate(recorded []ipv4.Addr, e *Entry, probedPos int, res ali
 		if pos >= len(e.Hops) {
 			break
 		}
-		if _, dup := a.index[x]; dup {
+		if a.holds(x) {
 			continue
 		}
-		if _, dup := a.rrIndex[x]; !dup {
-			a.rrIndex[x] = hopRef{entry: e, pos: pos}
+		// An alias whose hop no entry holds any more goes to this one.
+		if hop, dup := a.rrIndex[x]; !dup || !a.holds(hop) {
+			a.rrIndex[x] = e.Hops[pos]
 		}
 	}
 }

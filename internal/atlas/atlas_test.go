@@ -1,6 +1,7 @@
 package atlas_test
 
 import (
+	"slices"
 	"testing"
 
 	"revtr/internal/atlas"
@@ -52,6 +53,52 @@ func TestRemoveClearsIndexes(t *testing.T) {
 	}
 	if _, ok := at.Lookup(a("2.0.0.1")); ok {
 		t.Fatal("index not cleared")
+	}
+}
+
+// TestRemoveHandsSharedHopsOn: a hop two entries hold stays in the atlas
+// when the entry that claimed it first is removed — the survivor claims
+// it — while the removed entry's own hops leave.
+func TestRemoveHandsSharedHopsOn(t *testing.T) {
+	at := atlas.New(measure.Agent{Addr: a("1.0.0.1")})
+	e1 := at.Add("p0", 1, []ipv4.Addr{a("2.0.0.1"), a("3.0.0.1"), a("1.0.0.1")}, 0)
+	e2 := at.Add("p1", 2, []ipv4.Addr{a("5.0.0.1"), a("3.0.0.1"), a("1.0.0.1")}, 0)
+	at.Remove(e1)
+	x, ok := at.Lookup(a("3.0.0.1"))
+	if !ok || x.Entry != e2 || x.Pos != 1 || len(x.Suffix) != 1 {
+		t.Fatalf("shared hop after removing its first holder: %+v, %v", x, ok)
+	}
+	if _, ok := at.Lookup(a("2.0.0.1")); ok {
+		t.Fatal("the removed entry's own hop is still indexed")
+	}
+}
+
+// TestBuildRRAliasesProbesEachHopOnce: RR probing is keyed by hop, once
+// per atlas — an entry whose hops are all probed already, or the same
+// path re-added after a remove (a refresh's re-measure), sends nothing.
+func TestBuildRRAliasesProbesEachHopOnce(t *testing.T) {
+	env := simtest.New(t, 300, 4)
+	src := env.Agent(env.SourceHost(0))
+	at := atlas.New(src)
+	var hops []ipv4.Addr
+	for _, p := range env.Probes {
+		if tr := env.Prober.Traceroute(p.Agent, src.Addr); tr.ReachedDst && p.Agent.AS != src.AS {
+			hops = tr.HopAddrs()
+			break
+		}
+	}
+	e := at.Add("p0", 1, hops, 0)
+	before := env.Prober.Count
+	at.BuildRRAliases(env.Prober, atlas.FixedSites(env.Sites), env.Alias, e)
+	if sent := env.Prober.Count.Sub(before); sent.RR != uint64(len(hops)) {
+		t.Fatalf("first entry: %d RR pings for %d hops", sent.RR, len(hops))
+	}
+	before = env.Prober.Count
+	at.BuildRRAliases(env.Prober, atlas.FixedSites(env.Sites), env.Alias, at.Add("p1", 1, hops[1:], 0))
+	at.Remove(e)
+	at.BuildRRAliases(env.Prober, atlas.FixedSites(env.Sites), env.Alias, at.Add("p0", 1, hops, 0))
+	if sent := env.Prober.Count.Sub(before); sent.Total() != 0 {
+		t.Fatalf("hops probed before were probed again: %+v", sent)
 	}
 }
 
@@ -145,6 +192,38 @@ func TestServiceBuildAndRefresh(t *testing.T) {
 	}
 	if found == 0 {
 		t.Error("no useful entries survived refresh")
+	}
+}
+
+// TestDoubletreeEntriesCopyTheMetSuffix: every Service-built entry is the
+// traceroute its probe measured up to the first hop the atlas held, then
+// the holding entry's suffix from that hop on — so Hops still runs all
+// the way to the source — and sharing hops near the source cut the
+// traceroute packets below one per hop.
+func TestDoubletreeEntriesCopyTheMetSuffix(t *testing.T) {
+	env := simtest.New(t, 300, 4)
+	src := env.Agent(env.SourceHost(0))
+	svc := atlas.NewService(env.Prober, env.Probes, atlas.FixedSites(env.Sites), env.Alias, 20, 4)
+	before := env.Prober.Count
+	at := svc.BuildFor(src)
+	hops, met := 0, 0
+	for _, e := range at.Entries {
+		hops += len(e.Hops)
+		if e.Hops[len(e.Hops)-1] != src.Addr {
+			t.Fatalf("entry %s does not end at the source: %v", e.ProbeName, e.Hops)
+		}
+		for i, h := range e.Hops[:len(e.Hops)-1] {
+			if x, _ := at.Lookup(h); x.Entry != e {
+				if !slices.Equal(e.Hops[i+1:], x.Suffix) {
+					t.Fatalf("entry %s met %s at hop %d: suffix %v, holder's %v", e.ProbeName, x.Entry.ProbeName, i, e.Hops[i+1:], x.Suffix)
+				}
+				met++
+				break
+			}
+		}
+	}
+	if tr := env.Prober.Count.Sub(before).Traceroute; met == 0 || tr >= uint64(hops) {
+		t.Fatalf("%d of %d entries met the atlas; %d traceroute packets for %d hops", met, at.Size(), tr, hops)
 	}
 }
 

@@ -44,7 +44,10 @@ func (s *Service) BuildFor(source measure.Agent) *Atlas {
 
 // fill tops the atlas up to Size traceroutes from random probes not in
 // exclude (probe names). It is the last step of a build and of a
-// refresh, so it also fixes the atlas's MedianHops.
+// refresh, so it also fixes the atlas's MedianHops. Each traceroute
+// stops at the first hop the atlas already holds (Doubletree's stop set,
+// keyed by hop: every entry ends at the same source), and the entry
+// adopts the rest of the path from the entry that holds that hop.
 func (s *Service) fill(a *Atlas, exclude map[string]bool) {
 	defer a.setMedianHops()
 	inAtlas := map[string]bool{}
@@ -63,34 +66,40 @@ func (s *Service) fill(a *Atlas, exclude map[string]bool) {
 		if !probe.Spend(1) {
 			continue // rate limited
 		}
-		tr := s.Prober.Traceroute(probe.Agent, a.Source.Addr)
-		if !tr.ReachedDst {
+		tr := s.Prober.TracerouteUntil(probe.Agent, a.Source.Addr, a.holds)
+		hops := tr.HopAddrs()
+		if tr.Stopped {
+			hops = a.adopt(hops)
+		} else if !tr.ReachedDst {
 			continue
 		}
-		e := a.Add(probe.Agent.Name, int32(probe.Agent.AS), tr.HopAddrs(), s.Prober.Now())
+		e := a.Add(probe.Agent.Name, int32(probe.Agent.AS), hops, s.Prober.Now())
 		a.BuildRRAliases(s.Prober, s.Pick, s.Alias, e)
 		inAtlas[probe.Agent.Name] = true
 	}
 }
 
 // Refresh applies the daily replacement policy: entries that were useful
-// since the last refresh are re-measured from the same probe; the rest
-// are dropped and replaced with traceroutes from new random probes.
+// since the last refresh are re-measured from the same probe (a full
+// traceroute: the stop set holds the entry itself); the rest are dropped
+// and replaced with traceroutes from new random probes, whose stop set
+// holds only the kept entries.
 func (s *Service) Refresh(a *Atlas) {
 	byName := map[string]*vantage.Probe{}
 	for _, p := range s.Probes {
 		byName[p.Agent.Name] = p
 	}
-	var keep []*Entry
+	var keep, drop []*Entry
 	dropped := map[string]bool{}
-	for _, e := range append([]*Entry(nil), a.Entries...) {
+	for _, e := range a.Entries {
 		if e.WasUseful() {
 			keep = append(keep, e)
 		} else {
+			drop = append(drop, e)
 			dropped[e.ProbeName] = true
-			a.Remove(e)
 		}
 	}
+	a.Remove(drop...)
 	// Re-measure kept traceroutes so the atlas stays fresh.
 	for _, e := range keep {
 		probe, ok := byName[e.ProbeName]

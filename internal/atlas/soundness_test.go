@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"revtr/internal/atlas"
+	"revtr/internal/measure"
 	"revtr/internal/netsim/ipv4"
 	"revtr/internal/simtest"
 )
@@ -16,28 +17,39 @@ import (
 // and destination-based-routing violators by packet source (Appx E), both
 // of which the paper documents as rare sources of divergence. The test
 // verifies against ground truth and asserts the violation rate stays in
-// the paper's "rare" regime.
+// the paper's "rare" regime. It holds for an atlas of full traceroutes
+// and for the Service's Doubletree build, whose entries copy the suffix
+// of the entry their traceroute met.
 func TestIntersectionSoundness(t *testing.T) {
-	env := simtest.New(t, 300, 12)
-	src := env.Agent(env.SourceHost(0))
-	at := atlas.New(src)
+	t.Run("classic", func(t *testing.T) {
+		env := simtest.New(t, 300, 12)
+		src := env.Agent(env.SourceHost(0))
+		at := atlas.New(src)
+		for _, p := range env.Probes {
+			if p.Agent.AS == src.AS {
+				continue
+			}
+			tr := env.Prober.Traceroute(p.Agent, src.Addr)
+			if !tr.ReachedDst {
+				continue
+			}
+			at.Add(p.Agent.Name, int32(p.Agent.AS), tr.HopAddrs(), 0)
+			if at.Size() >= 30 {
+				break
+			}
+		}
+		checkSoundness(t, env, src, at)
+	})
+	t.Run("doubletree", func(t *testing.T) {
+		env := simtest.New(t, 300, 12)
+		src := env.Agent(env.SourceHost(0))
+		svc := atlas.NewService(env.Prober, env.Probes, atlas.FixedSites(env.Sites), env.Alias, 30, 12)
+		checkSoundness(t, env, src, svc.BuildFor(src))
+	})
+}
 
-	added := 0
-	for _, p := range env.Probes {
-		if p.Agent.AS == src.AS {
-			continue
-		}
-		tr := env.Prober.Traceroute(p.Agent, src.Addr)
-		if !tr.ReachedDst {
-			continue
-		}
-		at.Add(p.Agent.Name, int32(p.Agent.AS), tr.HopAddrs(), 0)
-		added++
-		if added >= 30 {
-			break
-		}
-	}
-	if added == 0 {
+func checkSoundness(t *testing.T, env *simtest.Env, src measure.Agent, at *atlas.Atlas) {
+	if at.Size() == 0 {
 		t.Skip("no atlas entries")
 	}
 

@@ -239,17 +239,27 @@ type TracerouteResult struct {
 	// asked for (start 1), or the tail window found four silent TTLs in a
 	// row under an echo reply, where the sweep gives up.
 	Swept bool
+	// Stopped reports that the sweep ended at its last hop because the
+	// stop set holds it (RunTraceroute's stop), short of the destination.
+	Stopped bool
 }
 
 // MaxTracerouteTTL bounds traceroute probing.
 const MaxTracerouteTTL = 40
 
 // Traceroute runs a Paris traceroute (constant flow identifier) from a to
-// dst. One probe per TTL from TTL 1 — atlas, adjacency and ground-truth
-// callers need the whole path; stops at the destination's echo reply or
-// after four consecutive silent hops.
+// dst. One probe per TTL from TTL 1 — adjacency and ground-truth callers
+// need the whole path; stops at the destination's echo reply or after
+// four consecutive silent hops.
 func (p *Prober) Traceroute(a Agent, dst ipv4.Addr) TracerouteResult {
-	tr, sent := RunTraceroute(p.F, a, dst, p.clock.Now(), p.seq, 1)
+	return p.TracerouteUntil(a, dst, nil)
+}
+
+// TracerouteUntil is Traceroute that also stops after the first
+// responsive hop stop holds (RunTraceroute's stop set): the atlas's
+// Doubletree sweep, which needs no hop past one it already has.
+func (p *Prober) TracerouteUntil(a Agent, dst ipv4.Addr, stop func(ipv4.Addr) bool) TracerouteResult {
+	tr, sent := RunTraceroute(p.F, a, dst, p.clock.Now(), p.seq, 1, stop)
 	p.seq += MaxTracerouteTTL
 	p.Count.Traceroute += uint64(sent)
 	return tr

@@ -296,9 +296,14 @@ func issueTraceroutePkt(f *fabric.Fabric, sp Spec, nowUS int64) Reply {
 // admitted: a run of four silent TTLs that begins below the lowest TTL
 // the window probed makes the sweep give up early, while the window,
 // which cannot see the whole run, still reports the true last link.
-func RunTraceroute(f *fabric.Fabric, a Agent, dst ipv4.Addr, nowUS int64, seqBase uint64, start int) (TracerouteResult, int) {
+//
+// stop is the sweep's stop set (Donnet et al.'s Doubletree): a sweep ends
+// after the first responsive hop short of the destination that stop
+// holds, and says so in Stopped. A nil stop set, like a window, never
+// stops early.
+func RunTraceroute(f *fabric.Fabric, a Agent, dst ipv4.Addr, nowUS int64, seqBase uint64, start int, stop func(ipv4.Addr) bool) (TracerouteResult, int) {
 	base := Spec{Kind: KindTraceroutePkt, VP: a, Dst: dst, Seq: seqBase}
-	return runTraceroute(base, start, func(sp Spec) Reply { return Issue(f, sp, nowUS) })
+	return runTraceroute(base, start, stop, func(sp Spec) Reply { return Issue(f, sp, nowUS) })
 }
 
 // ttlReply is what the traceroute keeps of one TTL's reply.
@@ -397,7 +402,7 @@ func nextSilent(run int, g *ttlReply) int {
 
 // runTraceroute is RunTraceroute over an abstract issue path (tests
 // observe the specs it is handed, and script the replies).
-func runTraceroute(base Spec, start int, issue func(Spec) Reply) (TracerouteResult, int) {
+func runTraceroute(base Spec, start int, stop func(ipv4.Addr) bool, issue func(Spec) Reply) (TracerouteResult, int) {
 	r := ttlReplies{base: base, issue: issue}
 	if start > 1 {
 		if out, ok := r.window(start); ok {
@@ -405,7 +410,7 @@ func runTraceroute(base Spec, start int, issue func(Spec) Reply) (TracerouteResu
 		}
 	}
 	out := TracerouteResult{Swept: true}
-	for ttl, silent := 1, 0; ttl <= MaxTracerouteTTL && silent < silentRun && !out.ReachedDst; ttl++ {
+	for ttl, silent := 1, 0; ttl <= MaxTracerouteTTL && silent < silentRun && !out.ReachedDst && !out.Stopped; ttl++ {
 		g := r.at(ttl)
 		if r.dead {
 			return TracerouteResult{}, 0
@@ -413,6 +418,7 @@ func runTraceroute(base Spec, start int, issue func(Spec) Reply) (TracerouteResu
 		out.Hops = append(out.Hops, g.hop)
 		silent = nextSilent(silent, g)
 		out.ReachedDst = g.echo
+		out.Stopped = !g.echo && g.hop.Responded && stop != nil && stop(g.hop.Addr)
 	}
 	out.RTTUS = r.rttUS
 	return out, r.sent

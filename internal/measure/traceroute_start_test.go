@@ -7,6 +7,7 @@ package measure_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -61,7 +62,7 @@ func startCorpus(env *simtest.Env) (agents []measure.Agent, targets []ipv4.Addr)
 	for i := 0; i < 24; i++ {
 		if h := env.ResponsiveHost(i*3, agents[0].AS); h != nil {
 			add(h.Addr)
-			tr, _ := measure.RunTraceroute(env.Fabric, agents[0], h.Addr, 0, 0, 1)
+			tr, _ := measure.RunTraceroute(env.Fabric, agents[0], h.Addr, 0, 0, 1, nil)
 			for _, hop := range tr.HopAddrs() {
 				add(hop)
 			}
@@ -116,7 +117,7 @@ func TestTracerouteStartDifferential(t *testing.T) {
 				stood, swept, divergent := 0, 0, 0
 				for _, a := range agents {
 					for _, dst := range targets {
-						classic, classicSent := measure.RunTraceroute(env.Fabric, a, dst, plan.nowUS, seqBase, 1)
+						classic, classicSent := measure.RunTraceroute(env.Fabric, a, dst, plan.nowUS, seqBase, 1, nil)
 						if !classic.Swept {
 							t.Fatalf("start 1 did not run the sweep")
 						}
@@ -194,7 +195,7 @@ type watch struct {
 func runWatched(t *testing.T, base measure.Spec, start int, issue func(measure.Spec) measure.Reply) (measure.TracerouteResult, int, watch) {
 	var probed, silent [measure.MaxTracerouteTTL + 1]bool
 	w := watch{lowest: measure.MaxTracerouteTTL + 1}
-	tr, sent := measure.RunTracerouteVia(base, start, func(sp measure.Spec) measure.Reply {
+	tr, sent := measure.RunTracerouteVia(base, start, nil, func(sp measure.Spec) measure.Reply {
 		ttl := int(sp.TTL)
 		want := base
 		want.TTL, want.Seq = sp.TTL, base.Seq+uint64(ttl)
@@ -307,4 +308,41 @@ func FuzzTracerouteStart(f *testing.F) {
 			t.Fatalf("start %d: last link %+v, classic %+v\n%+v\n%+v", start, lastLinkOf(tr), lastLinkOf(classic), tr, classic)
 		}
 	})
+}
+
+// TestTracerouteStopSet: a sweep with a stop set is the classic sweep cut
+// after the first responsive hop the set holds — same packets up to
+// there, none after, Stopped set and ReachedDst not. The destination's
+// echo reply ends the sweep as reached even when the set holds it, and a
+// window ignores the set.
+func TestTracerouteStopSet(t *testing.T) {
+	dst := ipv4.MustParseAddr("9.9.9.9")
+	reply := func(sp measure.Spec) measure.Reply {
+		switch ttl := int(sp.TTL); {
+		case ttl == 3: // silent
+			return measure.Reply{Sent: true}
+		case ttl >= 8:
+			return measure.Reply{Sent: true, Delivered: true, EchoReply: true, Hop: measure.TracerouteHop{Addr: dst, Responded: true}}
+		default:
+			return measure.Reply{Sent: true, Delivered: true, Hop: measure.TracerouteHop{Addr: ipv4.Addr(8<<24 | uint32(ttl)), Responded: true}}
+		}
+	}
+	base := measure.Spec{Kind: measure.KindTraceroutePkt, Dst: dst, Seq: 1}
+	classic, classicSent := measure.RunTracerouteVia(base, 1, nil, reply)
+	holds := func(addrs ...ipv4.Addr) func(ipv4.Addr) bool {
+		return func(a ipv4.Addr) bool { return slices.Contains(addrs, a) }
+	}
+	if !classic.ReachedDst || classic.Stopped || classicSent != 8 {
+		t.Fatalf("classic sweep: %+v, %d sent", classic, classicSent)
+	}
+	tr, sent := measure.RunTracerouteVia(base, 1, holds(0, ipv4.Addr(8<<24|5), ipv4.Addr(8<<24|6)), reply)
+	if !tr.Stopped || tr.ReachedDst || sent != 5 || !reflect.DeepEqual(tr.Hops, classic.Hops[:5]) {
+		t.Fatalf("stop at TTL 5: %+v, %d sent; classic %+v", tr, sent, classic.Hops)
+	}
+	if tr, sent := measure.RunTracerouteVia(base, 1, holds(dst), reply); !tr.ReachedDst || tr.Stopped || sent != 8 {
+		t.Fatalf("a set holding the destination: %+v, %d sent", tr, sent)
+	}
+	if tr, _ := measure.RunTracerouteVia(base, 6, holds(ipv4.Addr(8<<24|6)), reply); tr.Stopped || !tr.ReachedDst {
+		t.Fatalf("a window stopped: %+v", tr)
+	}
 }

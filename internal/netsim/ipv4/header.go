@@ -130,9 +130,7 @@ func (h *Header) Marshal(b []byte) []byte {
 	}
 	hlen := h.Len()
 	off := len(b)
-	for i := 0; i < hlen; i++ {
-		b = append(b, 0)
-	}
+	b = append(b, make([]byte, hlen)...)
 	hdr := b[off : off+hlen]
 	hdr[0] = 4<<4 | uint8(hlen/4)
 	hdr[1] = h.TOS

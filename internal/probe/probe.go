@@ -301,7 +301,7 @@ func (p *Pool) Traceroute(ctx context.Context, a measure.Agent, dst ipv4.Addr, s
 	p.sem <- struct{}{}
 	defer func() { <-p.sem }()
 	p.inFlight.Add(1)
-	tr, sent := measure.RunTraceroute(p.F, a, dst, p.clock.Now(), seqBase, start)
+	tr, sent := measure.RunTraceroute(p.F, a, dst, p.clock.Now(), seqBase, start, nil)
 	p.inFlight.Add(-1)
 	p.traceroute.Add(uint64(sent))
 	return tr, sent

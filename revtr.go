@@ -57,14 +57,17 @@ type Config struct {
 	Seed       int64
 }
 
-// DefaultConfig returns a deployment sized for n ASes.
+// DefaultConfig returns a deployment sized for n ASes. The atlas is
+// n·3/8 traceroutes per source: the largest n·k/24 whose Doubletree build
+// sends no more background packets per source than the classic build of
+// n/6 did, at 300, 1 000 and 4 000 ASes.
 func DefaultConfig(n int) Config {
 	return Config{
 		Topology:     topology.DefaultConfig(n),
 		Sites:        clamp(n/20, 8, 146),
 		Probes:       clamp(n/2, 20, 10000),
 		ProbeCredits: 100000,
-		AtlasSize:    clamp(n/6, 10, 1000),
+		AtlasSize:    clamp(n*3/8, 10, 1000),
 		Seed:         1,
 	}
 }
