@@ -108,9 +108,13 @@ func TestProbeCountGate(t *testing.T) {
 		// The Doubletree atlas at n·3/8 entries (background above) holds
 		// more of the paths home: RR 120 -> 117, SpoofRR 616 -> 598, six
 		// batches fewer, and every outcome where it stood.
+		// The atlas's AS distances (a cursor no reply has measured is as far
+		// as the atlas crossed its AS, or near it) moved RR 117 -> 48 and
+		// Traceroute 292 -> 268, and virtual time by their round trips; no
+		// spoofed packet, batch or outcome moved.
 		{"distinct", func(si int) []*topology.Host { return pick(si*29, 8, srcs[si]) },
-			countRow{rr: 117, spoofRR: 598, traceroute: 292, complete: 41, aborted: 21, failed: 2,
-				spoofBatches: 222, virtualUS: 311243622, waitOutUS: 2239877582}},
+			countRow{rr: 48, spoofRR: 598, traceroute: 268, complete: 41, aborted: 21, failed: 2,
+				spoofBatches: 222, virtualUS: 306496428, waitOutUS: 2235130388}},
 		// Added with PR 18 and measured on its parent first: RR 445,
 		// SpoofRR 1395, Traceroute 1589, 86 / 40 / 2, 530 batches over
 		// 5388293358 virtual us. Every destination is stuck on the same few
@@ -125,10 +129,15 @@ func TestProbeCountGate(t *testing.T) {
 		// did not move. The survey's silence then moved SpoofRR 748 -> 743
 		// and took three timed-out batches, 30 s. The Doubletree atlas at
 		// n·3/8 moved RR 245 -> 242, SpoofRR 743 -> 710, Traceroute
-		// 697 -> 693 and thirteen batches; outcomes did not move.
+		// 697 -> 693 and thirteen batches; outcomes did not move. The
+		// atlas's AS distances moved RR 242 -> 133, Traceroute 693 -> 657
+		// and virtual time with them. waitOutUS moved 5 137 us less: one
+		// pair's batch now goes to the destination, whose skipped direct
+		// probe used to reveal the hop it went to, and its slowest reply is
+		// that much later.
 		{"shared", func(int) []*topology.Host { return shared },
-			countRow{rr: 242, spoofRR: 710, traceroute: 693, complete: 88, aborted: 38, failed: 2,
-				spoofBatches: 286, virtualUS: 275790684, waitOutUS: 2910944341}},
+			countRow{rr: 133, spoofRR: 710, traceroute: 657, complete: 88, aborted: 38, failed: 2,
+				spoofBatches: 286, virtualUS: 266951022, waitOutUS: 2902099542}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := d.Engine(core.Revtr20Options())

@@ -22,8 +22,10 @@ import (
 	"sync/atomic"
 
 	"revtr/internal/alias"
+	"revtr/internal/ip2as"
 	"revtr/internal/measure"
 	"revtr/internal/netsim/ipv4"
+	"revtr/internal/netsim/topology"
 )
 
 // Entry is one atlas traceroute: the hop addresses measured from a probe
@@ -83,6 +85,10 @@ type Atlas struct {
 	// nothing better is known of the target (core's stepSym: a target read
 	// off an earlier traceroute starts where it answered that one).
 	MedianHops int
+	// ASHops is, per AS, the fewest hops from the source at which an entry
+	// crossed it as of the last build or refresh (core's distance): hop i
+	// counts as len(Hops)-i, the entry's probe's own AS as len(Hops)+1.
+	ASHops map[topology.ASN]int
 
 	nextID int
 	index  map[ipv4.Addr]hopRef // direct traceroute hop addresses
@@ -186,11 +192,11 @@ func (a *Atlas) Lookup(addr ipv4.Addr) (Intersection, bool) {
 type SitePicker func(target ipv4.Addr) []measure.Agent
 
 // BuildRRAliases issues the §4.2 background measurements for entry e:
-// an RR ping from the source (or spoofed as the source from vantage
-// points near the hop) to each traceroute hop the atlas has not probed
-// yet, recording which RR-visible addresses correspond to which
-// traceroute positions. A hop is probed once per atlas: an entry that
-// shares it, or a re-measure of the entry, finds its aliases in hand.
+// an RR ping from the source (spoofed as the source from vantage points
+// near the hop if unanswered; a hop out of range gets no alias) to each
+// traceroute hop the atlas has not probed yet, recording which RR-visible
+// addresses correspond to which traceroute positions. A hop is probed once
+// per atlas: an entry that shares it, or a re-measure, finds its aliases.
 //
 // Alignment of RR stamps to traceroute positions uses, in order: identity
 // (ingress-stamping routers), the /30 point-to-point heuristic (an RR
@@ -205,8 +211,7 @@ func (a *Atlas) BuildRRAliases(p *measure.Prober, pick SitePicker, res alias.Res
 		a.probed[h] = true
 		rr := p.RRPing(a.Source, h)
 		if !rr.Responded || len(rr.Recorded) == 0 {
-			// Out of direct range or unresponsive: spoof from up to
-			// three vantage points near the hop.
+			// Unanswered: spoof from up to three vantage points near it.
 			tried := 0
 			for _, s := range pick(h) {
 				if !s.CanSpoof || s.Addr == a.Source.Addr {
@@ -282,15 +287,27 @@ func (a *Atlas) associate(recorded []ipv4.Addr, e *Entry, probedPos int, res ali
 	}
 }
 
-// setMedianHops recomputes MedianHops over the current entries.
-func (a *Atlas) setMedianHops() {
-	a.MedianHops = 0
+// summarize recomputes MedianHops and ASHops, mapping hops to ASes with m.
+func (a *Atlas) summarize(m ip2as.Mapper) {
+	a.MedianHops, a.ASHops = 0, nil
 	if len(a.Entries) == 0 {
 		return
+	}
+	a.ASHops = make(map[topology.ASN]int)
+	crossed := func(asn topology.ASN, hops int) {
+		if d, ok := a.ASHops[asn]; !ok || hops < d {
+			a.ASHops[asn] = hops
+		}
 	}
 	lens := make([]int, len(a.Entries))
 	for i, e := range a.Entries {
 		lens[i] = len(e.Hops)
+		crossed(topology.ASN(e.ProbeAS), len(e.Hops)+1)
+		for j, h := range e.Hops {
+			if asn, ok := m.ASOf(h); ok {
+				crossed(asn, len(e.Hops)-j)
+			}
+		}
 	}
 	slices.Sort(lens)
 	a.MedianHops = lens[len(lens)/2]

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"revtr/internal/atlas"
+	"revtr/internal/ip2as"
 	"revtr/internal/measure"
 	"revtr/internal/netsim/ipv4"
 	"revtr/internal/simtest"
@@ -162,7 +163,7 @@ func TestBuildRRAliasesEnablesIntersections(t *testing.T) {
 func TestServiceBuildAndRefresh(t *testing.T) {
 	env := simtest.New(t, 300, 4)
 	src := env.Agent(env.SourceHost(0))
-	svc := atlas.NewService(env.Prober, env.Probes, atlas.FixedSites(env.Sites), env.Alias, 20, 4)
+	svc := atlas.NewService(env.Prober, env.Probes, atlas.FixedSites(env.Sites), env.Alias, ip2as.Origin{Topo: env.Topo}, 20, 4)
 	at := svc.BuildFor(src)
 	if at.Size() == 0 {
 		t.Fatal("empty atlas")
@@ -203,7 +204,7 @@ func TestServiceBuildAndRefresh(t *testing.T) {
 func TestDoubletreeEntriesCopyTheMetSuffix(t *testing.T) {
 	env := simtest.New(t, 300, 4)
 	src := env.Agent(env.SourceHost(0))
-	svc := atlas.NewService(env.Prober, env.Probes, atlas.FixedSites(env.Sites), env.Alias, 20, 4)
+	svc := atlas.NewService(env.Prober, env.Probes, atlas.FixedSites(env.Sites), env.Alias, ip2as.Origin{Topo: env.Topo}, 20, 4)
 	before := env.Prober.Count
 	at := svc.BuildFor(src)
 	hops, met := 0, 0
@@ -233,7 +234,7 @@ func TestRateLimitStopsAtlasGrowth(t *testing.T) {
 	for _, p := range env.Probes {
 		p.Credits = 0
 	}
-	svc := atlas.NewService(env.Prober, env.Probes, atlas.FixedSites(env.Sites), env.Alias, 20, 4)
+	svc := atlas.NewService(env.Prober, env.Probes, atlas.FixedSites(env.Sites), env.Alias, ip2as.Origin{Topo: env.Topo}, 20, 4)
 	at := svc.BuildFor(src)
 	if at.Size() != 0 {
 		t.Fatalf("atlas built despite exhausted credits: %d", at.Size())

@@ -6,6 +6,7 @@ import (
 
 	"revtr"
 	"revtr/internal/atlas"
+	"revtr/internal/ip2as"
 	"revtr/internal/measure"
 	"revtr/internal/netsim/ipv4"
 	"revtr/internal/simtest"
@@ -32,7 +33,7 @@ func TestDoubletreeAgainstClassic(t *testing.T) {
 			srcs = append(srcs, env.Agent(env.SourceHost(i*5)))
 		}
 		checkDoubletree(t, env.Prober, srcs, 1.0/3, func() *atlas.Service {
-			return atlas.NewService(env.Prober, env.Probes, atlas.FixedSites(env.Sites), env.Alias, 300/6, 4)
+			return atlas.NewService(env.Prober, env.Probes, atlas.FixedSites(env.Sites), env.Alias, ip2as.Origin{Topo: env.Topo}, 300/6, 4)
 		})
 	})
 	t.Run("bench", func(t *testing.T) {
@@ -47,7 +48,7 @@ func TestDoubletreeAgainstClassic(t *testing.T) {
 			srcs = append(srcs, measure.AgentFromHost(d.Topo, d.PickSourceHost(si*17)))
 		}
 		checkDoubletree(t, d.Prober, srcs, 0.40, func() *atlas.Service {
-			return atlas.NewService(d.Prober, d.Probes, d.AtlasSvc.Pick, d.Alias, 1000/6, cfg.Seed)
+			return atlas.NewService(d.Prober, d.Probes, d.AtlasSvc.Pick, d.Alias, d.Mapper, 1000/6, cfg.Seed)
 		})
 	})
 }

@@ -3,6 +3,7 @@ package atlas
 import (
 	"slices"
 
+	"revtr/internal/ip2as"
 	"revtr/internal/measure"
 	"revtr/internal/netsim/ipv4"
 )
@@ -35,7 +36,7 @@ func (s *Service) ClassicBuild(source measure.Agent) (a *Atlas, aliasOf map[ipv4
 			}
 		}
 	}
-	a.setMedianHops()
+	a.summarize(s.Mapper)
 	return a, aliasOf
 }
 
@@ -54,3 +55,7 @@ func (a *Atlas) Aliases() []ipv4.Addr {
 
 // AliasedHop returns the traceroute hop the RR alias x aligned to.
 func (a *Atlas) AliasedHop(x ipv4.Addr) ipv4.Addr { return a.rrIndex[x] }
+
+// Summarize recomputes MedianHops and ASHops as a build's last step does:
+// for atlases built by hand.
+func (a *Atlas) Summarize(m ip2as.Mapper) { a.summarize(m) }

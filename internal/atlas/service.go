@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"revtr/internal/alias"
+	"revtr/internal/ip2as"
 	"revtr/internal/measure"
 	"revtr/internal/vantage"
 )
@@ -17,8 +18,9 @@ type Service struct {
 	Probes []*vantage.Probe
 	// Pick selects spoofing sites for background RR probes (§4.3
 	// ingress-based when wired by the deployment).
-	Pick  SitePicker
-	Alias alias.Resolver
+	Pick   SitePicker
+	Alias  alias.Resolver
+	Mapper ip2as.Mapper // maps hops to ASes for ASHops, as the engine does
 	// Size is the target number of traceroutes per source (the paper
 	// settles on 1000 random RIPE Atlas probes per source daily).
 	Size int
@@ -27,9 +29,9 @@ type Service struct {
 }
 
 // NewService creates an atlas service.
-func NewService(p *measure.Prober, probes []*vantage.Probe, pick SitePicker, res alias.Resolver, size int, seed int64) *Service {
+func NewService(p *measure.Prober, probes []*vantage.Probe, pick SitePicker, res alias.Resolver, m ip2as.Mapper, size int, seed int64) *Service {
 	return &Service{
-		Prober: p, Probes: probes, Pick: pick, Alias: res, Size: size,
+		Prober: p, Probes: probes, Pick: pick, Alias: res, Mapper: m, Size: size,
 		rng: rand.New(rand.NewSource(seed)),
 	}
 }
@@ -44,12 +46,12 @@ func (s *Service) BuildFor(source measure.Agent) *Atlas {
 
 // fill tops the atlas up to Size traceroutes from random probes not in
 // exclude (probe names). It is the last step of a build and of a
-// refresh, so it also fixes the atlas's MedianHops. Each traceroute
+// refresh, so it also fixes MedianHops and ASHops. Each traceroute
 // stops at the first hop the atlas already holds (Doubletree's stop set,
 // keyed by hop: every entry ends at the same source), and the entry
 // adopts the rest of the path from the entry that holds that hop.
 func (s *Service) fill(a *Atlas, exclude map[string]bool) {
-	defer a.setMedianHops()
+	defer a.summarize(s.Mapper)
 	inAtlas := map[string]bool{}
 	for _, e := range a.Entries {
 		inAtlas[e.ProbeName] = true

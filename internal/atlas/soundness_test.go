@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"revtr/internal/atlas"
+	"revtr/internal/ip2as"
 	"revtr/internal/measure"
 	"revtr/internal/netsim/ipv4"
 	"revtr/internal/simtest"
@@ -43,7 +44,7 @@ func TestIntersectionSoundness(t *testing.T) {
 	t.Run("doubletree", func(t *testing.T) {
 		env := simtest.New(t, 300, 12)
 		src := env.Agent(env.SourceHost(0))
-		svc := atlas.NewService(env.Prober, env.Probes, atlas.FixedSites(env.Sites), env.Alias, 30, 12)
+		svc := atlas.NewService(env.Prober, env.Probes, atlas.FixedSites(env.Sites), env.Alias, ip2as.Origin{Topo: env.Topo}, 30, 12)
 		checkSoundness(t, env, src, svc.BuildFor(src))
 	})
 }

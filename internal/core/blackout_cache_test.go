@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"revtr/internal/core"
+	"revtr/internal/ingress"
 	"revtr/internal/netsim/faults"
 	"revtr/internal/obs"
 	"revtr/internal/probe"
@@ -49,4 +50,57 @@ func TestBlackoutTracerouteNotCached(t *testing.T) {
 		t.Fatal("no destination takes the symmetry stage at its first hop: the test exercises nothing")
 	}
 	t.Logf("%d of %d destinations traceroute to the destination itself", symAtDst, len(c.dsts))
+}
+
+// TestSkipFromBlackedOutSource: a direct probe not sent because the hop is
+// out of Record Route's range counts its stage as measured only if the
+// source could have sent it. Machines are driven by hand to the first hop a
+// stage put more than InRangeHops out; the source then goes dark and the
+// stage opens at the sweep, whose replies cannot reach it. That silence is
+// the source's outage, not the hop's: no silent verdict and no empty RR
+// entry may come of it. (They used to: the skip counted the stage as
+// measured whether or not the source could send.)
+func TestSkipFromBlackedOutSource(t *testing.T) {
+	c := newChaosEnv(t, 8, 60)
+	clock := c.env.Pool.Clock()
+	defer c.env.Fabric.SetFaults(nil)
+	cases := 0
+	for _, src := range moreSources(c, 4) {
+		for _, dst := range c.dsts {
+			c.env.Fabric.SetFaults(nil)
+			eng, _ := c.engine(1, probe.RetryPolicy{})
+			skipped := observe(eng).Counter("engine_rr_direct_skipped_total")
+			mm := eng.Begin(context.Background(), src, dst)
+			p, cur := mm.Next(), mm.Cursor()
+			for ; p != nil; p = mm.Next() {
+				mm.Deliver(eng.ExecPending(mm.Context(), p))
+				if mm.Cursor() != cur && mm.RevDist() > ingress.InRangeHops {
+					break
+				}
+				cur = mm.Cursor()
+			}
+			if p == nil {
+				continue
+			}
+			hop, entries, before := mm.Cursor(), eng.CacheEntries(), skipped.Value()
+			from := clock.Now() + 1
+			c.env.Fabric.SetFaults((&faults.Plan{}).AddBlackout(src.Agent.Addr, from, 0))
+			clock.Set(from)
+			if p = mm.Next(); skipped.Value() == before {
+				continue // the hop intersected the atlas, or its stage fell back at once
+			}
+			for ; p != nil; p = mm.Next() {
+				mm.Deliver(eng.ExecPending(mm.Context(), p))
+			}
+			if _, silent := eng.Verdicts(hop); silent || eng.CacheEntries() != entries {
+				t.Errorf("%s→%s: skipped the direct probe to %s from a blacked-out source: silent verdict %v, cache %d → %d entries",
+					src.Agent.Addr, dst, hop, silent, entries, eng.CacheEntries())
+			}
+			cases++
+		}
+	}
+	if cases == 0 {
+		t.Fatal("no stage skipped its direct probe after a reply put its hop out of range: the test exercises nothing")
+	}
+	t.Logf("%d stages skipped their direct probe from a blacked-out source", cases)
 }

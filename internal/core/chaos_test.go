@@ -71,7 +71,7 @@ func newChaosEnv(t testing.TB, seed int64, nDsts int) *chaosEnv {
 		return out
 	})
 	srcAgent := env.Agent(env.SourceHost(0))
-	svc := atlas.NewService(env.Prober, env.Probes, atlas.FixedSites(env.Sites), env.Alias, 25, 8)
+	svc := atlas.NewService(env.Prober, env.Probes, atlas.FixedSites(env.Sites), env.Alias, ip2as.Origin{Topo: env.Topo}, 25, 8)
 	src := core.Source{Agent: srcAgent, Atlas: svc.BuildFor(srcAgent)}
 
 	var dsts []ipv4.Addr

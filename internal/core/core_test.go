@@ -55,7 +55,7 @@ func newHarness(t testing.TB, opts *core.Options) (*harness, *core.Engine) {
 	})
 
 	srcAgent := env.Agent(env.SourceHost(0))
-	svc := atlas.NewService(env.Prober, env.Probes, atlas.FixedSites(env.Sites), env.Alias, 25, 8)
+	svc := atlas.NewService(env.Prober, env.Probes, atlas.FixedSites(env.Sites), env.Alias, ip2as.Origin{Topo: env.Topo}, 25, 8)
 	src := core.Source{Agent: srcAgent, Atlas: svc.BuildFor(srcAgent)}
 
 	o := core.Revtr20Options()

@@ -36,10 +36,19 @@ func (mm *Machine) Cursor() ipv4.Addr { return mm.cur }
 // (negative: none).
 func (mm *Machine) RevDist() int { return mm.revDist }
 
-// ForgetDistance drops the estimate. Called before every Next it leaves the
-// machine without one wherever it is read: the engine that sends every
-// direct probe and starts no traceroute from a distance.
-func (mm *Machine) ForgetDistance() { mm.revDist = -1 }
+// ForgetDistance drops the estimate a reply gave and has the machine read
+// a copy of its source's atlas without AS distances. Called before every
+// Next it leaves the machine without a distance wherever one is read: the
+// engine that sends every direct probe and starts no traceroute from a
+// distance.
+func (mm *Machine) ForgetDistance() {
+	mm.revDist = -1
+	if at := mm.src.Atlas; at != nil && at.ASHops != nil {
+		blind := *at // shares the entries and indexes
+		blind.ASHops = nil
+		mm.src.Atlas = &blind
+	}
+}
 
 // AdoptWhole turns off adoptRevealed's cut at the first revealed hop the
 // atlas intersects: every revealed hop is adopted, as before the rule.
@@ -56,3 +65,7 @@ func (e *Engine) SetSpoofTimeout(us int64) { e.spoofTimeoutUS = us }
 
 // SetMaxHops bounds the reverse path at n hops instead of MaxHops.
 func (e *Engine) SetMaxHops(n int) { e.maxHops = n }
+
+// CacheEntries is the number of entries the engine cache holds, of every
+// kind.
+func (e *Engine) CacheEntries() int { return e.cache.size() }

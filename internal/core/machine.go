@@ -667,7 +667,7 @@ func (mm *Machine) stepTop() {
 			return
 		}
 	}
-	if mm.revDist > ingress.InRangeHops && !mm.knownSilent() {
+	if mm.distance() > ingress.InRangeHops && !mm.verdictSilent() {
 		mm.skipDirect()
 		return
 	}
@@ -676,18 +676,21 @@ func (mm *Machine) stepTop() {
 	}, false, phRRWait)
 }
 
-// skipDirect opens the RR stage at the spoofed sweep: Record Route has
-// nine slots, so a direct probe to a cursor more than InRangeHops out
-// comes back full before the reverse path begins (§4.3). The stage counts
-// as measured and the sweep runs as behind an unanswered direct probe. A
-// hop known silent (knownSilent) keeps its direct probe (stepTop): one
-// packet closes that stage, a batch would wait out the timeout. The probe not
-// sent keeps its sequence number, so every later packet is the one sent
-// behind a direct probe and a differential prices the skip alone.
+// skipDirect opens the RR stage at the spoofed sweep: Record Route has nine
+// slots, so a direct probe to a cursor more than InRangeHops out (distance)
+// comes back full before the reverse path begins (§4.3). The sweep runs as
+// behind an unanswered direct probe, measured if the source can send now
+// (the probe's Reply.Sent); a hop only the survey heard silent closes with
+// no packet (closeSilent). The probe not sent keeps its sequence number,
+// so every later packet is the one sent behind a direct probe.
 func (mm *Machine) skipDirect() {
 	mm.e.metrics.directRRSkipped.Inc()
 	mm.m.next()
-	mm.rev.measured = true
+	mm.rev.measured = mm.e.Pool.CanSend(mm.src.Agent.Addr)
+	if mm.rev.measured && mm.knownSilent() {
+		mm.closeSilent()
+		return
+	}
 	mm.sweep(false)
 }
 
@@ -708,30 +711,61 @@ func (mm *Machine) onRRDirect(b probe.Batch) {
 			return
 		}
 	} else if mm.rev.measured && mm.knownSilent() {
-		// Known silent, and silent to this direct probe too. Where only the
-		// survey knew, the sweep's first batch is built and not sent: its
-		// sequence numbers are spent and the verdict its silence would have
-		// settled is shared, as if it had gone out.
-		e.metrics.spoofSweepsUnresponsive.Inc()
-		if !e.cache.verdicts(cur, e.Pool.Now()).silent {
-			mm.sweep(false)
-			if len(mm.nextBatch()) > 0 {
-				mm.shareVerdicts(nil, true)
-			}
-		}
-		mm.ph = phAfterRR
+		// Known silent, and silent to this direct probe too.
+		mm.closeSilent()
 		return
 	}
 	mm.sweep(rr.Responded)
+}
+
+// closeSilent closes the RR stage at a cursor known silent. Where only the
+// survey knew, the sweep's first batch is built and not sent: its sequence
+// numbers are spent and the silent verdict is shared, as if it had gone out.
+func (mm *Machine) closeSilent() {
+	mm.e.metrics.spoofSweepsUnresponsive.Inc()
+	if !mm.verdictSilent() {
+		mm.sweep(false)
+		if len(mm.nextBatch()) > 0 {
+			mm.shareVerdicts(nil, true)
+		}
+	}
+	mm.ph = phAfterRR
+}
+
+// verdictSilent reports whether the cache holds a silent verdict on the cursor.
+func (mm *Machine) verdictSilent() bool {
+	return mm.e.Opts.UseCache && mm.e.cache.verdicts(mm.cur, mm.e.Pool.Now()).silent
 }
 
 // knownSilent reports whether the cursor is known to answer no option
 // packet, by the cache's silent verdict or by the ingress survey, whose
 // silence lives beside the cache, not in it (DESIGN "(2) Unresponsive").
 func (mm *Machine) knownSilent() bool {
-	e := mm.e
-	return e.Opts.UseCache && (e.cache.verdicts(mm.cur, e.Pool.Now()).silent ||
-		!e.hideSurveySilence && e.Ingress.Silent(mm.cur))
+	return mm.verdictSilent() || mm.e.Opts.UseCache && !mm.e.hideSurveySilence && mm.e.Ingress.Silent(mm.cur)
+}
+
+// distance is how many hops out the cursor is expected to be: what a reply
+// measured (revDist); else atlas.ASHops of its AS + 1; else of the nearest
+// AS next to it + 4. Negative: nothing says.
+func (mm *Machine) distance() int {
+	at := mm.src.Atlas
+	if mm.revDist >= 0 || at == nil {
+		return mm.revDist
+	}
+	asn, ok := mm.e.Mapper.ASOf(mm.cur)
+	if !ok {
+		return -1
+	}
+	if d, ok := at.ASHops[asn]; ok {
+		return d + 1
+	}
+	dist := -1
+	for _, nb := range mm.e.F.Topo.ASes[asn].Neighbors {
+		if d, ok := at.ASHops[nb.ASN]; ok && (dist < 0 || d+4 < dist) {
+			dist = d + 4
+		}
+	}
+	return dist
 }
 
 // sweep sets up the spoofed sweep over the cursor's ingress plan (a hop in
@@ -1031,11 +1065,11 @@ func (mm *Machine) tsDone(next ipv4.Addr) {
 // a traceroute from this source at symTTL, and routing is destination
 // based: the path to it is that traceroute's path cut short, its last link
 // the one that ends at symTTL, so probing starts one TTL below. Any other
-// cursor is expected to answer one TTL past its reverse distance (the
-// source's own router answers TTL 1; paths are about as long out as back)
-// or, short of a distance, at the median length of the source's own atlas
-// traceroutes (the whole path from TTL 1 for a source without an atlas).
-// A start that guesses wrong costs packets, never the result.
+// cursor is expected to answer one TTL past its distance (the source's own
+// router answers TTL 1; paths are about as long out as back) or, short of
+// one, at the median length of the source's own atlas traceroutes (the
+// whole path from TTL 1 for a source without an atlas). A start that
+// guesses wrong costs packets, never the result.
 func (mm *Machine) stepSym() {
 	e, src, cur := mm.e, mm.src, mm.cur
 	var tr measure.TracerouteResult
@@ -1045,13 +1079,13 @@ func (mm *Machine) stepSym() {
 		}
 	}
 	if tr.Hops == nil {
-		start := 1
+		start, dist := 1, mm.distance()
 		switch {
 		case mm.res.Hops[len(mm.res.Hops)-1].Tech == TechSymmetry: // nothing adopted since: cur is that hop
 			start = mm.symTTL - 1
-		case mm.revDist >= 0:
+		case dist >= 0:
 			e.metrics.tracerouteDistStarts.Inc()
-			start = mm.revDist + 1
+			start = dist + 1
 		case src.Atlas != nil:
 			start = src.Atlas.MedianHops
 		}

@@ -57,9 +57,9 @@ type Metrics struct {
 	traceroutes       *obs.Counter
 	traceroutePackets *obs.Counter
 	tracerouteSweeps  *obs.Counter
-	// Read off Machine.revDist: traceroutes given their start TTL by it,
+	// Read off Machine.distance: traceroutes given their start TTL by it,
 	// counted where it is chosen (the rest start at the chain or the atlas
-	// median), and RR stages opened at the sweep, no direct probe sent.
+	// median), and RR stages whose direct probe it kept off the wire.
 	tracerouteDistStarts *obs.Counter
 	directRRSkipped      *obs.Counter
 

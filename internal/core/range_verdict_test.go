@@ -17,6 +17,7 @@ import (
 	"revtr"
 	"revtr/internal/atlas"
 	"revtr/internal/core"
+	"revtr/internal/ip2as"
 	"revtr/internal/measure"
 	"revtr/internal/netsim/faults"
 	"revtr/internal/netsim/ipv4"
@@ -189,7 +190,7 @@ func btoi(b bool) int {
 // moreSources returns n sources in distinct ASes of c's world, c.src
 // first, each with an atlas built as c.src's was.
 func moreSources(c *chaosEnv, n int) []core.Source {
-	svc := atlas.NewService(c.env.Prober, c.env.Probes, atlas.FixedSites(c.env.Sites), c.env.Alias, 25, 8)
+	svc := atlas.NewService(c.env.Prober, c.env.Probes, atlas.FixedSites(c.env.Sites), c.env.Alias, ip2as.Origin{Topo: c.env.Topo}, 25, 8)
 	out := []core.Source{c.src}
 	for i := 1; len(out) < n; i++ {
 		a := c.env.Agent(c.env.SourceHost(i))

@@ -10,7 +10,9 @@ import (
 	"reflect"
 	"testing"
 
+	"revtr/internal/atlas"
 	"revtr/internal/core"
+	"revtr/internal/ip2as"
 	"revtr/internal/measure"
 	"revtr/internal/netsim/faults"
 	"revtr/internal/netsim/ipv4"
@@ -69,10 +71,11 @@ func ttlOf(tr measure.TracerouteResult, hop ipv4.Addr) int {
 // measured up to its first symmetry adoption and abandoned, so the full
 // measurement that follows reads that traceroute from the cache — and
 // whatever the machine's reverse-distance estimate says: the chain wins.
-// Any other traceroute starts one TTL past the estimate; without one, at
-// the atlas median, or sweeps from TTL 1 for a source whose atlas has
-// none. The plan is clean, so four in five chained traceroutes must get
-// by on three packets.
+// Any other traceroute starts one TTL past the estimate; without one, one
+// TTL past the atlas's distance to the hop's AS (atlasDistance); without
+// that, at the atlas median, or sweeps from TTL 1 for a source whose atlas
+// has neither a median nor AS distances. The plan is clean, so four in
+// five chained traceroutes must get by on three packets.
 func TestSymmetryChainStart(t *testing.T) {
 	swept := 0 // first traceroutes of a source without a median, to a hop without an estimate
 	for seed := int64(1); seed <= 3; seed++ {
@@ -82,12 +85,12 @@ func TestSymmetryChainStart(t *testing.T) {
 				src := c.src
 				if !atlasMedian {
 					noMedian := *src.Atlas // shares the (read-only) entries and indexes
-					noMedian.MedianHops = 0
+					noMedian.MedianHops, noMedian.ASHops = 0, nil
 					src.Atlas = &noMedian
 				}
 				eng, _ := c.engineOpts(1, probe.RetryPolicy{}, symAlways())
 				held := map[ipv4.Addr]measure.TracerouteResult{} // by target: what the engine cache holds
-				chained, cheap, fromCache, byDist := 0, 0, 0, 0
+				chained, cheap, fromCache, byDist, byAS := 0, 0, 0, 0, 0
 				for _, dst := range c.dsts {
 					for _, abandon := range []bool{true, false} {
 						mm := eng.Begin(context.Background(), src, dst)
@@ -114,6 +117,11 @@ func TestSymmetryChainStart(t *testing.T) {
 										t.Fatalf("%s: unchained traceroute to %s, %d hops out, starts at %d", dst, p.Dst, mm.RevDist(), p.Start)
 									}
 									byDist++
+								case atlasDistance(c, src.Atlas, p.Dst) >= 0:
+									if d := atlasDistance(c, src.Atlas, p.Dst); p.Start != d+1 {
+										t.Fatalf("%s: unchained traceroute to %s, %d hops out by the atlas, starts at %d", dst, p.Dst, d, p.Start)
+									}
+									byAS++
 								case atlasMedian && p.Start != src.Atlas.MedianHops:
 									t.Fatalf("%s: unchained traceroute to %s starts at %d, atlas median %d", dst, p.Dst, p.Start, src.Atlas.MedianHops)
 								case !atlasMedian:
@@ -134,16 +142,42 @@ func TestSymmetryChainStart(t *testing.T) {
 				if byDist == 0 {
 					t.Fatal("no traceroute started from the distance estimate")
 				}
+				if atlasMedian && byAS == 0 {
+					t.Fatal("no traceroute started from the atlas's AS distances")
+				}
 				if cheap*5 < chained*4 {
 					t.Fatalf("%d of %d chained traceroutes sent at most 3 packets, want 80 %%", cheap, chained)
 				}
-				t.Logf("%d chained traceroutes (%d read off a cached one), %d sent at most 3 packets; %d started from the estimate", chained, fromCache, cheap, byDist)
+				t.Logf("%d chained traceroutes (%d read off a cached one), %d sent at most 3 packets; %d started from the estimate, %d from the atlas", chained, fromCache, cheap, byDist, byAS)
 			})
 		}
 	}
 	if swept == 0 {
 		t.Error("no first traceroute swept")
 	}
+}
+
+// atlasDistance is how far at puts hop, where no reply said: one past
+// where its traceroutes crossed hop's AS, else four past the nearest AS
+// next to it they crossed; -1 where neither is known.
+func atlasDistance(c *chaosEnv, at *atlas.Atlas, hop ipv4.Addr) int {
+	asn, ok := ip2as.Origin{Topo: c.env.Topo}.ASOf(hop)
+	if !ok {
+		return -1
+	}
+	if d, ok := at.ASHops[asn]; ok {
+		return d + 1
+	}
+	near := -1
+	for _, nb := range c.env.Topo.ASes[asn].Neighbors {
+		if d, ok := at.ASHops[nb.ASN]; ok && (near < 0 || d < near) {
+			near = d
+		}
+	}
+	if near < 0 {
+		return -1
+	}
+	return near + 4
 }
 
 // TestResumeChainedTraceroute: the chained start is machine state, so a

@@ -30,7 +30,7 @@ import (
 func TestTracerouteStartDifferential(t *testing.T) {
 	h, _ := newHarness(t, nil)
 	env := h.env
-	svc := atlas.NewService(env.Prober, env.Probes, atlas.FixedSites(env.Sites), env.Alias, 25, 8)
+	svc := atlas.NewService(env.Prober, env.Probes, atlas.FixedSites(env.Sites), env.Alias, ip2as.Origin{Topo: env.Topo}, 25, 8)
 	type variant struct {
 		name string
 		// start is the TTL forced on a traceroute the machine would start at

@@ -122,12 +122,15 @@ func (f *Fabric) SetFaults(p *faults.Plan) { f.faults = p }
 // The probe layer consults it before putting a packet on the wire — a
 // blacked-out vantage point cannot send at all.
 func (f *Fabric) VPDown(a ipv4.Addr, tUS int64) bool {
-	if !f.faults.EndpointDown(a, tUS) {
+	if !f.Down(a, tUS) {
 		return false
 	}
 	f.faults.Record(faults.KindBlackout)
 	return true
 }
+
+// Down is VPDown for a probe not sent: it records nothing.
+func (f *Fabric) Down(a ipv4.Addr, tUS int64) bool { return f.faults.EndpointDown(a, tUS) }
 
 // New builds a fabric over topo using routing for interdomain next hops.
 func New(topo *topology.Topology, routing *bgp.Routing, seed int64) *Fabric {

@@ -188,6 +188,9 @@ func (p *Pool) Clock() *measure.Clock { return p.clock }
 // Now reads the pool's virtual clock (microseconds).
 func (p *Pool) Now() int64 { return p.clock.Now() }
 
+// CanSend reports now what a probe from a would get as Reply.Sent.
+func (p *Pool) CanSend(a ipv4.Addr) bool { return !p.F.Down(a, p.clock.Now()) }
+
 // Counters snapshots the pool-wide probe tallies.
 func (p *Pool) Counters() measure.Counters {
 	return measure.Counters{

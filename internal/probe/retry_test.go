@@ -253,7 +253,8 @@ func TestRetryEveryKindChargesBackoff(t *testing.T) {
 
 // A vantage point that goes dark between attempts ends the retries: the
 // re-issue is not sent, not charged, and the batch keeps the first
-// attempt's reply. One that is dark from the start sends nothing.
+// attempt's reply. One that is dark from the start sends nothing, and
+// CanSend says so beforehand without recording a suppressed probe.
 func TestRetryStopsWhenVPGoesDark(t *testing.T) {
 	const nowUS = 1_000_000
 	env := simtest.New(t, 150, 3)
@@ -270,6 +271,10 @@ func TestRetryStopsWhenVPGoesDark(t *testing.T) {
 		{Kind: measure.KindPing, VP: src, Dst: dst.Addr + 199, Seq: 2}, // dark neighbour: never answers
 	}
 	pool := newRetryPool(env, 1, probe.RetryPolicy{Max: 3})
+	if pool.CanSend(gone.Addr) || !pool.CanSend(src.Addr) || plan.Count(faults.KindBlackout) != 0 {
+		t.Fatalf("CanSend: dark %v, not yet dark %v, %d blackouts recorded; want false, true, 0",
+			pool.CanSend(gone.Addr), pool.CanSend(src.Addr), plan.Count(faults.KindBlackout))
+	}
 	reg := obs.New()
 	pool.SetObs(reg)
 	b := pool.Do(context.Background(), reqs)

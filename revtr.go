@@ -184,7 +184,7 @@ func Build(cfg Config) *Deployment {
 		}
 		return out
 	}
-	d.AtlasSvc = atlas.NewService(prober, probes, pick, res, cfg.AtlasSize, cfg.Seed)
+	d.AtlasSvc = atlas.NewService(prober, probes, pick, res, d.Mapper, cfg.AtlasSize, cfg.Seed)
 	if !cfg.SkipSurvey {
 		d.RunSurvey()
 	}
