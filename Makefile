@@ -47,9 +47,12 @@ lint:
 # test, so shuffling is free coverage). Never -short: this is the run of
 # every Chaos and TestSoak test in `make ci`, so `chaos` and `soak`
 # below are not prerequisites of `ci` — they would run the same tests a
-# second time (measured: 39 s + 10 s).
+# second time (measured: 39 s + 10 s). -timeout 30m: under the detector
+# internal/core alone has taken 412-636 s on 2-core x86-64 machines (the
+# whole target 464 s at the fastest), and past 600 s go test's default
+# timeout fails the package unfinished.
 race:
-	$(GO) test -race -shuffle=on ./...
+	$(GO) test -race -shuffle=on -timeout 30m ./...
 
 ci: fmt vet lint short race bench benchcheck benchmod fuzz cover loc docsize
 
@@ -60,7 +63,7 @@ ci: fmt vet lint short race bench benchcheck benchmod fuzz cover loc docsize
 # when the total is above LOC_CEILING — the total the last PR landed at.
 # A PR that adds lines says why and raises it; one that removes lines
 # lowers it to where it lands.
-LOC_CEILING = 21624
+LOC_CEILING = 21633
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs wc -l | \
 		awk -v ceiling=$(LOC_CEILING) '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
@@ -72,7 +75,7 @@ loc:
 # last PR landed it at. A PR that grows a file says why and raises its
 # entry; one that cuts it lowers the entry to where it lands. bench/'s
 # README is left out: bench/ changes only with the benchmark.
-DOC_CEILING = DESIGN.md:109149 EXPERIMENTS.md:153741
+DOC_CEILING = DESIGN.md:109143 EXPERIMENTS.md:153184
 docsize:
 	@fail=0; for e in $(DOC_CEILING); do f=$${e%%:*}; ceiling=$${e##*:}; n=$$(wc -c < $$f); \
 		printf "%7d %s (DOC_CEILING %d)\n" $$n $$f $$ceiling; \

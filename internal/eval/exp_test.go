@@ -3,6 +3,8 @@ package eval
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -137,4 +139,53 @@ func TestExperimentOutputMentionsPaper(t *testing.T) {
 	if !strings.Contains(buf.String(), "paper:") {
 		t.Error("experiment output lacks the paper reference line")
 	}
+}
+
+// TestVPSelIsSeedFunction: Fig 6 and Table 5 are a function of the scale
+// and its seed. Two fresh deployments — the caches emptied before each —
+// probe every technique's plans through probers of their own, and every
+// distribution behind a row holds the same samples: the held-out prefixes
+// and the techniques go out in a fixed order, so each probe carries the
+// same sequence number through the same per-packet balancers. Small scale
+// in the medium world — 1000 ASes, 30 sites: in the 300-AS world of 12
+// sites the order does not show.
+func TestVPSelIsSeedFunction(t *testing.T) {
+	s := SmallScale()
+	s.ASes, s.Sites = 1000, 30
+	var rows [2]string
+	for i := range rows {
+		depMu.Lock()
+		clear(depCache)
+		depMu.Unlock()
+		vpselMu.Lock()
+		clear(vpselCache)
+		vpselMu.Unlock()
+		v := runVPSel(s)
+		if v.nPrefixes == 0 || v.found["ingress (revtr2.0)"] == 0 {
+			t.Fatalf("%d prefixes, %d found by the ingress plan: the test compares nothing", v.nPrefixes, v.found["ingress (revtr2.0)"])
+		}
+		var sb strings.Builder
+		fmt.Fprintln(&sb, v.found, runHeuristicAblation(s, v))
+		for _, name := range []string{"ingress (revtr2.0)", "revtr1.0 set-cover", "global", "optimal"} {
+			if d := v.tried[name]; d != nil {
+				fmt.Fprintln(&sb, name, "tried", sorted(d))
+			}
+			for _, bs := range []int{1, 3, 5} {
+				if d := v.firstBatch[name][bs]; d != nil {
+					fmt.Fprintln(&sb, name, "first batch of", bs, sorted(d))
+				}
+			}
+		}
+		rows[i] = sb.String()
+	}
+	if rows[0] != rows[1] {
+		t.Errorf("two runs of one seed differ:\n%s\n%s", rows[0], rows[1])
+	}
+}
+
+// sorted returns d's samples in ascending order.
+func sorted(d *Dist) []float64 {
+	xs := slices.Clone(d.xs)
+	slices.Sort(xs)
+	return xs
 }

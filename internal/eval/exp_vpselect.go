@@ -1,10 +1,12 @@
 package eval
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 
 	"revtr"
@@ -90,19 +92,23 @@ func runVPSel(s Scale) *vpselData {
 	}
 	v.nPrefixes = len(v.evalDst)
 
-	techniques := map[string]ingress.Selection{
-		"ingress (revtr2.0)": ingress.SelIngress,
-		"revtr1.0 set-cover": ingress.SelSetCover,
-		"global":             ingress.SelGlobal,
+	// Indexed by Selection and probed in this order, prefix by prefix in
+	// address order: the shared prober's sequence numbers steer per-packet
+	// balancers, so the order is part of the result.
+	techniques := [...]string{
+		ingress.SelIngress:  "ingress (revtr2.0)",
+		ingress.SelSetCover: "revtr1.0 set-cover",
+		ingress.SelGlobal:   "global",
 	}
-	for name := range techniques {
+	for _, name := range techniques {
 		v.firstBatch[name] = map[int]*Dist{}
 		v.tried[name] = &Dist{}
 	}
 	v.firstBatch["optimal"] = map[int]*Dist{}
 	v.firstBatch["optimal"][3] = &Dist{}
 
-	for pfx, dst := range v.evalDst {
+	for _, pfx := range sortedPrefixes(v.evalDst) {
+		dst := v.evalDst[pfx]
 		// Optimal: the best any site can do.
 		bestAny := 0
 		for _, vp := range d.SiteAgents {
@@ -115,8 +121,8 @@ func runVPSel(s Scale) *vpselData {
 			v.found["optimal"]++
 		}
 
-		for name, sel := range techniques {
-			plan := d.IngressSvc.PlanFor(pfx, sel)
+		for sel, name := range techniques {
+			plan := d.IngressSvc.PlanFor(pfx, ingress.Selection(sel))
 			// First-batch reveals for batch sizes 1, 3, 5.
 			for _, bs := range []int{1, 3, 5} {
 				if name != "ingress (revtr2.0)" && bs != 3 {
@@ -166,37 +172,33 @@ func runHeuristicAblation(s Scale, v *vpselData) map[string]int {
 	d := v.d
 	src := d.SiteAgents[0]
 	out := map[string]int{}
-	for name, heur := range map[string]ingress.Heuristics{
-		"ingress (no heuristics)": {},
-		"ingress + double-stamp":  {DoubleStamp: true},
-	} {
+	// Survey consumes the service's seeded stream per prefix, so the prefix
+	// order must be deterministic, not map order; so must the probing order.
+	prefixes := sortedPrefixes(v.evalDst)
+	names := [...]string{"ingress (no heuristics)", "ingress + double-stamp"}
+	for i, heur := range []ingress.Heuristics{{}, {DoubleStamp: true}} {
 		svc := ingress.NewService(d.Prober, d.SiteAgents, heur, s.Seed)
-		// Survey consumes the service's seeded stream per prefix, so the
-		// prefix order must be deterministic, not map order.
-		var prefixes []ipv4.Prefix
-		for pfx := range v.evalDst {
-			prefixes = append(prefixes, pfx)
-		}
-		sort.Slice(prefixes, func(i, j int) bool {
-			if prefixes[i].Addr != prefixes[j].Addr {
-				return prefixes[i].Addr < prefixes[j].Addr
-			}
-			return prefixes[i].Bits < prefixes[j].Bits
-		})
 		svc.Survey(prefixes, d.SurveyDestinations)
 		found := 0
-		for pfx, dst := range v.evalDst {
+		for _, pfx := range prefixes {
 			plan := svc.PlanFor(pfx, ingress.SelIngress)
 			for _, si := range plan.Order {
-				if revealCount(d, d.SiteAgents[si], src, dst) > 0 {
+				if revealCount(d, d.SiteAgents[si], src, v.evalDst[pfx]) > 0 {
 					found++
 					break
 				}
 			}
 		}
-		out[name] = found
+		out[names[i]] = found
 	}
 	return out
+}
+
+// sortedPrefixes returns m's prefixes in address order.
+func sortedPrefixes(m map[ipv4.Prefix]ipv4.Addr) []ipv4.Prefix {
+	return slices.SortedFunc(maps.Keys(m), func(a, b ipv4.Prefix) int {
+		return cmp.Or(cmp.Compare(a.Addr, b.Addr), cmp.Compare(a.Bits, b.Bits))
+	})
 }
 
 func init() {

@@ -287,10 +287,13 @@ func (s *Service) selectIngresses(info *PrefixInfo) {
 	// The SelIngress plan: one probe per ingress from the closest vantage
 	// point; fallback VPs for an ingress come only after every other
 	// ingress's primary has been tried (retrying the same ingress with
-	// another VP rarely reveals anything new — §4.3's ordering).
+	// another VP rarely reveals anything new — §4.3's ordering). A site
+	// the survey saw past InRangeHops is left out: its spoofed ping comes
+	// back full before the reverse path begins. Within a depth, the
+	// nearest site goes first.
 	seen := map[int]bool{}
 	for depth := 0; depth < MaxFallbacksPerIngress; depth++ {
-		added := false
+		added, level := false, len(info.order)
 		for _, ing := range info.Ingresses {
 			if depth >= len(ing.Sites) {
 				continue
@@ -299,13 +302,17 @@ func (s *Service) selectIngresses(info *PrefixInfo) {
 			if seen[si] {
 				continue
 			}
-			info.order = append(info.order, si)
 			seen[si] = true
 			added = true
+			if info.Obs[si].Dist <= InRangeHops {
+				info.order = append(info.order, si)
+			}
 		}
 		if !added {
 			break
 		}
+		lv := info.order[level:]
+		sort.SliceStable(lv, func(i, j int) bool { return info.Obs[lv[i]].Dist < info.Obs[lv[j]].Dist })
 	}
 }
 

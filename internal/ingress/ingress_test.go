@@ -208,15 +208,17 @@ func TestIngressSetCoverProperties(t *testing.T) {
 
 func TestPlanPolicies(t *testing.T) {
 	_, svc := surveyEnv(t)
+	// A prefix whose most popular ingress's nearest site is in RR range: a
+	// plan holds only in-range sites, so an ingress alone does not make one.
 	var pfx ipv4.Prefix
 	for p, info := range svc.Info {
-		if len(info.Ingresses) > 0 {
+		if len(info.Ingresses) > 0 && info.Obs[info.Ingresses[0].Sites[0]].Dist <= ingress.InRangeHops {
 			pfx = p
 			break
 		}
 	}
 	if pfx.Bits == 0 {
-		t.Skip("no prefix with ingresses")
+		t.Skip("no prefix with an in-range ingress")
 	}
 	ingPlan := svc.PlanFor(pfx, ingress.SelIngress)
 	if !ingPlan.PerIngress || len(ingPlan.Order) == 0 {
@@ -270,8 +272,8 @@ func TestHeuristicsExtractMore(t *testing.T) {
 
 // planOrderPerCall is the SelIngress order as PlanFor built it on every
 // call before the order was stored with the survey: depth by depth over
-// the ingresses, each site once. The reference TestPlanForStoredOrder
-// compares the stored order against.
+// the ingresses, each site once. TestPlanForStoredOrder derives the stored
+// order from it.
 func planOrderPerCall(info *ingress.PrefixInfo) []int {
 	var order []int
 	seen := map[int]bool{}
@@ -296,13 +298,39 @@ func planOrderPerCall(info *ingress.PrefixInfo) []int {
 	return order
 }
 
+// inRangeByDistance is order without the sites the survey saw past
+// InRangeHops, each depth level of the ingresses stably sorted by the
+// survey's distance: a site's depth is its index in its ingress's Sites.
+func inRangeByDistance(info *ingress.PrefixInfo, order []int) []int {
+	depth := map[int]int{}
+	for _, ing := range info.Ingresses {
+		for d, si := range ing.Sites {
+			depth[si] = d
+		}
+	}
+	var out []int
+	for _, si := range order {
+		if info.Obs[si].Dist <= ingress.InRangeHops {
+			out = append(out, si)
+		}
+	}
+	slices.SortStableFunc(out, func(a, b int) int {
+		if depth[a] != depth[b] {
+			return depth[a] - depth[b]
+		}
+		return info.Obs[a].Dist - info.Obs[b].Dist
+	})
+	return out
+}
+
 // TestPlanForStoredOrder: the order computed once per prefix at survey
-// time is the order PlanFor used to rebuild per call, for every surveyed
-// prefix of three worlds, and handing it out allocates nothing.
+// time is the order PlanFor used to rebuild per call less the sites the
+// survey saw out of RR range, nearest first within each depth, for every
+// surveyed prefix of three worlds; and handing it out allocates nothing.
 func TestPlanForStoredOrder(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		_, svc := surveyEnvSeed(t, seed)
-		perIngress := 0
+		perIngress, dropped := 0, 0
 		var some ipv4.Prefix
 		for pfx, info := range svc.Info {
 			plan := svc.PlanFor(pfx, ingress.SelIngress)
@@ -314,12 +342,19 @@ func TestPlanForStoredOrder(t *testing.T) {
 			}
 			perIngress++
 			some = pfx
-			if want := planOrderPerCall(info); !plan.PerIngress || !slices.Equal(plan.Order, want) {
-				t.Fatalf("seed %d %v: stored order %v, built per call %v", seed, pfx, plan.Order, want)
+			perCall := planOrderPerCall(info)
+			dropped += len(perCall) - len(plan.Order)
+			if want := inRangeByDistance(info, perCall); !plan.PerIngress || !slices.Equal(plan.Order, want) {
+				t.Fatalf("seed %d %v: stored order %v, want %v (built per call %v)", seed, pfx, plan.Order, want, perCall)
+			}
+			for _, si := range plan.Order {
+				if d := info.Obs[si].Dist; d < 1 || d > ingress.InRangeHops {
+					t.Fatalf("seed %d %v: site %d in the plan at survey distance %d", seed, pfx, si, d)
+				}
 			}
 		}
-		if perIngress == 0 {
-			t.Fatalf("seed %d: no prefix with ingresses: the test compares nothing", seed)
+		if perIngress == 0 || dropped == 0 {
+			t.Fatalf("seed %d: %d prefixes with ingresses, %d sites out of range: the test compares too little", seed, perIngress, dropped)
 		}
 		if n := testing.AllocsPerRun(100, func() { svc.PlanFor(some, ingress.SelIngress) }); n != 0 {
 			t.Errorf("seed %d: PlanFor allocates %.0f times per call, want 0", seed, n)
