@@ -89,6 +89,12 @@ type Atlas struct {
 	// crossed it as of the last build or refresh (core's distance): hop i
 	// counts as len(Hops)-i, the entry's probe's own AS as len(Hops)+1.
 	ASHops map[topology.ASN]int
+	// RRDeaf is, as of the last build or refresh, true for an AS where
+	// entries hold two RR-probed hops or more and no ping to any of them,
+	// direct or spoofed, drew a reply: this source's option packets do not
+	// come home from it (core's stepTop opens no RR stage there). An AS
+	// where one hop answered maps to false.
+	RRDeaf map[topology.ASN]bool
 
 	nextID int
 	index  map[ipv4.Addr]hopRef // direct traceroute hop addresses
@@ -96,7 +102,9 @@ type Atlas struct {
 	// to (§4.2); a lookup resolves it through index, so it follows the
 	// hop to whichever entry holds it now.
 	rrIndex map[ipv4.Addr]ipv4.Addr
-	probed  map[ipv4.Addr]bool // hops BuildRRAliases has RR-probed
+	// probed holds the hops BuildRRAliases has RR-probed (once per atlas),
+	// true where a ping drew a reply.
+	probed map[ipv4.Addr]bool
 }
 
 // New creates an empty atlas for a source.
@@ -205,11 +213,11 @@ type SitePicker func(target ipv4.Addr) []measure.Agent
 func (a *Atlas) BuildRRAliases(p *measure.Prober, pick SitePicker, res alias.Resolver, e *Entry) {
 	var p2p alias.Slash30
 	for i, h := range e.Hops {
-		if a.probed[h] {
+		if _, done := a.probed[h]; done {
 			continue
 		}
-		a.probed[h] = true
 		rr := p.RRPing(a.Source, h)
+		answered := rr.Responded
 		if !rr.Responded || len(rr.Recorded) == 0 {
 			// Unanswered: spoof from up to three vantage points near it.
 			tried := 0
@@ -218,6 +226,7 @@ func (a *Atlas) BuildRRAliases(p *measure.Prober, pick SitePicker, res alias.Res
 					continue
 				}
 				rr = p.SpoofedRRPing(s, a.Source.Addr, h)
+				answered = answered || rr.Responded
 				tried++
 				if rr.Responded && len(rr.Recorded) > 0 {
 					break
@@ -227,6 +236,7 @@ func (a *Atlas) BuildRRAliases(p *measure.Prober, pick SitePicker, res alias.Res
 				}
 			}
 		}
+		a.probed[h] = answered
 		if !rr.Responded {
 			continue
 		}
@@ -287,25 +297,42 @@ func (a *Atlas) associate(recorded []ipv4.Addr, e *Entry, probedPos int, res ali
 	}
 }
 
-// summarize recomputes MedianHops and ASHops, mapping hops to ASes with m.
+// summarize recomputes MedianHops, ASHops and RRDeaf, hops mapped by m.
 func (a *Atlas) summarize(m ip2as.Mapper) {
-	a.MedianHops, a.ASHops = 0, nil
+	a.MedianHops, a.ASHops, a.RRDeaf = 0, nil, nil
 	if len(a.Entries) == 0 {
 		return
 	}
 	a.ASHops = make(map[topology.ASN]int)
+	a.RRDeaf = make(map[topology.ASN]bool)
 	crossed := func(asn topology.ASN, hops int) {
 		if d, ok := a.ASHops[asn]; !ok || hops < d {
 			a.ASHops[asn] = hops
 		}
 	}
+	silent := make(map[topology.ASN]ipv4.Addr) // an AS's first unanswered hop
 	lens := make([]int, len(a.Entries))
 	for i, e := range a.Entries {
 		lens[i] = len(e.Hops)
 		crossed(topology.ASN(e.ProbeAS), len(e.Hops)+1)
 		for j, h := range e.Hops {
-			if asn, ok := m.ASOf(h); ok {
-				crossed(asn, len(e.Hops)-j)
+			asn, ok := m.ASOf(h)
+			if !ok {
+				continue
+			}
+			crossed(asn, len(e.Hops)-j)
+			// One answered hop clears the AS for good; a second silent hop
+			// makes it deaf, the first one alone may be its router's policy.
+			answered, probed := a.probed[h]
+			_, settled := a.RRDeaf[asn]
+			switch first, heard := silent[asn]; {
+			case !probed:
+			case answered:
+				a.RRDeaf[asn] = false
+			case !heard:
+				silent[asn] = h
+			case !settled && first != h:
+				a.RRDeaf[asn] = true
 			}
 		}
 	}

@@ -59,3 +59,14 @@ func (a *Atlas) AliasedHop(x ipv4.Addr) ipv4.Addr { return a.rrIndex[x] }
 // Summarize recomputes MedianHops and ASHops as a build's last step does:
 // for atlases built by hand.
 func (a *Atlas) Summarize(m ip2as.Mapper) { a.summarize(m) }
+
+// SetProbed records h as RR-probed, its ping answered or not, as
+// BuildRRAliases would: for atlases built by hand.
+func (a *Atlas) SetProbed(h ipv4.Addr, answered bool) { a.probed[h] = answered }
+
+// Answered reports whether BuildRRAliases RR-probed h and whether a ping,
+// direct or spoofed, drew a reply.
+func (a *Atlas) Answered(h ipv4.Addr) (answered, probed bool) {
+	answered, probed = a.probed[h]
+	return answered, probed
+}

@@ -3,10 +3,12 @@ package atlas_test
 import (
 	"testing"
 
+	"revtr"
 	"revtr/internal/atlas"
 	"revtr/internal/ip2as"
 	"revtr/internal/measure"
 	"revtr/internal/netsim/ipv4"
+	"revtr/internal/netsim/topology"
 	"revtr/internal/simtest"
 )
 
@@ -94,5 +96,78 @@ func checkSoundness(t *testing.T, env *simtest.Env, src measure.Agent, at *atlas
 		checked, violations, 100*rate)
 	if rate > 0.10 {
 		t.Fatalf("intersection violation rate %.1f%% exceeds the rare-divergence regime", 100*rate)
+	}
+}
+
+// TestRRDeafGroundTruth splits the deaf ASes of the benchmark's 8 sources —
+// 1000 ASes, 30 sites, seed 31 — by what ground truth says silenced them,
+// hop by hop: the path home from the hop (Fabric.ForwardRouterPath to the
+// source) enters an AS that drops option packets; else the hop's own AS
+// drops every option packet that enters it; else the hop's router answers
+// none. An AS counts under the weakest explanation one of its hops has,
+// and as other when one hop has none. A deaf AS is a claim about what comes
+// home to this source, so nearly every one must be explained: at most 5 %
+// may be other.
+func TestRRDeafGroundTruth(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the 1000-AS world")
+	}
+	cfg := revtr.DefaultConfig(1000)
+	cfg.Seed, cfg.Topology.Seed, cfg.Sites = 31, 31, 30
+	d := revtr.Build(cfg)
+	topo := d.Topo
+	const (
+		other = iota
+		mute
+		filters
+		home
+	)
+	// why explains the silence of hop h, a router's, toward src.
+	why := func(h, src ipv4.Addr) int {
+		r, ok := topo.RouterOf(h)
+		if !ok {
+			return other
+		}
+		path := d.Fabric.ForwardRouterPath(r, src, h, 0)
+		for i := 1; i < len(path); i++ {
+			if as := topo.Routers[path[i]].AS; as != topo.Routers[path[i-1]].AS && topo.ASes[as].FiltersOptions {
+				return home
+			}
+		}
+		switch {
+		case topo.ASes[topo.Routers[r].AS].FiltersOptions:
+			return filters
+		case !topo.Routers[r].RespondsToOptions:
+			return mute
+		}
+		return other
+	}
+	t.Logf("%-14s %7s %5s | %5s %8s %5s %6s", "source", "probed", "deaf", "home", "filters", "mute", "other")
+	var total [home + 1]int
+	for si := 0; si < 8; si++ {
+		src := d.NewSource(d.PickSourceHost(si * 17))
+		at := src.Atlas
+		kind := map[topology.ASN]int{}
+		for _, e := range at.Entries {
+			for _, h := range e.Hops {
+				if asn, ok := d.Mapper.ASOf(h); ok && at.RRDeaf[asn] {
+					k, seen := kind[asn]
+					if !seen {
+						k = home
+					}
+					kind[asn] = min(k, why(h, src.Agent.Addr))
+				}
+			}
+		}
+		var n [home + 1]int
+		for _, k := range kind {
+			n[k]++
+			total[k]++
+		}
+		t.Logf("%-14s %7d %5d | %5d %8d %5d %6d", src.Agent.Addr, len(at.RRDeaf), len(kind), n[home], n[filters], n[mute], n[other])
+	}
+	deaf := total[home] + total[filters] + total[mute] + total[other]
+	if deaf == 0 || total[other]*20 > deaf {
+		t.Errorf("%d of %d deaf ASes are not explained, want <= 5 %%", total[other], deaf)
 	}
 }

@@ -667,6 +667,15 @@ func (mm *Machine) stepTop() {
 			return
 		}
 	}
+	// The atlas heard no RR reply come home from the cursor's AS: the
+	// silence is this source's path home, not the hop's, so no verdict.
+	if at := src.Atlas; e.Opts.UseRRAtlas && at != nil {
+		if asn, ok := e.Mapper.ASOf(cur); ok && at.RRDeaf[asn] {
+			e.metrics.rrDeafSkipped.Inc()
+			mm.ph = phAfterRR
+			return
+		}
+	}
 	if mm.distance() > ingress.InRangeHops && !mm.verdictSilent() {
 		mm.skipDirect()
 		return

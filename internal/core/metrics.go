@@ -62,6 +62,9 @@ type Metrics struct {
 	// median), and RR stages whose direct probe it kept off the wire.
 	tracerouteDistStarts *obs.Counter
 	directRRSkipped      *obs.Counter
+	// rrDeafSkipped counts RR stages not opened because the source's atlas
+	// heard no RR reply from the cursor's AS (atlas.RRDeaf).
+	rrDeafSkipped *obs.Counter
 
 	// vpFailover counts probes redirected to another vantage point after
 	// the planned VP was observed inside a blackout window. deadVPHits
@@ -116,6 +119,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		tracerouteSweeps:        reg.Counter("engine_traceroute_sweeps_total"),
 		tracerouteDistStarts:    reg.Counter("engine_traceroute_distance_starts_total"),
 		directRRSkipped:         reg.Counter("engine_rr_direct_skipped_total"),
+		rrDeafSkipped:           reg.Counter("engine_rr_deaf_skipped_total"),
 		vpFailover:              reg.Counter("vp_failover_total"),
 		deadVPHits:              reg.Counter("engine_dead_vp_hits_total"),
 		spoofVPsOutOfRange:      reg.Counter("engine_spoof_vps_out_of_range_total"),

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"testing"
 
-	"revtr"
 	"revtr/internal/core"
 	"revtr/internal/ingress"
 	"revtr/internal/measure"
@@ -165,21 +164,7 @@ func TestPlanRangeDifferential(t *testing.T) {
 		report(fmt.Sprintf("seed%d/faulty", seed), false, planRangeDifferential(eng, pairs))
 	}
 	if !testing.Short() {
-		// The benchmark's world: 1000 ASes, 30 sites, seed 31; 8 sources.
-		cfg := revtr.DefaultConfig(1000)
-		cfg.Seed, cfg.Topology.Seed, cfg.Sites = 31, 31, 30
-		d := revtr.Build(cfg)
-		dests := d.OnePerPrefix()
-		var pairs []srcDst
-		for si := 0; si < 8; si++ {
-			src := d.NewSource(d.PickSourceHost(si * 17))
-			for k, n := 0, 0; n < 65; k++ {
-				if dst := dests[(si*29+k*211)%len(dests)]; dst.AS != src.Agent.AS {
-					n++
-					pairs = append(pairs, srcDst{src, dst.Addr})
-				}
-			}
-		}
+		d, pairs := benchSlice()
 		report("bench/clean", true, planRangeDifferential(d.Engine(core.Revtr20Options()), pairs))
 	}
 	row("clean, total", clean)

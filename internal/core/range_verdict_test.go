@@ -14,7 +14,6 @@ import (
 	"slices"
 	"testing"
 
-	"revtr"
 	"revtr/internal/atlas"
 	"revtr/internal/core"
 	"revtr/internal/ip2as"
@@ -228,48 +227,34 @@ func TestRangeVerdictDifferential(t *testing.T) {
 			clean.add(st)
 		}
 	}
-	run := func(eng *core.Engine, srcs []core.Source, dsts func(si int) []ipv4.Addr) verdictStats {
+	run := func(eng *core.Engine, pairs []srcDst) verdictStats {
 		w := newVerdictWatch(t, eng)
-		for si, src := range srcs {
-			for _, dst := range dsts(si) {
-				w.measure(src, dst)
-			}
+		for _, pr := range pairs {
+			w.measure(pr.src, pr.dst)
 		}
 		return w.st
 	}
 	for _, seed := range []int64{1, 2, 3} {
 		c := newChaosEnv(t, seed, 100)
-		srcs := moreSources(c, 4)
-		all := func(int) []ipv4.Addr { return c.dsts }
+		var pairs []srcDst
+		for _, src := range moreSources(c, 4) {
+			for _, dst := range c.dsts {
+				pairs = append(pairs, srcDst{src, dst})
+			}
+		}
 		eng, _ := c.engine(1, probe.RetryPolicy{})
-		report(fmt.Sprintf("seed%d/clean", seed), true, run(eng, srcs, all))
+		report(fmt.Sprintf("seed%d/clean", seed), true, run(eng, pairs))
 
 		c.env.Fabric.SetFaults(&faults.Plan{Seed: uint64(seed), LinkLoss: 0.02, ICMPFrac: 0.3, ICMPPass: 0.5})
 		eng, _ = c.engine(1, probe.RetryPolicy{Max: 2})
-		report(fmt.Sprintf("seed%d/faulty", seed), false, run(eng, srcs, all))
+		report(fmt.Sprintf("seed%d/faulty", seed), false, run(eng, pairs))
 	}
 	if !testing.Short() {
-		// The benchmark's world — 1000 ASes, 30 sites, seed 31 — clean, and
-		// then under batch-lossy's plan: 2 % loss, ICMP rate limiting, the
-		// last three spoofing sites blacked out, two retries.
-		cfg := revtr.DefaultConfig(1000)
-		cfg.Seed, cfg.Topology.Seed, cfg.Sites = 31, 31, 30
-		d := revtr.Build(cfg)
-		dests := d.OnePerPrefix()
-		var srcs []core.Source
-		for si := 0; si < 8; si++ {
-			srcs = append(srcs, d.NewSource(d.PickSourceHost(si*17)))
-		}
-		slice := func(si int) []ipv4.Addr {
-			var out []ipv4.Addr
-			for k := 0; len(out) < 65; k++ {
-				if dst := dests[(si*29+k*211)%len(dests)]; dst.AS != srcs[si].Agent.AS {
-					out = append(out, dst.Addr)
-				}
-			}
-			return out
-		}
-		report("bench/clean", true, run(d.Engine(core.Revtr20Options()), srcs, slice))
+		// The benchmark's world clean, and then under batch-lossy's plan:
+		// 2 % loss, ICMP rate limiting, the last three spoofing sites
+		// blacked out, two retries.
+		d, pairs := benchSlice()
+		report("bench/clean", true, run(d.Engine(core.Revtr20Options()), pairs))
 
 		plan := &faults.Plan{Seed: 31, LinkLoss: 0.02, ICMPFrac: 0.3, ICMPPass: 0.5}
 		for i, n := len(d.SiteAgents)-1, 0; i >= 0 && n < 3; i-- {
@@ -280,7 +265,7 @@ func TestRangeVerdictDifferential(t *testing.T) {
 		}
 		d.Fabric.SetFaults(plan)
 		d.Pool.SetRetry(probe.RetryPolicy{Max: 2})
-		report("bench/lossy", false, run(d.Engine(core.Revtr20Options()), srcs, slice))
+		report("bench/lossy", false, run(d.Engine(core.Revtr20Options()), pairs))
 	}
 	row("clean, total", clean)
 	if cost, uses := clean.slotRevealed+clean.stageRevealed, clean.slots+clean.stages; cost*100 > uses {

@@ -93,7 +93,8 @@ func skipDifferential(t *testing.T, newEngine func() *core.Engine, pairs []srcDs
 }
 
 // benchSlice builds the benchmark's world — 1000 ASes, 30 sites, seed 31 —
-// and the 520-pair slice of it TestRangeVerdictDifferential measures.
+// and the 520-pair slice of it the differentials measure: 8 sources, each
+// with the first 65 destinations of its stride-211 walk outside its AS.
 func benchSlice() (*revtr.Deployment, []srcDst) {
 	cfg := revtr.DefaultConfig(1000)
 	cfg.Seed, cfg.Topology.Seed, cfg.Sites = 31, 31, 30

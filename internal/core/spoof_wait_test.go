@@ -15,7 +15,6 @@ import (
 	"slices"
 	"testing"
 
-	"revtr"
 	"revtr/internal/core"
 	"revtr/internal/ip2as"
 	"revtr/internal/measure"
@@ -545,21 +544,6 @@ func TestReplyCompleteLedger(t *testing.T) {
 	if testing.Short() {
 		return
 	}
-	// The benchmark's world — 1000 ASes, 30 sites, seed 31 — and the 520
-	// pairs TestRangeVerdictDifferential measures on it.
-	cfg := revtr.DefaultConfig(1000)
-	cfg.Seed, cfg.Topology.Seed, cfg.Sites = 31, 31, 30
-	d := revtr.Build(cfg)
-	dests := d.OnePerPrefix()
-	var pairs []srcDst
-	for si := 0; si < 8; si++ {
-		src := d.NewSource(d.PickSourceHost(si * 17))
-		for k, n := 0, 0; n < 65; k++ {
-			if dst := dests[(si*29+k*211)%len(dests)]; dst.AS != src.Agent.AS {
-				pairs = append(pairs, srcDst{src, dst.Addr})
-				n++
-			}
-		}
-	}
+	d, pairs := benchSlice()
 	check("bench/clean", d.Engine(core.Revtr20Options()), d.Engine(core.Revtr20Options()), pairs, 0.7)
 }

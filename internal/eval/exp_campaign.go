@@ -1,11 +1,11 @@
 package eval
 
 import (
+	"cmp"
 	"context"
-
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 
 	"revtr"
@@ -305,6 +305,29 @@ func runAsym(ctx context.Context, s Scale) *asymData {
 	return a
 }
 
+// asymRow is one AS of Fig 8b and Table 7: its share of the asymmetric
+// pairs and its place in the topology.
+type asymRow struct {
+	asn  topology.ASN
+	prev float64
+	cone int
+	tier topology.Tier
+}
+
+// asymRows ranks the ASes involved in asymmetry by prevalence, highest
+// first, and ties by ASN: the rows are a function of the seed.
+func asymRows(a *asymData, c *campaignData) []asymRow {
+	rows := make([]asymRow, 0, len(a.asymCount))
+	for asn, cnt := range a.asymCount {
+		as := c.d.Topo.ASes[asn]
+		rows = append(rows, asymRow{asn, float64(cnt) / float64(max(1, a.asymTotal)), as.ConeSize, as.Tier})
+	}
+	slices.SortFunc(rows, func(x, y asymRow) int {
+		return cmp.Or(cmp.Compare(a.asymCount[y.asn], a.asymCount[x.asn]), cmp.Compare(x.asn, y.asn))
+	})
+	return rows
+}
+
 func init() {
 	register("table3", "Table 3 + §5.1: reverse AS graph correctness/completeness", func(ctx context.Context, s Scale, w io.Writer) error {
 		rt, ripe, fwd, uw := runTable3(ctx, s)
@@ -337,24 +360,7 @@ func init() {
 	})
 
 	register("fig8b", "Fig 8b: asymmetry involvement vs customer cone", func(ctx context.Context, s Scale, w io.Writer) error {
-		a := runAsym(ctx, s)
-		c := runCampaign(ctx, s)
-		type row struct {
-			asn  topology.ASN
-			prev float64
-			cone int
-			tier topology.Tier
-		}
-		var rows []row
-		for asn, cnt := range a.asymCount {
-			rows = append(rows, row{
-				asn:  asn,
-				prev: float64(cnt) / float64(max(1, a.asymTotal)),
-				cone: c.d.Topo.ASes[asn].ConeSize,
-				tier: c.d.Topo.ASes[asn].Tier,
-			})
-		}
-		sort.Slice(rows, func(i, j int) bool { return rows[i].prev > rows[j].prev })
+		rows := asymRows(runAsym(ctx, s), runCampaign(ctx, s))
 		t := &Table{
 			Title:  "Fig 8b — top ASes by asymmetry prevalence vs customer cone",
 			Header: []string{"ASN", "tier", "prevalence", "cone"},
@@ -375,20 +381,7 @@ func init() {
 	})
 
 	register("table7", "Table 7: top-10 ASes in path asymmetry", func(ctx context.Context, s Scale, w io.Writer) error {
-		a := runAsym(ctx, s)
-		c := runCampaign(ctx, s)
-		type row struct {
-			asn  topology.ASN
-			prev float64
-			cone int
-			tier topology.Tier
-		}
-		var rows []row
-		for asn, cnt := range a.asymCount {
-			rows = append(rows, row{asn, float64(cnt) / float64(max(1, a.asymTotal)),
-				c.d.Topo.ASes[asn].ConeSize, c.d.Topo.ASes[asn].Tier})
-		}
-		sort.Slice(rows, func(i, j int) bool { return rows[i].prev > rows[j].prev })
+		rows := asymRows(runAsym(ctx, s), runCampaign(ctx, s))
 		t := &Table{
 			Title:  "Table 7 — top 10 ASes most frequently involved in asymmetry",
 			Header: []string{"rank", "ASN", "tier", "prevalence", "customer cone"},

@@ -189,3 +189,34 @@ func sorted(d *Dist) []float64 {
 	slices.Sort(xs)
 	return xs
 }
+
+// TestAsymRowsAreSeedFunction: Fig 8b and Table 7 rank the same ASes in the
+// same order on two fresh small-scale deployments. ASes of equal
+// prevalence go by ASN, not in the order a map hands them out; the
+// ranking holds such ties, or the test compares nothing.
+func TestAsymRowsAreSeedFunction(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the campaign twice")
+	}
+	s := SmallScale()
+	var rows [2][]asymRow
+	for i := range rows {
+		depMu.Lock()
+		clear(depCache)
+		depMu.Unlock()
+		campMu.Lock()
+		clear(campCache)
+		campMu.Unlock()
+		rows[i] = asymRows(runAsym(context.Background(), s), runCampaign(context.Background(), s))
+	}
+	tied := false
+	for i := 1; i < len(rows[0]) && i < 15; i++ {
+		tied = tied || rows[0][i].prev == rows[0][i-1].prev
+	}
+	if !tied {
+		t.Fatalf("no two of the top %d ASes tie: the test compares nothing", min(15, len(rows[0])))
+	}
+	if !slices.Equal(rows[0], rows[1]) {
+		t.Errorf("two runs of one seed rank the ASes differently:\n%v\n%v", rows[0], rows[1])
+	}
+}
