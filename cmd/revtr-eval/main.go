@@ -74,7 +74,8 @@ func main() {
 			failed++
 			continue
 		}
-		fmt.Printf("  [%s completed in %.1fs]\n\n", e.ID, time.Since(start).Seconds()) //revtr:wallclock operator-facing runtime report, not simulation time
+		fmt.Fprintf(os.Stderr, "  [%s completed in %.1fs]\n", e.ID, time.Since(start).Seconds()) //revtr:wallclock operator-facing runtime report, not simulation time
+		fmt.Println()
 	}
 	if failed > 0 {
 		os.Exit(1)

@@ -9,6 +9,7 @@ import (
 
 	"revtr/internal/core"
 	"revtr/internal/measure"
+	"revtr/internal/netsim/ipv4"
 	"revtr/internal/netsim/topology"
 	"revtr/internal/probe"
 )
@@ -19,9 +20,10 @@ import (
 // these packets per kind, these spoofed batches and this much virtual
 // time (§5.2.4's currency: 10 s per batch short of a reply, the slowest
 // round trip of one that holds them all), and end in exactly these
-// states. The counts are a pure function of the seed; a change that moves
-// one of them is a change to what a reverse traceroute costs or finds,
-// and says so here by editing the want row.
+// states, with exactly so many complete paths off the ground truth. The
+// counts are a pure function of the seed; a change that moves one of them
+// is a change to what a reverse traceroute costs or finds, and says so
+// here by editing the want row.
 //
 // "distinct" is 8 sources x 8 destinations of their own: 64 pairs that
 // share almost no hop across sources. "shared" is the same 8 sources x
@@ -123,9 +125,15 @@ func TestProbeCountGate(t *testing.T) {
 		// home from (atlas.RRDeaf) moved SpoofRR 485 -> 479 and two timed-out
 		// batches, 20 s off both time columns; no direct probe (those stages
 		// were out of range), traceroute or outcome moved.
+		// The off-truth columns were added with PR 37 and measured on its
+		// parent. Its chain step (the traceroute under a hop a symmetry
+		// assumption adopted continues the one that hop was read off)
+		// moved Traceroute 263 -> 229 and both time columns by the round
+		// trips not made; nothing else moved.
 		{"distinct", func(si int) []*topology.Host { return pick(si*29, 8, srcs[si]) },
-			countRow{rr: 49, spoofRR: 479, traceroute: 263, complete: 42, aborted: 20, failed: 2,
-				spoofBatches: 187, virtualUS: 274028617, waitOutUS: 1885031487}},
+			countRow{rr: 49, spoofRR: 479, traceroute: 229, complete: 42, aborted: 20, failed: 2,
+				spoofBatches: 187, virtualUS: 271807580, waitOutUS: 1882810450,
+				offTruthPaths: 2, offTruthHops: 3}},
 		// Added with PR 18 and measured on its parent first: RR 445,
 		// SpoofRR 1395, Traceroute 1589, 86 / 40 / 2, 530 batches over
 		// 5388293358 virtual us. Every destination is stuck on the same few
@@ -152,9 +160,12 @@ func TestProbeCountGate(t *testing.T) {
 		// moved RR 130 -> 124, SpoofRR 636 -> 624 and five batches: virtual
 		// time 50 428 579 us less, the five batches' 10 s timeouts and the
 		// direct probes' round trips; traceroutes and outcomes did not move.
+		// The chain step moved Traceroute 652 -> 559 and virtual time from
+		// 204736373, as above.
 		{"shared", func(int) []*topology.Host { return shared },
-			countRow{rr: 124, spoofRR: 624, traceroute: 652, complete: 90, aborted: 36, failed: 2,
-				spoofBatches: 255, virtualUS: 204736373, waitOutUS: 2591414877}},
+			countRow{rr: 124, spoofRR: 624, traceroute: 559, complete: 90, aborted: 36, failed: 2,
+				spoofBatches: 255, virtualUS: 198834211, waitOutUS: 2585512715,
+				offTruthPaths: 4, offTruthHops: 8}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := d.Engine(core.Revtr20Options())
@@ -181,6 +192,10 @@ func TestProbeCountGate(t *testing.T) {
 					switch res.Status {
 					case core.StatusComplete:
 						got.complete++
+						if n := offTruth(d, dst, res); n > 0 {
+							got.offTruthPaths++
+							got.offTruthHops += n
+						}
 					case core.StatusAborted:
 						got.aborted++
 					default:
@@ -199,6 +214,29 @@ func TestProbeCountGate(t *testing.T) {
 	}
 }
 
+// offTruth counts the hops of res, measured from dst, that lie on no
+// ground-truth path from dst back to the source: eight flows are unioned,
+// so that per-flow load balancing is not a wrong hop, and private and host
+// addresses carry no router-level claim. It is the rule of splicedWrong in
+// internal/core's chaos suite.
+func offTruth(d *Deployment, dst *topology.Host, res *core.Result) int {
+	on := map[ipv4.Addr]bool{res.Src: true}
+	for flow := uint64(0); flow < 8; flow++ {
+		for _, r := range d.Fabric.ForwardRouterPath(dst.Router, res.Src, dst.Addr, flow) {
+			for _, a := range d.Topo.Aliases(r) {
+				on[a] = true
+			}
+		}
+	}
+	n := 0
+	for _, h := range res.Hops {
+		if _, isHost := d.Topo.HostOf(h.Addr); !on[h.Addr] && !h.Addr.IsPrivate() && !isHost {
+			n++
+		}
+	}
+	return n
+}
+
 // holdsEveryReply reports whether a delivered spoofed-RR batch has a reply
 // to each of its requests, so that nothing was left to wait for.
 func holdsEveryReply(b probe.Batch) bool {
@@ -215,6 +253,10 @@ type countRow struct {
 	// replies topped up to the timeout: what the slice cost when every
 	// batch waited it out.
 	waitOutUS int64
+	// offTruthPaths counts the complete paths holding a hop that lies on
+	// no ground-truth path from the destination back to the source
+	// (offTruth), offTruthHops those hops.
+	offTruthPaths, offTruthHops int
 }
 
 // diff renders got against want, a line per column.
@@ -233,5 +275,7 @@ func (got countRow) diff(want countRow) string {
 	line("batches", int64(got.spoofBatches), int64(want.spoofBatches))
 	line("virtual us", got.virtualUS, want.virtualUS)
 	line("waited out", got.waitOutUS, want.waitOutUS)
+	line("off-truth", int64(got.offTruthPaths), int64(want.offTruthPaths))
+	line("off hops", int64(got.offTruthHops), int64(want.offTruthHops))
 	return sb.String()
 }

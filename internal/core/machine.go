@@ -75,11 +75,13 @@ type Pending struct {
 	// Traceroute work (Kind == PendingTraceroute). Start is the TTL
 	// probing begins at (measure.RunTraceroute; stepSym chooses it), fixed
 	// here so every way of executing the Pending — blocking, from a pool
-	// callback, on a clone — sends the same packets.
+	// callback, on a clone — sends the same packets. A chain step's Prev is
+	// the traceroute it continues below its hop at Start (stepSym).
 	Agent   measure.Agent
 	Dst     ipv4.Addr
 	SeqBase uint64
 	Start   int
+	Prev    *measure.TracerouteResult
 }
 
 // Delivery carries the completion of a Pending back into the machine.
@@ -158,9 +160,11 @@ type Machine struct {
 	rev   revealed
 	spoof spoofState
 	ts    tsState
-	// symTTL is the TTL at which the hop the last symmetry assumption
-	// adopted answered the traceroute it was read off (stepSym).
-	symTTL int
+	// symTr is the last traceroute classified, sent as symFrom (nil: read
+	// out of the engine cache); symTTL is where the hop it adopted answered.
+	symTr   measure.TracerouteResult
+	symFrom *Pending
+	symTTL  int
 	// revDist is how many hops the cursor is from the source along the
 	// reverse path: read off the TTL of every RR reply a stage draws (heard)
 	// and carried across adoptions less the hops adopted, so a hop that
@@ -352,7 +356,7 @@ func (mm *Machine) Deliver(d Delivery) {
 	case phTSSpoofWait:
 		mm.onTSSpoof(p.Reqs, d.Batch)
 	case phTrWait:
-		mm.onTraceroute(d)
+		mm.onTraceroute(p, d)
 	default:
 		panic("core: Machine.Deliver in a non-wait phase")
 	}
@@ -362,10 +366,10 @@ func (mm *Machine) Deliver(d Delivery) {
 // pool skipped because the measurement's context was cancelled (the
 // caller checked ctx.Err() != nil already). Cancellation is the only
 // thing that makes the pool skip a request, so a batch with Skipped > 0
-// was cut short by it; a traceroute that sent zero probes never started.
+// was cut short by it; a traceroute that holds no hop never started.
 func skippedByCancel(p *Pending, d Delivery) bool {
 	if p.Kind == PendingTraceroute {
-		return d.TrSent == 0
+		return len(d.Tr.Hops) == 0
 	}
 	return d.Batch.Skipped > 0
 }
@@ -406,6 +410,9 @@ func (mm *Machine) Clone() *Machine {
 	if mm.pending != nil {
 		p := *mm.pending
 		p.Reqs = slices.Clone(mm.pending.Reqs)
+		if p.Prev != nil {
+			p.Prev = &cp.symTr
+		}
 		cp.pending = &p
 	}
 	return &cp
@@ -1070,72 +1077,74 @@ func (mm *Machine) tsDone(next ipv4.Addr) {
 
 // stepSym opens step 4: forward traceroute + symmetry assumption (Q5).
 // The stage reads only the traceroute's last link, so probing starts at
-// the tail. A cursor the previous symmetry assumption adopted was read off
-// a traceroute from this source at symTTL, and routing is destination
-// based: the path to it is that traceroute's path cut short, its last link
-// the one that ends at symTTL, so probing starts one TTL below. Any other
-// cursor is expected to answer one TTL past its distance (the source's own
-// router answers TTL 1; paths are about as long out as back) or, short of
-// one, at the median length of the source's own atlas traceroutes (the
-// whole path from TTL 1 for a source without an atlas). A start that
-// guesses wrong costs packets, never the result.
+// the tail: one TTL past the cursor's distance (the source's own router
+// answers TTL 1; paths are about as long out as back) or, short of one, at
+// the median length of the source's own atlas traceroutes (the whole path
+// from TTL 1 for a source without an atlas). A start that guesses wrong
+// costs packets, never the result.
+//
+// A cursor the previous symmetry assumption adopted takes a chain step: it
+// was read off the last traceroute, and routing is destination based, so
+// the path to it is that traceroute's cut short. The step continues it
+// below the hop (measure.ContinueTraceroute; toward the hop itself when it
+// came out of the cache), sending only the TTLs not yet probed. When none
+// is, it suspends all the same, on a Pending that sends nothing, so that no
+// Next runs two stages; and it reserves a sequence block, so that later
+// probes keep the numbers they had before chain steps.
 func (mm *Machine) stepSym() {
 	e, src, cur := mm.e, mm.src, mm.cur
-	var tr measure.TracerouteResult
 	if e.Opts.UseCache {
 		if c, ok := e.cache.getTraceroute(cur, src.Agent.Addr, e.Pool.Now()); ok {
-			tr = c
+			mm.symTr, mm.symFrom = c, nil
+			mm.classifyTraceroute()
+			return
 		}
 	}
-	if tr.Hops == nil {
-		start, dist := 1, mm.distance()
-		switch {
-		case mm.res.Hops[len(mm.res.Hops)-1].Tech == TechSymmetry: // nothing adopted since: cur is that hop
-			start = mm.symTTL - 1
-		case dist >= 0:
-			e.metrics.tracerouteDistStarts.Inc()
-			start = dist + 1
-		case src.Atlas != nil:
-			start = src.Atlas.MedianHops
+	p := &Pending{Kind: PendingTraceroute, Agent: src.Agent, Dst: cur, SeqBase: mm.m.reserve(measure.MaxTracerouteTTL), Start: 1}
+	dist := mm.distance()
+	switch {
+	case mm.res.Hops[len(mm.res.Hops)-1].Tech == TechSymmetry: // nothing adopted since: cur is that hop
+		e.metrics.tracerouteChainSteps.Inc()
+		p.Start, p.Prev = mm.symTTL, &mm.symTr
+		if q := mm.symFrom; q != nil {
+			p.Dst, p.SeqBase = q.Dst, q.SeqBase
 		}
-		mm.pending = &Pending{
-			Kind:    PendingTraceroute,
-			Agent:   src.Agent,
-			Dst:     cur,
-			SeqBase: mm.m.reserve(measure.MaxTracerouteTTL),
-			Start:   start,
-		}
-		mm.ph = phTrWait
-		return
+	case dist >= 0:
+		e.metrics.tracerouteDistStarts.Inc()
+		p.Start = dist + 1
+	case src.Atlas != nil:
+		p.Start = src.Atlas.MedianHops
 	}
-	mm.classifyTraceroute(tr)
+	mm.pending = p
+	mm.ph = phTrWait
 }
 
 // onTraceroute counts and caches a measured traceroute and classifies it.
-func (mm *Machine) onTraceroute(d Delivery) {
+func (mm *Machine) onTraceroute(p *Pending, d Delivery) {
 	e, src, cur := mm.e, mm.src, mm.cur
-	// A traceroute that put nothing on the wire (cancelled, or the source
-	// inside a blackout) measured nothing: it is not counted as issued,
-	// and caching it would poison later measurements with an empty result.
+	// One that put nothing on the wire is not counted as issued; one that
+	// holds no hop (cancelled, or the source inside a blackout) measured
+	// nothing, and caching it would poison later measurements.
 	if d.TrSent > 0 {
 		e.metrics.traceroutes.Inc()
 		e.metrics.traceroutePackets.Add(uint64(d.TrSent))
 		if d.Tr.Swept {
 			e.metrics.tracerouteSweeps.Inc()
 		}
-		if e.Opts.UseCache && mm.m.ctx.Err() == nil {
-			e.cache.putTraceroute(cur, src.Agent.Addr, d.Tr, e.Pool.Now())
-		}
 	}
-	mm.classifyTraceroute(d.Tr)
+	if len(d.Tr.Hops) > 0 && e.Opts.UseCache && mm.m.ctx.Err() == nil {
+		e.cache.putTraceroute(cur, src.Agent.Addr, d.Tr, e.Pool.Now())
+	}
+	mm.symTr, mm.symFrom = d.Tr, p
+	mm.classifyTraceroute()
 }
 
 // classifyTraceroute is the last-link classification of penultimateHop
-// plus the symmetry policy decision. For the destination itself the
-// traceroute must actually reach it — a host that answered nothing
-// gives no evidence a reverse path exists at all.
-func (mm *Machine) classifyTraceroute(tr measure.TracerouteResult) {
-	e, src, cur := mm.e, mm.src, mm.cur
+// plus the symmetry policy decision, over mm.symTr. For the
+// destination itself the traceroute must actually reach it — a host that
+// answered nothing gives no evidence a reverse path exists at all.
+func (mm *Machine) classifyTraceroute() {
+	e, src, cur, tr := mm.e, mm.src, mm.cur, &mm.symTr
 	requireReached := cur == mm.dst
 
 	var penult ipv4.Addr
@@ -1213,7 +1222,7 @@ func (mm *Machine) classifyTraceroute(tr measure.TracerouteResult) {
 // machines by hand at chosen suspension points.
 func (e *Engine) ExecPending(ctx context.Context, p *Pending) Delivery {
 	if p.Kind == PendingTraceroute {
-		tr, sent := e.Pool.Traceroute(ctx, p.Agent, p.Dst, p.SeqBase, p.Start)
+		tr, sent := e.Pool.Traceroute(ctx, p.Agent, p.Dst, p.SeqBase, p.Start, p.Prev)
 		return Delivery{Tr: tr, TrSent: sent}
 	}
 	return Delivery{Batch: e.Pool.Do(ctx, p.Reqs)}
@@ -1268,7 +1277,7 @@ func (e *Engine) driveAsync(mm *Machine, d *Delivery, done func(*Result)) {
 		return
 	}
 	if p.Kind == PendingTraceroute {
-		e.Pool.GoTraceroute(mm.Context(), p.Agent, p.Dst, p.SeqBase, p.Start, func(tr measure.TracerouteResult, sent int) {
+		e.Pool.GoTraceroute(mm.Context(), p.Agent, p.Dst, p.SeqBase, p.Start, p.Prev, func(tr measure.TracerouteResult, sent int) {
 			e.driveAsync(mm, &Delivery{Tr: tr, TrSent: sent}, done)
 		})
 		return

@@ -57,9 +57,11 @@ type Metrics struct {
 	traceroutes       *obs.Counter
 	traceroutePackets *obs.Counter
 	tracerouteSweeps  *obs.Counter
+	// tracerouteChainSteps counts chain steps (stepSym), in hand or not.
+	tracerouteChainSteps *obs.Counter
 	// Read off Machine.distance: traceroutes given their start TTL by it,
-	// counted where it is chosen (the rest start at the chain or the atlas
-	// median), and RR stages whose direct probe it kept off the wire.
+	// counted where it is chosen (the rest are chain steps or start at the
+	// atlas median), and RR stages whose direct probe it kept off the wire.
 	tracerouteDistStarts *obs.Counter
 	directRRSkipped      *obs.Counter
 	// rrDeafSkipped counts RR stages not opened because the source's atlas
@@ -117,6 +119,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		traceroutes:             reg.Counter("engine_traceroutes_total"),
 		traceroutePackets:       reg.Counter("engine_traceroute_packets_total"),
 		tracerouteSweeps:        reg.Counter("engine_traceroute_sweeps_total"),
+		tracerouteChainSteps:    reg.Counter("engine_traceroute_chain_steps_total"),
 		tracerouteDistStarts:    reg.Counter("engine_traceroute_distance_starts_total"),
 		directRRSkipped:         reg.Counter("engine_rr_direct_skipped_total"),
 		rrDeafSkipped:           reg.Counter("engine_rr_deaf_skipped_total"),

@@ -1,8 +1,8 @@
 package core_test
 
-// The chained traceroute start: a hop adopted by a symmetry assumption
-// was read off a traceroute from the same source, so the traceroute to
-// that hop starts one TTL below where it answered.
+// The chain step: a hop adopted by a symmetry assumption was read off a
+// traceroute from the same source, so the symmetry stage at that hop
+// continues that traceroute below where the hop answered.
 
 import (
 	"context"
@@ -22,8 +22,8 @@ import (
 
 // symTracker follows one machine's hop events: lastSym is the hop the
 // latest adoption took by a symmetry assumption (zero once any other hop
-// is adopted after it) and readOff the target of the traceroute it was
-// read off — the cursor when the hop event fires.
+// is adopted after it) and readOff the cursor whose symmetry stage read it
+// off a traceroute — the cursor when the hop event fires.
 type symTracker struct {
 	mm               *core.Machine
 	lastSym, readOff ipv4.Addr
@@ -65,17 +65,21 @@ func ttlOf(tr measure.TracerouteResult, hop ipv4.Addr) int {
 
 // TestSymmetryChainStart drives measurements that chain symmetry
 // assumptions (symAlways) by hand and checks every traceroute Pending.
-// One to a hop a symmetry assumption just adopted carries Start = that
-// hop's TTL in the traceroute it was read off, less one — also when that
-// traceroute came out of the engine cache: each destination is first
-// measured up to its first symmetry adoption and abandoned, so the full
-// measurement that follows reads that traceroute from the cache — and
-// whatever the machine's reverse-distance estimate says: the chain wins.
-// Any other traceroute starts one TTL past the estimate; without one, one
-// TTL past the atlas's distance to the hop's AS (atlasDistance); without
-// that, at the atlas median, or sweeps from TTL 1 for a source whose atlas
-// has neither a median nor AS distances. The plan is clean, so four in
-// five chained traceroutes must get by on three packets.
+// One at a hop a symmetry assumption just adopted is a chain step: it
+// continues the traceroute that hop was read off — its target and sequence
+// block, Prev its result — below Start = the TTL the hop answered it at.
+// That holds also when that traceroute came out of the engine cache (each
+// destination is first measured up to its first symmetry adoption and
+// abandoned, so the full measurement that follows reads it from the
+// cache): the step then goes toward the hop itself. It
+// holds whatever the machine's reverse-distance estimate says: the chain
+// wins. A step whose walk that traceroute already holds sends nothing; one
+// whose walk it does not hold sends. Any other traceroute starts one TTL
+// past the estimate; without one, one TTL past the atlas's distance to the
+// hop's AS (atlasDistance); without that, at the atlas median, or sweeps
+// from TTL 1 for a source whose atlas has neither a median nor AS
+// distances. The plan is clean, so four in five chain steps must get by
+// on one packet.
 func TestSymmetryChainStart(t *testing.T) {
 	swept := 0 // first traceroutes of a source without a median, to a hop without an estimate
 	for seed := int64(1); seed <= 3; seed++ {
@@ -89,27 +93,39 @@ func TestSymmetryChainStart(t *testing.T) {
 					src.Atlas = &noMedian
 				}
 				eng, _ := c.engineOpts(1, probe.RetryPolicy{}, symAlways())
-				held := map[ipv4.Addr]measure.TracerouteResult{} // by target: what the engine cache holds
-				chained, cheap, fromCache, byDist, byAS := 0, 0, 0, 0, 0
+				held := map[ipv4.Addr]measure.TracerouteResult{} // by cursor: what the engine cache holds
+				chained, cheap, inHand, fromCache, byDist, byAS := 0, 0, 0, 0, 0, 0
 				for _, dst := range c.dsts {
 					for _, abandon := range []bool{true, false} {
 						mm := eng.Begin(context.Background(), src, dst)
 						s := trackSym(mm)
-						measured := map[ipv4.Addr]bool{} // traceroute targets this machine probed itself
+						measured := map[ipv4.Addr]*core.Pending{} // by cursor: the traceroutes this machine sent
 						for p := mm.Next(); p != nil && !(abandon && !s.lastSym.IsZero()); p = mm.Next() {
 							d := eng.ExecPending(mm.Context(), p)
 							if p.Kind == core.PendingTraceroute {
 								switch {
-								case p.Dst == s.lastSym:
-									want := ttlOf(held[s.readOff], p.Dst) - 1
-									if want < 0 || p.Start != want {
-										t.Fatalf("%s: traceroute to %s, adopted off the one to %s at TTL %d, starts at %d", dst, p.Dst, s.readOff, want+1, p.Start)
+								case mm.Cursor() == s.lastSym:
+									read := held[s.readOff]
+									want := ttlOf(read, s.lastSym)
+									if p.Prev == nil || !reflect.DeepEqual(*p.Prev, read) || p.Start != want {
+										t.Fatalf("%s: chain step at %s, adopted off the traceroute at %s at TTL %d: start %d, continues %v", dst, s.lastSym, s.readOff, want, p.Start, p.Prev != nil)
+									}
+									if r := measured[s.readOff]; r != nil && (p.Dst != r.Dst || p.SeqBase != r.SeqBase) {
+										t.Fatalf("%s: chain step toward %s from seq %d continues the traceroute toward %s from seq %d", dst, p.Dst, p.SeqBase, r.Dst, r.SeqBase)
+									} else if r == nil && p.Dst != s.lastSym {
+										t.Fatalf("%s: chain step off a cached traceroute goes toward %s, not the hop %s", dst, p.Dst, s.lastSym)
+									}
+									if held := holdsWalk(read, want); held != (d.TrSent == 0) {
+										t.Fatalf("%s: chain step below TTL %d sent %d packets; the traceroute it continues holds the walk: %v", dst, want, d.TrSent, held)
 									}
 									chained++
-									if d.TrSent <= 3 {
+									if d.TrSent <= 1 {
 										cheap++
 									}
-									if !measured[s.readOff] {
+									if d.TrSent == 0 {
+										inHand++
+									}
+									if measured[s.readOff] == nil {
 										fromCache++
 									}
 								case mm.RevDist() >= 0:
@@ -130,14 +146,14 @@ func TestSymmetryChainStart(t *testing.T) {
 									}
 									swept++
 								}
-								held[p.Dst], measured[p.Dst] = d.Tr, true
+								held[mm.Cursor()], measured[mm.Cursor()] = d.Tr, p
 							}
 							mm.Deliver(d)
 						}
 					}
 				}
-				if chained < 10 || fromCache == 0 {
-					t.Fatalf("%d chained traceroutes, %d off a cached one: corpus too thin", chained, fromCache)
+				if chained < 10 || fromCache == 0 || inHand == 0 {
+					t.Fatalf("%d chain steps, %d off a cached traceroute, %d in hand: corpus too thin", chained, fromCache, inHand)
 				}
 				if byDist == 0 {
 					t.Fatal("no traceroute started from the distance estimate")
@@ -146,15 +162,32 @@ func TestSymmetryChainStart(t *testing.T) {
 					t.Fatal("no traceroute started from the atlas's AS distances")
 				}
 				if cheap*5 < chained*4 {
-					t.Fatalf("%d of %d chained traceroutes sent at most 3 packets, want 80 %%", cheap, chained)
+					t.Fatalf("%d of %d chain steps sent at most one packet, want 80 %%", cheap, chained)
 				}
-				t.Logf("%d chained traceroutes (%d read off a cached one), %d sent at most 3 packets; %d started from the estimate, %d from the atlas", chained, fromCache, cheap, byDist, byAS)
+				t.Logf("%d chain steps (%d off a cached traceroute), %d in hand, %d sent at most one packet; %d started from the estimate, %d from the atlas", chained, fromCache, inHand, cheap, byDist, byAS)
 			})
 		}
 	}
 	if swept == 0 {
 		t.Error("no first traceroute swept")
 	}
+}
+
+// holdsWalk reports whether tr already holds the walk down from its hop at
+// TTL top: a responsive public hop below it, with no TTL tr did not probe
+// and no four silent TTLs in a row between the two.
+func holdsWalk(tr measure.TracerouteResult, top int) bool {
+	silent := 0
+	for ttl := top - 1; ttl >= int(tr.Low) && ttl >= 1 && silent < 4; ttl-- {
+		h := tr.Hops[ttl-1]
+		if h.Responded && !h.Addr.IsPrivate() {
+			return true
+		}
+		if !h.Responded {
+			silent++
+		}
+	}
+	return false
 }
 
 // atlasDistance is how far at puts hop, where no reply said: one past
@@ -180,10 +213,10 @@ func atlasDistance(c *chaosEnv, at *atlas.Atlas, hop ipv4.Addr) int {
 	return near + 4
 }
 
-// TestResumeChainedTraceroute: the chained start is machine state, so a
-// machine cloned while it waits on a chained traceroute resumes to the
-// straight-through result, and so does the original — on a clean plan and
-// a lossy one.
+// TestResumeChainedTraceroute: the traceroute a chain step continues is
+// machine state, so a machine cloned while it waits on a chain step
+// resumes to the straight-through result, and so does the original — on a
+// clean plan and a lossy one.
 func TestResumeChainedTraceroute(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		for _, lossy := range []bool{false, true} {
@@ -198,11 +231,10 @@ func TestResumeChainedTraceroute(t *testing.T) {
 				resumed := 0
 				for _, dst := range c.dsts {
 					mm := eng.Begin(context.Background(), c.src, dst)
-					s := trackSym(mm)
 					var boundaries []int
 					n := 0
 					for p := mm.Next(); p != nil; p = mm.Next() {
-						if p.Kind == core.PendingTraceroute && p.Dst == s.lastSym {
+						if p.Kind == core.PendingTraceroute && p.Prev != nil {
 							boundaries = append(boundaries, n)
 						}
 						mm.Deliver(eng.ExecPending(mm.Context(), p))
@@ -217,17 +249,112 @@ func TestResumeChainedTraceroute(t *testing.T) {
 						cl := mm.Clone()
 						for _, m := range []*core.Machine{cl, mm} {
 							if got, rest := driveMachine(eng, m); !reflect.DeepEqual(got, ref) || k+rest != n {
-								t.Fatalf("dst %s: resumed at chained traceroute %d/%d diverged (+%d pendings)\nref %+v\ngot %+v", dst, k, n, rest, ref, got)
+								t.Fatalf("dst %s: resumed at chain step %d/%d diverged (+%d pendings)\nref %+v\ngot %+v", dst, k, n, rest, ref, got)
 							}
 						}
 						resumed++
 					}
 				}
 				if resumed == 0 {
-					t.Fatal("no measurement waited on a chained traceroute")
+					t.Fatal("no measurement waited on a chain step")
 				}
-				t.Logf("%d clones at chained traceroutes", resumed)
+				t.Logf("%d clones at chain steps", resumed)
 			})
 		}
+	}
+}
+
+// chainStats is one row of the chain-step differential: chain steps, and
+// how many of them found the penultimate hop, and the intra/inter class
+// of the last link, that the traceroute to the hop itself finds.
+type chainStats struct{ steps, samePenult, sameClass int }
+
+// lastLink is classifyTraceroute's reading of tr at a cursor that is not
+// the destination: the penultimate hop and the last link's class.
+func lastLink(tr measure.TracerouteResult, cur ipv4.Addr, m ip2as.Mapper) (ipv4.Addr, string) {
+	last := len(tr.Hops) - 1
+	if tr.ReachedDst {
+		last--
+	}
+	for i := last; i >= 0; i-- {
+		if h := tr.Hops[i]; h.Responded && !h.Addr.IsPrivate() {
+			if h.Addr == cur {
+				break
+			}
+			if ip2as.SameAS(m, h.Addr, cur) {
+				return h.Addr, "intra"
+			}
+			return h.Addr, "inter"
+		}
+	}
+	if tr.ReachedDst && len(tr.Hops) <= 2 {
+		return 0, "adjacent"
+	}
+	return 0, "none"
+}
+
+// TestChainStepDifferential prices the chain step. At each one the test
+// also sends what the symmetry stage sent there before it: a traceroute to
+// the adopted hop itself, from one TTL below where the hop answered, with
+// sequence numbers of the test's own. On clean plans the step must find
+// that traceroute's penultimate hop in 97 % of the steps and its last
+// link's intra/inter class in 99 %; the faulty plans are reported.
+func TestChainStepDifferential(t *testing.T) {
+	t.Logf("%-14s %6s %6s %11s %10s", "plan", "pairs", "steps", "same penult", "same class")
+	var clean chainStats
+	seq := uint64(1) << 32 // clear of every measurement's own numbers
+	run := func(name string, isClean bool, eng *core.Engine, pairs []srcDst) {
+		var st chainStats
+		bg := context.Background()
+		for _, pr := range pairs {
+			mm := eng.Begin(bg, pr.src, pr.dst)
+			for p := mm.Next(); p != nil; p = mm.Next() {
+				d := eng.ExecPending(mm.Context(), p)
+				if p.Prev != nil && len(d.Tr.Hops) > 0 {
+					cur := mm.Cursor()
+					seq += measure.MaxTracerouteTTL
+					hop, _ := eng.Pool.Traceroute(bg, p.Agent, cur, seq, p.Start-1, nil)
+					gotPenult, gotClass := lastLink(d.Tr, cur, eng.Mapper)
+					wantPenult, wantClass := lastLink(hop, cur, eng.Mapper)
+					st.steps++
+					st.samePenult += btoi(gotPenult == wantPenult)
+					st.sameClass += btoi(gotClass == wantClass)
+				}
+				mm.Deliver(d)
+			}
+		}
+		t.Logf("%-14s %6d %6d %11d %10d", name, len(pairs), st.steps, st.samePenult, st.sameClass)
+		if isClean {
+			clean.steps += st.steps
+			clean.samePenult += st.samePenult
+			clean.sameClass += st.sameClass
+		}
+	}
+	for _, seed := range []int64{1, 2, 3} {
+		c := newChaosEnv(t, seed, 100)
+		var pairs []srcDst
+		for _, src := range moreSources(c, 4) {
+			for _, dst := range c.dsts {
+				pairs = append(pairs, srcDst{src, dst})
+			}
+		}
+		eng, _ := c.engine(1, probe.RetryPolicy{})
+		run(fmt.Sprintf("seed%d/clean", seed), true, eng, pairs)
+
+		c.env.Fabric.SetFaults(&faults.Plan{Seed: uint64(seed), LinkLoss: 0.02, ICMPFrac: 0.3, ICMPPass: 0.5})
+		eng, _ = c.engine(1, probe.RetryPolicy{Max: 2})
+		run(fmt.Sprintf("seed%d/faulty", seed), false, eng, pairs)
+	}
+	if !testing.Short() {
+		d, pairs := benchSlice()
+		run("bench/clean", true, d.Engine(core.Revtr20Options()), pairs)
+	}
+	t.Logf("%-14s %6s %6d %11d %10d", "clean, total", "", clean.steps, clean.samePenult, clean.sameClass)
+	if clean.steps < 100 {
+		t.Fatalf("%d chain steps on clean plans: corpus too thin", clean.steps)
+	}
+	if clean.samePenult*100 < clean.steps*97 || clean.sameClass*100 < clean.steps*99 {
+		t.Errorf("of %d chain steps on clean plans %d found the same penultimate hop (want 97 %%) and %d the same class (want 99 %%)",
+			clean.steps, clean.samePenult, clean.sameClass)
 	}
 }

@@ -242,6 +242,8 @@ type TracerouteResult struct {
 	// Stopped reports that the sweep ended at its last hop because the
 	// stop set holds it (RunTraceroute's stop), short of the destination.
 	Stopped bool
+	// Low is the lowest TTL probed: every TTL from it to len(Hops) was.
+	Low uint8
 }
 
 // MaxTracerouteTTL bounds traceroute probing.

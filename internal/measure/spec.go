@@ -373,18 +373,23 @@ func (r *ttlReplies) window(start int) (TracerouteResult, bool) {
 	// Down from top itself: it may be the hop that stands in. An echo reply
 	// may be an overshoot — the destination first answers at the lowest TTL
 	// that still draws one — and one may turn up under an upward walk that
-	// lost every reply it drew.
+	// lost every reply it drew. A continued walk (ContinueTraceroute) may
+	// meet a dead vantage point here first.
 	for ttl, silent := top, 0; ttl >= 1; ttl-- {
 		g := r.at(ttl)
 		if g.echo {
 			top, reached, silent = ttl, true, 0
 		} else if g.hop.Responded && !g.hop.Addr.IsPrivate() {
 			break
-		} else if silent = nextSilent(silent, g); silent == silentRun && reached {
+		} else if silent = nextSilent(silent, g); silent == silentRun && reached || r.dead {
 			return TracerouteResult{}, false
 		}
 	}
-	out := TracerouteResult{Hops: make([]TracerouteHop, top), ReachedDst: reached, RTTUS: r.rttUS}
+	low := top
+	for low > 1 && r.got[low-1].probed {
+		low--
+	}
+	out := TracerouteResult{Hops: make([]TracerouteHop, top), ReachedDst: reached, RTTUS: r.rttUS, Low: uint8(low)}
 	for i := range out.Hops {
 		out.Hops[i] = r.got[i+1].hop
 	}
@@ -404,12 +409,35 @@ func nextSilent(run int, g *ttlReply) int {
 // observe the specs it is handed, and script the replies).
 func runTraceroute(base Spec, start int, stop func(ipv4.Addr) bool, issue func(Spec) Reply) (TracerouteResult, int) {
 	r := ttlReplies{base: base, issue: issue}
+	return r.run(start, stop)
+}
+
+// ContinueTraceroute continues prev, a traceroute from a toward dst whose
+// probe at TTL t carried seqBase+t, below its hop at TTL top: that hop
+// stands for the destination, and the window walks down from it. TTLs prev
+// probed are read, not sent again, and a packet sent is the one prev's
+// sweep sends at its TTL, on prev's path (Paris semantics). A nil prev is
+// RunTraceroute from top with no stop set.
+func ContinueTraceroute(f *fabric.Fabric, a Agent, dst ipv4.Addr, nowUS int64, seqBase uint64, prev *TracerouteResult, top int) (TracerouteResult, int) {
+	r := ttlReplies{base: Spec{Kind: KindTraceroutePkt, VP: a, Dst: dst, Seq: seqBase}, issue: func(sp Spec) Reply { return Issue(f, sp, nowUS) }}
+	if prev != nil {
+		for ttl := int(prev.Low); ttl >= 1 && ttl < top; ttl++ {
+			h := prev.Hops[ttl-1]
+			r.got[ttl] = ttlReply{hop: h, probed: true, delivered: h.Responded}
+		}
+		r.got[top] = ttlReply{hop: prev.Hops[top-1], probed: true, delivered: true, echo: true}
+	}
+	return r.run(top, nil)
+}
+
+// run is the traceroute from start over the replies in hand.
+func (r *ttlReplies) run(start int, stop func(ipv4.Addr) bool) (TracerouteResult, int) {
 	if start > 1 {
 		if out, ok := r.window(start); ok {
 			return out, r.sent
 		}
 	}
-	out := TracerouteResult{Swept: true}
+	out := TracerouteResult{Swept: true, Low: 1}
 	for ttl, silent := 1, 0; ttl <= MaxTracerouteTTL && silent < silentRun && !out.ReachedDst && !out.Stopped; ttl++ {
 		g := r.at(ttl)
 		if r.dead {

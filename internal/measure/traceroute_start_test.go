@@ -346,3 +346,53 @@ func TestTracerouteStopSet(t *testing.T) {
 		t.Fatalf("a window stopped: %+v", tr)
 	}
 }
+
+// TestContinueTraceroute: continuing a traceroute below its penultimate
+// hop reads what the traceroute to the destination probed and sends only
+// the TTLs it did not, and on a clean plan the last link it shows is the
+// classic sweep's cut at that hop. Continuing the sweep itself sends
+// nothing; continuing a tail window started at the destination's TTL
+// sends at most the TTLs between the hop and where the window stopped
+// walking down.
+func TestContinueTraceroute(t *testing.T) {
+	const seqBase = 5000
+	inHand, continued := 0, 0
+	for seed := int64(1); seed <= 3; seed++ {
+		env := simtest.New(t, 300, seed)
+		agents, targets := startCorpus(env)
+		for _, a := range agents {
+			for _, dst := range targets {
+				classic, _ := measure.RunTraceroute(env.Fabric, a, dst, 0, seqBase, 1, nil)
+				ll := lastLinkOf(classic)
+				if !ll.reached || ll.penult.IsZero() || ll.ttl < 3 {
+					continue
+				}
+				top := slices.IndexFunc(classic.Hops, func(h measure.TracerouteHop) bool { return h.Addr == ll.penult }) + 1
+				cut := classic
+				cut.Hops = classic.Hops[:top]
+				want := lastLinkOf(cut)
+				window, _ := measure.RunTraceroute(env.Fabric, a, dst, 0, seqBase, ll.ttl, nil)
+				for _, prev := range []measure.TracerouteResult{classic, window} {
+					tr, sent := measure.ContinueTraceroute(env.Fabric, a, dst, 0, seqBase, &prev, top)
+					if got := lastLinkOf(tr); got != want {
+						t.Fatalf("%s→%s below TTL %d: last link %+v, the sweep cut there %+v", a.Addr, dst, top, got, want)
+					}
+					switch {
+					case prev.Swept && sent != 0:
+						t.Fatalf("%s→%s below TTL %d: the sweep holds every TTL, yet %d sent", a.Addr, dst, top, sent)
+					case !prev.Swept && sent > top-int(tr.Low):
+						t.Fatalf("%s→%s below TTL %d: %d sent, more than TTLs %d…%d", a.Addr, dst, top, sent, tr.Low, top-1)
+					}
+					if sent == 0 {
+						inHand++
+					}
+					continued++
+				}
+			}
+		}
+	}
+	if inHand == 0 || inHand == continued {
+		t.Fatalf("%d of %d continuations sent nothing: the corpus exercises one case only", inHand, continued)
+	}
+	t.Logf("%d continuations, %d in hand", continued, inHand)
+}

@@ -46,7 +46,8 @@ func TestGoMatchesDoPolicy(t *testing.T) {
 }
 
 // TestGoTracerouteMatchesSync: the async traceroute wrapper returns the
-// same hops and sent-count as the blocking call.
+// same hops and sent-count as the blocking call, for a fresh traceroute
+// and for one continuing it below its penultimate hop.
 func TestGoTracerouteMatchesSync(t *testing.T) {
 	env := simtest.New(t, 150, 5)
 	pool := probe.New(env.Fabric, measure.NewClock(), 2)
@@ -55,19 +56,29 @@ func TestGoTracerouteMatchesSync(t *testing.T) {
 	if dst == nil {
 		t.Skip("no destination")
 	}
-	wantTr, wantSent := pool.Traceroute(context.Background(), src, dst.Addr, 1000, 8)
-
-	type out struct {
-		tr   measure.TracerouteResult
-		sent int
+	first, _ := pool.Traceroute(context.Background(), src, dst.Addr, 1000, 8, nil)
+	if len(first.Hops) < 3 {
+		t.Skip("path too short to continue")
 	}
-	got := make(chan out, 1)
-	pool.GoTraceroute(context.Background(), src, dst.Addr, 1000, 8, func(tr measure.TracerouteResult, sent int) {
-		got <- out{tr, sent}
-	})
-	o := <-got
-	if !reflect.DeepEqual(o.tr, wantTr) || o.sent != wantSent {
-		t.Fatalf("async traceroute diverged: %+v/%d vs %+v/%d", o.tr, o.sent, wantTr, wantSent)
+	for _, prev := range []*measure.TracerouteResult{nil, &first} {
+		start := 8
+		if prev != nil {
+			start = len(first.Hops) - 1
+		}
+		wantTr, wantSent := pool.Traceroute(context.Background(), src, dst.Addr, 1000, start, prev)
+
+		type out struct {
+			tr   measure.TracerouteResult
+			sent int
+		}
+		got := make(chan out, 1)
+		pool.GoTraceroute(context.Background(), src, dst.Addr, 1000, start, prev, func(tr measure.TracerouteResult, sent int) {
+			got <- out{tr, sent}
+		})
+		o := <-got
+		if !reflect.DeepEqual(o.tr, wantTr) || o.sent != wantSent {
+			t.Fatalf("async traceroute (continued %v) diverged: %+v/%d vs %+v/%d", prev != nil, o.tr, o.sent, wantTr, wantSent)
+		}
 	}
 }
 
