@@ -3,8 +3,8 @@
 package revtr
 
 // Allocation ceilings for the deterministic per-job paths of the serving
-// layers (ROADMAP 3a; internal/netsim/fabric/hotpath_test.go holds the
-// forwarding step's). Each is the count measured when the ceiling was
+// layers (ROADMAP "Performance that is measured";
+// internal/netsim/fabric/hotpath_test.go holds the forwarding step's). Each is the count measured when the ceiling was
 // set, so a rise is a change to what the operation costs and says so
 // here. Not built under -race: the detector makes sync.Pool drop a share
 // of its Puts, and encoding/json then allocates encoders it would have

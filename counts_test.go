@@ -20,10 +20,10 @@ import (
 // these packets per kind, these spoofed batches and this much virtual
 // time (§5.2.4's currency: 10 s per batch short of a reply, the slowest
 // round trip of one that holds them all), and end in exactly these
-// states, with exactly so many complete paths off the ground truth. The
-// counts are a pure function of the seed; a change that moves one of them
-// is a change to what a reverse traceroute costs or finds, and says so
-// here by editing the want row.
+// states, with exactly so many complete paths off the ground truth and
+// off its AS path. The counts are a pure function of the seed; a change
+// that moves one of them is a change to what a reverse traceroute costs or
+// finds, and says so here by editing the want row.
 //
 // "distinct" is 8 sources x 8 destinations of their own: 64 pairs that
 // share almost no hop across sources. "shared" is the same 8 sources x
@@ -130,10 +130,13 @@ func TestProbeCountGate(t *testing.T) {
 		// assumption adopted continues the one that hop was read off)
 		// moved Traceroute 263 -> 229 and both time columns by the round
 		// trips not made; nothing else moved.
+		// The wrong-AS column and the packets-per-completion line read, when
+		// they were added: 3 complete paths off the true AS path, 757
+		// packets over 42 completions (18.024).
 		{"distinct", func(si int) []*topology.Host { return pick(si*29, 8, srcs[si]) },
 			countRow{rr: 49, spoofRR: 479, traceroute: 229, complete: 42, aborted: 20, failed: 2,
 				spoofBatches: 187, virtualUS: 271807580, waitOutUS: 1882810450,
-				offTruthPaths: 2, offTruthHops: 3}},
+				offTruthPaths: 2, offTruthHops: 3, wrongAS: 3}},
 		// Added with PR 18 and measured on its parent first: RR 445,
 		// SpoofRR 1395, Traceroute 1589, 86 / 40 / 2, 530 batches over
 		// 5388293358 virtual us. Every destination is stuck on the same few
@@ -161,11 +164,12 @@ func TestProbeCountGate(t *testing.T) {
 		// time 50 428 579 us less, the five batches' 10 s timeouts and the
 		// direct probes' round trips; traceroutes and outcomes did not move.
 		// The chain step moved Traceroute 652 -> 559 and virtual time from
-		// 204736373, as above.
+		// 204736373, as above. Wrong AS paths and packets per completion
+		// when they were added: 12, and 1307 / 90 = 14.522.
 		{"shared", func(int) []*topology.Host { return shared },
 			countRow{rr: 124, spoofRR: 624, traceroute: 559, complete: 90, aborted: 36, failed: 2,
 				spoofBatches: 255, virtualUS: 198834211, waitOutUS: 2585512715,
-				offTruthPaths: 4, offTruthHops: 8}},
+				offTruthPaths: 4, offTruthHops: 8, wrongAS: 12}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := d.Engine(core.Revtr20Options())
@@ -195,6 +199,9 @@ func TestProbeCountGate(t *testing.T) {
 						if n := offTruth(d, dst, res); n > 0 {
 							got.offTruthPaths++
 							got.offTruthHops += n
+						}
+						if truth := d.Fabric.ASPath(d.TrueReversePath(dst, src.Agent.Addr)); !equalASPaths(asPathTruth(d, res.Addrs()), truth) {
+							got.wrongAS++
 						}
 					case core.StatusAborted:
 						got.aborted++
@@ -257,6 +264,9 @@ type countRow struct {
 	// no ground-truth path from the destination back to the source
 	// (offTruth), offTruthHops those hops.
 	offTruthPaths, offTruthHops int
+	// wrongAS counts the complete paths whose AS path under the ground-truth
+	// mapper differs from the true reverse path's: Fig 5a's currency.
+	wrongAS int
 }
 
 // diff renders got against want, a line per column.
@@ -277,5 +287,12 @@ func (got countRow) diff(want countRow) string {
 	line("waited out", got.waitOutUS, want.waitOutUS)
 	line("off-truth", int64(got.offTruthPaths), int64(want.offTruthPaths))
 	line("off hops", int64(got.offTruthHops), int64(want.offTruthHops))
+	line("wrong AS", int64(got.wrongAS), int64(want.wrongAS))
+	// Derived: probes_per_revtr charges attempts, so it rewards aborting
+	// early; this charges completions.
+	perComplete := func(r countRow) float64 {
+		return float64(r.rr+r.spoofRR+r.traceroute) / float64(max(r.complete, 1))
+	}
+	fmt.Fprintf(&sb, "%-12s %11.3f %11.3f %+11.3f\n", "pkts/compl", perComplete(got), perComplete(want), perComplete(got)-perComplete(want))
 	return sb.String()
 }

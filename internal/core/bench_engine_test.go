@@ -1,11 +1,11 @@
 package core_test
 
-// Engine benchmark corpus (ROADMAP item 5): measurements/s at 1, 100,
-// 1k, and 10k in-flight measurements through the resumable machine, and
-// the footprint of one suspended measurement. `make bench` smoke-runs
-// the benchmarks; `make bench` also regenerates BENCH_engine.json via
-// TestWriteEngineBenchJSON (gated on the BENCH_ENGINE_JSON env var) so
-// the checked-in numbers track the code.
+// Engine benchmark corpus (ROADMAP "Performance that is measured"):
+// measurements/s at 1, 100, 1k, and 10k in-flight measurements through
+// the resumable machine, and the footprint of one suspended measurement.
+// `make bench` smoke-runs the benchmarks; `make bench` also regenerates
+// BENCH_engine.json via TestWriteEngineBenchJSON (gated on the
+// BENCH_ENGINE_JSON env var) so the checked-in numbers track the code.
 
 import (
 	"context"

@@ -116,7 +116,7 @@ type Engine struct {
 	// adoptWhole is a test hook: adoptRevealed adopts every revealed hop,
 	// not up to the first one the atlas intersects (its differential's "off").
 	adoptWhole        bool
-	hideSurveySilence bool // test hook: knownSilent reads the cache alone
+	hideSurveySilence bool // test hook: readSilence reads the cache alone
 	// spoofTimeoutUS and maxHops are SpoofTimeoutUS and MaxHops; only
 	// this package's tests set others.
 	spoofTimeoutUS int64
@@ -266,20 +266,6 @@ func (e *Engine) atlasLookup(src Source, cur ipv4.Addr, excludeAS int32) (atlas.
 		return atlas.Intersection{}, false
 	}
 	return x, true
-}
-
-// revealed is the outcome of the RR step: the reverse hops the direct
-// probe (Fig 1b) or the spoofed sweep (Fig 1c–d) uncovered. The sweep
-// stops issuing further batches once one reveals hops (batch-granular
-// early exit, which keeps probe counts deterministic — every launched
-// batch runs to completion). measured says the stage was probed, not answered from
-// the cache, and that every probe it planned went out: the direct one
-// and every batch slot (a vantage point inside a blackout sends
-// nothing). See Machine.stepSpoofNext / Machine.onSpoofBatch.
-type revealed struct {
-	hops     []ipv4.Addr
-	tech     Technique
-	measured bool
 }
 
 // flagSuspects inserts "*" markers where the AS-level path crosses a link

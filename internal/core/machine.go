@@ -113,18 +113,6 @@ const (
 	phDone
 )
 
-// spoofState is the spoofed-RR sweep in progress: the ingress plan
-// cursor, the §5.3 spoof budget spent, and whether a direct probe
-// preceded the sweep and drew a reply of any kind — a hop that left it
-// unanswered, or was not sent one (skipDirect), gets one batch to prove it
-// answers option packets at all (onSpoofBatch).
-type spoofState struct {
-	plan           []int // ingress order over Engine.Sites (shared, read-only)
-	cursor         int
-	tried          int
-	directAnswered bool
-}
-
 // tsState is the Timestamp adjacency sweep in progress.
 type tsState struct {
 	adjs []ipv4.Addr
@@ -157,9 +145,8 @@ type Machine struct {
 	visited   map[ipv4.Addr]bool
 	excludeAS int32
 
-	rev   revealed
-	spoof spoofState
-	ts    tsState
+	rr rrStage
+	ts tsState
 	// symTr is the last traceroute classified, sent as symFrom (nil: read
 	// out of the engine cache); symTTL is where the hop it adopted answered.
 	symTr   measure.TracerouteResult
@@ -404,7 +391,7 @@ func (mm *Machine) Clone() *Machine {
 	cp.res = &r
 	cp.visited = maps.Clone(mm.visited)
 	cp.m.dead = maps.Clone(mm.m.dead)
-	cp.rev.hops = slices.Clone(mm.rev.hops)
+	cp.rr.hops = slices.Clone(mm.rr.hops)
 	cp.ts.adjs = slices.Clone(mm.ts.adjs)
 	cp.segs = slices.Clone(mm.segs) // hop groups are built once and never mutated
 	if mm.pending != nil {
@@ -661,103 +648,174 @@ func (mm *Machine) stepTop() {
 		}
 	}
 
-	// Step 2: Record Route, direct first (Fig 1b).
-	mm.rev = revealed{}
-	mm.spoof = spoofState{}
+	// Step 2: Record Route (Fig 1b–d).
+	mm.openRR()
+	mm.runRR()
+}
+
+// rrStage is one Record Route stage, which next alone decides from. What it
+// learnt: the hops revealed (or cached); whether the direct probe went out
+// (Reply.Sent) or, skipped, could have (Pool.CanSend), and drew a reply;
+// whether a dead vantage point sat a slot out; whether the last batch sent a
+// probe and drew a reply. Its sweep: the ingress plan (shared, read-only)
+// read past the direct probe, the §5.3 budget spent, whether a batch came
+// back. Its evidence: the RR cache, the atlas deaf to the cursor's AS, the
+// distance out of range, its silence.
+type rrStage struct {
+	hops                                    []ipv4.Addr
+	tech                                    Technique
+	sent, answered, dead                    bool
+	batchSent, batchAnswered                bool
+	pastDirect, noPrefix, swept             bool
+	plan                                    []int
+	cursor, tried                           int
+	cached, deaf, far, silent, surveySilent bool
+}
+
+// rrAction is what an RR stage does next: a probe, or a close and why.
+type rrAction uint8
+
+const (
+	rrDirect        rrAction = iota // send the direct probe
+	rrSkip                          // skip it as out of range, burning its sequence number
+	rrBatch                         // send the sweep's next batch (stepSpoofNext)
+	rrCached                        // the RR cache answered, an empty entry included
+	rrDeaf                          // the source's atlas heard no RR reply from the cursor's AS
+	rrRevealed                      // a probe revealed reverse hops
+	rrSilentVerdict                 // the direct probe unanswered, the cache's verdict silent
+	rrSurveySilent                  // the same, only the survey silent: first batch built and burnt
+	rrExhausted                     // no vantage point left in the plan
+	rrBudget                        // MaxSpoofVPs vantage points tried
+	rrSilentBatch                   // the direct probe and a whole batch unanswered
+	rrNoPrefix                      // the hop is in no BGP prefix, so has no plan
+)
+
+// next maps the stage to its next action, the first row that holds (DESIGN
+// "RR stage"); maxVPs is the spoof budget. Silence is evidence only behind
+// a measured, unanswered direct probe and before any batch.
+func (st *rrStage) next(maxVPs int) rrAction {
+	silence := st.pastDirect && !st.swept && st.measured() && !st.answered
+	for _, row := range [...]struct {
+		holds bool
+		act   rrAction
+	}{
+		{st.cached, rrCached},
+		{st.deaf, rrDeaf},
+		{len(st.hops) > 0, rrRevealed},
+		{!st.pastDirect && st.far && !st.silent, rrSkip},
+		{!st.pastDirect, rrDirect},
+		{silence && st.silent, rrSilentVerdict},
+		{silence && st.surveySilent, rrSurveySilent},
+		{st.noPrefix, rrNoPrefix},
+		{st.swept && st.tried >= maxVPs, rrBudget},
+		{st.swept && !st.answered && !st.batchAnswered && st.batchSent, rrSilentBatch},
+		{st.cursor >= len(st.plan), rrExhausted},
+	} {
+		if row.holds {
+			return row.act
+		}
+	}
+	return rrBatch
+}
+
+// measured reports whether the stage was probed, not cached, and every
+// probe it planned went out (a vantage point inside a blackout sends none).
+func (st *rrStage) measured() bool { return st.sent && !st.dead }
+
+// openRR reads the evidence a stage opens on, each only where the ones
+// before it leave the decision open.
+func (mm *Machine) openRR() {
+	e, cur, st := mm.e, mm.cur, &mm.rr
+	*st = rrStage{}
 	if e.Opts.UseCache {
-		if hops, tech, ok := e.cache.getRR(cur, src.Agent.Addr, e.Pool.Now()); ok {
-			if len(hops) == 0 {
-				e.metrics.cacheRRNegativeHits.Inc()
-			}
-			mm.rev = revealed{hops: hops, tech: tech}
-			mm.ph = phAfterRR
+		if st.hops, st.tech, st.cached = e.cache.getRR(cur, mm.src.Agent.Addr, e.Pool.Now()); st.cached {
 			return
 		}
 	}
-	// The atlas heard no RR reply come home from the cursor's AS: the
-	// silence is this source's path home, not the hop's, so no verdict.
-	if at := src.Atlas; e.Opts.UseRRAtlas && at != nil {
-		if asn, ok := e.Mapper.ASOf(cur); ok && at.RRDeaf[asn] {
-			e.metrics.rrDeafSkipped.Inc()
-			mm.ph = phAfterRR
+	if at := mm.src.Atlas; e.Opts.UseRRAtlas && at != nil {
+		asn, ok := e.Mapper.ASOf(cur)
+		if st.deaf = ok && at.RRDeaf[asn]; st.deaf {
 			return
 		}
 	}
-	if mm.distance() > ingress.InRangeHops && !mm.verdictSilent() {
-		mm.skipDirect()
-		return
+	if st.far = mm.distance() > ingress.InRangeHops; st.far {
+		mm.readSilence()
 	}
-	mm.suspendProbes([]probe.Request{
-		{Kind: measure.KindRR, VP: src.Agent, Dst: cur, Seq: mm.m.next()},
-	}, false, phRRWait)
 }
 
-// skipDirect opens the RR stage at the spoofed sweep: Record Route has nine
-// slots, so a direct probe to a cursor more than InRangeHops out (distance)
-// comes back full before the reverse path begins (§4.3). The sweep runs as
-// behind an unanswered direct probe, measured if the source can send now
-// (the probe's Reply.Sent); a hop only the survey heard silent closes with
-// no packet (closeSilent). The probe not sent keeps its sequence number,
-// so every later packet is the one sent behind a direct probe.
-func (mm *Machine) skipDirect() {
-	mm.e.metrics.directRRSkipped.Inc()
-	mm.m.next()
-	mm.rev.measured = mm.e.Pool.CanSend(mm.src.Agent.Addr)
-	if mm.rev.measured && mm.knownSilent() {
-		mm.closeSilent()
-		return
-	}
-	mm.sweep(false)
+// readSilence reads the cache's silent verdict on the cursor and the ingress
+// survey's silence, which lives beside the cache (DESIGN "(2) Unresponsive").
+func (mm *Machine) readSilence() {
+	e, st := mm.e, &mm.rr
+	st.silent = e.Opts.UseCache && e.cache.verdicts(mm.cur, e.Pool.Now()).silent
+	st.surveySilent = e.Opts.UseCache && !e.hideSurveySilence && e.Ingress.Silent(mm.cur)
 }
 
-// onRRDirect handles the direct RR reply: adopt revealed hops, or set
-// up the spoofed sweep (Fig 1c–d).
-func (mm *Machine) onRRDirect(b probe.Batch) {
-	e, src, cur := mm.e, mm.src, mm.cur
-	rr := b.Replies[0].RR
-	mm.rev.measured = b.Replies[0].Sent
-	if rr.Responded {
-		mm.heard(rr)
-		if hops, _ := extractReverse(rr.Recorded, cur, e.Alias); len(hops) > 0 {
-			mm.rev.hops, mm.rev.tech = hops, TechRR
-			if e.Opts.UseCache {
-				e.cache.putRR(cur, src.Agent.Addr, hops, TechRR, e.Pool.Now())
-			}
-			mm.ph = phAfterRR
-			return
-		}
-	} else if mm.rev.measured && mm.knownSilent() {
-		// Known silent, and silent to this direct probe too.
-		mm.closeSilent()
-		return
+// passDirect moves the stage past its direct probe and reads the plan.
+func (mm *Machine) passDirect() {
+	pfx, ok := mm.e.F.Topo.BGPPrefixOf(mm.cur)
+	if mm.rr.pastDirect, mm.rr.noPrefix = true, !ok; ok {
+		mm.rr.plan = mm.e.Ingress.PlanFor(pfx, mm.e.Opts.VPSelection).Order
 	}
-	mm.sweep(rr.Responded)
 }
 
-// closeSilent closes the RR stage at a cursor known silent. Where only the
-// survey knew, the sweep's first batch is built and not sent: its sequence
-// numbers are spent and the silent verdict is shared, as if it had gone out.
-func (mm *Machine) closeSilent() {
-	mm.e.metrics.spoofSweepsUnresponsive.Inc()
-	if !mm.verdictSilent() {
-		mm.sweep(false)
-		if len(mm.nextBatch()) > 0 {
-			mm.shareVerdicts(nil, true)
-		}
+// runRR carries out the stage's next action — after a skip, the one that
+// follows: suspend on the direct probe, leave a batch to stepSpoofNext, or
+// close, counting the close and sharing what it settled with every source.
+func (mm *Machine) runRR() {
+	e, st := mm.e, &mm.rr
+	act := st.next(e.Opts.MaxSpoofVPs)
+	if act == rrSkip {
+		// Record Route's nine slots fill before the reverse path begins (§4.3).
+		// The probe keeps its sequence number: later packets are as behind it.
+		e.metrics.directRRSkipped.Inc()
+		mm.m.next()
+		st.sent = e.Pool.CanSend(mm.src.Agent.Addr)
+		mm.passDirect()
+		act = st.next(e.Opts.MaxSpoofVPs)
 	}
 	mm.ph = phAfterRR
+	switch act {
+	case rrDirect:
+		mm.suspendProbes([]probe.Request{{Kind: measure.KindRR, VP: mm.src.Agent, Dst: mm.cur, Seq: mm.m.next()}}, false, phRRWait)
+	case rrBatch:
+		mm.ph = phSpoofNext
+	case rrCached:
+		if len(st.hops) == 0 {
+			e.metrics.cacheRRNegativeHits.Inc()
+		}
+	case rrDeaf: // the silence is this source's path home, not the hop's: no verdict
+		e.metrics.rrDeafSkipped.Inc()
+	case rrRevealed:
+		if e.Opts.UseCache {
+			e.cache.putRR(mm.cur, mm.src.Agent.Addr, st.hops, st.tech, e.Pool.Now())
+		}
+	case rrSilentVerdict, rrSurveySilent:
+		e.metrics.spoofSweepsUnresponsive.Inc()
+		// Only the survey knew: the first batch is built and burnt, and the
+		// verdict shared, as if it had gone out.
+		if act == rrSurveySilent && len(mm.nextBatch()) > 0 {
+			mm.shareVerdicts(nil, true)
+		}
+	case rrSilentBatch:
+		e.metrics.spoofSweepsSilent.Inc()
+		mm.shareVerdicts(nil, true)
+	}
 }
 
-// verdictSilent reports whether the cache holds a silent verdict on the cursor.
-func (mm *Machine) verdictSilent() bool {
-	return mm.e.Opts.UseCache && mm.e.cache.verdicts(mm.cur, mm.e.Pool.Now()).silent
-}
-
-// knownSilent reports whether the cursor is known to answer no option
-// packet, by the cache's silent verdict or by the ingress survey, whose
-// silence lives beside the cache, not in it (DESIGN "(2) Unresponsive").
-func (mm *Machine) knownSilent() bool {
-	return mm.verdictSilent() || mm.e.Opts.UseCache && !mm.e.hideSurveySilence && mm.e.Ingress.Silent(mm.cur)
+// onRRDirect records the direct RR reply (Fig 1b) and carries on.
+func (mm *Machine) onRRDirect(b probe.Batch) {
+	st, rep := &mm.rr, b.Replies[0]
+	st.sent, st.answered = rep.Sent, rep.RR.Responded
+	if st.answered {
+		mm.heard(rep.RR)
+		st.hops, _ = extractReverse(rep.RR.Recorded, mm.cur, mm.e.Alias)
+		st.tech = TechRR
+	} else if st.sent {
+		mm.readSilence()
+	}
+	mm.passDirect()
+	mm.runRR()
 }
 
 // distance is how many hops out the cursor is expected to be: what a reply
@@ -784,23 +842,8 @@ func (mm *Machine) distance() int {
 	return dist
 }
 
-// sweep sets up the spoofed sweep over the cursor's ingress plan (a hop in
-// no BGP prefix has none).
-func (mm *Machine) sweep(directAnswered bool) {
-	pfx, ok := mm.e.F.Topo.BGPPrefixOf(mm.cur)
-	if !ok {
-		mm.ph = phAfterRR
-		return
-	}
-	mm.spoof = spoofState{
-		plan:           mm.e.Ingress.PlanFor(pfx, mm.e.Opts.VPSelection).Order,
-		directAnswered: directAnswered,
-	}
-	mm.ph = phSpoofNext
-}
-
-// stepSpoofNext suspends on the sweep's next batch or, short of one,
-// closes the stage.
+// stepSpoofNext suspends on the sweep's next batch or, when no vantage
+// point is left to fill one, closes the stage (rrExhausted).
 func (mm *Machine) stepSpoofNext() {
 	mm.ph = phAfterRR
 	if reqs := mm.nextBatch(); len(reqs) > 0 {
@@ -813,9 +856,8 @@ func (mm *Machine) stepSpoofNext() {
 // out of range of cur, and backfilling from further down the order so a
 // skipped VP costs its slot, not the whole batch (graceful degradation).
 func (mm *Machine) nextBatch() []probe.Request {
-	e, src, cur := mm.e, mm.src, mm.cur
-	sp := &mm.spoof
-	if mm.m.ctx.Err() != nil || sp.cursor >= len(sp.plan) {
+	e, src, cur, st := mm.e, mm.src, mm.cur, &mm.rr
+	if mm.m.ctx.Err() != nil || st.cursor >= len(st.plan) {
 		return nil
 	}
 	var far []ipv4.Addr
@@ -823,9 +865,9 @@ func (mm *Machine) nextBatch() []probe.Request {
 		far = e.cache.verdicts(cur, e.Pool.Now()).farVPs
 	}
 	reqs := make([]probe.Request, 0, SpoofBatchSize)
-	for sp.cursor < len(sp.plan) && len(reqs) < SpoofBatchSize {
-		site := e.Sites[sp.plan[sp.cursor]]
-		sp.cursor++
+	for st.cursor < len(st.plan) && len(reqs) < SpoofBatchSize {
+		site := e.Sites[st.plan[st.cursor]]
+		st.cursor++
 		if site.Addr == src.Agent.Addr { // that would be the direct probe again
 			continue
 		}
@@ -862,38 +904,31 @@ func (mm *Machine) spoofWait(b probe.Batch) int64 {
 }
 
 // shareVerdicts records what a spoofed batch settled about cur for every
-// source — if the stage was measured so far: its direct probe went out and
-// no dead vantage point sat a slot out.
+// source — if the stage was measured so far.
 func (mm *Machine) shareVerdicts(far []ipv4.Addr, silent bool) {
-	if mm.rev.measured && mm.e.Opts.UseCache && (silent || len(far) > 0) {
+	if mm.rr.measured() && mm.e.Opts.UseCache && (silent || len(far) > 0) {
 		mm.e.cache.addVerdicts(mm.cur, far, silent, mm.e.Pool.Now())
 	}
 }
 
-// onSpoofBatch digests one spoofed batch, reqs answered by b in order:
-// dead-VP failover, best revelation so far, the vantage points it showed
-// out of range, the silent-batch exit and the MaxSpoofVPs budget.
+// onSpoofBatch records one spoofed batch, reqs answered by b in order, and
+// carries on. A dead vantage point could not send: it is remembered, and
+// the sweep fails over to the next in the plan without charging the budget.
 func (mm *Machine) onSpoofBatch(reqs []probe.Request, b probe.Batch) {
-	e, src, cur := mm.e, mm.src, mm.cur
-	sp := &mm.spoof
+	e, cur, st := mm.e, mm.cur, &mm.rr
+	st.swept, st.batchSent, st.batchAnswered = true, b.Sent.SpoofRR > 0, false
 	deadHere := 0
-	answered := false
 	var best, far []ipv4.Addr
 	for i, rep := range b.Replies {
 		if rep.VPDead {
-			// The VP could not send at all: remember it and fail over to
-			// the next-closest VP in the ingress order instead of
-			// charging the attempt against the spoof budget. A stage a
-			// dead VP sat out was not fully measured (stepAfterRR).
 			mm.vpDied(reqs[i].VP.Addr)
-			mm.rev.measured = false
 			deadHere++
 			continue
 		}
 		if !rep.RR.Responded {
 			continue
 		}
-		answered = true
+		st.batchAnswered = true
 		mm.heard(rep.RR)
 		hops, marker := extractReverse(rep.RR.Recorded, cur, e.Alias)
 		if len(hops) > len(best) {
@@ -903,53 +938,29 @@ func (mm *Machine) onSpoofBatch(reqs []probe.Request, b probe.Batch) {
 			far = append(far, reqs[i].VP.Addr)
 		}
 	}
+	st.dead = st.dead || deadHere > 0
 	mm.shareVerdicts(far, false)
-	sp.tried += len(b.Replies) - b.Skipped - deadHere
+	st.tried += len(b.Replies) - b.Skipped - deadHere
 	if len(best) > 0 {
-		mm.rev.hops, mm.rev.tech = best, TechSpoofRR
-		if e.Opts.UseCache {
-			e.cache.putRR(cur, src.Agent.Addr, best, TechSpoofRR, e.Pool.Now())
-		}
-		mm.ph = phAfterRR
-		return
+		st.hops, st.tech = best, TechSpoofRR
 	}
-	if sp.tried >= e.Opts.MaxSpoofVPs {
-		mm.ph = phAfterRR
-		return
-	}
-	// Silent-batch exit: the hop left the direct probe unanswered and now
-	// every probe this batch put on the wire as well — it does not answer
-	// option packets, and the rest of the plan would wait out a timeout
-	// per batch to learn the same. Only sent probes are evidence: a batch
-	// of dead vantage points says nothing about the hop. One reply of any
-	// kind, even out of range, shows the hop answers and keeps the sweep
-	// looking for a closer ingress.
-	if !sp.directAnswered && !answered && b.Sent.SpoofRR > 0 {
-		e.metrics.spoofSweepsSilent.Inc()
-		mm.shareVerdicts(nil, true)
-		mm.ph = phAfterRR
-		return
-	}
-	mm.ph = phSpoofNext
+	mm.runRR()
 }
 
-// stepAfterRR closes the RR stage: re-check cancellation, then adopt
-// revealed hops or move on to Timestamp. A stage that was measured in full
-// and revealed nothing is cached as an empty entry, so the next measurement
-// of this source stuck on this hop skips the stage; one that a dead vantage
-// point (the source's included) or a cancellation cut short is not — it
-// says nothing about the hop once the fault is over.
+// stepAfterRR ends the RR stage: re-check cancellation, then adopt revealed
+// hops or move on to Timestamp, caching a stage measured in full that
+// revealed nothing as an empty entry (DESIGN "The empty entry").
 func (mm *Machine) stepAfterRR() {
 	if mm.m.ctx.Err() != nil {
 		mm.failCancelled()
 		return
 	}
-	if len(mm.rev.hops) > 0 {
-		mm.e.metrics.stage[mm.rev.tech].Inc()
+	if len(mm.rr.hops) > 0 {
+		mm.e.metrics.stage[mm.rr.tech].Inc()
 		mm.adoptRevealed()
 		return
 	}
-	if mm.rev.measured && mm.e.Opts.UseCache {
+	if mm.rr.measured() && mm.e.Opts.UseCache {
 		mm.e.cache.putRR(mm.cur, mm.src.Agent.Addr, nil, 0, mm.e.Pool.Now())
 	}
 	mm.fallback(TechTS, phTS)
@@ -960,7 +971,7 @@ func (mm *Machine) stepAfterRR() {
 // the atlas knows the way home from, so the loop intersects there instead
 // of probing on from a later one that may intersect nothing.
 func (mm *Machine) adoptRevealed() {
-	hops := mm.rev.hops
+	hops := mm.rr.hops
 	for i, h := range hops {
 		if mm.e.adoptWhole || h.IsPrivate() || mm.visited[h] {
 			continue
@@ -972,7 +983,7 @@ func (mm *Machine) adoptRevealed() {
 	}
 	mark := len(mm.res.Hops)
 	for _, h := range hops {
-		mm.res.Hops = append(mm.res.Hops, Hop{Addr: h, Tech: mm.rev.tech})
+		mm.res.Hops = append(mm.res.Hops, Hop{Addr: h, Tech: mm.rr.tech})
 	}
 	mm.adopted(mark)
 	mm.revDist -= len(hops)

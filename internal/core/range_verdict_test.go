@@ -263,6 +263,8 @@ func TestRangeVerdictDifferential(t *testing.T) {
 				n++
 			}
 		}
+		defer d.Fabric.SetFaults(nil) // the world benchSlice built has none
+		defer d.Pool.SetRetry(d.Pool.Retry())
 		d.Fabric.SetFaults(plan)
 		d.Pool.SetRetry(probe.RetryPolicy{Max: 2})
 		report("bench/lossy", false, run(d.Engine(core.Revtr20Options()), pairs))

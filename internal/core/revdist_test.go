@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"revtr"
@@ -92,25 +93,35 @@ func skipDifferential(t *testing.T, newEngine func() *core.Engine, pairs []srcDs
 	return st
 }
 
-// benchSlice builds the benchmark's world — 1000 ASes, 30 sites, seed 31 —
+// benchSlice returns the benchmark's world — 1000 ASes, 30 sites, seed 31 —
 // and the 520-pair slice of it the differentials measure: 8 sources, each
-// with the first 65 destinations of its stride-211 walk outside its AS.
+// with the first 65 destinations of its stride-211 walk outside its AS. The
+// world is built once per test binary: a test that sets its faults or its
+// pool's retry policy restores them before it returns.
 func benchSlice() (*revtr.Deployment, []srcDst) {
-	cfg := revtr.DefaultConfig(1000)
-	cfg.Seed, cfg.Topology.Seed, cfg.Sites = 31, 31, 30
-	d := revtr.Build(cfg)
-	dests := d.OnePerPrefix()
-	var pairs []srcDst
-	for si := 0; si < 8; si++ {
-		src := d.NewSource(d.PickSourceHost(si * 17))
-		for k, n := 0, 0; n < 65; k++ {
-			if dst := dests[(si*29+k*211)%len(dests)]; dst.AS != src.Agent.AS {
-				n++
-				pairs = append(pairs, srcDst{src, dst.Addr})
+	benchWorld.once.Do(func() {
+		cfg := revtr.DefaultConfig(1000)
+		cfg.Seed, cfg.Topology.Seed, cfg.Sites = 31, 31, 30
+		d := revtr.Build(cfg)
+		dests := d.OnePerPrefix()
+		for si := 0; si < 8; si++ {
+			src := d.NewSource(d.PickSourceHost(si * 17))
+			for k, n := 0, 0; n < 65; k++ {
+				if dst := dests[(si*29+k*211)%len(dests)]; dst.AS != src.Agent.AS {
+					n++
+					benchWorld.pairs = append(benchWorld.pairs, srcDst{src, dst.Addr})
+				}
 			}
 		}
-	}
-	return d, pairs
+		benchWorld.d = d
+	})
+	return benchWorld.d, benchWorld.pairs
+}
+
+var benchWorld struct {
+	once  sync.Once
+	d     *revtr.Deployment
+	pairs []srcDst
 }
 
 // TestDirectSkipDifferential prices the skipped direct probe. Every time
