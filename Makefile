@@ -64,7 +64,7 @@ ci: fmt vet lint short race bench benchcheck benchmod fuzz cover loc docsize
 # when the total is above LOC_CEILING — the total the last PR landed at.
 # A PR that adds lines says why and raises it; one that removes lines
 # lowers it to where it lands.
-LOC_CEILING = 21707
+LOC_CEILING = 21752
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs wc -l | \
 		awk -v ceiling=$(LOC_CEILING) '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
@@ -76,7 +76,7 @@ loc:
 # last PR landed it at. A PR that grows a file says why and raises its
 # entry; one that cuts it lowers the entry to where it lands. bench/'s
 # README is left out: bench/ changes only with the benchmark.
-DOC_CEILING = DESIGN.md:108910 EXPERIMENTS.md:142327 CHANGES.md:72195
+DOC_CEILING = DESIGN.md:108889 EXPERIMENTS.md:142244 CHANGES.md:67268
 docsize:
 	@fail=0; for e in $(DOC_CEILING); do f=$${e%%:*}; ceiling=$${e##*:}; n=$$(wc -c < $$f); \
 		printf "%7d %s (DOC_CEILING %d)\n" $$n $$f $$ceiling; \
@@ -121,7 +121,7 @@ cover:
 		$(GO) tool cover -func=/tmp/revtr.cover | $(COVER_FLOOR)
 
 # benchcheck is the regression gate on what is deterministic: exact probe
-# counts, spoofed batches, virtual time and outcomes of two fixed slices
+# counts, spoofed rounds, virtual time and outcomes of four fixed slices
 # of the benchmark's world (counts_test.go) and the allocation ceilings of
 # one engine measurement, one sched submit→terminal, one store append and
 # one stream publish (allocs_test.go). Without -race: the ceilings are

@@ -14,12 +14,12 @@ import (
 	"revtr/internal/probe"
 )
 
-// TestProbeCountGate pins the paper's currency in tier-1: two fixed
+// TestProbeCountGate pins the paper's currency in tier-1: four fixed
 // slices of the benchmark's world — 1000 ASes, 30 sites, seed 31 — each
 // measured serially by one revtr 2.0 engine of its own, must cost exactly
-// these packets per kind, these spoofed batches and this much virtual
-// time (§5.2.4's currency: 10 s per batch short of a reply, the slowest
-// round trip of one that holds them all), and end in exactly these
+// these packets per kind, these spoofed rounds and this much virtual
+// time (§5.2.4's currency: 10 s per round short of a reply, the round
+// trips of one that holds them all), and end in exactly these
 // states, with exactly so many complete paths off the ground truth and
 // off its AS path. The counts are a pure function of the seed; a change
 // that moves one of them is a change to what a reverse traceroute costs or
@@ -71,9 +71,11 @@ func TestProbeCountGate(t *testing.T) {
 		return out
 	}
 	shared := pick(0, 16, srcs...)
+	wide := pick(0, 96)
 
 	for _, tc := range []struct {
 		name  string
+		lossy bool
 		dests func(si int) []*topology.Host
 		want  countRow
 	}{
@@ -133,9 +135,14 @@ func TestProbeCountGate(t *testing.T) {
 		// The wrong-AS column and the packets-per-completion line read, when
 		// they were added: 3 complete paths off the true AS path, 757
 		// packets over 42 completions (18.024).
-		{"distinct", func(si int) []*topology.Host { return pick(si*29, 8, srcs[si]) },
-			countRow{rr: 49, spoofRR: 479, traceroute: 229, complete: 42, aborted: 20, failed: 2,
-				spoofBatches: 187, virtualUS: 271807580, waitOutUS: 1882810450,
+		// The spoofed round (a batch sent lead first, its hedges only where
+		// the lead revealed nothing or one of them could reveal more) moved
+		// SpoofRR 479 -> 379 and virtual time from 271807580: hedges sent
+		// behind an answered lead wait their own round trip after it. Every
+		// round waits out what its batch did (waitOutUS); nothing else moved.
+		{"distinct", false, func(si int) []*topology.Host { return pick(si*29, 8, srcs[si]) },
+			countRow{rr: 49, spoofRR: 379, traceroute: 229, complete: 42, aborted: 20, failed: 2,
+				spoofBatches: 187, virtualUS: 275286314, waitOutUS: 1882810450,
 				offTruthPaths: 2, offTruthHops: 3, wrongAS: 3}},
 		// Added with PR 18 and measured on its parent first: RR 445,
 		// SpoofRR 1395, Traceroute 1589, 86 / 40 / 2, 530 batches over
@@ -165,26 +172,77 @@ func TestProbeCountGate(t *testing.T) {
 		// direct probes' round trips; traceroutes and outcomes did not move.
 		// The chain step moved Traceroute 652 -> 559 and virtual time from
 		// 204736373, as above. Wrong AS paths and packets per completion
-		// when they were added: 12, and 1307 / 90 = 14.522.
-		{"shared", func(int) []*topology.Host { return shared },
-			countRow{rr: 124, spoofRR: 624, traceroute: 559, complete: 90, aborted: 36, failed: 2,
-				spoofBatches: 255, virtualUS: 198834211, waitOutUS: 2585512715,
+		// when they were added: 12, and 1307 / 90 = 14.522. The spoofed round
+		// moved SpoofRR 624 -> 446 and virtual time from 198834211, as above;
+		// waitOutUS moved 2 590 us less, a wait outside the rounds of one
+		// aborted pair whose packets and outcome did not move.
+		{"shared", false, func(int) []*topology.Host { return shared },
+			countRow{rr: 124, spoofRR: 446, traceroute: 559, complete: 90, aborted: 36, failed: 2,
+				spoofBatches: 255, virtualUS: 202584367, waitOutUS: 2585510125,
 				offTruthPaths: 4, offTruthHops: 8, wrongAS: 12}},
+		// "wide" is the same 8 sources x the first 96 destinations of the
+		// walk, less the pairs inside a source's AS: accuracy beside cost on
+		// 766 pairs. "wide-lossy" measures them under batch-lossy's fault
+		// plan (2 % link loss, ICMP rate limiting, the last three spoofing
+		// sites blacked out, two retries), where silence may be loss. Both
+		// were measured on the parent of the spoofed round first:
+		//   wide:       RR 726, SpoofRR 3359, Traceroute 2993, 480 / 284 / 2,
+		//               1399 batches, 1457851271 virtual us (14167256592
+		//               waited out), 24 off-truth paths (60 hops), 21 wrong AS;
+		//   wide-lossy: RR 1376, SpoofRR 4404, Traceroute 3901, 377 / 331 / 58,
+		//               1220 batches, 2202697090 virtual us (12348139497),
+		//               26 off-truth paths (59 hops), 17 wrong AS.
+		// The round moved wide's SpoofRR 3359 -> 2342, virtual time 1.7 %
+		// down and, stages ending on a lead's reply instead of a batch's,
+		// RR 726 -> 730, Traceroute 2993 -> 2999 and six more rounds; every
+		// outcome and accuracy column stood. Under loss it
+		// moved SpoofRR 4404 -> 3272 and virtual time 17 % down, the hedges
+		// behind a silent lead flying inside its timeout; one path in 377
+		// completes no more, and one more complete path is off the truth
+		// and off its AS path.
+		{"wide", false, func(si int) []*topology.Host { return outside(wide, srcs[si]) },
+			countRow{rr: 730, spoofRR: 2342, traceroute: 2999, complete: 480, aborted: 284, failed: 2,
+				spoofBatches: 1405, virtualUS: 1433434710, waitOutUS: 14227248267,
+				offTruthPaths: 24, offTruthHops: 60, wrongAS: 21}},
+		{"wide-lossy", true, func(si int) []*topology.Host { return outside(wide, srcs[si]) },
+			countRow{rr: 1379, spoofRR: 3272, traceroute: 3889, complete: 376, aborted: 332, failed: 58,
+				spoofBatches: 1223, virtualUS: 1821784419, waitOutUS: 12377262910,
+				offTruthPaths: 27, offTruthHops: 70, wrongAS: 18}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.lossy {
+				defer d.Fabric.SetFaults(nil)
+				defer d.Pool.SetRetry(d.Pool.Retry())
+				if _, err := d.InjectFaults("seed=31,loss=0.02,icmp-frac=0.3,icmp-pass=0.5", 3, 0, 2); err != nil {
+					t.Fatal(err)
+				}
+			}
 			eng := d.Engine(core.Revtr20Options())
 			var got countRow
 			var sum measure.Counters
 			before := d.Pool.Counters()
 			for si, src := range srcs {
 				for _, dst := range tc.dests(si) {
-					// MeasureReverse's own loop, seeing each spoofed batch: one
-					// that holds every reply is topped up to the timeout.
+					// MeasureReverse's own loop, seeing each spoofed round: one
+					// that holds every reply is topped up to the timeout, and
+					// one that waited its lead's round trip and then the
+					// timeout is taken back to the timeout.
+					var leadTopUp int64 // of the round's lead, if it held its reply
 					mm := eng.Begin(context.Background(), src, dst.Addr)
 					for p := mm.Next(); p != nil; p = mm.Next() {
 						dl := eng.ExecPending(mm.Context(), p)
-						if p.Spoofed && holdsEveryReply(dl.Batch) {
-							got.waitOutUS += core.SpoofTimeoutUS - dl.Batch.MaxRTTUS
+						full := p.Spoofed && holdsEveryReply(dl.Batch)
+						switch {
+						case p.Hedges && leadTopUp > 0 && full:
+							got.waitOutUS -= min(leadTopUp, dl.Batch.MaxRTTUS)
+						case p.Hedges && leadTopUp > 0:
+							got.waitOutUS -= core.SpoofTimeoutUS
+						case p.Hedges:
+						case full:
+							leadTopUp = core.SpoofTimeoutUS - dl.Batch.MaxRTTUS
+							got.waitOutUS += leadTopUp
+						case p.Spoofed:
+							leadTopUp = 0
 						}
 						mm.Deliver(dl)
 					}
@@ -219,6 +277,11 @@ func TestProbeCountGate(t *testing.T) {
 			}
 		})
 	}
+}
+
+// outside returns the hosts of dests that lie outside src's AS.
+func outside(dests []*topology.Host, src core.Source) []*topology.Host {
+	return slices.DeleteFunc(slices.Clone(dests), func(h *topology.Host) bool { return h.AS == src.Agent.AS })
 }
 
 // offTruth counts the hops of res, measured from dst, that lie on no

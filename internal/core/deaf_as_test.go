@@ -3,7 +3,7 @@ package core_test
 // The differential for the atlas's RR-deaf ASes: a cursor in an AS from
 // which the source's atlas heard no RR reply come home opens no RR stage.
 // It prices the rule by sending, at every stage the rule closed, the
-// direct probe and the first spoofed batch the stage would have opened
+// direct probe and the first spoofed round the stage would have opened
 // with.
 
 import (
@@ -43,10 +43,12 @@ func (a *deafStats) add(b deafStats) {
 
 // deafDifferential measures pairs twice, each time on a fresh engine from
 // newEngine. On the first, the engine as it is, every RR stage the rule
-// closes has the test send the stage's direct probe and the first batch of
-// its plan — sites as nextBatch picks them, through the engine's pool, with
-// sequence numbers of the test's own. A closed stage falls back at once,
-// so the fallback event its cursor sends is where the test reads the hop.
+// closes has the test send the stage's direct probe and the first round of
+// its plan — sites as nextBatch picks them, the lead beside the direct
+// probe and the hedges if neither revealed — through the engine's pool,
+// with sequence numbers of the test's own. A closed stage falls back at
+// once, so the fallback event its cursor sends is where the test reads the
+// hop.
 // The second pass measures from copies of the sources whose atlas copies
 // name no deaf AS: the engine that opens every RR stage.
 func deafDifferential(t *testing.T, newEngine func() *core.Engine, pairs []srcDst) deafStats {
@@ -70,15 +72,22 @@ func deafDifferential(t *testing.T, newEngine func() *core.Engine, pairs []srcDs
 			seq++
 			reqs[i].Seq = seq
 		}
+		// The direct probe and the round's lead, then its hedges if neither
+		// revealed: the round as the engine sends it.
 		reveals := 0
-		for _, rep := range eng.Pool.Do(bg, reqs).Replies {
-			if rep.RR.Responded {
-				st.answered++
-				reveals += btoi(len(core.ExtractReverse(rep.RR.Recorded, hop, eng.Alias)) > 0)
+		for _, part := range [][]probe.Request{reqs[:min(2, len(reqs))], reqs[min(2, len(reqs)):]} {
+			if reveals > 0 || len(part) == 0 {
+				break
 			}
+			for _, rep := range eng.Pool.Do(bg, part).Replies {
+				if rep.RR.Responded {
+					st.answered++
+					reveals += btoi(len(core.ExtractReverse(rep.RR.Recorded, hop, eng.Alias)) > 0)
+				}
+			}
+			st.sent += len(part)
 		}
 		st.closed++
-		st.sent += len(reqs)
 		st.revealed += reveals
 		st.stagesRevealed += btoi(reveals > 0)
 	}
@@ -123,9 +132,9 @@ func deafDifferential(t *testing.T, newEngine func() *core.Engine, pairs []srcDs
 }
 
 // TestDeafASDifferential prices the RR stages the atlas's deaf ASes close.
-// At every one the test sends the direct probe and the first spoofed batch
+// At every one the test sends the direct probe and the first spoofed round
 // of the stage's plan and records how many drew a reply and would have
-// revealed a hop — the stage's first batch, not the sweep a reply would
+// revealed a hop — the stage's first round, not the sweep a reply would
 // have kept going. On clean plans at most 5 % of the closed stages may
 // have revealed one; on every corpus the engine must complete no fewer
 // paths than one whose atlases name no deaf AS, less 0.5 %. The small

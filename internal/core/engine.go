@@ -113,10 +113,10 @@ type Engine struct {
 	cache   *cache
 	deadVPs *deadVPCache
 	metrics Metrics // zero value records nothing
-	// adoptWhole is a test hook: adoptRevealed adopts every revealed hop,
-	// not up to the first one the atlas intersects (its differential's "off").
-	adoptWhole        bool
-	hideSurveySilence bool // test hook: readSilence reads the cache alone
+	// Test hooks, each a differential's "off": adoptRevealed adopts every
+	// revealed hop, readSilence reads the cache alone, a spoofed round sends
+	// its hedges with its lead.
+	adoptWhole, hideSurveySilence, wholeRounds bool
 	// spoofTimeoutUS and maxHops are SpoofTimeoutUS and MaxHops; only
 	// this package's tests set others.
 	spoofTimeoutUS int64

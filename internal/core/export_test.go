@@ -4,6 +4,7 @@ import (
 	"revtr/internal/alias"
 	"revtr/internal/measure"
 	"revtr/internal/netsim/ipv4"
+	"revtr/internal/probe"
 )
 
 // ExtractReverse exposes extractReverse to the external test package
@@ -69,3 +70,11 @@ func (e *Engine) SetMaxHops(n int) { e.maxHops = n }
 // CacheEntries is the number of entries the engine cache holds, of every
 // kind.
 func (e *Engine) CacheEntries() int { return e.cache.size() }
+
+// WholeRounds has every spoofed round send its hedges with its lead, as one
+// batch: the engine before rounds (TestLeadHedgeDifferential's "whole").
+func (e *Engine) WholeRounds() { e.wholeRounds = true }
+
+// Held exposes the hedges the machine's spoofed round holds back behind its
+// lead: none once they are sent, for a whole batch, or outside a sweep.
+func (mm *Machine) Held() []probe.Request { return mm.rr.held }

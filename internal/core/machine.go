@@ -71,6 +71,9 @@ type Pending struct {
 	// as one of Result.SpoofBatches and charges it Machine.spoofWait, not
 	// its slowest round trip — where measurement latency goes.
 	Spoofed bool
+	// Hedges marks a spoofed round's hedges, sent after its lead (the
+	// Pending before): not another of SpoofBatches.
+	Hedges bool
 
 	// Traceroute work (Kind == PendingTraceroute). Start is the TTL
 	// probing begins at (measure.RunTraceroute; stepSym chooses it), fixed
@@ -302,7 +305,7 @@ func (mm *Machine) Next() *Pending {
 // It is also the one place a suspension is charged, before the phase
 // handler sees the replies: the packets sent, then the virtual time waited
 // — a traceroute's round trips, a direct batch's slowest reply (of one
-// probe: its own), a spoofed batch's spoofWait and its place in
+// probe: its own), a spoofed round's spoofWait and its place in
 // SpoofBatches.
 func (mm *Machine) Deliver(d Delivery) {
 	if mm.finished || mm.pending == nil {
@@ -328,9 +331,7 @@ func (mm *Machine) Deliver(d Delivery) {
 		return
 	}
 	if p.Spoofed {
-		waitUS = mm.spoofWait(d.Batch)
-		mm.res.SpoofBatches++
-		mm.e.metrics.spoofBatches.Inc()
+		waitUS = mm.spoofWait(p, d.Batch)
 	}
 	mm.res.DurationUS += waitUS
 	switch mm.ph {
@@ -392,6 +393,7 @@ func (mm *Machine) Clone() *Machine {
 	cp.visited = maps.Clone(mm.visited)
 	cp.m.dead = maps.Clone(mm.m.dead)
 	cp.rr.hops = slices.Clone(mm.rr.hops)
+	cp.rr.held = slices.Clone(mm.rr.held)
 	cp.ts.adjs = slices.Clone(mm.ts.adjs)
 	cp.segs = slices.Clone(mm.segs) // hop groups are built once and never mutated
 	if mm.pending != nil {
@@ -449,11 +451,7 @@ func (mm *Machine) spliceable(chain []segments.Hop) bool {
 
 // suspendProbes parks the machine on a probe batch.
 func (mm *Machine) suspendProbes(reqs []probe.Request, spoofed bool, next phase) {
-	mm.pending = &Pending{
-		Kind:    PendingProbes,
-		Reqs:    reqs,
-		Spoofed: spoofed,
-	}
+	mm.pending = &Pending{Kind: PendingProbes, Reqs: reqs, Spoofed: spoofed}
 	mm.ph = next
 }
 
@@ -656,19 +654,21 @@ func (mm *Machine) stepTop() {
 // rrStage is one Record Route stage, which next alone decides from. What it
 // learnt: the hops revealed (or cached); whether the direct probe went out
 // (Reply.Sent) or, skipped, could have (Pool.CanSend), and drew a reply;
-// whether a dead vantage point sat a slot out; whether the last batch sent a
+// whether a dead vantage point sat a slot out; whether the last round sent a
 // probe and drew a reply. Its sweep: the ingress plan (shared, read-only)
-// read past the direct probe, the §5.3 budget spent, whether a batch came
-// back. Its evidence: the RR cache, the atlas deaf to the cursor's AS, the
-// distance out of range, its silence.
+// read past the direct probe, the §5.3 budget spent, whether a round came
+// back, the hedges held behind its lead and whether the lead waited out the
+// timeout. Its evidence: the RR cache, the atlas deaf to the cursor's AS,
+// the distance out of range, its silence.
 type rrStage struct {
 	hops                                    []ipv4.Addr
 	tech                                    Technique
 	sent, answered, dead                    bool
-	batchSent, batchAnswered                bool
+	batchSent, batchAnswered, leadWaited    bool
 	pastDirect, noPrefix, swept             bool
 	plan                                    []int
 	cursor, tried                           int
+	held                                    []probe.Request
 	cached, deaf, far, silent, surveySilent bool
 }
 
@@ -678,7 +678,8 @@ type rrAction uint8
 const (
 	rrDirect        rrAction = iota // send the direct probe
 	rrSkip                          // skip it as out of range, burning its sequence number
-	rrBatch                         // send the sweep's next batch (stepSpoofNext)
+	rrBatch                         // send the sweep's next round (stepSpoofNext)
+	rrHedges                        // send the hedges a round's lead left held (onSpoofBatch)
 	rrCached                        // the RR cache answered, an empty entry included
 	rrDeaf                          // the source's atlas heard no RR reply from the cursor's AS
 	rrRevealed                      // a probe revealed reverse hops
@@ -686,13 +687,13 @@ const (
 	rrSurveySilent                  // the same, only the survey silent: first batch built and burnt
 	rrExhausted                     // no vantage point left in the plan
 	rrBudget                        // MaxSpoofVPs vantage points tried
-	rrSilentBatch                   // the direct probe and a whole batch unanswered
+	rrSilentBatch                   // the direct probe and a whole round unanswered
 	rrNoPrefix                      // the hop is in no BGP prefix, so has no plan
 )
 
 // next maps the stage to its next action, the first row that holds (DESIGN
 // "RR stage"); maxVPs is the spoof budget. Silence is evidence only behind
-// a measured, unanswered direct probe and before any batch.
+// a measured, unanswered direct probe, before any round or after a whole one.
 func (st *rrStage) next(maxVPs int) rrAction {
 	silence := st.pastDirect && !st.swept && st.measured() && !st.answered
 	for _, row := range [...]struct {
@@ -701,6 +702,7 @@ func (st *rrStage) next(maxVPs int) rrAction {
 	}{
 		{st.cached, rrCached},
 		{st.deaf, rrDeaf},
+		{len(st.held) > 0, rrHedges},
 		{len(st.hops) > 0, rrRevealed},
 		{!st.pastDirect && st.far && !st.silent, rrSkip},
 		{!st.pastDirect, rrDirect},
@@ -760,8 +762,9 @@ func (mm *Machine) passDirect() {
 }
 
 // runRR carries out the stage's next action — after a skip, the one that
-// follows: suspend on the direct probe, leave a batch to stepSpoofNext, or
-// close, counting the close and sharing what it settled with every source.
+// follows: suspend on the direct probe or a round's hedges, leave a round to
+// stepSpoofNext, or close, counting the close and sharing what it settled
+// with every source.
 func (mm *Machine) runRR() {
 	e, st := mm.e, &mm.rr
 	act := st.next(e.Opts.MaxSpoofVPs)
@@ -780,6 +783,9 @@ func (mm *Machine) runRR() {
 		mm.suspendProbes([]probe.Request{{Kind: measure.KindRR, VP: mm.src.Agent, Dst: mm.cur, Seq: mm.m.next()}}, false, phRRWait)
 	case rrBatch:
 		mm.ph = phSpoofNext
+	case rrHedges:
+		mm.suspendProbes(st.held, true, phSpoofWait)
+		mm.pending.Hedges, st.held = true, nil
 	case rrCached:
 		if len(st.hops) == 0 {
 			e.metrics.cacheRRNegativeHits.Inc()
@@ -842,11 +848,16 @@ func (mm *Machine) distance() int {
 	return dist
 }
 
-// stepSpoofNext suspends on the sweep's next batch or, when no vantage
-// point is left to fill one, closes the stage (rrExhausted).
+// stepSpoofNext suspends on the sweep's next round — of an ingress plan,
+// nearest first, the lead alone, the rest held as hedges — or, when no
+// vantage point is left to fill one, closes the stage (rrExhausted).
 func (mm *Machine) stepSpoofNext() {
 	mm.ph = phAfterRR
-	if reqs := mm.nextBatch(); len(reqs) > 0 {
+	if reqs, st := mm.nextBatch(), &mm.rr; len(reqs) > 0 {
+		st.batchSent, st.batchAnswered = false, false
+		if mm.e.Opts.VPSelection == ingress.SelIngress && !mm.e.wholeRounds {
+			reqs, st.held = reqs[:1:1], reqs[1:]
+		}
 		mm.suspendProbes(reqs, true, phSpoofWait)
 	}
 }
@@ -886,17 +897,25 @@ func (mm *Machine) nextBatch() []probe.Request {
 	return reqs
 }
 
-// spoofWait is the virtual time the measurement waited on the delivered
-// spoofed batch b. Every probe has an identity and its reply lands at the
-// source being measured for, so a batch that holds a reply to every
-// request is over when the slowest one landed (MaxRTTUS, retry backoff
-// included). A request without one — silent, lost, never sent, its vantage
-// point dead — may yet be answered, and the batch waits out the timeout.
-func (mm *Machine) spoofWait(b probe.Batch) int64 {
+// spoofWait books the spoofed batch b delivered for p and returns the
+// virtual time the measurement waited on it. Every probe has an identity and
+// its reply lands at the source being measured for, so a batch that holds a
+// reply to every request is over when the slowest one landed (MaxRTTUS,
+// retry backoff included). A request without one — silent, lost, never
+// sent, its vantage point dead — may yet be answered, and the batch waits
+// out the timeout. A round is one of SpoofBatches, counted at its lead; its
+// hedges wait too, unless the lead waited out the timeout they flew in.
+func (mm *Machine) spoofWait(p *Pending, b probe.Batch) int64 {
+	if p.Hedges && mm.rr.leadWaited {
+		return 0
+	} else if !p.Hedges {
+		mm.res.SpoofBatches++
+		mm.e.metrics.spoofBatches.Inc()
+	}
 	short := slices.ContainsFunc(b.Replies, func(rep measure.Reply) bool {
 		return !rep.RR.Responded && !rep.TS.Responded
 	})
-	if !short && b.MaxRTTUS < mm.e.spoofTimeoutUS {
+	if mm.rr.leadWaited = short || b.MaxRTTUS >= mm.e.spoofTimeoutUS; !mm.rr.leadWaited {
 		return b.MaxRTTUS
 	}
 	mm.e.metrics.spoofBatchTimeouts.Inc()
@@ -911,14 +930,16 @@ func (mm *Machine) shareVerdicts(far []ipv4.Addr, silent bool) {
 	}
 }
 
-// onSpoofBatch records one spoofed batch, reqs answered by b in order, and
-// carries on. A dead vantage point could not send: it is remembered, and
-// the sweep fails over to the next in the plan without charging the budget.
+// onSpoofBatch records a round's lead or hedges, reqs answered by b in
+// order, and carries on. A dead vantage point could not send: it is
+// remembered, and the sweep fails over to the next in the plan without
+// charging the budget.
 func (mm *Machine) onSpoofBatch(reqs []probe.Request, b probe.Batch) {
 	e, cur, st := mm.e, mm.cur, &mm.rr
-	st.swept, st.batchSent, st.batchAnswered = true, b.Sent.SpoofRR > 0, false
+	st.swept, st.batchSent = true, st.batchSent || b.Sent.SpoofRR > 0
 	deadHere := 0
 	var best, far []ipv4.Addr
+	slots := 0 // of best's array, up to the hop's stamp
 	for i, rep := range b.Replies {
 		if rep.VPDead {
 			mm.vpDied(reqs[i].VP.Addr)
@@ -932,7 +953,7 @@ func (mm *Machine) onSpoofBatch(reqs []probe.Request, b probe.Batch) {
 		mm.heard(rep.RR)
 		hops, marker := extractReverse(rep.RR.Recorded, cur, e.Alias)
 		if len(hops) > len(best) {
-			best = hops
+			best, slots = hops, marker+1
 		}
 		if outOfRange(rep.RR.Recorded, marker) {
 			far = append(far, reqs[i].VP.Addr)
@@ -941,10 +962,40 @@ func (mm *Machine) onSpoofBatch(reqs []probe.Request, b probe.Batch) {
 	st.dead = st.dead || deadHere > 0
 	mm.shareVerdicts(far, false)
 	st.tried += len(b.Replies) - b.Skipped - deadHere
-	if len(best) > 0 {
+	if len(best) > len(st.hops) {
 		st.hops, st.tech = best, TechSpoofRR
+		st.held = mm.couldRevealMore(st.held, best, slots)
 	}
 	mm.runRR()
+}
+
+// couldRevealMore returns the hedges, of held, that could reveal more than
+// a reply that revealed hops, slots into its Record Route array: none when
+// the atlas knows the way home from one of them (adoption stops there), else
+// those the ingress survey saw reach the hop's prefix in fewer slots or did
+// not measure.
+func (mm *Machine) couldRevealMore(held []probe.Request, hops []ipv4.Addr, slots int) []probe.Request {
+	if len(held) == 0 || mm.wayHome(hops) >= 0 {
+		return nil
+	}
+	pfx, _ := mm.e.F.Topo.BGPPrefixOf(mm.cur) // the plan was read off it
+	info := mm.e.Ingress.Info[pfx]
+	return slices.DeleteFunc(held, func(r probe.Request) bool {
+		site := slices.IndexFunc(mm.e.Sites, func(a measure.Agent) bool { return a.Addr == r.VP.Addr })
+		return info != nil && info.Obs[site].Dist >= slots
+	})
+}
+
+// wayHome is the index of the first of hops, new and public, that the atlas
+// knows the way home from, or -1.
+func (mm *Machine) wayHome(hops []ipv4.Addr) int {
+	return slices.IndexFunc(hops, func(h ipv4.Addr) bool {
+		if h.IsPrivate() || mm.visited[h] {
+			return false
+		}
+		_, ok := mm.e.atlasLookup(mm.src, h, mm.excludeAS)
+		return ok
+	})
 }
 
 // stepAfterRR ends the RR stage: re-check cancellation, then adopt revealed
@@ -972,14 +1023,8 @@ func (mm *Machine) stepAfterRR() {
 // of probing on from a later one that may intersect nothing.
 func (mm *Machine) adoptRevealed() {
 	hops := mm.rr.hops
-	for i, h := range hops {
-		if mm.e.adoptWhole || h.IsPrivate() || mm.visited[h] {
-			continue
-		}
-		if _, ok := mm.e.atlasLookup(mm.src, h, mm.excludeAS); ok {
-			hops = hops[:i+1]
-			break
-		}
+	if i := mm.wayHome(hops); i >= 0 && !mm.e.adoptWhole {
+		hops = hops[:i+1]
 	}
 	mark := len(mm.res.Hops)
 	for _, h := range hops {

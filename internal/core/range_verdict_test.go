@@ -96,7 +96,7 @@ func (w *verdictWatch) plan(hop ipv4.Addr) []measure.Agent {
 
 // measure runs src→dst. Around every step it reads the two verdict
 // counters: when a step dropped plan slots it works out which (the walk
-// stepSpoofNext made, mirrored from the batch that came out of it) and
+// stepSpoofNext made, mirrored from the round that came out of it) and
 // sends them; when a delivery closed a stage it sends the plan the sweep
 // would have walked, up to the spoof budget.
 func (w *verdictWatch) measure(src core.Source, dst ipv4.Addr) *core.Result {
@@ -122,18 +122,24 @@ func (w *verdictWatch) measure(src core.Source, dst ipv4.Addr) *core.Result {
 			hop, plan, walked = opened, w.plan(opened), 0
 		}
 		sweep := p != nil && isSpoofSweep(p) && p.Reqs[0].Dst == hop
-		// The walk ends behind the last vantage point of a full batch, and
-		// at the end of the plan otherwise (a short batch, or none at all).
+		// A round's lead opens it: the round is its requests and the hedges
+		// held behind them, which walked no further.
+		var round []probe.Request
+		if sweep && !p.Hedges {
+			round = append(slices.Clone(p.Reqs), mm.Held()...)
+		}
+		// The walk ends behind the last vantage point of a full round, and
+		// at the end of the plan otherwise (a short round, or none at all).
 		end := len(plan)
-		if sweep && len(p.Reqs) == core.SpoofBatchSize {
-			last := p.Reqs[len(p.Reqs)-1].VP.Addr
+		if len(round) == core.SpoofBatchSize {
+			last := round[len(round)-1].VP.Addr
 			end = 1 + slices.IndexFunc(plan, func(a measure.Agent) bool { return a.Addr == last })
 		}
 		var dropped []measure.Agent
-		if sweep || w.far.Value() != farBefore {
+		if round != nil || w.far.Value() != farBefore {
 			for ; walked < end; walked++ {
 				vp := plan[walked]
-				inBatch := sweep && slices.ContainsFunc(p.Reqs, func(r probe.Request) bool { return r.VP.Addr == vp.Addr })
+				inBatch := slices.ContainsFunc(round, func(r probe.Request) bool { return r.VP.Addr == vp.Addr })
 				if vp.Addr != me && !w.dead[vp.Addr] && !inBatch {
 					dropped = append(dropped, vp)
 				}
@@ -286,7 +292,7 @@ func nineStamps(hop ipv4.Addr) []ipv4.Addr {
 }
 
 // TestVerdictEvidence pins what writes a verdict and what does not. One
-// stage the silent rule ends (direct probe silent, first batch silent) is
+// stage the silent rule ends (direct probe silent, first round silent) is
 // replayed on fresh engines with fabricated deliveries in place of the
 // real ones.
 func TestVerdictEvidence(t *testing.T) {
@@ -330,6 +336,14 @@ func TestVerdictEvidence(t *testing.T) {
 		}
 		return core.Delivery{Batch: b}
 	}
+	// round delivers p, a round's lead, and the hedges that follow it, the
+	// i-th request of the round answered by reply(i).
+	round := func(mm *core.Machine, p *core.Pending, reply func(i int) measure.Reply) {
+		mm.Deliver(batch(p, reply))
+		if next := mm.Next(); next != nil && next.Hedges {
+			mm.Deliver(batch(next, func(i int) measure.Reply { return reply(len(p.Reqs) + i) }))
+		}
+	}
 	silence := measure.Reply{Sent: true}
 	full := measure.Reply{Sent: true, RR: measure.RRResult{Responded: true, RTTUS: 1000, Recorded: nineStamps(s.hop)}}
 	want := func(t *testing.T, eng *core.Engine, far []ipv4.Addr, silent bool) {
@@ -342,12 +356,12 @@ func TestVerdictEvidence(t *testing.T) {
 
 	t.Run("full array without the hop's stamp", func(t *testing.T) {
 		eng, mm, p := toSweep(t, bg, nil)
-		mm.Deliver(batch(p, func(i int) measure.Reply {
+		round(mm, p, func(i int) measure.Reply {
 			if i == 0 {
 				return full
 			}
 			return silence
-		}))
+		})
 		want(t, eng, []ipv4.Addr{p.Reqs[0].VP.Addr}, false)
 	})
 	t.Run("full array with the hop's stamp last", func(t *testing.T) {
@@ -355,23 +369,23 @@ func TestVerdictEvidence(t *testing.T) {
 		last := full
 		last.RR.Recorded = slices.Clone(full.RR.Recorded)
 		last.RR.Recorded[ipv4.RRSlots-1] = s.hop
-		mm.Deliver(batch(p, func(int) measure.Reply { return last }))
 		var vps []ipv4.Addr
-		for _, r := range p.Reqs {
+		for _, r := range append(slices.Clone(p.Reqs), mm.Held()...) {
 			vps = append(vps, r.VP.Addr)
 		}
+		round(mm, p, func(int) measure.Reply { return last })
 		want(t, eng, vps, false)
 	})
 	t.Run("silent batch behind a silent direct probe", func(t *testing.T) {
 		eng, mm, p := toSweep(t, bg, nil)
-		mm.Deliver(batch(p, func(int) measure.Reply { return silence }))
+		round(mm, p, func(int) measure.Reply { return silence })
 		want(t, eng, nil, true)
 	})
 	t.Run("short array", func(t *testing.T) {
 		eng, mm, p := toSweep(t, bg, nil)
 		short := full
 		short.RR.Recorded = full.RR.Recorded[:ipv4.RRSlots-1]
-		mm.Deliver(batch(p, func(int) measure.Reply { return short }))
+		round(mm, p, func(int) measure.Reply { return short })
 		want(t, eng, nil, false)
 	})
 	t.Run("hop's stamp with a slot to spare", func(t *testing.T) {
@@ -379,28 +393,28 @@ func TestVerdictEvidence(t *testing.T) {
 		mid := full
 		mid.RR.Recorded = slices.Clone(full.RR.Recorded)
 		mid.RR.Recorded[ipv4.RRSlots-2] = s.hop
-		mm.Deliver(batch(p, func(int) measure.Reply { return mid }))
+		round(mm, p, func(int) measure.Reply { return mid })
 		want(t, eng, nil, false)
 	})
 	t.Run("dead vantage point in the batch", func(t *testing.T) {
 		eng, mm, p := toSweep(t, bg, nil)
-		mm.Deliver(batch(p, func(i int) measure.Reply {
+		round(mm, p, func(i int) measure.Reply {
 			if i == 0 {
 				return measure.Reply{VPDead: true}
 			}
 			return full
-		}))
+		})
 		want(t, eng, nil, false)
-		// The batch that follows the failover is no evidence either.
+		// The round that follows the failover is no evidence either.
 		if p = mm.Next(); !isSpoofSweep(p) {
 			t.Fatal("the sweep did not go on after the failover")
 		}
-		mm.Deliver(batch(p, func(int) measure.Reply { return full }))
+		round(mm, p, func(int) measure.Reply { return full })
 		want(t, eng, nil, false)
 	})
 	t.Run("unsent requests", func(t *testing.T) {
 		eng, mm, p := toSweep(t, bg, nil)
-		mm.Deliver(batch(p, func(int) measure.Reply { return measure.Reply{} }))
+		round(mm, p, func(int) measure.Reply { return measure.Reply{} })
 		want(t, eng, nil, false)
 	})
 	t.Run("cancel-skipped requests", func(t *testing.T) {
@@ -420,10 +434,10 @@ func TestVerdictEvidence(t *testing.T) {
 	t.Run("direct probe not sent", func(t *testing.T) {
 		unsent := measure.Reply{}
 		eng, mm, p := toSweep(t, bg, &unsent)
-		mm.Deliver(batch(p, func(int) measure.Reply { return silence }))
+		round(mm, p, func(int) measure.Reply { return silence })
 		want(t, eng, nil, false)
 		eng, mm, p = toSweep(t, bg, &unsent)
-		mm.Deliver(batch(p, func(int) measure.Reply { return full }))
+		round(mm, p, func(int) measure.Reply { return full })
 		want(t, eng, nil, false)
 	})
 }

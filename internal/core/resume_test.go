@@ -128,3 +128,44 @@ func TestCancelledBatchNotCharged(t *testing.T) {
 		t.Fatalf("cancelled run counted as a probing failure (engine_measure_failed_total = %d)", got)
 	}
 }
+
+// TestResumeRound: Clone/resume at both suspensions of a spoofed round —
+// the lead in flight with its hedges held, and the hedges in flight behind
+// a lead that revealed nothing. The original resumes first and prunes or
+// sends its held hedges, so a clone that shared them, or shared whether the
+// lead waited out the timeout, would diverge from the straight-through run.
+func TestResumeRound(t *testing.T) {
+	c := newChaosEnv(t, 8, 60)
+	o := core.Revtr20Options()
+	o.UseCache = false // every run of a destination independent of the runs before it
+	eng, _ := c.engineOpts(1, probe.RetryPolicy{}, o)
+	bg := context.Background()
+	leads, hedges := 0, 0
+	for _, dst := range c.dsts {
+		ref, n := driveMachine(eng, eng.Begin(bg, c.src, dst))
+		for k := 0; k < n; k++ {
+			mm := eng.Begin(bg, c.src, dst)
+			for i := 0; i < k; i++ {
+				mm.Deliver(eng.ExecPending(mm.Context(), mm.Next()))
+			}
+			switch p := mm.Next(); {
+			case p.Hedges:
+				hedges++
+			case isSpoofSweep(p) && len(mm.Held()) > 0:
+				leads++
+			default:
+				continue
+			}
+			cl := mm.Clone()
+			for _, m := range []*core.Machine{mm, cl} {
+				if got, rest := driveMachine(eng, m); !reflect.DeepEqual(got, ref) || k+rest != n {
+					t.Fatalf("dst %s: resumed at boundary %d/%d (+%d pendings) diverged\nref %+v\ngot %+v", dst, k, n, rest, ref, got)
+				}
+			}
+		}
+	}
+	if leads == 0 || hedges == 0 {
+		t.Fatalf("%d lead and %d hedge suspensions: the test exercises half of the round, or none", leads, hedges)
+	}
+	t.Logf("%d lead and %d hedge suspensions resumed bit-identically", leads, hedges)
+}

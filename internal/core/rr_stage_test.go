@@ -3,7 +3,9 @@ package core
 import (
 	"testing"
 
+	"revtr/internal/measure"
 	"revtr/internal/netsim/ipv4"
+	"revtr/internal/probe"
 )
 
 // TestRRStageNext runs the RR stage's decision function over fabricated
@@ -13,8 +15,9 @@ func TestRRStageNext(t *testing.T) {
 	const maxVPs = 12
 	hop := []ipv4.Addr{0x0a000001}
 	plan := []int{0, 1, 2, 3, 4, 5}
+	hedges := []probe.Request{{Kind: measure.KindSpoofedRR}, {Kind: measure.KindSpoofedRR}}
 	// past is a stage past a direct probe that went out and drew no reply,
-	// its plan read; swept is the same after one batch.
+	// its plan read; swept is the same after one round, or a round's lead.
 	past := func(f func(*rrStage)) rrStage {
 		st := rrStage{sent: true, pastDirect: true, plan: plan}
 		if f != nil {
@@ -71,6 +74,15 @@ func TestRRStageNext(t *testing.T) {
 		{"revealed wins over the budget", swept(func(st *rrStage) { st.tried, st.hops = maxVPs, hop }), rrRevealed},
 		{"plan exhausted", swept(func(st *rrStage) { st.answered, st.cursor = true, len(plan) }), rrExhausted},
 		{"silent batch wins over an exhausted plan", swept(func(st *rrStage) { st.cursor = len(plan) }), rrSilentBatch},
+
+		// After a round's lead, its hedges held.
+		{"a lead that revealed, no hedge left that could reveal more", swept(func(st *rrStage) { st.hops, st.tech, st.batchAnswered = hop, TechSpoofRR, true }), rrRevealed},
+		{"a lead that revealed, a hedge that could reveal more", swept(func(st *rrStage) { st.hops, st.batchAnswered, st.held = hop, true, hedges }), rrHedges},
+		{"a silent lead sends its hedges: it is not a silent batch", swept(func(st *rrStage) { st.held = hedges }), rrHedges},
+		{"a far lead sends its hedges", swept(func(st *rrStage) { st.batchAnswered, st.held = true, hedges }), rrHedges},
+		{"a dead lead sends its hedges", swept(func(st *rrStage) { st.batchSent, st.dead, st.held = false, true, hedges }), rrHedges},
+		{"hedges win over the budget", swept(func(st *rrStage) { st.tried, st.held = maxVPs, hedges }), rrHedges},
+		{"hedges win over an exhausted plan", swept(func(st *rrStage) { st.cursor, st.held = len(plan), hedges }), rrHedges},
 	} {
 		if got := tc.st.next(maxVPs); got != tc.want {
 			t.Errorf("%s: next = %d, want %d", tc.name, got, tc.want)

@@ -1,7 +1,7 @@
 package core_test
 
 // Tests for the two rules that end an RR stage early: a spoofed sweep
-// stops at its first silent batch when the direct probe was silent too,
+// stops at its first silent round when the direct probe was silent too,
 // and an RR stage that was measured and revealed nothing is cached as an
 // empty entry. The differential prices the first rule by sending what it
 // did not; the cache test pins what the second stores and, above all,
@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"revtr"
@@ -40,22 +41,22 @@ func isDirectRR(p *core.Pending) bool {
 	return p.Kind == core.PendingProbes && !p.Spoofed && len(p.Reqs) == 1 && p.Reqs[0].Kind == measure.KindRR
 }
 
-// replayRemainder sends what a sweep that ended at batch p did not: the
-// rest of the ingress plan up to the MaxSpoofVPs budget, in batches,
-// with the requests the engine would have built but sequence numbers of
-// the test's own. It reports whether any reply came back at all and
-// whether any would have revealed a reverse hop.
-func replayRemainder(eng *core.Engine, p *core.Pending, seq *uint64) (answered, revealed bool) {
-	src, cur := p.Reqs[0].Src, p.Reqs[0].Dst
+// replayRemainder sends what a sweep that ended at round did not: the
+// rest of the ingress plan up to the MaxSpoofVPs budget, in rounds, with
+// the requests the engine would have built but sequence numbers of the
+// test's own. It reports whether any reply came back at all and whether
+// any would have revealed a reverse hop.
+func replayRemainder(eng *core.Engine, round []probe.Request, seq *uint64) (answered, revealed bool) {
+	src, cur := round[0].Src, round[0].Dst
 	tried := map[ipv4.Addr]bool{src: true}
-	for _, r := range p.Reqs {
+	for _, r := range round {
 		tried[r.VP.Addr] = true
 	}
 	pfx, _ := eng.F.Topo.BGPPrefixOf(cur)
 	var rest []probe.Request
 	for _, si := range eng.Ingress.PlanFor(pfx, eng.Opts.VPSelection).Order {
 		site := eng.Sites[si]
-		if tried[site.Addr] || len(p.Reqs)+len(rest) >= eng.Opts.MaxSpoofVPs {
+		if tried[site.Addr] || len(round)+len(rest) >= eng.Opts.MaxSpoofVPs {
 			continue
 		}
 		*seq++
@@ -63,15 +64,27 @@ func replayRemainder(eng *core.Engine, p *core.Pending, seq *uint64) (answered, 
 	}
 	for len(rest) > 0 {
 		n := min(core.SpoofBatchSize, len(rest))
-		for _, rep := range eng.Pool.Do(context.Background(), rest[:n]).Replies {
+		a, r := sendRound(eng, rest[:n])
+		answered, revealed = answered || a, revealed || r
+		rest = rest[n:]
+	}
+	return answered, revealed
+}
+
+// sendRound sends reqs as the engine sends a round: the lead, and the
+// hedges only if the lead revealed nothing. It reports whether any reply
+// came back and whether any revealed a reverse hop.
+func sendRound(eng *core.Engine, reqs []probe.Request) (answered, revealed bool) {
+	for _, part := range [][]probe.Request{reqs[:1], reqs[1:]} {
+		if revealed || len(part) == 0 {
+			break
+		}
+		for _, rep := range eng.Pool.Do(context.Background(), part).Replies {
 			if rep.RR.Responded {
 				answered = true
-				if len(core.ExtractReverse(rep.RR.Recorded, cur, eng.Alias)) > 0 {
-					revealed = true
-				}
+				revealed = revealed || len(core.ExtractReverse(rep.RR.Recorded, part[0].Dst, eng.Alias)) > 0
 			}
 		}
-		rest = rest[n:]
 	}
 	return answered, revealed
 }
@@ -82,16 +95,21 @@ type sweepStats struct {
 }
 
 // sweepsEnded measures src→dst on eng and calls ended with each spoofed
-// batch whose delivery made the silent rule end its sweep; silent is
-// eng's engine_spoof_sweeps_silent_total.
-func sweepsEnded(eng *core.Engine, silent *obs.Counter, src core.Source, dst ipv4.Addr, ended func(*core.Pending)) {
+// round whose delivery made the silent rule end its sweep — the lead's
+// requests and those of the hedges held or sent behind it; silent is eng's
+// engine_spoof_sweeps_silent_total.
+func sweepsEnded(eng *core.Engine, silent *obs.Counter, src core.Source, dst ipv4.Addr, ended func(round []probe.Request)) {
 	mm := eng.Begin(context.Background(), src, dst)
+	var round []probe.Request
 	for p := mm.Next(); p != nil; p = mm.Next() {
+		if isSpoofSweep(p) && !p.Hedges {
+			round = append(slices.Clone(p.Reqs), mm.Held()...)
+		}
 		d := eng.ExecPending(mm.Context(), p)
 		before := silent.Value()
 		mm.Deliver(d)
 		if silent.Value() != before {
-			ended(p)
+			ended(round)
 		}
 	}
 }
@@ -103,9 +121,9 @@ func silentDifferential(eng *core.Engine, pairs []srcDst) sweepStats {
 	st := sweepStats{pairs: len(pairs)}
 	seq := uint64(1) << 32 // clear of every measurement's own numbers
 	for _, pr := range pairs {
-		sweepsEnded(eng, silent, pr.src, pr.dst, func(p *core.Pending) {
+		sweepsEnded(eng, silent, pr.src, pr.dst, func(round []probe.Request) {
 			st.ended++
-			answered, revealed := replayRemainder(eng, p, &seq)
+			answered, revealed := replayRemainder(eng, round, &seq)
 			if answered {
 				st.answered++
 			}
@@ -117,12 +135,12 @@ func silentDifferential(eng *core.Engine, pairs []srcDst) sweepStats {
 	return st
 }
 
-// TestSilentSweepDifferential prices the silent-batch exit. Every time a
-// sweep ends on the rule the test sends the remainder of the plan itself
-// and records whether any reply would have come back and whether any
-// would have revealed a hop: the hops the rule costs, against the 10 s
-// batches it saves. Clean plans must lose a hop in at most 1 % of the
-// sweeps the rule ends; the faulty plans (where a silent batch may be
+// TestSilentSweepDifferential prices the silent-round exit. Every time a
+// sweep ends on the rule the test sends the remainder of the plan itself,
+// round by round, and records whether any reply would have come back and
+// whether any would have revealed a hop: the hops the rule costs, against
+// the 10 s rounds it saves. Clean plans must lose a hop in at most 1 % of
+// the sweeps the rule ends; the faulty plans (where a silent round may be
 // loss, not an unresponsive hop) are reported.
 func TestSilentSweepDifferential(t *testing.T) {
 	t.Logf("%-14s %6s %6s %10s %10s", "plan", "pairs", "ended", "answered", "revealed")
@@ -191,8 +209,8 @@ func driveSeeing(ctx context.Context, eng *core.Engine, src core.Source, dst ipv
 	return mm.Result()
 }
 
-// stuckStage is an RR stage the silent rule ended: the hop, and the first
-// vantage point of the batch it ended on.
+// stuckStage is an RR stage the silent rule ended: the hop, and the lead
+// vantage point of the round it ended on.
 type stuckStage struct {
 	dst, hop, vp ipv4.Addr
 }
@@ -205,8 +223,8 @@ func findStuckStages(c *chaosEnv) []stuckStage {
 	silent := observe(eng).Counter("engine_spoof_sweeps_silent_total")
 	var out []stuckStage
 	for _, dst := range c.dsts {
-		sweepsEnded(eng, silent, c.src, dst, func(p *core.Pending) {
-			out = append(out, stuckStage{dst, p.Reqs[0].Dst, p.Reqs[0].VP.Addr})
+		sweepsEnded(eng, silent, c.src, dst, func(round []probe.Request) {
+			out = append(out, stuckStage{dst, round[0].Dst, round[0].VP.Addr})
 		})
 	}
 	return out
@@ -319,7 +337,7 @@ func TestNegativeRRCache(t *testing.T) {
 		defer cancel()
 		res := driveSeeing(ctx, eng, c.src, s.dst, func(p *core.Pending, _ core.Delivery) {
 			if p.Spoofed && p.Reqs[0].Dst == s.hop {
-				cancel() // the batch ran in full; the stage closes under a dead context
+				cancel() // the lead ran in full; the stage closes under a dead context
 			}
 		})
 		if !res.Cancelled {
@@ -330,8 +348,8 @@ func TestNegativeRRCache(t *testing.T) {
 }
 
 // TestResumeSilentSweep: Clone/resume at the suspension the silent rule
-// acts on — a spoofed batch in flight behind a direct probe that drew no
-// reply. The clone carries what the rule reads (that the direct probe was
+// acts on — a spoofed round's lead or hedges in flight behind a direct
+// probe that drew no reply. The clone carries what the rule reads (that the direct probe was
 // silent), so clone and original both end the sweep where the
 // straight-through run does.
 func TestResumeSilentSweep(t *testing.T) {

@@ -43,15 +43,20 @@ func shortOfReply(p *core.Pending, b probe.Batch) bool {
 }
 
 // waitLedger is the account of hand-driven measurements kept from their
-// deliveries alone: the packets, the spoofed batches by class, the virtual
-// time had every spoofed batch waited out the timeout, and what the
-// complete ones save by ending at their last reply.
+// deliveries alone: the packets, the spoofed rounds by class, the virtual
+// time had every spoofed round waited out the timeout, and what the rounds
+// save against that. A round is a lead (or a whole batch) and the hedges
+// sent behind it: short of a reply if one of them is, it costs the timeout
+// after a lead that waited it out, and its lead's round trip plus the
+// timeout after one that did not; holding every reply, its lead's round
+// trip plus its hedges' slowest.
 type waitLedger struct {
 	timeoutUS       int64
 	probes          measure.Counters
 	complete, short int
-	waitOutUS       int64 // every spoofed batch charged timeoutUS
-	savedUS         int64 // sum of timeoutUS - MaxRTTUS over complete batches
+	waitOutUS       int64 // every spoofed round charged timeoutUS
+	savedUS         int64 // timeoutUS less what each round was charged
+	leadWaited      bool  // the open round's lead waited out the timeout
 }
 
 // see books one executed pending (driveSeeing's callback).
@@ -66,20 +71,30 @@ func (l *waitLedger) see(p *core.Pending, d core.Delivery) {
 		l.waitOutUS += d.Batch.MaxRTTUS
 		return
 	}
-	l.waitOutUS += l.timeoutUS
-	if shortOfReply(p, d.Batch) || d.Batch.MaxRTTUS >= l.timeoutUS {
+	waited := shortOfReply(p, d.Batch) || d.Batch.MaxRTTUS >= l.timeoutUS
+	switch {
+	case !p.Hedges: // a round opens
+		l.waitOutUS += l.timeoutUS
+		if l.leadWaited = waited; waited {
+			l.short++
+			return
+		}
+		l.complete++
+		l.savedUS += l.timeoutUS - d.Batch.MaxRTTUS
+	case l.leadWaited: // the hedges flew inside the lead's timeout
+	case waited:
+		l.complete--
 		l.short++
-		return
+		l.savedUS -= l.timeoutUS
+	default:
+		l.savedUS -= d.Batch.MaxRTTUS
 	}
-	l.complete++
-	l.savedUS += l.timeoutUS - d.Batch.MaxRTTUS
 }
 
 // chargedUS is the virtual time the measurements must report.
 func (l *waitLedger) chargedUS() int64 { return l.waitOutUS - l.savedUS }
 
-// spoofWaitUS is the spoofed batches' part of it: a timeout per batch short
-// of a reply and the slowest round trip of every complete one.
+// spoofWaitUS is the spoofed rounds' part of it.
 func (l *waitLedger) spoofWaitUS() int64 {
 	return int64(l.short+l.complete)*l.timeoutUS - l.savedUS
 }
@@ -123,10 +138,13 @@ func answerTo(req probe.Request, rttUS int64) measure.Reply {
 }
 
 // waitPhase names the wait phase the machine suspended in, read off the
-// shape of its pending p.
+// shape of its pending p: a round's hedges apart from its lead.
 func waitPhase(p *core.Pending) string {
 	if p.Kind == core.PendingTraceroute {
 		return "phTrWait"
+	}
+	if p.Hedges {
+		return "hedges"
 	}
 	switch p.Reqs[0].Kind {
 	case measure.KindRR:
@@ -155,10 +173,12 @@ func sourceAdjacencies(c *chaosEnv) core.AdjacencyProvider {
 // TestDeliverBooks pins what one Deliver charges, phase by phase: the
 // packets the delivery says were sent; then a traceroute's round trips, a
 // direct batch's slowest reply, or a spoofed batch's spoofWait and one
-// more of SpoofBatches — and for a delivery the cancellation cut short,
-// the packets alone. Real deliveries drive a measurement up to the first
-// suspension in the phase; that one is fabricated and the books are read
-// on either side of it.
+// more of SpoofBatches — a round's hedges their own spoofWait and no more
+// batches, nothing behind a lead that waited out the timeout — and for a
+// delivery the cancellation cut short, the packets alone. Real deliveries
+// drive a measurement up to the first suspension in the phase; that one is
+// fabricated (for hedges, their lead too) and the books are read on either
+// side of it.
 func TestDeliverBooks(t *testing.T) {
 	c := newChaosEnv(t, 8, 60)
 	bg := context.Background()
@@ -178,15 +198,23 @@ func TestDeliverBooks(t *testing.T) {
 		cancel      bool
 		wantUS      int64
 		wantBatches int
+		// leadUS is the round trip of the lead fabricated before hedges, 0
+		// for a silent one; its reply reveals nothing.
+		leadUS int64
 	}{
-		{"direct RR", "phRRWait", r20, []int64{4000}, 0, false, 4000, 0},
-		{"sweep batch, every reply in", "phSpoofWait", r20, []int64{1000, 3000, 2000}, 0, false, 3000, 1},
-		{"sweep batch, short of a reply", "phSpoofWait", r20, []int64{1000, 0}, 0, false, timeoutUS, 1},
-		{"direct Timestamp", "phTSDirectWait", r10, []int64{2500}, 0, false, 2500, 0},
-		{"spoofed Timestamp", "phTSSpoofWait", r10, []int64{0}, 0, false, timeoutUS, 1},
-		{"traceroute", "phTrWait", r20, []int64{7000}, 5, false, 7000, 0},
-		{"cancel-skipped batch", "phSpoofWait", r20, []int64{3000}, 0, true, 0, 0},
-		{"cancel-skipped traceroute", "phTrWait", r20, []int64{7000}, 0, true, 0, 0},
+		{"direct RR", "phRRWait", r20, []int64{4000}, 0, false, 4000, 0, 0},
+		{"round's lead, answered", "phSpoofWait", r20, []int64{1000}, 0, false, 1000, 1, 0},
+		{"round's lead, silent", "phSpoofWait", r20, []int64{0}, 0, false, timeoutUS, 1, 0},
+		{"hedges behind an answered lead, every reply in", "hedges", r20, []int64{3000, 2000}, 0, false, 3000, 0, 1000},
+		{"hedges behind an answered lead, short of a reply", "hedges", r20, []int64{2000, 0}, 0, false, timeoutUS, 0, 1000},
+		{"hedges behind a silent lead", "hedges", r20, []int64{3000, 2000}, 0, false, 0, 0, 0},
+		{"sweep batch, every reply in", "phSpoofWait", r10, []int64{1000, 3000, 2000}, 0, false, 3000, 1, 0},
+		{"sweep batch, short of a reply", "phSpoofWait", r10, []int64{1000, 0}, 0, false, timeoutUS, 1, 0},
+		{"direct Timestamp", "phTSDirectWait", r10, []int64{2500}, 0, false, 2500, 0, 0},
+		{"spoofed Timestamp", "phTSSpoofWait", r10, []int64{0}, 0, false, timeoutUS, 1, 0},
+		{"traceroute", "phTrWait", r20, []int64{7000}, 5, false, 7000, 0, 0},
+		{"cancel-skipped batch", "phSpoofWait", r10, []int64{3000}, 0, true, 0, 0, 0},
+		{"cancel-skipped traceroute", "phTrWait", r20, []int64{7000}, 0, true, 0, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := core.NewEngine(c.env.Fabric, c.env.Pool, c.ing, c.env.Sites, c.env.Alias,
@@ -196,6 +224,10 @@ func TestDeliverBooks(t *testing.T) {
 				defer cancel()
 				mm := eng.Begin(ctx, c.src, dst)
 				for p := mm.Next(); p != nil; p = mm.Next() {
+					if tc.phase == "hedges" && isSpoofSweep(p) && len(mm.Held()) > 0 {
+						mm.Deliver(fabricate(p, answerTo(p.Reqs[0], tc.leadUS)))
+						continue
+					}
 					if waitPhase(p) != tc.phase {
 						mm.Deliver(eng.ExecPending(ctx, p))
 						continue
@@ -295,11 +327,13 @@ func TestCancelKeepsDeliveredWaits(t *testing.T) {
 	}
 }
 
-// TestSpoofWait pins the rule on one spoofed batch. A sweep behind a
+// TestSpoofWait pins the rule on one spoofed round. A sweep behind a
 // silent direct probe is replayed on fresh engines with a fabricated
-// delivery in place of its first batch; every other delivery is real and
-// booked by the ledger, so the measurement's virtual time is the ledger's
-// plus what the case says the fabricated batch costs.
+// delivery in place of its first round: the first reply the lead's, the
+// rest its hedges' (the last repeats), each reply revealing nothing. Every
+// other delivery is real and booked by the ledger, so the measurement's
+// virtual time is the ledger's plus what the case says the fabricated round
+// costs.
 func TestSpoofWait(t *testing.T) {
 	c := newChaosEnv(t, 8, 60)
 	stuck := findStuckStages(c)
@@ -319,39 +353,50 @@ func TestSpoofWait(t *testing.T) {
 		replies  []measure.Reply
 		wantUS   int64
 		timedOut uint64
-		dead     bool // the first slot's vantage point is blacked out
+		dead     bool // the lead's vantage point is blacked out
 	}{
-		{"all answered", []measure.Reply{answer(1000), answer(3000), answer(2000)}, 3000, 0, false},
-		{"one silent", []measure.Reply{answer(1000), silence, answer(2000)}, timeoutUS, 1, false},
+		{"all answered", []measure.Reply{answer(1000), answer(3000), answer(2000)}, 1000 + 3000, 0, false},
+		{"one silent", []measure.Reply{answer(1000), silence, answer(2000)}, 1000 + timeoutUS, 1, false},
+		{"the lead silent", []measure.Reply{silence, answer(3000), answer(2000)}, timeoutUS, 1, false},
 		{"all silent", []measure.Reply{silence}, timeoutUS, 1, false},
-		{"one never sent", []measure.Reply{answer(1000), {}, answer(2000)}, timeoutUS, 1, false},
+		{"one never sent", []measure.Reply{answer(1000), {}, answer(2000)}, 1000 + timeoutUS, 1, false},
 		{"dead vantage point", []measure.Reply{{VPDead: true}, answer(1000)}, timeoutUS, 1, true},
-		{"slowest reply later than the timeout", []measure.Reply{answer(1000), answer(timeoutUS + 2_000_000)}, timeoutUS, 1, false},
+		{"slowest reply later than the timeout", []measure.Reply{answer(1000), answer(timeoutUS + 2_000_000)}, 1000 + timeoutUS, 1, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, _ := c.engine(1, probe.RetryPolicy{})
 			reg := observe(eng)
 			l := waitLedger{timeoutUS: timeoutUS}
-			fabricated := false
+			fabricated, hedged := false, false
 			mm := eng.Begin(bg, c.src, s.dst)
 			for p := mm.Next(); p != nil; p = mm.Next() {
 				if !fabricated && isSpoofSweep(p) && p.Reqs[0].Dst == s.hop {
 					fabricated = true
-					d := fabricate(p, tc.replies...)
+					if len(mm.Held()) == 0 {
+						t.Fatalf("the sweep on %s opened on a round without hedges", s.hop)
+					}
+					d := fabricate(p, tc.replies[0])
 					l.probes = l.probes.Add(d.Batch.Sent)
 					mm.Deliver(d)
 					if tc.dead {
 						// The wait is charged and the failover still happens:
-						// the sweep goes on without the dead vantage point.
+						// the round goes on without the dead vantage point.
 						dead := p.Reqs[0].VP.Addr
 						if got := reg.Counter(failovers).Value(); got != 1 {
 							t.Errorf("%s = %d after a dead vantage point's slot, want 1", failovers, got)
 						}
-						if next := mm.Next(); next == nil || !isSpoofSweep(next) || next.Reqs[0].Dst != s.hop ||
+						if next := mm.Next(); next == nil || !next.Hedges ||
 							slices.ContainsFunc(next.Reqs, func(r probe.Request) bool { return r.VP.Addr == dead }) {
-							t.Errorf("the sweep did not go on without %s after the failover", dead)
+							t.Errorf("the round did not go on to its hedges without %s after the failover", dead)
 						}
 					}
+					continue
+				}
+				if fabricated && !hedged && p.Hedges {
+					hedged = true
+					d := fabricate(p, tc.replies[min(1, len(tc.replies)-1):]...)
+					l.probes = l.probes.Add(d.Batch.Sent)
+					mm.Deliver(d)
 					continue
 				}
 				d := eng.ExecPending(mm.Context(), p)
@@ -359,15 +404,15 @@ func TestSpoofWait(t *testing.T) {
 				mm.Deliver(d)
 			}
 			res := mm.Result()
-			if !fabricated {
-				t.Fatalf("no sweep on hop %s", s.hop)
+			if !fabricated || !hedged {
+				t.Fatalf("no round on hop %s went on to its hedges", s.hop)
 			}
 			if want := l.chargedUS() + tc.wantUS; res.DurationUS != want {
-				t.Errorf("DurationUS = %d, want %d: the fabricated batch cost %d, want %d",
+				t.Errorf("DurationUS = %d, want %d: the fabricated round cost %d, want %d",
 					res.DurationUS, want, res.DurationUS-l.chargedUS(), tc.wantUS)
 			}
 			if res.Probes != l.probes || res.SpoofBatches != l.complete+l.short+1 {
-				t.Errorf("Probes %+v, SpoofBatches %d; the deliveries add up to %+v and %d batches",
+				t.Errorf("Probes %+v, SpoofBatches %d; the deliveries add up to %+v and %d rounds",
 					res.Probes, res.SpoofBatches, l.probes, l.complete+l.short+1)
 			}
 			if got, want := reg.Counter(timeouts).Value(), uint64(l.short)+tc.timedOut; got != want {

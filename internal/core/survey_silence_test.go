@@ -3,7 +3,7 @@ package core_test
 // The differential for the rule that reads the ingress survey's silence: an
 // RR stage whose hop no site's survey ping reached ends at the unanswered
 // direct probe instead of waiting out a spoofed batch. It prices the rule
-// by sending the batch the engine did not, and holds every path to the one
+// by sending the round the engine did not, and holds every path to the one
 // an engine blind to the survey's silence measures.
 
 import (
@@ -31,11 +31,11 @@ type surveyStats struct {
 	waitUS                            int64 // virtual time not waited
 }
 
-// sendUnsent puts on the wire the batch a sweep on hop would have opened
+// sendUnsent puts on the wire the round a sweep on hop would have opened
 // with — the first SpoofBatchSize vantage points of its plan, less the
-// source and those out of range of hop — with sequence numbers of the
-// test's own, and reads the replies the engine's way. sent is false where
-// the plan left no batch to send.
+// source and those out of range of hop, the hedges only if the lead reveals
+// nothing — with sequence numbers of the test's own, and reads the replies
+// the engine's way. sent is false where the plan left no round to send.
 func sendUnsent(eng *core.Engine, src measure.Agent, hop ipv4.Addr, seq *uint64) (sent, answered, revealed bool) {
 	pfx, ok := eng.F.Topo.BGPPrefixOf(hop)
 	if !ok {
@@ -51,18 +51,16 @@ func sendUnsent(eng *core.Engine, src measure.Agent, hop ipv4.Addr, seq *uint64)
 		*seq++
 		batch = append(batch, probe.Request{Kind: measure.KindSpoofedRR, VP: site, Src: src.Addr, Dst: hop, Seq: *seq})
 	}
-	for _, rep := range eng.Pool.Do(context.Background(), batch).Replies {
-		if rep.RR.Responded {
-			answered = true
-			revealed = revealed || len(core.ExtractReverse(rep.RR.Recorded, hop, eng.Alias)) > 0
-		}
+	if len(batch) == 0 {
+		return false, false, false
 	}
-	return len(batch) > 0, answered, revealed
+	answered, revealed = sendRound(eng, batch)
+	return true, answered, revealed
 }
 
 // surveyDifferential measures pairs on a fresh engine from newEngine and,
 // every time a direct probe's delivery closed a stage the cache's verdict
-// had not settled, sends the batch not sent (closed counts the stages that
+// had not settled, sends the round not sent (closed counts the stages that
 // had one: a plan with no vantage point left in it sends nothing either
 // way). Then it measures the same pairs on a fresh engine blind to the
 // survey's silence and holds each pair to it: Status, hop list, Record
@@ -115,7 +113,7 @@ func surveyDifferential(t *testing.T, name string, newEngine func() *core.Engine
 }
 
 // TestSurveySilenceDifferential prices the survey's silence. Every stage
-// it closes, the test sends the batch the engine did not: the one way the
+// it closes, the test sends the round the engine did not: the one way the
 // rule can cost a hop is a hop whose replies to every site are filtered
 // while those to the source are not. That may happen in at most 1 % of
 // the closes, clean and faulty plans together; every path must be the one
