@@ -64,7 +64,7 @@ ci: fmt vet lint short race bench benchcheck benchmod fuzz cover loc docsize
 # when the total is above LOC_CEILING — the total the last PR landed at.
 # A PR that adds lines says why and raises it; one that removes lines
 # lowers it to where it lands.
-LOC_CEILING = 21752
+LOC_CEILING = 21884
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs wc -l | \
 		awk -v ceiling=$(LOC_CEILING) '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
@@ -76,7 +76,7 @@ loc:
 # last PR landed it at. A PR that grows a file says why and raises its
 # entry; one that cuts it lowers the entry to where it lands. bench/'s
 # README is left out: bench/ changes only with the benchmark.
-DOC_CEILING = DESIGN.md:108889 EXPERIMENTS.md:142244 CHANGES.md:67268
+DOC_CEILING = DESIGN.md:108887 EXPERIMENTS.md:142233 CHANGES.md:36862
 docsize:
 	@fail=0; for e in $(DOC_CEILING); do f=$${e%%:*}; ceiling=$${e##*:}; n=$$(wc -c < $$f); \
 		printf "%7d %s (DOC_CEILING %d)\n" $$n $$f $$ceiling; \
@@ -101,12 +101,16 @@ docsize:
 # a second survey must replace the first one's answers whole. So is the
 # atlas: every measurement's intersections read its indexes, entries copy
 # suffixes out of one another, and a refresh's removals must hand shared
-# hops on to the entries that survive. The lint
+# hops on to the entries that survive. So are the probe codec and the
+# traceroute under every measurement: every traceroute packet is decided
+# there — where a window starts, climbs and walks down, which TTLs it
+# reads in hand — and a packet sent twice is a packet the budget pays for
+# twice. The lint
 # framework is held to the same floor: every concurrency gate rests on the one
 # dataflow in flow, which its own tests barely touch (16 %) — it is
 # exercised by the analyzers' fixture suites, so it is measured across
 # the whole lint tree's tests.
-COVER_PKGS = internal/core internal/core/segments internal/ttlcache internal/store internal/sched internal/stream internal/probe internal/ingress internal/atlas
+COVER_PKGS = internal/core internal/core/segments internal/ttlcache internal/store internal/sched internal/stream internal/probe internal/ingress internal/atlas internal/measure
 LINT_COVER_PKGS = ./internal/lint/flow,./internal/lint/directive,./internal/lint/analysis,./internal/lint/loader
 COVER_FLOOR = awk -v pkg=$$pkg '/^total:/ { \
 	pct = $$3 + 0; printf "%s coverage: %s (floor 90%%)\n", pkg, $$3; \

@@ -140,9 +140,14 @@ func TestProbeCountGate(t *testing.T) {
 		// SpoofRR 479 -> 379 and virtual time from 271807580: hedges sent
 		// behind an answered lead wait their own round trip after it. Every
 		// round waits out what its batch did (waitOutUS); nothing else moved.
+		// The traceroute memo and climb (a symmetry traceroute starts where
+		// the source's own traceroutes met the hop's AS, and climbs three
+		// TTLs past a hop outside it) moved Traceroute 229 -> 211 and both
+		// time columns by the round trips not made, on all four slices; RR,
+		// SpoofRR, batches, outcomes, off-truth and wrong AS did not move.
 		{"distinct", false, func(si int) []*topology.Host { return pick(si*29, 8, srcs[si]) },
-			countRow{rr: 49, spoofRR: 379, traceroute: 229, complete: 42, aborted: 20, failed: 2,
-				spoofBatches: 187, virtualUS: 275286314, waitOutUS: 1882810450,
+			countRow{rr: 49, spoofRR: 379, traceroute: 211, complete: 42, aborted: 20, failed: 2,
+				spoofBatches: 187, virtualUS: 274120203, waitOutUS: 1881644339,
 				offTruthPaths: 2, offTruthHops: 3, wrongAS: 3}},
 		// Added with PR 18 and measured on its parent first: RR 445,
 		// SpoofRR 1395, Traceroute 1589, 86 / 40 / 2, 530 batches over
@@ -175,10 +180,11 @@ func TestProbeCountGate(t *testing.T) {
 		// when they were added: 12, and 1307 / 90 = 14.522. The spoofed round
 		// moved SpoofRR 624 -> 446 and virtual time from 198834211, as above;
 		// waitOutUS moved 2 590 us less, a wait outside the rounds of one
-		// aborted pair whose packets and outcome did not move.
+		// aborted pair whose packets and outcome did not move. The memo and
+		// climb moved Traceroute 559 -> 465 and both time columns, as above.
 		{"shared", false, func(int) []*topology.Host { return shared },
-			countRow{rr: 124, spoofRR: 446, traceroute: 559, complete: 90, aborted: 36, failed: 2,
-				spoofBatches: 255, virtualUS: 202584367, waitOutUS: 2585510125,
+			countRow{rr: 124, spoofRR: 446, traceroute: 465, complete: 90, aborted: 36, failed: 2,
+				spoofBatches: 255, virtualUS: 197108796, waitOutUS: 2580034554,
 				offTruthPaths: 4, offTruthHops: 8, wrongAS: 12}},
 		// "wide" is the same 8 sources x the first 96 destinations of the
 		// walk, less the pairs inside a source's AS: accuracy beside cost on
@@ -200,13 +206,18 @@ func TestProbeCountGate(t *testing.T) {
 		// behind a silent lead flying inside its timeout; one path in 377
 		// completes no more, and one more complete path is off the truth
 		// and off its AS path.
+		// The memo and climb moved wide's Traceroute 2999 -> 2775 and both
+		// time columns, as above. Under loss they moved Traceroute
+		// 3889 -> 3915: a climb toward a target that does not answer walks
+		// back down through the TTLs it climbed over. Virtual time still
+		// fell; nothing else moved.
 		{"wide", false, func(si int) []*topology.Host { return outside(wide, srcs[si]) },
-			countRow{rr: 730, spoofRR: 2342, traceroute: 2999, complete: 480, aborted: 284, failed: 2,
-				spoofBatches: 1405, virtualUS: 1433434710, waitOutUS: 14227248267,
+			countRow{rr: 730, spoofRR: 2342, traceroute: 2775, complete: 480, aborted: 284, failed: 2,
+				spoofBatches: 1405, virtualUS: 1419155786, waitOutUS: 14212969343,
 				offTruthPaths: 24, offTruthHops: 60, wrongAS: 21}},
 		{"wide-lossy", true, func(si int) []*topology.Host { return outside(wide, srcs[si]) },
-			countRow{rr: 1379, spoofRR: 3272, traceroute: 3889, complete: 376, aborted: 332, failed: 58,
-				spoofBatches: 1223, virtualUS: 1821784419, waitOutUS: 12377262910,
+			countRow{rr: 1379, spoofRR: 3272, traceroute: 3915, complete: 376, aborted: 332, failed: 58,
+				spoofBatches: 1223, virtualUS: 1821044087, waitOutUS: 12376522578,
 				offTruthPaths: 27, offTruthHops: 70, wrongAS: 18}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

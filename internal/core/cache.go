@@ -4,8 +4,10 @@ import (
 	"slices"
 	"sync"
 
+	"revtr/internal/ip2as"
 	"revtr/internal/measure"
 	"revtr/internal/netsim/ipv4"
+	"revtr/internal/netsim/topology"
 	"revtr/internal/ttlcache"
 )
 
@@ -21,14 +23,22 @@ import (
 // slots before a hop, whether the hop answers option packets at all —
 // kept once per hop (kindVerdict, no source in the key) for every source.
 //
+// A source's traceroutes form a tree (Donnet et al.'s Doubletree), so
+// where they met an AS says where the next one toward it gets there: per
+// source and AS (mets), the lowest TTL at which one of them toward a hop
+// of that AS met a responsive hop of it (Machine.stepSym starts there).
+//
 // Expiry, the periodic sweep and the size cap are ttlcache's (DESIGN.md
-// "Virtual-time TTL cache contract"); every kind of entry lives in one
-// Cache so cacheMaxEntries bounds them together. What this type
-// adds is the lock that lets one engine serve concurrent measurements
+// "Virtual-time TTL cache contract"); every kind of entry keyed by a hop
+// lives in one Cache so cacheMaxEntries bounds them together. The memo
+// has a Cache of its own under the same TTL and cap, so that an entry of
+// it costs a key and a byte, not a cacheEntry. What this type adds is the
+// lock that lets one engine serve concurrent measurements
 // and the hit/miss/eviction counts that flow into the engine's Metrics.
 type cache struct {
 	mu      sync.Mutex
 	c       *ttlcache.Cache[cacheKey, cacheEntry]
+	mets    *ttlcache.Cache[metKey, uint8]
 	metrics *Metrics // never nil: a zero Metrics until Engine.SetMetrics
 }
 
@@ -88,15 +98,30 @@ func newCache(ttlUS int64, maxEntries int) *cache {
 	}
 	return &cache{
 		c:       ttlcache.New[cacheKey, cacheEntry](ttlUS, maxEntries, cacheKeyLess),
+		mets:    ttlcache.New[metKey, uint8](ttlUS, maxEntries, metKeyLess),
 		metrics: new(Metrics),
 	}
 }
 
-// size is the total entry count across the three kinds.
+// size is the total entry count across the three kinds and the memo.
 func (c *cache) size() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.c.Len()
+	return c.c.Len() + c.mets.Len()
+}
+
+// metKey keys the memo of where a source met an AS.
+type metKey struct {
+	src ipv4.Addr
+	asn topology.ASN
+}
+
+// metKeyLess is the memo's eviction tie-break: by source, then by AS.
+func metKeyLess(a, b metKey) bool {
+	if a.src != b.src {
+		return a.src < b.src
+	}
+	return a.asn < b.asn
 }
 
 // get looks one entry up, counting the hit or miss and the expired
@@ -128,6 +153,37 @@ func (c *cache) getTraceroute(target, src ipv4.Addr, nowUS int64) (measure.Trace
 
 func (c *cache) putTraceroute(target, src ipv4.Addr, tr measure.TracerouteResult, nowUS int64) {
 	c.put(cacheKey{kindTR, target, src}, cacheEntry{tr: &tr}, nowUS)
+}
+
+// met returns the lowest TTL at which src's traceroutes met a responsive
+// hop of asn.
+func (c *cache) met(src ipv4.Addr, asn topology.ASN, nowUS int64) (int, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ttl, ok, expired := c.mets.Get(metKey{src, asn}, nowUS)
+	c.metrics.evicted(expired)
+	return int(ttl), ok
+}
+
+// putMet lowers src's entry of asn to the lowest TTL at which tr met a
+// responsive hop of asn; an entry lowered ages from then.
+func (c *cache) putMet(src ipv4.Addr, asn topology.ASN, tr *measure.TracerouteResult, m ip2as.Mapper, nowUS int64) {
+	ttl := slices.IndexFunc(tr.Hops, func(h measure.TracerouteHop) bool {
+		a, ok := m.ASOf(h.Addr)
+		return h.Responded && ok && a == asn
+	}) + 1
+	if ttl == 0 {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	k := metKey{src, asn}
+	was, ok, expired := c.mets.Get(k, nowUS)
+	if !ok || int(was) > ttl {
+		c.mets.Put(k, uint8(ttl), nowUS)
+	}
+	swept, capped := c.mets.MaybeSweep(nowUS)
+	c.metrics.evicted(expired + swept + capped)
 }
 
 // verdicts returns what is known of target whichever source asks.

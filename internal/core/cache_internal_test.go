@@ -7,6 +7,7 @@ import (
 
 	"revtr/internal/measure"
 	"revtr/internal/netsim/ipv4"
+	"revtr/internal/netsim/topology"
 	"revtr/internal/obs"
 )
 
@@ -185,4 +186,71 @@ func TestCacheVerdicts(t *testing.T) {
 			t.Errorf("%s = %d after verdict lookups only, want 0", name, got)
 		}
 	}
+}
+
+// TestCacheMet: the memo of where a source met an AS keeps, per source and
+// AS, the lowest TTL a traceroute met a responsive hop of that AS at; a
+// higher one neither replaces nor refreshes it, a lower one does both; a
+// traceroute that met no responsive hop of the AS writes nothing; the
+// entry expires its TTL after it was last lowered and counts as an
+// eviction; and its lookups count as neither RR nor traceroute lookups.
+func TestCacheMet(t *testing.T) {
+	reg := obs.New()
+	const ttl = 1_000
+	c := newCache(ttl, 0)
+	c.metrics = NewMetrics(reg)
+	src, other := addr(t, "10.0.0.1"), addr(t, "10.0.0.9")
+	mapper := stubMapper{addr(t, "10.7.0.1"): 7, addr(t, "10.7.0.2"): 7, addr(t, "10.8.0.1"): 8}
+	tr := func(hops ...string) *measure.TracerouteResult {
+		out := &measure.TracerouteResult{}
+		for _, h := range hops {
+			if h == "*" {
+				out.Hops = append(out.Hops, measure.TracerouteHop{})
+				continue
+			}
+			out.Hops = append(out.Hops, measure.TracerouteHop{Addr: addr(t, h), Responded: true})
+		}
+		return out
+	}
+
+	if _, ok := c.met(src, 7, 0); ok {
+		t.Fatal("memo on an AS never met")
+	}
+	c.putMet(src, 7, tr("10.8.0.1", "*", "*", "10.7.0.2", "10.7.0.1"), mapper, 0)
+	c.putMet(src, 7, tr("10.8.0.1", "*", "*", "*", "10.7.0.1"), mapper, 600) // higher: kept as it was
+	c.putMet(src, 9, tr("10.8.0.1", "10.7.0.1"), mapper, 600)                // AS 9 not met: nothing written
+	if got, ok := c.met(src, 7, ttl); !ok || got != 4 {
+		t.Fatalf("met(AS 7) = %d, %v; want 4", got, ok)
+	}
+	if _, ok := c.met(other, 7, 0); ok {
+		t.Fatal("another source read the memo")
+	}
+	if c.size() != 1 {
+		t.Fatalf("size = %d, want one entry", c.size())
+	}
+	if _, ok := c.met(src, 7, ttl+1); ok || c.size() != 0 {
+		t.Fatalf("memo served past its TTL (size %d)", c.size())
+	}
+	if got := reg.Counter("engine_cache_evictions_total").Value(); got != 1 {
+		t.Fatalf("evictions counter = %d, want 1", got)
+	}
+	c.putMet(src, 7, tr("*", "*", "*", "10.7.0.1"), mapper, 2*ttl)
+	c.putMet(src, 7, tr("*", "10.7.0.2"), mapper, 2*ttl+600) // lower: replaces and refreshes
+	if got, ok := c.met(src, 7, 3*ttl+600); !ok || got != 2 {
+		t.Fatalf("met(AS 7) after a lower one = %d, %v; want 2", got, ok)
+	}
+	for _, name := range []string{"engine_cache_rr_hits_total", "engine_cache_rr_misses_total",
+		"engine_cache_tr_hits_total", "engine_cache_tr_misses_total"} {
+		if got := reg.Counter(name).Value(); got != 0 {
+			t.Errorf("%s = %d after memo lookups only, want 0", name, got)
+		}
+	}
+}
+
+// stubMapper maps the addresses it holds to their AS and no others.
+type stubMapper map[ipv4.Addr]topology.ASN
+
+func (m stubMapper) ASOf(a ipv4.Addr) (topology.ASN, bool) {
+	asn, ok := m[a]
+	return asn, ok
 }

@@ -115,12 +115,17 @@ type Engine struct {
 	metrics Metrics // zero value records nothing
 	// Test hooks, each a differential's "off": adoptRevealed adopts every
 	// revealed hop, readSilence reads the cache alone, a spoofed round sends
-	// its hedges with its lead.
-	adoptWhole, hideSurveySilence, wholeRounds bool
+	// its hedges with its lead, stepSym reads no memo of where a source's
+	// traceroutes met an AS (and inAS is nil).
+	adoptWhole, hideSurveySilence, wholeRounds, noMetStarts bool
 	// spoofTimeoutUS and maxHops are SpoofTimeoutUS and MaxHops; only
 	// this package's tests set others.
 	spoofTimeoutUS int64
 	maxHops        int
+	// inAS is every symmetry traceroute's climb rule
+	// (measure.ContinueTraceroute): a hop the Mapper does not place outside
+	// the target's AS. Built once, so that a traceroute allocates none.
+	inAS func(hop, dst ipv4.Addr) bool
 }
 
 // NewEngine assembles an engine over a probe pool. adj may be nil (no
@@ -130,7 +135,7 @@ func NewEngine(f *fabric.Fabric, pool *probe.Pool, ing *ingress.Service, sites [
 	if adj == nil {
 		adj = NoAdjacencies{}
 	}
-	return &Engine{
+	e := &Engine{
 		F: f, Pool: pool, Ingress: ing, Sites: sites,
 		Alias: res, Mapper: mapper, Adj: adj, Opts: opts,
 		cache:          newCache(CacheTTLUS, cacheMaxEntries),
@@ -138,6 +143,12 @@ func NewEngine(f *fabric.Fabric, pool *probe.Pool, ing *ingress.Service, sites [
 		spoofTimeoutUS: SpoofTimeoutUS,
 		maxHops:        MaxHops,
 	}
+	e.inAS = func(hop, dst ipv4.Addr) bool {
+		x, okx := e.Mapper.ASOf(hop)
+		y, oky := e.Mapper.ASOf(dst)
+		return !okx || !oky || x == y
+	}
+	return e
 }
 
 // SetMetrics attaches an observability metric set (nil detaches). The

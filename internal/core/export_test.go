@@ -78,3 +78,9 @@ func (e *Engine) WholeRounds() { e.wholeRounds = true }
 // Held exposes the hedges the machine's spoofed round holds back behind its
 // lead: none once they are sent, for a whole batch, or outside a sweep.
 func (mm *Machine) Held() []probe.Request { return mm.rr.held }
+
+// NoMemoOrClimb has the engine read no memo of where a source's traceroutes
+// met an AS, and climb every window one TTL at a time: every traceroute
+// starts by the distance or the atlas median, as before the memo and the
+// climb.
+func (e *Engine) NoMemoOrClimb() { e.noMetStarts, e.inAS = true, nil }

@@ -1136,8 +1136,12 @@ func (mm *Machine) tsDone(next ipv4.Addr) {
 // the tail: one TTL past the cursor's distance (the source's own router
 // answers TTL 1; paths are about as long out as back) or, short of one, at
 // the median length of the source's own atlas traceroutes (the whole path
-// from TTL 1 for a source without an atlas). A start that guesses wrong
-// costs packets, never the result.
+// from TTL 1 for a source without an atlas). Before either, the cache's
+// memo of where the source's own traceroutes met the cursor's AS
+// (cache.met): routes from one source form a tree, so the next one meets
+// that AS about there. The window climbs over other ASes three TTLs at a time
+// (Engine.inAS). A start that guesses wrong costs packets, never the
+// result.
 //
 // A cursor the previous symmetry assumption adopted takes a chain step: it
 // was read off the last traceroute, and routing is destination based, so
@@ -1158,6 +1162,7 @@ func (mm *Machine) stepSym() {
 	}
 	p := &Pending{Kind: PendingTraceroute, Agent: src.Agent, Dst: cur, SeqBase: mm.m.reserve(measure.MaxTracerouteTTL), Start: 1}
 	dist := mm.distance()
+	met, memo := mm.metTTL()
 	switch {
 	case mm.res.Hops[len(mm.res.Hops)-1].Tech == TechSymmetry: // nothing adopted since: cur is that hop
 		e.metrics.tracerouteChainSteps.Inc()
@@ -1165,6 +1170,9 @@ func (mm *Machine) stepSym() {
 		if q := mm.symFrom; q != nil {
 			p.Dst, p.SeqBase = q.Dst, q.SeqBase
 		}
+	case memo:
+		e.metrics.tracerouteMemoStarts.Inc()
+		p.Start = met
 	case dist >= 0:
 		e.metrics.tracerouteDistStarts.Inc()
 		p.Start = dist + 1
@@ -1173,6 +1181,17 @@ func (mm *Machine) stepSym() {
 	}
 	mm.pending = p
 	mm.ph = phTrWait
+}
+
+// metTTL is the TTL at which the source's traceroutes met the cursor's AS,
+// if the cache holds one.
+func (mm *Machine) metTTL() (int, bool) {
+	e := mm.e
+	asn, ok := e.Mapper.ASOf(mm.cur)
+	if !ok || !e.Opts.UseCache || e.noMetStarts {
+		return 0, false
+	}
+	return e.cache.met(mm.src.Agent.Addr, asn, e.Pool.Now())
 }
 
 // onTraceroute counts and caches a measured traceroute and classifies it.
@@ -1190,6 +1209,9 @@ func (mm *Machine) onTraceroute(p *Pending, d Delivery) {
 	}
 	if len(d.Tr.Hops) > 0 && e.Opts.UseCache && mm.m.ctx.Err() == nil {
 		e.cache.putTraceroute(cur, src.Agent.Addr, d.Tr, e.Pool.Now())
+		if asn, ok := e.Mapper.ASOf(cur); ok {
+			e.cache.putMet(src.Agent.Addr, asn, &d.Tr, e.Mapper, e.Pool.Now())
+		}
 	}
 	mm.symTr, mm.symFrom = d.Tr, p
 	mm.classifyTraceroute()
@@ -1278,7 +1300,7 @@ func (mm *Machine) classifyTraceroute() {
 // machines by hand at chosen suspension points.
 func (e *Engine) ExecPending(ctx context.Context, p *Pending) Delivery {
 	if p.Kind == PendingTraceroute {
-		tr, sent := e.Pool.Traceroute(ctx, p.Agent, p.Dst, p.SeqBase, p.Start, p.Prev)
+		tr, sent := e.Pool.Traceroute(ctx, p.Agent, p.Dst, p.SeqBase, p.Start, p.Prev, e.inAS)
 		return Delivery{Tr: tr, TrSent: sent}
 	}
 	return Delivery{Batch: e.Pool.Do(ctx, p.Reqs)}
@@ -1333,7 +1355,7 @@ func (e *Engine) driveAsync(mm *Machine, d *Delivery, done func(*Result)) {
 		return
 	}
 	if p.Kind == PendingTraceroute {
-		e.Pool.GoTraceroute(mm.Context(), p.Agent, p.Dst, p.SeqBase, p.Start, p.Prev, func(tr measure.TracerouteResult, sent int) {
+		e.Pool.GoTraceroute(mm.Context(), p.Agent, p.Dst, p.SeqBase, p.Start, p.Prev, e.inAS, func(tr measure.TracerouteResult, sent int) {
 			e.driveAsync(mm, &Delivery{Tr: tr, TrSent: sent}, done)
 		})
 		return

@@ -64,6 +64,9 @@ type Metrics struct {
 	// atlas median), and RR stages whose direct probe it kept off the wire.
 	tracerouteDistStarts *obs.Counter
 	directRRSkipped      *obs.Counter
+	// tracerouteMemoStarts counts traceroutes started where the source's
+	// own traceroutes met the cursor's AS (cache.met).
+	tracerouteMemoStarts *obs.Counter
 	// rrDeafSkipped counts RR stages not opened because the source's atlas
 	// heard no RR reply from the cursor's AS (atlas.RRDeaf).
 	rrDeafSkipped *obs.Counter
@@ -121,6 +124,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		tracerouteSweeps:        reg.Counter("engine_traceroute_sweeps_total"),
 		tracerouteChainSteps:    reg.Counter("engine_traceroute_chain_steps_total"),
 		tracerouteDistStarts:    reg.Counter("engine_traceroute_distance_starts_total"),
+		tracerouteMemoStarts:    reg.Counter("engine_traceroute_memo_starts_total"),
 		directRRSkipped:         reg.Counter("engine_rr_direct_skipped_total"),
 		rrDeafSkipped:           reg.Counter("engine_rr_deaf_skipped_total"),
 		vpFailover:              reg.Counter("vp_failover_total"),

@@ -164,7 +164,7 @@ func waitPhase(p *core.Pending) string {
 func sourceAdjacencies(c *chaosEnv) core.AdjacencyProvider {
 	adj := core.NewTracerouteAdjacencies()
 	for i, dst := range c.dsts {
-		tr, _ := c.env.Pool.Traceroute(context.Background(), c.src.Agent, dst, uint64(1)<<32+uint64(i*measure.MaxTracerouteTTL), 1, nil)
+		tr, _ := c.env.Pool.Traceroute(context.Background(), c.src.Agent, dst, uint64(1)<<32+uint64(i*measure.MaxTracerouteTTL), 1, nil, nil)
 		adj.Ingest(tr)
 	}
 	return adj

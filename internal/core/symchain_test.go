@@ -16,6 +16,7 @@ import (
 	"revtr/internal/measure"
 	"revtr/internal/netsim/faults"
 	"revtr/internal/netsim/ipv4"
+	"revtr/internal/netsim/topology"
 	"revtr/internal/probe"
 	"revtr/internal/stream"
 )
@@ -74,12 +75,14 @@ func ttlOf(tr measure.TracerouteResult, hop ipv4.Addr) int {
 // cache): the step then goes toward the hop itself. It
 // holds whatever the machine's reverse-distance estimate says: the chain
 // wins. A step whose walk that traceroute already holds sends nothing; one
-// whose walk it does not hold sends. Any other traceroute starts one TTL
+// whose walk it does not hold sends. Any other traceroute starts at the
+// lowest TTL at which the engine's earlier traceroutes from the source to a
+// hop of the hop's AS met a responsive hop of it; where none did, one TTL
 // past the estimate; without one, one TTL past the atlas's distance to the
 // hop's AS (atlasDistance); without that, at the atlas median, or sweeps
 // from TTL 1 for a source whose atlas has neither a median nor AS
-// distances. The plan is clean, so four in five chain steps must get by
-// on one packet.
+// distances. The plan is clean, so four in five chain steps must get by on
+// one packet.
 func TestSymmetryChainStart(t *testing.T) {
 	swept := 0 // first traceroutes of a source without a median, to a hop without an estimate
 	for seed := int64(1); seed <= 3; seed++ {
@@ -94,7 +97,9 @@ func TestSymmetryChainStart(t *testing.T) {
 				}
 				eng, _ := c.engineOpts(1, probe.RetryPolicy{}, symAlways())
 				held := map[ipv4.Addr]measure.TracerouteResult{} // by cursor: what the engine cache holds
-				chained, cheap, inHand, fromCache, byDist, byAS := 0, 0, 0, 0, 0, 0
+				chained, cheap, inHand, fromCache, byMemo, byDist, byAS := 0, 0, 0, 0, 0, 0, 0
+				mapper := ip2as.Origin{Topo: c.env.Topo}
+				met := map[topology.ASN]int{} // by the cursor's AS: the lowest TTL a traceroute to it met that AS at
 				for _, dst := range c.dsts {
 					for _, abandon := range []bool{true, false} {
 						mm := eng.Begin(context.Background(), src, dst)
@@ -128,6 +133,11 @@ func TestSymmetryChainStart(t *testing.T) {
 									if measured[s.readOff] == nil {
 										fromCache++
 									}
+								case metAt(met, mapper, p.Dst) > 0:
+									if ttl := metAt(met, mapper, p.Dst); p.Start != ttl {
+										t.Fatalf("%s: unchained traceroute to %s, whose AS the source met at TTL %d, starts at %d", dst, p.Dst, ttl, p.Start)
+									}
+									byMemo++
 								case mm.RevDist() >= 0:
 									if p.Start != mm.RevDist()+1 {
 										t.Fatalf("%s: unchained traceroute to %s, %d hops out, starts at %d", dst, p.Dst, mm.RevDist(), p.Start)
@@ -147,6 +157,12 @@ func TestSymmetryChainStart(t *testing.T) {
 									swept++
 								}
 								held[mm.Cursor()], measured[mm.Cursor()] = d.Tr, p
+								cursorAS, _ := mapper.ASOf(mm.Cursor())
+								for i, h := range d.Tr.Hops {
+									if asn, ok := mapper.ASOf(h.Addr); ok && asn == cursorAS && h.Responded && (met[asn] == 0 || i+1 < met[asn]) {
+										met[asn] = i + 1
+									}
+								}
 							}
 							mm.Deliver(d)
 						}
@@ -155,8 +171,8 @@ func TestSymmetryChainStart(t *testing.T) {
 				if chained < 10 || fromCache == 0 || inHand == 0 {
 					t.Fatalf("%d chain steps, %d off a cached traceroute, %d in hand: corpus too thin", chained, fromCache, inHand)
 				}
-				if byDist == 0 {
-					t.Fatal("no traceroute started from the distance estimate")
+				if byDist == 0 || byMemo == 0 {
+					t.Fatalf("%d traceroutes started from the distance estimate, %d from the memo", byDist, byMemo)
 				}
 				if atlasMedian && byAS == 0 {
 					t.Fatal("no traceroute started from the atlas's AS distances")
@@ -164,7 +180,7 @@ func TestSymmetryChainStart(t *testing.T) {
 				if cheap*5 < chained*4 {
 					t.Fatalf("%d of %d chain steps sent at most one packet, want 80 %%", cheap, chained)
 				}
-				t.Logf("%d chain steps (%d off a cached traceroute), %d in hand, %d sent at most one packet; %d started from the estimate, %d from the atlas", chained, fromCache, inHand, cheap, byDist, byAS)
+				t.Logf("%d chain steps (%d off a cached traceroute), %d in hand, %d sent at most one packet; %d started from the memo, %d from the estimate, %d from the atlas", chained, fromCache, inHand, cheap, byMemo, byDist, byAS)
 			})
 		}
 	}
@@ -173,12 +189,21 @@ func TestSymmetryChainStart(t *testing.T) {
 	}
 }
 
+// metAt is the lowest TTL met holds for hop's AS, 0 if none.
+func metAt(met map[topology.ASN]int, m ip2as.Mapper, hop ipv4.Addr) int {
+	asn, ok := m.ASOf(hop)
+	if !ok {
+		return 0
+	}
+	return met[asn]
+}
+
 // holdsWalk reports whether tr already holds the walk down from its hop at
 // TTL top: a responsive public hop below it, with no TTL tr did not probe
 // and no four silent TTLs in a row between the two.
 func holdsWalk(tr measure.TracerouteResult, top int) bool {
 	silent := 0
-	for ttl := top - 1; ttl >= int(tr.Low) && ttl >= 1 && silent < 4; ttl-- {
+	for ttl := top - 1; tr.ProbedAt(ttl) && silent < 4; ttl-- {
 		h := tr.Hops[ttl-1]
 		if h.Responded && !h.Addr.IsPrivate() {
 			return true
@@ -313,7 +338,7 @@ func TestChainStepDifferential(t *testing.T) {
 				if p.Prev != nil && len(d.Tr.Hops) > 0 {
 					cur := mm.Cursor()
 					seq += measure.MaxTracerouteTTL
-					hop, _ := eng.Pool.Traceroute(bg, p.Agent, cur, seq, p.Start-1, nil)
+					hop, _ := eng.Pool.Traceroute(bg, p.Agent, cur, seq, p.Start-1, nil, nil)
 					gotPenult, gotClass := lastLink(d.Tr, cur, eng.Mapper)
 					wantPenult, wantClass := lastLink(hop, cur, eng.Mapper)
 					st.steps++

@@ -14,17 +14,22 @@ import (
 )
 
 // TestTracerouteStartDifferential: where the symmetry-stage traceroute
-// starts probing changes what a measurement costs in traceroute packets
-// and nothing else. Every pair is measured five ways over the same world,
-// each by an engine of its own, dearest first. The machines are
-// hand-driven: the start is fixed in the Pending, so the test can overrule
-// it, and can turn a chain step (Prev set) back into a traceroute to the
-// hop itself. "classic" does so and forces every traceroute to TTL 1;
-// "no-median" leaves the chain steps and sweeps the rest; "median" turns
-// the chain steps back and forces the atlas's MedianHops on every
+// starts probing, and how its window climbs, change what a measurement
+// costs in traceroute packets and nothing else. Every pair is measured six
+// ways over the same world, each by an engine of its own, dearest first.
+// The machines are hand-driven: the start is fixed in the Pending, so the
+// test can overrule it, and can turn a chain step (Prev set) back into a
+// traceroute to the hop itself. The first five engines climb one TTL at a
+// time and read no memo of where the source met an AS (NoMemoOrClimb).
+// "classic" turns the chain steps back and forces every traceroute to TTL
+// 1; "no-median" leaves the chain steps and sweeps the rest; "median"
+// turns the chain steps back and forces the atlas's MedianHops on every
 // traceroute; "chained" leaves the chain steps and gives the rest the
-// median; "distance" is the engine as it is — the rest start one TTL past
-// the reverse-distance estimate. Status, hop list and the Record Route
+// median; "distance" leaves the start alone — the rest start one TTL past
+// the reverse-distance estimate. "memo" is the engine as it is: a
+// traceroute starts where the source's own traceroutes met the target's
+// AS, where they did, and climbs three TTLs past a hop outside that AS.
+// Status, hop list and the Record Route
 // columns must match pair for pair those of the first run that treats
 // chain steps alike ("classic" or "no-median"; TestChainStepDifferential
 // compares the two), and each variant must send fewer packets than the one
@@ -40,6 +45,7 @@ func TestTracerouteStartDifferential(t *testing.T) {
 		// traceroutes to the hop, which start has to start too.
 		start   func(median, own int, chained bool) int
 		toHop   bool
+		memo    bool
 		eng     *core.Engine
 		reg     *obs.Registry
 		packets uint64
@@ -60,6 +66,7 @@ func TestTracerouteStartDifferential(t *testing.T) {
 			return median
 		}},
 		{name: "distance"},
+		{name: "memo", memo: true},
 	}
 	var sources []core.Source
 	for i := 0; i < 4; i++ {
@@ -75,12 +82,15 @@ func TestTracerouteStartDifferential(t *testing.T) {
 			ip2as.Origin{Topo: env.Topo}, nil, core.Revtr20Options())
 		v.reg = obs.New()
 		v.eng.SetMetrics(core.NewMetrics(v.reg))
+		if !v.memo {
+			v.eng.NoMemoOrClimb()
+		}
 	}
 	var text strings.Builder
 	if err := variants[0].reg.WriteText(&text); err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range []string{"engine_traceroutes_total 0\n", "engine_traceroute_sweeps_total 0\n", "engine_traceroute_packets_total 0\n"} {
+	for _, line := range []string{"engine_traceroutes_total 0\n", "engine_traceroute_sweeps_total 0\n", "engine_traceroute_packets_total 0\n", "engine_traceroute_memo_starts_total 0\n"} {
 		if !strings.Contains(text.String(), line) {
 			t.Fatalf("/metrics before any measurement lacks %q", line)
 		}
@@ -131,7 +141,11 @@ func TestTracerouteStartDifferential(t *testing.T) {
 	issued := variants[0].reg.Counter("engine_traceroutes_total").Value()
 	for i, v := range variants {
 		n, swept := v.reg.Counter("engine_traceroutes_total").Value(), v.reg.Counter("engine_traceroute_sweeps_total").Value()
-		t.Logf("%-9s %d traceroutes, %d swept, %d packets", v.name, n, swept, v.packets)
+		memo := v.reg.Counter("engine_traceroute_memo_starts_total").Value()
+		t.Logf("%-9s %d traceroutes, %d swept, %d started from the memo, %d packets", v.name, n, swept, memo, v.packets)
+		if (memo > 0) != v.memo {
+			t.Fatalf("%s: %d traceroutes started from the memo", v.name, memo)
+		}
 		if n != issued && (v.toHop || n > issued) || v.reg.Counter("engine_traceroute_packets_total").Value() != v.packets {
 			t.Fatalf("%s: %d traceroutes of %d packets on /metrics; classic issued %d, the results sum to %d packets", v.name,
 				n, v.reg.Counter("engine_traceroute_packets_total").Value(), issued, v.packets)

@@ -233,8 +233,8 @@ type TracerouteHop struct {
 // (RunTraceroute with start > 1), never probed.
 type TracerouteResult struct {
 	Hops       []TracerouteHop
-	ReachedDst bool
 	RTTUS      int64 // total wall time of the traceroute
+	ReachedDst bool
 	// Swept reports that the classic 1…N sweep produced the result: it was
 	// asked for (start 1), or the tail window found four silent TTLs in a
 	// row under an echo reply, where the sweep gives up.
@@ -242,8 +242,17 @@ type TracerouteResult struct {
 	// Stopped reports that the sweep ended at its last hop because the
 	// stop set holds it (RunTraceroute's stop), short of the destination.
 	Stopped bool
-	// Low is the lowest TTL probed: every TTL from it to len(Hops) was.
-	Low uint8
+	// Probed has bit t set for every TTL t the traceroute probed, or read
+	// from the one it continued (ContinueTraceroute); a tail window leaves
+	// gaps where it climbed (ContinueTraceroute's within), and may have
+	// probed TTLs past len(Hops) before it walked down.
+	Probed uint64
+}
+
+// ProbedAt reports whether the traceroute probed TTL ttl and holds its
+// hop.
+func (t *TracerouteResult) ProbedAt(ttl int) bool {
+	return ttl >= 1 && ttl <= len(t.Hops) && t.Probed>>ttl&1 == 1
 }
 
 // MaxTracerouteTTL bounds traceroute probing.

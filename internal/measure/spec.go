@@ -297,29 +297,39 @@ func issueTraceroutePkt(f *fabric.Fabric, sp Spec, nowUS int64) Reply {
 // the window probed makes the sweep give up early, while the window,
 // which cannot see the whole run, still reports the true last link.
 //
+// A window climbs one TTL at a time unless ContinueTraceroute hands it
+// within, which says whether a hop is in the target's AS (the stop set's
+// shape, with the target named): past a responsive hop outside it, the
+// window climbs climbOut TTLs, since the path has that AS's border yet to
+// cross. The walk down probes the TTLs it climbed over as it meets them,
+// and the one divergence admitted reads: a run of four silent TTLs the
+// window did not probe whole.
+//
 // stop is the sweep's stop set (Donnet et al.'s Doubletree): a sweep ends
 // after the first responsive hop short of the destination that stop
 // holds, and says so in Stopped. A nil stop set, like a window, never
 // stops early.
 func RunTraceroute(f *fabric.Fabric, a Agent, dst ipv4.Addr, nowUS int64, seqBase uint64, start int, stop func(ipv4.Addr) bool) (TracerouteResult, int) {
 	base := Spec{Kind: KindTraceroutePkt, VP: a, Dst: dst, Seq: seqBase}
-	return runTraceroute(base, start, stop, func(sp Spec) Reply { return Issue(f, sp, nowUS) })
+	return runTraceroute(base, start, stop, nil, func(sp Spec) Reply { return Issue(f, sp, nowUS) })
 }
 
 // ttlReply is what the traceroute keeps of one TTL's reply.
 type ttlReply struct {
-	hop                     TracerouteHop // zero unless the hop answered
-	probed, delivered, echo bool
+	hop             TracerouteHop // zero unless the hop answered
+	delivered, echo bool
 }
 
 // ttlReplies holds the replies by TTL (index 0 unused), so the sweep
 // that takes over from a window reuses what the window saw.
 type ttlReplies struct {
-	base  Spec // the probe at TTL t is base with TTL = t and Seq += t
-	issue func(Spec) Reply
-	got   [MaxTracerouteTTL + 1]ttlReply
-	sent  int
-	rttUS int64
+	base   Spec // the probe at TTL t is base with TTL = t and Seq += t
+	issue  func(Spec) Reply
+	within func(hop, dst ipv4.Addr) bool // the window's climb rule; nil: one TTL at a time
+	got    [MaxTracerouteTTL + 1]ttlReply
+	probed uint64 // bit t: got[t] holds TTL t's reply (TracerouteResult.Probed)
+	sent   int
+	rttUS  int64
 	// dead: the vantage point is blacked out and put nothing on the wire.
 	// A traceroute runs at one virtual instant, so its first probe
 	// already says so and no other is attempted.
@@ -330,13 +340,14 @@ type ttlReplies struct {
 // (or the vantage point is dead).
 func (r *ttlReplies) at(ttl int) *ttlReply {
 	g := &r.got[ttl]
-	if g.probed || r.dead {
+	if r.probed>>ttl&1 == 1 || r.dead {
 		return g
 	}
 	sp := r.base
 	sp.TTL, sp.Seq = uint8(ttl), sp.Seq+uint64(ttl)
 	rep := r.issue(sp)
-	*g = ttlReply{hop: rep.Hop, probed: true, delivered: rep.Delivered, echo: rep.EchoReply}
+	*g = ttlReply{hop: rep.Hop, delivered: rep.Delivered, echo: rep.EchoReply}
+	r.probed |= 1 << ttl
 	if rep.VPDead {
 		r.dead = true
 	}
@@ -352,13 +363,25 @@ func (r *ttlReplies) at(ttl int) *ttlReply {
 // ICMP type, is a zero hop but not silence.
 const silentRun = 4
 
+// climbOut is how many TTLs a window climbs past a responsive hop outside
+// the target's AS.
+const climbOut = 3
+
+// climb is how many TTLs the window climbs past g.
+func (r *ttlReplies) climb(g *ttlReply) int {
+	if g.hop.Responded && r.within != nil && !r.within(g.hop.Addr, r.base.Dst) {
+		return climbOut
+	}
+	return 1
+}
+
 // window probes from start up to the echo reply or the sweep's give-up
 // point, and back down to the nearest responsive public hop. It returns
 // false where the sweep has to decide: the vantage point is dead, or the
 // sweep would have given up below an echo reply the window holds.
 func (r *ttlReplies) window(start int) (TracerouteResult, bool) {
 	top, reached := min(start, MaxTracerouteTTL), false
-	for silent := 0; ; top++ {
+	for silent := 0; ; {
 		g := r.at(top)
 		if r.dead {
 			return TracerouteResult{}, false
@@ -369,6 +392,7 @@ func (r *ttlReplies) window(start int) (TracerouteResult, bool) {
 		if silent = nextSilent(silent, g); silent == silentRun || top == MaxTracerouteTTL {
 			break
 		}
+		top = min(top+r.climb(g), MaxTracerouteTTL)
 	}
 	// Down from top itself: it may be the hop that stands in. An echo reply
 	// may be an overshoot — the destination first answers at the lowest TTL
@@ -385,11 +409,7 @@ func (r *ttlReplies) window(start int) (TracerouteResult, bool) {
 			return TracerouteResult{}, false
 		}
 	}
-	low := top
-	for low > 1 && r.got[low-1].probed {
-		low--
-	}
-	out := TracerouteResult{Hops: make([]TracerouteHop, top), ReachedDst: reached, RTTUS: r.rttUS, Low: uint8(low)}
+	out := TracerouteResult{Hops: make([]TracerouteHop, top), ReachedDst: reached, RTTUS: r.rttUS, Probed: r.probed}
 	for i := range out.Hops {
 		out.Hops[i] = r.got[i+1].hop
 	}
@@ -407,25 +427,35 @@ func nextSilent(run int, g *ttlReply) int {
 
 // runTraceroute is RunTraceroute over an abstract issue path (tests
 // observe the specs it is handed, and script the replies).
-func runTraceroute(base Spec, start int, stop func(ipv4.Addr) bool, issue func(Spec) Reply) (TracerouteResult, int) {
-	r := ttlReplies{base: base, issue: issue}
+func runTraceroute(base Spec, start int, stop func(ipv4.Addr) bool, within func(hop, dst ipv4.Addr) bool, issue func(Spec) Reply) (TracerouteResult, int) {
+	r := ttlReplies{base: base, issue: issue, within: within}
 	return r.run(start, stop)
 }
 
 // ContinueTraceroute continues prev, a traceroute from a toward dst whose
 // probe at TTL t carried seqBase+t, below its hop at TTL top: that hop
-// stands for the destination, and the window walks down from it. TTLs prev
-// probed are read, not sent again, and a packet sent is the one prev's
+// stands for the destination, and the window walks down from it. Every TTL
+// prev probed is read, not sent again, and a packet sent is the one prev's
 // sweep sends at its TTL, on prev's path (Paris semantics). A nil prev is
-// RunTraceroute from top with no stop set.
-func ContinueTraceroute(f *fabric.Fabric, a Agent, dst ipv4.Addr, nowUS int64, seqBase uint64, prev *TracerouteResult, top int) (TracerouteResult, int) {
-	r := ttlReplies{base: Spec{Kind: KindTraceroutePkt, VP: a, Dst: dst, Seq: seqBase}, issue: func(sp Spec) Reply { return Issue(f, sp, nowUS) }}
+// RunTraceroute from top with no stop set and within as its climb rule.
+func ContinueTraceroute(f *fabric.Fabric, a Agent, dst ipv4.Addr, nowUS int64, seqBase uint64, prev *TracerouteResult, top int, within func(hop, dst ipv4.Addr) bool) (TracerouteResult, int) {
+	base := Spec{Kind: KindTraceroutePkt, VP: a, Dst: dst, Seq: seqBase}
+	return continueTraceroute(base, prev, top, within, func(sp Spec) Reply { return Issue(f, sp, nowUS) })
+}
+
+// continueTraceroute is ContinueTraceroute over an abstract issue path.
+func continueTraceroute(base Spec, prev *TracerouteResult, top int, within func(hop, dst ipv4.Addr) bool, issue func(Spec) Reply) (TracerouteResult, int) {
+	r := ttlReplies{base: base, issue: issue, within: within}
 	if prev != nil {
-		for ttl := int(prev.Low); ttl >= 1 && ttl < top; ttl++ {
-			h := prev.Hops[ttl-1]
-			r.got[ttl] = ttlReply{hop: h, probed: true, delivered: h.Responded}
+		for ttl := 1; ttl < top; ttl++ {
+			if prev.ProbedAt(ttl) {
+				h := prev.Hops[ttl-1]
+				r.got[ttl] = ttlReply{hop: h, delivered: h.Responded}
+				r.probed |= 1 << ttl
+			}
 		}
-		r.got[top] = ttlReply{hop: prev.Hops[top-1], probed: true, delivered: true, echo: true}
+		r.got[top] = ttlReply{hop: prev.Hops[top-1], delivered: true, echo: true}
+		r.probed |= 1 << top
 	}
 	return r.run(top, nil)
 }
@@ -437,7 +467,7 @@ func (r *ttlReplies) run(start int, stop func(ipv4.Addr) bool) (TracerouteResult
 			return out, r.sent
 		}
 	}
-	out := TracerouteResult{Swept: true, Low: 1}
+	out := TracerouteResult{Swept: true}
 	for ttl, silent := 1, 0; ttl <= MaxTracerouteTTL && silent < silentRun && !out.ReachedDst && !out.Stopped; ttl++ {
 		g := r.at(ttl)
 		if r.dead {
@@ -448,6 +478,6 @@ func (r *ttlReplies) run(start int, stop func(ipv4.Addr) bool) (TracerouteResult
 		out.ReachedDst = g.echo
 		out.Stopped = !g.echo && g.hop.Responded && stop != nil && stop(g.hop.Addr)
 	}
-	out.RTTUS = r.rttUS
+	out.RTTUS, out.Probed = r.rttUS, r.probed
 	return out, r.sent
 }

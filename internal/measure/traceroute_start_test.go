@@ -1,16 +1,19 @@
 package measure_test
 
 // Differential suite for the traceroute start TTL: whatever TTL probing
-// starts at, a last-link reader sees what the classic sweep from TTL 1
-// shows it, and every packet is one the sweep would send.
+// starts at, and however its window climbs, a last-link reader sees what
+// the classic sweep from TTL 1 shows it, and every packet is one the sweep
+// would send.
 
 import (
 	"fmt"
+	"math/bits"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
+	"revtr/internal/ip2as"
 	"revtr/internal/measure"
 	"revtr/internal/netsim/faults"
 	"revtr/internal/netsim/ipv4"
@@ -112,111 +115,160 @@ func TestTracerouteStartDifferential(t *testing.T) {
 			name := fmt.Sprintf("seed%d/%s", seed, plan.name)
 			t.Run(name, func(t *testing.T) {
 				env := simtest.NewFaulty(t, 300, seed, faults.MustParse(plan.spec))
+				mapper := ip2as.Origin{Topo: env.Topo}
 				agents, targets := startCorpus(env)
-				var packets [measure.MaxTracerouteTTL + 1]int
-				stood, swept, divergent := 0, 0, 0
+				var packets, climbed [measure.MaxTracerouteTTL + 1]int
+				var unit, climb tally
 				for _, a := range agents {
 					for _, dst := range targets {
 						classic, classicSent := measure.RunTraceroute(env.Fabric, a, dst, plan.nowUS, seqBase, 1, nil)
 						if !classic.Swept {
 							t.Fatalf("start 1 did not run the sweep")
 						}
-						want := lastLinkOf(classic)
+						issue := func(sp measure.Spec) measure.Reply { return measure.Issue(env.Fabric, sp, plan.nowUS) }
+						within := func(hop, dst ipv4.Addr) bool { return ip2as.SameAS(mapper, hop, dst) }
 						for start := 1; start <= measure.MaxTracerouteTTL; start++ {
 							base := measure.Spec{Kind: measure.KindTraceroutePkt, VP: a, Dst: dst, Seq: seqBase}
-							tr, sent, w := runWatched(t, base, start, func(sp measure.Spec) measure.Reply {
-								return measure.Issue(env.Fabric, sp, plan.nowUS)
-							})
+							tr, sent, w := runWatched(t, base, start, nil, issue)
 							packets[start] += sent
-							if start == 1 && (!reflect.DeepEqual(tr, classic) || sent != classicSent) {
-								t.Fatalf("%s→%s: RunTraceroute is not runTraceroute at start 1", a.Addr, dst)
+							if start == 1 {
+								if !reflect.DeepEqual(tr, classic) || sent != classicSent {
+									t.Fatalf("%s→%s: RunTraceroute is not runTraceroute at start 1", a.Addr, dst)
+								}
+								climbed[start] += sent
+								continue
 							}
-							got := lastLinkOf(tr)
-							switch {
-							case tr.Swept:
-								// The sweep ran over the window's replies: the same hops,
-								// and it ran only because the window met four silent TTLs
-								// in a row.
-								if !reflect.DeepEqual(tr.Hops, classic.Hops) || tr.ReachedDst != classic.ReachedDst {
-									t.Fatalf("%s→%s start %d: swept result differs from the classic one:\n%+v\n%+v", a.Addr, dst, start, tr, classic)
-								}
-								if start > 1 {
-									swept++
-									if !w.silentRun {
-										t.Fatalf("%s→%s start %d: swept without a run of four silent TTLs:\n%+v", a.Addr, dst, start, tr)
-									}
-								}
-							case got == want:
-								stood++
-							case !classic.ReachedDst && len(classic.Hops)-3 < w.lowest:
-								// The admissible divergence: the sweep gave up on a run of
-								// four silent TTLs that begins below what the window probed.
-								divergent++
-							default:
-								t.Fatalf("%s→%s start %d: last link %+v, classic %+v\n%+v\n%+v", a.Addr, dst, start, got, want, tr, classic)
+							label := fmt.Sprintf("%s→%s start %d", a.Addr, dst, start)
+							unitDiv := unit.check(t, label, tr, w, classic)
+							trC, sentC, wC := runWatched(t, base, start, within, issue)
+							climbed[start] += sentC
+							climbDiv := climb.check(t, label+" climbing", trC, wC, classic)
+							if lastLinkOf(trC) != lastLinkOf(tr) && !unitDiv && !climbDiv {
+								t.Fatalf("%s: climbing, last link %+v; one TTL at a time %+v\n%+v\n%+v", label, lastLinkOf(trC), lastLinkOf(tr), trC, tr)
 							}
 						}
 					}
 				}
-				if stood == 0 {
+				if unit.stood == 0 || climb.stood == 0 {
 					t.Fatal("no window ever stood")
 				}
-				if plan.spec == "" && divergent != 0 {
-					t.Fatalf("%d divergences from the classic sweep on a clean plan", divergent)
+				if plan.spec == "" && unit.divergent+climb.divergent != 0 {
+					t.Fatalf("%d and, climbing, %d divergences from the classic sweep on a clean plan", unit.divergent, climb.divergent)
 				}
 				var sb strings.Builder
+				total, totalClimbed := 0, 0
 				for start := 1; start <= measure.MaxTracerouteTTL; start++ {
-					fmt.Fprintf(&sb, " %d:%d", start, packets[start])
+					fmt.Fprintf(&sb, " %d:%d/%d", start, packets[start], climbed[start])
+					total, totalClimbed = total+packets[start], totalClimbed+climbed[start]
 				}
 				for i, was := range parentPackets[name] {
 					if packets[i+1] > was {
 						t.Errorf("start %d: %d packets over the corpus, %d before windows walked through silence", i+1, packets[i+1], was)
 					}
 				}
-				t.Logf("%d pairs, %d windows stood, %d handed over to the sweep, %d admissible divergences; corpus packets by start:%s",
-					len(agents)*len(targets), stood, swept, divergent, sb.String())
+				t.Logf("%d pairs; one TTL at a time %+v, climbing %+v; corpus packets by start, one TTL at a time/climbing:%s",
+					len(agents)*len(targets), unit, climb, sb.String())
+				if plan.spec == "" && totalClimbed >= total {
+					t.Errorf("climbing sent %d packets over every start, one TTL at a time %d", totalClimbed, total)
+				}
 			})
 		}
 	}
 }
 
-// watch is what runWatched saw of one traceroute: how many probes were
-// issued, the lowest TTL among them, and whether four consecutive TTLs
-// drew nothing.
+// tally counts how the windows of one kind compared with the classic
+// sweep.
+type tally struct{ stood, swept, divergent int }
+
+// check fails the test unless tr, a traceroute from the start label names
+// that runWatched saw as w, shows the classic sweep's last link, or is the
+// sweep run over its replies, or diverges as RunTraceroute admits: the
+// sweep gave up on a run of four silent TTLs the window did not probe
+// whole. It reports the divergence.
+func (c *tally) check(t *testing.T, label string, tr measure.TracerouteResult, w watch, classic measure.TracerouteResult) bool {
+	t.Helper()
+	switch n := len(classic.Hops); {
+	case tr.Swept:
+		// The sweep ran over the window's replies: the same hops, and it ran
+		// only because the window met four silent TTLs in a row.
+		if !reflect.DeepEqual(tr.Hops, classic.Hops) || tr.ReachedDst != classic.ReachedDst {
+			t.Fatalf("%s: swept result differs from the classic one:\n%+v\n%+v", label, tr, classic)
+		}
+		c.swept++
+		if !w.silentRun {
+			t.Fatalf("%s: swept without a run of four silent TTLs:\n%+v", label, tr)
+		}
+	case lastLinkOf(tr) == lastLinkOf(classic):
+		c.stood++
+	case !classic.ReachedDst && n >= silentRun && !w.sawAll(n-silentRun+1, n):
+		c.divergent++
+		return true
+	default:
+		t.Fatalf("%s: last link %+v, classic %+v\n%+v\n%+v", label, lastLinkOf(tr), lastLinkOf(classic), tr, classic)
+	}
+	return false
+}
+
+// silentRun is measure's give-up rule: four TTLs in a row that drew nothing.
+const silentRun = 4
+
+// watch is what runWatched saw of one traceroute: the TTLs issued, how
+// many, the lowest among them, and whether four consecutive TTLs drew
+// nothing.
 type watch struct {
 	issued, lowest int
+	probed         uint64
 	silentRun      bool
 }
 
-// runWatched runs the traceroute from start over issue and fails the
-// test unless every Spec it is handed is the sweep's packet at that TTL —
-// base with the TTL set and the sequence number advanced by it — and no
-// TTL is issued twice.
-func runWatched(t *testing.T, base measure.Spec, start int, issue func(measure.Spec) measure.Reply) (measure.TracerouteResult, int, watch) {
-	var probed, silent [measure.MaxTracerouteTTL + 1]bool
+// sawAll reports whether the traceroute probed every TTL from lo to hi.
+func (w watch) sawAll(lo, hi int) bool {
+	for ttl := lo; ttl <= hi; ttl++ {
+		if w.probed>>ttl&1 == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// runWatched runs the traceroute from start over issue, climbing by within,
+// and fails the test unless every Spec it is handed is the sweep's packet
+// at that TTL — base with the TTL set and the sequence number advanced by
+// it — no TTL is issued twice, and the result's Probed holds exactly the
+// TTLs sent.
+func runWatched(t *testing.T, base measure.Spec, start int, within func(hop, dst ipv4.Addr) bool, issue func(measure.Spec) measure.Reply) (measure.TracerouteResult, int, watch) {
+	t.Helper()
+	var silent [measure.MaxTracerouteTTL + 1]bool
+	var sentTTLs uint64
 	w := watch{lowest: measure.MaxTracerouteTTL + 1}
-	tr, sent := measure.RunTracerouteVia(base, start, nil, func(sp measure.Spec) measure.Reply {
+	tr, sent := measure.RunTracerouteVia(base, start, nil, within, func(sp measure.Spec) measure.Reply {
 		ttl := int(sp.TTL)
 		want := base
 		want.TTL, want.Seq = sp.TTL, base.Seq+uint64(ttl)
 		if ttl < 1 || ttl > measure.MaxTracerouteTTL || !reflect.DeepEqual(sp, want) {
 			t.Fatalf("start %d: issued %+v, the sweep's packet at that TTL is %+v", start, sp, want)
 		}
-		if probed[ttl] {
+		if w.probed>>ttl&1 == 1 {
 			t.Fatalf("start %d: TTL %d sent twice", start, ttl)
 		}
-		probed[ttl] = true
+		w.probed |= 1 << ttl
 		w.issued++
 		w.lowest = min(w.lowest, ttl)
 		rep := issue(sp)
 		silent[ttl] = !rep.Delivered
+		if rep.Sent {
+			sentTTLs |= 1 << ttl
+		}
 		return rep
 	})
+	if tr.Probed != sentTTLs {
+		t.Fatalf("start %d: Probed %#x, TTLs sent %#x", start, tr.Probed, sentTTLs)
+	}
 	for ttl, run := 1, 0; ttl <= measure.MaxTracerouteTTL; ttl++ {
 		if run++; !silent[ttl] {
 			run = 0
 		}
-		w.silentRun = w.silentRun || run == 4
+		w.silentRun = w.silentRun || run == silentRun
 	}
 	return tr, sent, w
 }
@@ -224,14 +276,17 @@ func runWatched(t *testing.T, base measure.Spec, start int, issue func(measure.S
 // FuzzTracerouteStart scripts the replies instead of walking a fabric: a
 // path of some length whose hops below the target answer time-exceeded
 // from a public or private address, stay silent, or come back
-// undecodable, and whose target answers or is lost, one choice per TTL.
-// For any start TTL the traceroute must issue each TTL at most once with
-// the sweep's sequence number, account exactly what it sent, return the
-// classic result whenever it swept — which it may only behind four
-// silent TTLs in a row — and otherwise show the classic last link, or
-// have missed the start of the run of silence the sweep gave up on. A
-// dead vantage point costs one suppressed probe and yields the zero
-// result.
+// undecodable, and whose target answers or is lost, one choice per TTL,
+// with a bit per TTL that says whether its hop is in the target's AS. For
+// any start TTL the traceroute, climbing one TTL at a time or by that bit,
+// must issue each TTL at most once with the sweep's sequence number,
+// account exactly what it sent in its count and its Probed bits, return
+// the classic result whenever it swept — which it may only behind four
+// silent TTLs in a row — and otherwise show the classic last link, or have
+// missed part of the run of silence the sweep gave up on. The climbing
+// window shows the last link of the one that climbs one TTL at a time but
+// where one of them missed that part. A dead vantage point costs one
+// suppressed probe and yields the zero result.
 func FuzzTracerouteStart(f *testing.F) {
 	f.Add(uint8(1), uint8(6), false, []byte{})
 	f.Add(uint8(14), uint8(12), false, []byte{0, 0, 1, 0})
@@ -245,16 +300,26 @@ func FuzzTracerouteStart(f *testing.F) {
 	f.Add(uint8(43), uint8(41), false, []byte("000000000000000000000000000000000002222"))
 	f.Add(uint8(6), uint8(8), false, []byte{0, 0, 0, 2, 2, 2, 2, 0})
 	f.Add(uint8(9), uint8(5), false, []byte{0, 0, 0, 0, 0, 2, 2, 2, 2})
+	// Climbs from TTL 2 over 3 and 4 to 5; their silence and 5's and 6's
+	// is the run the sweep gave up on, and the window walks on past it.
+	f.Add(uint8(2), uint8(0), false, []byte{0, 0, 2, 2, 2, 2, 0, 0})
+	// Climbs from TTL 3 past the target's first echo reply at 5, then
+	// inside its AS one TTL at a time.
+	f.Add(uint8(3), uint8(5), false, []byte{0, 0, 0, 4, 4, 4})
 
 	const seqBase = 77
 	dst := ipv4.MustParseAddr("9.9.9.9")
 	f.Fuzz(func(t *testing.T, start, length uint8, dead bool, pattern []byte) {
 		pathLen := int(length) % (measure.MaxTracerouteTTL + 2) // 0: the target never answers
-		reply := func(ttl int) measure.Reply {
-			var b byte
-			if ttl <= len(pattern) {
-				b = pattern[ttl-1]
+		at := func(ttl int) byte {
+			if ttl >= 1 && ttl <= len(pattern) {
+				return pattern[ttl-1]
 			}
+			return 0
+		}
+		within := func(hop, dst ipv4.Addr) bool { return hop == dst || at(int(hop&0xff))&4 != 0 }
+		reply := func(ttl int) measure.Reply {
+			b := at(ttl)
 			rep := measure.Reply{Sent: true}
 			switch {
 			case dead:
@@ -276,8 +341,8 @@ func FuzzTracerouteStart(f *testing.F) {
 			return rep
 		}
 		base := measure.Spec{Kind: measure.KindTraceroutePkt, Dst: dst, Seq: seqBase}
-		run := func(start int) (measure.TracerouteResult, int, watch) {
-			tr, sent, w := runWatched(t, base, start, func(sp measure.Spec) measure.Reply { return reply(int(sp.TTL)) })
+		run := func(start int, within func(hop, dst ipv4.Addr) bool) (measure.TracerouteResult, int, watch) {
+			tr, sent, w := runWatched(t, base, start, within, func(sp measure.Spec) measure.Reply { return reply(int(sp.TTL)) })
 			if dead {
 				if w.issued != 1 || sent != 0 || !reflect.DeepEqual(tr, measure.TracerouteResult{}) {
 					t.Fatalf("start %d, dead VP: %d issued, %d sent, result %+v", start, w.issued, sent, tr)
@@ -287,25 +352,20 @@ func FuzzTracerouteStart(f *testing.F) {
 			}
 			return tr, sent, w
 		}
-		classic, classicSent, _ := run(1)
-		tr, sent, w := run(int(start))
+		classic, classicSent, _ := run(1, nil)
+		tr, sent, w := run(int(start), nil)
+		trC, sentC, wC := run(int(start), within)
+		var c tally
 		switch {
 		case dead:
 		case start <= 1:
-			if !reflect.DeepEqual(tr, classic) || sent != classicSent {
-				t.Fatalf("start %d is not the classic sweep: %+v vs %+v", start, tr, classic)
+			if !reflect.DeepEqual(tr, classic) || sent != classicSent || !reflect.DeepEqual(trC, classic) || sentC != classicSent {
+				t.Fatalf("start %d is not the classic sweep: %+v and, climbing, %+v vs %+v", start, tr, trC, classic)
 			}
-		case tr.Swept:
-			if !reflect.DeepEqual(tr.Hops, classic.Hops) || tr.ReachedDst != classic.ReachedDst {
-				t.Fatalf("start %d: swept result %+v, classic %+v", start, tr, classic)
-			}
-			if !w.silentRun {
-				t.Fatalf("start %d: swept without a run of four silent TTLs: %+v", start, tr)
-			}
-		case lastLinkOf(tr) == lastLinkOf(classic):
-		case !classic.ReachedDst && len(classic.Hops)-3 < w.lowest:
-		default:
-			t.Fatalf("start %d: last link %+v, classic %+v\n%+v\n%+v", start, lastLinkOf(tr), lastLinkOf(classic), tr, classic)
+		case !c.check(t, fmt.Sprint("start ", start), tr, w, classic) &&
+			!c.check(t, fmt.Sprint("start ", start, " climbing"), trC, wC, classic) &&
+			lastLinkOf(trC) != lastLinkOf(tr):
+			t.Fatalf("start %d: climbing, last link %+v; one TTL at a time %+v\n%+v\n%+v", start, lastLinkOf(trC), lastLinkOf(tr), trC, tr)
 		}
 	})
 }
@@ -328,37 +388,39 @@ func TestTracerouteStopSet(t *testing.T) {
 		}
 	}
 	base := measure.Spec{Kind: measure.KindTraceroutePkt, Dst: dst, Seq: 1}
-	classic, classicSent := measure.RunTracerouteVia(base, 1, nil, reply)
+	classic, classicSent := measure.RunTracerouteVia(base, 1, nil, nil, reply)
 	holds := func(addrs ...ipv4.Addr) func(ipv4.Addr) bool {
 		return func(a ipv4.Addr) bool { return slices.Contains(addrs, a) }
 	}
 	if !classic.ReachedDst || classic.Stopped || classicSent != 8 {
 		t.Fatalf("classic sweep: %+v, %d sent", classic, classicSent)
 	}
-	tr, sent := measure.RunTracerouteVia(base, 1, holds(0, ipv4.Addr(8<<24|5), ipv4.Addr(8<<24|6)), reply)
+	tr, sent := measure.RunTracerouteVia(base, 1, holds(0, ipv4.Addr(8<<24|5), ipv4.Addr(8<<24|6)), nil, reply)
 	if !tr.Stopped || tr.ReachedDst || sent != 5 || !reflect.DeepEqual(tr.Hops, classic.Hops[:5]) {
 		t.Fatalf("stop at TTL 5: %+v, %d sent; classic %+v", tr, sent, classic.Hops)
 	}
-	if tr, sent := measure.RunTracerouteVia(base, 1, holds(dst), reply); !tr.ReachedDst || tr.Stopped || sent != 8 {
+	if tr, sent := measure.RunTracerouteVia(base, 1, holds(dst), nil, reply); !tr.ReachedDst || tr.Stopped || sent != 8 {
 		t.Fatalf("a set holding the destination: %+v, %d sent", tr, sent)
 	}
-	if tr, _ := measure.RunTracerouteVia(base, 6, holds(ipv4.Addr(8<<24|6)), reply); tr.Stopped || !tr.ReachedDst {
+	if tr, _ := measure.RunTracerouteVia(base, 6, holds(ipv4.Addr(8<<24|6)), nil, reply); tr.Stopped || !tr.ReachedDst {
 		t.Fatalf("a window stopped: %+v", tr)
 	}
 }
 
 // TestContinueTraceroute: continuing a traceroute below its penultimate
-// hop reads what the traceroute to the destination probed and sends only
-// the TTLs it did not, and on a clean plan the last link it shows is the
-// classic sweep's cut at that hop. Continuing the sweep itself sends
-// nothing; continuing a tail window started at the destination's TTL
-// sends at most the TTLs between the hop and where the window stopped
-// walking down.
+// hop reads every TTL the traceroute to the destination probed and sends
+// only the TTLs it did not, and on a clean plan the last link it shows is
+// the classic sweep's cut at that hop. Continuing the sweep itself sends
+// nothing. Continuing a tail window started at the destination's TTL, or
+// one that climbed from TTL 2 over the ASes short of the destination's and
+// left gaps, sends no TTL the first walk sent, and the result's Probed is
+// the first walk's bits up to the hop and the TTLs the continuation sent.
 func TestContinueTraceroute(t *testing.T) {
 	const seqBase = 5000
-	inHand, continued := 0, 0
+	inHand, continued, gapped := 0, 0, 0
 	for seed := int64(1); seed <= 3; seed++ {
 		env := simtest.New(t, 300, seed)
+		mapper := ip2as.Origin{Topo: env.Topo}
 		agents, targets := startCorpus(env)
 		for _, a := range agents {
 			for _, dst := range targets {
@@ -371,28 +433,44 @@ func TestContinueTraceroute(t *testing.T) {
 				cut := classic
 				cut.Hops = classic.Hops[:top]
 				want := lastLinkOf(cut)
-				window, _ := measure.RunTraceroute(env.Fabric, a, dst, 0, seqBase, ll.ttl, nil)
-				for _, prev := range []measure.TracerouteResult{classic, window} {
-					tr, sent := measure.ContinueTraceroute(env.Fabric, a, dst, 0, seqBase, &prev, top)
+				base := measure.Spec{Kind: measure.KindTraceroutePkt, VP: a, Dst: dst, Seq: seqBase}
+				issue := func(sp measure.Spec) measure.Reply { return measure.Issue(env.Fabric, sp, 0) }
+				window, _ := measure.RunTracerouteVia(base, ll.ttl, nil, nil, issue)
+				climbed, _ := measure.RunTracerouteVia(base, 2, nil, func(hop, dst ipv4.Addr) bool { return ip2as.SameAS(mapper, hop, dst) }, issue)
+				for _, prev := range []measure.TracerouteResult{classic, window, climbed} {
+					var sentTTLs uint64
+					tr, sent := measure.ContinueTracerouteVia(base, &prev, top, nil, func(sp measure.Spec) measure.Reply {
+						if prev.Probed>>sp.TTL&1 == 1 {
+							t.Fatalf("%s→%s below TTL %d: TTL %d sent again", a.Addr, dst, top, sp.TTL)
+						}
+						sentTTLs |= 1 << sp.TTL
+						return issue(sp)
+					})
+					if pub, pubSent := measure.ContinueTraceroute(env.Fabric, a, dst, 0, seqBase, &prev, top, nil); !reflect.DeepEqual(pub, tr) || pubSent != sent {
+						t.Fatalf("%s→%s below TTL %d: ContinueTraceroute is not continueTraceroute", a.Addr, dst, top)
+					}
 					if got := lastLinkOf(tr); got != want {
 						t.Fatalf("%s→%s below TTL %d: last link %+v, the sweep cut there %+v", a.Addr, dst, top, got, want)
 					}
-					switch {
-					case prev.Swept && sent != 0:
+					if upTo := uint64(1)<<(top+1) - 1; bits.OnesCount64(sentTTLs) != sent || tr.Probed != prev.Probed&upTo|sentTTLs {
+						t.Fatalf("%s→%s below TTL %d: %d sent, TTLs %#x; Probed %#x, the first walk's %#x", a.Addr, dst, top, sent, sentTTLs, tr.Probed, prev.Probed)
+					}
+					if prev.Swept && sent != 0 {
 						t.Fatalf("%s→%s below TTL %d: the sweep holds every TTL, yet %d sent", a.Addr, dst, top, sent)
-					case !prev.Swept && sent > top-int(tr.Low):
-						t.Fatalf("%s→%s below TTL %d: %d sent, more than TTLs %d…%d", a.Addr, dst, top, sent, tr.Low, top-1)
 					}
 					if sent == 0 {
 						inHand++
+					}
+					if low := bits.TrailingZeros64(prev.Probed); bits.OnesCount64(prev.Probed&(uint64(1)<<top-1)) < top-low {
+						gapped++
 					}
 					continued++
 				}
 			}
 		}
 	}
-	if inHand == 0 || inHand == continued {
-		t.Fatalf("%d of %d continuations sent nothing: the corpus exercises one case only", inHand, continued)
+	if inHand == 0 || inHand == continued || gapped == 0 {
+		t.Fatalf("%d of %d continuations sent nothing, %d continued a walk with gaps under the hop: the corpus misses a case", inHand, continued, gapped)
 	}
-	t.Logf("%d continuations, %d in hand", continued, inHand)
+	t.Logf("%d continuations, %d in hand, %d of a walk with gaps under the hop", continued, inHand, gapped)
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"revtr/internal/measure"
+	"revtr/internal/netsim/ipv4"
 	"revtr/internal/probe"
 	"revtr/internal/simtest"
 )
@@ -47,7 +48,8 @@ func TestGoMatchesDoPolicy(t *testing.T) {
 
 // TestGoTracerouteMatchesSync: the async traceroute wrapper returns the
 // same hops and sent-count as the blocking call, for a fresh traceroute
-// and for one continuing it below its penultimate hop.
+// and for one continuing it below its penultimate hop; the fresh one
+// climbs three TTLs past every responsive hop.
 func TestGoTracerouteMatchesSync(t *testing.T) {
 	env := simtest.New(t, 150, 5)
 	pool := probe.New(env.Fabric, measure.NewClock(), 2)
@@ -56,7 +58,8 @@ func TestGoTracerouteMatchesSync(t *testing.T) {
 	if dst == nil {
 		t.Skip("no destination")
 	}
-	first, _ := pool.Traceroute(context.Background(), src, dst.Addr, 1000, 8, nil)
+	outside := func(_, _ ipv4.Addr) bool { return false }
+	first, _ := pool.Traceroute(context.Background(), src, dst.Addr, 1000, 8, nil, outside)
 	if len(first.Hops) < 3 {
 		t.Skip("path too short to continue")
 	}
@@ -65,14 +68,14 @@ func TestGoTracerouteMatchesSync(t *testing.T) {
 		if prev != nil {
 			start = len(first.Hops) - 1
 		}
-		wantTr, wantSent := pool.Traceroute(context.Background(), src, dst.Addr, 1000, start, prev)
+		wantTr, wantSent := pool.Traceroute(context.Background(), src, dst.Addr, 1000, start, prev, outside)
 
 		type out struct {
 			tr   measure.TracerouteResult
 			sent int
 		}
 		got := make(chan out, 1)
-		pool.GoTraceroute(context.Background(), src, dst.Addr, 1000, start, prev, func(tr measure.TracerouteResult, sent int) {
+		pool.GoTraceroute(context.Background(), src, dst.Addr, 1000, start, prev, outside, func(tr measure.TracerouteResult, sent int) {
 			got <- out{tr, sent}
 		})
 		o := <-got

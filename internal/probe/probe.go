@@ -295,17 +295,17 @@ func (p *Pool) issue(req Request, nowUS int64, pol RetryPolicy) (measure.Reply, 
 // TTL's outcome decides whether to continue). seqBase reserves
 // measure.MaxTracerouteTTL sequence numbers; start is the TTL probing
 // begins at (measure.RunTraceroute: 1 walks the whole path, more probes
-// a window around its tail). A non-nil prev is continued below its hop at
-// start instead (measure.ContinueTraceroute). Returns the zero result
-// when ctx is already cancelled.
-func (p *Pool) Traceroute(ctx context.Context, a measure.Agent, dst ipv4.Addr, seqBase uint64, start int, prev *measure.TracerouteResult) (measure.TracerouteResult, int) {
+// a window around its tail, climbing by within). A non-nil prev is
+// continued below its hop at start instead (measure.ContinueTraceroute).
+// Returns the zero result when ctx is already cancelled.
+func (p *Pool) Traceroute(ctx context.Context, a measure.Agent, dst ipv4.Addr, seqBase uint64, start int, prev *measure.TracerouteResult, within func(hop, dst ipv4.Addr) bool) (measure.TracerouteResult, int) {
 	if ctx.Err() != nil {
 		return measure.TracerouteResult{}, 0
 	}
 	p.sem <- struct{}{}
 	defer func() { <-p.sem }()
 	p.inFlight.Add(1)
-	tr, sent := measure.ContinueTraceroute(p.F, a, dst, p.clock.Now(), seqBase, prev, start)
+	tr, sent := measure.ContinueTraceroute(p.F, a, dst, p.clock.Now(), seqBase, prev, start, within)
 	p.inFlight.Add(-1)
 	p.traceroute.Add(uint64(sent))
 	return tr, sent
@@ -330,9 +330,9 @@ func (p *Pool) Go(ctx context.Context, reqs []Request, pol RetryPolicy, done fun
 // discipline as Go.
 //
 //revtr:suspends queues the traceroute and parks the measurement until an executor resumes it
-func (p *Pool) GoTraceroute(ctx context.Context, a measure.Agent, dst ipv4.Addr, seqBase uint64, start int, prev *measure.TracerouteResult, done func(measure.TracerouteResult, int)) {
+func (p *Pool) GoTraceroute(ctx context.Context, a measure.Agent, dst ipv4.Addr, seqBase uint64, start int, prev *measure.TracerouteResult, within func(hop, dst ipv4.Addr) bool, done func(measure.TracerouteResult, int)) {
 	p.submit(func() {
-		tr, sent := p.Traceroute(ctx, a, dst, seqBase, start, prev)
+		tr, sent := p.Traceroute(ctx, a, dst, seqBase, start, prev, within)
 		done(tr, sent)
 	})
 }
