@@ -48,10 +48,10 @@ lint:
 # every Chaos and TestSoak test in `make ci`, so `chaos` and `soak`
 # below are not prerequisites of `ci` — they would run the same tests a
 # second time (measured: 39 s + 10 s). -timeout 15m: under the detector
-# internal/core, the slowest package, takes 361-500 s on a 2-core x86-64
-# machine where it took 680 s before its tests shared one build of the
-# benchmark's world (the whole target 427 s); past 600 s go test's default
-# timeout would fail it unfinished on a slower machine.
+# internal/core, the slowest package, takes 540-550 s on a 2-core x86-64
+# machine, with the count gate and the rule ledger's three worlds in it (its
+# tests share one build of each world; 680 s before they did); past 600 s
+# go test's default timeout would fail it unfinished.
 race:
 	$(GO) test -race -shuffle=on -timeout 15m ./...
 
@@ -64,7 +64,7 @@ ci: fmt vet lint short race bench benchcheck benchmod fuzz cover loc docsize
 # when the total is above LOC_CEILING — the total the last PR landed at.
 # A PR that adds lines says why and raises it; one that removes lines
 # lowers it to where it lands.
-LOC_CEILING = 21884
+LOC_CEILING = 21898
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs wc -l | \
 		awk -v ceiling=$(LOC_CEILING) '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
@@ -76,7 +76,7 @@ loc:
 # last PR landed it at. A PR that grows a file says why and raises its
 # entry; one that cuts it lowers the entry to where it lands. bench/'s
 # README is left out: bench/ changes only with the benchmark.
-DOC_CEILING = DESIGN.md:108887 EXPERIMENTS.md:142233 CHANGES.md:36862
+DOC_CEILING = DESIGN.md:108790 EXPERIMENTS.md:100912 CHANGES.md:36027
 docsize:
 	@fail=0; for e in $(DOC_CEILING); do f=$${e%%:*}; ceiling=$${e##*:}; n=$$(wc -c < $$f); \
 		printf "%7d %s (DOC_CEILING %d)\n" $$n $$f $$ceiling; \
@@ -125,14 +125,16 @@ cover:
 		$(GO) tool cover -func=/tmp/revtr.cover | $(COVER_FLOOR)
 
 # benchcheck is the regression gate on what is deterministic: exact probe
-# counts, spoofed rounds, virtual time and outcomes of four fixed slices
-# of the benchmark's world (counts_test.go) and the allocation ceilings of
-# one engine measurement, one sched submit→terminal, one store append and
-# one stream publish (allocs_test.go). Without -race: the ceilings are
-# not built under the detector. Timing stays with the registered
-# benchmark and its alternating pairs.
+# counts, spoofed rounds, virtual time and outcomes of fixed slices of the
+# benchmark's world and of each knowledge rule's row on three worlds
+# (internal/core/counts_test.go), and the allocation ceilings of one engine
+# measurement, one sched submit→terminal, one store append and one stream
+# publish (allocs_test.go). Without -race: the ceilings are not built under
+# the detector. Timing stays with the registered benchmark and its
+# alternating pairs.
 benchcheck:
-	$(GO) test -run 'TestProbeCountGate|AllocCeiling' -count=1 .
+	$(GO) test -run 'AllocCeiling' -count=1 .
+	$(GO) test -run 'TestProbeCountGate|TestRuleLedger' -count=1 ./internal/core/
 
 # benchmod compiles and smoke-tests bench/, the end-to-end benchmark. It
 # is a module of its own (revtr/bench, replace revtr => ../), so the

@@ -113,11 +113,7 @@ type Engine struct {
 	cache   *cache
 	deadVPs *deadVPCache
 	metrics Metrics // zero value records nothing
-	// Test hooks, each a differential's "off": adoptRevealed adopts every
-	// revealed hop, readSilence reads the cache alone, a spoofed round sends
-	// its hedges with its lead, stepSym reads no memo of where a source's
-	// traceroutes met an AS (and inAS is nil).
-	adoptWhole, hideSurveySilence, wholeRounds, noMetStarts bool
+	off     rules   // the knowledge rules switched off: none outside tests
 	// spoofTimeoutUS and maxHops are SpoofTimeoutUS and MaxHops; only
 	// this package's tests set others.
 	spoofTimeoutUS int64
@@ -127,6 +123,21 @@ type Engine struct {
 	// the target's AS. Built once, so that a traceroute allocates none.
 	inAS func(hop, dst ipv4.Addr) bool
 }
+
+// rules is a set of the engine's knowledge rules (DESIGN "Rule switches").
+type rules uint16
+
+const (
+	ruleDistance rules = 1 << iota // distance: the direct probe skipped, the traceroute started
+	ruleVerdicts                   // shareVerdicts
+	ruleRounds                     // stepSpoofNext: lead first
+	ruleChain                      // stepSym: the chain step
+	ruleMemo                       // metTTL, and the climb (inAS)
+	ruleDeaf                       // openRR: the atlas's RR-deaf ASes
+	ruleCut                        // adoptRevealed: the cut at the way home
+	ruleSilence                    // readSilence: the survey's silence
+	numRules     = iota
+)
 
 // NewEngine assembles an engine over a probe pool. adj may be nil (no
 // Timestamp adjacencies).

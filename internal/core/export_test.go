@@ -37,29 +37,6 @@ func (mm *Machine) Cursor() ipv4.Addr { return mm.cur }
 // (negative: none).
 func (mm *Machine) RevDist() int { return mm.revDist }
 
-// ForgetDistance drops the estimate a reply gave and has the machine read
-// a copy of its source's atlas without AS distances. Called before every
-// Next it leaves the machine without a distance wherever one is read: the
-// engine that sends every direct probe and starts no traceroute from a
-// distance.
-func (mm *Machine) ForgetDistance() {
-	mm.revDist = -1
-	if at := mm.src.Atlas; at != nil && at.ASHops != nil {
-		blind := *at // shares the entries and indexes
-		blind.ASHops = nil
-		mm.src.Atlas = &blind
-	}
-}
-
-// AdoptWhole turns off adoptRevealed's cut at the first revealed hop the
-// atlas intersects: every revealed hop is adopted, as before the rule.
-func (e *Engine) AdoptWhole() { e.adoptWhole = true }
-
-// HideSurveySilence makes the engine blind to the ingress survey's silent
-// destinations: a hop is known silent only by the cache's verdict, as
-// before the survey's silence was read.
-func (e *Engine) HideSurveySilence() { e.hideSurveySilence = true }
-
 // SetSpoofTimeout makes a spoofed batch short of a reply wait us instead of
 // SpoofTimeoutUS.
 func (e *Engine) SetSpoofTimeout(us int64) { e.spoofTimeoutUS = us }
@@ -71,16 +48,22 @@ func (e *Engine) SetMaxHops(n int) { e.maxHops = n }
 // kind.
 func (e *Engine) CacheEntries() int { return e.cache.size() }
 
-// WholeRounds has every spoofed round send its hedges with its lead, as one
-// batch: the engine before rounds (TestLeadHedgeDifferential's "whole").
-func (e *Engine) WholeRounds() { e.wholeRounds = true }
-
 // Held exposes the hedges the machine's spoofed round holds back behind its
 // lead: none once they are sent, for a whole batch, or outside a sweep.
 func (mm *Machine) Held() []probe.Request { return mm.rr.held }
 
-// NoMemoOrClimb has the engine read no memo of where a source's traceroutes
-// met an AS, and climb every window one TTL at a time: every traceroute
-// starts by the distance or the atlas median, as before the memo and the
-// climb.
-func (e *Engine) NoMemoOrClimb() { e.noMetStarts, e.inAS = true, nil }
+// RuleNames names the engine's knowledge rules by bit: SetRulesOff(1<<i)
+// switches off RuleNames[i].
+var RuleNames = [numRules]string{
+	"distance skip and start", "shared verdicts", "spoofed rounds", "chain step",
+	"memo start and climb", "RR-deaf ASes", "adoption cut", "survey silence",
+}
+
+// SetRulesOff switches off the knowledge rules whose bits off sets, and only
+// those: the engine as it was before each of them. Switching off the memo
+// start switches off the climb too.
+func (e *Engine) SetRulesOff(off uint16) {
+	if e.off = rules(off); e.off&ruleMemo != 0 {
+		e.inAS = nil
+	}
+}

@@ -736,7 +736,7 @@ func (mm *Machine) openRR() {
 	}
 	if at := mm.src.Atlas; e.Opts.UseRRAtlas && at != nil {
 		asn, ok := e.Mapper.ASOf(cur)
-		if st.deaf = ok && at.RRDeaf[asn]; st.deaf {
+		if st.deaf = ok && at.RRDeaf[asn] && e.off&ruleDeaf == 0; st.deaf {
 			return
 		}
 	}
@@ -750,7 +750,7 @@ func (mm *Machine) openRR() {
 func (mm *Machine) readSilence() {
 	e, st := mm.e, &mm.rr
 	st.silent = e.Opts.UseCache && e.cache.verdicts(mm.cur, e.Pool.Now()).silent
-	st.surveySilent = e.Opts.UseCache && !e.hideSurveySilence && e.Ingress.Silent(mm.cur)
+	st.surveySilent = e.Opts.UseCache && e.off&ruleSilence == 0 && e.Ingress.Silent(mm.cur)
 }
 
 // passDirect moves the stage past its direct probe and reads the plan.
@@ -828,6 +828,9 @@ func (mm *Machine) onRRDirect(b probe.Batch) {
 // measured (revDist); else atlas.ASHops of its AS + 1; else of the nearest
 // AS next to it + 4. Negative: nothing says.
 func (mm *Machine) distance() int {
+	if mm.e.off&ruleDistance != 0 {
+		return -1
+	}
 	at := mm.src.Atlas
 	if mm.revDist >= 0 || at == nil {
 		return mm.revDist
@@ -855,7 +858,7 @@ func (mm *Machine) stepSpoofNext() {
 	mm.ph = phAfterRR
 	if reqs, st := mm.nextBatch(), &mm.rr; len(reqs) > 0 {
 		st.batchSent, st.batchAnswered = false, false
-		if mm.e.Opts.VPSelection == ingress.SelIngress && !mm.e.wholeRounds {
+		if mm.e.Opts.VPSelection == ingress.SelIngress && mm.e.off&ruleRounds == 0 {
 			reqs, st.held = reqs[:1:1], reqs[1:]
 		}
 		mm.suspendProbes(reqs, true, phSpoofWait)
@@ -925,7 +928,7 @@ func (mm *Machine) spoofWait(p *Pending, b probe.Batch) int64 {
 // shareVerdicts records what a spoofed batch settled about cur for every
 // source — if the stage was measured so far.
 func (mm *Machine) shareVerdicts(far []ipv4.Addr, silent bool) {
-	if mm.rr.measured() && mm.e.Opts.UseCache && (silent || len(far) > 0) {
+	if mm.rr.measured() && mm.e.Opts.UseCache && mm.e.off&ruleVerdicts == 0 && (silent || len(far) > 0) {
 		mm.e.cache.addVerdicts(mm.cur, far, silent, mm.e.Pool.Now())
 	}
 }
@@ -1023,7 +1026,7 @@ func (mm *Machine) stepAfterRR() {
 // of probing on from a later one that may intersect nothing.
 func (mm *Machine) adoptRevealed() {
 	hops := mm.rr.hops
-	if i := mm.wayHome(hops); i >= 0 && !mm.e.adoptWhole {
+	if i := mm.wayHome(hops); i >= 0 && mm.e.off&ruleCut == 0 {
 		hops = hops[:i+1]
 	}
 	mark := len(mm.res.Hops)
@@ -1164,7 +1167,7 @@ func (mm *Machine) stepSym() {
 	dist := mm.distance()
 	met, memo := mm.metTTL()
 	switch {
-	case mm.res.Hops[len(mm.res.Hops)-1].Tech == TechSymmetry: // nothing adopted since: cur is that hop
+	case mm.res.Hops[len(mm.res.Hops)-1].Tech == TechSymmetry && e.off&ruleChain == 0: // nothing adopted since: cur is that hop
 		e.metrics.tracerouteChainSteps.Inc()
 		p.Start, p.Prev = mm.symTTL, &mm.symTr
 		if q := mm.symFrom; q != nil {
@@ -1188,7 +1191,7 @@ func (mm *Machine) stepSym() {
 func (mm *Machine) metTTL() (int, bool) {
 	e := mm.e
 	asn, ok := e.Mapper.ASOf(mm.cur)
-	if !ok || !e.Opts.UseCache || e.noMetStarts {
+	if !ok || !e.Opts.UseCache || e.off&ruleMemo != 0 {
 		return 0, false
 	}
 	return e.cache.met(mm.src.Agent.Addr, asn, e.Pool.Now())

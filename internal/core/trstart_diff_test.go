@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,7 +21,8 @@ import (
 // The machines are hand-driven: the start is fixed in the Pending, so the
 // test can overrule it, and can turn a chain step (Prev set) back into a
 // traceroute to the hop itself. The first five engines climb one TTL at a
-// time and read no memo of where the source met an AS (NoMemoOrClimb).
+// time and read no memo of where the source met an AS (the "memo start and
+// climb" rule off).
 // "classic" turns the chain steps back and forces every traceroute to TTL
 // 1; "no-median" leaves the chain steps and sweeps the rest; "median"
 // turns the chain steps back and forces the atlas's MedianHops on every
@@ -83,7 +85,7 @@ func TestTracerouteStartDifferential(t *testing.T) {
 		v.reg = obs.New()
 		v.eng.SetMetrics(core.NewMetrics(v.reg))
 		if !v.memo {
-			v.eng.NoMemoOrClimb()
+			v.eng.SetRulesOff(1 << slices.Index(core.RuleNames[:], "memo start and climb"))
 		}
 	}
 	var text strings.Builder

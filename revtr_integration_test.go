@@ -2,10 +2,11 @@ package revtr
 
 import (
 	"context"
-
+	"slices"
 	"testing"
 
 	"revtr/internal/core"
+	"revtr/internal/ip2as"
 	"revtr/internal/measure"
 	"revtr/internal/netsim/ipv4"
 	"revtr/internal/netsim/topology"
@@ -68,9 +69,7 @@ func TestRevtr20EndToEnd(t *testing.T) {
 			continue
 		}
 		matched++
-		trueAS := d.Fabric.ASPath(truth)
-		gotAS := asPathTruth(d, res.Addrs())
-		if equalASPaths(gotAS, trueAS) {
+		if slices.Equal(ip2as.ASPath(d.TruthMapper, res.Addrs()), d.Fabric.ASPath(truth)) {
 			exactAS++
 		}
 	}
@@ -85,33 +84,6 @@ func TestRevtr20EndToEnd(t *testing.T) {
 	if matched > 10 && float64(exactAS)/float64(matched) < 0.55 {
 		t.Errorf("AS-level exact-match rate %.2f too low", float64(exactAS)/float64(matched))
 	}
-}
-
-// asPathTruth maps a measured address path to ASes using ground truth.
-func asPathTruth(d *Deployment, addrs []ipv4.Addr) []topology.ASN {
-	var out []topology.ASN
-	for _, a := range addrs {
-		asn, ok := d.TruthMapper.ASOf(a)
-		if !ok {
-			continue
-		}
-		if len(out) == 0 || out[len(out)-1] != asn {
-			out = append(out, asn)
-		}
-	}
-	return out
-}
-
-func equalASPaths(a, b []topology.ASN) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func TestRevtr10CompletesEverythingItCan(t *testing.T) {
@@ -305,4 +277,10 @@ func TestInjectFaults(t *testing.T) {
 	if plan, _ := d.InjectFaults("", len(d.SiteAgents), len(d.SiteAgents), 0); len(plan.Blackouts) != 0 {
 		t.Fatalf("blacked out %d sites with every site spared", len(plan.Blackouts))
 	}
+}
+
+// holdsEveryReply reports whether a delivered spoofed-RR batch has a reply
+// to each of its requests, so that nothing was left to wait for.
+func holdsEveryReply(b probe.Batch) bool {
+	return !slices.ContainsFunc(b.Replies, func(r measure.Reply) bool { return !r.RR.Responded })
 }
