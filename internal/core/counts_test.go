@@ -238,7 +238,8 @@ func measureRow(t *testing.T, d *revtr.Deployment, eng *core.Engine, pairs []src
 // counts are a pure function of the seed; a change that moves one of them
 // is a change to what a reverse traceroute costs or finds, and says so here
 // by editing the want row. The 766-pair "wide" slice, clean and lossy, is
-// pinned in TestRuleLedger's all-on rows.
+// pinned by the root package's TestProbeCountGate, through the engine as
+// the deployment builds it, and by TestRuleLedger's all-on rows.
 //
 // "distinct" is 8 sources x 8 destinations of their own: 64 pairs that
 // share almost no hop across sources. "shared" is the same 8 sources x
@@ -417,8 +418,8 @@ var ledgerColumns = []ledgerColumn{
 // from the all-on row's; under -v each row names 20 of its moved pairs,
 // those whose Status or off-truth hops moved first.
 //
-// The all-on rows of the benchmark's world are the count gate's "wide" and
-// "wide-lossy" slices and are pinned here. Every cell is pinned by
+// The all-on rows of the benchmark's world are the root package count
+// gate's "wide" and "wide-lossy" slices. Every cell is pinned by
 // testdata/rule_ledger.md, which the test renders and compares byte for
 // byte (-update rewrites it). A rule whose row equals the all-on row on
 // every column buys nothing anywhere and fails the test; the segment store
@@ -454,42 +455,6 @@ func TestRuleLedger(t *testing.T) {
 	}
 	wg.Wait()
 
-	// "wide" is the same 8 sources x the first 96 destinations of the
-	// walk, less the pairs inside a source's AS: accuracy beside cost on
-	// 766 pairs. "wide-lossy" measures them under batch-lossy's fault
-	// plan (2 % link loss, ICMP rate limiting, the last three spoofing
-	// sites blacked out, two retries), where silence may be loss. Both
-	// were measured on the parent of the spoofed round first:
-	//   wide:       RR 726, SpoofRR 3359, Traceroute 2993, 480 / 284 / 2,
-	//               1399 batches, 1457851271 virtual us (14167256592
-	//               waited out), 24 off-truth paths (60 hops), 21 wrong AS;
-	//   wide-lossy: RR 1376, SpoofRR 4404, Traceroute 3901, 377 / 331 / 58,
-	//               1220 batches, 2202697090 virtual us (12348139497),
-	//               26 off-truth paths (59 hops), 17 wrong AS.
-	// The round moved wide's SpoofRR 3359 -> 2342, virtual time 1.7 %
-	// down and, stages ending on a lead's reply instead of a batch's,
-	// RR 726 -> 730, Traceroute 2993 -> 2999 and six more rounds; every
-	// outcome and accuracy column stood. Under loss it
-	// moved SpoofRR 4404 -> 3272 and virtual time 17 % down, the hedges
-	// behind a silent lead flying inside its timeout; one path in 377
-	// completes no more, and one more complete path is off the truth
-	// and off its AS path.
-	// The memo and climb moved wide's Traceroute 2999 -> 2775 and both
-	// time columns, as above. Under loss they moved Traceroute
-	// 3889 -> 3915: a climb toward a target that does not answer walks
-	// back down through the TTLs it climbed over. Virtual time still
-	// fell; nothing else moved.
-	wide := countRow{rr: 730, spoofRR: 2342, traceroute: 2775, complete: 480, aborted: 284, failed: 2,
-		spoofBatches: 1405, virtualUS: 1419155786, waitOutUS: 14212969343,
-		offTruthPaths: 24, offTruthHops: 60, wrongAS: 21}
-	wideLossy := countRow{rr: 1379, spoofRR: 3272, traceroute: 3915, complete: 376, aborted: 332, failed: 58,
-		spoofBatches: 1223, virtualUS: 1821044087, waitOutUS: 12376522578,
-		offTruthPaths: 27, offTruthHops: 70, wrongAS: 18}
-	for c, want := range []countRow{wide, wideLossy} {
-		if got := cells[0][c]; got != want {
-			t.Errorf("%s, all on: the count gate's slice moved:\n%s", ledgerColumns[c].name, got.diff(want))
-		}
-	}
 	for i, name := range core.RuleNames {
 		if slices.Equal(cells[i+1], cells[0]) {
 			t.Errorf("%s: the row equals the all-on row on every world: the rule buys nothing", name)

@@ -5,12 +5,15 @@ package core_test
 // and carried across adoptions — and for the two things read off it: the
 // direct RR probe a cursor out of range is not sent, and the start of the
 // symmetry-stage traceroute. The differential prices the skipped probes by
-// sending them; the resume cases clone at both new suspension shapes.
+// sending them; the resume cases clone at both new suspension shapes. The
+// adoption cut at an interior atlas intersection has its differential here
+// too.
 
 import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"revtr/internal/core"
@@ -172,5 +175,69 @@ func TestResumeOnDistance(t *testing.T) {
 				t.Logf("%d clones behind a skipped direct probe, %d at a distance-started traceroute", resumed[0], resumed[1])
 			})
 		}
+	}
+}
+
+// TestInteriorIntersectionDifferential prices the adoption cut: revealed
+// hops are adopted up to the first one the atlas intersects. The same pairs
+// are measured with the rule and without it (every revealed hop adopted,
+// the atlas asked about the last one only), cache off so each pair stands
+// alone. A path the rule changes must end complete, hold the other path's
+// hops up to the cut, and go home from there along the atlas; on the
+// benchmark's world the rule must complete paths the other engine does not.
+func TestInteriorIntersectionDifferential(t *testing.T) {
+	o := core.Revtr20Options()
+	o.UseCache = false
+	// run returns the paths the rule changed and, of them, those the engine
+	// without it did not complete.
+	run := func(cut, whole *core.Engine, pairs []srcDst) (changed, gained int) {
+		whole.SetRulesOff(1 << slices.Index(core.RuleNames[:], "adoption cut"))
+		for _, pr := range pairs {
+			got := cut.MeasureReverse(context.Background(), pr.src, pr.dst)
+			old := whole.MeasureReverse(context.Background(), pr.src, pr.dst)
+			if reflect.DeepEqual(got.Hops, old.Hops) {
+				if got.Status != old.Status || got.Probes != old.Probes {
+					t.Fatalf("%s→%s: same hops, different measurement:\n%s\n%s", pr.src.Agent.Addr, pr.dst, renderCoreResult(got), renderCoreResult(old))
+				}
+				continue
+			}
+			changed++
+			gained += btoi(old.Status != core.StatusComplete)
+			// The cut: the hop before the atlas suffix that closes the path.
+			k := len(got.Hops) - 1
+			for k > 0 && (got.Hops[k].Tech == core.TechSource || got.Hops[k].Tech == core.TechTrIntersect) {
+				k--
+			}
+			if got.Status != core.StatusComplete || k+1 > len(old.Hops) || !reflect.DeepEqual(got.Hops[:k+1], old.Hops[:k+1]) ||
+				got.Hops[k].Tech != core.TechRR && got.Hops[k].Tech != core.TechSpoofRR || got.Hops[k+1].Tech != core.TechTrIntersect {
+				t.Fatalf("%s→%s: the rule changed the path other than by an atlas suffix behind a revealed hop (cut at %d):\n%s\n%s",
+					pr.src.Agent.Addr, pr.dst, k, renderCoreResult(got), renderCoreResult(old))
+			}
+		}
+		return changed, gained
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		c := newChaosEnv(t, seed, 150)
+		var pairs []srcDst
+		for _, src := range moreSources(c, 4) {
+			for _, dst := range c.dsts {
+				pairs = append(pairs, srcDst{src, dst})
+			}
+		}
+		cut, _ := c.engineOpts(1, probe.RetryPolicy{}, o)
+		whole, _ := c.engineOpts(1, probe.RetryPolicy{}, o)
+		changed, gained := run(cut, whole, pairs)
+		if changed == 0 {
+			t.Fatalf("seed %d: the rule changed no path: the corpus exercises nothing", seed)
+		}
+		t.Logf("seed%d: %d of %d paths cut at an interior intersection, %d of them not completed without the rule", seed, changed, len(pairs), gained)
+	}
+	if !testing.Short() {
+		d, pairs := benchSlice()
+		changed, gained := run(d.Engine(o), d.Engine(o), pairs)
+		if gained == 0 {
+			t.Fatalf("bench: the rule changed %d paths and completed none the other engine did not", changed)
+		}
+		t.Logf("bench: %d of %d paths cut at an interior intersection, %d of them not completed without the rule", changed, len(pairs), gained)
 	}
 }
