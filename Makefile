@@ -64,7 +64,7 @@ ci: fmt vet lint short race bench benchcheck benchmod fuzz cover loc docsize
 # when the total is above LOC_CEILING — the total the last PR landed at.
 # A PR that adds lines says why and raises it; one that removes lines
 # lowers it to where it lands.
-LOC_CEILING = 21898
+LOC_CEILING = 21883
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs wc -l | \
 		awk -v ceiling=$(LOC_CEILING) '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
@@ -76,7 +76,7 @@ loc:
 # last PR landed it at. A PR that grows a file says why and raises its
 # entry; one that cuts it lowers the entry to where it lands. bench/'s
 # README is left out: bench/ changes only with the benchmark.
-DOC_CEILING = DESIGN.md:108790 EXPERIMENTS.md:100629 CHANGES.md:36498
+DOC_CEILING = DESIGN.md:108645 EXPERIMENTS.md:100619 CHANGES.md:36188
 docsize:
 	@fail=0; for e in $(DOC_CEILING); do f=$${e%%:*}; ceiling=$${e##*:}; n=$$(wc -c < $$f); \
 		printf "%7d %s (DOC_CEILING %d)\n" $$n $$f $$ceiling; \

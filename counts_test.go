@@ -72,14 +72,26 @@ func TestProbeCountGate(t *testing.T) {
 		// 3889 -> 3915: a climb toward a target that does not answer walks
 		// back down through the TTLs it climbed over. Virtual time still
 		// fell; nothing else moved.
+		// Keying a probe on its content and the measurement's salt, not on
+		// how many probes went before it, re-drew every per-packet balancer
+		// and, under loss, every drop. Wide: RR 730 -> 735, SpoofRR
+		// 2342 -> 2340, Traceroute 2775 -> 2772 (5847 packets either way),
+		// complete 480 -> 477, aborted 284 -> 287, batches 1405 -> 1404,
+		// virtual time from 1419155786 (waitOutUS 14212969343), off-truth
+		// 24 / 60 -> 25 / 61. Wide-lossy: RR 1379 -> 1317, SpoofRR
+		// 3272 -> 3391, Traceroute 3915 -> 3687 (8566 -> 8395 packets),
+		// complete 376 -> 374, aborted 332 -> 340, failed 58 -> 52, batches
+		// 1223 -> 1224, virtual time 1821044087 -> 2025465852 (about twenty more
+		// rounds short of a reply; waitOutUS from 12376522578), off-truth
+		// 27 / 70 -> 20 / 53, wrong AS 18 -> 17.
 		{"wide", false,
-			countRow{rr: 730, spoofRR: 2342, traceroute: 2775, complete: 480, aborted: 284, failed: 2,
-				spoofBatches: 1405, virtualUS: 1419155786, waitOutUS: 14212969343,
-				offTruthPaths: 24, offTruthHops: 60, wrongAS: 21}},
+			countRow{rr: 735, spoofRR: 2340, traceroute: 2772, complete: 477, aborted: 287, failed: 2,
+				spoofBatches: 1404, virtualUS: 1399291013, waitOutUS: 14203043449,
+				offTruthPaths: 25, offTruthHops: 61, wrongAS: 21}},
 		{"wide-lossy", true,
-			countRow{rr: 1379, spoofRR: 3272, traceroute: 3915, complete: 376, aborted: 332, failed: 58,
-				spoofBatches: 1223, virtualUS: 1821044087, waitOutUS: 12376522578,
-				offTruthPaths: 27, offTruthHops: 70, wrongAS: 18}},
+			countRow{rr: 1317, spoofRR: 3391, traceroute: 3687, complete: 374, aborted: 340, failed: 52,
+				spoofBatches: 1224, virtualUS: 2025465852, waitOutUS: 12381484716,
+				offTruthPaths: 20, offTruthHops: 53, wrongAS: 17}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.lossy {

@@ -7,10 +7,10 @@
 // engine per source (engines cache measurements per source, and atlas
 // usefulness marks are per source), while all workers share one
 // probe.Pool over the concurrency-safe data plane. Probe identities are
-// deterministic functions of each measurement's own sequence numbers, so
-// parallel campaigns are bit-identical to serial ones — the regression
-// test in campaign_test.go holds the Summary and every per-task hop list
-// equal across worker counts.
+// deterministic functions of what each probe is and its measurement's
+// salt, so parallel campaigns are bit-identical to serial ones — the
+// regression test in campaign_test.go holds the Summary and every per-task
+// hop list equal across worker counts.
 package campaign
 
 import (
@@ -153,7 +153,7 @@ func (r *Runner) Run(ctx context.Context, tasks []Task) Summary {
 				// A fresh engine per source over the deployment's one
 				// probe pool: the per-source cache stays deterministic
 				// (tasks of one source run in order), probe identities
-				// derive from per-measurement sequence numbers, and the
+				// derive from what each probe is and its measurement, and the
 				// fabric is deterministic — so per-source results are
 				// identical regardless of how sources map to workers or
 				// how many probes the pool flies at once.

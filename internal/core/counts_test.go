@@ -191,7 +191,8 @@ func offTruth(f *fabric.Fabric, topo *topology.Topology, res *core.Result) int {
 // measureRow measures pairs one after the other on eng, each by hand so that
 // every spoofed round is seen (waitLedger), and returns their row and their
 // results in order. The pool's ledger must move by the packets the results
-// book.
+// book, and no measurement may send one RR or Timestamp request twice: a
+// probe is its content, so the second would be the first packet again.
 func measureRow(t *testing.T, d *revtr.Deployment, eng *core.Engine, pairs []srcDst) (countRow, []*core.Result) {
 	var row countRow
 	var sum measure.Counters
@@ -199,7 +200,20 @@ func measureRow(t *testing.T, d *revtr.Deployment, eng *core.Engine, pairs []src
 	results := make([]*core.Result, len(pairs))
 	before := d.Pool.Counters()
 	for i, pr := range pairs {
-		res := driveSeeing(context.Background(), eng, pr.src, pr.dst, wait.see)
+		sent := map[string]bool{} // the measurement's RR and Timestamp requests sent
+		res := driveSeeing(context.Background(), eng, pr.src, pr.dst, func(p *core.Pending, d core.Delivery) {
+			wait.see(p, d)
+			for j, req := range p.Reqs {
+				if req.Kind == measure.KindPing || req.Kind == measure.KindTraceroutePkt || !d.Batch.Replies[j].Sent {
+					continue
+				}
+				k := fmt.Sprint(req.Kind, req.VP.Addr, req.Src, req.Dst, req.Prespec)
+				if sent[k] {
+					t.Errorf("%s→%s sent %s twice", pr.src.Agent.Addr, pr.dst, k)
+				}
+				sent[k] = true
+			}
+		})
 		results[i] = res
 		sum = sum.Add(res.Probes)
 		row.spoofBatches += res.SpoofBatches
@@ -249,7 +263,9 @@ func measureRow(t *testing.T, d *revtr.Deployment, eng *core.Engine, pairs []src
 //
 // The background is booked too: the packets by kind that the 8 sources'
 // atlas builds send. The classic build of n/6 entries sent 43 887 of
-// them; the Doubletree build's larger atlas may not send more.
+// them; the Doubletree build's larger atlas may not send more. Content
+// keys left it where it stood: a clean world's background counts do not
+// depend on which way a balancer sends a packet.
 func TestProbeCountGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the 1000-AS world")
@@ -338,9 +354,13 @@ func TestProbeCountGate(t *testing.T) {
 		// TTLs past a hop outside it) moved Traceroute 229 -> 211 and both
 		// time columns by the round trips not made, on all four slices; RR,
 		// SpoofRR, batches, outcomes, off-truth and wrong AS did not move.
+		// Keying a probe on its content and the measurement's salt, not on
+		// how many probes went before it, re-drew every per-packet balancer:
+		// SpoofRR 379 -> 377, virtual time from 274120203 and waitOutUS from
+		// 1881644339; nothing else moved.
 		{"distinct", func(si int) []*topology.Host { return w.pick(si*29, 8, w.srcs[si]) },
-			countRow{rr: 49, spoofRR: 379, traceroute: 211, complete: 42, aborted: 20, failed: 2,
-				spoofBatches: 187, virtualUS: 274120203, waitOutUS: 1881644339,
+			countRow{rr: 49, spoofRR: 377, traceroute: 211, complete: 42, aborted: 20, failed: 2,
+				spoofBatches: 187, virtualUS: 274078470, waitOutUS: 1881644038,
 				offTruthPaths: 2, offTruthHops: 3, wrongAS: 3}},
 		// Added with PR 18 and measured on its parent first: RR 445,
 		// SpoofRR 1395, Traceroute 1589, 86 / 40 / 2, 530 batches over
@@ -375,9 +395,12 @@ func TestProbeCountGate(t *testing.T) {
 		// waitOutUS moved 2 590 us less, a wait outside the rounds of one
 		// aborted pair whose packets and outcome did not move. The memo and
 		// climb moved Traceroute 559 -> 465 and both time columns, as above.
+		// Content keys moved RR 124 -> 125, SpoofRR 446 -> 445, Traceroute
+		// 465 -> 464, batches 255 -> 254, virtual time from 197108796 and
+		// waitOutUS from 2580034554; outcomes and accuracy did not move.
 		{"shared", func(int) []*topology.Host { return shared },
-			countRow{rr: 124, spoofRR: 446, traceroute: 465, complete: 90, aborted: 36, failed: 2,
-				spoofBatches: 255, virtualUS: 197108796, waitOutUS: 2580034554,
+			countRow{rr: 125, spoofRR: 445, traceroute: 464, complete: 90, aborted: 36, failed: 2,
+				spoofBatches: 254, virtualUS: 196991919, waitOutUS: 2570000770,
 				offTruthPaths: 4, offTruthHops: 8, wrongAS: 12}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

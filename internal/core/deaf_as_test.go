@@ -41,28 +41,22 @@ func (a *deafStats) add(b deafStats) {
 // closes has the test send the stage's direct probe and the first round of
 // its plan — sites as nextBatch picks them, the lead beside the direct
 // probe and the hedges if neither revealed — through the engine's pool,
-// with sequence numbers of the test's own. A closed stage falls back at
+// salted as the machine's own. A closed stage falls back at
 // once, so the fallback event its cursor sends is where the test reads the
 // hop.
 func deafDifferential(t *testing.T, eng *core.Engine, pairs []srcDst) deafStats {
 	st := deafStats{pairs: len(pairs)}
 	bg := context.Background()
-	seq := uint64(1) << 32 // clear of every measurement's own numbers
-
 	deaf := observe(eng).Counter("engine_rr_deaf_skipped_total")
-	closeStage := func(src measure.Agent, hop ipv4.Addr) {
-		reqs := []probe.Request{{Kind: measure.KindRR, VP: src, Dst: hop}}
+	closeStage := func(src measure.Agent, hop ipv4.Addr, salt uint64) {
+		reqs := []probe.Request{{Kind: measure.KindRR, VP: src, Dst: hop, Seq: salt}}
 		if pfx, ok := eng.F.Topo.BGPPrefixOf(hop); ok {
 			far, _ := eng.Verdicts(hop)
 			for _, si := range eng.Ingress.PlanFor(pfx, eng.Opts.VPSelection).Order {
 				if vp := eng.Sites[si]; vp.Addr != src.Addr && !slices.Contains(far, vp.Addr) && len(reqs) <= core.SpoofBatchSize {
-					reqs = append(reqs, probe.Request{Kind: measure.KindSpoofedRR, VP: vp, Src: src.Addr, Dst: hop})
+					reqs = append(reqs, probe.Request{Kind: measure.KindSpoofedRR, VP: vp, Src: src.Addr, Dst: hop, Seq: salt})
 				}
 			}
-		}
-		for i := range reqs {
-			seq++
-			reqs[i].Seq = seq
 		}
 		// The direct probe and the round's lead, then its hedges if neither
 		// revealed: the round as the engine sends it.
@@ -89,7 +83,7 @@ func deafDifferential(t *testing.T, eng *core.Engine, pairs []srcDst) deafStats 
 		mm.SetSink(func(ev stream.Event) {
 			if ev.Kind == stream.KindFallback && deaf.Value() != seen {
 				seen = deaf.Value()
-				closeStage(pr.src.Agent, mm.Cursor())
+				closeStage(pr.src.Agent, mm.Cursor(), mm.Salt())
 			}
 		})
 		for p := mm.Next(); p != nil; p = mm.Next() {

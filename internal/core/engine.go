@@ -181,14 +181,15 @@ func (e *Engine) SetLogger(l *slog.Logger) { e.logger = l }
 
 // mctx is one measurement's probing context: the caller's context
 // (deadline and cancellation are checked between Fig 2 stages), the
-// per-measurement probe tally, and the deterministic sequence counter
-// probe identities derive from. Keeping the tally here — rather than
-// diffing a shared prober's counters — is what lets measurements share
-// one pool without blurring each other's budgets.
+// per-measurement probe tally, and the salt every probe of the measurement
+// carries (measure.Spec.Seq): a hash of its source and destination, so
+// that its packets are not another measurement's. Keeping the tally here —
+// rather than diffing a shared prober's counters — is what lets
+// measurements share one pool without blurring each other's budgets.
 type mctx struct {
 	ctx   context.Context
 	count measure.Counters
-	seq   uint64
+	salt  uint64
 	// dead is the set of vantage points observed blacked out during this
 	// measurement. It is per-measurement (not shared engine state) so the
 	// failover decisions stay deterministic: a VP is skipped only after
@@ -208,20 +209,6 @@ func (m *mctx) markDead(a ipv4.Addr) {
 	m.dead[a] = true
 }
 
-// next allocates the next probe sequence number.
-func (m *mctx) next() uint64 {
-	m.seq++
-	return m.seq
-}
-
-// reserve allocates a contiguous block of n sequence numbers and returns
-// the base (used by traceroutes, one number per TTL).
-func (m *mctx) reserve(n int) uint64 {
-	base := m.seq
-	m.seq += uint64(n)
-	return base
-}
-
 // MeasureReverse measures the reverse path from dst back to src,
 // implementing the Fig 2 control flow. It is a thin run-to-completion
 // wrapper over the resumable state machine (Begin/Next/Deliver): the
@@ -238,7 +225,7 @@ func (e *Engine) MeasureReverse(ctx context.Context, src Source, dst ipv4.Addr) 
 // MeasureReverseStream is MeasureReverse with a progress-event sink:
 // the machine emits typed events (started, hop reveals, fallbacks, the
 // terminal status) synchronously on the caller's goroutine as it
-// advances. The emitted sequence — kinds, hops, per-measurement
+// advances. The emitted sequence — kinds, hops, per-measurement event
 // sequence numbers, virtual timestamps — is bit-identical to the one
 // MeasureAsyncStream emits for the same seed. A nil sink measures
 // silently.

@@ -33,6 +33,11 @@ func (mm *Machine) Booked() (probes measure.Counters, durationUS int64, spoofBat
 // hop event's sink call it is still the hop the adoption was made at.
 func (mm *Machine) Cursor() ipv4.Addr { return mm.cur }
 
+// Salt exposes the salt every probe of the measurement carries
+// (measure.Spec.Seq): a test that sends a probe the machine did not sends
+// the very packet it would have.
+func (mm *Machine) Salt() uint64 { return mm.m.salt }
+
 // RevDist exposes the machine's reverse-distance estimate of its cursor
 // (negative: none).
 func (mm *Machine) RevDist() int { return mm.revDist }

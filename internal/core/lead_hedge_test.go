@@ -22,13 +22,12 @@ import (
 type roundStats struct{ pairs, leads, longer int }
 
 // roundDifferential measures pairs on eng, and every round whose lead
-// revealed and left hedges unsent has the test send those hedges, with
-// sequence numbers of its own, and compare the longest path they reveal
-// with the longest the round revealed.
+// revealed and left hedges unsent has the test send those hedges — the
+// Specs the engine held, salt included — and compare the longest path they
+// reveal with the longest the round revealed.
 func roundDifferential(eng *core.Engine, pairs []srcDst) roundStats {
 	st := roundStats{pairs: len(pairs)}
 	bg := context.Background()
-	seq := uint64(1) << 32 // clear of every measurement's own numbers
 	for _, pr := range pairs {
 		var hop ipv4.Addr
 		var unsent []probe.Request // the last round's hedges the engine did not send
@@ -38,10 +37,6 @@ func roundDifferential(eng *core.Engine, pairs []srcDst) roundStats {
 				return
 			}
 			longer := false
-			for i := range unsent {
-				seq++
-				unsent[i].Seq = seq
-			}
 			for _, rep := range eng.Pool.Do(bg, unsent).Replies {
 				longer = longer || rep.RR.Responded && len(core.ExtractReverse(rep.RR.Recorded, hop, eng.Alias)) > best
 			}

@@ -27,10 +27,10 @@ package core
 // same Pending.
 //
 // Determinism: a Machine never reads the wall clock or shared mutable
-// state besides the engine caches; probe identities derive from the
-// per-measurement sequence counter exactly as in the blocking engine,
-// so the suspension points — and Clone/resume at any of them — cannot
-// change replies, counters, or hops (TestResumeBitIdentity).
+// state besides the engine caches; a probe's identity is what it is and
+// the measurement's salt, exactly as in the blocking engine, so the
+// suspension points — and Clone/resume at any of them — cannot change
+// replies, counters, or hops (TestResumeBitIdentity).
 import (
 	"context"
 	"maps"
@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"revtr/internal/core/segments"
+	"revtr/internal/detrand"
 	"revtr/internal/ingress"
 	"revtr/internal/ip2as"
 	"revtr/internal/measure"
@@ -58,9 +59,9 @@ const (
 )
 
 // Pending describes the probe work a suspended Machine is waiting on.
-// The requests (or the traceroute's sequence base) were already
-// allocated from the measurement's sequence counter, so executing a
-// Pending is deterministic no matter when or on which goroutine it runs.
+// The requests (or the traceroute) carry the measurement's salt, so
+// executing a Pending is deterministic no matter when or on which
+// goroutine it runs.
 type Pending struct {
 	Kind PendingKind
 
@@ -79,12 +80,13 @@ type Pending struct {
 	// probing begins at (measure.RunTraceroute; stepSym chooses it), fixed
 	// here so every way of executing the Pending — blocking, from a pool
 	// callback, on a clone — sends the same packets. A chain step's Prev is
-	// the traceroute it continues below its hop at Start (stepSym).
-	Agent   measure.Agent
-	Dst     ipv4.Addr
-	SeqBase uint64
-	Start   int
-	Prev    *measure.TracerouteResult
+	// the traceroute it continues below its hop at Start (stepSym). Salt
+	// is the measurement's (measure.Spec.Seq).
+	Agent measure.Agent
+	Dst   ipv4.Addr
+	Salt  uint64
+	Start int
+	Prev  *measure.TracerouteResult
 }
 
 // Delivery carries the completion of a Pending back into the machine.
@@ -250,7 +252,7 @@ func (e *Engine) Begin(ctx context.Context, src Source, dst ipv4.Addr) *Machine 
 		e:   e,
 		src: src,
 		dst: dst,
-		m:   mctx{ctx: ctx},
+		m:   mctx{ctx: ctx, salt: detrand.Mix64(uint64(src.Agent.Addr)<<32 | uint64(dst))},
 		res: &Result{
 			Src:  src.Agent.Addr,
 			Dst:  dst,
@@ -677,14 +679,14 @@ type rrAction uint8
 
 const (
 	rrDirect        rrAction = iota // send the direct probe
-	rrSkip                          // skip it as out of range, burning its sequence number
+	rrSkip                          // skip it as out of range
 	rrBatch                         // send the sweep's next round (stepSpoofNext)
 	rrHedges                        // send the hedges a round's lead left held (onSpoofBatch)
 	rrCached                        // the RR cache answered, an empty entry included
 	rrDeaf                          // the source's atlas heard no RR reply from the cursor's AS
 	rrRevealed                      // a probe revealed reverse hops
 	rrSilentVerdict                 // the direct probe unanswered, the cache's verdict silent
-	rrSurveySilent                  // the same, only the survey silent: first batch built and burnt
+	rrSurveySilent                  // the same, only the survey silent
 	rrExhausted                     // no vantage point left in the plan
 	rrBudget                        // MaxSpoofVPs vantage points tried
 	rrSilentBatch                   // the direct probe and a whole round unanswered
@@ -770,9 +772,7 @@ func (mm *Machine) runRR() {
 	act := st.next(e.Opts.MaxSpoofVPs)
 	if act == rrSkip {
 		// Record Route's nine slots fill before the reverse path begins (§4.3).
-		// The probe keeps its sequence number: later packets are as behind it.
 		e.metrics.directRRSkipped.Inc()
-		mm.m.next()
 		st.sent = e.Pool.CanSend(mm.src.Agent.Addr)
 		mm.passDirect()
 		act = st.next(e.Opts.MaxSpoofVPs)
@@ -780,7 +780,7 @@ func (mm *Machine) runRR() {
 	mm.ph = phAfterRR
 	switch act {
 	case rrDirect:
-		mm.suspendProbes([]probe.Request{{Kind: measure.KindRR, VP: mm.src.Agent, Dst: mm.cur, Seq: mm.m.next()}}, false, phRRWait)
+		mm.suspendProbes([]probe.Request{{Kind: measure.KindRR, VP: mm.src.Agent, Dst: mm.cur, Seq: mm.m.salt}}, false, phRRWait)
 	case rrBatch:
 		mm.ph = phSpoofNext
 	case rrHedges:
@@ -798,8 +798,8 @@ func (mm *Machine) runRR() {
 		}
 	case rrSilentVerdict, rrSurveySilent:
 		e.metrics.spoofSweepsUnresponsive.Inc()
-		// Only the survey knew: the first batch is built and burnt, and the
-		// verdict shared, as if it had gone out.
+		// Only the survey knew: the verdict is shared as if the first round
+		// had gone out, where there is one to send.
 		if act == rrSurveySilent && len(mm.nextBatch()) > 0 {
 			mm.shareVerdicts(nil, true)
 		}
@@ -894,7 +894,7 @@ func (mm *Machine) nextBatch() []probe.Request {
 		}
 		reqs = append(reqs, probe.Request{
 			Kind: measure.KindSpoofedRR, VP: site,
-			Src: src.Agent.Addr, Dst: cur, Seq: mm.m.next(),
+			Src: src.Agent.Addr, Dst: cur, Seq: mm.m.salt,
 		})
 	}
 	return reqs
@@ -1076,7 +1076,7 @@ func (mm *Machine) stepTSNext() {
 		t.n++
 		t.adj = adj
 		mm.suspendProbes([]probe.Request{
-			{Kind: measure.KindTS, VP: mm.src.Agent, Dst: cur, Prespec: []ipv4.Addr{cur, adj}, Seq: mm.m.next()},
+			{Kind: measure.KindTS, VP: mm.src.Agent, Dst: cur, Prespec: []ipv4.Addr{cur, adj}, Seq: mm.m.salt},
 		}, false, phTSDirectWait)
 		return
 	}
@@ -1097,7 +1097,7 @@ func (mm *Machine) onTSDirect(b probe.Batch) {
 			}
 			mm.suspendProbes([]probe.Request{
 				{Kind: measure.KindSpoofedTS, VP: site, Src: src.Agent.Addr, Dst: cur,
-					Prespec: []ipv4.Addr{cur, t.adj}, Seq: mm.m.next()},
+					Prespec: []ipv4.Addr{cur, t.adj}, Seq: mm.m.salt},
 			}, true, phTSSpoofWait)
 			return
 		}
@@ -1152,8 +1152,7 @@ func (mm *Machine) tsDone(next ipv4.Addr) {
 // below the hop (measure.ContinueTraceroute; toward the hop itself when it
 // came out of the cache), sending only the TTLs not yet probed. When none
 // is, it suspends all the same, on a Pending that sends nothing, so that no
-// Next runs two stages; and it reserves a sequence block, so that later
-// probes keep the numbers they had before chain steps.
+// Next runs two stages.
 func (mm *Machine) stepSym() {
 	e, src, cur := mm.e, mm.src, mm.cur
 	if e.Opts.UseCache {
@@ -1163,7 +1162,7 @@ func (mm *Machine) stepSym() {
 			return
 		}
 	}
-	p := &Pending{Kind: PendingTraceroute, Agent: src.Agent, Dst: cur, SeqBase: mm.m.reserve(measure.MaxTracerouteTTL), Start: 1}
+	p := &Pending{Kind: PendingTraceroute, Agent: src.Agent, Dst: cur, Salt: mm.m.salt, Start: 1}
 	dist := mm.distance()
 	met, memo := mm.metTTL()
 	switch {
@@ -1171,7 +1170,7 @@ func (mm *Machine) stepSym() {
 		e.metrics.tracerouteChainSteps.Inc()
 		p.Start, p.Prev = mm.symTTL, &mm.symTr
 		if q := mm.symFrom; q != nil {
-			p.Dst, p.SeqBase = q.Dst, q.SeqBase
+			p.Dst = q.Dst
 		}
 	case memo:
 		e.metrics.tracerouteMemoStarts.Inc()
@@ -1303,7 +1302,7 @@ func (mm *Machine) classifyTraceroute() {
 // machines by hand at chosen suspension points.
 func (e *Engine) ExecPending(ctx context.Context, p *Pending) Delivery {
 	if p.Kind == PendingTraceroute {
-		tr, sent := e.Pool.Traceroute(ctx, p.Agent, p.Dst, p.SeqBase, p.Start, p.Prev, e.inAS)
+		tr, sent := e.Pool.Traceroute(ctx, p.Agent, p.Dst, p.Salt, p.Start, p.Prev, e.inAS)
 		return Delivery{Tr: tr, TrSent: sent}
 	}
 	return Delivery{Batch: e.Pool.Do(ctx, p.Reqs)}
@@ -1358,7 +1357,7 @@ func (e *Engine) driveAsync(mm *Machine, d *Delivery, done func(*Result)) {
 		return
 	}
 	if p.Kind == PendingTraceroute {
-		e.Pool.GoTraceroute(mm.Context(), p.Agent, p.Dst, p.SeqBase, p.Start, p.Prev, e.inAS, func(tr measure.TracerouteResult, sent int) {
+		e.Pool.GoTraceroute(mm.Context(), p.Agent, p.Dst, p.Salt, p.Start, p.Prev, e.inAS, func(tr measure.TracerouteResult, sent int) {
 			e.driveAsync(mm, &Delivery{Tr: tr, TrSent: sent}, done)
 		})
 		return

@@ -63,8 +63,7 @@ func planRangeDifferential(eng *core.Engine, pairs []srcDst) rangeStats {
 	reg := observe(eng)
 	skipped, unresp := reg.Counter("engine_rr_direct_skipped_total"), reg.Counter("engine_spoof_sweeps_unresponsive_total")
 	st := rangeStats{pairs: len(pairs)}
-	seq := uint64(1) << 32 // clear of every measurement's own numbers
-	swept := func(src, hop ipv4.Addr, batched bool) {
+	swept := func(src, hop ipv4.Addr, salt uint64, batched bool) {
 		pfx, ok := eng.F.Topo.BGPPrefixOf(hop)
 		if !ok {
 			return
@@ -78,9 +77,8 @@ func planRangeDifferential(eng *core.Engine, pairs []srcDst) rangeStats {
 			if vp.Addr == src {
 				continue
 			}
-			seq++
 			rep := eng.Pool.Do(context.Background(), []probe.Request{
-				{Kind: measure.KindSpoofedRR, VP: vp, Src: src, Dst: hop, Seq: seq},
+				{Kind: measure.KindSpoofedRR, VP: vp, Src: src, Dst: hop, Seq: salt},
 			}).Replies[0]
 			st.sent++
 			if rep.RR.Responded {
@@ -97,7 +95,7 @@ func planRangeDifferential(eng *core.Engine, pairs []srcDst) rangeStats {
 			skipBefore, unrespBefore := skipped.Value(), unresp.Value()
 			p := mm.Next()
 			sweepOn := func(hop ipv4.Addr) {
-				swept(me, hop, p != nil && isSpoofSweep(p) && p.Reqs[0].Dst == hop)
+				swept(me, hop, mm.Salt(), p != nil && isSpoofSweep(p) && p.Reqs[0].Dst == hop)
 			}
 			if behind != 0 {
 				sweepOn(behind)

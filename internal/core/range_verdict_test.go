@@ -55,7 +55,6 @@ type verdictWatch struct {
 	t           *testing.T
 	eng         *core.Engine
 	far, unresp *obs.Counter
-	seq         uint64             // sequence numbers clear of every measurement's own
 	dead        map[ipv4.Addr]bool // vantage points seen blacked out: skipped, not dropped
 	st          verdictStats
 }
@@ -63,19 +62,18 @@ type verdictWatch struct {
 func newVerdictWatch(t *testing.T, eng *core.Engine) *verdictWatch {
 	reg := observe(eng)
 	return &verdictWatch{
-		t: t, eng: eng, seq: 1 << 32, dead: map[ipv4.Addr]bool{},
+		t: t, eng: eng, dead: map[ipv4.Addr]bool{},
 		far:    reg.Counter("engine_spoof_vps_out_of_range_total"),
 		unresp: reg.Counter("engine_spoof_sweeps_unresponsive_total"),
 	}
 }
 
 // send puts one spoofed RR probe on the wire as the engine would have —
-// same kind, vantage point, claimed source and target — and reads the
-// reply the engine's way.
-func (w *verdictWatch) send(vp measure.Agent, src, hop ipv4.Addr) (answered, revealed bool) {
-	w.seq++
+// same kind, vantage point, claimed source, target and salt — and reads
+// the reply the engine's way.
+func (w *verdictWatch) send(vp measure.Agent, src, hop ipv4.Addr, salt uint64) (answered, revealed bool) {
 	b := w.eng.Pool.Do(context.Background(), []probe.Request{
-		{Kind: measure.KindSpoofedRR, VP: vp, Src: src, Dst: hop, Seq: w.seq},
+		{Kind: measure.KindSpoofedRR, VP: vp, Src: src, Dst: hop, Seq: salt},
 	})
 	rr := b.Replies[0].RR
 	return rr.Responded, rr.Responded && len(core.ExtractReverse(rr.Recorded, hop, w.eng.Alias)) > 0
@@ -151,7 +149,7 @@ func (w *verdictWatch) measure(src core.Source, dst ipv4.Addr) *core.Result {
 		}
 		for _, vp := range dropped {
 			w.st.slots++
-			answered, revealed := w.send(vp, me, hop)
+			answered, revealed := w.send(vp, me, hop, mm.Salt())
 			w.st.slotAnswered += btoi(answered)
 			w.st.slotRevealed += btoi(revealed)
 		}
@@ -176,7 +174,7 @@ func (w *verdictWatch) measure(src core.Source, dst ipv4.Addr) *core.Result {
 					continue
 				}
 				sent++
-				a, r := w.send(vp, me, hop)
+				a, r := w.send(vp, me, hop, mm.Salt())
 				answered, revealed = answered || a, revealed || r
 			}
 			w.st.stageAnswered += btoi(answered)

@@ -29,13 +29,11 @@ import (
 type skipStats struct{ pairs, skips, answered, revealed int }
 
 // skipDifferential measures pairs on eng, and every time it skips a direct
-// probe the test sends that probe itself: same kind, source and target, a
-// sequence number of the test's own, through the engine's pool.
+// probe the test sends that probe itself — the Spec the engine skipped,
+// salt included — through the engine's pool.
 func skipDifferential(t *testing.T, eng *core.Engine, pairs []srcDst) skipStats {
 	st := skipStats{pairs: len(pairs)}
 	bg := context.Background()
-	seq := uint64(1) << 32 // clear of every measurement's own numbers
-
 	skipped := observe(eng).Counter("engine_rr_direct_skipped_total")
 	for _, pr := range pairs {
 		mm := eng.Begin(bg, pr.src, pr.dst)
@@ -49,8 +47,7 @@ func skipDifferential(t *testing.T, eng *core.Engine, pairs []srcDst) skipStats 
 				if p != nil && isSpoofSweep(p) {
 					hop = p.Reqs[0].Dst
 				}
-				seq++
-				rr := eng.Pool.Do(bg, []probe.Request{{Kind: measure.KindRR, VP: pr.src.Agent, Dst: hop, Seq: seq}}).Replies[0].RR
+				rr := eng.Pool.Do(bg, []probe.Request{{Kind: measure.KindRR, VP: pr.src.Agent, Dst: hop, Seq: mm.Salt()}}).Replies[0].RR
 				st.skips++
 				st.answered += btoi(rr.Responded)
 				st.revealed += btoi(rr.Responded && len(core.ExtractReverse(rr.Recorded, hop, eng.Alias)) > 0)

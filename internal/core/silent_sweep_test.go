@@ -43,11 +43,11 @@ func isDirectRR(p *core.Pending) bool {
 
 // replayRemainder sends what a sweep that ended at round did not: the
 // rest of the ingress plan up to the MaxSpoofVPs budget, in rounds, with
-// the requests the engine would have built but sequence numbers of the
-// test's own. It reports whether any reply came back at all and whether
-// any would have revealed a reverse hop.
-func replayRemainder(eng *core.Engine, round []probe.Request, seq *uint64) (answered, revealed bool) {
-	src, cur := round[0].Src, round[0].Dst
+// the requests the engine would have built, salt included. It reports
+// whether any reply came back at all and whether any would have revealed a
+// reverse hop.
+func replayRemainder(eng *core.Engine, round []probe.Request) (answered, revealed bool) {
+	src, cur, salt := round[0].Src, round[0].Dst, round[0].Seq
 	tried := map[ipv4.Addr]bool{src: true}
 	for _, r := range round {
 		tried[r.VP.Addr] = true
@@ -59,8 +59,7 @@ func replayRemainder(eng *core.Engine, round []probe.Request, seq *uint64) (answ
 		if tried[site.Addr] || len(round)+len(rest) >= eng.Opts.MaxSpoofVPs {
 			continue
 		}
-		*seq++
-		rest = append(rest, probe.Request{Kind: measure.KindSpoofedRR, VP: site, Src: src, Dst: cur, Seq: *seq})
+		rest = append(rest, probe.Request{Kind: measure.KindSpoofedRR, VP: site, Src: src, Dst: cur, Seq: salt})
 	}
 	for len(rest) > 0 {
 		n := min(core.SpoofBatchSize, len(rest))
@@ -119,11 +118,10 @@ func sweepsEnded(eng *core.Engine, silent *obs.Counter, src core.Source, dst ipv
 func silentDifferential(eng *core.Engine, pairs []srcDst) sweepStats {
 	silent := observe(eng).Counter("engine_spoof_sweeps_silent_total")
 	st := sweepStats{pairs: len(pairs)}
-	seq := uint64(1) << 32 // clear of every measurement's own numbers
 	for _, pr := range pairs {
 		sweepsEnded(eng, silent, pr.src, pr.dst, func(round []probe.Request) {
 			st.ended++
-			answered, revealed := replayRemainder(eng, round, &seq)
+			answered, revealed := replayRemainder(eng, round)
 			if answered {
 				st.answered++
 			}

@@ -26,9 +26,10 @@ type surveyStats struct{ pairs, closed, answered, revealed int }
 // sendUnsent puts on the wire the round a sweep on hop would have opened
 // with — the first SpoofBatchSize vantage points of its plan, less the
 // source and those out of range of hop, the hedges only if the lead reveals
-// nothing — with sequence numbers of the test's own, and reads the replies
-// the engine's way. sent is false where the plan left no round to send.
-func sendUnsent(eng *core.Engine, src measure.Agent, hop ipv4.Addr, seq *uint64) (sent, answered, revealed bool) {
+// nothing — salted with salt, as the engine's would have been — and reads
+// the replies the engine's way. sent is false where the plan left no round
+// to send.
+func sendUnsent(eng *core.Engine, src measure.Agent, hop ipv4.Addr, salt uint64) (sent, answered, revealed bool) {
 	pfx, ok := eng.F.Topo.BGPPrefixOf(hop)
 	if !ok {
 		return false, false, false
@@ -40,8 +41,7 @@ func sendUnsent(eng *core.Engine, src measure.Agent, hop ipv4.Addr, seq *uint64)
 		if site.Addr == src.Addr || slices.Contains(far, site.Addr) || len(batch) == core.SpoofBatchSize {
 			continue
 		}
-		*seq++
-		batch = append(batch, probe.Request{Kind: measure.KindSpoofedRR, VP: site, Src: src.Addr, Dst: hop, Seq: *seq})
+		batch = append(batch, probe.Request{Kind: measure.KindSpoofedRR, VP: site, Src: src.Addr, Dst: hop, Seq: salt})
 	}
 	if len(batch) == 0 {
 		return false, false, false
@@ -57,7 +57,6 @@ func sendUnsent(eng *core.Engine, src measure.Agent, hop ipv4.Addr, seq *uint64)
 func surveyDifferential(eng *core.Engine, pairs []srcDst) surveyStats {
 	st := surveyStats{pairs: len(pairs)}
 	bg := context.Background()
-	seq := uint64(1) << 32 // clear of every measurement's own numbers
 	closed := observe(eng).Counter("engine_spoof_sweeps_unresponsive_total")
 	for _, pr := range pairs {
 		mm := eng.Begin(bg, pr.src, pr.dst)
@@ -70,7 +69,7 @@ func surveyDifferential(eng *core.Engine, pairs []srcDst) surveyStats {
 			before := closed.Value()
 			mm.Deliver(d)
 			if closed.Value() != before && !proved {
-				sent, answered, revealed := sendUnsent(eng, pr.src.Agent, p.Reqs[0].Dst, &seq)
+				sent, answered, revealed := sendUnsent(eng, pr.src.Agent, p.Reqs[0].Dst, p.Reqs[0].Seq)
 				st.closed += btoi(sent)
 				st.answered += btoi(answered)
 				st.revealed += btoi(revealed)

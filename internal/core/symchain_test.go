@@ -67,8 +67,8 @@ func ttlOf(tr measure.TracerouteResult, hop ipv4.Addr) int {
 // TestSymmetryChainStart drives measurements that chain symmetry
 // assumptions (symAlways) by hand and checks every traceroute Pending.
 // One at a hop a symmetry assumption just adopted is a chain step: it
-// continues the traceroute that hop was read off — its target and sequence
-// block, Prev its result — below Start = the TTL the hop answered it at.
+// continues the traceroute that hop was read off — toward its target, Prev
+// its result — below Start = the TTL the hop answered it at.
 // That holds also when that traceroute came out of the engine cache (each
 // destination is first measured up to its first symmetry adoption and
 // abandoned, so the full measurement that follows reads it from the
@@ -115,8 +115,8 @@ func TestSymmetryChainStart(t *testing.T) {
 									if p.Prev == nil || !reflect.DeepEqual(*p.Prev, read) || p.Start != want {
 										t.Fatalf("%s: chain step at %s, adopted off the traceroute at %s at TTL %d: start %d, continues %v", dst, s.lastSym, s.readOff, want, p.Start, p.Prev != nil)
 									}
-									if r := measured[s.readOff]; r != nil && (p.Dst != r.Dst || p.SeqBase != r.SeqBase) {
-										t.Fatalf("%s: chain step toward %s from seq %d continues the traceroute toward %s from seq %d", dst, p.Dst, p.SeqBase, r.Dst, r.SeqBase)
+									if r := measured[s.readOff]; r != nil && p.Dst != r.Dst {
+										t.Fatalf("%s: chain step toward %s continues the traceroute toward %s", dst, p.Dst, r.Dst)
 									} else if r == nil && p.Dst != s.lastSym {
 										t.Fatalf("%s: chain step off a cached traceroute goes toward %s, not the hop %s", dst, p.Dst, s.lastSym)
 									}
@@ -320,14 +320,13 @@ func lastLink(tr measure.TracerouteResult, cur ipv4.Addr, m ip2as.Mapper) (ipv4.
 
 // TestChainStepDifferential prices the chain step. At each one the test
 // also sends what the symmetry stage sent there before it: a traceroute to
-// the adopted hop itself, from one TTL below where the hop answered, with
-// sequence numbers of the test's own. On clean plans the step must find
-// that traceroute's penultimate hop in 97 % of the steps and its last
-// link's intra/inter class in 99 %; the faulty plans are reported.
+// the adopted hop itself, from one TTL below where the hop answered, salted
+// as the stage's would have been. On clean plans the step must find that
+// traceroute's penultimate hop in 97 % of the steps and its last link's
+// intra/inter class in 99 %; the faulty plans are reported.
 func TestChainStepDifferential(t *testing.T) {
 	t.Logf("%-14s %6s %6s %11s %10s", "plan", "pairs", "steps", "same penult", "same class")
 	var clean chainStats
-	seq := uint64(1) << 32 // clear of every measurement's own numbers
 	run := func(name string, isClean bool, eng *core.Engine, pairs []srcDst) {
 		var st chainStats
 		bg := context.Background()
@@ -337,8 +336,7 @@ func TestChainStepDifferential(t *testing.T) {
 				d := eng.ExecPending(mm.Context(), p)
 				if p.Prev != nil && len(d.Tr.Hops) > 0 {
 					cur := mm.Cursor()
-					seq += measure.MaxTracerouteTTL
-					hop, _ := eng.Pool.Traceroute(bg, p.Agent, cur, seq, p.Start-1, nil, nil)
+					hop, _ := eng.Pool.Traceroute(bg, p.Agent, cur, p.Salt, p.Start-1, nil, nil)
 					gotPenult, gotClass := lastLink(d.Tr, cur, eng.Mapper)
 					wantPenult, wantClass := lastLink(hop, cur, eng.Mapper)
 					st.steps++

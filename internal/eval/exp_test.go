@@ -144,11 +144,9 @@ func TestExperimentOutputMentionsPaper(t *testing.T) {
 // TestVPSelIsSeedFunction: Fig 6 and Table 5 are a function of the scale
 // and its seed. Two fresh deployments — the caches emptied before each —
 // probe every technique's plans through probers of their own, and every
-// distribution behind a row holds the same samples: the held-out prefixes
-// and the techniques go out in a fixed order, so each probe carries the
-// same sequence number through the same per-packet balancers. Small scale
-// in the medium world — 1000 ASes, 30 sites: in the 300-AS world of 12
-// sites the order does not show.
+// distribution behind a row holds the same samples: a probe's packet is its
+// content, so each probe takes the same way through the same per-packet
+// balancers. Small scale in the medium world — 1000 ASes, 30 sites.
 func TestVPSelIsSeedFunction(t *testing.T) {
 	s := SmallScale()
 	s.ASes, s.Sites = 1000, 30

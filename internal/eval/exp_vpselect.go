@@ -93,8 +93,8 @@ func runVPSel(s Scale) *vpselData {
 	v.nPrefixes = len(v.evalDst)
 
 	// Indexed by Selection and probed in this order, prefix by prefix in
-	// address order: the shared prober's sequence numbers steer per-packet
-	// balancers, so the order is part of the result.
+	// address order. A probe's packet is its content, so the order steers
+	// no per-packet balancer.
 	techniques := [...]string{
 		ingress.SelIngress:  "ingress (revtr2.0)",
 		ingress.SelSetCover: "revtr1.0 set-cover",

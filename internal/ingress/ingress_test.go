@@ -120,19 +120,17 @@ func TestSurveySilence(t *testing.T) {
 // TestResurveyIsFresh: a survey replaces everything the last one found. A
 // service that surveyed every prefix and then a quarter of them answers
 // like a fresh service that surveyed only the quarter: the same per-prefix
-// products, rankings and silent destinations. A probe's sequence number
-// picks its way through per-packet balancers, so each quarter survey goes
-// out through a prober of its own, from the same first number.
+// products, rankings and silent destinations. A probe's packet is its
+// content, so both go out through the one prober: what the first survey
+// sent does not change what the second one's probes meet.
 func TestResurveyIsFresh(t *testing.T) {
 	env := simtest.New(t, 300, 6)
 	prefixes, dests := announced(env)
 	quarter := prefixes[:len(prefixes)/4]
-	newProber := func() *measure.Prober { return measure.NewProberWithClock(env.Fabric, measure.NewClock()) }
 	again := ingress.NewService(env.Prober, env.Sites, ingress.AllHeuristics, 6)
 	again.Survey(prefixes, dests)
-	again.Prober = newProber()
 	again.Survey(quarter, dests)
-	fresh := ingress.NewService(newProber(), env.Sites, ingress.AllHeuristics, 6)
+	fresh := ingress.NewService(env.Prober, env.Sites, ingress.AllHeuristics, 6)
 	fresh.Survey(quarter, dests)
 
 	if len(again.Info) != len(fresh.Info) || !reflect.DeepEqual(again.Info, fresh.Info) {

@@ -99,16 +99,16 @@ func (c Counters) Sub(other Counters) Counters {
 
 // Prober issues probes serially on a fabric: a convenience wrapper over
 // the pure Spec/Issue path for background services (atlas building,
-// ingress surveys) and evaluation code. It is not safe for concurrent
-// use — concurrent measurement probing goes through probe.Pool, which
-// shares the same Clock.
+// ingress surveys) and evaluation code. Its probes carry salt 0, so a
+// probe's packet is the same whatever the prober sent before it. It is
+// not safe for concurrent use (Count) — concurrent measurement probing
+// goes through probe.Pool, which shares the same Clock.
 type Prober struct {
 	F *fabric.Fabric
 	// Count accumulates packets sent.
 	Count Counters
 
 	clock *Clock
-	seq   uint64
 }
 
 // NewProberWithClock creates a prober sharing an existing clock (one
@@ -128,12 +128,6 @@ func (p *Prober) Advance(us int64) { p.clock.Advance(us) }
 
 // SetNow sets the virtual clock.
 func (p *Prober) SetNow(us int64) { p.clock.Set(us) }
-
-// next allocates the next probe sequence number.
-func (p *Prober) next() uint64 {
-	p.seq++
-	return p.seq
-}
 
 // replyTo extracts the first delivery addressed to addr.
 func replyTo(res *fabric.Result, addr ipv4.Addr) (*fabric.Delivery, bool) {
@@ -158,7 +152,7 @@ type PingResult struct {
 // Ping sends one echo request from agent a to dst.
 func (p *Prober) Ping(a Agent, dst ipv4.Addr) PingResult {
 	p.Count.Ping++
-	return Issue(p.F, Spec{Kind: KindPing, VP: a, Dst: dst, Seq: p.next()}, p.clock.Now()).Ping
+	return Issue(p.F, Spec{Kind: KindPing, VP: a, Dst: dst}, p.clock.Now()).Ping
 }
 
 // RRResult is the outcome of a Record Route ping.
@@ -190,7 +184,7 @@ func ReverseHops(ttl uint8) int {
 // agent a to dst. The reply (if any) is received at a.
 func (p *Prober) RRPing(a Agent, dst ipv4.Addr) RRResult {
 	p.Count.RR++
-	return Issue(p.F, Spec{Kind: KindRR, VP: a, Dst: dst, Seq: p.next()}, p.clock.Now()).RR
+	return Issue(p.F, Spec{Kind: KindRR, VP: a, Dst: dst}, p.clock.Now()).RR
 }
 
 // SpoofedRRPing sends an RR echo request to dst from vantage point vp,
@@ -202,7 +196,7 @@ func (p *Prober) SpoofedRRPing(vp Agent, src ipv4.Addr, dst ipv4.Addr) RRResult 
 		return RRResult{}
 	}
 	p.Count.SpoofRR++
-	return Issue(p.F, Spec{Kind: KindSpoofedRR, VP: vp, Src: src, Dst: dst, Seq: p.next()}, p.clock.Now()).RR
+	return Issue(p.F, Spec{Kind: KindSpoofedRR, VP: vp, Src: src, Dst: dst}, p.clock.Now()).RR
 }
 
 // TSResult is the outcome of a tsprespec Timestamp ping.
@@ -218,7 +212,7 @@ type TSResult struct {
 // addresses (at most 4) from a to dst.
 func (p *Prober) TSPing(a Agent, dst ipv4.Addr, prespec []ipv4.Addr) TSResult {
 	p.Count.TS++
-	return Issue(p.F, Spec{Kind: KindTS, VP: a, Dst: dst, Prespec: prespec, Seq: p.next()}, p.clock.Now()).TS
+	return Issue(p.F, Spec{Kind: KindTS, VP: a, Dst: dst, Prespec: prespec}, p.clock.Now()).TS
 }
 
 // TracerouteHop is one hop of a traceroute.
@@ -270,8 +264,7 @@ func (p *Prober) Traceroute(a Agent, dst ipv4.Addr) TracerouteResult {
 // responsive hop stop holds (RunTraceroute's stop set): the atlas's
 // Doubletree sweep, which needs no hop past one it already has.
 func (p *Prober) TracerouteUntil(a Agent, dst ipv4.Addr, stop func(ipv4.Addr) bool) TracerouteResult {
-	tr, sent := RunTraceroute(p.F, a, dst, p.clock.Now(), p.seq, 1, stop)
-	p.seq += MaxTracerouteTTL
+	tr, sent := RunTraceroute(p.F, a, dst, p.clock.Now(), 0, 1, stop)
 	p.Count.Traceroute += uint64(sent)
 	return tr
 }

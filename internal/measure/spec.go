@@ -65,10 +65,12 @@ type Spec struct {
 	Prespec []ipv4.Addr
 	// TTL is the probe TTL (KindTraceroutePkt only).
 	TTL uint8
-	// Seq is the per-measurement sequence number the probe's ID and
-	// load-balancer nonce are derived from. Callers assign sequence
-	// numbers deterministically (a counter per measurement), so probe
-	// identities do not depend on execution order.
+	// Seq is the salt of the measurement the probe belongs to (0 for the
+	// background services' probes). The probe's ID and load-balancer nonce
+	// hash it with what the probe is (probeKey), so one measurement's two
+	// alike probes are one packet and two measurements' are not. It keeps
+	// the name of the sequence number it replaced: the benchmark module
+	// sets it.
 	Seq uint64
 }
 
@@ -139,12 +141,18 @@ func (r Reply) RTTUS() int64 {
 }
 
 // probeKey derives the probe's ICMP identifier and per-packet
-// load-balancer nonce as a pure function of (packet source, destination,
-// sequence, kind). Serial and concurrent execution therefore put
-// bit-identical packets on the wire.
+// load-balancer nonce from what the probe is — kind, vantage point, packet
+// source, destination, TTL, each prespecified address — and its salt
+// (Spec.Seq), as Paris traceroute makes a packet's path a function of its
+// header. No probe's identity depends on how many went before it, so
+// serial and concurrent execution put bit-identical packets on the wire,
+// and a probe not sent changes no other.
 func probeKey(sp Spec) (id uint16, nonce uint64) {
-	h := uint64(uint32(sp.src()))<<32 | uint64(uint32(sp.Dst))
-	h = detrand.Mix(h^uint64(sp.Kind)<<56, sp.Seq+1)
+	h := detrand.Mix(uint64(uint32(sp.src()))<<32|uint64(uint32(sp.Dst)), sp.Seq+1)
+	h = detrand.Mix(h, uint64(sp.Kind)<<40|uint64(sp.TTL)<<32|uint64(uint32(sp.VP.Addr)))
+	for _, a := range sp.Prespec {
+		h = detrand.Mix(h, uint64(uint32(a)))
+	}
 	return uint16(h >> 48), detrand.Mix64(h ^ 0xa5a5a5a55a5a5a5a)
 }
 
@@ -272,11 +280,9 @@ func issueTraceroutePkt(f *fabric.Fabric, sp Spec, nowUS int64) Reply {
 }
 
 // RunTraceroute is the pure Paris traceroute: one probe per TTL, the
-// probe at TTL t always carrying sequence number seqBase+t. Callers
-// reserve MaxTracerouteTTL sequence numbers so concurrent measurements
-// never collide. Returns the result and the number of probe packets
-// sent; a vantage point inside a blackout sends nothing and returns the
-// zero result.
+// probe at TTL t the one Spec of that TTL, salted with salt (Spec.Seq).
+// Returns the result and the number of probe packets sent; a vantage
+// point inside a blackout sends nothing and returns the zero result.
 //
 // start = 1 is the classic sweep: TTL 1, 2, … until the destination's
 // echo reply or four consecutive silent hops. A larger start probes a
@@ -309,8 +315,8 @@ func issueTraceroutePkt(f *fabric.Fabric, sp Spec, nowUS int64) Reply {
 // after the first responsive hop short of the destination that stop
 // holds, and says so in Stopped. A nil stop set, like a window, never
 // stops early.
-func RunTraceroute(f *fabric.Fabric, a Agent, dst ipv4.Addr, nowUS int64, seqBase uint64, start int, stop func(ipv4.Addr) bool) (TracerouteResult, int) {
-	base := Spec{Kind: KindTraceroutePkt, VP: a, Dst: dst, Seq: seqBase}
+func RunTraceroute(f *fabric.Fabric, a Agent, dst ipv4.Addr, nowUS int64, salt uint64, start int, stop func(ipv4.Addr) bool) (TracerouteResult, int) {
+	base := Spec{Kind: KindTraceroutePkt, VP: a, Dst: dst, Seq: salt}
 	return runTraceroute(base, start, stop, nil, func(sp Spec) Reply { return Issue(f, sp, nowUS) })
 }
 
@@ -323,7 +329,7 @@ type ttlReply struct {
 // ttlReplies holds the replies by TTL (index 0 unused), so the sweep
 // that takes over from a window reuses what the window saw.
 type ttlReplies struct {
-	base   Spec // the probe at TTL t is base with TTL = t and Seq += t
+	base   Spec // the probe at TTL t is base with TTL = t
 	issue  func(Spec) Reply
 	within func(hop, dst ipv4.Addr) bool // the window's climb rule; nil: one TTL at a time
 	got    [MaxTracerouteTTL + 1]ttlReply
@@ -344,7 +350,7 @@ func (r *ttlReplies) at(ttl int) *ttlReply {
 		return g
 	}
 	sp := r.base
-	sp.TTL, sp.Seq = uint8(ttl), sp.Seq+uint64(ttl)
+	sp.TTL = uint8(ttl)
 	rep := r.issue(sp)
 	*g = ttlReply{hop: rep.Hop, delivered: rep.Delivered, echo: rep.EchoReply}
 	r.probed |= 1 << ttl
@@ -432,14 +438,14 @@ func runTraceroute(base Spec, start int, stop func(ipv4.Addr) bool, within func(
 	return r.run(start, stop)
 }
 
-// ContinueTraceroute continues prev, a traceroute from a toward dst whose
-// probe at TTL t carried seqBase+t, below its hop at TTL top: that hop
+// ContinueTraceroute continues prev, a traceroute from a toward dst salted
+// with salt, below its hop at TTL top: that hop
 // stands for the destination, and the window walks down from it. Every TTL
 // prev probed is read, not sent again, and a packet sent is the one prev's
 // sweep sends at its TTL, on prev's path (Paris semantics). A nil prev is
 // RunTraceroute from top with no stop set and within as its climb rule.
-func ContinueTraceroute(f *fabric.Fabric, a Agent, dst ipv4.Addr, nowUS int64, seqBase uint64, prev *TracerouteResult, top int, within func(hop, dst ipv4.Addr) bool) (TracerouteResult, int) {
-	base := Spec{Kind: KindTraceroutePkt, VP: a, Dst: dst, Seq: seqBase}
+func ContinueTraceroute(f *fabric.Fabric, a Agent, dst ipv4.Addr, nowUS int64, salt uint64, prev *TracerouteResult, top int, within func(hop, dst ipv4.Addr) bool) (TracerouteResult, int) {
+	base := Spec{Kind: KindTraceroutePkt, VP: a, Dst: dst, Seq: salt}
 	return continueTraceroute(base, prev, top, within, func(sp Spec) Reply { return Issue(f, sp, nowUS) })
 }
 

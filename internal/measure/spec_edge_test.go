@@ -3,11 +3,13 @@ package measure
 // Internal (white-box) edge-case tests for the Spec codec: probe
 // identity derivation, per-kind counter deltas, and source resolution.
 // These pin down the determinism contract the concurrent probe layer
-// depends on — identical (src, dst, seq, kind) tuples MUST yield
-// identical probe IDs and nonces, and any change to one tuple element
+// depends on — two Specs alike in what the probe is (kind, VP address,
+// packet source, destination, TTL, prespecified addresses) and in salt
+// MUST yield identical probe IDs and nonces, and any change to one of them
 // must change the identity.
 
 import (
+	"slices"
 	"testing"
 
 	"revtr/internal/netsim/ipv4"
@@ -17,25 +19,26 @@ func TestProbeKeyDuplicateTuplesIdentical(t *testing.T) {
 	vp := Agent{Addr: ipv4.MustParseAddr("10.0.0.1"), CanSpoof: true}
 	src := ipv4.MustParseAddr("10.9.9.9")
 	dst := ipv4.MustParseAddr("10.1.2.3")
+	adj := ipv4.MustParseAddr("10.1.2.4")
 	specs := []Spec{
 		{Kind: KindPing, VP: vp, Dst: dst, Seq: 1},
 		{Kind: KindRR, VP: vp, Dst: dst, Seq: 7},
 		{Kind: KindSpoofedRR, VP: vp, Src: src, Dst: dst, Seq: 9},
-		{Kind: KindTS, VP: vp, Dst: dst, Prespec: []ipv4.Addr{dst}, Seq: 11},
-		{Kind: KindSpoofedTS, VP: vp, Src: src, Dst: dst, Seq: 13},
+		{Kind: KindTS, VP: vp, Dst: dst, Prespec: []ipv4.Addr{dst, adj}, Seq: 11},
+		{Kind: KindSpoofedTS, VP: vp, Src: src, Dst: dst, Prespec: []ipv4.Addr{dst, adj}, Seq: 13},
 		{Kind: KindTraceroutePkt, VP: vp, Dst: dst, TTL: 5, Seq: 15},
 	}
 	for _, sp := range specs {
 		id1, n1 := probeKey(sp)
-		// A copy with the same (src, dst, seq, kind) — even via a different
-		// VP router or prespec list — derives the identical identity.
+		// A copy alike in content and salt — built apart, its prespec list
+		// another slice, its VP another record of the same address —
+		// derives the identical identity.
 		cp := sp
-		cp.VP.Router = 42
-		cp.Prespec = nil
-		cp.TTL = 0
+		cp.VP = Agent{Addr: vp.Addr, Router: 42, Name: "other"}
+		cp.Prespec = slices.Clone(sp.Prespec)
 		id2, n2 := probeKey(cp)
 		if id1 != id2 || n1 != n2 {
-			t.Errorf("kind %v: duplicate tuple produced different identity: (%d,%d) vs (%d,%d)",
+			t.Errorf("kind %v: equal content and salt produced different identity: (%d,%d) vs (%d,%d)",
 				sp.Kind, id1, n1, id2, n2)
 		}
 	}
@@ -43,19 +46,29 @@ func TestProbeKeyDuplicateTuplesIdentical(t *testing.T) {
 
 func TestProbeKeyDistinguishesTuple(t *testing.T) {
 	vp := Agent{Addr: ipv4.MustParseAddr("10.0.0.1")}
+	site := Agent{Addr: ipv4.MustParseAddr("10.7.7.7")}
+	src := ipv4.MustParseAddr("10.5.5.5")
 	dst := ipv4.MustParseAddr("10.1.2.3")
-	base := Spec{Kind: KindRR, VP: vp, Dst: dst, Seq: 5}
-	_, n0 := probeKey(base)
-	variants := []Spec{
-		{Kind: KindTS, VP: vp, Dst: dst, Seq: 5},                                             // kind differs
-		{Kind: KindRR, VP: vp, Dst: dst, Seq: 6},                                             // seq differs
-		{Kind: KindRR, VP: vp, Dst: dst + 1, Seq: 5},                                         // dst differs
-		{Kind: KindRR, VP: Agent{Addr: vp.Addr + 1}, Dst: dst, Seq: 5},                       // src differs
-		{Kind: KindSpoofedRR, VP: vp, Src: ipv4.MustParseAddr("10.5.5.5"), Dst: dst, Seq: 5}, // spoofed src
-	}
-	for i, v := range variants {
-		if _, n := probeKey(v); n == n0 {
-			t.Errorf("variant %d: nonce collided with base", i)
+	adj := ipv4.MustParseAddr("10.1.2.4")
+	for _, tc := range []struct {
+		name       string
+		base, diff Spec
+	}{
+		{"kind", Spec{Kind: KindRR, VP: vp, Dst: dst, Seq: 5}, Spec{Kind: KindTS, VP: vp, Dst: dst, Seq: 5}},
+		{"salt", Spec{Kind: KindRR, VP: vp, Dst: dst, Seq: 5}, Spec{Kind: KindRR, VP: vp, Dst: dst, Seq: 6}},
+		{"dst", Spec{Kind: KindRR, VP: vp, Dst: dst, Seq: 5}, Spec{Kind: KindRR, VP: vp, Dst: dst + 1, Seq: 5}},
+		{"src", Spec{Kind: KindRR, VP: vp, Dst: dst, Seq: 5}, Spec{Kind: KindRR, VP: Agent{Addr: vp.Addr + 1}, Dst: dst, Seq: 5}},
+		{"spoofed src", Spec{Kind: KindSpoofedRR, VP: vp, Dst: dst, Seq: 5}, Spec{Kind: KindSpoofedRR, VP: vp, Src: src, Dst: dst, Seq: 5}},
+		// Two sites spoofing one source put the same header on the wire
+		// but are two probes.
+		{"VP", Spec{Kind: KindSpoofedRR, VP: vp, Src: src, Dst: dst, Seq: 5}, Spec{Kind: KindSpoofedRR, VP: site, Src: src, Dst: dst, Seq: 5}},
+		{"TTL", Spec{Kind: KindTraceroutePkt, VP: vp, Dst: dst, TTL: 7, Seq: 5}, Spec{Kind: KindTraceroutePkt, VP: vp, Dst: dst, TTL: 8, Seq: 5}},
+		{"prespec", Spec{Kind: KindTS, VP: vp, Dst: dst, Prespec: []ipv4.Addr{dst, adj}, Seq: 5},
+			Spec{Kind: KindTS, VP: vp, Dst: dst, Prespec: []ipv4.Addr{dst, adj + 1}, Seq: 5}},
+	} {
+		_, n0 := probeKey(tc.base)
+		if _, n := probeKey(tc.diff); n == n0 {
+			t.Errorf("%s: two probes differing only in it share a nonce", tc.name)
 		}
 	}
 }

@@ -12,12 +12,12 @@
 // less than handing it to another goroutine.
 //
 // Determinism contract: requests are measure.Specs, whose probe IDs and
-// load-balancer nonces are pure functions of (packet source, destination,
-// sequence). Do always issues every request of a batch at one virtual
-// instant (no intra-batch early exit), so the replies and counters of a
-// batch are bit-identical no matter how many workers the pool has or how
-// concurrent batches interleave — serial and concurrent runs of the same
-// measurement cannot diverge.
+// load-balancer nonces are pure functions of what the probe is and its
+// measurement's salt. Do always issues every request of a batch at one
+// virtual instant (no intra-batch early exit), so the replies and counters
+// of a batch are bit-identical no matter how many workers the pool has or
+// how concurrent batches interleave — serial and concurrent runs of the
+// same measurement cannot diverge.
 //
 // Cancellation contract: Do observes ctx between request launches. A
 // cancelled batch still returns the replies of every request already
@@ -292,20 +292,20 @@ func (p *Pool) issue(req Request, nowUS int64, pol RetryPolicy) (measure.Reply, 
 
 // Traceroute runs one pure Paris traceroute occupying a single worker
 // slot for its duration (a traceroute is inherently sequential: each
-// TTL's outcome decides whether to continue). seqBase reserves
-// measure.MaxTracerouteTTL sequence numbers; start is the TTL probing
-// begins at (measure.RunTraceroute: 1 walks the whole path, more probes
-// a window around its tail, climbing by within). A non-nil prev is
+// TTL's outcome decides whether to continue). salt is the measurement's
+// (measure.Spec.Seq); start is the TTL probing begins at
+// (measure.RunTraceroute: 1 walks the whole path, more probes a window
+// around its tail, climbing by within). A non-nil prev is
 // continued below its hop at start instead (measure.ContinueTraceroute).
 // Returns the zero result when ctx is already cancelled.
-func (p *Pool) Traceroute(ctx context.Context, a measure.Agent, dst ipv4.Addr, seqBase uint64, start int, prev *measure.TracerouteResult, within func(hop, dst ipv4.Addr) bool) (measure.TracerouteResult, int) {
+func (p *Pool) Traceroute(ctx context.Context, a measure.Agent, dst ipv4.Addr, salt uint64, start int, prev *measure.TracerouteResult, within func(hop, dst ipv4.Addr) bool) (measure.TracerouteResult, int) {
 	if ctx.Err() != nil {
 		return measure.TracerouteResult{}, 0
 	}
 	p.sem <- struct{}{}
 	defer func() { <-p.sem }()
 	p.inFlight.Add(1)
-	tr, sent := measure.ContinueTraceroute(p.F, a, dst, p.clock.Now(), seqBase, prev, start, within)
+	tr, sent := measure.ContinueTraceroute(p.F, a, dst, p.clock.Now(), salt, prev, start, within)
 	p.inFlight.Add(-1)
 	p.traceroute.Add(uint64(sent))
 	return tr, sent
@@ -330,9 +330,9 @@ func (p *Pool) Go(ctx context.Context, reqs []Request, pol RetryPolicy, done fun
 // discipline as Go.
 //
 //revtr:suspends queues the traceroute and parks the measurement until an executor resumes it
-func (p *Pool) GoTraceroute(ctx context.Context, a measure.Agent, dst ipv4.Addr, seqBase uint64, start int, prev *measure.TracerouteResult, within func(hop, dst ipv4.Addr) bool, done func(measure.TracerouteResult, int)) {
+func (p *Pool) GoTraceroute(ctx context.Context, a measure.Agent, dst ipv4.Addr, salt uint64, start int, prev *measure.TracerouteResult, within func(hop, dst ipv4.Addr) bool, done func(measure.TracerouteResult, int)) {
 	p.submit(func() {
-		tr, sent := p.Traceroute(ctx, a, dst, seqBase, start, prev, within)
+		tr, sent := p.Traceroute(ctx, a, dst, salt, start, prev, within)
 		done(tr, sent)
 	})
 }

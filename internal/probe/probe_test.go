@@ -14,24 +14,23 @@ import (
 
 // buildRequests assembles a mixed batch over env: direct pings, RR pings,
 // spoofed RR from every site (spoof-capable or not), TS probes, and raw
-// traceroute packets, with sequence numbers assigned in order — the same
-// specs a serial caller and the pool both see.
+// traceroute packets, salted alike as one measurement's — the same specs a
+// serial caller and the pool both see.
 func buildRequests(env *simtest.Env, n int) []probe.Request {
+	const salt = 1
 	src := env.Agent(env.SourceHost(0))
 	var reqs []probe.Request
-	seq := uint64(0)
-	next := func() uint64 { seq++; return seq }
 	for i := 0; len(reqs) < n; i++ {
 		dst := env.ResponsiveHost(i, src.AS)
 		if dst == nil {
 			break
 		}
 		reqs = append(reqs,
-			probe.Request{Kind: measure.KindPing, VP: src, Dst: dst.Addr, Seq: next()},
-			probe.Request{Kind: measure.KindRR, VP: src, Dst: dst.Addr, Seq: next()},
-			probe.Request{Kind: measure.KindTS, VP: src, Dst: dst.Addr, Seq: next()},
+			probe.Request{Kind: measure.KindPing, VP: src, Dst: dst.Addr, Seq: salt},
+			probe.Request{Kind: measure.KindRR, VP: src, Dst: dst.Addr, Seq: salt},
+			probe.Request{Kind: measure.KindTS, VP: src, Dst: dst.Addr, Seq: salt},
 			probe.Request{Kind: measure.KindTraceroutePkt, VP: src, Dst: dst.Addr,
-				TTL: uint8(1 + i%8), Seq: next()},
+				TTL: uint8(1 + i%8), Seq: salt},
 		)
 		for _, site := range env.Sites {
 			if site.Addr == src.Addr {
@@ -39,7 +38,7 @@ func buildRequests(env *simtest.Env, n int) []probe.Request {
 			}
 			reqs = append(reqs, probe.Request{
 				Kind: measure.KindSpoofedRR, VP: site, Src: src.Addr,
-				Dst: dst.Addr, Seq: next(),
+				Dst: dst.Addr, Seq: salt,
 			})
 			if len(reqs) >= n {
 				break

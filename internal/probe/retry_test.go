@@ -33,7 +33,7 @@ func TestRetryNotUsedWhenAnswered(t *testing.T) {
 		if dst == nil {
 			break
 		}
-		reqs = append(reqs, probe.Request{Kind: measure.KindPing, VP: src, Dst: dst.Addr, Seq: uint64(i + 1)})
+		reqs = append(reqs, probe.Request{Kind: measure.KindPing, VP: src, Dst: dst.Addr})
 	}
 	pool := newRetryPool(env, 4, probe.RetryPolicy{Max: 3})
 	reg := obs.New()
@@ -203,7 +203,7 @@ func TestRetryZeroLengthBatch(t *testing.T) {
 func TestRetryEveryKindChargesBackoff(t *testing.T) {
 	const nowUS = 1_000_000
 	seen := map[string]bool{}
-	for planSeed := uint64(1); planSeed <= 8 && len(seen) < 4; planSeed++ {
+	for planSeed := uint64(1); planSeed <= 16 && len(seen) < 4; planSeed++ {
 		env := simtest.NewFaulty(t, 150, 3, &faults.Plan{Seed: planSeed, LinkLoss: 0.4})
 		reqs := buildRequests(env, 60)
 		// Timestamp probes answer with the option only when they carry a
@@ -215,11 +215,11 @@ func TestRetryEveryKindChargesBackoff(t *testing.T) {
 				break
 			}
 			prespec := []ipv4.Addr{dst.Addr}
-			reqs = append(reqs, probe.Request{Kind: measure.KindTS, VP: src, Dst: dst.Addr, Prespec: prespec, Seq: uint64(1000 + i)})
-			for j, site := range env.Sites {
+			reqs = append(reqs, probe.Request{Kind: measure.KindTS, VP: src, Dst: dst.Addr, Prespec: prespec, Seq: 1})
+			for _, site := range env.Sites {
 				if site.CanSpoof && site.Addr != src.Addr {
 					reqs = append(reqs, probe.Request{Kind: measure.KindSpoofedTS, VP: site, Src: src.Addr,
-						Dst: dst.Addr, Prespec: prespec, Seq: uint64(2000 + 100*i + j)})
+						Dst: dst.Addr, Prespec: prespec, Seq: 1})
 				}
 			}
 		}

@@ -261,12 +261,12 @@ func TestInjectFaults(t *testing.T) {
 		byAddr[a.Addr] = a
 	}
 	dst := d.OnePerPrefix()[0].Addr
-	for i, b := range plan.Blackouts {
+	for _, b := range plan.Blackouts {
 		site := byAddr[b.Addr]
 		if spared[b.Addr] || !site.CanSpoof {
 			t.Fatalf("blacked out %s: spared %v, spoof-capable %v", b.Addr, spared[b.Addr], site.CanSpoof)
 		}
-		rep := d.Pool.Do(context.Background(), []probe.Request{{Kind: measure.KindPing, VP: site, Dst: dst, Seq: uint64(i + 1)}})
+		rep := d.Pool.Do(context.Background(), []probe.Request{{Kind: measure.KindPing, VP: site, Dst: dst}})
 		if rep.Replies[0].Sent {
 			t.Fatalf("dark site %s sent a probe: the plan is not on the fabric", b.Addr)
 		}
