@@ -27,10 +27,15 @@ import (
 // where they met an AS says where the next one toward it gets there: per
 // source and AS (mets), the lowest TTL at which one of them toward a hop
 // of that AS met a responsive hop of it (Machine.stepSym starts there).
+// Likewise a site's spoofed Record Route probes: per site and AS (reaches),
+// the fewest RR slots a reply from a hop of that AS needed to stamp it, 10
+// when one showed the site out of range (Machine.learnReach); the hop's
+// forward path does not depend on the source the probe claimed, so every
+// source reads it (Machine.byReach, Machine.couldRevealMore).
 //
 // Expiry, the periodic sweep and the size cap are ttlcache's (DESIGN.md
 // "Virtual-time TTL cache contract"); every kind of entry keyed by a hop
-// lives in one Cache so cacheMaxEntries bounds them together. The memo
+// lives in one Cache so cacheMaxEntries bounds them together. Each memo
 // has a Cache of its own under the same TTL and cap, so that an entry of
 // it costs a key and a byte, not a cacheEntry. What this type adds is the
 // lock that lets one engine serve concurrent measurements
@@ -38,7 +43,8 @@ import (
 type cache struct {
 	mu      sync.Mutex
 	c       *ttlcache.Cache[cacheKey, cacheEntry]
-	mets    *ttlcache.Cache[metKey, uint8]
+	mets    *ttlcache.Cache[memoKey, uint8]
+	reaches *ttlcache.Cache[memoKey, uint8]
 	metrics *Metrics // never nil: a zero Metrics until Engine.SetMetrics
 }
 
@@ -98,28 +104,31 @@ func newCache(ttlUS int64, maxEntries int) *cache {
 	}
 	return &cache{
 		c:       ttlcache.New[cacheKey, cacheEntry](ttlUS, maxEntries, cacheKeyLess),
-		mets:    ttlcache.New[metKey, uint8](ttlUS, maxEntries, metKeyLess),
+		mets:    ttlcache.New[memoKey, uint8](ttlUS, maxEntries, memoKeyLess),
+		reaches: ttlcache.New[memoKey, uint8](ttlUS, maxEntries, memoKeyLess),
 		metrics: new(Metrics),
 	}
 }
 
-// size is the total entry count across the three kinds and the memo.
+// size is the total entry count across the three kinds and the memos.
 func (c *cache) size() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.c.Len() + c.mets.Len()
+	return c.c.Len() + c.mets.Len() + c.reaches.Len()
 }
 
-// metKey keys the memo of where a source met an AS.
-type metKey struct {
-	src ipv4.Addr
-	asn topology.ASN
+// memoKey keys a memo: the source or site the probes went from, and the AS
+// they went to.
+type memoKey struct {
+	from ipv4.Addr
+	asn  topology.ASN
 }
 
-// metKeyLess is the memo's eviction tie-break: by source, then by AS.
-func metKeyLess(a, b metKey) bool {
-	if a.src != b.src {
-		return a.src < b.src
+// memoKeyLess is the memos' eviction tie-break: by source or site, then by
+// AS.
+func memoKeyLess(a, b memoKey) bool {
+	if a.from != b.from {
+		return a.from < b.from
 	}
 	return a.asn < b.asn
 }
@@ -158,31 +167,50 @@ func (c *cache) putTraceroute(target, src ipv4.Addr, tr measure.TracerouteResult
 // met returns the lowest TTL at which src's traceroutes met a responsive
 // hop of asn.
 func (c *cache) met(src ipv4.Addr, asn topology.ASN, nowUS int64) (int, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ttl, ok, expired := c.mets.Get(metKey{src, asn}, nowUS)
-	c.metrics.evicted(expired)
-	return int(ttl), ok
+	return c.least(c.mets, memoKey{src, asn}, nowUS)
 }
 
 // putMet lowers src's entry of asn to the lowest TTL at which tr met a
-// responsive hop of asn; an entry lowered ages from then.
+// responsive hop of asn.
 func (c *cache) putMet(src ipv4.Addr, asn topology.ASN, tr *measure.TracerouteResult, m ip2as.Mapper, nowUS int64) {
 	ttl := slices.IndexFunc(tr.Hops, func(h measure.TracerouteHop) bool {
 		a, ok := m.ASOf(h.Addr)
 		return h.Responded && ok && a == asn
 	}) + 1
-	if ttl == 0 {
-		return
+	if ttl > 0 {
+		c.lower(c.mets, memoKey{src, asn}, ttl, nowUS)
 	}
+}
+
+// reach returns the fewest RR slots site's spoofed probes needed to reach
+// a hop of asn.
+func (c *cache) reach(site ipv4.Addr, asn topology.ASN, nowUS int64) (int, bool) {
+	return c.least(c.reaches, memoKey{site, asn}, nowUS)
+}
+
+// putReach lowers site's entry of asn to slots.
+func (c *cache) putReach(site ipv4.Addr, asn topology.ASN, slots int, nowUS int64) {
+	c.lower(c.reaches, memoKey{site, asn}, slots, nowUS)
+}
+
+// least returns memo's entry of k.
+func (c *cache) least(memo *ttlcache.Cache[memoKey, uint8], k memoKey, nowUS int64) (int, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	k := metKey{src, asn}
-	was, ok, expired := c.mets.Get(k, nowUS)
-	if !ok || int(was) > ttl {
-		c.mets.Put(k, uint8(ttl), nowUS)
+	v, ok, expired := memo.Get(k, nowUS)
+	c.metrics.evicted(expired)
+	return int(v), ok
+}
+
+// lower lowers memo's entry of k to v; an entry lowered ages from then.
+func (c *cache) lower(memo *ttlcache.Cache[memoKey, uint8], k memoKey, v int, nowUS int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	was, ok, expired := memo.Get(k, nowUS)
+	if !ok || int(was) > v {
+		memo.Put(k, uint8(v), nowUS)
 	}
-	swept, capped := c.mets.MaybeSweep(nowUS)
+	swept, capped := memo.MaybeSweep(nowUS)
 	c.metrics.evicted(expired + swept + capped)
 }
 

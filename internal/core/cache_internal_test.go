@@ -193,7 +193,9 @@ func TestCacheVerdicts(t *testing.T) {
 // higher one neither replaces nor refreshes it, a lower one does both; a
 // traceroute that met no responsive hop of the AS writes nothing; the
 // entry expires its TTL after it was last lowered and counts as an
-// eviction; and its lookups count as neither RR nor traceroute lookups.
+// eviction; and its lookups count as neither RR nor traceroute lookups. The
+// memo of how many RR slots a site's replies took into an AS is kept beside
+// it under the same rule.
 func TestCacheMet(t *testing.T) {
 	reg := obs.New()
 	const ttl = 1_000
@@ -238,6 +240,15 @@ func TestCacheMet(t *testing.T) {
 	c.putMet(src, 7, tr("*", "10.7.0.2"), mapper, 2*ttl+600) // lower: replaces and refreshes
 	if got, ok := c.met(src, 7, 3*ttl+600); !ok || got != 2 {
 		t.Fatalf("met(AS 7) after a lower one = %d, %v; want 2", got, ok)
+	}
+	// The reach memo is kept apart, under the same rule.
+	c.putReach(src, 7, 6, 3*ttl)
+	c.putReach(src, 7, 10, 3*ttl+1) // higher: kept as it was
+	if got, ok := c.reach(src, 7, 3*ttl+1); !ok || got != 6 {
+		t.Fatalf("reach(AS 7) = %d, %v; want 6", got, ok)
+	}
+	if got, _ := c.met(src, 7, 3*ttl+1); got != 2 || c.size() != 2 {
+		t.Fatalf("met(AS 7) = %d beside the reach memo (size %d); want 2 (size 2)", got, c.size())
 	}
 	for _, name := range []string{"engine_cache_rr_hits_total", "engine_cache_rr_misses_total",
 		"engine_cache_tr_hits_total", "engine_cache_tr_misses_total"} {

@@ -358,9 +358,13 @@ func TestProbeCountGate(t *testing.T) {
 		// how many probes went before it, re-drew every per-packet balancer:
 		// SpoofRR 379 -> 377, virtual time from 274120203 and waitOutUS from
 		// 1881644339; nothing else moved.
+		// The reach memo (a round led by the site whose own replies reached
+		// the hop's AS in the fewest slots, a hedge held back whose replies
+		// needed more than the lead's) moved SpoofRR 377 -> 366 and virtual
+		// time from 274078470; nothing else moved.
 		{"distinct", func(si int) []*topology.Host { return w.pick(si*29, 8, w.srcs[si]) },
-			countRow{rr: 49, spoofRR: 377, traceroute: 211, complete: 42, aborted: 20, failed: 2,
-				spoofBatches: 187, virtualUS: 274078470, waitOutUS: 1881644038,
+			countRow{rr: 49, spoofRR: 366, traceroute: 211, complete: 42, aborted: 20, failed: 2,
+				spoofBatches: 187, virtualUS: 273907508, waitOutUS: 1881644038,
 				offTruthPaths: 2, offTruthHops: 3, wrongAS: 3}},
 		// Added with PR 18 and measured on its parent first: RR 445,
 		// SpoofRR 1395, Traceroute 1589, 86 / 40 / 2, 530 batches over
@@ -398,9 +402,12 @@ func TestProbeCountGate(t *testing.T) {
 		// Content keys moved RR 124 -> 125, SpoofRR 446 -> 445, Traceroute
 		// 465 -> 464, batches 255 -> 254, virtual time from 197108796 and
 		// waitOutUS from 2580034554; outcomes and accuracy did not move.
+		// The reach memo moved SpoofRR 445 -> 387 and virtual time from
+		// 196991919: eight sources probe the same hops, and what one's
+		// replies said of a site's reach the next reads. Nothing else moved.
 		{"shared", func(int) []*topology.Host { return shared },
-			countRow{rr: 125, spoofRR: 445, traceroute: 464, complete: 90, aborted: 36, failed: 2,
-				spoofBatches: 254, virtualUS: 196991919, waitOutUS: 2570000770,
+			countRow{rr: 125, spoofRR: 387, traceroute: 464, complete: 90, aborted: 36, failed: 2,
+				spoofBatches: 254, virtualUS: 194825582, waitOutUS: 2570000770,
 				offTruthPaths: 4, offTruthHops: 8, wrongAS: 12}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

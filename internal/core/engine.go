@@ -136,6 +136,7 @@ const (
 	ruleDeaf                       // openRR: the atlas's RR-deaf ASes
 	ruleCut                        // adoptRevealed: the cut at the way home
 	ruleSilence                    // readSilence: the survey's silence
+	ruleReach                      // byReach, couldRevealMore: the reach memo
 	numRules     = iota
 )
 

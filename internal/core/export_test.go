@@ -15,6 +15,27 @@ func ExtractReverse(recorded []ipv4.Addr, target ipv4.Addr, res alias.Resolver) 
 	return hops
 }
 
+// ReplySlots is how many Record Route slots a reply took to stamp target
+// (its marker, read as extractReverse reads it, plus one; 0 if none did).
+func ReplySlots(recorded []ipv4.Addr, target ipv4.Addr, res alias.Resolver) int {
+	_, marker := extractReverse(recorded, target, res)
+	return marker + 1
+}
+
+// Reach exposes the reach memo: the fewest RR slots the spoofed probes of
+// the vantage point at vp needed to reach a hop of hop's AS.
+func (e *Engine) Reach(vp, hop ipv4.Addr) (int, bool) {
+	asn, ok := e.Mapper.ASOf(hop)
+	if !ok {
+		return 0, false
+	}
+	return e.cache.reach(vp, asn, e.Pool.Now())
+}
+
+// WayHome reports whether the atlas knows the way home from one of hops, new
+// to the measurement, so that adoption would stop there.
+func (mm *Machine) WayHome(hops []ipv4.Addr) bool { return mm.wayHome(hops) >= 0 }
+
 // Verdicts exposes what the engine cache holds about hop for every
 // source: the vantage points out of range of it, and whether it answers
 // no option packet.
@@ -55,13 +76,14 @@ func (e *Engine) CacheEntries() int { return e.cache.size() }
 
 // Held exposes the hedges the machine's spoofed round holds back behind its
 // lead: none once they are sent, for a whole batch, or outside a sweep.
-func (mm *Machine) Held() []probe.Request { return mm.rr.held }
+func (mm *Machine) Held() []probe.Request { return mm.spoofReqs(mm.rr.held) }
 
 // RuleNames names the engine's knowledge rules by bit: SetRulesOff(1<<i)
 // switches off RuleNames[i].
 var RuleNames = [numRules]string{
 	"distance skip and start", "shared verdicts", "spoofed rounds", "chain step",
 	"memo start and climb", "RR-deaf ASes", "adoption cut", "survey silence",
+	"learned reach",
 }
 
 // SetRulesOff switches off the knowledge rules whose bits off sets, and only

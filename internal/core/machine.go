@@ -32,8 +32,10 @@ package core
 // suspension points — and Clone/resume at any of them — cannot change
 // replies, counters, or hops (TestResumeBitIdentity).
 import (
+	"cmp"
 	"context"
 	"maps"
+	"math"
 	"slices"
 	"time"
 
@@ -43,6 +45,7 @@ import (
 	"revtr/internal/ip2as"
 	"revtr/internal/measure"
 	"revtr/internal/netsim/ipv4"
+	"revtr/internal/netsim/topology"
 	"revtr/internal/probe"
 	"revtr/internal/stream"
 )
@@ -658,19 +661,22 @@ func (mm *Machine) stepTop() {
 // (Reply.Sent) or, skipped, could have (Pool.CanSend), and drew a reply;
 // whether a dead vantage point sat a slot out; whether the last round sent a
 // probe and drew a reply. Its sweep: the ingress plan (shared, read-only)
-// read past the direct probe, the §5.3 budget spent, whether a round came
-// back, the hedges held behind its lead and whether the lead waited out the
-// timeout. Its evidence: the RR cache, the atlas deaf to the cursor's AS,
-// the distance out of range, its silence.
+// read past the direct probe with the survey it was read off (info, nil if
+// none) and the cursor's AS, which keys the reach memo where learn is set;
+// the §5.3 budget spent, whether a round came back, the hedges held behind
+// its lead (as the plan's sites are, indexes of Engine.Sites and info.Obs)
+// and whether the lead waited out the timeout. Its evidence: the RR cache,
+// the atlas deaf to the cursor's AS, the distance out of range, its silence.
 type rrStage struct {
 	hops                                    []ipv4.Addr
 	tech                                    Technique
 	sent, answered, dead                    bool
 	batchSent, batchAnswered, leadWaited    bool
-	pastDirect, noPrefix, swept             bool
-	plan                                    []int
+	pastDirect, noPrefix, swept, learn      bool
+	plan, held                              []int
+	info                                    *ingress.PrefixInfo
+	asn                                     topology.ASN
 	cursor, tried                           int
-	held                                    []probe.Request
 	cached, deaf, far, silent, surveySilent bool
 }
 
@@ -755,11 +761,17 @@ func (mm *Machine) readSilence() {
 	st.surveySilent = e.Opts.UseCache && e.off&ruleSilence == 0 && e.Ingress.Silent(mm.cur)
 }
 
-// passDirect moves the stage past its direct probe and reads the plan.
+// passDirect moves the stage past its direct probe and reads the plan, and
+// the cursor's AS where the reach memo is in use.
 func (mm *Machine) passDirect() {
-	pfx, ok := mm.e.F.Topo.BGPPrefixOf(mm.cur)
-	if mm.rr.pastDirect, mm.rr.noPrefix = true, !ok; ok {
-		mm.rr.plan = mm.e.Ingress.PlanFor(pfx, mm.e.Opts.VPSelection).Order
+	e, st := mm.e, &mm.rr
+	pfx, ok := e.F.Topo.BGPPrefixOf(mm.cur)
+	if st.pastDirect, st.noPrefix = true, !ok; ok {
+		plan := e.Ingress.PlanFor(pfx, e.Opts.VPSelection)
+		st.plan, st.info = plan.Order, plan.Info
+	}
+	if e.Opts.UseCache && e.off&ruleReach == 0 {
+		st.asn, st.learn = e.Mapper.ASOf(mm.cur)
 	}
 }
 
@@ -784,7 +796,7 @@ func (mm *Machine) runRR() {
 	case rrBatch:
 		mm.ph = phSpoofNext
 	case rrHedges:
-		mm.suspendProbes(st.held, true, phSpoofWait)
+		mm.suspendProbes(mm.spoofReqs(st.held), true, phSpoofWait)
 		mm.pending.Hedges, st.held = true, nil
 	case rrCached:
 		if len(st.hops) == 0 {
@@ -852,24 +864,26 @@ func (mm *Machine) distance() int {
 }
 
 // stepSpoofNext suspends on the sweep's next round — of an ingress plan,
-// nearest first, the lead alone, the rest held as hedges — or, when no
-// vantage point is left to fill one, closes the stage (rrExhausted).
+// the lead alone, the rest held as hedges — or, when no vantage point is
+// left to fill one, closes the stage (rrExhausted).
 func (mm *Machine) stepSpoofNext() {
 	mm.ph = phAfterRR
-	if reqs, st := mm.nextBatch(), &mm.rr; len(reqs) > 0 {
+	if sites, st := mm.nextBatch(), &mm.rr; len(sites) > 0 {
 		st.batchSent, st.batchAnswered = false, false
 		if mm.e.Opts.VPSelection == ingress.SelIngress && mm.e.off&ruleRounds == 0 {
-			reqs, st.held = reqs[:1:1], reqs[1:]
+			mm.byReach(sites)
+			sites, st.held = sites[:1:1], sites[1:]
 		}
-		mm.suspendProbes(reqs, true, phSpoofWait)
+		mm.suspendProbes(mm.spoofReqs(sites), true, phSpoofWait)
 	}
 }
 
-// nextBatch builds the next spoofed-RR batch from the §4.3 ingress order,
-// skipping the source, known-dead vantage points and those already seen
-// out of range of cur, and backfilling from further down the order so a
-// skipped VP costs its slot, not the whole batch (graceful degradation).
-func (mm *Machine) nextBatch() []probe.Request {
+// nextBatch picks the sites of the next spoofed-RR batch from the §4.3
+// ingress order, skipping the source, known-dead vantage points and those
+// already seen out of range of cur, and backfilling from further down the
+// order so a skipped VP costs its slot, not the whole batch (graceful
+// degradation).
+func (mm *Machine) nextBatch() []int {
 	e, src, cur, st := mm.e, mm.src, mm.cur, &mm.rr
 	if mm.m.ctx.Err() != nil || st.cursor >= len(st.plan) {
 		return nil
@@ -878,9 +892,10 @@ func (mm *Machine) nextBatch() []probe.Request {
 	if e.Opts.UseCache {
 		far = e.cache.verdicts(cur, e.Pool.Now()).farVPs
 	}
-	reqs := make([]probe.Request, 0, SpoofBatchSize)
-	for st.cursor < len(st.plan) && len(reqs) < SpoofBatchSize {
-		site := e.Sites[st.plan[st.cursor]]
+	sites := make([]int, 0, SpoofBatchSize)
+	for st.cursor < len(st.plan) && len(sites) < SpoofBatchSize {
+		si := st.plan[st.cursor]
+		site := e.Sites[si]
 		st.cursor++
 		if site.Addr == src.Agent.Addr { // that would be the direct probe again
 			continue
@@ -892,12 +907,61 @@ func (mm *Machine) nextBatch() []probe.Request {
 			e.metrics.spoofVPsOutOfRange.Inc()
 			continue
 		}
-		reqs = append(reqs, probe.Request{
-			Kind: measure.KindSpoofedRR, VP: site,
-			Src: src.Agent.Addr, Dst: cur, Seq: mm.m.salt,
-		})
+		sites = append(sites, si)
+	}
+	return sites
+}
+
+// spoofReqs is the spoofed RR probe of each of sites to the cursor.
+func (mm *Machine) spoofReqs(sites []int) []probe.Request {
+	reqs := make([]probe.Request, len(sites))
+	for i, si := range sites {
+		reqs[i] = probe.Request{Kind: measure.KindSpoofedRR, VP: mm.e.Sites[si],
+			Src: mm.src.Agent.Addr, Dst: mm.cur, Seq: mm.m.salt}
 	}
 	return reqs
+}
+
+// byReach orders a round's sites by their reach into the cursor's AS,
+// fewest slots first; those the memo holds none of follow in plan order.
+// Which site leads is the survey's guess until a reply says.
+func (mm *Machine) byReach(sites []int) {
+	var by [SpoofBatchSize][2]int // reach, site
+	for i, si := range sites {
+		by[i] = [2]int{mm.reachOf(si), si}
+	}
+	slices.SortStableFunc(by[:len(sites)], func(a, b [2]int) int { return cmp.Compare(a[0], b[0]) })
+	if by[0][1] != sites[0] {
+		mm.e.metrics.spoofReachLeads.Inc()
+	}
+	for i := range sites {
+		sites[i] = by[i][1]
+	}
+}
+
+// reachOf is the fewest RR slots site's spoofed probes needed to reach the
+// cursor's AS (cache.reach), math.MaxInt if the memo does not hold it or is
+// not in use.
+func (mm *Machine) reachOf(site int) int {
+	if !mm.rr.learn {
+		return math.MaxInt
+	}
+	if r, ok := mm.e.cache.reach(mm.e.Sites[site].Addr, mm.rr.asn, mm.e.Pool.Now()); ok {
+		return r
+	}
+	return math.MaxInt
+}
+
+// learnReach lowers the memo's reach of the vantage point at vp into the
+// cursor's AS to what one reply took: its marker's slot and one, RRSlots+1
+// if it showed vp out of range. A reply with no marker says nothing.
+func (mm *Machine) learnReach(vp ipv4.Addr, marker int, far bool) {
+	if far {
+		marker = ipv4.RRSlots
+	}
+	if mm.rr.learn && marker >= 0 {
+		mm.e.cache.putReach(vp, mm.rr.asn, marker+1, mm.e.Pool.Now())
+	}
 }
 
 // spoofWait books the spoofed batch b delivered for p and returns the
@@ -958,9 +1022,11 @@ func (mm *Machine) onSpoofBatch(reqs []probe.Request, b probe.Batch) {
 		if len(hops) > len(best) {
 			best, slots = hops, marker+1
 		}
-		if outOfRange(rep.RR.Recorded, marker) {
+		out := outOfRange(rep.RR.Recorded, marker)
+		if out {
 			far = append(far, reqs[i].VP.Addr)
 		}
+		mm.learnReach(reqs[i].VP.Addr, marker, out)
 	}
 	st.dead = st.dead || deadHere > 0
 	mm.shareVerdicts(far, false)
@@ -976,16 +1042,23 @@ func (mm *Machine) onSpoofBatch(reqs []probe.Request, b probe.Batch) {
 // a reply that revealed hops, slots into its Record Route array: none when
 // the atlas knows the way home from one of them (adoption stops there), else
 // those the ingress survey saw reach the hop's prefix in fewer slots or did
-// not measure.
-func (mm *Machine) couldRevealMore(held []probe.Request, hops []ipv4.Addr, slots int) []probe.Request {
+// not measure — less those whose own replies needed more slots than that to
+// reach the hop's AS (the reach memo).
+func (mm *Machine) couldRevealMore(held []int, hops []ipv4.Addr, slots int) []int {
 	if len(held) == 0 || mm.wayHome(hops) >= 0 {
 		return nil
 	}
-	pfx, _ := mm.e.F.Topo.BGPPrefixOf(mm.cur) // the plan was read off it
-	info := mm.e.Ingress.Info[pfx]
-	return slices.DeleteFunc(held, func(r probe.Request) bool {
-		site := slices.IndexFunc(mm.e.Sites, func(a measure.Agent) bool { return a.Addr == r.VP.Addr })
-		return info != nil && info.Obs[site].Dist >= slots
+	info := mm.rr.info
+	return slices.DeleteFunc(held, func(si int) bool {
+		if info != nil && info.Obs[si].Dist >= slots {
+			return true
+		}
+		r := mm.reachOf(si)
+		if r > slots && r < math.MaxInt {
+			mm.e.metrics.spoofReachHeld.Inc()
+			return true
+		}
+		return false
 	})
 }
 

@@ -81,6 +81,11 @@ type Metrics struct {
 	// range) and RR stages closed at a silent direct probe (hop unresponsive).
 	spoofVPsOutOfRange      *obs.Counter
 	spoofSweepsUnresponsive *obs.Counter
+	// Read off the reach memo (cache.reach): rounds whose lead it changed
+	// (byReach) and hedges it held back that the survey would have sent
+	// (couldRevealMore).
+	spoofReachLeads *obs.Counter
+	spoofReachHeld  *obs.Counter
 
 	// Segment-store accounting (Doubletree memoization,
 	// Options.SegmentStore). segmentHits counts lookups that returned a
@@ -131,6 +136,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		deadVPHits:              reg.Counter("engine_dead_vp_hits_total"),
 		spoofVPsOutOfRange:      reg.Counter("engine_spoof_vps_out_of_range_total"),
 		spoofSweepsUnresponsive: reg.Counter("engine_spoof_sweeps_unresponsive_total"),
+		spoofReachLeads:         reg.Counter("engine_spoof_reach_leads_total"),
+		spoofReachHeld:          reg.Counter("engine_spoof_reach_held_total"),
 
 		segmentHits:    reg.Counter("engine_segment_hits_total"),
 		segmentSplices: reg.Counter("engine_segment_splices_total"),

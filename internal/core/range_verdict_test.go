@@ -126,12 +126,15 @@ func (w *verdictWatch) measure(src core.Source, dst ipv4.Addr) *core.Result {
 		if sweep && !p.Hedges {
 			round = append(slices.Clone(p.Reqs), mm.Held()...)
 		}
-		// The walk ends behind the last vantage point of a full round, and
-		// at the end of the plan otherwise (a short round, or none at all).
+		// The walk ends behind the vantage point of a full round furthest
+		// down the plan (the reach memo may have put it first), and at the
+		// end of the plan otherwise (a short round, or none at all).
 		end := len(plan)
 		if len(round) == core.SpoofBatchSize {
-			last := round[len(round)-1].VP.Addr
-			end = 1 + slices.IndexFunc(plan, func(a measure.Agent) bool { return a.Addr == last })
+			end = 0
+			for _, r := range round {
+				end = max(end, 1+slices.IndexFunc(plan, func(a measure.Agent) bool { return a.Addr == r.VP.Addr }))
+			}
 		}
 		var dropped []measure.Agent
 		if round != nil || w.far.Value() != farBefore {

@@ -3,9 +3,7 @@ package core
 import (
 	"testing"
 
-	"revtr/internal/measure"
 	"revtr/internal/netsim/ipv4"
-	"revtr/internal/probe"
 )
 
 // TestRRStageNext runs the RR stage's decision function over fabricated
@@ -15,7 +13,7 @@ func TestRRStageNext(t *testing.T) {
 	const maxVPs = 12
 	hop := []ipv4.Addr{0x0a000001}
 	plan := []int{0, 1, 2, 3, 4, 5}
-	hedges := []probe.Request{{Kind: measure.KindSpoofedRR}, {Kind: measure.KindSpoofedRR}}
+	hedges := []int{1, 2}
 	// past is a stage past a direct probe that went out and drew no reply,
 	// its plan read; swept is the same after one round, or a round's lead.
 	past := func(f func(*rrStage)) rrStage {

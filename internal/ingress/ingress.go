@@ -377,6 +377,9 @@ type Plan struct {
 	// PerIngress is true when the order came from ingress identification
 	// (one site per ingress, then fallbacks).
 	PerIngress bool
+	// Info is the survey of the prefix, whichever policy ordered the
+	// sites; nil if it was never surveyed.
+	Info *PrefixInfo
 }
 
 // Selection names a VP-selection policy.
@@ -400,13 +403,13 @@ const MaxFallbacksPerIngress = 5
 // given policy. The order is the service's own slice, computed when the
 // prefix was surveyed: read it, do not write it.
 func (s *Service) PlanFor(pfx ipv4.Prefix, sel Selection) Plan {
+	info := s.Info[pfx]
 	switch sel {
 	case SelSetCover:
-		return Plan{Order: s.rank10}
+		return Plan{Order: s.rank10, Info: info}
 	case SelGlobal:
-		return Plan{Order: s.rankGlobal}
+		return Plan{Order: s.rankGlobal, Info: info}
 	}
-	info := s.Info[pfx]
 	if info == nil {
 		// Never surveyed: fall back to the global ranking.
 		return Plan{Order: s.rankGlobal}
@@ -416,7 +419,7 @@ func (s *Service) PlanFor(pfx ipv4.Prefix, sel Selection) Plan {
 		// the survey found no site in RR range at all, spoofing is
 		// hopeless — return an empty plan so the engine moves straight
 		// to the symmetry step instead of wasting 10-second batches.
-		return Plan{Order: info.InRange}
+		return Plan{Order: info.InRange, Info: info}
 	}
-	return Plan{Order: info.order, PerIngress: true}
+	return Plan{Order: info.order, PerIngress: true, Info: info}
 }

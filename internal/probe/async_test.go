@@ -26,7 +26,7 @@ func TestGoMatchesDoPolicy(t *testing.T) {
 	pool := probe.New(env.Fabric, measure.NewClock(), 4)
 	reqs := buildRequests(env, 32)
 	if len(reqs) == 0 {
-		t.Skip("no requests")
+		t.Fatal("no requests")
 	}
 	pol := probe.RetryPolicy{Max: 1}
 	pool.SetRetry(pol)
@@ -56,12 +56,12 @@ func TestGoTracerouteMatchesSync(t *testing.T) {
 	src := env.Agent(env.SourceHost(0))
 	dst := env.ResponsiveHost(1, src.AS)
 	if dst == nil {
-		t.Skip("no destination")
+		t.Fatal("no destination")
 	}
 	outside := func(_, _ ipv4.Addr) bool { return false }
 	first, _ := pool.Traceroute(context.Background(), src, dst.Addr, 1000, 8, nil, outside)
 	if len(first.Hops) < 3 {
-		t.Skip("path too short to continue")
+		t.Fatal("path too short to continue")
 	}
 	for _, prev := range []*measure.TracerouteResult{nil, &first} {
 		start := 8
@@ -94,7 +94,7 @@ func TestGoBoundedExecutors(t *testing.T) {
 	pool := probe.New(env.Fabric, measure.NewClock(), workers)
 	reqs := buildRequests(env, 8)
 	if len(reqs) == 0 {
-		t.Skip("no requests")
+		t.Fatal("no requests")
 	}
 
 	baseline := runtime.NumGoroutine()
