@@ -362,8 +362,12 @@ func TestProbeCountGate(t *testing.T) {
 		// the hop's AS in the fewest slots, a hedge held back whose replies
 		// needed more than the lead's) moved SpoofRR 377 -> 366 and virtual
 		// time from 274078470; nothing else moved.
+		// The retry budget (no hedges behind a silent lead at no retries, a
+		// window above an RR-silent hop giving up after two silent TTLs)
+		// moved SpoofRR 366 -> 321 and Traceroute 211 -> 195; silence costs
+		// no virtual time, and nothing else moved.
 		{"distinct", func(si int) []*topology.Host { return w.pick(si*29, 8, w.srcs[si]) },
-			countRow{rr: 49, spoofRR: 366, traceroute: 211, complete: 42, aborted: 20, failed: 2,
+			countRow{rr: 49, spoofRR: 321, traceroute: 195, complete: 42, aborted: 20, failed: 2,
 				spoofBatches: 187, virtualUS: 273907508, waitOutUS: 1881644038,
 				offTruthPaths: 2, offTruthHops: 3, wrongAS: 3}},
 		// Added with PR 18 and measured on its parent first: RR 445,
@@ -405,8 +409,10 @@ func TestProbeCountGate(t *testing.T) {
 		// The reach memo moved SpoofRR 445 -> 387 and virtual time from
 		// 196991919: eight sources probe the same hops, and what one's
 		// replies said of a site's reach the next reads. Nothing else moved.
+		// The retry budget moved SpoofRR 387 -> 357 and Traceroute
+		// 464 -> 440, as above.
 		{"shared", func(int) []*topology.Host { return shared },
-			countRow{rr: 125, spoofRR: 387, traceroute: 464, complete: 90, aborted: 36, failed: 2,
+			countRow{rr: 125, spoofRR: 357, traceroute: 440, complete: 90, aborted: 36, failed: 2,
 				spoofBatches: 254, virtualUS: 194825582, waitOutUS: 2570000770,
 				offTruthPaths: 4, offTruthHops: 8, wrongAS: 12}},
 	} {

@@ -128,16 +128,18 @@ type Engine struct {
 type rules uint16
 
 const (
-	ruleDistance rules = 1 << iota // distance: the direct probe skipped, the traceroute started
-	ruleVerdicts                   // shareVerdicts
-	ruleRounds                     // stepSpoofNext: lead first
-	ruleChain                      // stepSym: the chain step
-	ruleMemo                       // metTTL, and the climb (inAS)
-	ruleDeaf                       // openRR: the atlas's RR-deaf ASes
-	ruleCut                        // adoptRevealed: the cut at the way home
-	ruleSilence                    // readSilence: the survey's silence
-	ruleReach                      // byReach, couldRevealMore: the reach memo
-	numRules     = iota
+	ruleDistance   rules = 1 << iota // distance: the direct probe skipped, the traceroute started
+	ruleVerdicts                     // shareVerdicts
+	ruleRounds                       // stepSpoofNext: lead first
+	ruleChain                        // stepSym: the chain step
+	ruleMemo                         // metTTL, and the climb (inAS)
+	ruleDeaf                         // openRR: the atlas's RR-deaf ASes
+	ruleCut                          // adoptRevealed: the cut at the way home
+	ruleSilence                      // readSilence: the survey's silence
+	ruleReach                        // byReach, couldRevealMore: the reach memo
+	ruleSilentLead                   // budgetHedges: a silent lead's hedges within the retry budget
+	ruleGiveUp                       // giveUpRun: the short give-up above an RR-silent hop
+	numRules       = iota
 )
 
 // NewEngine assembles an engine over a probe pool. adj may be nil (no

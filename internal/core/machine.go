@@ -78,17 +78,23 @@ type Pending struct {
 	// Hedges marks a spoofed round's hedges, sent after its lead (the
 	// Pending before): not another of SpoofBatches.
 	Hedges bool
+	// Once marks a batch whose probes go out once each, whatever the pool's
+	// retry policy: the hedges behind a lead that drew no reply, which are
+	// its retries from other vantage points (budgetHedges).
+	Once bool
 
 	// Traceroute work (Kind == PendingTraceroute). Start is the TTL
 	// probing begins at (measure.RunTraceroute; stepSym chooses it), fixed
 	// here so every way of executing the Pending — blocking, from a pool
 	// callback, on a clone — sends the same packets. A chain step's Prev is
 	// the traceroute it continues below its hop at Start (stepSym). Salt
-	// is the measurement's (measure.Spec.Seq).
+	// is the measurement's (measure.Spec.Seq). Run is how many silent TTLs
+	// end its window's walk up (giveUpRun).
 	Agent measure.Agent
 	Dst   ipv4.Addr
 	Salt  uint64
 	Start int
+	Run   int
 	Prev  *measure.TracerouteResult
 }
 
@@ -667,6 +673,8 @@ func (mm *Machine) stepTop() {
 // its lead (as the plan's sites are, indexes of Engine.Sites and info.Obs)
 // and whether the lead waited out the timeout. Its evidence: the RR cache,
 // the atlas deaf to the cursor's AS, the distance out of range, its silence.
+// Whether it closed silent (rrSilentVerdict, rrSurveySilent,
+// rrSilentBatch), which the symmetry stage at its cursor reads (giveUpRun).
 type rrStage struct {
 	hops                                    []ipv4.Addr
 	tech                                    Technique
@@ -678,6 +686,7 @@ type rrStage struct {
 	asn                                     topology.ASN
 	cursor, tried                           int
 	cached, deaf, far, silent, surveySilent bool
+	closedSilent                            bool
 }
 
 // rrAction is what an RR stage does next: a probe, or a close and why.
@@ -797,7 +806,7 @@ func (mm *Machine) runRR() {
 		mm.ph = phSpoofNext
 	case rrHedges:
 		mm.suspendProbes(mm.spoofReqs(st.held), true, phSpoofWait)
-		mm.pending.Hedges, st.held = true, nil
+		mm.pending.Hedges, mm.pending.Once, st.held = true, mm.leadSilent(), nil
 	case rrCached:
 		if len(st.hops) == 0 {
 			e.metrics.cacheRRNegativeHits.Inc()
@@ -809,6 +818,7 @@ func (mm *Machine) runRR() {
 			e.cache.putRR(mm.cur, mm.src.Agent.Addr, st.hops, st.tech, e.Pool.Now())
 		}
 	case rrSilentVerdict, rrSurveySilent:
+		st.closedSilent = true
 		e.metrics.spoofSweepsUnresponsive.Inc()
 		// Only the survey knew: the verdict is shared as if the first round
 		// had gone out, where there is one to send.
@@ -816,6 +826,7 @@ func (mm *Machine) runRR() {
 			mm.shareVerdicts(nil, true)
 		}
 	case rrSilentBatch:
+		st.closedSilent = true
 		e.metrics.spoofSweepsSilent.Inc()
 		mm.shareVerdicts(nil, true)
 	}
@@ -1035,7 +1046,28 @@ func (mm *Machine) onSpoofBatch(reqs []probe.Request, b probe.Batch) {
 		st.hops, st.tech = best, TechSpoofRR
 		st.held = mm.couldRevealMore(st.held, best, slots)
 	}
+	mm.budgetHedges()
 	mm.runRR()
+}
+
+// leadSilent reports whether the round just delivered is a lead that was
+// sent and drew no reply, where the silent lead's rule is on.
+func (mm *Machine) leadSilent() bool {
+	st := &mm.rr
+	return st.batchSent && !st.batchAnswered && mm.e.off&ruleSilentLead == 0
+}
+
+// budgetHedges cuts the hedges held behind a lead that drew no reply to the
+// retry budget (probe.RetryPolicy): they would ask its question again from
+// other vantage points, so they are its retries, and go out once each (the
+// Pending's Once). With no budget the round ends at its lead.
+func (mm *Machine) budgetHedges() {
+	st := &mm.rr
+	if len(st.held) == 0 || !mm.leadSilent() {
+		return
+	}
+	mm.e.metrics.spoofSilentLeads.Inc()
+	st.held = st.held[:min(len(st.held), mm.e.Pool.Retry().Max)]
 }
 
 // couldRevealMore returns the hedges, of held, that could reveal more than
@@ -1235,7 +1267,7 @@ func (mm *Machine) stepSym() {
 			return
 		}
 	}
-	p := &Pending{Kind: PendingTraceroute, Agent: src.Agent, Dst: cur, Salt: mm.m.salt, Start: 1}
+	p := &Pending{Kind: PendingTraceroute, Agent: src.Agent, Dst: cur, Salt: mm.m.salt, Start: 1, Run: mm.giveUpRun()}
 	dist := mm.distance()
 	met, memo := mm.metTTL()
 	switch {
@@ -1256,6 +1288,18 @@ func (mm *Machine) stepSym() {
 	}
 	mm.pending = p
 	mm.ph = phTrWait
+}
+
+// giveUpRun is how many silent TTLs end the window's walk up: above a
+// cursor whose RR stage closed silent, the target has answered nothing
+// already, and the window re-asks the silence above its last hop only as
+// often as the retry budget allows (probe.RetryPolicy): 2 + Max TTLs, at
+// most measure.SilentRun, which every other window and the sweep take.
+func (mm *Machine) giveUpRun() int {
+	if !mm.rr.closedSilent || mm.e.off&ruleGiveUp != 0 {
+		return measure.SilentRun
+	}
+	return min(measure.SilentRun, 2+mm.e.Pool.Retry().Max)
 }
 
 // metTTL is the TTL at which the source's traceroutes met the cursor's AS,
@@ -1280,6 +1324,8 @@ func (mm *Machine) onTraceroute(p *Pending, d Delivery) {
 		e.metrics.traceroutePackets.Add(uint64(d.TrSent))
 		if d.Tr.Swept {
 			e.metrics.tracerouteSweeps.Inc()
+		} else if p.Run < measure.SilentRun && !d.Tr.ReachedDst {
+			e.metrics.tracerouteShortGiveUps.Inc()
 		}
 	}
 	if len(d.Tr.Hops) > 0 && e.Opts.UseCache && mm.m.ctx.Err() == nil {
@@ -1375,10 +1421,19 @@ func (mm *Machine) classifyTraceroute() {
 // machines by hand at chosen suspension points.
 func (e *Engine) ExecPending(ctx context.Context, p *Pending) Delivery {
 	if p.Kind == PendingTraceroute {
-		tr, sent := e.Pool.Traceroute(ctx, p.Agent, p.Dst, p.Salt, p.Start, p.Prev, e.inAS)
+		tr, sent := e.Pool.Traceroute(ctx, p.Agent, p.Dst, p.Salt, p.Start, p.Run, p.Prev, e.inAS)
 		return Delivery{Tr: tr, TrSent: sent}
 	}
-	return Delivery{Batch: e.Pool.Do(ctx, p.Reqs)}
+	return Delivery{Batch: e.Pool.DoWith(ctx, p.Reqs, e.retryFor(p))}
+}
+
+// retryFor is the retry policy p's batch runs under: none for a batch sent
+// once, the pool's for any other.
+func (e *Engine) retryFor(p *Pending) probe.RetryPolicy {
+	if p.Once {
+		return probe.RetryPolicy{}
+	}
+	return e.Pool.Retry()
 }
 
 // MeasureAsyncStream runs one measurement without parking a goroutine:
@@ -1430,12 +1485,12 @@ func (e *Engine) driveAsync(mm *Machine, d *Delivery, done func(*Result)) {
 		return
 	}
 	if p.Kind == PendingTraceroute {
-		e.Pool.GoTraceroute(mm.Context(), p.Agent, p.Dst, p.Salt, p.Start, p.Prev, e.inAS, func(tr measure.TracerouteResult, sent int) {
+		e.Pool.GoTraceroute(mm.Context(), p.Agent, p.Dst, p.Salt, p.Start, p.Run, p.Prev, e.inAS, func(tr measure.TracerouteResult, sent int) {
 			e.driveAsync(mm, &Delivery{Tr: tr, TrSent: sent}, done)
 		})
 		return
 	}
-	e.Pool.Go(mm.Context(), p.Reqs, e.Pool.Retry(), func(b probe.Batch) {
+	e.Pool.Go(mm.Context(), p.Reqs, e.retryFor(p), func(b probe.Batch) {
 		e.driveAsync(mm, &Delivery{Batch: b}, done)
 	})
 }

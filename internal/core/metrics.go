@@ -86,6 +86,12 @@ type Metrics struct {
 	// (couldRevealMore).
 	spoofReachLeads *obs.Counter
 	spoofReachHeld  *obs.Counter
+	// Spent from the retry budget (probe.RetryPolicy): rounds whose lead drew
+	// no reply, their hedges cut to the budget (budgetHedges), and windows
+	// above an RR-silent hop that gave up short of measure.SilentRun silent
+	// TTLs without the target's echo reply (giveUpRun).
+	spoofSilentLeads       *obs.Counter
+	tracerouteShortGiveUps *obs.Counter
 
 	// Segment-store accounting (Doubletree memoization,
 	// Options.SegmentStore). segmentHits counts lookups that returned a
@@ -138,6 +144,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		spoofSweepsUnresponsive: reg.Counter("engine_spoof_sweeps_unresponsive_total"),
 		spoofReachLeads:         reg.Counter("engine_spoof_reach_leads_total"),
 		spoofReachHeld:          reg.Counter("engine_spoof_reach_held_total"),
+		spoofSilentLeads:        reg.Counter("engine_spoof_silent_leads_total"),
+		tracerouteShortGiveUps:  reg.Counter("engine_traceroute_short_giveups_total"),
 
 		segmentHits:    reg.Counter("engine_segment_hits_total"),
 		segmentSplices: reg.Counter("engine_segment_splices_total"),

@@ -164,7 +164,7 @@ func waitPhase(p *core.Pending) string {
 func sourceAdjacencies(c *chaosEnv) core.AdjacencyProvider {
 	adj := core.NewTracerouteAdjacencies()
 	for i, dst := range c.dsts {
-		tr, _ := c.env.Pool.Traceroute(context.Background(), c.src.Agent, dst, uint64(1)<<32+uint64(i*measure.MaxTracerouteTTL), 1, nil, nil)
+		tr, _ := c.env.Pool.Traceroute(context.Background(), c.src.Agent, dst, uint64(1)<<32+uint64(i*measure.MaxTracerouteTTL), 1, measure.SilentRun, nil, nil)
 		adj.Ingest(tr)
 	}
 	return adj
@@ -178,7 +178,9 @@ func sourceAdjacencies(c *chaosEnv) core.AdjacencyProvider {
 // delivery the cancellation cut short, the packets alone. Real deliveries
 // drive a measurement up to the first suspension in the phase; that one is
 // fabricated (for hedges, their lead too) and the books are read on either
-// side of it.
+// side of it. Hedges follow a silent lead only where the pool retries (at
+// most Max of them, each sent once): with no retry budget the round ends at
+// its lead, its timeout booked once.
 func TestDeliverBooks(t *testing.T) {
 	c := newChaosEnv(t, 8, 60)
 	bg := context.Background()
@@ -201,34 +203,43 @@ func TestDeliverBooks(t *testing.T) {
 		// leadUS is the round trip of the lead fabricated before hedges, 0
 		// for a silent one; its reply reveals nothing.
 		leadUS int64
+		// retries is the pool's retry budget (probe.RetryPolicy.Max).
+		retries int
 	}{
-		{"direct RR", "phRRWait", r20, []int64{4000}, 0, false, 4000, 0, 0},
-		{"round's lead, answered", "phSpoofWait", r20, []int64{1000}, 0, false, 1000, 1, 0},
-		{"round's lead, silent", "phSpoofWait", r20, []int64{0}, 0, false, timeoutUS, 1, 0},
-		{"hedges behind an answered lead, every reply in", "hedges", r20, []int64{3000, 2000}, 0, false, 3000, 0, 1000},
-		{"hedges behind an answered lead, short of a reply", "hedges", r20, []int64{2000, 0}, 0, false, timeoutUS, 0, 1000},
-		{"hedges behind a silent lead", "hedges", r20, []int64{3000, 2000}, 0, false, 0, 0, 0},
-		{"sweep batch, every reply in", "phSpoofWait", r10, []int64{1000, 3000, 2000}, 0, false, 3000, 1, 0},
-		{"sweep batch, short of a reply", "phSpoofWait", r10, []int64{1000, 0}, 0, false, timeoutUS, 1, 0},
-		{"direct Timestamp", "phTSDirectWait", r10, []int64{2500}, 0, false, 2500, 0, 0},
-		{"spoofed Timestamp", "phTSSpoofWait", r10, []int64{0}, 0, false, timeoutUS, 1, 0},
-		{"traceroute", "phTrWait", r20, []int64{7000}, 5, false, 7000, 0, 0},
-		{"cancel-skipped batch", "phSpoofWait", r10, []int64{3000}, 0, true, 0, 0, 0},
-		{"cancel-skipped traceroute", "phTrWait", r20, []int64{7000}, 0, true, 0, 0, 0},
+		{"direct RR", "phRRWait", r20, []int64{4000}, 0, false, 4000, 0, 0, 0},
+		{"round's lead, answered", "phSpoofWait", r20, []int64{1000}, 0, false, 1000, 1, 0, 0},
+		{"round's lead, silent", "phSpoofWait", r20, []int64{0}, 0, false, timeoutUS, 1, 0, 0},
+		{"hedges behind an answered lead, every reply in", "hedges", r20, []int64{3000, 2000}, 0, false, 3000, 0, 1000, 0},
+		{"hedges behind an answered lead, short of a reply", "hedges", r20, []int64{2000, 0}, 0, false, timeoutUS, 0, 1000, 0},
+		{"hedges behind a silent lead", "hedges", r20, []int64{3000, 2000}, 0, false, 0, 0, 0, 2},
+		{"a silent lead with hedges held, no retry budget", "lead with hedges", r20, []int64{0}, 0, false, timeoutUS, 1, 0, 0},
+		{"sweep batch, every reply in", "phSpoofWait", r10, []int64{1000, 3000, 2000}, 0, false, 3000, 1, 0, 0},
+		{"sweep batch, short of a reply", "phSpoofWait", r10, []int64{1000, 0}, 0, false, timeoutUS, 1, 0, 0},
+		{"direct Timestamp", "phTSDirectWait", r10, []int64{2500}, 0, false, 2500, 0, 0, 0},
+		{"spoofed Timestamp", "phTSSpoofWait", r10, []int64{0}, 0, false, timeoutUS, 1, 0, 0},
+		{"traceroute", "phTrWait", r20, []int64{7000}, 5, false, 7000, 0, 0, 0},
+		{"cancel-skipped batch", "phSpoofWait", r10, []int64{3000}, 0, true, 0, 0, 0, 0},
+		{"cancel-skipped traceroute", "phTrWait", r20, []int64{7000}, 0, true, 0, 0, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			eng := core.NewEngine(c.env.Fabric, c.env.Pool, c.ing, c.env.Sites, c.env.Alias,
+			pool := probe.New(c.env.Fabric, c.env.Pool.Clock(), 1)
+			pool.SetRetry(probe.RetryPolicy{Max: tc.retries})
+			eng := core.NewEngine(c.env.Fabric, pool, c.ing, c.env.Sites, c.env.Alias,
 				ip2as.Origin{Topo: c.env.Topo}, adj, tc.opts)
 			for _, dst := range c.dsts {
 				ctx, cancel := context.WithCancel(bg)
 				defer cancel()
 				mm := eng.Begin(ctx, c.src, dst)
 				for p := mm.Next(); p != nil; p = mm.Next() {
-					if tc.phase == "hedges" && isSpoofSweep(p) && len(mm.Held()) > 0 {
+					leadWithHedges := isSpoofSweep(p) && len(mm.Held()) > 0
+					if tc.phase == "hedges" && leadWithHedges {
 						mm.Deliver(fabricate(p, answerTo(p.Reqs[0], tc.leadUS)))
+						if next := mm.Next(); tc.leadUS == 0 && (next == nil || !next.Hedges || !next.Once || len(next.Reqs) > tc.retries) {
+							t.Fatalf("a silent lead was followed by %+v, want at most %d hedges sent once", next, tc.retries)
+						}
 						continue
 					}
-					if waitPhase(p) != tc.phase {
+					if waitPhase(p) != tc.phase && (tc.phase != "lead with hedges" || !leadWithHedges) {
 						mm.Deliver(eng.ExecPending(ctx, p))
 						continue
 					}
@@ -258,6 +269,14 @@ func TestDeliverBooks(t *testing.T) {
 					}
 					if res := mm.Result(); tc.cancel && (res == nil || !res.Cancelled || res.Probes != probes) {
 						t.Errorf("the cut-short delivery did not end the measurement cancelled and charged %+v", probes)
+					}
+					if tc.phase == "lead with hedges" {
+						if next := mm.Next(); len(mm.Held()) > 0 || next != nil && next.Hedges {
+							t.Errorf("with no retry budget a silent lead's round went on to its hedges")
+						}
+						if probes2, us2, batches2 := mm.Booked(); probes2 != probes || us2 != us || batches2 != batches {
+							t.Errorf("the round went on booking after its lead: %+v, %d us, %d batches", probes2.Sub(probes), us2-us, batches2-batches)
+						}
 					}
 					return
 				}
@@ -333,7 +352,9 @@ func TestCancelKeepsDeliveredWaits(t *testing.T) {
 // rest its hedges' (the last repeats), each reply revealing nothing. Every
 // other delivery is real and booked by the ledger, so the measurement's
 // virtual time is the ledger's plus what the case says the fabricated round
-// costs.
+// costs. Hedges follow a silent lead only on an engine whose pool retries,
+// sent once each; with no retry budget the round ends at the lead, which
+// waits out the timeout once.
 func TestSpoofWait(t *testing.T) {
 	c := newChaosEnv(t, 8, 60)
 	stuck := findStuckStages(c)
@@ -354,17 +375,20 @@ func TestSpoofWait(t *testing.T) {
 		wantUS   int64
 		timedOut uint64
 		dead     bool // the lead's vantage point is blacked out
+		retries  int  // the pool's retry budget (probe.RetryPolicy.Max)
 	}{
-		{"all answered", []measure.Reply{answer(1000), answer(3000), answer(2000)}, 1000 + 3000, 0, false},
-		{"one silent", []measure.Reply{answer(1000), silence, answer(2000)}, 1000 + timeoutUS, 1, false},
-		{"the lead silent", []measure.Reply{silence, answer(3000), answer(2000)}, timeoutUS, 1, false},
-		{"all silent", []measure.Reply{silence}, timeoutUS, 1, false},
-		{"one never sent", []measure.Reply{answer(1000), {}, answer(2000)}, 1000 + timeoutUS, 1, false},
-		{"dead vantage point", []measure.Reply{{VPDead: true}, answer(1000)}, timeoutUS, 1, true},
-		{"slowest reply later than the timeout", []measure.Reply{answer(1000), answer(timeoutUS + 2_000_000)}, 1000 + timeoutUS, 1, false},
+		{"all answered", []measure.Reply{answer(1000), answer(3000), answer(2000)}, 1000 + 3000, 0, false, 0},
+		{"one silent", []measure.Reply{answer(1000), silence, answer(2000)}, 1000 + timeoutUS, 1, false, 0},
+		{"the lead silent", []measure.Reply{silence, answer(3000), answer(2000)}, timeoutUS, 1, false, 2},
+		{"all silent", []measure.Reply{silence}, timeoutUS, 1, false, 2},
+		{"the lead silent, no retry budget", []measure.Reply{silence, answer(3000), answer(2000)}, timeoutUS, 1, false, 0},
+		{"one never sent", []measure.Reply{answer(1000), {}, answer(2000)}, 1000 + timeoutUS, 1, false, 0},
+		{"dead vantage point", []measure.Reply{{VPDead: true}, answer(1000)}, timeoutUS, 1, true, 0},
+		{"slowest reply later than the timeout", []measure.Reply{answer(1000), answer(timeoutUS + 2_000_000)}, 1000 + timeoutUS, 1, false, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			eng, _ := c.engine(1, probe.RetryPolicy{})
+			eng, _ := c.engine(1, probe.RetryPolicy{Max: tc.retries})
+			leadSilent := tc.replies[0].Sent && !tc.replies[0].RR.Responded
 			reg := observe(eng)
 			l := waitLedger{timeoutUS: timeoutUS}
 			fabricated, hedged := false, false
@@ -394,6 +418,9 @@ func TestSpoofWait(t *testing.T) {
 				}
 				if fabricated && !hedged && p.Hedges {
 					hedged = true
+					if p.Once != leadSilent || leadSilent && len(p.Reqs) > tc.retries {
+						t.Errorf("%d hedges, sent once %v, behind a lead silent %v with %d retries", len(p.Reqs), p.Once, leadSilent, tc.retries)
+					}
 					d := fabricate(p, tc.replies[min(1, len(tc.replies)-1):]...)
 					l.probes = l.probes.Add(d.Batch.Sent)
 					mm.Deliver(d)
@@ -404,8 +431,8 @@ func TestSpoofWait(t *testing.T) {
 				mm.Deliver(d)
 			}
 			res := mm.Result()
-			if !fabricated || !hedged {
-				t.Fatalf("no round on hop %s went on to its hedges", s.hop)
+			if wantHedged := !leadSilent || tc.retries > 0; !fabricated || hedged != wantHedged {
+				t.Fatalf("the round on hop %s went on to its hedges %v, want %v", s.hop, hedged, wantHedged)
 			}
 			if want := l.chargedUS() + tc.wantUS; res.DurationUS != want {
 				t.Errorf("DurationUS = %d, want %d: the fabricated round cost %d, want %d",

@@ -336,7 +336,7 @@ func TestChainStepDifferential(t *testing.T) {
 				d := eng.ExecPending(mm.Context(), p)
 				if p.Prev != nil && len(d.Tr.Hops) > 0 {
 					cur := mm.Cursor()
-					hop, _ := eng.Pool.Traceroute(bg, p.Agent, cur, p.Salt, p.Start-1, nil, nil)
+					hop, _ := eng.Pool.Traceroute(bg, p.Agent, cur, p.Salt, p.Start-1, measure.SilentRun, nil, nil)
 					gotPenult, gotClass := lastLink(d.Tr, cur, eng.Mapper)
 					wantPenult, wantClass := lastLink(hop, cur, eng.Mapper)
 					st.steps++

@@ -264,7 +264,7 @@ func (p *Prober) Traceroute(a Agent, dst ipv4.Addr) TracerouteResult {
 // responsive hop stop holds (RunTraceroute's stop set): the atlas's
 // Doubletree sweep, which needs no hop past one it already has.
 func (p *Prober) TracerouteUntil(a Agent, dst ipv4.Addr, stop func(ipv4.Addr) bool) TracerouteResult {
-	tr, sent := RunTraceroute(p.F, a, dst, p.clock.Now(), 0, 1, stop)
+	tr, sent := RunTraceroute(p.F, a, dst, p.clock.Now(), 0, 1, SilentRun, stop)
 	p.Count.Traceroute += uint64(sent)
 	return tr
 }

@@ -291,12 +291,13 @@ func issueTraceroutePkt(f *fabric.Fabric, sp Spec, nowUS int64) Reply {
 // until the result holds what a last-link reader needs — the TTL the
 // destination first answered at and the nearest responsive public hop
 // below it; TTLs never probed stay zero hops. Silence does not end the
-// window. Going up it is skipped, and the fourth silent TTL in a row
-// gives up as the sweep does: the destination did not answer, and the
-// walk down finds the hop that stands in for it. Going down it is
-// skipped like a private hop. Only four silent TTLs in a row under an
-// echo reply — the sweep would have given up before it saw that reply —
-// complete the classic sweep over the replies already in hand. Either
+// window. Going up it is skipped, and the run-th silent TTL in a row (the
+// fourth, as the sweep gives up, unless run is shorter) gives up: the
+// destination did not answer, and the walk down finds the hop that stands
+// in for it. Going down it is skipped like a private hop. Only four silent
+// TTLs in a row under an echo reply — the sweep would have given up before
+// it saw that reply — complete the classic sweep over the replies already
+// in hand. Either
 // way no packet is sent twice and every packet sent is bit-for-bit the
 // one the sweep sends at that TTL. One divergence from the sweep is
 // admitted: a run of four silent TTLs that begins below the lowest TTL
@@ -311,13 +312,22 @@ func issueTraceroutePkt(f *fabric.Fabric, sp Spec, nowUS int64) Reply {
 // and the one divergence admitted reads: a run of four silent TTLs the
 // window did not probe whole.
 //
+// run is how many silent TTLs in a row end a window's walk up: SilentRun,
+// the sweep's own rule, unless the caller has heard the target answer
+// nothing already (core gives a hop whose Record Route stage closed silent
+// as few as its retry budget allows, probe.RetryPolicy). A run outside
+// 1…SilentRun is SilentRun. The walk down, and the sweep, always judge
+// silence by SilentRun. A shorter run admits one more divergence: the
+// window stands on the hop under a run of silence shorter than SilentRun
+// that the sweep walks through.
+//
 // stop is the sweep's stop set (Donnet et al.'s Doubletree): a sweep ends
 // after the first responsive hop short of the destination that stop
 // holds, and says so in Stopped. A nil stop set, like a window, never
 // stops early.
-func RunTraceroute(f *fabric.Fabric, a Agent, dst ipv4.Addr, nowUS int64, salt uint64, start int, stop func(ipv4.Addr) bool) (TracerouteResult, int) {
+func RunTraceroute(f *fabric.Fabric, a Agent, dst ipv4.Addr, nowUS int64, salt uint64, start, run int, stop func(ipv4.Addr) bool) (TracerouteResult, int) {
 	base := Spec{Kind: KindTraceroutePkt, VP: a, Dst: dst, Seq: salt}
-	return runTraceroute(base, start, stop, nil, func(sp Spec) Reply { return Issue(f, sp, nowUS) })
+	return runTraceroute(base, start, run, stop, nil, func(sp Spec) Reply { return Issue(f, sp, nowUS) })
 }
 
 // ttlReply is what the traceroute keeps of one TTL's reply.
@@ -332,6 +342,7 @@ type ttlReplies struct {
 	base   Spec // the probe at TTL t is base with TTL = t
 	issue  func(Spec) Reply
 	within func(hop, dst ipv4.Addr) bool // the window's climb rule; nil: one TTL at a time
+	giveUp int                           // silent TTLs that end the window's walk up (RunTraceroute's run)
 	got    [MaxTracerouteTTL + 1]ttlReply
 	probed uint64 // bit t: got[t] holds TTL t's reply (TracerouteResult.Probed)
 	sent   int
@@ -364,10 +375,19 @@ func (r *ttlReplies) at(ttl int) *ttlReply {
 	return g
 }
 
-// silentRun is the sweep's give-up rule: this many TTLs in a row that
+// SilentRun is the sweep's give-up rule: this many TTLs in a row that
 // delivered nothing. A reply that does not decode, or of an unexpected
 // ICMP type, is a zero hop but not silence.
-const silentRun = 4
+const SilentRun = 4
+
+// newReplies is the replies of a traceroute yet to be probed, its window
+// giving up after run silent TTLs going up.
+func newReplies(base Spec, run int, within func(hop, dst ipv4.Addr) bool, issue func(Spec) Reply) ttlReplies {
+	if run < 1 || run > SilentRun {
+		run = SilentRun
+	}
+	return ttlReplies{base: base, issue: issue, within: within, giveUp: run}
+}
 
 // climbOut is how many TTLs a window climbs past a responsive hop outside
 // the target's AS.
@@ -395,7 +415,7 @@ func (r *ttlReplies) window(start int) (TracerouteResult, bool) {
 		if reached = g.echo; reached {
 			break
 		}
-		if silent = nextSilent(silent, g); silent == silentRun || top == MaxTracerouteTTL {
+		if silent = nextSilent(silent, g); silent == r.giveUp || top == MaxTracerouteTTL {
 			break
 		}
 		top = min(top+r.climb(g), MaxTracerouteTTL)
@@ -411,7 +431,7 @@ func (r *ttlReplies) window(start int) (TracerouteResult, bool) {
 			top, reached, silent = ttl, true, 0
 		} else if g.hop.Responded && !g.hop.Addr.IsPrivate() {
 			break
-		} else if silent = nextSilent(silent, g); silent == silentRun && reached || r.dead {
+		} else if silent = nextSilent(silent, g); silent == SilentRun && reached || r.dead {
 			return TracerouteResult{}, false
 		}
 	}
@@ -433,8 +453,8 @@ func nextSilent(run int, g *ttlReply) int {
 
 // runTraceroute is RunTraceroute over an abstract issue path (tests
 // observe the specs it is handed, and script the replies).
-func runTraceroute(base Spec, start int, stop func(ipv4.Addr) bool, within func(hop, dst ipv4.Addr) bool, issue func(Spec) Reply) (TracerouteResult, int) {
-	r := ttlReplies{base: base, issue: issue, within: within}
+func runTraceroute(base Spec, start, run int, stop func(ipv4.Addr) bool, within func(hop, dst ipv4.Addr) bool, issue func(Spec) Reply) (TracerouteResult, int) {
+	r := newReplies(base, run, within, issue)
 	return r.run(start, stop)
 }
 
@@ -443,15 +463,16 @@ func runTraceroute(base Spec, start int, stop func(ipv4.Addr) bool, within func(
 // stands for the destination, and the window walks down from it. Every TTL
 // prev probed is read, not sent again, and a packet sent is the one prev's
 // sweep sends at its TTL, on prev's path (Paris semantics). A nil prev is
-// RunTraceroute from top with no stop set and within as its climb rule.
-func ContinueTraceroute(f *fabric.Fabric, a Agent, dst ipv4.Addr, nowUS int64, salt uint64, prev *TracerouteResult, top int, within func(hop, dst ipv4.Addr) bool) (TracerouteResult, int) {
+// RunTraceroute from top, giving up after run silent TTLs, with no stop set
+// and within as its climb rule.
+func ContinueTraceroute(f *fabric.Fabric, a Agent, dst ipv4.Addr, nowUS int64, salt uint64, prev *TracerouteResult, top, run int, within func(hop, dst ipv4.Addr) bool) (TracerouteResult, int) {
 	base := Spec{Kind: KindTraceroutePkt, VP: a, Dst: dst, Seq: salt}
-	return continueTraceroute(base, prev, top, within, func(sp Spec) Reply { return Issue(f, sp, nowUS) })
+	return continueTraceroute(base, prev, top, run, within, func(sp Spec) Reply { return Issue(f, sp, nowUS) })
 }
 
 // continueTraceroute is ContinueTraceroute over an abstract issue path.
-func continueTraceroute(base Spec, prev *TracerouteResult, top int, within func(hop, dst ipv4.Addr) bool, issue func(Spec) Reply) (TracerouteResult, int) {
-	r := ttlReplies{base: base, issue: issue, within: within}
+func continueTraceroute(base Spec, prev *TracerouteResult, top, run int, within func(hop, dst ipv4.Addr) bool, issue func(Spec) Reply) (TracerouteResult, int) {
+	r := newReplies(base, run, within, issue)
 	if prev != nil {
 		for ttl := 1; ttl < top; ttl++ {
 			if prev.ProbedAt(ttl) {
@@ -474,7 +495,7 @@ func (r *ttlReplies) run(start int, stop func(ipv4.Addr) bool) (TracerouteResult
 		}
 	}
 	out := TracerouteResult{Swept: true}
-	for ttl, silent := 1, 0; ttl <= MaxTracerouteTTL && silent < silentRun && !out.ReachedDst && !out.Stopped; ttl++ {
+	for ttl, silent := 1, 0; ttl <= MaxTracerouteTTL && silent < SilentRun && !out.ReachedDst && !out.Stopped; ttl++ {
 		g := r.at(ttl)
 		if r.dead {
 			return TracerouteResult{}, 0

@@ -65,7 +65,7 @@ func startCorpus(env *simtest.Env) (agents []measure.Agent, targets []ipv4.Addr)
 	for i := 0; i < 24; i++ {
 		if h := env.ResponsiveHost(i*3, agents[0].AS); h != nil {
 			add(h.Addr)
-			tr, _ := measure.RunTraceroute(env.Fabric, agents[0], h.Addr, 0, 0, 1, nil)
+			tr, _ := measure.RunTraceroute(env.Fabric, agents[0], h.Addr, 0, 0, 1, measure.SilentRun, nil)
 			for _, hop := range tr.HopAddrs() {
 				add(hop)
 			}
@@ -102,6 +102,16 @@ var parentPackets = map[string][12]int{
 	"seed3/faulty": {1877, 1874, 1872, 1859, 1834, 1818, 1808, 1828, 1865, 1908, 1962, 2060},
 }
 
+// TestTracerouteStartDifferential runs every window of the corpus from
+// every start, one TTL at a time and climbing, against the classic sweep
+// (the file's contract above), and bounds starts 1…12 by parentPackets.
+// Each plan has a second set of rows: the windows toward the targets that
+// answer no echo, giving up after two silent TTLs going up (the run core
+// gives a hop whose Record Route stage was silent, at no retries). No TTL
+// is sent twice, every packet is the sweep's at its TTL, and each window
+// shows the classic last link or stands on a hop under a run of silence
+// the sweep walked through; over every start they cost fewer packets than
+// the four-TTL give-up.
 func TestTracerouteStartDifferential(t *testing.T) {
 	const salt = 5000
 	plans := []struct {
@@ -122,10 +132,11 @@ func TestTracerouteStartDifferential(t *testing.T) {
 				mapper := ip2as.Origin{Topo: env.Topo}
 				agents, targets := startCorpus(env)
 				var packets, climbed [measure.MaxTracerouteTTL + 1]int
-				var unit, climb tally
+				var unit, climb, short tally
+				shortSent, fullSent := 0, 0 // toward the targets that answer no echo, starts 2 and up
 				for _, a := range agents {
 					for _, dst := range targets {
-						classic, classicSent := measure.RunTraceroute(env.Fabric, a, dst, plan.nowUS, salt, 1, nil)
+						classic, classicSent := measure.RunTraceroute(env.Fabric, a, dst, plan.nowUS, salt, 1, measure.SilentRun, nil)
 						if !classic.Swept {
 							t.Fatalf("start 1 did not run the sweep")
 						}
@@ -133,7 +144,7 @@ func TestTracerouteStartDifferential(t *testing.T) {
 						within := func(hop, dst ipv4.Addr) bool { return ip2as.SameAS(mapper, hop, dst) }
 						for start := 1; start <= measure.MaxTracerouteTTL; start++ {
 							base := measure.Spec{Kind: measure.KindTraceroutePkt, VP: a, Dst: dst, Seq: salt}
-							tr, sent, w := runWatched(t, base, start, nil, issue)
+							tr, sent, w := runWatched(t, base, start, measure.SilentRun, nil, issue)
 							packets[start] += sent
 							if start == 1 {
 								if !reflect.DeepEqual(tr, classic) || sent != classicSent {
@@ -143,18 +154,26 @@ func TestTracerouteStartDifferential(t *testing.T) {
 								continue
 							}
 							label := fmt.Sprintf("%s→%s start %d", a.Addr, dst, start)
-							unitDiv := unit.check(t, label, tr, w, classic)
-							trC, sentC, wC := runWatched(t, base, start, within, issue)
+							unitDiv := unit.check(t, label, tr, w, classic, measure.SilentRun)
+							trC, sentC, wC := runWatched(t, base, start, measure.SilentRun, within, issue)
 							climbed[start] += sentC
-							climbDiv := climb.check(t, label+" climbing", trC, wC, classic)
+							climbDiv := climb.check(t, label+" climbing", trC, wC, classic, measure.SilentRun)
 							if lastLinkOf(trC) != lastLinkOf(tr) && !unitDiv && !climbDiv {
 								t.Fatalf("%s: climbing, last link %+v; one TTL at a time %+v\n%+v\n%+v", label, lastLinkOf(trC), lastLinkOf(tr), trC, tr)
+							}
+							if !classic.ReachedDst {
+								trS, sentS, wS := runWatched(t, base, start, 2, within, issue)
+								short.check(t, label+" climbing, run 2", trS, wS, classic, 2)
+								shortSent, fullSent = shortSent+sentS, fullSent+sentC
 							}
 						}
 					}
 				}
-				if unit.stood == 0 || climb.stood == 0 {
+				if unit.stood == 0 || climb.stood == 0 || short.stood == 0 {
 					t.Fatal("no window ever stood")
+				}
+				if shortSent >= fullSent {
+					t.Errorf("toward targets that answer no echo, windows giving up after two silent TTLs sent %d packets, after four %d", shortSent, fullSent)
 				}
 				if plan.spec == "" && unit.divergent+climb.divergent != 0 {
 					t.Fatalf("%d and, climbing, %d divergences from the classic sweep on a clean plan", unit.divergent, climb.divergent)
@@ -172,6 +191,7 @@ func TestTracerouteStartDifferential(t *testing.T) {
 				}
 				t.Logf("%d pairs; one TTL at a time %+v, climbing %+v; corpus packets by start, one TTL at a time/climbing:%s",
 					len(agents)*len(targets), unit, climb, sb.String())
+				t.Logf("toward targets that answer no echo, climbing: run 2 %+v, %d packets against %d at run 4", short, shortSent, fullSent)
 				if plan.spec == "" && totalClimbed >= total {
 					t.Errorf("climbing sent %d packets over every start, one TTL at a time %d", totalClimbed, total)
 				}
@@ -182,14 +202,16 @@ func TestTracerouteStartDifferential(t *testing.T) {
 
 // tally counts how the windows of one kind compared with the classic
 // sweep.
-type tally struct{ stood, swept, divergent int }
+type tally struct{ stood, swept, divergent, short int }
 
 // check fails the test unless tr, a traceroute from the start label names
-// that runWatched saw as w, shows the classic sweep's last link, or is the
-// sweep run over its replies, or diverges as RunTraceroute admits: the
-// sweep gave up on a run of four silent TTLs the window did not probe
-// whole. It reports the divergence.
-func (c *tally) check(t *testing.T, label string, tr measure.TracerouteResult, w watch, classic measure.TracerouteResult) bool {
+// that runWatched saw as w, giving up after run silent TTLs going up, shows
+// the classic sweep's last link, or is the sweep run over its replies, or
+// diverges as RunTraceroute admits: the sweep gave up on a run of four
+// silent TTLs the window did not probe whole, or, run short of four, the
+// window gave up on a run of silence the sweep walked through. It reports
+// the divergence.
+func (c *tally) check(t *testing.T, label string, tr measure.TracerouteResult, w watch, classic measure.TracerouteResult, run int) bool {
 	t.Helper()
 	switch n := len(classic.Hops); {
 	case tr.Swept:
@@ -207,6 +229,9 @@ func (c *tally) check(t *testing.T, label string, tr measure.TracerouteResult, w
 	case !classic.ReachedDst && n >= silentRun && !w.sawAll(n-silentRun+1, n):
 		c.divergent++
 		return true
+	case run < silentRun && !tr.ReachedDst && len(tr.Hops) < n && w.silentAll(len(tr.Hops)-run+1, len(tr.Hops)):
+		c.short++
+		return true
 	default:
 		t.Fatalf("%s: last link %+v, classic %+v\n%+v\n%+v", label, lastLinkOf(tr), lastLinkOf(classic), tr, classic)
 	}
@@ -217,12 +242,18 @@ func (c *tally) check(t *testing.T, label string, tr measure.TracerouteResult, w
 const silentRun = 4
 
 // watch is what runWatched saw of one traceroute: the TTLs issued, how
-// many, the lowest among them, and whether four consecutive TTLs drew
-// nothing.
+// many, the lowest among them, those that drew nothing, and whether four
+// consecutive TTLs did.
 type watch struct {
 	issued, lowest int
-	probed         uint64
+	probed, silent uint64
 	silentRun      bool
+}
+
+// silentAll reports whether the traceroute probed every TTL from lo to hi
+// and each drew nothing.
+func (w watch) silentAll(lo, hi int) bool {
+	return lo >= 1 && w.sawAll(lo, hi) && bits.OnesCount64(w.silent>>lo&(uint64(1)<<(hi-lo+1)-1)) == hi-lo+1
 }
 
 // sawAll reports whether the traceroute probed every TTL from lo to hi.
@@ -235,16 +266,16 @@ func (w watch) sawAll(lo, hi int) bool {
 	return true
 }
 
-// runWatched runs the traceroute from start over issue, climbing by within,
-// and fails the test unless every Spec it is handed is the sweep's packet
-// at that TTL — base with the TTL set — no TTL is issued twice, and the
-// result's Probed holds exactly the TTLs sent.
-func runWatched(t *testing.T, base measure.Spec, start int, within func(hop, dst ipv4.Addr) bool, issue func(measure.Spec) measure.Reply) (measure.TracerouteResult, int, watch) {
+// runWatched runs the traceroute from start over issue, climbing by within
+// and giving up after run silent TTLs going up, and fails the test unless
+// every Spec it is handed is the sweep's packet at that TTL — base with the
+// TTL set — no TTL is issued twice, and the result's Probed holds exactly
+// the TTLs sent.
+func runWatched(t *testing.T, base measure.Spec, start, run int, within func(hop, dst ipv4.Addr) bool, issue func(measure.Spec) measure.Reply) (measure.TracerouteResult, int, watch) {
 	t.Helper()
-	var silent [measure.MaxTracerouteTTL + 1]bool
 	var sentTTLs uint64
 	w := watch{lowest: measure.MaxTracerouteTTL + 1}
-	tr, sent := measure.RunTracerouteVia(base, start, nil, within, func(sp measure.Spec) measure.Reply {
+	tr, sent := measure.RunTracerouteVia(base, start, run, nil, within, func(sp measure.Spec) measure.Reply {
 		ttl := int(sp.TTL)
 		want := base
 		want.TTL = sp.TTL
@@ -258,7 +289,9 @@ func runWatched(t *testing.T, base measure.Spec, start int, within func(hop, dst
 		w.issued++
 		w.lowest = min(w.lowest, ttl)
 		rep := issue(sp)
-		silent[ttl] = !rep.Delivered
+		if !rep.Delivered {
+			w.silent |= 1 << ttl
+		}
 		if rep.Sent {
 			sentTTLs |= 1 << ttl
 		}
@@ -267,11 +300,11 @@ func runWatched(t *testing.T, base measure.Spec, start int, within func(hop, dst
 	if tr.Probed != sentTTLs {
 		t.Fatalf("start %d: Probed %#x, TTLs sent %#x", start, tr.Probed, sentTTLs)
 	}
-	for ttl, run := 1, 0; ttl <= measure.MaxTracerouteTTL; ttl++ {
-		if run++; !silent[ttl] {
-			run = 0
+	for ttl, n := 1, 0; ttl <= measure.MaxTracerouteTTL; ttl++ {
+		if n++; w.silent>>ttl&1 == 0 {
+			n = 0
 		}
-		w.silentRun = w.silentRun || run == silentRun
+		w.silentRun = w.silentRun || n == silentRun
 	}
 	return tr, sent, w
 }
@@ -281,38 +314,47 @@ func runWatched(t *testing.T, base measure.Spec, start int, within func(hop, dst
 // from a public or private address, stay silent, or come back
 // undecodable, and whose target answers or is lost, one choice per TTL,
 // with a bit per TTL that says whether its hop is in the target's AS. For
-// any start TTL the traceroute, climbing one TTL at a time or by that bit,
-// must issue each TTL at most once, as the sweep's packet at that TTL,
-// account exactly what it sent in its count and its Probed bits, return
-// the classic result whenever it swept — which it may only behind four
-// silent TTLs in a row — and otherwise show the classic last link, or have
-// missed part of the run of silence the sweep gave up on. The climbing
-// window shows the last link of the one that climbs one TTL at a time but
-// where one of them missed that part. A dead vantage point costs one
-// suppressed probe and yields the zero result.
+// any start TTL and a give-up run of 2, 3 or 4 silent TTLs going up, the
+// traceroute, climbing one TTL at a time or by that bit, must issue each
+// TTL at most once, as the sweep's packet at that TTL, account exactly
+// what it sent in its count and its Probed bits, return the classic result
+// whenever it swept — which it may only behind four silent TTLs in a row —
+// and otherwise show the classic last link, or have missed part of the run
+// of silence the sweep gave up on, or, run short of four, have given up on
+// a run of silence the sweep walked through. The climbing window shows the
+// last link of the one that climbs one TTL at a time but where one of them
+// diverged. A dead vantage point costs one suppressed probe and yields the
+// zero result.
 func FuzzTracerouteStart(f *testing.F) {
-	f.Add(uint8(1), uint8(6), false, []byte{})
-	f.Add(uint8(14), uint8(12), false, []byte{0, 0, 1, 0})
-	f.Add(uint8(5), uint8(9), false, []byte{0, 2, 2, 2, 2, 0, 0, 0, 0})
-	f.Add(uint8(9), uint8(9), false, []byte{0, 0, 0, 0, 0, 0, 1, 1})
-	f.Add(uint8(40), uint8(3), false, []byte{3, 0, 0, 2})
-	f.Add(uint8(12), uint8(0), false, []byte{0, 0, 2})
-	f.Add(uint8(200), uint8(41), true, []byte{})
+	f.Add(uint8(1), uint8(6), false, uint8(2), []byte{})
+	f.Add(uint8(14), uint8(12), false, uint8(2), []byte{0, 0, 1, 0})
+	f.Add(uint8(5), uint8(9), false, uint8(2), []byte{0, 2, 2, 2, 2, 0, 0, 0, 0})
+	f.Add(uint8(9), uint8(9), false, uint8(2), []byte{0, 0, 0, 0, 0, 0, 1, 1})
+	f.Add(uint8(40), uint8(3), false, uint8(2), []byte{3, 0, 0, 2})
+	f.Add(uint8(12), uint8(0), false, uint8(2), []byte{0, 0, 2})
+	f.Add(uint8(200), uint8(41), true, uint8(2), []byte{})
 	// Walks up into MaxTracerouteTTL on a hop that answers, above a run of
 	// four silent TTLs: that hop stands in, not one under the run.
-	f.Add(uint8(43), uint8(41), false, []byte("000000000000000000000000000000000002222"))
-	f.Add(uint8(6), uint8(8), false, []byte{0, 0, 0, 2, 2, 2, 2, 0})
-	f.Add(uint8(9), uint8(5), false, []byte{0, 0, 0, 0, 0, 2, 2, 2, 2})
+	f.Add(uint8(43), uint8(41), false, uint8(2), []byte("000000000000000000000000000000000002222"))
+	f.Add(uint8(6), uint8(8), false, uint8(2), []byte{0, 0, 0, 2, 2, 2, 2, 0})
+	f.Add(uint8(9), uint8(5), false, uint8(2), []byte{0, 0, 0, 0, 0, 2, 2, 2, 2})
 	// Climbs from TTL 2 over 3 and 4 to 5; their silence and 5's and 6's
 	// is the run the sweep gave up on, and the window walks on past it.
-	f.Add(uint8(2), uint8(0), false, []byte{0, 0, 2, 2, 2, 2, 0, 0})
+	f.Add(uint8(2), uint8(0), false, uint8(2), []byte{0, 0, 2, 2, 2, 2, 0, 0})
 	// Climbs from TTL 3 past the target's first echo reply at 5, then
 	// inside its AS one TTL at a time.
-	f.Add(uint8(3), uint8(5), false, []byte{0, 0, 0, 4, 4, 4})
+	f.Add(uint8(3), uint8(5), false, uint8(2), []byte{0, 0, 0, 4, 4, 4})
+	// Gives up after two silent TTLs at 5 and 6, under a hop at 7 and the
+	// target's echo reply at 9 that the sweep walks on to.
+	f.Add(uint8(3), uint8(9), false, uint8(0), []byte{0, 0, 0, 0, 2, 2, 0, 2})
+	// Three: the run of two at 5 and 6 does not end the walk, the one of
+	// three at 8, 9 and 10 does, above a target that never answers.
+	f.Add(uint8(4), uint8(0), false, uint8(1), []byte{0, 0, 0, 0, 2, 2, 0, 2, 2, 2, 0})
 
 	const salt = 77
 	dst := ipv4.MustParseAddr("9.9.9.9")
-	f.Fuzz(func(t *testing.T, start, length uint8, dead bool, pattern []byte) {
+	f.Fuzz(func(t *testing.T, start, length uint8, dead bool, runByte uint8, pattern []byte) {
+		giveUp := 2 + int(runByte%3)                            // 2, 3 or measure.SilentRun
 		pathLen := int(length) % (measure.MaxTracerouteTTL + 2) // 0: the target never answers
 		at := func(ttl int) byte {
 			if ttl >= 1 && ttl <= len(pattern) {
@@ -345,7 +387,7 @@ func FuzzTracerouteStart(f *testing.F) {
 		}
 		base := measure.Spec{Kind: measure.KindTraceroutePkt, Dst: dst, Seq: salt}
 		run := func(start int, within func(hop, dst ipv4.Addr) bool) (measure.TracerouteResult, int, watch) {
-			tr, sent, w := runWatched(t, base, start, within, func(sp measure.Spec) measure.Reply { return reply(int(sp.TTL)) })
+			tr, sent, w := runWatched(t, base, start, giveUp, within, func(sp measure.Spec) measure.Reply { return reply(int(sp.TTL)) })
 			if dead {
 				if w.issued != 1 || sent != 0 || !reflect.DeepEqual(tr, measure.TracerouteResult{}) {
 					t.Fatalf("start %d, dead VP: %d issued, %d sent, result %+v", start, w.issued, sent, tr)
@@ -365,8 +407,8 @@ func FuzzTracerouteStart(f *testing.F) {
 			if !reflect.DeepEqual(tr, classic) || sent != classicSent || !reflect.DeepEqual(trC, classic) || sentC != classicSent {
 				t.Fatalf("start %d is not the classic sweep: %+v and, climbing, %+v vs %+v", start, tr, trC, classic)
 			}
-		case !c.check(t, fmt.Sprint("start ", start), tr, w, classic) &&
-			!c.check(t, fmt.Sprint("start ", start, " climbing"), trC, wC, classic) &&
+		case !c.check(t, fmt.Sprint("start ", start), tr, w, classic, giveUp) &&
+			!c.check(t, fmt.Sprint("start ", start, " climbing"), trC, wC, classic, giveUp) &&
 			lastLinkOf(trC) != lastLinkOf(tr):
 			t.Fatalf("start %d: climbing, last link %+v; one TTL at a time %+v\n%+v\n%+v", start, lastLinkOf(trC), lastLinkOf(tr), trC, tr)
 		}
@@ -391,21 +433,21 @@ func TestTracerouteStopSet(t *testing.T) {
 		}
 	}
 	base := measure.Spec{Kind: measure.KindTraceroutePkt, Dst: dst, Seq: 1}
-	classic, classicSent := measure.RunTracerouteVia(base, 1, nil, nil, reply)
+	classic, classicSent := measure.RunTracerouteVia(base, 1, measure.SilentRun, nil, nil, reply)
 	holds := func(addrs ...ipv4.Addr) func(ipv4.Addr) bool {
 		return func(a ipv4.Addr) bool { return slices.Contains(addrs, a) }
 	}
 	if !classic.ReachedDst || classic.Stopped || classicSent != 8 {
 		t.Fatalf("classic sweep: %+v, %d sent", classic, classicSent)
 	}
-	tr, sent := measure.RunTracerouteVia(base, 1, holds(0, ipv4.Addr(8<<24|5), ipv4.Addr(8<<24|6)), nil, reply)
+	tr, sent := measure.RunTracerouteVia(base, 1, measure.SilentRun, holds(0, ipv4.Addr(8<<24|5), ipv4.Addr(8<<24|6)), nil, reply)
 	if !tr.Stopped || tr.ReachedDst || sent != 5 || !reflect.DeepEqual(tr.Hops, classic.Hops[:5]) {
 		t.Fatalf("stop at TTL 5: %+v, %d sent; classic %+v", tr, sent, classic.Hops)
 	}
-	if tr, sent := measure.RunTracerouteVia(base, 1, holds(dst), nil, reply); !tr.ReachedDst || tr.Stopped || sent != 8 {
+	if tr, sent := measure.RunTracerouteVia(base, 1, measure.SilentRun, holds(dst), nil, reply); !tr.ReachedDst || tr.Stopped || sent != 8 {
 		t.Fatalf("a set holding the destination: %+v, %d sent", tr, sent)
 	}
-	if tr, _ := measure.RunTracerouteVia(base, 6, holds(ipv4.Addr(8<<24|6)), nil, reply); tr.Stopped || !tr.ReachedDst {
+	if tr, _ := measure.RunTracerouteVia(base, 6, measure.SilentRun, holds(ipv4.Addr(8<<24|6)), nil, reply); tr.Stopped || !tr.ReachedDst {
 		t.Fatalf("a window stopped: %+v", tr)
 	}
 }
@@ -418,42 +460,45 @@ func TestTracerouteStopSet(t *testing.T) {
 // one that climbed from TTL 2 over the ASes short of the destination's and
 // left gaps, sends no TTL the first walk sent, and the result's Probed is
 // the first walk's bits up to the hop and the TTLs the continuation sent.
+// Toward a target that answers no echo the same holds of windows that gave
+// up after two silent TTLs, continued below the hop they stood on: started
+// at the sweep's last responsive hop, or climbing from TTL 2.
 func TestContinueTraceroute(t *testing.T) {
 	const salt = 5000
-	inHand, continued, gapped := 0, 0, 0
+	inHand, continued, gapped, silentTargets := 0, 0, 0, 0
 	for seed := int64(1); seed <= 3; seed++ {
 		env := simtest.New(t, 300, seed)
 		mapper := ip2as.Origin{Topo: env.Topo}
+		within := func(hop, dst ipv4.Addr) bool { return ip2as.SameAS(mapper, hop, dst) }
 		agents, targets := startCorpus(env)
 		for _, a := range agents {
 			for _, dst := range targets {
-				classic, _ := measure.RunTraceroute(env.Fabric, a, dst, 0, salt, 1, nil)
-				ll := lastLinkOf(classic)
-				if !ll.reached || ll.penult.IsZero() || ll.ttl < 3 {
-					continue
-				}
-				top := slices.IndexFunc(classic.Hops, func(h measure.TracerouteHop) bool { return h.Addr == ll.penult }) + 1
-				cut := classic
-				cut.Hops = classic.Hops[:top]
-				want := lastLinkOf(cut)
 				base := measure.Spec{Kind: measure.KindTraceroutePkt, VP: a, Dst: dst, Seq: salt}
 				issue := func(sp measure.Spec) measure.Reply { return measure.Issue(env.Fabric, sp, 0) }
-				window, _ := measure.RunTracerouteVia(base, ll.ttl, nil, nil, issue)
-				climbed, _ := measure.RunTracerouteVia(base, 2, nil, func(hop, dst ipv4.Addr) bool { return ip2as.SameAS(mapper, hop, dst) }, issue)
-				for _, prev := range []measure.TracerouteResult{classic, window, climbed} {
+				// cont continues prev below its hop at top, giving up after run
+				// silent TTLs, and checks it against the sweep cut there: the hop
+				// at top stands for the destination.
+				cont := func(prev measure.TracerouteResult, top, run int, classic measure.TracerouteResult) {
+					cut := classic
+					cut.Hops, cut.ReachedDst = classic.Hops[:top], true
+					want := lastLinkOf(cut)
 					var sentTTLs uint64
-					tr, sent := measure.ContinueTracerouteVia(base, &prev, top, nil, func(sp measure.Spec) measure.Reply {
+					tr, sent := measure.ContinueTracerouteVia(base, &prev, top, run, nil, func(sp measure.Spec) measure.Reply {
 						if prev.Probed>>sp.TTL&1 == 1 {
-							t.Fatalf("%s→%s below TTL %d: TTL %d sent again", a.Addr, dst, top, sp.TTL)
+							t.Fatalf("%s→%s below TTL %d, run %d: TTL %d sent again", a.Addr, dst, top, run, sp.TTL)
+						}
+						want := base
+						if want.TTL = sp.TTL; !reflect.DeepEqual(sp, want) {
+							t.Fatalf("%s→%s below TTL %d, run %d: issued %+v, not the sweep's packet at that TTL", a.Addr, dst, top, run, sp)
 						}
 						sentTTLs |= 1 << sp.TTL
 						return issue(sp)
 					})
-					if pub, pubSent := measure.ContinueTraceroute(env.Fabric, a, dst, 0, salt, &prev, top, nil); !reflect.DeepEqual(pub, tr) || pubSent != sent {
+					if pub, pubSent := measure.ContinueTraceroute(env.Fabric, a, dst, 0, salt, &prev, top, run, nil); !reflect.DeepEqual(pub, tr) || pubSent != sent {
 						t.Fatalf("%s→%s below TTL %d: ContinueTraceroute is not continueTraceroute", a.Addr, dst, top)
 					}
 					if got := lastLinkOf(tr); got != want {
-						t.Fatalf("%s→%s below TTL %d: last link %+v, the sweep cut there %+v", a.Addr, dst, top, got, want)
+						t.Fatalf("%s→%s below TTL %d, run %d: last link %+v, the sweep cut there %+v", a.Addr, dst, top, run, got, want)
 					}
 					if upTo := uint64(1)<<(top+1) - 1; bits.OnesCount64(sentTTLs) != sent || tr.Probed != prev.Probed&upTo|sentTTLs {
 						t.Fatalf("%s→%s below TTL %d: %d sent, TTLs %#x; Probed %#x, the first walk's %#x", a.Addr, dst, top, sent, sentTTLs, tr.Probed, prev.Probed)
@@ -469,11 +514,43 @@ func TestContinueTraceroute(t *testing.T) {
 					}
 					continued++
 				}
+				classic, _ := measure.RunTraceroute(env.Fabric, a, dst, 0, salt, 1, measure.SilentRun, nil)
+				ll := lastLinkOf(classic)
+				ttlOf := func(tr measure.TracerouteResult, hop ipv4.Addr) int {
+					return slices.IndexFunc(tr.Hops, func(h measure.TracerouteHop) bool { return h.Addr == hop }) + 1
+				}
+				if !ll.reached {
+					// A target that answers no echo: windows that give up after two
+					// silent TTLs, continued below the hop they stood on where the
+					// sweep reached it.
+					last := ttlOf(classic, ll.penult)
+					if ll.penult.IsZero() || last < 3 {
+						continue
+					}
+					silentTargets++
+					window, _ := measure.RunTracerouteVia(base, last, 2, nil, nil, issue)
+					climbed, _ := measure.RunTracerouteVia(base, 2, 2, nil, within, issue)
+					for _, prev := range []measure.TracerouteResult{window, climbed} {
+						if top := ttlOf(prev, lastLinkOf(prev).penult); top >= 2 && top <= len(classic.Hops) && classic.Hops[top-1] == prev.Hops[top-1] {
+							cont(prev, top, 2, classic)
+						}
+					}
+					continue
+				}
+				if ll.penult.IsZero() || ll.ttl < 3 {
+					continue
+				}
+				top := ttlOf(classic, ll.penult)
+				window, _ := measure.RunTracerouteVia(base, ll.ttl, measure.SilentRun, nil, nil, issue)
+				climbed, _ := measure.RunTracerouteVia(base, 2, measure.SilentRun, nil, within, issue)
+				for _, prev := range []measure.TracerouteResult{classic, window, climbed} {
+					cont(prev, top, measure.SilentRun, classic)
+				}
 			}
 		}
 	}
-	if inHand == 0 || inHand == continued || gapped == 0 {
-		t.Fatalf("%d of %d continuations sent nothing, %d continued a walk with gaps under the hop: the corpus misses a case", inHand, continued, gapped)
+	if inHand == 0 || inHand == continued || gapped == 0 || silentTargets == 0 {
+		t.Fatalf("%d of %d continuations sent nothing, %d continued a walk with gaps under the hop, %d toward targets that answer no echo: the corpus misses a case", inHand, continued, gapped, silentTargets)
 	}
-	t.Logf("%d continuations, %d in hand, %d of a walk with gaps under the hop", continued, inHand, gapped)
+	t.Logf("%d continuations, %d in hand, %d of a walk with gaps under the hop; %d targets answer no echo", continued, inHand, gapped, silentTargets)
 }

@@ -59,7 +59,7 @@ func TestGoTracerouteMatchesSync(t *testing.T) {
 		t.Fatal("no destination")
 	}
 	outside := func(_, _ ipv4.Addr) bool { return false }
-	first, _ := pool.Traceroute(context.Background(), src, dst.Addr, 1000, 8, nil, outside)
+	first, _ := pool.Traceroute(context.Background(), src, dst.Addr, 1000, 8, measure.SilentRun, nil, outside)
 	if len(first.Hops) < 3 {
 		t.Fatal("path too short to continue")
 	}
@@ -68,14 +68,14 @@ func TestGoTracerouteMatchesSync(t *testing.T) {
 		if prev != nil {
 			start = len(first.Hops) - 1
 		}
-		wantTr, wantSent := pool.Traceroute(context.Background(), src, dst.Addr, 1000, start, prev, outside)
+		wantTr, wantSent := pool.Traceroute(context.Background(), src, dst.Addr, 1000, start, measure.SilentRun, prev, outside)
 
 		type out struct {
 			tr   measure.TracerouteResult
 			sent int
 		}
 		got := make(chan out, 1)
-		pool.GoTraceroute(context.Background(), src, dst.Addr, 1000, start, prev, outside, func(tr measure.TracerouteResult, sent int) {
+		pool.GoTraceroute(context.Background(), src, dst.Addr, 1000, start, measure.SilentRun, prev, outside, func(tr measure.TracerouteResult, sent int) {
 			got <- out{tr, sent}
 		})
 		o := <-got

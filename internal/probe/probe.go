@@ -45,13 +45,23 @@ type Request = measure.Spec
 // doubles per retry.
 const DefaultBackoffUS = 50_000
 
-// RetryPolicy re-issues unanswered probes with exponential
-// backoff in virtual time: retry k of a request issued at t is issued at
-// t plus the cumulative backoff, with no wall-clock sleeping. Retries
-// are decided purely by the reply content (answered or not), so a batch
-// with retries is still bit-identical across worker counts. Unsent
-// probes (spoof-incapable or blacked-out vantage points) are never
-// retried — the condition is not transient within a measurement.
+// RetryPolicy is the deployment's whole budget for re-asking a question
+// that drew silence: how much loss it has declared. Three mechanisms spend
+// it. The pool re-issues an unanswered probe up to Max times. The engine
+// sends at most Max of the hedges held behind a spoofed round's lead that
+// drew no reply (they are its retries from other vantage points, and go out
+// once each). And a symmetry traceroute's window above a hop whose Record
+// Route stage closed silent gives up after 2 + Max silent TTLs, not
+// measure.SilentRun. Traceroute TTLs are never retried: Pool.Traceroute
+// does not go through issue.
+//
+// The pool's retries back off exponentially in virtual time: retry k of a
+// request issued at t is issued at t plus the cumulative backoff, with no
+// wall-clock sleeping. Retries are decided purely by the reply content
+// (answered or not), so a batch with retries is still bit-identical across
+// worker counts. Unsent probes (spoof-incapable or blacked-out vantage
+// points) are never retried — the condition is not transient within a
+// measurement.
 type RetryPolicy struct {
 	// Max is the number of re-issues after the first attempt (0: none).
 	Max int
@@ -175,8 +185,8 @@ func (p *Pool) SetObs(reg *obs.Registry) {
 	p.retries = reg.Counter("probe_retries_total")
 }
 
-// SetRetry installs the pool's retry policy (used by Do; Go takes one
-// per call). Call before the pool is in use.
+// SetRetry installs the pool's retry policy (used by Do; DoWith and Go
+// take one per call). Call before the pool is in use.
 func (p *Pool) SetRetry(pol RetryPolicy) { p.retry = pol }
 
 // Retry reports the pool's retry policy.
@@ -227,6 +237,11 @@ func (p *Pool) account(sp Request) {
 // the result is deterministic for a deterministic fabric.
 func (p *Pool) Do(ctx context.Context, reqs []Request) Batch {
 	return p.run(ctx, reqs, p.retry)
+}
+
+// DoWith is Do under pol instead of the pool's retry policy.
+func (p *Pool) DoWith(ctx context.Context, reqs []Request, pol RetryPolicy) Batch {
+	return p.run(ctx, reqs, pol)
 }
 
 // run takes one worker slot, issues the batch in request order on the
@@ -295,17 +310,18 @@ func (p *Pool) issue(req Request, nowUS int64, pol RetryPolicy) (measure.Reply, 
 // TTL's outcome decides whether to continue). salt is the measurement's
 // (measure.Spec.Seq); start is the TTL probing begins at
 // (measure.RunTraceroute: 1 walks the whole path, more probes a window
-// around its tail, climbing by within). A non-nil prev is
-// continued below its hop at start instead (measure.ContinueTraceroute).
-// Returns the zero result when ctx is already cancelled.
-func (p *Pool) Traceroute(ctx context.Context, a measure.Agent, dst ipv4.Addr, salt uint64, start int, prev *measure.TracerouteResult, within func(hop, dst ipv4.Addr) bool) (measure.TracerouteResult, int) {
+// around its tail, climbing by within and giving up after run silent TTLs
+// going up). A non-nil prev is continued below its hop at start instead
+// (measure.ContinueTraceroute). No TTL is retried. Returns the zero result
+// when ctx is already cancelled.
+func (p *Pool) Traceroute(ctx context.Context, a measure.Agent, dst ipv4.Addr, salt uint64, start, run int, prev *measure.TracerouteResult, within func(hop, dst ipv4.Addr) bool) (measure.TracerouteResult, int) {
 	if ctx.Err() != nil {
 		return measure.TracerouteResult{}, 0
 	}
 	p.sem <- struct{}{}
 	defer func() { <-p.sem }()
 	p.inFlight.Add(1)
-	tr, sent := measure.ContinueTraceroute(p.F, a, dst, p.clock.Now(), salt, prev, start, within)
+	tr, sent := measure.ContinueTraceroute(p.F, a, dst, p.clock.Now(), salt, prev, start, run, within)
 	p.inFlight.Add(-1)
 	p.traceroute.Add(uint64(sent))
 	return tr, sent
@@ -330,9 +346,9 @@ func (p *Pool) Go(ctx context.Context, reqs []Request, pol RetryPolicy, done fun
 // discipline as Go.
 //
 //revtr:suspends queues the traceroute and parks the measurement until an executor resumes it
-func (p *Pool) GoTraceroute(ctx context.Context, a measure.Agent, dst ipv4.Addr, salt uint64, start int, prev *measure.TracerouteResult, within func(hop, dst ipv4.Addr) bool, done func(measure.TracerouteResult, int)) {
+func (p *Pool) GoTraceroute(ctx context.Context, a measure.Agent, dst ipv4.Addr, salt uint64, start, run int, prev *measure.TracerouteResult, within func(hop, dst ipv4.Addr) bool, done func(measure.TracerouteResult, int)) {
 	p.submit(func() {
-		tr, sent := p.Traceroute(ctx, a, dst, salt, start, prev, within)
+		tr, sent := p.Traceroute(ctx, a, dst, salt, start, run, prev, within)
 		done(tr, sent)
 	})
 }
