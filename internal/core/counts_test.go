@@ -191,8 +191,9 @@ func offTruth(f *fabric.Fabric, topo *topology.Topology, res *core.Result) int {
 // measureRow measures pairs one after the other on eng, each by hand so that
 // every spoofed round is seen (waitLedger), and returns their row and their
 // results in order. The pool's ledger must move by the packets the results
-// book, and no measurement may send one RR or Timestamp request twice: a
-// probe is its content, so the second would be the first packet again.
+// book, no measurement may send one RR or Timestamp request twice — a
+// probe is its content, so the second would be the first packet again —
+// and no traceroute window (start above TTL 1) may sweep.
 func measureRow(t *testing.T, d *revtr.Deployment, eng *core.Engine, pairs []srcDst) (countRow, []*core.Result) {
 	var row countRow
 	var sum measure.Counters
@@ -203,6 +204,9 @@ func measureRow(t *testing.T, d *revtr.Deployment, eng *core.Engine, pairs []src
 		sent := map[string]bool{} // the measurement's RR and Timestamp requests sent
 		res := driveSeeing(context.Background(), eng, pr.src, pr.dst, func(p *core.Pending, d core.Delivery) {
 			wait.see(p, d)
+			if p.Kind == core.PendingTraceroute && p.Start > 1 && d.Tr.Swept {
+				t.Errorf("%s→%s: the traceroute window from TTL %d toward %s swept", pr.src.Agent.Addr, pr.dst, p.Start, p.Dst)
+			}
 			for j, req := range p.Reqs {
 				if req.Kind == measure.KindPing || req.Kind == measure.KindTraceroutePkt || !d.Batch.Replies[j].Sent {
 					continue

@@ -1294,9 +1294,11 @@ func (mm *Machine) stepSym() {
 // cursor whose RR stage closed silent, the target has answered nothing
 // already, and the window re-asks the silence above its last hop only as
 // often as the retry budget allows (probe.RetryPolicy): 2 + Max TTLs, at
-// most measure.SilentRun, which every other window and the sweep take.
+// most measure.SilentRun, which every other window and the sweep take. The
+// destination takes SilentRun: its traceroute must reach it, and a silent
+// Record Route stage there says nothing of its echo.
 func (mm *Machine) giveUpRun() int {
-	if !mm.rr.closedSilent || mm.e.off&ruleGiveUp != 0 {
+	if !mm.rr.closedSilent || mm.cur == mm.dst || mm.e.off&ruleGiveUp != 0 {
 		return measure.SilentRun
 	}
 	return min(measure.SilentRun, 2+mm.e.Pool.Retry().Max)

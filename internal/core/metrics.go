@@ -51,8 +51,7 @@ type Metrics struct {
 	cacheRRNegativeHits *obs.Counter
 	// traceroutes counts symmetry-stage traceroutes that put packets on
 	// the wire and traceroutePackets the packets; tracerouteSweeps those
-	// of them that ran the classic 1…N sweep: four silent TTLs under an
-	// echo reply ended the tail window, or probing began at TTL 1 (no
+	// of them that ran the classic 1…N sweep: probing began at TTL 1 (no
 	// atlas to take a start from, a hop adopted one or two hops out).
 	traceroutes       *obs.Counter
 	traceroutePackets *obs.Counter

@@ -230,8 +230,7 @@ type TracerouteResult struct {
 	RTTUS      int64 // total wall time of the traceroute
 	ReachedDst bool
 	// Swept reports that the classic 1…N sweep produced the result: it was
-	// asked for (start 1), or the tail window found four silent TTLs in a
-	// row under an echo reply, where the sweep gives up.
+	// asked for (start 1). A tail window never sweeps.
 	Swept bool
 	// Stopped reports that the sweep ended at its last hop because the
 	// stop set holds it (RunTraceroute's stop), short of the destination.

@@ -294,32 +294,31 @@ func issueTraceroutePkt(f *fabric.Fabric, sp Spec, nowUS int64) Reply {
 // window. Going up it is skipped, and the run-th silent TTL in a row (the
 // fourth, as the sweep gives up, unless run is shorter) gives up: the
 // destination did not answer, and the walk down finds the hop that stands
-// in for it. Going down it is skipped like a private hop. Only four silent
-// TTLs in a row under an echo reply — the sweep would have given up before
-// it saw that reply — complete the classic sweep over the replies already
-// in hand. Either
-// way no packet is sent twice and every packet sent is bit-for-bit the
-// one the sweep sends at that TTL. One divergence from the sweep is
-// admitted: a run of four silent TTLs that begins below the lowest TTL
-// the window probed makes the sweep give up early, while the window,
-// which cannot see the whole run, still reports the true last link.
+// in for it. Going down it is skipped like a private hop, however long the
+// run. No packet is sent twice and every packet sent is bit-for-bit the
+// one the sweep sends at that TTL. Two divergences from the sweep are
+// admitted. Four silent TTLs in a row under an echo reply make the sweep
+// give up before it sees the reply, while the window reports it reached,
+// on the same penultimate hop. A run of four silent TTLs that begins below
+// the lowest TTL the window probed makes the sweep give up early, while
+// the window, which cannot see the whole run, still reports the true last
+// link.
 //
 // A window climbs one TTL at a time unless ContinueTraceroute hands it
 // within, which says whether a hop is in the target's AS (the stop set's
 // shape, with the target named): past a responsive hop outside it, the
 // window climbs climbOut TTLs, since the path has that AS's border yet to
 // cross. The walk down probes the TTLs it climbed over as it meets them,
-// and the one divergence admitted reads: a run of four silent TTLs the
+// and the second divergence admitted reads: a run of four silent TTLs the
 // window did not probe whole.
 //
 // run is how many silent TTLs in a row end a window's walk up: SilentRun,
 // the sweep's own rule, unless the caller has heard the target answer
 // nothing already (core gives a hop whose Record Route stage closed silent
 // as few as its retry budget allows, probe.RetryPolicy). A run outside
-// 1…SilentRun is SilentRun. The walk down, and the sweep, always judge
-// silence by SilentRun. A shorter run admits one more divergence: the
-// window stands on the hop under a run of silence shorter than SilentRun
-// that the sweep walks through.
+// 1…SilentRun is SilentRun; the sweep always takes SilentRun. A shorter
+// run admits one more divergence: the window stands on the hop under a run
+// of silence shorter than SilentRun that the sweep walks through.
 //
 // stop is the sweep's stop set (Donnet et al.'s Doubletree): a sweep ends
 // after the first responsive hop short of the destination that stop
@@ -336,8 +335,8 @@ type ttlReply struct {
 	delivered, echo bool
 }
 
-// ttlReplies holds the replies by TTL (index 0 unused), so the sweep
-// that takes over from a window reuses what the window saw.
+// ttlReplies holds the replies by TTL (index 0 unused), so a walk reads a
+// TTL it already probed, or one the traceroute it continues probed.
 type ttlReplies struct {
 	base   Spec // the probe at TTL t is base with TTL = t
 	issue  func(Spec) Reply
@@ -402,15 +401,14 @@ func (r *ttlReplies) climb(g *ttlReply) int {
 }
 
 // window probes from start up to the echo reply or the sweep's give-up
-// point, and back down to the nearest responsive public hop. It returns
-// false where the sweep has to decide: the vantage point is dead, or the
-// sweep would have given up below an echo reply the window holds.
-func (r *ttlReplies) window(start int) (TracerouteResult, bool) {
+// point, and back down to the nearest responsive public hop. A dead
+// vantage point yields the zero result.
+func (r *ttlReplies) window(start int) TracerouteResult {
 	top, reached := min(start, MaxTracerouteTTL), false
 	for silent := 0; ; {
 		g := r.at(top)
 		if r.dead {
-			return TracerouteResult{}, false
+			return TracerouteResult{}
 		}
 		if reached = g.echo; reached {
 			break
@@ -425,21 +423,21 @@ func (r *ttlReplies) window(start int) (TracerouteResult, bool) {
 	// that still draws one — and one may turn up under an upward walk that
 	// lost every reply it drew. A continued walk (ContinueTraceroute) may
 	// meet a dead vantage point here first.
-	for ttl, silent := top, 0; ttl >= 1; ttl-- {
+	for ttl := top; ttl >= 1; ttl-- {
 		g := r.at(ttl)
 		if g.echo {
-			top, reached, silent = ttl, true, 0
+			top, reached = ttl, true
 		} else if g.hop.Responded && !g.hop.Addr.IsPrivate() {
 			break
-		} else if silent = nextSilent(silent, g); silent == SilentRun && reached || r.dead {
-			return TracerouteResult{}, false
+		} else if r.dead {
+			return TracerouteResult{}
 		}
 	}
 	out := TracerouteResult{Hops: make([]TracerouteHop, top), ReachedDst: reached, RTTUS: r.rttUS, Probed: r.probed}
 	for i := range out.Hops {
 		out.Hops[i] = r.got[i+1].hop
 	}
-	return out, true
+	return out
 }
 
 // nextSilent is the length of the run of silent TTLs that ends at g, given
@@ -490,9 +488,7 @@ func continueTraceroute(base Spec, prev *TracerouteResult, top, run int, within 
 // run is the traceroute from start over the replies in hand.
 func (r *ttlReplies) run(start int, stop func(ipv4.Addr) bool) (TracerouteResult, int) {
 	if start > 1 {
-		if out, ok := r.window(start); ok {
-			return out, r.sent
-		}
+		return r.window(start), r.sent
 	}
 	out := TracerouteResult{Swept: true}
 	for ttl, silent := 1, 0; ttl <= MaxTracerouteTTL && silent < SilentRun && !out.ReachedDst && !out.Stopped; ttl++ {

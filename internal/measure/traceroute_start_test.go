@@ -104,7 +104,9 @@ var parentPackets = map[string][12]int{
 
 // TestTracerouteStartDifferential runs every window of the corpus from
 // every start, one TTL at a time and climbing, against the classic sweep
-// (the file's contract above), and bounds starts 1…12 by parentPackets.
+// (the file's contract above), and bounds starts 1…12 by parentPackets. No
+// window sweeps; on a clean plan every one shows the classic last link, and
+// on a faulty one some reach the target where the sweep gave up on silence.
 // Each plan has a second set of rows: the windows toward the targets that
 // answer no echo, giving up after two silent TTLs going up (the run core
 // gives a hop whose Record Route stage was silent, at no retries). No TTL
@@ -175,8 +177,11 @@ func TestTracerouteStartDifferential(t *testing.T) {
 				if shortSent >= fullSent {
 					t.Errorf("toward targets that answer no echo, windows giving up after two silent TTLs sent %d packets, after four %d", shortSent, fullSent)
 				}
-				if plan.spec == "" && unit.divergent+climb.divergent != 0 {
-					t.Fatalf("%d and, climbing, %d divergences from the classic sweep on a clean plan", unit.divergent, climb.divergent)
+				if plan.spec == "" && unit.echoed+unit.divergent+climb.echoed+climb.divergent != 0 {
+					t.Fatalf("a window diverged from the classic sweep on a clean plan: %+v and, climbing, %+v", unit, climb)
+				}
+				if plan.spec != "" && (unit.echoed == 0 || climb.echoed == 0) {
+					t.Fatalf("no window reached the target where the sweep gave up: %+v and, climbing, %+v", unit, climb)
 				}
 				var sb strings.Builder
 				total, totalClimbed := 0, 0
@@ -202,30 +207,26 @@ func TestTracerouteStartDifferential(t *testing.T) {
 
 // tally counts how the windows of one kind compared with the classic
 // sweep.
-type tally struct{ stood, swept, divergent, short int }
+type tally struct{ stood, echoed, divergent, short int }
 
 // check fails the test unless tr, a traceroute from the start label names
-// that runWatched saw as w, giving up after run silent TTLs going up, shows
-// the classic sweep's last link, or is the sweep run over its replies, or
-// diverges as RunTraceroute admits: the sweep gave up on a run of four
-// silent TTLs the window did not probe whole, or, run short of four, the
-// window gave up on a run of silence the sweep walked through. It reports
-// the divergence.
+// that runWatched saw as w, giving up after run silent TTLs going up, is a
+// window — never the sweep — and shows the classic sweep's last link, or
+// diverges as RunTraceroute admits: the window reached the target where the
+// sweep gave up on four silent TTLs in a row, and stands on the same
+// penultimate hop; the sweep gave up on a run of four silent TTLs the
+// window did not probe whole; or, run short of four, the window gave up on
+// a run of silence the sweep walked through. It reports the divergence.
 func (c *tally) check(t *testing.T, label string, tr measure.TracerouteResult, w watch, classic measure.TracerouteResult, run int) bool {
 	t.Helper()
 	switch n := len(classic.Hops); {
 	case tr.Swept:
-		// The sweep ran over the window's replies: the same hops, and it ran
-		// only because the window met four silent TTLs in a row.
-		if !reflect.DeepEqual(tr.Hops, classic.Hops) || tr.ReachedDst != classic.ReachedDst {
-			t.Fatalf("%s: swept result differs from the classic one:\n%+v\n%+v", label, tr, classic)
-		}
-		c.swept++
-		if !w.silentRun {
-			t.Fatalf("%s: swept without a run of four silent TTLs:\n%+v", label, tr)
-		}
+		t.Fatalf("%s: a window swept:\n%+v", label, tr)
 	case lastLinkOf(tr) == lastLinkOf(classic):
 		c.stood++
+	case tr.ReachedDst && !classic.ReachedDst && n >= silentRun && lastLinkOf(tr).penult == lastLinkOf(classic).penult:
+		c.echoed++
+		return true
 	case !classic.ReachedDst && n >= silentRun && !w.sawAll(n-silentRun+1, n):
 		c.divergent++
 		return true
@@ -242,12 +243,10 @@ func (c *tally) check(t *testing.T, label string, tr measure.TracerouteResult, w
 const silentRun = 4
 
 // watch is what runWatched saw of one traceroute: the TTLs issued, how
-// many, the lowest among them, those that drew nothing, and whether four
-// consecutive TTLs did.
+// many, and those that drew nothing.
 type watch struct {
-	issued, lowest int
+	issued         int
 	probed, silent uint64
-	silentRun      bool
 }
 
 // silentAll reports whether the traceroute probed every TTL from lo to hi
@@ -274,7 +273,7 @@ func (w watch) sawAll(lo, hi int) bool {
 func runWatched(t *testing.T, base measure.Spec, start, run int, within func(hop, dst ipv4.Addr) bool, issue func(measure.Spec) measure.Reply) (measure.TracerouteResult, int, watch) {
 	t.Helper()
 	var sentTTLs uint64
-	w := watch{lowest: measure.MaxTracerouteTTL + 1}
+	var w watch
 	tr, sent := measure.RunTracerouteVia(base, start, run, nil, within, func(sp measure.Spec) measure.Reply {
 		ttl := int(sp.TTL)
 		want := base
@@ -287,7 +286,6 @@ func runWatched(t *testing.T, base measure.Spec, start, run int, within func(hop
 		}
 		w.probed |= 1 << ttl
 		w.issued++
-		w.lowest = min(w.lowest, ttl)
 		rep := issue(sp)
 		if !rep.Delivered {
 			w.silent |= 1 << ttl
@@ -300,12 +298,6 @@ func runWatched(t *testing.T, base measure.Spec, start, run int, within func(hop
 	if tr.Probed != sentTTLs {
 		t.Fatalf("start %d: Probed %#x, TTLs sent %#x", start, tr.Probed, sentTTLs)
 	}
-	for ttl, n := 1, 0; ttl <= measure.MaxTracerouteTTL; ttl++ {
-		if n++; w.silent>>ttl&1 == 0 {
-			n = 0
-		}
-		w.silentRun = w.silentRun || n == silentRun
-	}
 	return tr, sent, w
 }
 
@@ -317,9 +309,9 @@ func runWatched(t *testing.T, base measure.Spec, start, run int, within func(hop
 // any start TTL and a give-up run of 2, 3 or 4 silent TTLs going up, the
 // traceroute, climbing one TTL at a time or by that bit, must issue each
 // TTL at most once, as the sweep's packet at that TTL, account exactly
-// what it sent in its count and its Probed bits, return the classic result
-// whenever it swept — which it may only behind four silent TTLs in a row —
-// and otherwise show the classic last link, or have missed part of the run
+// what it sent in its count and its Probed bits, never sweep from a start
+// above 1, and show the classic last link, or have reached the target on
+// the penultimate hop the sweep gave up at, or have missed part of the run
 // of silence the sweep gave up on, or, run short of four, have given up on
 // a run of silence the sweep walked through. The climbing window shows the
 // last link of the one that climbs one TTL at a time but where one of them
@@ -350,6 +342,14 @@ func FuzzTracerouteStart(f *testing.F) {
 	// Three: the run of two at 5 and 6 does not end the walk, the one of
 	// three at 8, 9 and 10 does, above a target that never answers.
 	f.Add(uint8(4), uint8(0), false, uint8(1), []byte{0, 0, 0, 0, 2, 2, 0, 2, 2, 2, 0})
+	// Two runs of four silent TTLs, 2–5 and 7–10, under the echo reply at
+	// 11. From 6 the window gives up at 10 and stands on 6; climbing, it
+	// jumps to 9 and reaches 11, and walks down through 10…7 to 6. Neither
+	// probes the run 2–5 the sweep gave up on.
+	f.Add(uint8(6), uint8(11), false, uint8(2), []byte{0, 2, 2, 2, 2, 0, 2, 2, 2, 2})
+	// The same, with 6's reply undecodable: from 11 the walk down passes
+	// both runs and stands on 1, where the sweep gave up, under the echo.
+	f.Add(uint8(11), uint8(11), false, uint8(2), []byte{0, 2, 2, 2, 2, 3, 2, 2, 2, 2})
 
 	const salt = 77
 	dst := ipv4.MustParseAddr("9.9.9.9")
@@ -413,6 +413,43 @@ func FuzzTracerouteStart(f *testing.F) {
 			t.Fatalf("start %d: climbing, last link %+v; one TTL at a time %+v\n%+v\n%+v", start, lastLinkOf(trC), lastLinkOf(tr), trC, tr)
 		}
 	})
+}
+
+// TestTracerouteWindowWalksDownThroughSilence: from the echo reply at 10,
+// a window walks down through the four silent TTLs 9…6 to the hop at 5 —
+// the sweep gives up on them at 9, standing on the same hop — and sends
+// exactly TTLs 10…5, in that order. A dead vantage point ends the walk.
+func TestTracerouteWindowWalksDownThroughSilence(t *testing.T) {
+	dst := ipv4.MustParseAddr("9.9.9.9")
+	var order []int
+	reply := func(sp measure.Spec) measure.Reply {
+		order = append(order, int(sp.TTL))
+		switch ttl := int(sp.TTL); {
+		case ttl >= 10:
+			return measure.Reply{Sent: true, Delivered: true, EchoReply: true, Hop: measure.TracerouteHop{Addr: dst, Responded: true}}
+		case ttl >= 6: // silent
+			return measure.Reply{Sent: true}
+		default:
+			return measure.Reply{Sent: true, Delivered: true, Hop: measure.TracerouteHop{Addr: ipv4.Addr(8<<24 | uint32(ttl)), Responded: true}}
+		}
+	}
+	base := measure.Spec{Kind: measure.KindTraceroutePkt, Dst: dst, Seq: 1}
+	classic, _ := measure.RunTracerouteVia(base, 1, measure.SilentRun, nil, nil, reply)
+	order = nil
+	tr, sent := measure.RunTracerouteVia(base, 10, measure.SilentRun, nil, nil, reply)
+	if want := []int{10, 9, 8, 7, 6, 5}; sent != len(want) || !slices.Equal(order, want) {
+		t.Fatalf("sent %d, TTLs %v; want %v", sent, order, want)
+	}
+	if ll := lastLinkOf(tr); tr.Swept || ll != (lastLink{reached: true, ttl: 10, penult: ipv4.Addr(8<<24 | 5)}) || ll.penult != lastLinkOf(classic).penult {
+		t.Fatalf("window %+v; classic %+v", tr, classic)
+	}
+	// Continued below TTL 10 from a vantage point gone dark, the walk down
+	// meets the blackout at 9 and yields nothing.
+	prev := measure.TracerouteResult{Hops: make([]measure.TracerouteHop, 10), Probed: 1 << 10}
+	dead := func(measure.Spec) measure.Reply { return measure.Reply{VPDead: true} }
+	if tr, sent := measure.ContinueTracerouteVia(base, &prev, 10, measure.SilentRun, nil, dead); sent != 0 || !reflect.DeepEqual(tr, measure.TracerouteResult{}) {
+		t.Fatalf("continued from a dead vantage point: %+v, %d sent", tr, sent)
+	}
 }
 
 // TestTracerouteStopSet: a sweep with a stop set is the classic sweep cut
