@@ -82,7 +82,7 @@ type Atlas struct {
 	// Service has not filled. Paths into the source are about as long as
 	// paths out of it, so this is the TTL at which a traceroute from the
 	// source that needs only the far end of the path starts probing when
-	// nothing better is known of the target (core's stepSym: a target read
+	// nothing better is known of the target (core's symStage: a target read
 	// off an earlier traceroute starts where it answered that one).
 	MedianHops int
 	// ASHops is, per AS, the fewest hops from the source at which an entry

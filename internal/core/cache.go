@@ -26,7 +26,7 @@ import (
 // A source's traceroutes form a tree (Donnet et al.'s Doubletree), so
 // where they met an AS says where the next one toward it gets there: per
 // source and AS (mets), the lowest TTL at which one of them toward a hop
-// of that AS met a responsive hop of it (Machine.stepSym starts there).
+// of that AS met a responsive hop of it (the symmetry stage starts there).
 // Likewise a site's spoofed Record Route probes: per site and AS (reaches),
 // the fewest RR slots a reply from a hop of that AS needed to stamp it, 10
 // when one showed the site out of range (Machine.learnReach); the hop's

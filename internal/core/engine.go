@@ -118,9 +118,9 @@ type Engine struct {
 	// this package's tests set others.
 	spoofTimeoutUS int64
 	maxHops        int
-	// inAS is every symmetry traceroute's climb rule
-	// (measure.ContinueTraceroute): a hop the Mapper does not place outside
-	// the target's AS. Built once, so that a traceroute allocates none.
+	// inAS is every symmetry traceroute's climb rule (measure.Trace.Within):
+	// a hop the Mapper does not place outside the target's AS. Built once,
+	// so that a traceroute allocates none.
 	inAS func(hop, dst ipv4.Addr) bool
 }
 
@@ -131,14 +131,14 @@ const (
 	ruleDistance   rules = 1 << iota // distance: the direct probe skipped, the traceroute started
 	ruleVerdicts                     // shareVerdicts
 	ruleRounds                       // stepSpoofNext: lead first
-	ruleChain                        // stepSym: the chain step
-	ruleMemo                         // metTTL, and the climb (inAS)
+	ruleChain                        // symStage.next: the chain step
+	ruleMemo                         // symStage.next: the memo start and the climb (inAS)
 	ruleDeaf                         // openRR: the atlas's RR-deaf ASes
 	ruleCut                          // adoptRevealed: the cut at the way home
 	ruleSilence                      // readSilence: the survey's silence
 	ruleReach                        // byReach, couldRevealMore: the reach memo
 	ruleSilentLead                   // budgetHedges: a silent lead's hedges within the retry budget
-	ruleGiveUp                       // giveUpRun: the short give-up above an RR-silent hop
+	ruleGiveUp                       // symStage.next: the short give-up above an RR-silent hop
 	numRules       = iota
 )
 

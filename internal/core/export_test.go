@@ -87,10 +87,5 @@ var RuleNames = [numRules]string{
 }
 
 // SetRulesOff switches off the knowledge rules whose bits off sets, and only
-// those: the engine as it was before each of them. Switching off the memo
-// start switches off the climb too.
-func (e *Engine) SetRulesOff(off uint16) {
-	if e.off = rules(off); e.off&ruleMemo != 0 {
-		e.inAS = nil
-	}
-}
+// those: the engine as it was before each of them.
+func (e *Engine) SetRulesOff(off uint16) { e.off = rules(off) }

@@ -56,16 +56,12 @@ type Metrics struct {
 	traceroutes       *obs.Counter
 	traceroutePackets *obs.Counter
 	tracerouteSweeps  *obs.Counter
-	// tracerouteChainSteps counts chain steps (stepSym), in hand or not.
-	tracerouteChainSteps *obs.Counter
-	// Read off Machine.distance: traceroutes given their start TTL by it,
-	// counted where it is chosen (the rest are chain steps or start at the
-	// atlas median), and RR stages whose direct probe it kept off the wire.
-	tracerouteDistStarts *obs.Counter
-	directRRSkipped      *obs.Counter
-	// tracerouteMemoStarts counts traceroutes started where the source's
-	// own traceroutes met the cursor's AS (cache.met).
-	tracerouteMemoStarts *obs.Counter
+	// tracerouteStarts counts, by symmetry start row, the traceroutes it
+	// chose: chain steps (in hand or not), memo and distance starts.
+	tracerouteStarts [symSweep + 1]*obs.Counter
+	// directRRSkipped counts RR stages whose direct probe Machine.distance
+	// kept off the wire.
+	directRRSkipped *obs.Counter
 	// rrDeafSkipped counts RR stages not opened because the source's atlas
 	// heard no RR reply from the cursor's AS (atlas.RRDeaf).
 	rrDeafSkipped *obs.Counter
@@ -88,7 +84,7 @@ type Metrics struct {
 	// Spent from the retry budget (probe.RetryPolicy): rounds whose lead drew
 	// no reply, their hedges cut to the budget (budgetHedges), and windows
 	// above an RR-silent hop that gave up short of measure.SilentRun silent
-	// TTLs without the target's echo reply (giveUpRun).
+	// TTLs without the target's echo reply (symStage.next).
 	spoofSilentLeads       *obs.Counter
 	tracerouteShortGiveUps *obs.Counter
 
@@ -132,9 +128,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		traceroutes:             reg.Counter("engine_traceroutes_total"),
 		traceroutePackets:       reg.Counter("engine_traceroute_packets_total"),
 		tracerouteSweeps:        reg.Counter("engine_traceroute_sweeps_total"),
-		tracerouteChainSteps:    reg.Counter("engine_traceroute_chain_steps_total"),
-		tracerouteDistStarts:    reg.Counter("engine_traceroute_distance_starts_total"),
-		tracerouteMemoStarts:    reg.Counter("engine_traceroute_memo_starts_total"),
 		directRRSkipped:         reg.Counter("engine_rr_direct_skipped_total"),
 		rrDeafSkipped:           reg.Counter("engine_rr_deaf_skipped_total"),
 		vpFailover:              reg.Counter("vp_failover_total"),
@@ -155,6 +148,9 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		virtualUS: reg.Histogram("engine_measure_virtual_us", nil),
 		wallUS:    reg.Histogram("engine_measure_wall_us", nil),
 	}
+	m.tracerouteStarts[symChain] = reg.Counter("engine_traceroute_chain_steps_total")
+	m.tracerouteStarts[symMemo] = reg.Counter("engine_traceroute_memo_starts_total")
+	m.tracerouteStarts[symDistance] = reg.Counter("engine_traceroute_distance_starts_total")
 	m.stage[TechTrIntersect] = reg.Counter("engine_stage_atlas_intersect_total")
 	m.stage[TechRR] = reg.Counter("engine_stage_direct_rr_total")
 	m.stage[TechSpoofRR] = reg.Counter("engine_stage_spoofed_rr_total")

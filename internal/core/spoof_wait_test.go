@@ -164,7 +164,7 @@ func waitPhase(p *core.Pending) string {
 func sourceAdjacencies(c *chaosEnv) core.AdjacencyProvider {
 	adj := core.NewTracerouteAdjacencies()
 	for i, dst := range c.dsts {
-		tr, _ := c.env.Pool.Traceroute(context.Background(), c.src.Agent, dst, uint64(1)<<32+uint64(i*measure.MaxTracerouteTTL), 1, measure.SilentRun, nil, nil)
+		tr, _ := c.env.Pool.Traceroute(context.Background(), measure.Trace{Agent: c.src.Agent, Dst: dst, Salt: uint64(1)<<32 + uint64(i*measure.MaxTracerouteTTL), Start: 1, Run: measure.SilentRun})
 		adj.Ingest(tr)
 	}
 	return adj

@@ -224,7 +224,7 @@ type TracerouteHop struct {
 
 // TracerouteResult is a Paris traceroute outcome. Hops is indexed by
 // TTL-1; a zero hop is a TTL that was silent or, in a tail window
-// (RunTraceroute with start > 1), never probed.
+// (Trace.Start > 1), never probed.
 type TracerouteResult struct {
 	Hops       []TracerouteHop
 	RTTUS      int64 // total wall time of the traceroute
@@ -233,12 +233,12 @@ type TracerouteResult struct {
 	// asked for (start 1). A tail window never sweeps.
 	Swept bool
 	// Stopped reports that the sweep ended at its last hop because the
-	// stop set holds it (RunTraceroute's stop), short of the destination.
+	// stop set holds it (Trace.Stop), short of the destination.
 	Stopped bool
 	// Probed has bit t set for every TTL t the traceroute probed, or read
-	// from the one it continued (ContinueTraceroute); a tail window leaves
-	// gaps where it climbed (ContinueTraceroute's within), and may have
-	// probed TTLs past len(Hops) before it walked down.
+	// from the one it continued (Trace.Prev); a tail window leaves gaps
+	// where it climbed (Trace.Within), and may have probed TTLs past
+	// len(Hops) before it walked down.
 	Probed uint64
 }
 
@@ -260,10 +260,10 @@ func (p *Prober) Traceroute(a Agent, dst ipv4.Addr) TracerouteResult {
 }
 
 // TracerouteUntil is Traceroute that also stops after the first
-// responsive hop stop holds (RunTraceroute's stop set): the atlas's
-// Doubletree sweep, which needs no hop past one it already has.
+// responsive hop stop holds (Trace.Stop): the atlas's Doubletree sweep,
+// which needs no hop past one it already has.
 func (p *Prober) TracerouteUntil(a Agent, dst ipv4.Addr, stop func(ipv4.Addr) bool) TracerouteResult {
-	tr, sent := RunTraceroute(p.F, a, dst, p.clock.Now(), 0, 1, SilentRun, stop)
+	tr, sent := RunTraceroute(p.F, Trace{Agent: a, Dst: dst, Start: 1, Stop: stop}, p.clock.Now())
 	p.Count.Traceroute += uint64(sent)
 	return tr
 }

@@ -279,54 +279,60 @@ func issueTraceroutePkt(f *fabric.Fabric, sp Spec, nowUS int64) Reply {
 	return out
 }
 
-// RunTraceroute is the pure Paris traceroute: one probe per TTL, the
-// probe at TTL t the one Spec of that TTL, salted with salt (Spec.Seq).
-// Returns the result and the number of probe packets sent; a vantage
-// point inside a blackout sends nothing and returns the zero result.
+// Trace is one pure Paris traceroute from Agent toward Dst: one probe per
+// TTL, the probe at TTL t the one Spec of that TTL, salted with Salt
+// (Spec.Seq). RunTraceroute runs it.
 //
-// start = 1 is the classic sweep: TTL 1, 2, … until the destination's
-// echo reply or four consecutive silent hops. A larger start probes a
-// window around the path's tail instead (Donnet et al.'s midpoint
-// start): start, start+1, … until the echo reply, then downwards only
+// Start = 1 is the classic sweep: TTL 1, 2, … until the destination's echo
+// reply or SilentRun consecutive silent hops, or, with a Stop set (Donnet
+// et al.'s Doubletree), after the first responsive hop short of the
+// destination that Stop holds, reported in Stopped. A larger Start probes
+// a window around the path's tail instead (Donnet et al.'s midpoint
+// start): Start, Start+1, … until the echo reply, then downwards only
 // until the result holds what a last-link reader needs — the TTL the
 // destination first answered at and the nearest responsive public hop
-// below it; TTLs never probed stay zero hops. Silence does not end the
-// window. Going up it is skipped, and the run-th silent TTL in a row (the
-// fourth, as the sweep gives up, unless run is shorter) gives up: the
-// destination did not answer, and the walk down finds the hop that stands
-// in for it. Going down it is skipped like a private hop, however long the
-// run. No packet is sent twice and every packet sent is bit-for-bit the
-// one the sweep sends at that TTL. Two divergences from the sweep are
-// admitted. Four silent TTLs in a row under an echo reply make the sweep
-// give up before it sees the reply, while the window reports it reached,
-// on the same penultimate hop. A run of four silent TTLs that begins below
-// the lowest TTL the window probed makes the sweep give up early, while
-// the window, which cannot see the whole run, still reports the true last
-// link.
+// below it; TTLs never probed stay zero hops, and a window ignores Stop.
+// Going up, a silent TTL is skipped and the Run-th in a row gives up (Run
+// outside 1…SilentRun, zero included, is SilentRun; core gives a hop
+// whose Record Route stage closed silent as few as its retry budget
+// allows): the destination did not answer, and the walk down finds the
+// hop that stands in for it. Going down, silence is skipped like a private
+// hop, however long the run. Past a responsive hop that Within (the stop
+// set's shape, with the target named) puts outside the target's AS, the
+// window climbs climbOut TTLs, else one; the walk down probes the TTLs it
+// climbed over as it meets them.
 //
-// A window climbs one TTL at a time unless ContinueTraceroute hands it
-// within, which says whether a hop is in the target's AS (the stop set's
-// shape, with the target named): past a responsive hop outside it, the
-// window climbs climbOut TTLs, since the path has that AS's border yet to
-// cross. The walk down probes the TTLs it climbed over as it meets them,
-// and the second divergence admitted reads: a run of four silent TTLs the
-// window did not probe whole.
+// No packet is sent twice and every packet sent is bit-for-bit the one the
+// sweep sends at that TTL. Three divergences from the sweep are admitted:
+// four silent TTLs in a row under an echo reply make the sweep give up
+// before it sees the reply, while the window reports it reached, on the
+// same penultimate hop; a run of four silent TTLs the window did not probe
+// whole (below its start, or climbed over) makes the sweep give up early,
+// while the window still reports the true last link; and a Run shorter
+// than SilentRun stands on the hop under a run of silence that the sweep
+// walks through.
 //
-// run is how many silent TTLs in a row end a window's walk up: SilentRun,
-// the sweep's own rule, unless the caller has heard the target answer
-// nothing already (core gives a hop whose Record Route stage closed silent
-// as few as its retry budget allows, probe.RetryPolicy). A run outside
-// 1…SilentRun is SilentRun; the sweep always takes SilentRun. A shorter
-// run admits one more divergence: the window stands on the hop under a run
-// of silence shorter than SilentRun that the sweep walks through.
-//
-// stop is the sweep's stop set (Donnet et al.'s Doubletree): a sweep ends
-// after the first responsive hop short of the destination that stop
-// holds, and says so in Stopped. A nil stop set, like a window, never
-// stops early.
-func RunTraceroute(f *fabric.Fabric, a Agent, dst ipv4.Addr, nowUS int64, salt uint64, start, run int, stop func(ipv4.Addr) bool) (TracerouteResult, int) {
-	base := Spec{Kind: KindTraceroutePkt, VP: a, Dst: dst, Seq: salt}
-	return runTraceroute(base, start, run, stop, nil, func(sp Spec) Reply { return Issue(f, sp, nowUS) })
+// Prev, when set, is a traceroute from Agent toward Dst salted with Salt,
+// continued below its hop at TTL Start: that hop stands for the
+// destination, and the window walks down from it. Every TTL Prev probed is
+// read, not sent again, and a packet sent is the one Prev's sweep sends at
+// its TTL, on Prev's path (Paris semantics).
+type Trace struct {
+	Agent  Agent
+	Dst    ipv4.Addr
+	Salt   uint64
+	Start  int
+	Run    int
+	Prev   *TracerouteResult
+	Within func(hop, dst ipv4.Addr) bool
+	Stop   func(ipv4.Addr) bool
+}
+
+// RunTraceroute runs t on f at the virtual instant nowUS. Returns the
+// result and the number of probe packets sent; a vantage point inside a
+// blackout sends nothing and returns the zero result.
+func RunTraceroute(f *fabric.Fabric, t Trace, nowUS int64) (TracerouteResult, int) {
+	return runTraceroute(t, func(sp Spec) Reply { return Issue(f, sp, nowUS) })
 }
 
 // ttlReply is what the traceroute keeps of one TTL's reply.
@@ -340,8 +346,8 @@ type ttlReply struct {
 type ttlReplies struct {
 	base   Spec // the probe at TTL t is base with TTL = t
 	issue  func(Spec) Reply
-	within func(hop, dst ipv4.Addr) bool // the window's climb rule; nil: one TTL at a time
-	giveUp int                           // silent TTLs that end the window's walk up (RunTraceroute's run)
+	within func(hop, dst ipv4.Addr) bool // the window's climb rule (Trace.Within); nil: one TTL at a time
+	giveUp int                           // silent TTLs that end the window's walk up (Trace.Run)
 	got    [MaxTracerouteTTL + 1]ttlReply
 	probed uint64 // bit t: got[t] holds TTL t's reply (TracerouteResult.Probed)
 	sent   int
@@ -379,15 +385,6 @@ func (r *ttlReplies) at(ttl int) *ttlReply {
 // ICMP type, is a zero hop but not silence.
 const SilentRun = 4
 
-// newReplies is the replies of a traceroute yet to be probed, its window
-// giving up after run silent TTLs going up.
-func newReplies(base Spec, run int, within func(hop, dst ipv4.Addr) bool, issue func(Spec) Reply) ttlReplies {
-	if run < 1 || run > SilentRun {
-		run = SilentRun
-	}
-	return ttlReplies{base: base, issue: issue, within: within, giveUp: run}
-}
-
 // climbOut is how many TTLs a window climbs past a responsive hop outside
 // the target's AS.
 const climbOut = 3
@@ -421,8 +418,8 @@ func (r *ttlReplies) window(start int) TracerouteResult {
 	// Down from top itself: it may be the hop that stands in. An echo reply
 	// may be an overshoot — the destination first answers at the lowest TTL
 	// that still draws one — and one may turn up under an upward walk that
-	// lost every reply it drew. A continued walk (ContinueTraceroute) may
-	// meet a dead vantage point here first.
+	// lost every reply it drew. A continued walk (Trace.Prev) may meet a
+	// dead vantage point here first.
 	for ttl := top; ttl >= 1; ttl-- {
 		g := r.at(ttl)
 		if g.echo {
@@ -451,27 +448,14 @@ func nextSilent(run int, g *ttlReply) int {
 
 // runTraceroute is RunTraceroute over an abstract issue path (tests
 // observe the specs it is handed, and script the replies).
-func runTraceroute(base Spec, start, run int, stop func(ipv4.Addr) bool, within func(hop, dst ipv4.Addr) bool, issue func(Spec) Reply) (TracerouteResult, int) {
-	r := newReplies(base, run, within, issue)
-	return r.run(start, stop)
-}
-
-// ContinueTraceroute continues prev, a traceroute from a toward dst salted
-// with salt, below its hop at TTL top: that hop
-// stands for the destination, and the window walks down from it. Every TTL
-// prev probed is read, not sent again, and a packet sent is the one prev's
-// sweep sends at its TTL, on prev's path (Paris semantics). A nil prev is
-// RunTraceroute from top, giving up after run silent TTLs, with no stop set
-// and within as its climb rule.
-func ContinueTraceroute(f *fabric.Fabric, a Agent, dst ipv4.Addr, nowUS int64, salt uint64, prev *TracerouteResult, top, run int, within func(hop, dst ipv4.Addr) bool) (TracerouteResult, int) {
-	base := Spec{Kind: KindTraceroutePkt, VP: a, Dst: dst, Seq: salt}
-	return continueTraceroute(base, prev, top, run, within, func(sp Spec) Reply { return Issue(f, sp, nowUS) })
-}
-
-// continueTraceroute is ContinueTraceroute over an abstract issue path.
-func continueTraceroute(base Spec, prev *TracerouteResult, top, run int, within func(hop, dst ipv4.Addr) bool, issue func(Spec) Reply) (TracerouteResult, int) {
-	r := newReplies(base, run, within, issue)
-	if prev != nil {
+func runTraceroute(t Trace, issue func(Spec) Reply) (TracerouteResult, int) {
+	r := ttlReplies{base: Spec{Kind: KindTraceroutePkt, VP: t.Agent, Dst: t.Dst, Seq: t.Salt},
+		issue: issue, within: t.Within, giveUp: t.Run}
+	if t.Run < 1 || t.Run > SilentRun {
+		r.giveUp = SilentRun
+	}
+	if prev := t.Prev; prev != nil {
+		top := t.Start
 		for ttl := 1; ttl < top; ttl++ {
 			if prev.ProbedAt(ttl) {
 				h := prev.Hops[ttl-1]
@@ -481,8 +465,9 @@ func continueTraceroute(base Spec, prev *TracerouteResult, top, run int, within 
 		}
 		r.got[top] = ttlReply{hop: prev.Hops[top-1], delivered: true, echo: true}
 		r.probed |= 1 << top
+		return r.run(top, nil)
 	}
-	return r.run(top, nil)
+	return r.run(t.Start, t.Stop)
 }
 
 // run is the traceroute from start over the replies in hand.

@@ -15,12 +15,13 @@ import (
 
 	"revtr/internal/ip2as"
 	"revtr/internal/measure"
+	"revtr/internal/netsim/fabric"
 	"revtr/internal/netsim/faults"
 	"revtr/internal/netsim/ipv4"
 	"revtr/internal/simtest"
 )
 
-// lastLink is what core's classifyTraceroute reads from a traceroute:
+// lastLink is what core's symmetry stage reads from a traceroute:
 // whether and at which TTL the target answered, and the nearest
 // responsive public hop below it (below the end of the path when the
 // target did not answer).
@@ -65,7 +66,7 @@ func startCorpus(env *simtest.Env) (agents []measure.Agent, targets []ipv4.Addr)
 	for i := 0; i < 24; i++ {
 		if h := env.ResponsiveHost(i*3, agents[0].AS); h != nil {
 			add(h.Addr)
-			tr, _ := measure.RunTraceroute(env.Fabric, agents[0], h.Addr, 0, 0, 1, measure.SilentRun, nil)
+			tr, _ := measure.RunTraceroute(env.Fabric, measure.Trace{Agent: agents[0], Dst: h.Addr, Start: 1, Run: measure.SilentRun}, 0)
 			for _, hop := range tr.HopAddrs() {
 				add(hop)
 			}
@@ -138,7 +139,8 @@ func TestTracerouteStartDifferential(t *testing.T) {
 				shortSent, fullSent := 0, 0 // toward the targets that answer no echo, starts 2 and up
 				for _, a := range agents {
 					for _, dst := range targets {
-						classic, classicSent := measure.RunTraceroute(env.Fabric, a, dst, plan.nowUS, salt, 1, measure.SilentRun, nil)
+						sweep := measure.Trace{Agent: a, Dst: dst, Salt: salt, Start: 1, Run: measure.SilentRun}
+						classic, _ := measure.RunTraceroute(env.Fabric, sweep, plan.nowUS)
 						if !classic.Swept {
 							t.Fatalf("start 1 did not run the sweep")
 						}
@@ -149,9 +151,7 @@ func TestTracerouteStartDifferential(t *testing.T) {
 							tr, sent, w := runWatched(t, base, start, measure.SilentRun, nil, issue)
 							packets[start] += sent
 							if start == 1 {
-								if !reflect.DeepEqual(tr, classic) || sent != classicSent {
-									t.Fatalf("%s→%s: RunTraceroute is not runTraceroute at start 1", a.Addr, dst)
-								}
+								checkTwin(t, env.Fabric, sweep, plan.nowUS, tr, sent)
 								climbed[start] += sent
 								continue
 							}
@@ -265,6 +265,15 @@ func (w watch) sawAll(lo, hi int) bool {
 	return true
 }
 
+// checkTwin fails the test unless RunTraceroute, the one entry point, runs
+// tc on f at nowUS into tr and sent, as its issue-path twin did.
+func checkTwin(t *testing.T, f *fabric.Fabric, tc measure.Trace, nowUS int64, tr measure.TracerouteResult, sent int) {
+	t.Helper()
+	if pub, pubSent := measure.RunTraceroute(f, tc, nowUS); !reflect.DeepEqual(pub, tr) || pubSent != sent {
+		t.Fatalf("%s→%s from TTL %d: RunTraceroute is not runTraceroute", tc.Agent.Addr, tc.Dst, tc.Start)
+	}
+}
+
 // runWatched runs the traceroute from start over issue, climbing by within
 // and giving up after run silent TTLs going up, and fails the test unless
 // every Spec it is handed is the sweep's packet at that TTL — base with the
@@ -274,7 +283,8 @@ func runWatched(t *testing.T, base measure.Spec, start, run int, within func(hop
 	t.Helper()
 	var sentTTLs uint64
 	var w watch
-	tr, sent := measure.RunTracerouteVia(base, start, run, nil, within, func(sp measure.Spec) measure.Reply {
+	tc := measure.Trace{Agent: base.VP, Dst: base.Dst, Salt: base.Seq, Start: start, Run: run, Within: within}
+	tr, sent := measure.RunTracerouteVia(tc, func(sp measure.Spec) measure.Reply {
 		ttl := int(sp.TTL)
 		want := base
 		want.TTL = sp.TTL
@@ -433,10 +443,9 @@ func TestTracerouteWindowWalksDownThroughSilence(t *testing.T) {
 			return measure.Reply{Sent: true, Delivered: true, Hop: measure.TracerouteHop{Addr: ipv4.Addr(8<<24 | uint32(ttl)), Responded: true}}
 		}
 	}
-	base := measure.Spec{Kind: measure.KindTraceroutePkt, Dst: dst, Seq: 1}
-	classic, _ := measure.RunTracerouteVia(base, 1, measure.SilentRun, nil, nil, reply)
+	classic, _ := measure.RunTracerouteVia(measure.Trace{Dst: dst, Salt: 1, Start: 1, Run: measure.SilentRun}, reply)
 	order = nil
-	tr, sent := measure.RunTracerouteVia(base, 10, measure.SilentRun, nil, nil, reply)
+	tr, sent := measure.RunTracerouteVia(measure.Trace{Dst: dst, Salt: 1, Start: 10, Run: measure.SilentRun}, reply)
 	if want := []int{10, 9, 8, 7, 6, 5}; sent != len(want) || !slices.Equal(order, want) {
 		t.Fatalf("sent %d, TTLs %v; want %v", sent, order, want)
 	}
@@ -447,7 +456,7 @@ func TestTracerouteWindowWalksDownThroughSilence(t *testing.T) {
 	// meets the blackout at 9 and yields nothing.
 	prev := measure.TracerouteResult{Hops: make([]measure.TracerouteHop, 10), Probed: 1 << 10}
 	dead := func(measure.Spec) measure.Reply { return measure.Reply{VPDead: true} }
-	if tr, sent := measure.ContinueTracerouteVia(base, &prev, 10, measure.SilentRun, nil, dead); sent != 0 || !reflect.DeepEqual(tr, measure.TracerouteResult{}) {
+	if tr, sent := measure.RunTracerouteVia(measure.Trace{Dst: dst, Salt: 1, Start: 10, Run: measure.SilentRun, Prev: &prev}, dead); sent != 0 || !reflect.DeepEqual(tr, measure.TracerouteResult{}) {
 		t.Fatalf("continued from a dead vantage point: %+v, %d sent", tr, sent)
 	}
 }
@@ -469,22 +478,27 @@ func TestTracerouteStopSet(t *testing.T) {
 			return measure.Reply{Sent: true, Delivered: true, Hop: measure.TracerouteHop{Addr: ipv4.Addr(8<<24 | uint32(ttl)), Responded: true}}
 		}
 	}
-	base := measure.Spec{Kind: measure.KindTraceroutePkt, Dst: dst, Seq: 1}
-	classic, classicSent := measure.RunTracerouteVia(base, 1, measure.SilentRun, nil, nil, reply)
+	sweep := measure.Trace{Dst: dst, Salt: 1, Start: 1, Run: measure.SilentRun}
+	classic, classicSent := measure.RunTracerouteVia(sweep, reply)
 	holds := func(addrs ...ipv4.Addr) func(ipv4.Addr) bool {
 		return func(a ipv4.Addr) bool { return slices.Contains(addrs, a) }
 	}
 	if !classic.ReachedDst || classic.Stopped || classicSent != 8 {
 		t.Fatalf("classic sweep: %+v, %d sent", classic, classicSent)
 	}
-	tr, sent := measure.RunTracerouteVia(base, 1, measure.SilentRun, holds(0, ipv4.Addr(8<<24|5), ipv4.Addr(8<<24|6)), nil, reply)
+	stopAt := func(start int, stop func(ipv4.Addr) bool) measure.Trace {
+		tc := sweep
+		tc.Start, tc.Stop = start, stop
+		return tc
+	}
+	tr, sent := measure.RunTracerouteVia(stopAt(1, holds(0, ipv4.Addr(8<<24|5), ipv4.Addr(8<<24|6))), reply)
 	if !tr.Stopped || tr.ReachedDst || sent != 5 || !reflect.DeepEqual(tr.Hops, classic.Hops[:5]) {
 		t.Fatalf("stop at TTL 5: %+v, %d sent; classic %+v", tr, sent, classic.Hops)
 	}
-	if tr, sent := measure.RunTracerouteVia(base, 1, measure.SilentRun, holds(dst), nil, reply); !tr.ReachedDst || tr.Stopped || sent != 8 {
+	if tr, sent := measure.RunTracerouteVia(stopAt(1, holds(dst)), reply); !tr.ReachedDst || tr.Stopped || sent != 8 {
 		t.Fatalf("a set holding the destination: %+v, %d sent", tr, sent)
 	}
-	if tr, _ := measure.RunTracerouteVia(base, 6, measure.SilentRun, holds(ipv4.Addr(8<<24|6)), nil, reply); tr.Stopped || !tr.ReachedDst {
+	if tr, _ := measure.RunTracerouteVia(stopAt(6, holds(ipv4.Addr(8<<24|6))), reply); tr.Stopped || !tr.ReachedDst {
 		t.Fatalf("a window stopped: %+v", tr)
 	}
 }
@@ -511,6 +525,12 @@ func TestContinueTraceroute(t *testing.T) {
 		for _, a := range agents {
 			for _, dst := range targets {
 				base := measure.Spec{Kind: measure.KindTraceroutePkt, VP: a, Dst: dst, Seq: salt}
+				trace := measure.Trace{Agent: a, Dst: dst, Salt: salt}
+				from := func(start, run int, within func(hop, dst ipv4.Addr) bool) measure.Trace {
+					tc := trace
+					tc.Start, tc.Run, tc.Within = start, run, within
+					return tc
+				}
 				issue := func(sp measure.Spec) measure.Reply { return measure.Issue(env.Fabric, sp, 0) }
 				// cont continues prev below its hop at top, giving up after run
 				// silent TTLs, and checks it against the sweep cut there: the hop
@@ -520,7 +540,9 @@ func TestContinueTraceroute(t *testing.T) {
 					cut.Hops, cut.ReachedDst = classic.Hops[:top], true
 					want := lastLinkOf(cut)
 					var sentTTLs uint64
-					tr, sent := measure.ContinueTracerouteVia(base, &prev, top, run, nil, func(sp measure.Spec) measure.Reply {
+					below := from(top, run, nil)
+					below.Prev = &prev
+					tr, sent := measure.RunTracerouteVia(below, func(sp measure.Spec) measure.Reply {
 						if prev.Probed>>sp.TTL&1 == 1 {
 							t.Fatalf("%s→%s below TTL %d, run %d: TTL %d sent again", a.Addr, dst, top, run, sp.TTL)
 						}
@@ -531,9 +553,7 @@ func TestContinueTraceroute(t *testing.T) {
 						sentTTLs |= 1 << sp.TTL
 						return issue(sp)
 					})
-					if pub, pubSent := measure.ContinueTraceroute(env.Fabric, a, dst, 0, salt, &prev, top, run, nil); !reflect.DeepEqual(pub, tr) || pubSent != sent {
-						t.Fatalf("%s→%s below TTL %d: ContinueTraceroute is not continueTraceroute", a.Addr, dst, top)
-					}
+					checkTwin(t, env.Fabric, below, 0, tr, sent)
 					if got := lastLinkOf(tr); got != want {
 						t.Fatalf("%s→%s below TTL %d, run %d: last link %+v, the sweep cut there %+v", a.Addr, dst, top, run, got, want)
 					}
@@ -551,7 +571,7 @@ func TestContinueTraceroute(t *testing.T) {
 					}
 					continued++
 				}
-				classic, _ := measure.RunTraceroute(env.Fabric, a, dst, 0, salt, 1, measure.SilentRun, nil)
+				classic, _ := measure.RunTraceroute(env.Fabric, from(1, measure.SilentRun, nil), 0)
 				ll := lastLinkOf(classic)
 				ttlOf := func(tr measure.TracerouteResult, hop ipv4.Addr) int {
 					return slices.IndexFunc(tr.Hops, func(h measure.TracerouteHop) bool { return h.Addr == hop }) + 1
@@ -565,8 +585,8 @@ func TestContinueTraceroute(t *testing.T) {
 						continue
 					}
 					silentTargets++
-					window, _ := measure.RunTracerouteVia(base, last, 2, nil, nil, issue)
-					climbed, _ := measure.RunTracerouteVia(base, 2, 2, nil, within, issue)
+					window, _ := measure.RunTracerouteVia(from(last, 2, nil), issue)
+					climbed, _ := measure.RunTracerouteVia(from(2, 2, within), issue)
 					for _, prev := range []measure.TracerouteResult{window, climbed} {
 						if top := ttlOf(prev, lastLinkOf(prev).penult); top >= 2 && top <= len(classic.Hops) && classic.Hops[top-1] == prev.Hops[top-1] {
 							cont(prev, top, 2, classic)
@@ -578,8 +598,8 @@ func TestContinueTraceroute(t *testing.T) {
 					continue
 				}
 				top := ttlOf(classic, ll.penult)
-				window, _ := measure.RunTracerouteVia(base, ll.ttl, measure.SilentRun, nil, nil, issue)
-				climbed, _ := measure.RunTracerouteVia(base, 2, measure.SilentRun, nil, within, issue)
+				window, _ := measure.RunTracerouteVia(from(ll.ttl, measure.SilentRun, nil), issue)
+				climbed, _ := measure.RunTracerouteVia(from(2, measure.SilentRun, within), issue)
 				for _, prev := range []measure.TracerouteResult{classic, window, climbed} {
 					cont(prev, top, measure.SilentRun, classic)
 				}

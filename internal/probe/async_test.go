@@ -59,23 +59,23 @@ func TestGoTracerouteMatchesSync(t *testing.T) {
 		t.Fatal("no destination")
 	}
 	outside := func(_, _ ipv4.Addr) bool { return false }
-	first, _ := pool.Traceroute(context.Background(), src, dst.Addr, 1000, 8, measure.SilentRun, nil, outside)
+	first, _ := pool.Traceroute(context.Background(), measure.Trace{Agent: src, Dst: dst.Addr, Salt: 1000, Start: 8, Run: measure.SilentRun, Within: outside})
 	if len(first.Hops) < 3 {
 		t.Fatal("path too short to continue")
 	}
 	for _, prev := range []*measure.TracerouteResult{nil, &first} {
-		start := 8
+		tc := measure.Trace{Agent: src, Dst: dst.Addr, Salt: 1000, Start: 8, Run: measure.SilentRun, Prev: prev, Within: outside}
 		if prev != nil {
-			start = len(first.Hops) - 1
+			tc.Start = len(first.Hops) - 1
 		}
-		wantTr, wantSent := pool.Traceroute(context.Background(), src, dst.Addr, 1000, start, measure.SilentRun, prev, outside)
+		wantTr, wantSent := pool.Traceroute(context.Background(), tc)
 
 		type out struct {
 			tr   measure.TracerouteResult
 			sent int
 		}
 		got := make(chan out, 1)
-		pool.GoTraceroute(context.Background(), src, dst.Addr, 1000, start, measure.SilentRun, prev, outside, func(tr measure.TracerouteResult, sent int) {
+		pool.GoTraceroute(context.Background(), tc, func(tr measure.TracerouteResult, sent int) {
 			got <- out{tr, sent}
 		})
 		o := <-got

@@ -136,7 +136,7 @@ func TestPoolCancellation(t *testing.T) {
 	}
 
 	src := env.Agent(env.SourceHost(0))
-	if tr, sent := pool.Traceroute(ctx, src, env.ResponsiveHost(0, src.AS).Addr, 0, 1, measure.SilentRun, nil, nil); sent != 0 || len(tr.Hops) != 0 {
+	if tr, sent := pool.Traceroute(ctx, measure.Trace{Agent: src, Dst: env.ResponsiveHost(0, src.AS).Addr, Start: 1, Run: measure.SilentRun}); sent != 0 || len(tr.Hops) != 0 {
 		t.Fatal("Traceroute probed on a cancelled context")
 	}
 	if pool.Counters() != (measure.Counters{}) {
