@@ -107,9 +107,17 @@ func TestProbeCountGate(t *testing.T) {
 		// that reaches where the sweep gave up has a penultimate hop), one
 		// batch, virtual time from 1909737646 and waitOutUS from
 		// 12342170440; completions and accuracy stood.
+		// A direct probe that drew silence closing the stage at no retries,
+		// with no spoofed round behind it, moved wide's SpoofRR 1885 -> 1851,
+		// batches 1404 -> 1370 and virtual time from 1381147382 (waitOutUS
+		// from 14203043449): 32 timed-out leads of 34, one of which drew the
+		// reply that completed 16.25.128.2 -> 16.225.128.1, whose forward
+		// path crosses option-filtering AS 23. With it complete 477 -> 476,
+		// aborted 287 -> 288, RR 735 -> 736 and Traceroute 2573 -> 2567.
+		// Wide-lossy (two retries) sends its round as before.
 		{"wide", false,
-			countRow{rr: 735, spoofRR: 1885, traceroute: 2573, complete: 477, aborted: 287, failed: 2,
-				spoofBatches: 1404, virtualUS: 1381147382, waitOutUS: 14203043449,
+			countRow{rr: 736, spoofRR: 1851, traceroute: 2567, complete: 476, aborted: 288, failed: 2,
+				spoofBatches: 1370, virtualUS: 1060987150, waitOutUS: 13863011739,
 				offTruthPaths: 25, offTruthHops: 60, wrongAS: 21}},
 		{"wide-lossy", true,
 			countRow{rr: 1334, spoofRR: 2827, traceroute: 3361, complete: 375, aborted: 353, failed: 38,

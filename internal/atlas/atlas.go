@@ -95,6 +95,12 @@ type Atlas struct {
 	// come home from it (core's stepTop opens no RR stage there). An AS
 	// where one hop answered maps to false.
 	RRDeaf map[topology.ASN]bool
+	// RRSpoofedOnly is, as of the last build or refresh, true for an AS
+	// where an entry's hop drew no reply to the source's own RR ping and a
+	// reply to a spoofed one: the source's option packets do not reach the
+	// AS, though its replies come home (core's RR stage re-asks a silent
+	// direct probe there).
+	RRSpoofedOnly map[topology.ASN]bool
 
 	nextID int
 	index  map[ipv4.Addr]hopRef // direct traceroute hop addresses
@@ -102,10 +108,20 @@ type Atlas struct {
 	// to (§4.2); a lookup resolves it through index, so it follows the
 	// hop to whichever entry holds it now.
 	rrIndex map[ipv4.Addr]ipv4.Addr
-	// probed holds the hops BuildRRAliases has RR-probed (once per atlas),
-	// true where a ping drew a reply.
-	probed map[ipv4.Addr]bool
+	// probed holds the hops BuildRRAliases has RR-probed (once per atlas)
+	// and what their pings drew.
+	probed map[ipv4.Addr]rrPing
 }
+
+// rrPing is what a hop's background RR pings drew: no reply, a reply to
+// the source's own ping, or a reply to a spoofed one only.
+type rrPing uint8
+
+const (
+	pingSilent rrPing = iota
+	pingDirect
+	pingSpoofed
+)
 
 // New creates an empty atlas for a source.
 func New(source measure.Agent) *Atlas {
@@ -113,7 +129,7 @@ func New(source measure.Agent) *Atlas {
 		Source:  source,
 		index:   make(map[ipv4.Addr]hopRef),
 		rrIndex: make(map[ipv4.Addr]ipv4.Addr),
-		probed:  make(map[ipv4.Addr]bool),
+		probed:  make(map[ipv4.Addr]rrPing),
 	}
 }
 
@@ -217,7 +233,10 @@ func (a *Atlas) BuildRRAliases(p *measure.Prober, pick SitePicker, res alias.Res
 			continue
 		}
 		rr := p.RRPing(a.Source, h)
-		answered := rr.Responded
+		ping := pingSilent
+		if rr.Responded {
+			ping = pingDirect
+		}
 		if !rr.Responded || len(rr.Recorded) == 0 {
 			// Unanswered: spoof from up to three vantage points near it.
 			tried := 0
@@ -226,7 +245,9 @@ func (a *Atlas) BuildRRAliases(p *measure.Prober, pick SitePicker, res alias.Res
 					continue
 				}
 				rr = p.SpoofedRRPing(s, a.Source.Addr, h)
-				answered = answered || rr.Responded
+				if rr.Responded && ping == pingSilent {
+					ping = pingSpoofed
+				}
 				tried++
 				if rr.Responded && len(rr.Recorded) > 0 {
 					break
@@ -236,7 +257,7 @@ func (a *Atlas) BuildRRAliases(p *measure.Prober, pick SitePicker, res alias.Res
 				}
 			}
 		}
-		a.probed[h] = answered
+		a.probed[h] = ping
 		if !rr.Responded {
 			continue
 		}
@@ -297,14 +318,16 @@ func (a *Atlas) associate(recorded []ipv4.Addr, e *Entry, probedPos int, res ali
 	}
 }
 
-// summarize recomputes MedianHops, ASHops and RRDeaf, hops mapped by m.
+// summarize recomputes MedianHops, ASHops, RRDeaf and RRSpoofedOnly, hops
+// mapped by m.
 func (a *Atlas) summarize(m ip2as.Mapper) {
-	a.MedianHops, a.ASHops, a.RRDeaf = 0, nil, nil
+	a.MedianHops, a.ASHops, a.RRDeaf, a.RRSpoofedOnly = 0, nil, nil, nil
 	if len(a.Entries) == 0 {
 		return
 	}
 	a.ASHops = make(map[topology.ASN]int)
 	a.RRDeaf = make(map[topology.ASN]bool)
+	a.RRSpoofedOnly = make(map[topology.ASN]bool)
 	crossed := func(asn topology.ASN, hops int) {
 		if d, ok := a.ASHops[asn]; !ok || hops < d {
 			a.ASHops[asn] = hops
@@ -323,11 +346,14 @@ func (a *Atlas) summarize(m ip2as.Mapper) {
 			crossed(asn, len(e.Hops)-j)
 			// One answered hop clears the AS for good; a second silent hop
 			// makes it deaf, the first one alone may be its router's policy.
-			answered, probed := a.probed[h]
+			ping, probed := a.probed[h]
 			_, settled := a.RRDeaf[asn]
+			if ping == pingSpoofed {
+				a.RRSpoofedOnly[asn] = true
+			}
 			switch first, heard := silent[asn]; {
 			case !probed:
-			case answered:
+			case ping != pingSilent:
 				a.RRDeaf[asn] = false
 			case !heard:
 				silent[asn] = h

@@ -97,6 +97,68 @@ func TestRRDeaf(t *testing.T) {
 	}
 }
 
+// TestRRSpoofedOnly: an AS is reached only by spoofed pings when an
+// entry's hop of it answered a spoofed RR ping and not the source's own,
+// whatever its other hops drew; a hop only a removed entry held stops
+// counting at the next summary. Such a hop clears the AS of deafness.
+func TestRRSpoofedOnly(t *testing.T) {
+	const src = "1.0.0.1"
+	for _, tc := range []struct {
+		name    string
+		entries [][]string
+		spoofed []string        // hops only a spoofed ping reached
+		direct  map[string]bool // other probed hops -> answered
+		remove  int             // index of an entry removed before the summary, -1 for none
+		want    []topology.ASN
+	}{
+		{"one hop reached only by a spoofed ping", [][]string{{"2.0.0.1", "3.0.0.1", src}},
+			[]string{"2.0.0.1"}, map[string]bool{"3.0.0.1": true}, -1, []topology.ASN{2}},
+		{"beside a hop that answered the source", [][]string{{"2.0.0.1", "2.0.0.2", src}},
+			[]string{"2.0.0.2"}, map[string]bool{"2.0.0.1": true}, -1, []topology.ASN{2}},
+		{"beside silent hops", [][]string{{"2.0.0.1", "2.0.0.2", "2.0.0.3", src}},
+			[]string{"2.0.0.3"}, map[string]bool{"2.0.0.1": false, "2.0.0.2": false}, -1, []topology.ASN{2}},
+		{"direct replies and silence only", [][]string{{"2.0.0.1", "3.0.0.1", src}},
+			nil, map[string]bool{"2.0.0.1": true, "3.0.0.1": false}, -1, nil},
+		{"probed off every entry", [][]string{{"2.0.0.1", src}},
+			[]string{"3.0.0.1"}, map[string]bool{"2.0.0.1": true}, -1, nil},
+		{"its entry removed", [][]string{{"2.0.0.1", src}, {"3.0.0.1", src}},
+			[]string{"2.0.0.1"}, map[string]bool{"3.0.0.1": true}, 0, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			at := atlas.New(measure.Agent{Addr: a(src)})
+			var es []*atlas.Entry
+			for i, hops := range tc.entries {
+				var hs []ipv4.Addr
+				for _, h := range hops {
+					hs = append(hs, a(h))
+				}
+				es = append(es, at.Add("p", int32(7+i), hs, 0))
+			}
+			for h, answered := range tc.direct {
+				at.SetProbed(a(h), answered)
+			}
+			for _, h := range tc.spoofed {
+				at.SetSpoofedOnly(a(h))
+			}
+			if tc.remove >= 0 {
+				at.Summarize(octetAS{})
+				at.Remove(es[tc.remove])
+			}
+			at.Summarize(octetAS{})
+			want := map[topology.ASN]bool{}
+			for _, asn := range tc.want {
+				want[asn] = true
+			}
+			if !maps.Equal(at.RRSpoofedOnly, want) {
+				t.Fatalf("RRSpoofedOnly %v, want %v", at.RRSpoofedOnly, want)
+			}
+			if got := deafASes(at); len(got) != 0 {
+				t.Fatalf("deaf ASes %v, want none", got)
+			}
+		})
+	}
+}
+
 // TestRRDeafHeardDirectOrSpoofed: a build records a hop answered when its
 // direct ping drew a reply or, failing that, one of the spoofed pings the
 // picker's sites sent — under loss, so some direct pings go unanswered
@@ -127,21 +189,24 @@ func TestRRDeafHeardDirectOrSpoofed(t *testing.T) {
 				case h == src.Addr: // answers its own ping with nothing recorded
 				case !probed:
 					t.Fatalf("spoof=%v: hop %s of an entry was not probed", spoof, h)
-				case !asked[h] && !answered:
-					t.Fatalf("spoof=%v: hop %s: its direct ping was answered, recorded silent", spoof, h)
+				case !asked[h] && (!answered || at.SpoofedOnly(h)):
+					t.Fatalf("spoof=%v: hop %s: its direct ping was answered, recorded silent or spoofed only", spoof, h)
 				case !asked[h]:
 					direct++
 				case answered && !spoof:
 					t.Fatalf("spoof=%v: hop %s: no ping answered, recorded answered", spoof, h)
 				case answered:
+					if asn, ok := m.ASOf(h); ok && at.SpoofedOnly(h) && !at.RRSpoofedOnly[asn] {
+						t.Fatalf("spoof=%v: hop %s reached only by a spoofed ping, AS %d not in RRSpoofedOnly", spoof, h, asn)
+					}
 					spoofed++
 				default:
 					silent++
 				}
 			}
 		}
-		t.Logf("spoof=%v: hop slots answered direct %d, spoofed %d, silent %d", spoof, direct, spoofed, silent)
-		if direct == 0 || silent == 0 || spoof && spoofed == 0 {
+		t.Logf("spoof=%v: hop slots answered direct %d, spoofed %d, silent %d; %d ASes reached only by spoofed pings", spoof, direct, spoofed, silent, len(at.RRSpoofedOnly))
+		if direct == 0 || silent == 0 || spoof && (spoofed == 0 || len(at.RRSpoofedOnly) == 0) {
 			t.Fatalf("spoof=%v: the build exercises too little", spoof)
 		}
 	}

@@ -60,13 +60,25 @@ func (a *Atlas) AliasedHop(x ipv4.Addr) ipv4.Addr { return a.rrIndex[x] }
 // for atlases built by hand.
 func (a *Atlas) Summarize(m ip2as.Mapper) { a.summarize(m) }
 
-// SetProbed records h as RR-probed, its ping answered or not, as
+// SetProbed records h as RR-probed, its direct ping answered or not, as
 // BuildRRAliases would: for atlases built by hand.
-func (a *Atlas) SetProbed(h ipv4.Addr, answered bool) { a.probed[h] = answered }
+func (a *Atlas) SetProbed(h ipv4.Addr, answered bool) {
+	a.probed[h] = pingSilent
+	if answered {
+		a.probed[h] = pingDirect
+	}
+}
+
+// SetSpoofedOnly records h as RR-probed, a spoofed ping answered where the
+// direct one was not.
+func (a *Atlas) SetSpoofedOnly(h ipv4.Addr) { a.probed[h] = pingSpoofed }
 
 // Answered reports whether BuildRRAliases RR-probed h and whether a ping,
 // direct or spoofed, drew a reply.
 func (a *Atlas) Answered(h ipv4.Addr) (answered, probed bool) {
-	answered, probed = a.probed[h]
-	return answered, probed
+	ping, probed := a.probed[h]
+	return ping != pingSilent, probed
 }
+
+// SpoofedOnly reports whether only a spoofed ping to h drew a reply.
+func (a *Atlas) SpoofedOnly(h ipv4.Addr) bool { return a.probed[h] == pingSpoofed }

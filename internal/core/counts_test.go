@@ -370,9 +370,13 @@ func TestProbeCountGate(t *testing.T) {
 		// window above an RR-silent hop giving up after two silent TTLs)
 		// moved SpoofRR 366 -> 321 and Traceroute 211 -> 195; silence costs
 		// no virtual time, and nothing else moved.
+		// A direct probe that drew silence closing the stage at no retries
+		// (no round behind it) moved SpoofRR 321 -> 315 and batches
+		// 187 -> 181, and both time columns by those six leads' 10 s
+		// timeouts; nothing else moved.
 		{"distinct", func(si int) []*topology.Host { return w.pick(si*29, 8, w.srcs[si]) },
-			countRow{rr: 49, spoofRR: 321, traceroute: 195, complete: 42, aborted: 20, failed: 2,
-				spoofBatches: 187, virtualUS: 273907508, waitOutUS: 1881644038,
+			countRow{rr: 49, spoofRR: 315, traceroute: 195, complete: 42, aborted: 20, failed: 2,
+				spoofBatches: 181, virtualUS: 213907508, waitOutUS: 1821644038,
 				offTruthPaths: 2, offTruthHops: 3, wrongAS: 3}},
 		// Added with PR 18 and measured on its parent first: RR 445,
 		// SpoofRR 1395, Traceroute 1589, 86 / 40 / 2, 530 batches over
@@ -414,10 +418,12 @@ func TestProbeCountGate(t *testing.T) {
 		// 196991919: eight sources probe the same hops, and what one's
 		// replies said of a site's reach the next reads. Nothing else moved.
 		// The retry budget moved SpoofRR 387 -> 357 and Traceroute
-		// 464 -> 440, as above.
+		// 464 -> 440, as above. The silent direct probe's close moved SpoofRR
+		// 357 -> 349, batches 254 -> 246 and both time columns by 80 s, as
+		// above.
 		{"shared", func(int) []*topology.Host { return shared },
-			countRow{rr: 125, spoofRR: 357, traceroute: 440, complete: 90, aborted: 36, failed: 2,
-				spoofBatches: 254, virtualUS: 194825582, waitOutUS: 2570000770,
+			countRow{rr: 125, spoofRR: 349, traceroute: 440, complete: 90, aborted: 36, failed: 2,
+				spoofBatches: 246, virtualUS: 114825582, waitOutUS: 2490000770,
 				offTruthPaths: 4, offTruthHops: 8, wrongAS: 12}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

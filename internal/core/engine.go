@@ -128,18 +128,19 @@ type Engine struct {
 type rules uint16
 
 const (
-	ruleDistance   rules = 1 << iota // distance: the direct probe skipped, the traceroute started
-	ruleVerdicts                     // shareVerdicts
-	ruleRounds                       // stepSpoofNext: lead first
-	ruleChain                        // symStage.next: the chain step
-	ruleMemo                         // symStage.next: the memo start and the climb (inAS)
-	ruleDeaf                         // openRR: the atlas's RR-deaf ASes
-	ruleCut                          // adoptRevealed: the cut at the way home
-	ruleSilence                      // readSilence: the survey's silence
-	ruleReach                        // byReach, couldRevealMore: the reach memo
-	ruleSilentLead                   // budgetHedges: a silent lead's hedges within the retry budget
-	ruleGiveUp                       // symStage.next: the short give-up above an RR-silent hop
-	numRules       = iota
+	ruleDistance     rules = 1 << iota // distance: the direct probe skipped, the traceroute started
+	ruleVerdicts                       // shareVerdicts
+	ruleRounds                         // stepSpoofNext: lead first
+	ruleChain                          // symStage.next: the chain step
+	ruleMemo                           // symStage.next: the memo start and the climb (inAS)
+	ruleDeaf                           // openRR: the atlas's RR-deaf ASes
+	ruleCut                            // adoptRevealed: the cut at the way home
+	ruleSilence                        // readSilence: the survey's silence
+	ruleReach                          // byReach, couldRevealMore: the reach memo
+	ruleSilentLead                     // budgetHedges: a silent lead's hedges within the retry budget
+	ruleGiveUp                         // symStage.next: the short give-up above an RR-silent hop
+	ruleSilentDirect                   // rrRetries: a silent direct probe closes the stage at no retries
+	numRules         = iota
 )
 
 // NewEngine assembles an engine over a probe pool. adj may be nil (no

@@ -83,7 +83,7 @@ func (mm *Machine) Held() []probe.Request { return mm.spoofReqs(mm.rr.held) }
 var RuleNames = [numRules]string{
 	"distance skip and start", "shared verdicts", "spoofed rounds", "chain step",
 	"memo start and climb", "RR-deaf ASes", "adoption cut", "survey silence",
-	"learned reach", "silent lead's hedges", "short give-up",
+	"learned reach", "silent lead's hedges", "short give-up", "silent direct probe",
 }
 
 // SetRulesOff switches off the knowledge rules whose bits off sets, and only

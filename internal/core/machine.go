@@ -657,9 +657,11 @@ func (mm *Machine) stepTop() {
 // the §5.3 budget spent, whether a round came back, the hedges held behind
 // its lead (as the plan's sites are, indexes of Engine.Sites and info.Obs)
 // and whether the lead waited out the timeout. Its evidence: the RR cache,
-// the atlas deaf to the cursor's AS, the distance out of range, its silence.
+// the atlas deaf to the cursor's AS or reaching it only by spoofed pings,
+// the distance out of range, its silence.
 // Whether it closed silent (rrSilentVerdict, rrSurveySilent,
-// rrSilentBatch), which the symmetry stage at its cursor reads (giveUpRun).
+// rrSilentDirect, rrSilentBatch), which the symmetry stage at its cursor
+// reads (symStage.next's short give-up).
 type rrStage struct {
 	hops                                    []ipv4.Addr
 	tech                                    Technique
@@ -671,7 +673,7 @@ type rrStage struct {
 	asn                                     topology.ASN
 	cursor, tried                           int
 	cached, deaf, far, silent, surveySilent bool
-	closedSilent                            bool
+	spoofedOnly, closedSilent               bool
 }
 
 // rrAction is what an RR stage does next: a probe, or a close and why.
@@ -687,6 +689,7 @@ const (
 	rrRevealed                      // a probe revealed reverse hops
 	rrSilentVerdict                 // the direct probe unanswered, the cache's verdict silent
 	rrSurveySilent                  // the same, only the survey silent
+	rrSilentDirect                  // the same, no budget to re-ask it
 	rrExhausted                     // no vantage point left in the plan
 	rrBudget                        // MaxSpoofVPs vantage points tried
 	rrSilentBatch                   // the direct probe and a whole round unanswered
@@ -694,10 +697,12 @@ const (
 )
 
 // next maps the stage to its next action, the first row that holds (DESIGN
-// "RR stage"); maxVPs is the spoof budget. Silence is evidence only behind
+// "RR stage"); maxVPs is the spoof budget, retries the budget to re-ask a
+// silent direct probe (Machine.rrRetries). Silence is evidence only behind
 // a measured, unanswered direct probe, before any round or after a whole one.
-func (st *rrStage) next(maxVPs int) rrAction {
+func (st *rrStage) next(maxVPs, retries int) rrAction {
 	silence := st.pastDirect && !st.swept && st.measured() && !st.answered
+	direct := !st.far || st.silent // the probe went out: only row 5 skips it
 	for _, row := range [...]struct {
 		holds bool
 		act   rrAction
@@ -710,6 +715,7 @@ func (st *rrStage) next(maxVPs int) rrAction {
 		{!st.pastDirect, rrDirect},
 		{silence && st.silent, rrSilentVerdict},
 		{silence && st.surveySilent, rrSurveySilent},
+		{silence && direct && !st.spoofedOnly && retries == 0, rrSilentDirect},
 		{st.noPrefix, rrNoPrefix},
 		{st.swept && st.tried >= maxVPs, rrBudget},
 		{st.swept && !st.answered && !st.batchAnswered && st.batchSent, rrSilentBatch},
@@ -741,6 +747,7 @@ func (mm *Machine) openRR() {
 		if st.deaf = ok && at.RRDeaf[asn] && e.off&ruleDeaf == 0; st.deaf {
 			return
 		}
+		st.spoofedOnly = ok && at.RRSpoofedOnly[asn]
 	}
 	if st.far = mm.distance() > ingress.InRangeHops; st.far {
 		mm.readSilence()
@@ -775,13 +782,13 @@ func (mm *Machine) passDirect() {
 // with every source.
 func (mm *Machine) runRR() {
 	e, st := mm.e, &mm.rr
-	act := st.next(e.Opts.MaxSpoofVPs)
+	act := st.next(e.Opts.MaxSpoofVPs, mm.rrRetries())
 	if act == rrSkip {
 		// Record Route's nine slots fill before the reverse path begins (§4.3).
 		e.metrics.directRRSkipped.Inc()
 		st.sent = e.Pool.CanSend(mm.src.Agent.Addr)
 		mm.passDirect()
-		act = st.next(e.Opts.MaxSpoofVPs)
+		act = st.next(e.Opts.MaxSpoofVPs, mm.rrRetries())
 	}
 	mm.ph = phAfterRR
 	switch act {
@@ -802,12 +809,12 @@ func (mm *Machine) runRR() {
 		if e.Opts.UseCache {
 			e.cache.putRR(mm.cur, mm.src.Agent.Addr, st.hops, st.tech, e.Pool.Now())
 		}
-	case rrSilentVerdict, rrSurveySilent:
+	case rrSilentVerdict, rrSurveySilent, rrSilentDirect:
 		st.closedSilent = true
 		e.metrics.spoofSweepsUnresponsive.Inc()
-		// Only the survey knew: the verdict is shared as if the first round
-		// had gone out, where there is one to send.
-		if act == rrSurveySilent && len(mm.nextBatch()) > 0 {
+		// Only the survey or this source's probe knew: the verdict is shared
+		// as if the first round had gone out, where there is one to send.
+		if act != rrSilentVerdict && len(mm.nextBatch()) > 0 {
 			mm.shareVerdicts(nil, true)
 		}
 	case rrSilentBatch:
@@ -815,6 +822,18 @@ func (mm *Machine) runRR() {
 		e.metrics.spoofSweepsSilent.Inc()
 		mm.shareVerdicts(nil, true)
 	}
+}
+
+// rrRetries is the budget rrStage.next reads to re-ask a silent direct
+// probe: the pool's retries (probe.RetryPolicy.Max) under an ingress plan,
+// whose first round asks the probe's question again; -1, where no budget
+// bounds that round: under the plans that send it as revtr 1.0 did, or with
+// the rule off.
+func (mm *Machine) rrRetries() int {
+	if mm.e.Opts.VPSelection != ingress.SelIngress || mm.e.off&ruleSilentDirect != 0 {
+		return -1
+	}
+	return mm.e.Pool.Retry().Max
 }
 
 // onRRDirect records the direct RR reply (Fig 1b) and carries on.

@@ -73,7 +73,8 @@ type Metrics struct {
 	vpFailover *obs.Counter
 	deadVPHits *obs.Counter
 	// Saved by the cache's per-hop verdicts: plan slots skipped (VP out of
-	// range) and RR stages closed at a silent direct probe (hop unresponsive).
+	// range) and RR stages closed at a silent direct probe (hop unresponsive;
+	// also the survey's silence, and the probe's own at no retries).
 	spoofVPsOutOfRange      *obs.Counter
 	spoofSweepsUnresponsive *obs.Counter
 	// Read off the reach memo (cache.reach): rounds whose lead it changed

@@ -298,7 +298,7 @@ func nineStamps(hop ipv4.Addr) []ipv4.Addr {
 // real ones.
 func TestVerdictEvidence(t *testing.T) {
 	c := newChaosEnv(t, 8, 60)
-	stuck := findStuckStages(c)
+	stuck := findStuckStages(c, probe.RetryPolicy{Max: 1})
 	if len(stuck) == 0 {
 		t.Fatal("no sweep ends on the silent rule: the test exercises nothing")
 	}
@@ -310,7 +310,7 @@ func TestVerdictEvidence(t *testing.T) {
 	// probe when it is non-nil.
 	toSweep := func(t *testing.T, ctx context.Context, direct *measure.Reply) (*core.Engine, *core.Machine, *core.Pending) {
 		t.Helper()
-		eng, _ := c.engine(1, probe.RetryPolicy{})
+		eng, _ := c.engine(1, probe.RetryPolicy{Max: 1})
 		mm := eng.Begin(ctx, c.src, s.dst)
 		for p := mm.Next(); p != nil; p = mm.Next() {
 			if isSpoofSweep(p) && p.Reqs[0].Dst == s.hop {

@@ -3,12 +3,16 @@ package core
 import (
 	"testing"
 
+	"revtr/internal/ingress"
 	"revtr/internal/netsim/ipv4"
+	"revtr/internal/probe"
 )
 
 // TestRRStageNext runs the RR stage's decision function over fabricated
 // records, no world built: one row per action and per close reason, and the
-// rows whose order decides between two that hold.
+// rows whose order decides between two that hold. The first table is read
+// with a retry to spend (a round re-asks a silent direct probe); the second
+// at each budget.
 func TestRRStageNext(t *testing.T) {
 	const maxVPs = 12
 	hop := []ipv4.Addr{0x0a000001}
@@ -82,8 +86,62 @@ func TestRRStageNext(t *testing.T) {
 		{"hedges win over the budget", swept(func(st *rrStage) { st.tried, st.held = maxVPs, hedges }), rrHedges},
 		{"hedges win over an exhausted plan", swept(func(st *rrStage) { st.cursor, st.held = len(plan), hedges }), rrHedges},
 	} {
-		if got := tc.st.next(maxVPs); got != tc.want {
+		if got := tc.st.next(maxVPs, 1); got != tc.want {
 			t.Errorf("%s: next = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+
+	for _, tc := range []struct {
+		name    string
+		st      rrStage
+		retries int
+		want    rrAction
+	}{
+		{"no retry: a silent direct probe closes", past(nil), 0, rrSilentDirect},
+		{"one retry: the round re-asks it", past(nil), 1, rrBatch},
+		{"no budget applies (set cover, the rule off): the round", past(nil), -1, rrBatch},
+		{"a skipped probe is no silence: the round", past(func(st *rrStage) { st.far = true }), 0, rrBatch},
+		{"the atlas reached the hop's AS only by spoofed pings: the round", past(func(st *rrStage) { st.spoofedOnly = true }), 0, rrBatch},
+		{"a silent verdict closes there all the same", past(func(st *rrStage) { st.spoofedOnly, st.silent = true, true }), 0, rrSilentVerdict},
+		{"a probe not sent closes nothing", past(func(st *rrStage) { st.sent = false }), 0, rrBatch},
+		{"a VPDead slot closes nothing", past(func(st *rrStage) { st.dead = true }), 0, rrBatch},
+		{"an answered probe closes nothing", past(func(st *rrStage) { st.answered = true }), 0, rrBatch},
+		{"the silent verdict wins", past(func(st *rrStage) { st.silent = true }), 0, rrSilentVerdict},
+		{"the survey's silence wins", past(func(st *rrStage) { st.surveySilent = true }), 0, rrSurveySilent},
+		{"it wins over no prefix", past(func(st *rrStage) { st.noPrefix, st.plan = true, nil }), 0, rrSilentDirect},
+		{"it wins over an empty plan", past(func(st *rrStage) { st.plan = nil }), 0, rrSilentDirect},
+		{"after a round it is read no more", swept(func(st *rrStage) { st.batchAnswered = true }), 0, rrBatch},
+		{"a silent round still closes as one", swept(nil), 0, rrSilentBatch},
+	} {
+		if got := tc.st.next(maxVPs, tc.retries); got != tc.want {
+			t.Errorf("%s (retries %d): next = %d, want %d", tc.name, tc.retries, got, tc.want)
+		}
+	}
+}
+
+// TestRRRetries: a silent direct probe's round is a retry only under an
+// ingress plan with its rule on; set-cover and global plans send it as
+// revtr 1.0 did.
+func TestRRRetries(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		sel  ingress.Selection
+		off  rules
+		max  int
+		want int
+	}{
+		{"ingress, no retries", ingress.SelIngress, 0, 0, 0},
+		{"ingress, two retries", ingress.SelIngress, 0, 2, 2},
+		{"set cover", ingress.SelSetCover, 0, 0, -1},
+		{"global", ingress.SelGlobal, 0, 0, -1},
+		{"the rule off", ingress.SelIngress, ruleSilentDirect, 0, -1},
+		{"another rule off", ingress.SelIngress, ruleSilentLead, 0, 0},
+	} {
+		pool := new(probe.Pool)
+		pool.SetRetry(probe.RetryPolicy{Max: tc.max})
+		mm := Machine{e: &Engine{Pool: pool, Opts: Options{VPSelection: tc.sel}, off: tc.off}}
+		if got := mm.rrRetries(); got != tc.want {
+			t.Errorf("%s: rrRetries = %d, want %d", tc.name, got, tc.want)
 		}
 	}
 }

@@ -214,10 +214,13 @@ type stuckStage struct {
 }
 
 // findStuckStages measures dsts on a fresh engine over the fault-free
-// fabric and returns the stages the silent rule ended — stages that leave
-// an empty cache entry behind when nothing interferes.
-func findStuckStages(c *chaosEnv) []stuckStage {
-	eng, _ := c.engine(1, probe.RetryPolicy{})
+// fabric, its pool retrying as pol says, and returns the stages the silent
+// rule ended — stages that leave an empty cache entry behind when nothing
+// interferes. With no retry a direct probe that drew silence closes the
+// stage with no round behind it, so a test that needs that probe sent
+// retries once.
+func findStuckStages(c *chaosEnv, pol probe.RetryPolicy) []stuckStage {
+	eng, _ := c.engine(1, pol)
 	silent := observe(eng).Counter("engine_spoof_sweeps_silent_total")
 	var out []stuckStage
 	for _, dst := range c.dsts {
@@ -235,7 +238,7 @@ func findStuckStages(c *chaosEnv) []stuckStage {
 // being measured in full leaves no entry behind.
 func TestNegativeRRCache(t *testing.T) {
 	c := newChaosEnv(t, 8, 60)
-	stuck := findStuckStages(c)
+	stuck := findStuckStages(c, probe.RetryPolicy{Max: 1})
 	if len(stuck) == 0 {
 		t.Fatal("no sweep ends on the silent rule: the test exercises nothing")
 	}
@@ -258,7 +261,7 @@ func TestNegativeRRCache(t *testing.T) {
 
 	t.Run("hit and expiry", func(t *testing.T) {
 		defer clock.Set(clock.Now())
-		eng, _ := c.engine(1, probe.RetryPolicy{})
+		eng, _ := c.engine(1, probe.RetryPolicy{Max: 1})
 		reg := observe(eng)
 		negHits := reg.Counter("engine_cache_rr_negative_hits_total")
 		served := 0
@@ -308,7 +311,7 @@ func TestNegativeRRCache(t *testing.T) {
 		defer c.env.Fabric.SetFaults(nil)
 		for _, s := range stuck {
 			c.env.Fabric.SetFaults((&faults.Plan{}).AddBlackout(s.vp, 0, 1<<60))
-			eng, _ := c.engine(1, probe.RetryPolicy{})
+			eng, _ := c.engine(1, probe.RetryPolicy{Max: 1})
 			negHits := observe(eng).Counter("engine_cache_rr_negative_hits_total")
 			sawDead := false
 			driveSeeing(bg, eng, c.src, s.dst, func(p *core.Pending, d core.Delivery) {
@@ -329,7 +332,7 @@ func TestNegativeRRCache(t *testing.T) {
 
 	t.Run("cancelled stage", func(t *testing.T) {
 		s := stuck[0]
-		eng, _ := c.engine(1, probe.RetryPolicy{})
+		eng, _ := c.engine(1, probe.RetryPolicy{Max: 1})
 		negHits := observe(eng).Counter("engine_cache_rr_negative_hits_total")
 		ctx, cancel := context.WithCancel(bg)
 		defer cancel()
@@ -354,7 +357,7 @@ func TestResumeSilentSweep(t *testing.T) {
 	c := newChaosEnv(t, 8, 60)
 	o := core.Revtr20Options()
 	o.UseCache = false // every run of a destination independent of the runs before it
-	eng, _ := c.engineOpts(1, probe.RetryPolicy{}, o)
+	eng, _ := c.engineOpts(1, probe.RetryPolicy{Max: 1}, o)
 	silent := observe(eng).Counter("engine_spoof_sweeps_silent_total")
 	points := 0
 	for _, dst := range c.dsts {

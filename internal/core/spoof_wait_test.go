@@ -230,8 +230,13 @@ func TestDeliverBooks(t *testing.T) {
 				ctx, cancel := context.WithCancel(bg)
 				defer cancel()
 				mm := eng.Begin(ctx, c.src, dst)
+				var heard []ipv4.Addr // hops whose direct RR probe drew a reply
 				for p := mm.Next(); p != nil; p = mm.Next() {
-					leadWithHedges := isSpoofSweep(p) && len(mm.Held()) > 0
+					// The round with no retry budget is one behind a skipped
+					// direct probe: one that drew silence closes the stage, and
+					// behind one that drew a reply the sweep goes on.
+					leadWithHedges := isSpoofSweep(p) && len(mm.Held()) > 0 &&
+						!(tc.phase == "lead with hedges" && slices.Contains(heard, p.Reqs[0].Dst))
 					if tc.phase == "hedges" && leadWithHedges {
 						mm.Deliver(fabricate(p, answerTo(p.Reqs[0], tc.leadUS)))
 						if next := mm.Next(); tc.leadUS == 0 && (next == nil || !next.Hedges || !next.Once || len(next.Reqs) > tc.retries) {
@@ -240,7 +245,11 @@ func TestDeliverBooks(t *testing.T) {
 						continue
 					}
 					if waitPhase(p) != tc.phase && (tc.phase != "lead with hedges" || !leadWithHedges) {
-						mm.Deliver(eng.ExecPending(ctx, p))
+						d := eng.ExecPending(ctx, p)
+						if isDirectRR(p) && d.Batch.Replies[0].RR.Responded {
+							heard = append(heard, p.Reqs[0].Dst)
+						}
+						mm.Deliver(d)
 						continue
 					}
 					d := core.Delivery{Tr: measure.TracerouteResult{RTTUS: tc.rttUS[0]}, TrSent: tc.sent}
@@ -346,8 +355,9 @@ func TestCancelKeepsDeliveredWaits(t *testing.T) {
 	}
 }
 
-// TestSpoofWait pins the rule on one spoofed round. A sweep behind a
-// silent direct probe is replayed on fresh engines with a fabricated
+// TestSpoofWait pins the rule on one spoofed round. A sweep behind an
+// unanswered direct probe (skipped: with no retry budget one that drew
+// silence closes the stage) is replayed on fresh engines with a fabricated
 // delivery in place of its first round: the first reply the lead's, the
 // rest its hedges' (the last repeats), each reply revealing nothing. Every
 // other delivery is real and booked by the ledger, so the measurement's
@@ -357,7 +367,7 @@ func TestCancelKeepsDeliveredWaits(t *testing.T) {
 // waits out the timeout once.
 func TestSpoofWait(t *testing.T) {
 	c := newChaosEnv(t, 8, 60)
-	stuck := findStuckStages(c)
+	stuck := findStuckStages(c, probe.RetryPolicy{})
 	if len(stuck) == 0 {
 		t.Fatal("no sweep behind a silent direct probe: the test exercises nothing")
 	}
