@@ -93,9 +93,9 @@ func (r *Result) HasSuspect() bool {
 	return false
 }
 
-// Engine measures reverse paths. One engine serves one source's
+// Engine measures reverse paths. One engine serves every source's
 // measurements and is safe for concurrent use: probes run through the
-// shared probe.Pool, the cache is internally locked, and atlas
+// shared probe.Pool, the knowledge table is internally locked, and atlas
 // usefulness marks are atomic. Each MeasureReverse call keeps its own
 // probe accounting, so concurrent measurements do not blur each other's
 // budgets.
@@ -110,8 +110,7 @@ type Engine struct {
 	Opts    Options
 
 	logger  *slog.Logger
-	cache   *cache
-	deadVPs *deadVPCache
+	know    *knowledge
 	metrics Metrics // zero value records nothing
 	off     rules   // the knowledge rules switched off: none outside tests
 	// spoofTimeoutUS and maxHops are SpoofTimeoutUS and MaxHops; only
@@ -153,8 +152,7 @@ func NewEngine(f *fabric.Fabric, pool *probe.Pool, ing *ingress.Service, sites [
 	e := &Engine{
 		F: f, Pool: pool, Ingress: ing, Sites: sites,
 		Alias: res, Mapper: mapper, Adj: adj, Opts: opts,
-		cache:          newCache(CacheTTLUS, cacheMaxEntries),
-		deadVPs:        newDeadVPCache(),
+		know:           newKnowledge(CacheTTLUS, knowledgeMaxEntries),
 		spoofTimeoutUS: SpoofTimeoutUS,
 		maxHops:        MaxHops,
 	}
@@ -167,14 +165,14 @@ func NewEngine(f *fabric.Fabric, pool *probe.Pool, ing *ingress.Service, sites [
 }
 
 // SetMetrics attaches an observability metric set (nil detaches). The
-// engine and its cache record into it from then on. Call before issuing
-// measurements.
+// engine and its knowledge table record into it from then on. Call before
+// issuing measurements.
 func (e *Engine) SetMetrics(m *Metrics) {
 	if m == nil {
 		m = new(Metrics)
 	}
 	e.metrics = *m
-	e.cache.metrics = m
+	e.know.metrics = m
 }
 
 // SetLogger attaches a structured debug logger: every progress event

@@ -29,19 +29,20 @@ func (e *Engine) Reach(vp, hop ipv4.Addr) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	return e.cache.reach(vp, asn, e.Pool.Now())
+	k, ok := e.knows(fact{factReach, ipv4.Addr(asn), vp})
+	return int(k.least), ok
 }
 
 // WayHome reports whether the atlas knows the way home from one of hops, new
 // to the measurement, so that adoption would stop there.
 func (mm *Machine) WayHome(hops []ipv4.Addr) bool { return mm.wayHome(hops) >= 0 }
 
-// Verdicts exposes what the engine cache holds about hop for every
-// source: the vantage points out of range of it, and whether it answers
-// no option packet.
+// Verdicts exposes what the engine knows about hop for every source: the
+// vantage points out of range of it, and whether it answers no option
+// packet.
 func (e *Engine) Verdicts(hop ipv4.Addr) (farVPs []ipv4.Addr, silent bool) {
-	v := e.cache.verdicts(hop, e.Pool.Now())
-	return v.farVPs, v.silent
+	k, _ := e.knows(fact{kind: factVerdicts, subject: hop})
+	return k.addrs, k.silent
 }
 
 // Booked exposes what the machine has been charged so far — the three
@@ -70,9 +71,9 @@ func (e *Engine) SetSpoofTimeout(us int64) { e.spoofTimeoutUS = us }
 // SetMaxHops bounds the reverse path at n hops instead of MaxHops.
 func (e *Engine) SetMaxHops(n int) { e.maxHops = n }
 
-// CacheEntries is the number of entries the engine cache holds, of every
-// kind.
-func (e *Engine) CacheEntries() int { return e.cache.size() }
+// CacheEntries is the number of facts the engine's knowledge table holds,
+// of every kind.
+func (e *Engine) CacheEntries() int { return e.know.size() }
 
 // Held exposes the hedges the machine's spoofed round holds back behind its
 // lead: none once they are sent, for a whole batch, or outside a sweep.

@@ -404,16 +404,13 @@ func (mm *Machine) Clone() *Machine {
 }
 
 // isDead reports whether the vantage point at a should be skipped:
-// either this measurement saw it blacked out, or the engine-level
-// dead-VP cache remembers a recent death from an earlier measurement.
-// The shared cache is deterministic under serial issuance (the
-// bit-identity suites vary worker counts, not issue order); under
-// concurrent issuance it is advisory — see deadVPCache.
+// either this measurement saw it blacked out, or the knowledge table
+// holds a recent death from an earlier measurement (factDead).
 func (mm *Machine) isDead(a ipv4.Addr) bool {
 	if mm.m.isDead(a) {
 		return true
 	}
-	if mm.e.deadVPs.isDead(a, mm.e.Pool.Now()) {
+	if _, ok := mm.e.knows(fact{kind: factDead, subject: a}); ok {
 		mm.e.metrics.deadVPHits.Inc()
 		return true
 	}
@@ -421,11 +418,11 @@ func (mm *Machine) isDead(a ipv4.Addr) bool {
 }
 
 // vpDied reports a vantage point observed blacked out: remembered in
-// both the per-measurement set and the engine-level TTL cache, counted
+// both the per-measurement set and the knowledge table, counted
 // as a failover, and announced (Hop carries the VP address).
 func (mm *Machine) vpDied(a ipv4.Addr) {
 	mm.m.markDead(a)
-	mm.e.deadVPs.markDead(a, mm.e.Pool.Now())
+	mm.e.learn(fact{kind: factDead, subject: a}, known{})
 	mm.e.metrics.vpFailover.Inc()
 	mm.emit(stream.Event{Kind: stream.KindVPFailover, Hop: a.String()})
 }
@@ -536,7 +533,7 @@ func (mm *Machine) finishWith(st Status, reason string) {
 	outcome.Inc()
 	m.virtualUS.Observe(mm.res.DurationUS)
 	m.wallUS.Observe(time.Since(mm.wallStart).Microseconds()) //revtr:wallclock engine wall-time metric, distinct from virtual probe time
-	m.cacheSize.Set(int64(mm.e.cache.size()))
+	m.cacheSize.Set(int64(mm.e.know.size()))
 	mm.emit(stream.Event{Kind: kind, Status: st.String(), Reason: reason})
 }
 
@@ -613,7 +610,7 @@ func (mm *Machine) stepTop() {
 	// Step 1b: Doubletree memoization — a prior measurement already
 	// revealed the reverse path from cur back to S. Splice the stored
 	// suffix instead of re-probing it, marking the hops Spliced. Like
-	// the dead-VP cache, the shared store is deterministic under serial
+	// the knowledge table, the shared store is deterministic under serial
 	// issuance and advisory under concurrent issuance (it changes probe
 	// budgets, never the freshness of what is spliced).
 	if st := e.Opts.SegmentStore; st != nil {
@@ -737,10 +734,9 @@ func (st *rrStage) measured() bool { return st.sent && !st.dead }
 func (mm *Machine) openRR() {
 	e, cur, st := mm.e, mm.cur, &mm.rr
 	*st = rrStage{}
-	if e.Opts.UseCache {
-		if st.hops, st.tech, st.cached = e.cache.getRR(cur, mm.src.Agent.Addr, e.Pool.Now()); st.cached {
-			return
-		}
+	if k, ok := e.knows(fact{factRR, cur, mm.src.Agent.Addr}); ok {
+		st.hops, st.tech, st.cached = k.addrs, k.tech, true
+		return
 	}
 	if at := mm.src.Atlas; e.Opts.UseRRAtlas && at != nil {
 		asn, ok := e.Mapper.ASOf(cur)
@@ -754,16 +750,18 @@ func (mm *Machine) openRR() {
 	}
 }
 
-// readSilence reads the cache's silent verdict on the cursor and the ingress
-// survey's silence, which lives beside the cache (DESIGN "(2) Unresponsive").
+// readSilence reads the silent verdict on the cursor and the ingress
+// survey's silence, which lives beside the knowledge table (DESIGN "(2)
+// Unresponsive").
 func (mm *Machine) readSilence() {
 	e, st := mm.e, &mm.rr
-	st.silent = e.Opts.UseCache && e.cache.verdicts(mm.cur, e.Pool.Now()).silent
-	st.surveySilent = e.Opts.UseCache && e.off&ruleSilence == 0 && e.Ingress.Silent(mm.cur)
+	v, _ := e.knows(fact{kind: factVerdicts, subject: mm.cur})
+	st.silent = v.silent
+	st.surveySilent = e.gate(ruleSilence) && e.Ingress.Silent(mm.cur)
 }
 
-// passDirect moves the stage past its direct probe and reads the plan, and
-// the cursor's AS where the reach memo is in use.
+// passDirect moves the stage past its direct probe and reads the plan and
+// the cursor's AS, which keys the reach memo.
 func (mm *Machine) passDirect() {
 	e, st := mm.e, &mm.rr
 	pfx, ok := e.F.Topo.BGPPrefixOf(mm.cur)
@@ -771,9 +769,7 @@ func (mm *Machine) passDirect() {
 		plan := e.Ingress.PlanFor(pfx, e.Opts.VPSelection)
 		st.plan, st.info = plan.Order, plan.Info
 	}
-	if e.Opts.UseCache && e.off&ruleReach == 0 {
-		st.asn, st.learn = e.Mapper.ASOf(mm.cur)
-	}
+	st.asn, st.learn = e.Mapper.ASOf(mm.cur)
 }
 
 // runRR carries out the stage's next action — after a skip, the one that
@@ -806,9 +802,7 @@ func (mm *Machine) runRR() {
 	case rrDeaf: // the silence is this source's path home, not the hop's: no verdict
 		e.metrics.rrDeafSkipped.Inc()
 	case rrRevealed:
-		if e.Opts.UseCache {
-			e.cache.putRR(mm.cur, mm.src.Agent.Addr, st.hops, st.tech, e.Pool.Now())
-		}
+		e.learn(fact{factRR, mm.cur, mm.src.Agent.Addr}, known{addrs: st.hops, tech: st.tech})
 	case rrSilentVerdict, rrSurveySilent, rrSilentDirect:
 		st.closedSilent = true
 		e.metrics.spoofSweepsUnresponsive.Inc()
@@ -903,10 +897,7 @@ func (mm *Machine) nextBatch() []int {
 	if mm.m.ctx.Err() != nil || st.cursor >= len(st.plan) {
 		return nil
 	}
-	var far []ipv4.Addr
-	if e.Opts.UseCache {
-		far = e.cache.verdicts(cur, e.Pool.Now()).farVPs
-	}
+	v, _ := e.knows(fact{kind: factVerdicts, subject: cur})
 	sites := make([]int, 0, SpoofBatchSize)
 	for st.cursor < len(st.plan) && len(sites) < SpoofBatchSize {
 		si := st.plan[st.cursor]
@@ -918,7 +909,7 @@ func (mm *Machine) nextBatch() []int {
 		if mm.isDead(site.Addr) {
 			continue
 		}
-		if slices.Contains(far, site.Addr) {
+		if slices.Contains(v.addrs, site.Addr) {
 			e.metrics.spoofVPsOutOfRange.Inc()
 			continue
 		}
@@ -955,14 +946,14 @@ func (mm *Machine) byReach(sites []int) {
 }
 
 // reachOf is the fewest RR slots site's spoofed probes needed to reach the
-// cursor's AS (cache.reach), math.MaxInt if the memo does not hold it or is
+// cursor's AS (factReach), math.MaxInt if the memo does not hold it or is
 // not in use.
 func (mm *Machine) reachOf(site int) int {
 	if !mm.rr.learn {
 		return math.MaxInt
 	}
-	if r, ok := mm.e.cache.reach(mm.e.Sites[site].Addr, mm.rr.asn, mm.e.Pool.Now()); ok {
-		return r
+	if k, ok := mm.e.knows(fact{factReach, ipv4.Addr(mm.rr.asn), mm.e.Sites[site].Addr}); ok {
+		return int(k.least)
 	}
 	return math.MaxInt
 }
@@ -975,7 +966,7 @@ func (mm *Machine) learnReach(vp ipv4.Addr, marker int, far bool) {
 		marker = ipv4.RRSlots
 	}
 	if mm.rr.learn && marker >= 0 {
-		mm.e.cache.putReach(vp, mm.rr.asn, marker+1, mm.e.Pool.Now())
+		mm.e.learn(fact{factReach, ipv4.Addr(mm.rr.asn), vp}, known{least: uint8(marker + 1)})
 	}
 }
 
@@ -1007,8 +998,8 @@ func (mm *Machine) spoofWait(p *Pending, b probe.Batch) int64 {
 // shareVerdicts records what a spoofed batch settled about cur for every
 // source — if the stage was measured so far.
 func (mm *Machine) shareVerdicts(far []ipv4.Addr, silent bool) {
-	if mm.rr.measured() && mm.e.Opts.UseCache && mm.e.off&ruleVerdicts == 0 && (silent || len(far) > 0) {
-		mm.e.cache.addVerdicts(mm.cur, far, silent, mm.e.Pool.Now())
+	if mm.rr.measured() && (silent || len(far) > 0) {
+		mm.e.learn(fact{kind: factVerdicts, subject: mm.cur}, known{addrs: far, silent: silent})
 	}
 }
 
@@ -1123,8 +1114,8 @@ func (mm *Machine) stepAfterRR() {
 		mm.adoptRevealed()
 		return
 	}
-	if mm.rr.measured() && mm.e.Opts.UseCache {
-		mm.e.cache.putRR(mm.cur, mm.src.Agent.Addr, nil, 0, mm.e.Pool.Now())
+	if mm.rr.measured() {
+		mm.e.learn(fact{factRR, mm.cur, mm.src.Agent.Addr}, known{})
 	}
 	mm.fallback(TechTS, phTS)
 }
@@ -1364,16 +1355,13 @@ func (mm *Machine) stepSym() {
 	e, src, cur, st := mm.e, mm.src, mm.cur, &mm.sym
 	*st = symStage{tr: st.tr, to: st.to, ttl: st.ttl, cur: cur, within: e.inAS, off: e.off,
 		silentRR: mm.rr.closedSilent, atDst: cur == mm.dst}
-	var tr measure.TracerouteResult
-	if e.Opts.UseCache {
-		tr, st.have = e.cache.getTraceroute(cur, src.Agent.Addr, e.Pool.Now())
-	}
-	if st.have {
-		mm.readTraceroute(tr, 0)
+	if k, ok := e.knows(fact{factTR, cur, src.Agent.Addr}); ok {
+		mm.readTraceroute(*k.tr, 0)
 	} else {
 		st.chained = mm.res.Hops[len(mm.res.Hops)-1].Tech == TechSymmetry
-		if asn, ok := e.Mapper.ASOf(cur); ok && e.Opts.UseCache {
-			st.met, _ = e.cache.met(src.Agent.Addr, asn, e.Pool.Now())
+		if asn, ok := e.Mapper.ASOf(cur); ok {
+			k, _ = e.knows(fact{factMet, ipv4.Addr(asn), src.Agent.Addr})
+			st.met = int(k.least)
 		}
 		st.dist = mm.distance()
 		if src.Atlas != nil {
@@ -1447,14 +1435,26 @@ func (mm *Machine) onTraceroute(p *Pending, d Delivery) {
 			e.metrics.tracerouteShortGiveUps.Inc()
 		}
 	}
-	if len(d.Tr.Hops) > 0 && e.Opts.UseCache && mm.m.ctx.Err() == nil {
-		e.cache.putTraceroute(cur, src.Agent.Addr, d.Tr, e.Pool.Now())
+	if len(d.Tr.Hops) > 0 && mm.m.ctx.Err() == nil {
+		tr := d.Tr // a copy, so that d stays off the heap
+		e.learn(fact{factTR, cur, src.Agent.Addr}, known{tr: &tr})
 		if asn, ok := e.Mapper.ASOf(cur); ok {
-			e.cache.putMet(src.Agent.Addr, asn, &d.Tr, e.Mapper, e.Pool.Now())
+			if ttl := metTTL(&tr, asn, e.Mapper); ttl > 0 {
+				e.learn(fact{factMet, ipv4.Addr(asn), src.Agent.Addr}, known{least: uint8(ttl)})
+			}
 		}
 	}
 	mm.readTraceroute(d.Tr, p.Dst)
 	mm.runSym()
+}
+
+// metTTL is the lowest TTL at which tr met a responsive hop of asn, 0 if it
+// met none (the met memo, factMet).
+func metTTL(tr *measure.TracerouteResult, asn topology.ASN, m ip2as.Mapper) int {
+	return slices.IndexFunc(tr.Hops, func(h measure.TracerouteHop) bool {
+		a, ok := m.ASOf(h.Addr)
+		return h.Responded && ok && a == asn
+	}) + 1
 }
 
 // ExecPending executes one pending work descriptor synchronously on the

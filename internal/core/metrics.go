@@ -13,8 +13,8 @@ import (
 // Engines built from the same obs.Registry share the underlying metrics
 // (counters are atomic), which is how campaign workers aggregate into
 // one set of numbers. The fields are written once, by NewMetrics; the
-// machine's transition helpers (machine.go) and the cache are the only
-// readers.
+// machine's transition helpers (machine.go) and the knowledge table are
+// the only readers.
 type Metrics struct {
 	// stage counts, by revealing technique, each time a stage produced
 	// the next reverse hop(s): atlas traceroute intersections (Q1/Q2),
@@ -68,16 +68,16 @@ type Metrics struct {
 
 	// vpFailover counts probes redirected to another vantage point after
 	// the planned VP was observed inside a blackout window. deadVPHits
-	// counts plan slots skipped because the engine-level dead-VP cache
+	// counts plan slots skipped because the knowledge table's dead marks
 	// already knew the VP was out — failovers that cost nothing.
 	vpFailover *obs.Counter
 	deadVPHits *obs.Counter
-	// Saved by the cache's per-hop verdicts: plan slots skipped (VP out of
+	// Saved by the per-hop verdicts: plan slots skipped (VP out of
 	// range) and RR stages closed at a silent direct probe (hop unresponsive;
 	// also the survey's silence, and the probe's own at no retries).
 	spoofVPsOutOfRange      *obs.Counter
 	spoofSweepsUnresponsive *obs.Counter
-	// Read off the reach memo (cache.reach): rounds whose lead it changed
+	// Read off the reach memo (factReach): rounds whose lead it changed
 	// (byReach) and hedges it held back that the survey would have sent
 	// (couldRevealMore).
 	spoofReachLeads *obs.Counter
@@ -98,7 +98,9 @@ type Metrics struct {
 	segmentHits    *obs.Counter
 	segmentSplices *obs.Counter
 
-	// Cache accounting (Insight 1.4 reuse), hits and misses by cacheKind.
+	// Knowledge table accounting (Insight 1.4 reuse): hits and misses of RR
+	// results and traceroutes by factKind; evictions and entries of every
+	// kind, dead-VP marks included.
 	cacheHits      [2]*obs.Counter
 	cacheMisses    [2]*obs.Counter
 	cacheEvictions *obs.Counter
@@ -156,16 +158,16 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	m.stage[TechRR] = reg.Counter("engine_stage_direct_rr_total")
 	m.stage[TechSpoofRR] = reg.Counter("engine_stage_spoofed_rr_total")
 	m.stage[TechTS] = reg.Counter("engine_stage_timestamp_total")
-	m.cacheHits[kindRR] = reg.Counter("engine_cache_rr_hits_total")
-	m.cacheMisses[kindRR] = reg.Counter("engine_cache_rr_misses_total")
-	m.cacheHits[kindTR] = reg.Counter("engine_cache_tr_hits_total")
-	m.cacheMisses[kindTR] = reg.Counter("engine_cache_tr_misses_total")
+	m.cacheHits[factRR] = reg.Counter("engine_cache_rr_hits_total")
+	m.cacheMisses[factRR] = reg.Counter("engine_cache_rr_misses_total")
+	m.cacheHits[factTR] = reg.Counter("engine_cache_tr_hits_total")
+	m.cacheMisses[factTR] = reg.Counter("engine_cache_tr_misses_total")
 	return m
 }
 
 // lookup records one cache lookup of kind and the expired entry it may
 // have dropped.
-func (m *Metrics) lookup(kind cacheKind, hit bool, expired int) {
+func (m *Metrics) lookup(kind factKind, hit bool, expired int) {
 	if hit {
 		m.cacheHits[kind].Inc()
 	} else {

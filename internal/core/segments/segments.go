@@ -26,7 +26,7 @@
 // mid-path with nothing to continue from.
 //
 // Staleness and determinism are internal/ttlcache's, shared with the
-// engine's other caches (internal/core's cache and dead-VP cache):
+// engine's knowledge table (internal/core):
 // entries expire after a TTL in *virtual* time — never the wall clock —
 // so runs are reproducible; expired entries are dropped on lookup and by
 // a write-triggered sweep; and a hard size cap evicts oldest-first with

@@ -51,9 +51,11 @@ func sendUnsent(eng *core.Engine, src measure.Agent, hop ipv4.Addr, salt uint64)
 }
 
 // surveyDifferential measures pairs on eng and, every time a direct probe's
-// delivery closed a stage the cache's verdict had not settled, sends the
-// round not sent (closed counts the stages that had one: a plan with no
-// vantage point left in it sends nothing either way).
+// delivery closed a stage at a hop the survey holds silent and the shared
+// verdicts had not settled, sends the round not sent (closed counts the
+// stages that had one: a plan with no vantage point left in it sends nothing
+// either way). A close at a hop the survey does not hold silent is the
+// silent direct probe's (TestSilentDirectDifferential).
 func surveyDifferential(eng *core.Engine, pairs []srcDst) surveyStats {
 	st := surveyStats{pairs: len(pairs)}
 	bg := context.Background()
@@ -62,13 +64,14 @@ func surveyDifferential(eng *core.Engine, pairs []srcDst) surveyStats {
 		mm := eng.Begin(bg, pr.src, pr.dst)
 		for p := mm.Next(); p != nil; p = mm.Next() {
 			d := eng.ExecPending(mm.Context(), p)
-			proved := true // only a direct probe's delivery closes a stage
+			survey := false // only a direct probe's delivery closes a stage
 			if isDirectRR(p) {
-				_, proved = eng.Verdicts(p.Reqs[0].Dst)
+				_, settled := eng.Verdicts(p.Reqs[0].Dst)
+				survey = !settled && eng.Ingress.Silent(p.Reqs[0].Dst)
 			}
 			before := closed.Value()
 			mm.Deliver(d)
-			if closed.Value() != before && !proved {
+			if closed.Value() != before && survey {
 				sent, answered, revealed := sendUnsent(eng, pr.src.Agent, p.Reqs[0].Dst, p.Reqs[0].Seq)
 				st.closed += btoi(sent)
 				st.answered += btoi(answered)

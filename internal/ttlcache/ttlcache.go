@@ -1,7 +1,6 @@
 // Package ttlcache is the one virtual-time TTL cache under the engine's
-// shared stores (core's RR/traceroute cache, its dead-VP cache, and the
-// segment store). It holds the mechanism those stores have in common and
-// none of their policy:
+// shared stores (core's knowledge table and the segment store). It holds
+// the mechanism those stores have in common and none of their policy:
 //
 //   - Time is the caller's virtual clock in microseconds, passed into
 //     every call — never the wall clock — so runs are reproducible.
