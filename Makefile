@@ -64,7 +64,7 @@ ci: fmt vet lint short race bench benchcheck benchmod fuzz cover loc docsize
 # when the total is above LOC_CEILING — the total the last PR landed at.
 # A PR that adds lines says why and raises it; one that removes lines
 # lowers it to where it lands.
-LOC_CEILING = 22028
+LOC_CEILING = 22083
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs wc -l | \
 		awk -v ceiling=$(LOC_CEILING) '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
@@ -76,7 +76,7 @@ loc:
 # last PR landed it at. A PR that grows a file says why and raises its
 # entry; one that cuts it lowers the entry to where it lands. bench/'s
 # README is left out: bench/ changes only with the benchmark.
-DOC_CEILING = DESIGN.md:111907 EXPERIMENTS.md:92456 CHANGES.md:40519
+DOC_CEILING = DESIGN.md:113795 EXPERIMENTS.md:99287 CHANGES.md:45375
 docsize:
 	@fail=0; for e in $(DOC_CEILING); do f=$${e%%:*}; ceiling=$${e##*:}; n=$$(wc -c < $$f); \
 		printf "%7d %s (DOC_CEILING %d)\n" $$n $$f $$ceiling; \
@@ -95,9 +95,10 @@ docsize:
 # a short test does not. So is the probe pool every measurement crosses:
 # its retry arms (a VP dark between attempts, each kind's late answer)
 # are the recovery path only a faulty fabric reaches. So is the engine
-# itself: its knowledge table holds six kinds of fact, three of them (the
-# per-hop verdicts, the reach memo, dead vantage points) shared across
-# sources. So is the ingress survey: every
+# itself: its knowledge table holds eight kinds of fact, four of them (the
+# per-hop verdicts, the hops heard answering, the reach memo, dead vantage
+# points) shared across sources, and one, an AS's deafness to a source,
+# that merges witnesses. So is the ingress survey: every
 # measurement's RR stage reads its plans and its silent destinations, and
 # a second survey must replace the first one's answers whole. So is the
 # atlas: every measurement's intersections read its indexes, entries copy

@@ -115,13 +115,22 @@ func TestProbeCountGate(t *testing.T) {
 		// path crosses option-filtering AS 23. With it complete 477 -> 476,
 		// aborted 287 -> 288, RR 735 -> 736 and Traceroute 2573 -> 2567.
 		// Wide-lossy (two retries) sends its round as before.
+		// The ASes a source's own silent rounds found deaf (a second silent
+		// round at another hop of the AS, or, at no retries, one at a hop the
+		// survey or a source heard answer, which shares no silent verdict),
+		// whose RR stages then open no more, moved wide's RR 736 -> 685,
+		// SpoofRR 1851 -> 1820, batches 1370 -> 1344, virtual time from
+		// 1060987150 (-28.6 %) and waitOutUS from 13863011739; wide-lossy's
+		// RR 1334 -> 1326, SpoofRR 2827 -> 2779, batches 1221 -> 1211, virtual
+		// time from 1913638455 and waitOutUS from 12346071249. No outcome,
+		// traceroute or accuracy column moved.
 		{"wide", false,
-			countRow{rr: 736, spoofRR: 1851, traceroute: 2567, complete: 476, aborted: 288, failed: 2,
-				spoofBatches: 1370, virtualUS: 1060987150, waitOutUS: 13863011739,
+			countRow{rr: 685, spoofRR: 1820, traceroute: 2567, complete: 476, aborted: 288, failed: 2,
+				spoofBatches: 1340, virtualUS: 757598041, waitOutUS: 13559661341,
 				offTruthPaths: 25, offTruthHops: 60, wrongAS: 21}},
 		{"wide-lossy", true,
-			countRow{rr: 1334, spoofRR: 2827, traceroute: 3361, complete: 375, aborted: 353, failed: 38,
-				spoofBatches: 1221, virtualUS: 1913638455, waitOutUS: 12346071249,
+			countRow{rr: 1326, spoofRR: 2779, traceroute: 3361, complete: 375, aborted: 353, failed: 38,
+				spoofBatches: 1211, virtualUS: 1813243158, waitOutUS: 12245675952,
 				offTruthPaths: 20, offTruthHops: 52, wrongAS: 17}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -374,9 +374,13 @@ func TestProbeCountGate(t *testing.T) {
 		// (no round behind it) moved SpoofRR 321 -> 315 and batches
 		// 187 -> 181, and both time columns by those six leads' 10 s
 		// timeouts; nothing else moved.
+		// The ASes a source's own silent rounds found deaf, whose RR stages
+		// then open no more, moved SpoofRR 315 -> 310 and batches 181 -> 176,
+		// and both time columns by those five leads' 10 s timeouts; nothing
+		// else moved.
 		{"distinct", func(si int) []*topology.Host { return w.pick(si*29, 8, w.srcs[si]) },
-			countRow{rr: 49, spoofRR: 315, traceroute: 195, complete: 42, aborted: 20, failed: 2,
-				spoofBatches: 181, virtualUS: 213907508, waitOutUS: 1821644038,
+			countRow{rr: 49, spoofRR: 310, traceroute: 195, complete: 42, aborted: 20, failed: 2,
+				spoofBatches: 176, virtualUS: 163907508, waitOutUS: 1771644038,
 				offTruthPaths: 2, offTruthHops: 3, wrongAS: 3}},
 		// Added with PR 18 and measured on its parent first: RR 445,
 		// SpoofRR 1395, Traceroute 1589, 86 / 40 / 2, 530 batches over
@@ -420,10 +424,13 @@ func TestProbeCountGate(t *testing.T) {
 		// The retry budget moved SpoofRR 387 -> 357 and Traceroute
 		// 464 -> 440, as above. The silent direct probe's close moved SpoofRR
 		// 357 -> 349, batches 254 -> 246 and both time columns by 80 s, as
-		// above.
+		// above. The learned deaf ASes moved SpoofRR 349 -> 346, batches
+		// 246 -> 243 and both time columns by 30 s, as above; RR 125 -> 124
+		// and both time columns by its round trip too: a sure witness shares
+		// no silent verdict, and a far hop without one skips its direct probe.
 		{"shared", func(int) []*topology.Host { return shared },
-			countRow{rr: 125, spoofRR: 349, traceroute: 440, complete: 90, aborted: 36, failed: 2,
-				spoofBatches: 246, virtualUS: 114825582, waitOutUS: 2490000770,
+			countRow{rr: 124, spoofRR: 346, traceroute: 440, complete: 90, aborted: 36, failed: 2,
+				spoofBatches: 243, virtualUS: 84745385, waitOutUS: 2459920573,
 				offTruthPaths: 4, offTruthHops: 8, wrongAS: 12}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -139,6 +139,7 @@ const (
 	ruleSilentLead                     // budgetHedges: a silent lead's hedges within the retry budget
 	ruleGiveUp                         // symStage.next: the short give-up above an RR-silent hop
 	ruleSilentDirect                   // rrRetries: a silent direct probe closes the stage at no retries
+	ruleLearnedDeaf                    // openRR: the ASes the source's own silent rounds found deaf
 	numRules         = iota
 )
 

@@ -85,6 +85,7 @@ var RuleNames = [numRules]string{
 	"distance skip and start", "shared verdicts", "spoofed rounds", "chain step",
 	"memo start and climb", "RR-deaf ASes", "adoption cut", "survey silence",
 	"learned reach", "silent lead's hedges", "short give-up", "silent direct probe",
+	"learned deafness",
 }
 
 // SetRulesOff switches off the knowledge rules whose bits off sets, and only

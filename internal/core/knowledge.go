@@ -23,6 +23,9 @@ import (
 //     to stamp it (Machine.learnReach), which every source reads.
 //   - The vantage points seen blacked out, discovered once and then
 //     skipped instead of timed out on by every measurement.
+//   - Per source, the ASes its option packets do not come home from, learnt
+//     from its own silent rounds as atlas.RRDeaf is from its pings; for every
+//     source, the hops heard answering, where one silent round is enough.
 //
 // Expiry, the sweep and the cap are ttlcache's; what differs by kind is its
 // row of factRows. Under concurrent issuance the table is advisory — a
@@ -56,6 +59,8 @@ const (
 	factMet                      // the met memo: an AS, learnt by the source
 	factReach                    // the reach memo: an AS, learnt by the site
 	factDead                     // a vantage point seen blacked out, for every source
+	factDeaf                     // an AS's witnesses of deafness: an AS, learnt by the source
+	factHeard                    // a hop heard answering an RR probe, for every source
 	numFacts
 )
 
@@ -86,9 +91,10 @@ func factLess(a, b fact) bool {
 // size), a hop's verdicts (addrs the vantage points out of RR range of it,
 // never written in place: readers hold the slice without the lock; silent,
 // whether it left a direct probe and a whole batch unanswered), a memo
-// (least), or a dead mark (nothing). sinceUS is when it was learnt;
-// verdicts age from the first of them. One slice serves both kinds that
-// hold addresses, so that every fact's record stays 48 bytes.
+// (least), a dead mark or a hop heard (nothing), or an AS's deafness (hop,
+// its first witness, zero once a reply cleared it; silent, deaf). sinceUS is
+// when it was learnt; verdicts and deafness age from the first of them. One
+// slice serves both kinds that hold addresses: every record is 48 bytes.
 type known struct {
 	addrs   []ipv4.Addr
 	tr      *measure.TracerouteResult
@@ -96,6 +102,7 @@ type known struct {
 	tech    Technique
 	least   uint8
 	silent  bool
+	hop     ipv4.Addr
 }
 
 // merge is how a write meets the fact the table holds.
@@ -105,6 +112,7 @@ const (
 	replace    merge = iota // the write replaces it and ages from now
 	accumulate              // verdicts add up and age from the first
 	lower                   // a lower least replaces it and ages from now; a higher one is dropped
+	witness                 // a witness at a second hop, or a sure one, makes it deaf from the first; a reply clears it for good
 )
 
 // factRows is one row per kind: how a write merges, how long the fact is
@@ -122,6 +130,8 @@ var factRows = [numFacts]struct {
 	factMet:      {lower, CacheTTLUS, 0},
 	factReach:    {lower, CacheTTLUS, ruleReach},
 	factDead:     {replace, deadVPTTLUS, 0},
+	factDeaf:     {witness, CacheTTLUS, ruleLearnedDeaf},
+	factHeard:    {replace, CacheTTLUS, ruleLearnedDeaf},
 }
 
 func newKnowledge(ttlUS int64, maxEntries int) *knowledge {
@@ -183,6 +193,13 @@ func (k *knowledge) learn(f fact, v known, nowUS int64) {
 		switch {
 		case m == lower && ok && was.least <= v.least:
 			return // neither replaced nor refreshed
+		case m == witness && ok && was.hop.IsZero():
+			return // cleared: no witness outweighs a reply
+		case m == witness && ok && !v.hop.IsZero():
+			if was.silent || was.hop == v.hop && !v.silent {
+				return // deaf already, or the same hop again
+			}
+			v.sinceUS, v.silent = was.sinceUS, true
 		case m == accumulate && ok:
 			v.sinceUS, v.silent = was.sinceUS, v.silent || was.silent
 			far := slices.Clip(was.addrs) // so that appending copies

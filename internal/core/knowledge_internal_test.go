@@ -322,6 +322,73 @@ func TestCacheMet(t *testing.T) {
 	}
 }
 
+// TestCacheWitness: an AS's deafness to a source (factDeaf) follows the
+// atlas's witness rule. A silent round at one hop, or at the same hop twice,
+// makes no deafness; one at a second hop does, aged from the first witness;
+// so does a sure witness alone. A reply clears the AS for the fact's whole
+// lifetime, before or after it was deaf, whatever witness follows; past that
+// lifetime witnesses count again. Another source reads none of it, and the
+// fact, like the hops heard that make a witness sure, is read and written
+// only with the cache on and its rule bit clear, whatever the atlas's own
+// bit.
+func TestCacheWitness(t *testing.T) {
+	const ttl = 1_000
+	src, other := addr(t, "10.0.0.1"), addr(t, "10.0.0.9")
+	a, b := addr(t, "10.7.0.1"), addr(t, "10.7.0.2")
+	f := fact{factDeaf, ipv4.Addr(7), src}
+	type write struct {
+		atUS int64
+		v    known
+	}
+	silent := func(atUS int64, hop ipv4.Addr) write { return write{atUS, known{hop: hop}} }
+	sure := func(atUS int64, hop ipv4.Addr) write { return write{atUS, known{hop: hop, silent: true}} }
+	reply := func(atUS int64) write { return write{atUS, known{}} }
+	for _, tc := range []struct {
+		name   string
+		writes []write
+		atUS   int64
+		deaf   bool
+	}{
+		{"one hop", []write{silent(0, a)}, 0, false},
+		{"the same hop twice", []write{silent(0, a), silent(100, a)}, 100, false},
+		{"two hops", []write{silent(0, a), silent(600, b)}, ttl, true},
+		{"two hops, past the first witness's lifetime", []write{silent(0, a), silent(600, b)}, ttl + 1, false},
+		{"three hops, aged from the first", []write{silent(0, a), silent(600, b), silent(700, addr(t, "10.7.0.3"))}, ttl + 1, false},
+		{"a sure witness", []write{sure(0, a)}, ttl, true},
+		{"a sure witness after one at its hop", []write{silent(0, a), sure(600, a)}, ttl, true},
+		{"a reply before", []write{reply(0), silent(100, a), silent(200, b), sure(300, a)}, 300, false},
+		{"a reply after deaf", []write{silent(0, a), silent(100, b), reply(200), silent(300, a), sure(400, b)}, 400, false},
+		{"a reply's whole lifetime", []write{silent(0, a), reply(100), silent(ttl+100, b), sure(ttl+100, a)}, ttl + 100, false},
+		{"witnesses past a reply's lifetime", []write{reply(0), silent(ttl+1, a), silent(ttl+2, b)}, ttl + 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := newKnowledge(ttl, 0)
+			for _, w := range tc.writes {
+				k.learn(f, w.v, w.atUS)
+			}
+			if v, ok := k.knows(f, tc.atUS); ok && v.silent != tc.deaf || !ok && tc.deaf {
+				t.Fatalf("deaf at %d µs: %v (held %v), want %v", tc.atUS, v.silent, ok, tc.deaf)
+			}
+			if v, _ := k.knows(fact{factDeaf, ipv4.Addr(7), other}, tc.atUS); v.silent {
+				t.Fatal("another source read the AS deaf")
+			}
+		})
+	}
+	e := &Engine{}
+	for _, c := range []struct {
+		cache bool
+		off   rules
+		uses  bool
+	}{{false, 0, false}, {true, 0, true}, {true, ruleLearnedDeaf, false}, {true, ruleDeaf, true}} {
+		e.Opts.UseCache, e.off = c.cache, c.off
+		for _, kind := range []factKind{factDeaf, factHeard} {
+			if got := e.uses(kind); got != c.uses {
+				t.Errorf("cache %v, rules off %b: uses(%d) = %v, want %v", c.cache, c.off, kind, got, c.uses)
+			}
+		}
+	}
+}
+
 // stubMapper maps the addresses it holds to their AS and no others.
 type stubMapper map[ipv4.Addr]topology.ASN
 

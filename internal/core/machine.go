@@ -449,11 +449,17 @@ func (mm *Machine) suspendProbes(reqs []probe.Request, spoofed bool, next phase)
 }
 
 // heard takes the cursor's reverse distance from an answered RR reply,
-// direct or spoofed: both travel cursor → source.
+// direct or spoofed: both travel cursor → source. The reply clears the
+// cursor's AS of deafness to the source for good (factDeaf) and tells every
+// source the cursor answers option packets (factHeard).
 func (mm *Machine) heard(rr measure.RRResult) {
 	if d := measure.ReverseHops(rr.ReplyTTL); d >= 0 {
 		mm.revDist = d
 	}
+	if asn, ok := mm.e.Mapper.ASOf(mm.cur); ok {
+		mm.e.learn(fact{factDeaf, ipv4.Addr(asn), mm.src.Agent.Addr}, known{})
+	}
+	mm.e.learn(fact{kind: factHeard, subject: mm.cur}, known{})
 }
 
 // goTop re-enters the Fig 2 loop for the next reverse hop.
@@ -655,7 +661,8 @@ func (mm *Machine) stepTop() {
 // its lead (as the plan's sites are, indexes of Engine.Sites and info.Obs)
 // and whether the lead waited out the timeout. Its evidence: the RR cache,
 // the atlas deaf to the cursor's AS or reaching it only by spoofed pings,
-// the distance out of range, its silence.
+// else the source's own silent rounds (deafBy), the distance out of range,
+// its silence.
 // Whether it closed silent (rrSilentVerdict, rrSurveySilent,
 // rrSilentDirect, rrSilentBatch), which the symmetry stage at its cursor
 // reads (symStage.next's short give-up).
@@ -671,6 +678,7 @@ type rrStage struct {
 	cursor, tried                           int
 	cached, deaf, far, silent, surveySilent bool
 	spoofedOnly, closedSilent               bool
+	deafBy                                  uint8 // where deaf: 0 the atlas, 1 the source's rounds
 }
 
 // rrAction is what an RR stage does next: a probe, or a close and why.
@@ -682,7 +690,7 @@ const (
 	rrBatch                         // send the sweep's next round (stepSpoofNext)
 	rrHedges                        // send the hedges a round's lead left held (onSpoofBatch)
 	rrCached                        // the RR cache answered, an empty entry included
-	rrDeaf                          // the source's atlas heard no RR reply from the cursor's AS
+	rrDeaf                          // the source's atlas, or its own silent rounds, heard no RR reply from the cursor's AS
 	rrRevealed                      // a probe revealed reverse hops
 	rrSilentVerdict                 // the direct probe unanswered, the cache's verdict silent
 	rrSurveySilent                  // the same, only the survey silent
@@ -738,12 +746,19 @@ func (mm *Machine) openRR() {
 		st.hops, st.tech, st.cached = k.addrs, k.tech, true
 		return
 	}
-	if at := mm.src.Atlas; e.Opts.UseRRAtlas && at != nil {
-		asn, ok := e.Mapper.ASOf(cur)
-		if st.deaf = ok && at.RRDeaf[asn] && e.off&ruleDeaf == 0; st.deaf {
-			return
-		}
-		st.spoofedOnly = ok && at.RRSpoofedOnly[asn]
+	asn, ok := e.Mapper.ASOf(cur)
+	atlasHeard := false // the atlas heard a hop of the AS answer: never learnt deaf
+	if at := mm.src.Atlas; ok && e.Opts.UseRRAtlas && at != nil {
+		deaf, has := at.RRDeaf[asn]
+		st.deaf, atlasHeard = deaf && e.off&ruleDeaf == 0, has && !deaf
+		st.spoofedOnly = at.RRSpoofedOnly[asn]
+	}
+	if ok && !st.deaf && !atlasHeard {
+		k, _ := e.knows(fact{factDeaf, ipv4.Addr(asn), mm.src.Agent.Addr})
+		st.deaf, st.deafBy = k.silent, 1
+	}
+	if st.deaf {
+		return
 	}
 	if st.far = mm.distance() > ingress.InRangeHops; st.far {
 		mm.readSilence()
@@ -800,7 +815,7 @@ func (mm *Machine) runRR() {
 			e.metrics.cacheRRNegativeHits.Inc()
 		}
 	case rrDeaf: // the silence is this source's path home, not the hop's: no verdict
-		e.metrics.rrDeafSkipped.Inc()
+		e.metrics.rrDeaf[st.deafBy].Inc()
 	case rrRevealed:
 		e.learn(fact{factRR, mm.cur, mm.src.Agent.Addr}, known{addrs: st.hops, tech: st.tech})
 	case rrSilentVerdict, rrSurveySilent, rrSilentDirect:
@@ -814,8 +829,24 @@ func (mm *Machine) runRR() {
 	case rrSilentBatch:
 		st.closedSilent = true
 		e.metrics.spoofSweepsSilent.Inc()
-		mm.shareVerdicts(nil, true)
+		if !mm.witnessDeaf() {
+			mm.shareVerdicts(nil, true)
+		}
 	}
+}
+
+// witnessDeaf writes the silent round that closed the stage as a witness that
+// the cursor's AS is deaf to the source, and reports a sure one: at no retries
+// at a hop the survey or a source heard answer, silent on the way home.
+func (mm *Machine) witnessDeaf() bool {
+	e, st := mm.e, &mm.rr
+	if !st.learn || !st.measured() || !e.uses(factDeaf) {
+		return false
+	}
+	_, answers := e.knows(fact{kind: factHeard, subject: mm.cur})
+	sure := e.Pool.Retry().Max == 0 && (answers || e.Ingress.Heard(mm.cur))
+	e.learn(fact{factDeaf, ipv4.Addr(st.asn), mm.src.Agent.Addr}, known{hop: mm.cur, silent: sure})
+	return sure
 }
 
 // rrRetries is the budget rrStage.next reads to re-ask a silent direct

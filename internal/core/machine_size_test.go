@@ -15,4 +15,9 @@ func TestMachineSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(Machine{}); n > 568 {
 		t.Errorf("unsafe.Sizeof(Machine{}) = %d, above 568: the allocation leaves the 576-byte size class", n)
 	}
+	// The knowledge table holds tens of thousands of records, every kind in
+	// one: a field that needs room must find it in known's padding.
+	if n := unsafe.Sizeof(known{}); n > 48 {
+		t.Errorf("unsafe.Sizeof(known{}) = %d, above 48", n)
+	}
 }

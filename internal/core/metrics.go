@@ -62,9 +62,10 @@ type Metrics struct {
 	// directRRSkipped counts RR stages whose direct probe Machine.distance
 	// kept off the wire.
 	directRRSkipped *obs.Counter
-	// rrDeafSkipped counts RR stages not opened because the source's atlas
-	// heard no RR reply from the cursor's AS (atlas.RRDeaf).
-	rrDeafSkipped *obs.Counter
+	// rrDeaf counts RR stages not opened because the source's atlas heard no
+	// RR reply from the cursor's AS (atlas.RRDeaf), then those because the
+	// source's own silent rounds did (factDeaf): by rrStage.deafBy.
+	rrDeaf [2]*obs.Counter
 
 	// vpFailover counts probes redirected to another vantage point after
 	// the planned VP was observed inside a blackout window. deadVPHits
@@ -132,7 +133,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		traceroutePackets:       reg.Counter("engine_traceroute_packets_total"),
 		tracerouteSweeps:        reg.Counter("engine_traceroute_sweeps_total"),
 		directRRSkipped:         reg.Counter("engine_rr_direct_skipped_total"),
-		rrDeafSkipped:           reg.Counter("engine_rr_deaf_skipped_total"),
 		vpFailover:              reg.Counter("vp_failover_total"),
 		deadVPHits:              reg.Counter("engine_dead_vp_hits_total"),
 		spoofVPsOutOfRange:      reg.Counter("engine_spoof_vps_out_of_range_total"),
@@ -154,6 +154,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	m.tracerouteStarts[symChain] = reg.Counter("engine_traceroute_chain_steps_total")
 	m.tracerouteStarts[symMemo] = reg.Counter("engine_traceroute_memo_starts_total")
 	m.tracerouteStarts[symDistance] = reg.Counter("engine_traceroute_distance_starts_total")
+	m.rrDeaf[0] = reg.Counter("engine_rr_deaf_skipped_total")
+	m.rrDeaf[1] = reg.Counter("engine_rr_deaf_learned_total")
 	m.stage[TechTrIntersect] = reg.Counter("engine_stage_atlas_intersect_total")
 	m.stage[TechRR] = reg.Counter("engine_stage_direct_rr_total")
 	m.stage[TechSpoofRR] = reg.Counter("engine_stage_spoofed_rr_total")

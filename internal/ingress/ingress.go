@@ -120,6 +120,10 @@ func (s *Service) Silent(addr ipv4.Addr) bool {
 	return surveyed && !heard
 }
 
+// Heard reports whether addr was a destination of the last survey that a
+// site's RR ping drew a reply from: it answers option packets.
+func (s *Service) Heard(addr ipv4.Addr) bool { return s.heard[addr] }
+
 func (s *Service) surveyPrefix(pfx ipv4.Prefix, ds []ipv4.Addr) *PrefixInfo {
 	info := &PrefixInfo{Prefix: pfx}
 	d1 := ds[0]

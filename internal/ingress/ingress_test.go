@@ -54,7 +54,8 @@ func announced(env *simtest.Env) ([]ipv4.Prefix, func(ipv4.Prefix) []ipv4.Addr) 
 // TestSurveySilence: Silent holds exactly for the survey's destinations
 // that no site's RR ping drew a reply from — a host that answers no option
 // packet, a host behind an AS that drops transiting ones — and for no
-// answered destination and no address the survey never probed. Every
+// answered destination and no address the survey never probed; Heard for
+// the answered ones alone. Every
 // third prefix is surveyed through one destination, probed as both.
 func TestSurveySilence(t *testing.T) {
 	env := simtest.New(t, 300, 6)
@@ -85,6 +86,9 @@ func TestSurveySilence(t *testing.T) {
 			if got := svc.Silent(a); got != want {
 				t.Errorf("%s (prefix %v): Silent = %v, want %v", a, pfx, got, want)
 			}
+			if got := svc.Heard(a); got == want {
+				t.Errorf("%s (prefix %v): Heard = %v, want %v", a, pfx, got, !want)
+			}
 			h, _ := env.Topo.HostOf(a)
 			switch {
 			case !want:
@@ -105,10 +109,15 @@ func TestSurveySilence(t *testing.T) {
 	}
 	never := 0
 	for i := range env.Topo.Hosts {
-		if h := &env.Topo.Hosts[i]; !surveyed[h.Addr] && !heard(h.Addr) {
-			never++
-			if svc.Silent(h.Addr) {
-				t.Errorf("%s: never surveyed, yet Silent", h.Addr)
+		if h := &env.Topo.Hosts[i]; !surveyed[h.Addr] {
+			if svc.Heard(h.Addr) {
+				t.Errorf("%s: never surveyed, yet Heard", h.Addr)
+			}
+			if !heard(h.Addr) {
+				never++
+				if svc.Silent(h.Addr) {
+					t.Errorf("%s: never surveyed, yet Silent", h.Addr)
+				}
 			}
 		}
 	}
