@@ -530,17 +530,32 @@ func TestRuleLedger(t *testing.T) {
 	}
 }
 
+// world is the column's world, under batch-lossy's fault plan if the column
+// is lossy, until undo takes the plan off again.
+func (col ledgerColumn) world(t *testing.T) (w *world, undo func(), ok bool) {
+	w = worldOf(col.seed, col.vintage)
+	if !col.lossy {
+		return w, func() {}, true
+	}
+	retry := w.d.Pool.Retry()
+	undo = func() {
+		w.d.Fabric.SetFaults(nil) // no world has faults of its own
+		w.d.Pool.SetRetry(retry)
+	}
+	_, err := w.d.InjectFaults("seed=31,loss=0.02,icmp-frac=0.3,icmp-pass=0.5", 3, 0, 2)
+	if err != nil {
+		t.Error(err) // maybe on a goroutine of TestRuleLedger's
+	}
+	return w, undo, err == nil
+}
+
 // measure measures the column's pairs once per row of rows, each time by
 // a fresh engine.
 func (col ledgerColumn) measure(t *testing.T, rows []string) []countRow {
-	w := worldOf(col.seed, col.vintage)
-	if col.lossy {
-		defer w.d.Fabric.SetFaults(nil) // no world has faults of its own
-		defer w.d.Pool.SetRetry(w.d.Pool.Retry())
-		if _, err := w.d.InjectFaults("seed=31,loss=0.02,icmp-frac=0.3,icmp-pass=0.5", 3, 0, 2); err != nil {
-			t.Error(err) // on a goroutine of TestRuleLedger's
-			return make([]countRow, len(rows))
-		}
+	w, undo, ok := col.world(t)
+	defer undo()
+	if !ok {
+		return make([]countRow, len(rows))
 	}
 	pairs := w.wide()
 	out := make([]countRow, len(rows))

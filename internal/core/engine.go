@@ -138,7 +138,7 @@ const (
 	ruleReach                          // byReach, couldRevealMore: the reach memo
 	ruleSilentLead                     // budgetHedges: a silent lead's hedges within the retry budget
 	ruleGiveUp                         // symStage.next: the short give-up above an RR-silent hop
-	ruleSilentDirect                   // rrRetries: a silent direct probe closes the stage at no retries
+	ruleSilentDirect                   // rrRetries: a direct probe is asked once, its silence closing the stage at no retries, re-asked by the round at retries
 	ruleLearnedDeaf                    // openRR: the ASes the source's own silent rounds found deaf
 	numRules         = iota
 )

@@ -76,8 +76,9 @@ type Pending struct {
 	// Pending before): not another of SpoofBatches.
 	Hedges bool
 	// Once marks a batch whose probes go out once each, whatever the pool's
-	// retry policy: the hedges behind a lead that drew no reply, which are
-	// its retries from other vantage points (budgetHedges).
+	// retry policy: a direct RR probe the round behind it re-asks
+	// (Machine.rrRetries), and the hedges behind a silent lead, its retries
+	// from other vantage points (budgetHedges). Leads keep the pool's retries.
 	Once bool
 	// Reqs is the batch (Kind == PendingProbes).
 	Reqs []probe.Request
@@ -805,6 +806,7 @@ func (mm *Machine) runRR() {
 	switch act {
 	case rrDirect:
 		mm.suspendProbes([]probe.Request{{Kind: measure.KindRR, VP: mm.src.Agent, Dst: mm.cur, Seq: mm.m.salt}}, false, phRRWait)
+		mm.pending.Once = mm.rrRetries() > 0
 	case rrBatch:
 		mm.ph = phSpoofNext
 	case rrHedges:
@@ -849,11 +851,12 @@ func (mm *Machine) witnessDeaf() bool {
 	return sure
 }
 
-// rrRetries is the budget rrStage.next reads to re-ask a silent direct
-// probe: the pool's retries (probe.RetryPolicy.Max) under an ingress plan,
-// whose first round asks the probe's question again; -1, where no budget
-// bounds that round: under the plans that send it as revtr 1.0 did, or with
-// the rule off.
+// rrRetries is the budget to re-ask a silent direct probe: the pool's
+// retries (probe.RetryPolicy.Max) under an ingress plan, whose first round
+// asks the probe's question again — so the probe goes out once (Pending.Once),
+// the pool re-issuing only the round's lead, and at none its silence closes
+// the stage (row 9); -1 where no budget bounds that round: under the plans
+// that send it as revtr 1.0 did, or with the rule off.
 func (mm *Machine) rrRetries() int {
 	if mm.e.Opts.VPSelection != ingress.SelIngress || mm.e.off&ruleSilentDirect != 0 {
 		return -1

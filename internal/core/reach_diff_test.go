@@ -114,7 +114,9 @@ func siteLoad(eng *core.Engine, pairs []srcDst) map[ipv4.Addr]int {
 // It also reads the load the rule puts on the vantage points: "wide" on the
 // benchmark's world, measured with the rule off and on, spoofed packets
 // tallied by site. A learned lead must not concentrate the load: the busiest
-// site's share, over the mean of every site's, may not rise.
+// site's own spoofed packets per revtr may not rise. Its share of the mean
+// is logged, not judged: a rule that keeps other sites' silent probes off
+// the wire raises it without the memo moving one lead.
 func TestReachDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the 1000-AS world")
@@ -133,8 +135,8 @@ func TestReachDifferential(t *testing.T) {
 
 	w := worldOf(31, topology.Vintage2020)
 	wide := w.wide()
-	var ratio [2]float64
-	for i, off := range []uint16{1 << 8, 0} { // the reach rule's bit, core.RuleNames[8]
+	var perRevtr [2]float64
+	for i, off := range []uint16{1 << slices.Index(core.RuleNames[:], "learned reach"), 0} {
 		eng := w.d.Engine(core.Revtr20Options())
 		eng.SetRulesOff(off)
 		load := siteLoad(eng, wide)
@@ -146,12 +148,12 @@ func TestReachDifferential(t *testing.T) {
 			}
 		}
 		mean := float64(total) / float64(len(w.d.SiteAgents))
-		ratio[i] = float64(load[hot]) / mean
+		perRevtr[i] = float64(load[hot]) / float64(len(wide))
 		t.Logf("wide, %-11s %5d spoofed packets; hottest of %d sites %s: %d (%.3f per revtr), %.3fx the mean",
 			[]string{"rule off:", "rule on:"}[i], total, len(w.d.SiteAgents), hot, load[hot],
-			float64(load[hot])/float64(len(wide)), ratio[i])
+			perRevtr[i], float64(load[hot])/mean)
 	}
-	if ratio[1] > ratio[0] {
-		t.Errorf("the learned lead concentrates load: the hottest site sends %.3fx the mean, %.3fx with the rule off", ratio[1], ratio[0])
+	if perRevtr[1] > perRevtr[0] {
+		t.Errorf("the learned lead concentrates load: the hottest site sends %.3f spoofed packets per revtr, %.3f with the rule off", perRevtr[1], perRevtr[0])
 	}
 }

@@ -47,13 +47,15 @@ const DefaultBackoffUS = 50_000
 
 // RetryPolicy is the deployment's whole budget for re-asking a question
 // that drew silence: how much loss it has declared. Three mechanisms spend
-// it. The pool re-issues an unanswered probe up to Max times. The engine
-// sends at most Max of the hedges held behind a spoofed round's lead that
-// drew no reply (they are its retries from other vantage points, and go out
-// once each). And a symmetry traceroute's window above a hop whose Record
-// Route stage closed silent gives up after 2 + Max silent TTLs, not
-// measure.SilentRun. Traceroute TTLs are never retried: Pool.Traceroute
-// does not go through issue.
+// it. The pool re-issues an unanswered probe up to Max times; in an ingress
+// plan's RR stage only a spoofed round's lead and the hedges behind one that
+// answered (and revtr 1.0's Timestamp probes), as the round re-asks the
+// direct probe. The engine sends at most Max of the hedges behind a lead that
+// drew no reply, once each: they are its retries from other vantage points.
+// And a symmetry traceroute's window above a hop whose Record Route stage
+// closed silent gives up after 2 + Max silent TTLs, not measure.SilentRun.
+// Traceroute TTLs are never retried: Pool.Traceroute does not go through
+// issue.
 //
 // The pool's retries back off exponentially in virtual time: retry k of a
 // request issued at t is issued at t plus the cumulative backoff, with no
