@@ -64,7 +64,7 @@ ci: fmt vet lint short race bench benchcheck benchmod fuzz cover loc docsize
 # when the total is above LOC_CEILING — the total the last PR landed at.
 # A PR that adds lines says why and raises it; one that removes lines
 # lowers it to where it lands.
-LOC_CEILING = 22088
+LOC_CEILING = 22090
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs wc -l | \
 		awk -v ceiling=$(LOC_CEILING) '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
@@ -76,7 +76,7 @@ loc:
 # last PR landed it at. A PR that grows a file says why and raises its
 # entry; one that cuts it lowers the entry to where it lands. bench/'s
 # README is left out: bench/ changes only with the benchmark.
-DOC_CEILING = DESIGN.md:113783 EXPERIMENTS.md:98460 CHANGES.md:45079
+DOC_CEILING = DESIGN.md:113769 EXPERIMENTS.md:97411 CHANGES.md:45057
 docsize:
 	@fail=0; for e in $(DOC_CEILING); do f=$${e%%:*}; ceiling=$${e##*:}; n=$$(wc -c < $$f); \
 		printf "%7d %s (DOC_CEILING %d)\n" $$n $$f $$ceiling; \
@@ -132,12 +132,15 @@ cover:
 # (counts_test.go, internal/core/counts_test.go), what the silent direct
 # probe's rule costs under loss in packets per completed revtr (it reuses
 # the ledger's worlds: internal/core/silent_direct_test.go), and the allocation
-# ceilings of one engine measurement, one sched submit→terminal, one store
-# append and one stream publish (allocs_test.go). Without -race: the ceilings are not built under
-# the detector. Timing stays with the registered benchmark and its
-# alternating pairs.
+# ceilings of one engine measurement (cold, warm, and cold with a sink
+# attached), one sched submit→terminal, one store append and one stream
+# publish (in count, and in bytes once the replay window is full:
+# allocs_test.go), and of one event the NDJSON pump writes
+# (internal/service/pump_allocs_test.go). Without -race: the ceilings are
+# not built under the detector. Timing stays with the registered benchmark
+# and its alternating pairs.
 benchcheck:
-	$(GO) test -run 'AllocCeiling|TestProbeCountGate' -count=1 .
+	$(GO) test -run 'AllocCeiling|TestProbeCountGate' -count=1 . ./internal/service/
 	$(GO) test -run 'TestProbeCountGate|TestRuleLedger|TestSilentDirectDifferential' -count=1 ./internal/core/
 
 # benchmod compiles and smoke-tests bench/, the end-to-end benchmark. It

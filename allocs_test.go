@@ -12,6 +12,7 @@ package revtr
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"revtr/internal/core"
@@ -58,14 +59,34 @@ func TestStoreAppendAllocCeiling(t *testing.T) {
 	}
 }
 
-// TestStreamPublishAllocCeiling: one Publish costs the replay window's
-// growth — nothing, averaged over a run — with nobody subscribed and
-// with one subscriber that keeps up.
+// bytesPerRun is testing.AllocsPerRun in bytes: the heap bytes f
+// allocates per call over runs calls after a warm-up call, truncated to
+// an integer as AllocsPerRun truncates its count. A count can read 0
+// where the bytes do not: 15 allocations in 1 000 runs truncate to 0.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64((after.TotalAlloc - before.TotalAlloc) / uint64(runs))
+}
+
+// TestStreamPublishAllocCeiling: one Publish allocates nothing with
+// nobody subscribed and with one subscriber that keeps up — in count,
+// and in bytes once the topic's replay window is full (the window is a
+// ring allocated with the topic).
 func TestStreamPublishAllocCeiling(t *testing.T) {
 	ev := stream.Event{Kind: stream.KindHop, Hop: "10.0.0.1", Tech: "rr"}
 
 	b := stream.New(stream.Options{})
 	checkAllocs(t, "Publish to 0 subscribers", testing.AllocsPerRun(1000, func() { b.Publish("t", ev) }), 0)
+	if got := bytesPerRun(1000, func() { b.Publish("t", ev) }); got > 0 {
+		t.Errorf("Publish to a full replay window allocates %.0f bytes, ceiling 0", got)
+	}
 
 	b = stream.New(stream.Options{})
 	sub, err := b.Subscribe("t", stream.SubOptions{})
@@ -113,7 +134,9 @@ func TestSchedSubmitToTerminalAllocCeiling(t *testing.T) {
 // stood at 258 until the atlas grew to n·3/8: the larger atlas moves the
 // median hop count, so the pair's traceroute sends one packet more, and
 // header marshalling's single append took the reading to 209. Warm reads
-// 10 throughout.
+// 10 throughout. With a sink attached the cold pair's 21 events read
+// 146: their hop strings and, once per measurement, the src and dst
+// every event carries (two an event before those were formatted once).
 func TestMeasureReverseAllocCeiling(t *testing.T) {
 	cfg := DefaultConfig(300)
 	d := Build(cfg)
@@ -137,6 +160,21 @@ func TestMeasureReverseAllocCeiling(t *testing.T) {
 			res.SpoofBatches, res.Probes.Traceroute, res.Status)
 	}
 	checkAllocs(t, "cold MeasureReverse", cold, 209)
+
+	// The same cold pair with a sink attached: the events' src and dst
+	// are formatted once per measurement, not once per event.
+	for i := range engines {
+		engines[i] = d.Engine(core.Revtr20Options())
+	}
+	next, events := 0, 0
+	sunk := testing.AllocsPerRun(runs, func() {
+		res = engines[next].MeasureReverseStream(ctx, src, dst, func(stream.Event) { events++ })
+		next++
+	})
+	if events == 0 {
+		t.Fatal("the sink received no event")
+	}
+	checkAllocs(t, "cold MeasureReverseStream with a sink", sunk, 146)
 
 	eng := engines[0]
 	warm := testing.AllocsPerRun(runs, func() { res = eng.MeasureReverse(ctx, src, dst) })

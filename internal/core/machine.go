@@ -179,9 +179,17 @@ type Machine struct {
 // The sink is invoked synchronously on whichever goroutine is advancing
 // the machine (one at a time, per the Machine contract); it must not
 // block — hand events to a non-blocking fan-out such as
-// stream.Broker.Publish.
+// stream.Broker.Publish. The measurement's src and dst are formatted
+// here, once, and stamped on every event the sink receives.
 func (mm *Machine) SetSink(sink func(stream.Event)) {
 	mm.sink = sink
+	if sink != nil {
+		src, dst := mm.res.Src.String(), mm.res.Dst.String()
+		mm.sink = func(ev stream.Event) {
+			ev.Src, ev.Dst = src, dst
+			sink(ev)
+		}
+	}
 	mm.emit(stream.Event{Kind: stream.KindStarted})
 	// Begin seeds the result with the destination hop before any sink
 	// can attach; mirror it so hop events and result hops correspond 1:1.
@@ -193,8 +201,9 @@ func (mm *Machine) observed() bool { return mm.sink != nil || mm.e.logger != nil
 
 // emit stamps and delivers one progress event: the per-measurement
 // sequence number and the accumulated virtual probing time — never the
-// wall clock, so the stamps are deterministic. Src/Dst identify the
-// measurement on every event. It is the only caller of the sink and of
+// wall clock, so the stamps are deterministic. Src/Dst, which identify
+// the measurement on every event, are the sink's (SetSink) and the
+// logger's own to format. It is the only caller of the sink and of
 // the engine's debug logger, so a log line is an event: same stamps,
 // same order, "stage" naming the technique. An unobserved machine (the
 // served traffic without a follower) builds nothing.
@@ -205,13 +214,11 @@ func (mm *Machine) emit(ev stream.Event) {
 	mm.eseq++
 	ev.Seq = mm.eseq
 	ev.VirtUS = mm.res.DurationUS
-	ev.Src = mm.res.Src.String()
-	ev.Dst = mm.res.Dst.String()
 	if mm.sink != nil {
 		mm.sink(ev)
 	}
 	if l := mm.e.logger; l != nil {
-		l.Debug(ev.Kind, "seq", ev.Seq, "virtualUs", ev.VirtUS, "src", ev.Src, "dst", ev.Dst,
+		l.Debug(ev.Kind, "seq", ev.Seq, "virtualUs", ev.VirtUS, "src", mm.res.Src.String(), "dst", mm.res.Dst.String(),
 			"stage", ev.Tech, "hop", ev.Hop, "spliced", ev.Spliced, "count", ev.Count,
 			"status", ev.Status, "reason", ev.Reason)
 	}

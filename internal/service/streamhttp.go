@@ -225,9 +225,12 @@ func (a *API) pumpFiltered(w http.ResponseWriter, r *http.Request, sub *stream.S
 	// A failed flush needs no handling here: the dead connection cancels
 	// the request context or fails a later write, and either ends the pump.
 	flush := func() { _ = rc.Flush() }
+	// Events are encoded through pointers, the live ones through one ev
+	// hoisted out of the loop: an Event passed by value to Encode, or one
+	// declared inside the loop, is copied to the heap for every line.
 	enc := json.NewEncoder(w)
-	for _, ev := range prelude {
-		if err := enc.Encode(ev); err != nil {
+	for i := range prelude {
+		if err := enc.Encode(&prelude[i]); err != nil {
 			return
 		}
 	}
@@ -236,8 +239,13 @@ func (a *API) pumpFiltered(w http.ResponseWriter, r *http.Request, sub *stream.S
 	ticker := time.NewTicker(a.heartbeat)
 	defer ticker.Stop()
 	ctx := r.Context()
+	var (
+		ev  stream.Event
+		ok  bool
+		err error
+	)
 	for {
-		ev, ok, err := sub.TryNext()
+		ev, ok, err = sub.TryNext()
 		switch {
 		case err != nil:
 			// ErrClosed: the stream terminated (the terminal end event,
@@ -248,7 +256,7 @@ func (a *API) pumpFiltered(w http.ResponseWriter, r *http.Request, sub *stream.S
 			if admit != nil && !admit(ev) {
 				continue
 			}
-			if err := enc.Encode(ev); err != nil {
+			if err := enc.Encode(&ev); err != nil {
 				return
 			}
 			if ev.Kind == stream.KindEnd {

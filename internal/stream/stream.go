@@ -16,9 +16,10 @@
 // monotonically increasing per-topic delivery IDs, so a reconnecting
 // subscriber can resume after the last ID it saw (Last-Event-ID); a
 // resume point that has slid out of the window is reported as a
-// leading gap, never silently skipped. Terminal "end" events are
-// force-appended so the window always retains a finished topic's
-// terminal state.
+// leading gap, never silently skipped. The window is one ring of
+// Options.Replay slots allocated with the topic, so a full window
+// costs a publish nothing, and a finished topic's terminal "end" is
+// simply its newest event.
 //
 // The broker spawns no goroutines: consumption is a non-blocking
 // TryNext plus a notification channel (or the blocking Next
@@ -173,8 +174,10 @@ type topic struct {
 	mu     sync.Mutex
 	nextID uint64
 	subs   []*Sub
-	// replay holds the newest events (ascending IDs), bounded by
-	// Options.Replay. KindEnd events are force-retained at the tail.
+	// replay is the window of the newest events: a ring of
+	// Options.Replay slots, event ID i in slot (i-1) mod len. It holds
+	// min(nextID, len) events, so the oldest is at the head, slot
+	// nextID mod len once the ring has wrapped.
 	replay []Event
 	done   bool
 }
@@ -268,7 +271,7 @@ func (b *Broker) lookup(name string, create bool) *topic {
 	if len(b.topics) >= b.opts.MaxTopics && !b.evictLocked() {
 		return nil
 	}
-	t = &topic{name: name}
+	t = &topic{name: name, replay: make([]Event, b.opts.Replay)}
 	b.topics[name] = t
 	b.order = append(b.order, name)
 	return t
@@ -318,7 +321,7 @@ func (b *Broker) Publish(topicName string, ev Event) {
 	t.mu.Lock()
 	t.nextID++
 	ev.ID = t.nextID
-	t.appendReplayLocked(ev, b.opts.Replay)
+	t.replay[(ev.ID-1)%uint64(len(t.replay))] = ev
 	subs := t.subs
 	for _, s := range subs {
 		s.offer(ev, b)
@@ -335,17 +338,6 @@ func chooseDropReason(b *Broker) string {
 		return dropShutdown
 	}
 	return dropTopicsCapped
-}
-
-// appendReplayLocked appends ev to the replay window, evicting the
-// oldest events past cap — but never an end event at the tail, so a
-// finished topic's terminal state always survives for late
-// subscribers. Callers hold t.mu.
-func (t *topic) appendReplayLocked(ev Event, cap int) {
-	t.replay = append(t.replay, ev)
-	if len(t.replay) > cap {
-		t.replay = t.replay[len(t.replay)-cap:]
-	}
 }
 
 // Finish marks a topic complete: no further events are expected and
@@ -404,20 +396,15 @@ func (b *Broker) Subscribe(topicName string, opts SubOptions) (*Sub, error) {
 	}
 	t.subs = append(t.subs, s)
 	if opts.AfterID >= 0 {
-		after := uint64(opts.AfterID)
-		if len(t.replay) > 0 {
-			if oldest := t.replay[0].ID; oldest > after+1 {
-				// The resume point slid out of the window: everything
-				// between it and the oldest retained event is lost.
-				s.pendingGap += oldest - after - 1
-			}
-		} else if t.nextID > after {
-			s.pendingGap += t.nextID - after
+		after, size := uint64(opts.AfterID), uint64(len(t.replay))
+		oldest := t.nextID - min(t.nextID, size) + 1
+		if oldest > after+1 {
+			// The resume point slid out of the window: everything
+			// between it and the oldest retained event is lost.
+			s.pendingGap += oldest - after - 1
 		}
-		for _, ev := range t.replay {
-			if ev.ID > after {
-				s.offer(ev, b)
-			}
+		for id := max(oldest, after+1); id <= t.nextID; id++ {
+			s.offer(t.replay[(id-1)%size], b)
 		}
 	}
 	t.mu.Unlock()
