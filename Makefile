@@ -64,7 +64,7 @@ ci: fmt vet lint short race bench benchcheck benchmod fuzz cover loc docsize
 # when the total is above LOC_CEILING — the total the last PR landed at.
 # A PR that adds lines says why and raises it; one that removes lines
 # lowers it to where it lands.
-LOC_CEILING = 22090
+LOC_CEILING = 22088
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs wc -l | \
 		awk -v ceiling=$(LOC_CEILING) '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
@@ -76,7 +76,7 @@ loc:
 # last PR landed it at. A PR that grows a file says why and raises its
 # entry; one that cuts it lowers the entry to where it lands. bench/'s
 # README is left out: bench/ changes only with the benchmark.
-DOC_CEILING = DESIGN.md:113769 EXPERIMENTS.md:97411 CHANGES.md:45057
+DOC_CEILING = DESIGN.md:112947 EXPERIMENTS.md:95335 CHANGES.md:48006
 docsize:
 	@fail=0; for e in $(DOC_CEILING); do f=$${e%%:*}; ceiling=$${e##*:}; n=$$(wc -c < $$f); \
 		printf "%7d %s (DOC_CEILING %d)\n" $$n $$f $$ceiling; \
@@ -96,9 +96,9 @@ docsize:
 # its retry arms (a VP dark between attempts, each kind's late answer)
 # are the recovery path only a faulty fabric reaches. So is the engine
 # itself: its knowledge table holds eight kinds of fact, four of them (the
-# per-hop verdicts, the hops heard answering, the reach memo, dead vantage
-# points) shared across sources, and one, an AS's deafness to a source,
-# that merges witnesses. So is the ingress survey: every
+# vantage points out of range of a hop, a hop's muteness, the reach memo,
+# dead vantage points) shared across sources, and two, a hop's muteness and
+# an AS's deafness to a source, that merge witnesses. So is the ingress survey: every
 # measurement's RR stage reads its plans and its silent destinations, and
 # a second survey must replace the first one's answers whole. So is the
 # atlas: every measurement's intersections read its indexes, entries copy
@@ -131,7 +131,9 @@ cover:
 # benchmark's world and of each knowledge rule's row on three worlds
 # (counts_test.go, internal/core/counts_test.go), what the silent direct
 # probe's rule costs under loss in packets per completed revtr (it reuses
-# the ledger's worlds: internal/core/silent_direct_test.go), and the allocation
+# the ledger's worlds: internal/core/silent_direct_test.go), the bounds of the
+# other differentials that price a silence close (a deaf AS, the survey's
+# silence, the shared verdicts; about 3 s together), and the allocation
 # ceilings of one engine measurement (cold, warm, and cold with a sink
 # attached), one sched submit→terminal, one store append and one stream
 # publish (in count, and in bytes once the replay window is full:
@@ -141,7 +143,7 @@ cover:
 # and its alternating pairs.
 benchcheck:
 	$(GO) test -run 'AllocCeiling|TestProbeCountGate' -count=1 . ./internal/service/
-	$(GO) test -run 'TestProbeCountGate|TestRuleLedger|TestSilentDirectDifferential' -count=1 ./internal/core/
+	$(GO) test -run 'TestProbeCountGate|TestRuleLedger|TestSilentDirectDifferential|TestDeafASDifferential|TestSurveySilenceDifferential|TestRangeVerdictDifferential' -count=1 ./internal/core/
 
 # benchmod compiles and smoke-tests bench/, the end-to-end benchmark. It
 # is a module of its own (revtr/bench, replace revtr => ../), so the

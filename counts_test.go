@@ -54,15 +54,21 @@ func TestProbeCountGate(t *testing.T) {
 		// blacked out, two retries), where silence may be loss. What each
 		// change moved in either row is in EXPERIMENTS "Benchmark history",
 		// under the change, and in this file's history; the rule ledger
-		// holds both rows as cells.
+		// holds both rows as cells. One silence model (a hop some source or
+		// the survey heard answer is never mute) moved "wide" RR 685 -> 680
+		// and both time columns by those probes' round trips.
 		{"wide", false,
-			countRow{rr: 685, spoofRR: 1820, traceroute: 2567, complete: 476, aborted: 288, failed: 2,
-				spoofBatches: 1340, virtualUS: 757598041, waitOutUS: 13559661341,
+			countRow{rr: 680, spoofRR: 1820, traceroute: 2567, complete: 476, aborted: 288, failed: 2,
+				spoofBatches: 1340, virtualUS: 757141056, waitOutUS: 13559204356,
 				offTruthPaths: 25, offTruthHops: 60, wrongAS: 21}},
+		// The same moved "wide-lossy" RR 639 -> 599, SpoofRR 2770 -> 2821,
+		// Traceroute 3442 -> 3359 and batches 1206 -> 1241: a round that
+		// loss silenced no longer closes other sources' stages at a hop one
+		// of them heard answer, and six more pairs complete (366 -> 372).
 		{"wide-lossy", true,
-			countRow{rr: 639, spoofRR: 2770, traceroute: 3442, complete: 366, aborted: 360, failed: 40,
-				spoofBatches: 1206, virtualUS: 1780908831, waitOutUS: 12183769934,
-				offTruthPaths: 20, offTruthHops: 51, wrongAS: 16}},
+			countRow{rr: 599, spoofRR: 2821, traceroute: 3359, complete: 372, aborted: 357, failed: 37,
+				spoofBatches: 1241, virtualUS: 1797828206, waitOutUS: 12528412194,
+				offTruthPaths: 20, offTruthHops: 52, wrongAS: 16}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.lossy {

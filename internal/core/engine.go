@@ -128,18 +128,16 @@ type rules uint16
 
 const (
 	ruleDistance     rules = 1 << iota // distance: the direct probe skipped, the traceroute started
-	ruleVerdicts                       // shareVerdicts
+	ruleVerdicts                       // shareVerdicts, mute: what a hop settled for every source, and the survey's silence
 	ruleRounds                         // stepSpoofNext: lead first
 	ruleChain                          // symStage.next: the chain step
 	ruleMemo                           // symStage.next: the memo start and the climb (inAS)
-	ruleDeaf                           // openRR: the atlas's RR-deaf ASes
+	ruleDeaf                           // openRR: the deaf ASes, the atlas's and those the source's own silent rounds found
 	ruleCut                            // adoptRevealed: the cut at the way home
-	ruleSilence                        // readSilence: the survey's silence
 	ruleReach                          // byReach, couldRevealMore: the reach memo
 	ruleSilentLead                     // budgetHedges: a silent lead's hedges within the retry budget
 	ruleGiveUp                         // symStage.next: the short give-up above an RR-silent hop
 	ruleSilentDirect                   // rrRetries: a direct probe is asked once, its silence closing the stage at no retries, re-asked by the round at retries
-	ruleLearnedDeaf                    // openRR: the ASes the source's own silent rounds found deaf
 	numRules         = iota
 )
 

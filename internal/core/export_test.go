@@ -37,12 +37,20 @@ func (e *Engine) Reach(vp, hop ipv4.Addr) (int, bool) {
 // to the measurement, so that adoption would stop there.
 func (mm *Machine) WayHome(hops []ipv4.Addr) bool { return mm.wayHome(hops) >= 0 }
 
-// Verdicts exposes what the engine knows about hop for every source: the
-// vantage points out of range of it, and whether it answers no option
-// packet.
+// Verdicts exposes what the knowledge table holds about hop for every
+// source: the vantage points out of range of it, and whether it answers no
+// option packet (factMute's witness).
 func (e *Engine) Verdicts(hop ipv4.Addr) (farVPs []ipv4.Addr, silent bool) {
-	k, _ := e.knows(fact{kind: factVerdicts, subject: hop})
-	return k.addrs, k.silent
+	v, _ := e.knows(fact{kind: factVerdicts, subject: hop})
+	m, _ := e.knows(fact{kind: factMute, subject: hop})
+	return v.addrs, m.silent
+}
+
+// Mute reports whether a machine reads hop as mute (Machine.mute): the
+// table's witness or the survey's silence, where neither heard it answer.
+func (e *Engine) Mute(hop ipv4.Addr) bool {
+	_, mute, _ := (&Machine{e: e, cur: hop}).mute()
+	return mute
 }
 
 // Booked exposes what the machine has been charged so far — the three
@@ -83,9 +91,8 @@ func (mm *Machine) Held() []probe.Request { return mm.spoofReqs(mm.rr.held) }
 // switches off RuleNames[i].
 var RuleNames = [numRules]string{
 	"distance skip and start", "shared verdicts", "spoofed rounds", "chain step",
-	"memo start and climb", "RR-deaf ASes", "adoption cut", "survey silence",
-	"learned reach", "silent lead's hedges", "short give-up", "silent direct probe",
-	"learned deafness",
+	"memo start and climb", "deaf ASes", "adoption cut", "learned reach",
+	"silent lead's hedges", "short give-up", "silent direct probe",
 }
 
 // SetRulesOff switches off the knowledge rules whose bits off sets, and only

@@ -25,7 +25,7 @@ import (
 //     skipped instead of timed out on by every measurement.
 //   - Per source, the ASes its option packets do not come home from, learnt
 //     from its own silent rounds as atlas.RRDeaf is from its pings; for every
-//     source, the hops heard answering, where one silent round is enough.
+//     source, the hops that answer none, until some source hears one answer.
 //
 // Expiry, the sweep and the cap are ttlcache's; what differs by kind is its
 // row of factRows. Under concurrent issuance the table is advisory — a
@@ -55,12 +55,12 @@ type factKind uint32
 const (
 	factRR       factKind = iota // an RR result: the hop, learnt by the source
 	factTR                       // a traceroute: the hop, learnt by the source
-	factVerdicts                 // a hop's verdicts, learnt for every source
+	factVerdicts                 // the vantage points out of range of a hop, for every source
 	factMet                      // the met memo: an AS, learnt by the source
 	factReach                    // the reach memo: an AS, learnt by the site
 	factDead                     // a vantage point seen blacked out, for every source
 	factDeaf                     // an AS's witnesses of deafness: an AS, learnt by the source
-	factHeard                    // a hop heard answering an RR probe, for every source
+	factMute                     // a hop's witness of muteness, for every source
 	numFacts
 )
 
@@ -89,12 +89,12 @@ func factLess(a, b fact) bool {
 // none when the stage revealed none; tech), a traceroute (tr, behind a
 // pointer so that the far more numerous other facts do not pay for its
 // size), a hop's verdicts (addrs the vantage points out of RR range of it,
-// never written in place: readers hold the slice without the lock; silent,
-// whether it left a direct probe and a whole batch unanswered), a memo
-// (least), a dead mark or a hop heard (nothing), or an AS's deafness (hop,
-// its first witness, zero once a reply cleared it; silent, deaf). sinceUS is
-// when it was learnt; verdicts and deafness age from the first of them. One
-// slice serves both kinds that hold addresses: every record is 48 bytes.
+// never written in place: readers hold the slice without the lock), a memo
+// (least), a dead mark (nothing), or a witnessed fact, an AS's deafness or a
+// hop's muteness (hop, the first witness, zero once a reply cleared it;
+// silent, deaf or mute). sinceUS is when it was learnt; verdicts and
+// witnesses age from the first of them. One slice serves both kinds that hold
+// addresses: every record is 48 bytes.
 type known struct {
 	addrs   []ipv4.Addr
 	tr      *measure.TracerouteResult
@@ -110,9 +110,9 @@ type merge uint8
 
 const (
 	replace    merge = iota // the write replaces it and ages from now
-	accumulate              // verdicts add up and age from the first
+	accumulate              // the vantage points' union, aged from the first
 	lower                   // a lower least replaces it and ages from now; a higher one is dropped
-	witness                 // a witness at a second hop, or a sure one, makes it deaf from the first; a reply clears it for good
+	witness                 // a witness at a second hop, or a sure one, makes it deaf (mute) from the first; a reply clears it for the lifetime
 )
 
 // factRows is one row per kind: how a write merges, how long the fact is
@@ -130,8 +130,8 @@ var factRows = [numFacts]struct {
 	factMet:      {lower, CacheTTLUS, 0},
 	factReach:    {lower, CacheTTLUS, ruleReach},
 	factDead:     {replace, deadVPTTLUS, 0},
-	factDeaf:     {witness, CacheTTLUS, ruleLearnedDeaf},
-	factHeard:    {replace, CacheTTLUS, ruleLearnedDeaf},
+	factDeaf:     {witness, CacheTTLUS, ruleDeaf},
+	factMute:     {witness, CacheTTLUS, ruleVerdicts},
 }
 
 func newKnowledge(ttlUS int64, maxEntries int) *knowledge {
@@ -201,7 +201,7 @@ func (k *knowledge) learn(f fact, v known, nowUS int64) {
 			}
 			v.sinceUS, v.silent = was.sinceUS, true
 		case m == accumulate && ok:
-			v.sinceUS, v.silent = was.sinceUS, v.silent || was.silent
+			v.sinceUS = was.sinceUS
 			far := slices.Clip(was.addrs) // so that appending copies
 			for _, vp := range v.addrs {
 				if !slices.Contains(far, vp) {

@@ -181,14 +181,14 @@ func TestCacheGate(t *testing.T) {
 	}
 	e.Opts.UseCache, e.off = true, ruleVerdicts|ruleReach
 	for kind := range numFacts {
-		if got := e.uses(kind); got != (kind != factVerdicts && kind != factReach) {
+		if got := e.uses(kind); got != (kind != factVerdicts && kind != factMute && kind != factReach) {
 			t.Errorf("cache on, verdicts and reach off: uses(%d) = %v", kind, got)
 		}
 	}
 }
 
-// TestCacheVerdicts: a hop's verdicts are one fact, learnt for every
-// source, that accumulates; it expires the table's TTL after its first
+// TestCacheVerdicts: the vantage points out of range of a hop are one fact,
+// learnt for every source, that accumulates as a set; it expires the table's TTL after its first
 // verdict however recent the last; its slice is never modified in place;
 // and its lookups count as neither RR nor traceroute lookups.
 func TestCacheVerdicts(t *testing.T) {
@@ -199,15 +199,15 @@ func TestCacheVerdicts(t *testing.T) {
 	f := fact{kind: factVerdicts, subject: hop}
 	verdicts := func(atUS int64) known { v, _ := k.knows(f, atUS); return v }
 
-	if v := verdicts(0); v.addrs != nil || v.silent {
+	if v := verdicts(0); v.addrs != nil {
 		t.Fatalf("verdicts on an unknown hop: %+v", v)
 	}
 	k.learn(f, known{addrs: []ipv4.Addr{a, b}}, 0)
 	held := verdicts(0).addrs
 	k.learn(f, known{addrs: []ipv4.Addr{b, d}}, 600) // b is known already
-	k.learn(f, known{silent: true}, 900)
-	if v := verdicts(ttl); !slices.Equal(v.addrs, []ipv4.Addr{a, b, d}) || !v.silent {
-		t.Fatalf("accumulated verdicts = %v silent=%v, want [a b d] and silent", v.addrs, v.silent)
+	k.learn(f, known{addrs: []ipv4.Addr{d}}, 900)
+	if v := verdicts(ttl); !slices.Equal(v.addrs, []ipv4.Addr{a, b, d}) {
+		t.Fatalf("accumulated verdicts = %v, want [a b d]", v.addrs)
 	}
 	if held = held[:cap(held)]; !slices.Equal(held, []ipv4.Addr{a, b}) {
 		t.Fatalf("a slice handed out earlier was written behind: %v", held)
@@ -217,7 +217,7 @@ func TestCacheVerdicts(t *testing.T) {
 	}
 	// The first verdict was written at 0: everything goes at ttl+1, the
 	// verdicts written at 600 and 900 included.
-	if v := verdicts(ttl + 1); v.addrs != nil || v.silent || k.size() != 0 {
+	if v := verdicts(ttl + 1); v.addrs != nil || k.size() != 0 {
 		t.Fatalf("verdicts served past the TTL of the first: %+v (size %d)", v, k.size())
 	}
 	if got := reg.Counter("engine_cache_evictions_total").Value(); got != 1 {
@@ -328,9 +328,9 @@ func TestCacheMet(t *testing.T) {
 // so does a sure witness alone. A reply clears the AS for the fact's whole
 // lifetime, before or after it was deaf, whatever witness follows; past that
 // lifetime witnesses count again. Another source reads none of it, and the
-// fact, like the hops heard that make a witness sure, is read and written
-// only with the cache on and its rule bit clear, whatever the atlas's own
-// bit.
+// fact is read and written only with the cache on and the deaf ASes' rule
+// bit clear; a hop's muteness, whose reply makes a witness sure, only with
+// the shared verdicts' bit clear.
 func TestCacheWitness(t *testing.T) {
 	const ttl = 1_000
 	src, other := addr(t, "10.0.0.1"), addr(t, "10.0.0.9")
@@ -376,16 +376,59 @@ func TestCacheWitness(t *testing.T) {
 	}
 	e := &Engine{}
 	for _, c := range []struct {
-		cache bool
-		off   rules
-		uses  bool
-	}{{false, 0, false}, {true, 0, true}, {true, ruleLearnedDeaf, false}, {true, ruleDeaf, true}} {
+		cache      bool
+		off        rules
+		deaf, mute bool
+	}{{false, 0, false, false}, {true, 0, true, true}, {true, ruleDeaf, false, true}, {true, ruleVerdicts, true, false}} {
 		e.Opts.UseCache, e.off = c.cache, c.off
-		for _, kind := range []factKind{factDeaf, factHeard} {
-			if got := e.uses(kind); got != c.uses {
-				t.Errorf("cache %v, rules off %b: uses(%d) = %v, want %v", c.cache, c.off, kind, got, c.uses)
-			}
+		if got := e.uses(factDeaf); got != c.deaf {
+			t.Errorf("cache %v, rules off %b: uses(factDeaf) = %v, want %v", c.cache, c.off, got, c.deaf)
 		}
+		if got := e.uses(factMute); got != c.mute {
+			t.Errorf("cache %v, rules off %b: uses(factMute) = %v, want %v", c.cache, c.off, got, c.mute)
+		}
+	}
+}
+
+// TestCacheMute: a hop's muteness (factMute) merges as an AS's deafness
+// does, every witness a sure one. A silent close's witness makes the hop
+// mute for every source, aged from the first; an RR reply from it clears it
+// for the fact's whole lifetime, and no witness after the reply outweighs
+// it; past that lifetime a witness counts again.
+func TestCacheMute(t *testing.T) {
+	const ttl = 1_000
+	hop := addr(t, "10.7.0.1")
+	f := fact{kind: factMute, subject: hop}
+	type write struct {
+		atUS int64
+		v    known
+	}
+	witness := func(atUS int64) write { return write{atUS, known{hop: hop, silent: true}} }
+	reply := func(atUS int64) write { return write{atUS, known{}} }
+	for _, tc := range []struct {
+		name        string
+		writes      []write
+		atUS        int64
+		held, muted bool
+	}{
+		{"unknown", nil, 0, false, false},
+		{"a witness sets it", []write{witness(0)}, ttl, true, true},
+		{"a second witness ages it from the first", []write{witness(0), witness(600)}, ttl + 1, false, false},
+		{"a reply clears it", []write{witness(0), reply(100)}, 100, true, false},
+		{"a witness after the reply is dropped", []write{witness(0), reply(100), witness(200)}, 200, true, false},
+		{"a witness after a reply alone is dropped", []write{reply(0), witness(100)}, ttl, true, false},
+		{"a reply's whole lifetime", []write{reply(0), witness(ttl)}, ttl, true, false},
+		{"a witness past a reply's lifetime", []write{reply(0), witness(ttl + 1)}, ttl + 1, true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := newKnowledge(ttl, 0)
+			for _, w := range tc.writes {
+				k.learn(f, w.v, w.atUS)
+			}
+			if v, ok := k.knows(f, tc.atUS); ok != tc.held || v.silent != tc.muted {
+				t.Fatalf("at %d µs: held %v, mute %v; want %v, %v", tc.atUS, ok, v.silent, tc.held, tc.muted)
+			}
+		})
 	}
 }
 

@@ -458,8 +458,8 @@ func (mm *Machine) suspendProbes(reqs []probe.Request, spoofed bool, next phase)
 
 // heard takes the cursor's reverse distance from an answered RR reply,
 // direct or spoofed: both travel cursor → source. The reply clears the
-// cursor's AS of deafness to the source for good (factDeaf) and tells every
-// source the cursor answers option packets (factHeard).
+// cursor's AS of deafness to the source (factDeaf) and the cursor of
+// muteness for every source (factMute), each for the fact's lifetime.
 func (mm *Machine) heard(rr measure.RRResult) {
 	if d := measure.ReverseHops(rr.ReplyTTL); d >= 0 {
 		mm.revDist = d
@@ -467,7 +467,7 @@ func (mm *Machine) heard(rr measure.RRResult) {
 	if asn, ok := mm.e.Mapper.ASOf(mm.cur); ok {
 		mm.e.learn(fact{factDeaf, ipv4.Addr(asn), mm.src.Agent.Addr}, known{})
 	}
-	mm.e.learn(fact{kind: factHeard, subject: mm.cur}, known{})
+	mm.e.learn(fact{kind: factMute, subject: mm.cur}, known{})
 }
 
 // goTop re-enters the Fig 2 loop for the next reverse hop.
@@ -670,52 +670,49 @@ func (mm *Machine) stepTop() {
 // and whether the lead waited out the timeout. Its evidence: the RR cache,
 // the atlas deaf to the cursor's AS or reaching it only by spoofed pings,
 // else the source's own silent rounds (deafBy), the distance out of range,
-// its silence.
-// Whether it closed silent (rrSilentVerdict, rrSurveySilent,
-// rrSilentDirect, rrSilentBatch), which the symmetry stage at its cursor
-// reads (symStage.next's short give-up).
+// whether the cursor is mute (Machine.mute; at the open, the table's alone).
+// Whether it closed silent (rrSilent, rrSilentBatch), which the symmetry
+// stage at its cursor reads (symStage.next's short give-up).
 type rrStage struct {
-	hops                                    []ipv4.Addr
-	tech                                    Technique
-	sent, answered, dead                    bool
-	batchSent, batchAnswered, leadWaited    bool
-	pastDirect, noPrefix, swept, learn      bool
-	plan, held                              []int
-	info                                    *ingress.PrefixInfo
-	asn                                     topology.ASN
-	cursor, tried                           int
-	cached, deaf, far, silent, surveySilent bool
-	spoofedOnly, closedSilent               bool
-	deafBy                                  uint8 // where deaf: 0 the atlas, 1 the source's rounds
+	hops                                 []ipv4.Addr
+	tech                                 Technique
+	sent, answered, dead                 bool
+	batchSent, batchAnswered, leadWaited bool
+	pastDirect, noPrefix, swept, learn   bool
+	plan, held                           []int
+	info                                 *ingress.PrefixInfo
+	asn                                  topology.ASN
+	cursor, tried                        int
+	cached, deaf, far, mute              bool
+	spoofedOnly, closedSilent            bool
+	deafBy                               uint8 // where deaf: 0 the atlas, 1 the source's rounds
 }
 
 // rrAction is what an RR stage does next: a probe, or a close and why.
 type rrAction uint8
 
 const (
-	rrDirect        rrAction = iota // send the direct probe
-	rrSkip                          // skip it as out of range
-	rrBatch                         // send the sweep's next round (stepSpoofNext)
-	rrHedges                        // send the hedges a round's lead left held (onSpoofBatch)
-	rrCached                        // the RR cache answered, an empty entry included
-	rrDeaf                          // the source's atlas, or its own silent rounds, heard no RR reply from the cursor's AS
-	rrRevealed                      // a probe revealed reverse hops
-	rrSilentVerdict                 // the direct probe unanswered, the cache's verdict silent
-	rrSurveySilent                  // the same, only the survey silent
-	rrSilentDirect                  // the same, no budget to re-ask it
-	rrExhausted                     // no vantage point left in the plan
-	rrBudget                        // MaxSpoofVPs vantage points tried
-	rrSilentBatch                   // the direct probe and a whole round unanswered
-	rrNoPrefix                      // the hop is in no BGP prefix, so has no plan
+	rrDirect      rrAction = iota // send the direct probe
+	rrSkip                        // skip it as out of range
+	rrBatch                       // send the sweep's next round (stepSpoofNext)
+	rrHedges                      // send the hedges a round's lead left held (onSpoofBatch)
+	rrCached                      // the RR cache answered, an empty entry included
+	rrDeaf                        // the source's atlas, or its own silent rounds, heard no RR reply from the cursor's AS
+	rrRevealed                    // a probe revealed reverse hops
+	rrSilent                      // the direct probe unanswered, the hop mute or no budget to re-ask it
+	rrExhausted                   // no vantage point left in the plan
+	rrBudget                      // MaxSpoofVPs vantage points tried
+	rrSilentBatch                 // the direct probe and a whole round unanswered
+	rrNoPrefix                    // the hop is in no BGP prefix, so has no plan
 )
 
 // next maps the stage to its next action, the first row that holds (DESIGN
 // "RR stage"); maxVPs is the spoof budget, retries the budget to re-ask a
 // silent direct probe (Machine.rrRetries). Silence is evidence only behind
-// a measured, unanswered direct probe, before any round or after a whole one.
+// a measured, unanswered direct probe, before any round or after a whole one;
+// a skipped probe (row 5: far, not mute) is no silence of the hop's.
 func (st *rrStage) next(maxVPs, retries int) rrAction {
 	silence := st.pastDirect && !st.swept && st.measured() && !st.answered
-	direct := !st.far || st.silent // the probe went out: only row 5 skips it
 	for _, row := range [...]struct {
 		holds bool
 		act   rrAction
@@ -724,11 +721,9 @@ func (st *rrStage) next(maxVPs, retries int) rrAction {
 		{st.deaf, rrDeaf},
 		{len(st.held) > 0, rrHedges},
 		{len(st.hops) > 0, rrRevealed},
-		{!st.pastDirect && st.far && !st.silent, rrSkip},
+		{!st.pastDirect && st.far && !st.mute, rrSkip},
 		{!st.pastDirect, rrDirect},
-		{silence && st.silent, rrSilentVerdict},
-		{silence && st.surveySilent, rrSurveySilent},
-		{silence && direct && !st.spoofedOnly && retries == 0, rrSilentDirect},
+		{silence && (st.mute || !st.far && !st.spoofedOnly && retries == 0), rrSilent},
 		{st.noPrefix, rrNoPrefix},
 		{st.swept && st.tried >= maxVPs, rrBudget},
 		{st.swept && !st.answered && !st.batchAnswered && st.batchSent, rrSilentBatch},
@@ -755,38 +750,42 @@ func (mm *Machine) openRR() {
 		return
 	}
 	asn, ok := e.Mapper.ASOf(cur)
-	atlasHeard := false // the atlas heard a hop of the AS answer: never learnt deaf
+	held := false // the atlas holds the AS, deaf or heard answering: it alone decides
 	if at := mm.src.Atlas; ok && e.Opts.UseRRAtlas && at != nil {
-		deaf, has := at.RRDeaf[asn]
-		st.deaf, atlasHeard = deaf && e.off&ruleDeaf == 0, has && !deaf
+		st.deaf, held = at.RRDeaf[asn]
 		st.spoofedOnly = at.RRSpoofedOnly[asn]
 	}
-	if ok && !st.deaf && !atlasHeard {
+	if ok && !held {
 		k, _ := e.knows(fact{factDeaf, ipv4.Addr(asn), mm.src.Agent.Addr})
 		st.deaf, st.deafBy = k.silent, 1
 	}
-	if st.deaf {
+	if st.deaf = st.deaf && e.off&ruleDeaf == 0; st.deaf {
 		return
 	}
 	if st.far = mm.distance() > ingress.InRangeHops; st.far {
-		mm.readSilence()
+		st.mute, _, _ = mm.mute()
 	}
 }
 
-// readSilence reads the silent verdict on the cursor and the ingress
-// survey's silence, which lives beside the knowledge table (DESIGN "(2)
-// Unresponsive").
-func (mm *Machine) readSilence() {
-	e, st := mm.e, &mm.rr
-	v, _ := e.knows(fact{kind: factVerdicts, subject: mm.cur})
-	st.silent = v.silent
-	st.surveySilent = e.gate(ruleSilence) && e.Ingress.Silent(mm.cur)
+// mute reads the cursor's silence (DESIGN "(2) Unresponsive"): whether the
+// knowledge table holds it mute (witness); whether that or the ingress
+// survey's silence, which lives beside the table, says it answers no option
+// packet (mute); and whether the table or the survey heard it answer one
+// (heard), where it is neither.
+func (mm *Machine) mute() (witness, mute, heard bool) {
+	k, ok := mm.e.knows(fact{kind: factMute, subject: mm.cur})
+	if ok && !k.silent || mm.e.Ingress.Heard(mm.cur) {
+		return false, false, true
+	}
+	return k.silent, k.silent || mm.e.gate(ruleVerdicts) && mm.e.Ingress.Silent(mm.cur), false
 }
 
-// passDirect moves the stage past its direct probe and reads the plan and
-// the cursor's AS, which keys the reach memo.
+// passDirect moves the stage past its direct probe, unanswered or skipped,
+// and reads the cursor's silence, the plan and the cursor's AS, which keys
+// the reach memo.
 func (mm *Machine) passDirect() {
 	e, st := mm.e, &mm.rr
+	_, st.mute, _ = mm.mute() // none where the probe was answered: heard
 	pfx, ok := e.F.Topo.BGPPrefixOf(mm.cur)
 	if st.pastDirect, st.noPrefix = true, !ok; ok {
 		plan := e.Ingress.PlanFor(pfx, e.Opts.VPSelection)
@@ -827,42 +826,39 @@ func (mm *Machine) runRR() {
 		e.metrics.rrDeaf[st.deafBy].Inc()
 	case rrRevealed:
 		e.learn(fact{factRR, mm.cur, mm.src.Agent.Addr}, known{addrs: st.hops, tech: st.tech})
-	case rrSilentVerdict, rrSurveySilent, rrSilentDirect:
+	case rrSilent:
 		st.closedSilent = true
 		e.metrics.spoofSweepsUnresponsive.Inc()
-		// Only the survey or this source's probe knew: the verdict is shared
-		// as if the first round had gone out, where there is one to send.
-		if act != rrSilentVerdict && len(mm.nextBatch()) > 0 {
+		// Where the table did not hold it mute, the witness is shared as if
+		// the first round had gone out, where there is one to send.
+		if witness, _, _ := mm.mute(); !witness && len(mm.nextBatch()) > 0 {
 			mm.shareVerdicts(nil, true)
 		}
 	case rrSilentBatch:
 		st.closedSilent = true
 		e.metrics.spoofSweepsSilent.Inc()
-		if !mm.witnessDeaf() {
-			mm.shareVerdicts(nil, true)
-		}
+		mm.witnessDeaf()
+		mm.shareVerdicts(nil, true)
 	}
 }
 
 // witnessDeaf writes the silent round that closed the stage as a witness that
-// the cursor's AS is deaf to the source, and reports a sure one: at no retries
-// at a hop the survey or a source heard answer, silent on the way home.
-func (mm *Machine) witnessDeaf() bool {
+// the cursor's AS is deaf to the source: a sure one at no retries at a hop the
+// survey or a source heard answer, silent on the way home.
+func (mm *Machine) witnessDeaf() {
 	e, st := mm.e, &mm.rr
 	if !st.learn || !st.measured() || !e.uses(factDeaf) {
-		return false
+		return
 	}
-	_, answers := e.knows(fact{kind: factHeard, subject: mm.cur})
-	sure := e.Pool.Retry().Max == 0 && (answers || e.Ingress.Heard(mm.cur))
-	e.learn(fact{factDeaf, ipv4.Addr(st.asn), mm.src.Agent.Addr}, known{hop: mm.cur, silent: sure})
-	return sure
+	_, _, heard := mm.mute()
+	e.learn(fact{factDeaf, ipv4.Addr(st.asn), mm.src.Agent.Addr}, known{hop: mm.cur, silent: heard && e.Pool.Retry().Max == 0})
 }
 
 // rrRetries is the budget to re-ask a silent direct probe: the pool's
 // retries (probe.RetryPolicy.Max) under an ingress plan, whose first round
 // asks the probe's question again — so the probe goes out once (Pending.Once),
 // the pool re-issuing only the round's lead, and at none its silence closes
-// the stage (row 9); -1 where no budget bounds that round: under the plans
+// the stage (row 7); -1 where no budget bounds that round: under the plans
 // that send it as revtr 1.0 did, or with the rule off.
 func (mm *Machine) rrRetries() int {
 	if mm.e.Opts.VPSelection != ingress.SelIngress || mm.e.off&ruleSilentDirect != 0 {
@@ -879,8 +875,6 @@ func (mm *Machine) onRRDirect(b probe.Batch) {
 		mm.heard(rep.RR)
 		st.hops, _ = extractReverse(rep.RR.Recorded, mm.cur, mm.e.Alias)
 		st.tech = TechRR
-	} else if st.sent {
-		mm.readSilence()
 	}
 	mm.passDirect()
 	mm.runRR()
@@ -1036,11 +1030,17 @@ func (mm *Machine) spoofWait(p *Pending, b probe.Batch) int64 {
 	return mm.e.spoofTimeoutUS
 }
 
-// shareVerdicts records what a spoofed batch settled about cur for every
-// source — if the stage was measured so far.
-func (mm *Machine) shareVerdicts(far []ipv4.Addr, silent bool) {
-	if mm.rr.measured() && (silent || len(far) > 0) {
-		mm.e.learn(fact{kind: factVerdicts, subject: mm.cur}, known{addrs: far, silent: silent})
+// shareVerdicts records what the stage settled about cur for every source —
+// if it was measured so far: the vantage points a spoofed batch found out of
+// range of it, or a silent close as a sure witness that it is mute, which a
+// reply some source heard from it outweighs (factMute's merge).
+func (mm *Machine) shareVerdicts(far []ipv4.Addr, mute bool) {
+	switch {
+	case !mm.rr.measured():
+	case mute:
+		mm.e.learn(fact{kind: factMute, subject: mm.cur}, known{hop: mm.cur, silent: true})
+	case len(far) > 0:
+		mm.e.learn(fact{kind: factVerdicts, subject: mm.cur}, known{addrs: far})
 	}
 }
 

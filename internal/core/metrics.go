@@ -74,8 +74,8 @@ type Metrics struct {
 	vpFailover *obs.Counter
 	deadVPHits *obs.Counter
 	// Saved by the per-hop verdicts: plan slots skipped (VP out of
-	// range) and RR stages closed at a silent direct probe (hop unresponsive;
-	// also the survey's silence, and the probe's own at no retries).
+	// range) and RR stages closed at a silent direct probe (the hop mute,
+	// by the table or the survey, or the probe's own silence at no retries).
 	spoofVPsOutOfRange      *obs.Counter
 	spoofSweepsUnresponsive *obs.Counter
 	// Read off the reach memo (factReach): rounds whose lead it changed

@@ -65,7 +65,7 @@ type Options struct {
 	// revealed nothing included, so a hop that does not answer Record
 	// Route is swept once a day per source, not once per measurement —
 	// and, across sources, what a sweep settled about the hop alone:
-	// the vantage points out of range of it, and that it stays silent.
+	// the vantage points out of range of it, and that it is mute.
 	UseCache bool
 	// Symmetry is the Q5 policy.
 	Symmetry SymmetryPolicy

@@ -12,7 +12,9 @@ import (
 // records, no world built: one row per action and per close reason, and the
 // rows whose order decides between two that hold. The first table is read
 // with a retry to spend (a round re-asks a silent direct probe); the second
-// at each budget.
+// at each budget. A stage is mute where Machine.mute read the hop so: at the
+// open the table's witness alone, so that the survey's silence alone does
+// not keep a far hop's direct probe; past it the survey's silence too.
 func TestRRStageNext(t *testing.T) {
 	const maxVPs = 12
 	hop := []ipv4.Addr{0x0a000001}
@@ -43,8 +45,7 @@ func TestRRStageNext(t *testing.T) {
 		// Opening.
 		{"in range or unknown: direct probe", rrStage{}, rrDirect},
 		{"out of range: skip", rrStage{far: true}, rrSkip},
-		{"a silent verdict keeps its direct probe", rrStage{far: true, silent: true}, rrDirect},
-		{"survey silence alone does not keep it", rrStage{far: true, surveySilent: true}, rrSkip},
+		{"a mute witness keeps its direct probe", rrStage{far: true, mute: true}, rrDirect},
 		{"cached", rrStage{cached: true, hops: hop, tech: TechRR}, rrCached},
 		{"cached empty entry", rrStage{cached: true}, rrCached},
 		{"cached wins over deaf", rrStage{cached: true, deaf: true, far: true}, rrCached},
@@ -53,13 +54,11 @@ func TestRRStageNext(t *testing.T) {
 
 		// Past the direct probe, before any batch.
 		{"direct probe revealed", past(func(st *rrStage) { st.answered, st.hops = true, hop }), rrRevealed},
-		{"silent verdict", past(func(st *rrStage) { st.silent = true }), rrSilentVerdict},
-		{"survey-only silent", past(func(st *rrStage) { st.surveySilent = true }), rrSurveySilent},
-		{"verdict wins over survey", past(func(st *rrStage) { st.silent, st.surveySilent = true, true }), rrSilentVerdict},
-		{"silence behind an answered direct probe sweeps", past(func(st *rrStage) { st.answered, st.silent = true, true }), rrBatch},
-		{"silence behind a probe not sent sweeps", past(func(st *rrStage) { st.sent, st.silent, st.surveySilent = false, true, true }), rrBatch},
-		{"skipped, source can send, survey silent", past(func(st *rrStage) { st.far, st.surveySilent = true, true }), rrSurveySilent},
-		{"survey silence wins over no prefix", past(func(st *rrStage) { st.surveySilent, st.noPrefix, st.plan = true, true, nil }), rrSurveySilent},
+		{"mute", past(func(st *rrStage) { st.mute = true }), rrSilent},
+		{"muteness behind an answered direct probe sweeps", past(func(st *rrStage) { st.answered, st.mute = true, true }), rrBatch},
+		{"muteness behind a probe not sent sweeps", past(func(st *rrStage) { st.sent, st.mute = false, true }), rrBatch},
+		{"skipped, source can send, the survey's silence read past the skip", past(func(st *rrStage) { st.far, st.mute = true, true }), rrSilent},
+		{"muteness wins over no prefix", past(func(st *rrStage) { st.mute, st.noPrefix, st.plan = true, true, nil }), rrSilent},
 		{"no prefix", past(func(st *rrStage) { st.noPrefix, st.plan = true, nil }), rrNoPrefix},
 		{"empty plan", past(func(st *rrStage) { st.plan = nil }), rrExhausted},
 		{"first batch", past(nil), rrBatch},
@@ -70,7 +69,7 @@ func TestRRStageNext(t *testing.T) {
 		{"an answered direct probe keeps the sweep past a silent batch", swept(func(st *rrStage) { st.answered = true }), rrBatch},
 		{"a batch that sent nothing is no evidence", swept(func(st *rrStage) { st.batchSent = false }), rrBatch},
 		{"a reply of any kind keeps the sweep", swept(func(st *rrStage) { st.batchAnswered = true }), rrBatch},
-		{"a silent verdict after a batch is read no more", swept(func(st *rrStage) { st.answered, st.silent = true, true }), rrBatch},
+		{"muteness after a batch is read no more", swept(func(st *rrStage) { st.answered, st.mute = true, true }), rrBatch},
 		{"budget", swept(func(st *rrStage) { st.answered, st.tried = true, maxVPs }), rrBudget},
 		{"budget wins over a silent batch", swept(func(st *rrStage) { st.tried = maxVPs }), rrBudget},
 		{"revealed wins over the budget", swept(func(st *rrStage) { st.tried, st.hops = maxVPs, hop }), rrRevealed},
@@ -97,19 +96,19 @@ func TestRRStageNext(t *testing.T) {
 		retries int
 		want    rrAction
 	}{
-		{"no retry: a silent direct probe closes", past(nil), 0, rrSilentDirect},
+		{"no retry: a silent direct probe closes", past(nil), 0, rrSilent},
 		{"one retry: the round re-asks it", past(nil), 1, rrBatch},
 		{"no budget applies (set cover, the rule off): the round", past(nil), -1, rrBatch},
 		{"a skipped probe is no silence: the round", past(func(st *rrStage) { st.far = true }), 0, rrBatch},
 		{"the atlas reached the hop's AS only by spoofed pings: the round", past(func(st *rrStage) { st.spoofedOnly = true }), 0, rrBatch},
-		{"a silent verdict closes there all the same", past(func(st *rrStage) { st.spoofedOnly, st.silent = true, true }), 0, rrSilentVerdict},
+		{"a mute hop closes there all the same", past(func(st *rrStage) { st.spoofedOnly, st.mute = true, true }), 0, rrSilent},
 		{"a probe not sent closes nothing", past(func(st *rrStage) { st.sent = false }), 0, rrBatch},
 		{"a VPDead slot closes nothing", past(func(st *rrStage) { st.dead = true }), 0, rrBatch},
 		{"an answered probe closes nothing", past(func(st *rrStage) { st.answered = true }), 0, rrBatch},
-		{"the silent verdict wins", past(func(st *rrStage) { st.silent = true }), 0, rrSilentVerdict},
-		{"the survey's silence wins", past(func(st *rrStage) { st.surveySilent = true }), 0, rrSurveySilent},
-		{"it wins over no prefix", past(func(st *rrStage) { st.noPrefix, st.plan = true, nil }), 0, rrSilentDirect},
-		{"it wins over an empty plan", past(func(st *rrStage) { st.plan = nil }), 0, rrSilentDirect},
+		{"a mute hop closes as one", past(func(st *rrStage) { st.mute = true }), 0, rrSilent},
+		{"a mute skipped hop closes as one", past(func(st *rrStage) { st.far, st.mute = true, true }), 0, rrSilent},
+		{"it wins over no prefix", past(func(st *rrStage) { st.noPrefix, st.plan = true, nil }), 0, rrSilent},
+		{"it wins over an empty plan", past(func(st *rrStage) { st.plan = nil }), 0, rrSilent},
 		{"after a round it is read no more", swept(func(st *rrStage) { st.batchAnswered = true }), 0, rrBatch},
 		{"a silent round still closes as one", swept(nil), 0, rrSilentBatch},
 	} {
